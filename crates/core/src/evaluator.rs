@@ -627,53 +627,7 @@ impl<'a> Evaluator<'a> {
         assignments: &[Assignment],
         strategies: &BTreeMap<usize, Strategy>,
     ) -> f64 {
-        // Coverage check: every layer belongs to exactly one assignment.
-        let mut owner: Vec<Option<usize>> = vec![None; self.net.len()];
-        for (ai, a) in assignments.iter().enumerate() {
-            for idx in a.layers.clone() {
-                if idx >= owner.len() || owner[idx].is_some() {
-                    return f64::INFINITY;
-                }
-                owner[idx] = Some(ai);
-            }
-        }
-        if owner.iter().any(Option::is_none) {
-            return f64::INFINITY;
-        }
-
-        let mut total = 0.0;
-        for a in assignments {
-            let cost = self.evaluate_assignment(a, strategies);
-            if !cost.memory_ok {
-                return f64::INFINITY;
-            }
-            total += cost.seconds;
-        }
-
-        // Inter-set activation transfers along every cut edge of the graph.
-        for (u, v) in self.net.edges() {
-            let (au, av) = (owner[u.0].expect("covered"), owner[v.0].expect("covered"));
-            if au != av {
-                let bytes = self.net.layers()[u.0].output_bytes();
-                total +=
-                    self.sim
-                        .redistribute(&assignments[au].accels, &assignments[av].accels, bytes);
-            }
-        }
-
-        // Host staging of the network input and output.
-        if let Some(first) = assignments.iter().find(|a| !a.is_idle()) {
-            let bytes = self.net.layers()[first.layers.start].input_bytes()
-                / first.set_size().max(1) as u64;
-            total += self.sim.host_scatter(&first.accels, bytes);
-        }
-        if let Some(last) = assignments.iter().rev().find(|a| !a.is_idle()) {
-            let idx = last.layers.end - 1;
-            let bytes = self.net.layers()[idx].output_bytes() / last.set_size().max(1) as u64;
-            total += self.sim.host_gather(&last.accels, bytes);
-        }
-
-        total
+        self.evaluate_by(assignments, |_, a| self.evaluate_assignment(a, strategies))
     }
 
     /// Like [`Evaluator::evaluate`], but sources each assignment's intra-set
@@ -686,6 +640,18 @@ impl<'a> Evaluator<'a> {
     /// [`Evaluator::evaluate`].
     pub fn evaluate_with_costs(&self, assignments: &[Assignment], costs: &[AssignmentCost]) -> f64 {
         debug_assert_eq!(assignments.len(), costs.len());
+        self.evaluate_by(assignments, |i, _| costs[i])
+    }
+
+    /// The body of [`Evaluator::evaluate`] and
+    /// [`Evaluator::evaluate_with_costs`]: the coverage check, the intra-set
+    /// costs from `cost_of(index, assignment)` in assignment order, then the
+    /// inter-set transfers and the host staging, summed in that order.
+    fn evaluate_by(
+        &self,
+        assignments: &[Assignment],
+        cost_of: impl Fn(usize, &Assignment) -> AssignmentCost,
+    ) -> f64 {
         // Coverage check: every layer belongs to exactly one assignment.
         let mut owner: Vec<Option<usize>> = vec![None; self.net.len()];
         for (ai, a) in assignments.iter().enumerate() {
@@ -701,7 +667,8 @@ impl<'a> Evaluator<'a> {
         }
 
         let mut total = 0.0;
-        for cost in costs {
+        for (i, a) in assignments.iter().enumerate() {
+            let cost = cost_of(i, a);
             if !cost.memory_ok {
                 return f64::INFINITY;
             }

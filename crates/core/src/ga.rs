@@ -20,24 +20,20 @@
 //!
 //! ## Flat populations and incremental fitness
 //!
-//! [`GeneticAlgorithm::run`] stores each generation in a single flat arena
-//! (`population × genome_len` gene values in one allocation, double-buffered
-//! across generations) instead of one heap `Vec` per genome, so breeding
-//! writes offspring straight into the next generation's buffer.  The RNG
-//! call sequence is identical to the historical per-genome-`Vec` engine,
-//! which is retained verbatim as [`GeneticAlgorithm::run_reference`]; a test
-//! pins the two bit-identical.
-//!
-//! [`GeneticAlgorithm::run_blocks`] extends the flat engine with
-//! *incremental (delta) fitness* for block-structured genomes: the fitness
-//! is `combine(block_eval(block 0), …, block_eval(block n-1))`, and an
-//! offspring re-evaluates only the blocks whose genes differ from its
-//! breeding parent, reusing the parent's remaining block terms (with a
-//! debug-build cross-check that every reused term matches a fresh
-//! evaluation).  It also supports opt-in *early termination*: with a sound
-//! lower-bound hook, a genome whose partial cost already exceeds the
-//! best-ever incumbent is abandoned mid-evaluation (see the method docs for
-//! the exact determinism guarantees).
+//! [`GeneticAlgorithm::run_blocks`] is the one generation loop.  It stores
+//! each generation in a single flat arena (`population × genome_len` gene
+//! values in one allocation, double-buffered across generations) instead of
+//! one heap `Vec` per genome, so breeding writes offspring straight into the
+//! next generation's buffer, and it scores genomes by *incremental (delta)
+//! fitness*: the fitness is `combine(block_eval(block 0), …,
+//! block_eval(block n-1))`, and an offspring re-evaluates only the blocks
+//! whose genes differ from its breeding parent, reusing the parent's
+//! remaining block terms (with a debug-build cross-check that every reused
+//! term matches a fresh evaluation).  [`GeneticAlgorithm::run`] is the
+//! whole-genome case: one block, so elites and unmutated clones reuse their
+//! parent's score.  The RNG call sequence is identical to the historical
+//! per-genome-`Vec` engine, which is retained verbatim as
+//! [`GeneticAlgorithm::run_reference`]; a test pins the two bit-identical.
 
 use mars_parallel::scoped_map;
 use rand::rngs::StdRng;
@@ -171,11 +167,9 @@ pub struct GaOutcome {
     /// Number of fitness evaluations performed.
     pub evaluations: usize,
     /// Block terms reused from breeding parents by the delta-fitness path of
-    /// [`GeneticAlgorithm::run_blocks`] (`0` for whole-genome runs).
+    /// [`GeneticAlgorithm::run_blocks`]; a whole-genome [`GeneticAlgorithm::run`]
+    /// counts one per elite or unmutated clone.
     pub blocks_reused: u64,
-    /// Genomes abandoned mid-evaluation by early termination (`0` unless a
-    /// lower bound was supplied to [`GeneticAlgorithm::run_blocks`]).
-    pub pruned_genomes: u64,
     /// Wall-clock time of the whole run.
     pub elapsed: Duration,
 }
@@ -198,11 +192,6 @@ impl GaOutcome {
         throughput(self.evaluations, self.elapsed)
     }
 }
-
-/// Lower-bound callback for [`GeneticAlgorithm::run_blocks`] early
-/// termination: maps the leading block terms computed so far to a score that
-/// never exceeds the genome's full combined fitness.
-pub type BlockBound<'a, B> = &'a (dyn Fn(&[B]) -> f64 + Sync);
 
 /// The genetic-algorithm engine (fitness is minimised).
 #[derive(Debug, Clone)]
@@ -232,8 +221,10 @@ impl GeneticAlgorithm {
     ///   engine may evaluate a generation's genomes concurrently on
     ///   [`GaConfig::threads`] worker threads and in any order.
     ///
-    /// The outcome is bit-identical for every thread count (see the module
-    /// docs on determinism).
+    /// This is [`GeneticAlgorithm::run_blocks`] with the whole genome as one
+    /// block, so elites and unmutated clones keep their parent's score
+    /// instead of being re-evaluated.  The outcome is bit-identical for every
+    /// thread count (see the module docs on determinism).
     ///
     /// ```
     /// use mars_core::{GaConfig, GeneticAlgorithm};
@@ -246,105 +237,12 @@ impl GeneticAlgorithm {
     /// assert_eq!(out.history.len(), ga.config().generations + 1);
     /// assert!(out.evals_per_second() > 0.0);
     /// ```
-    pub fn run<I, F>(&self, genome_len: usize, mut init: I, fitness: F) -> GaOutcome
+    pub fn run<I, F>(&self, genome_len: usize, init: I, fitness: F) -> GaOutcome
     where
         I: FnMut(&mut StdRng, usize) -> Vec<f64>,
         F: Fn(&[f64]) -> f64 + Sync,
     {
-        let start = Instant::now();
-        let cfg = self.cfg;
-        let pop_size = cfg.population.max(2);
-
-        // Flat arena: all genomes of a generation live in one allocation,
-        // double-buffered with `next` so breeding never allocates.
-        let mut genes = vec![0.0f64; pop_size * genome_len];
-        for i in 0..pop_size {
-            let mut rng = StdRng::seed_from_u64(genome_stream_seed(cfg.seed, 0, i as u64));
-            let mut g = init(&mut rng, i);
-            g.resize(genome_len, 0.5);
-            let dst = &mut genes[i * genome_len..(i + 1) * genome_len];
-            for (d, x) in dst.iter_mut().zip(&g) {
-                *d = x.clamp(0.0, 1.0);
-            }
-        }
-        let mut scores = self.evaluate_flat(&genes, genome_len, pop_size, &fitness);
-        let mut evaluations = pop_size;
-
-        // Best-ever individual, updated in index order after each (possibly
-        // parallel) evaluation so ties always resolve to the lowest index.
-        let mut best_genes = genes[..genome_len].to_vec();
-        let mut best_fitness = scores[0];
-        for (i, &s) in scores.iter().enumerate().skip(1) {
-            if s < best_fitness {
-                best_fitness = s;
-                best_genes.copy_from_slice(&genes[i * genome_len..(i + 1) * genome_len]);
-            }
-        }
-
-        let mut history = Vec::with_capacity(cfg.generations + 1);
-        history.push(best_of(&scores));
-        let mut mean_history = Vec::with_capacity(cfg.generations + 1);
-        mean_history.push(mean_of(&scores));
-
-        let mut next = vec![0.0f64; pop_size * genome_len];
-        for generation in 1..=cfg.generations {
-            let mut order: Vec<usize> = (0..pop_size).collect();
-            order.sort_by(|a, b| scores[*a].partial_cmp(&scores[*b]).expect("finite or inf"));
-
-            let elites = cfg.elitism.min(pop_size);
-            for (slot, &i) in order.iter().take(elites).enumerate() {
-                let (src, dst) = (i * genome_len, slot * genome_len);
-                next[dst..dst + genome_len].copy_from_slice(&genes[src..src + genome_len]);
-            }
-
-            for slot in elites..pop_size {
-                let mut rng = StdRng::seed_from_u64(genome_stream_seed(
-                    cfg.seed,
-                    generation as u64,
-                    slot as u64,
-                ));
-                let a = self.tournament(&mut rng, &scores);
-                let dst = slot * genome_len;
-                if rng.gen_bool(cfg.crossover_rate) {
-                    let b = self.tournament(&mut rng, &scores);
-                    for g in 0..genome_len {
-                        next[dst + g] = if rng.gen_bool(0.5) {
-                            genes[a * genome_len + g]
-                        } else {
-                            genes[b * genome_len + g]
-                        };
-                    }
-                } else {
-                    next[dst..dst + genome_len]
-                        .copy_from_slice(&genes[a * genome_len..(a + 1) * genome_len]);
-                }
-                self.mutate_slice(&mut rng, &mut next[dst..dst + genome_len]);
-            }
-
-            std::mem::swap(&mut genes, &mut next);
-            scores = self.evaluate_flat(&genes, genome_len, pop_size, &fitness);
-            evaluations += pop_size;
-            history.push(best_of(&scores));
-            mean_history.push(mean_of(&scores));
-
-            for (i, &s) in scores.iter().enumerate() {
-                if s < best_fitness {
-                    best_fitness = s;
-                    best_genes.copy_from_slice(&genes[i * genome_len..(i + 1) * genome_len]);
-                }
-            }
-        }
-
-        GaOutcome {
-            best_genes,
-            best_fitness,
-            history,
-            mean_history,
-            evaluations,
-            blocks_reused: 0,
-            pruned_genomes: 0,
-            elapsed: start.elapsed(),
-        }
+        self.run_blocks(1, genome_len, init, |_, genes| fitness(genes), |t| t[0])
     }
 
     /// The historical per-genome-`Vec` engine, retained verbatim as the
@@ -437,13 +335,11 @@ impl GeneticAlgorithm {
             mean_history,
             evaluations,
             blocks_reused: 0,
-            pruned_genomes: 0,
             elapsed: start.elapsed(),
         }
     }
 
-    /// Runs the search with *incremental (block-structured) fitness* and
-    /// optional early termination of dominated genomes.
+    /// Runs the search with *incremental (block-structured) fitness*.
     ///
     /// The genome is `n_blocks` consecutive blocks of `block_len` genes, and
     /// the fitness of a genome factors through per-block *terms*:
@@ -451,26 +347,11 @@ impl GeneticAlgorithm {
     /// `block_eval` is a pure function of `(block index, block genes)`.
     /// Under that contract the run's trajectory — genomes bred, scores,
     /// history, returned best — is bit-identical to
-    /// [`GeneticAlgorithm::run`] with the composed fitness, but offspring
-    /// only re-evaluate the blocks whose genes differ from their breeding
-    /// parent; unchanged blocks reuse the parent's memoised term.  Debug
-    /// builds cross-check every reused term against a fresh evaluation.
-    ///
-    /// `lower_bound`, when given, enables successive-halving-style early
-    /// termination: after each block, `lower_bound(&terms so far)` is
-    /// compared against the best-ever incumbent, and the genome is abandoned
-    /// (score = `INFINITY`) once the bound exceeds it.  The hook must be
-    /// *sound*: `lower_bound(prefix) <= combine(full terms)` for every
-    /// prefix.  Pruning is applied only from generation 1 on and only when
-    /// [`GaConfig::elitism`] ≥ 1, which makes the incumbent an elite of
-    /// every later generation; a sound bound then guarantees — determinism
-    /// ties broken by genome index, as everywhere in this engine — that the
-    /// per-generation best (`history`) and the returned best individual are
-    /// unchanged by pruning.  Selection *pressure among dominated genomes*
-    /// does change (they all score `INFINITY`), so a pruned run may explore
-    /// a different trajectory after generation 1; pass `None` when
-    /// bit-identity with [`GeneticAlgorithm::run`] is required.
-    #[allow(clippy::too_many_arguments)]
+    /// [`GeneticAlgorithm::run_reference`] with the composed fitness, but
+    /// offspring only re-evaluate the blocks whose genes differ from their
+    /// breeding parent; unchanged blocks reuse the parent's memoised term.
+    /// Debug builds cross-check every reused term against a fresh
+    /// evaluation.
     pub fn run_blocks<B, I, E, C>(
         &self,
         n_blocks: usize,
@@ -478,7 +359,6 @@ impl GeneticAlgorithm {
         mut init: I,
         block_eval: E,
         combine: C,
-        lower_bound: Option<BlockBound<'_, B>>,
     ) -> GaOutcome
     where
         B: Clone + PartialEq + std::fmt::Debug + Send + Sync,
@@ -490,9 +370,9 @@ impl GeneticAlgorithm {
         let cfg = self.cfg;
         let pop_size = cfg.population.max(2);
         let genome_len = n_blocks * block_len;
-        // Pruning requires the incumbent to survive as an elite (see docs).
-        let prune = lower_bound.filter(|_| cfg.elitism >= 1);
 
+        // Flat arena: all genomes of a generation live in one allocation,
+        // double-buffered with `next` so breeding never allocates.
         let mut genes = vec![0.0f64; pop_size * genome_len];
         for i in 0..pop_size {
             let mut rng = StdRng::seed_from_u64(genome_stream_seed(cfg.seed, 0, i as u64));
@@ -504,35 +384,29 @@ impl GeneticAlgorithm {
             }
         }
 
-        // Deterministic totals: reuse decisions are pure functions of the
-        // genes and pruning of the (deterministic) incumbent, so relaxed
-        // sums over worker threads are exact and thread-count invariant.
+        // Deterministic total: reuse decisions are pure functions of the
+        // genes, so a relaxed sum over worker threads is exact and
+        // thread-count invariant.
         let reused = AtomicU64::new(0);
-        let pruned = AtomicU64::new(0);
 
-        // Per-slot block terms of the current generation, plus how many
-        // leading blocks are valid (a pruned genome stops early) and which
+        // Per-slot block terms of the current generation, and which
         // previous-generation slot each genome was bred from.
         let mut parents: Vec<Option<usize>> = vec![None; pop_size];
-        let (mut terms, mut valid, mut scores) = self.evaluate_blocks(
+        let (mut terms, mut scores) = self.evaluate_blocks(
             &genes,
             &[],
-            genome_len,
-            pop_size,
             n_blocks,
             block_len,
             &[],
-            &[],
             &parents,
-            f64::INFINITY,
             &block_eval,
             &combine,
-            prune,
             &reused,
-            &pruned,
         );
         let mut evaluations = pop_size;
 
+        // Best-ever individual, updated in index order after each (possibly
+        // parallel) evaluation so ties always resolve to the lowest index.
         let mut best_genes = genes[..genome_len].to_vec();
         let mut best_fitness = scores[0];
         for (i, &s) in scores.iter().enumerate().skip(1) {
@@ -587,27 +461,17 @@ impl GeneticAlgorithm {
             std::mem::swap(&mut genes, &mut next);
             // After the swap `next` holds the parent generation's genes —
             // exactly what block reuse compares child blocks against.
-            let incumbent = best_fitness;
-            let (t, v, s) = self.evaluate_blocks(
+            (terms, scores) = self.evaluate_blocks(
                 &genes,
                 &next,
-                genome_len,
-                pop_size,
                 n_blocks,
                 block_len,
                 &terms,
-                &valid,
                 &parents,
-                incumbent,
                 &block_eval,
                 &combine,
-                prune,
                 &reused,
-                &pruned,
             );
-            terms = t;
-            valid = v;
-            scores = s;
             evaluations += pop_size;
             history.push(best_of(&scores));
             mean_history.push(mean_of(&scores));
@@ -627,90 +491,65 @@ impl GeneticAlgorithm {
             mean_history,
             evaluations,
             blocks_reused: reused.load(Relaxed),
-            pruned_genomes: pruned.load(Relaxed),
             elapsed: start.elapsed(),
         }
     }
 
     /// Scores one generation of a [`GeneticAlgorithm::run_blocks`] search:
-    /// per-slot block terms with parent reuse, `combine` for the score, and
-    /// optional incumbent pruning.  Returns `(terms, valid block counts,
-    /// scores)`.
+    /// per-slot block terms with parent reuse, and `combine` for the score.
+    /// Returns `(terms, scores)`.
     #[allow(clippy::too_many_arguments)]
     fn evaluate_blocks<B, E, C>(
         &self,
         genes: &[f64],
         prev_genes: &[f64],
-        genome_len: usize,
-        pop_size: usize,
         n_blocks: usize,
         block_len: usize,
         prev_terms: &[Vec<B>],
-        prev_valid: &[usize],
         parents: &[Option<usize>],
-        incumbent: f64,
         block_eval: &E,
         combine: &C,
-        prune: Option<BlockBound<'_, B>>,
         reused_total: &AtomicU64,
-        pruned_total: &AtomicU64,
-    ) -> (Vec<Vec<B>>, Vec<usize>, Vec<f64>)
+    ) -> (Vec<Vec<B>>, Vec<f64>)
     where
         B: Clone + PartialEq + std::fmt::Debug + Send + Sync,
         E: Fn(usize, &[f64]) -> B + Sync,
         C: Fn(&[B]) -> f64 + Sync,
     {
-        let slots: Vec<usize> = (0..pop_size).collect();
-        let results = scoped_map(self.cfg.threads, &slots, |_, &slot| {
+        let genome_len = n_blocks * block_len;
+        let slots: Vec<usize> = (0..parents.len()).collect();
+        scoped_map(self.cfg.threads, &slots, |_, &slot| {
             let genome = &genes[slot * genome_len..(slot + 1) * genome_len];
-            let mut terms: Vec<B> = Vec::with_capacity(n_blocks);
             let parent = parents[slot].filter(|_| !prev_terms.is_empty());
-            for j in 0..n_blocks {
-                let block = &genome[j * block_len..(j + 1) * block_len];
-                let reused = parent.and_then(|p| {
-                    let parent_block = &prev_genes
-                        [p * genome_len + j * block_len..p * genome_len + (j + 1) * block_len];
-                    if j < prev_valid[p] && block == parent_block {
-                        Some(prev_terms[p][j].clone())
-                    } else {
-                        None
-                    }
-                });
-                let term = match reused {
-                    Some(t) => {
-                        #[cfg(debug_assertions)]
-                        {
-                            let fresh = block_eval(j, block);
-                            debug_assert!(
-                                fresh == t,
-                                "delta-fitness reuse mismatch at block {j}: {fresh:?} != {t:?}"
-                            );
+            let terms: Vec<B> = (0..n_blocks)
+                .map(|j| {
+                    let block = &genome[j * block_len..(j + 1) * block_len];
+                    let reused = parent.and_then(|p| {
+                        let at = p * genome_len + j * block_len;
+                        (block == &prev_genes[at..at + block_len]).then(|| prev_terms[p][j].clone())
+                    });
+                    match reused {
+                        Some(t) => {
+                            #[cfg(debug_assertions)]
+                            {
+                                let fresh = block_eval(j, block);
+                                debug_assert!(
+                                    fresh == t,
+                                    "delta-fitness reuse mismatch at block {j}: {fresh:?} != {t:?}"
+                                );
+                            }
+                            reused_total.fetch_add(1, Relaxed);
+                            t
                         }
-                        reused_total.fetch_add(1, Relaxed);
-                        t
+                        None => block_eval(j, block),
                     }
-                    None => block_eval(j, block),
-                };
-                terms.push(term);
-                if let Some(bound_fn) = prune {
-                    if j + 1 < n_blocks && bound_fn(&terms) > incumbent {
-                        pruned_total.fetch_add(1, Relaxed);
-                        return (terms, f64::INFINITY);
-                    }
-                }
-            }
+                })
+                .collect();
             let score = combine(&terms);
             (terms, score)
-        });
-        let mut terms = Vec::with_capacity(pop_size);
-        let mut valid = Vec::with_capacity(pop_size);
-        let mut scores = Vec::with_capacity(pop_size);
-        for (t, s) in results {
-            valid.push(t.len());
-            terms.push(t);
-            scores.push(s);
-        }
-        (terms, valid, scores)
+        })
+        .into_iter()
+        .unzip()
     }
 
     /// Scores one generation, fanning the genomes out over the worker pool
@@ -720,23 +559,6 @@ impl GeneticAlgorithm {
         F: Fn(&[f64]) -> f64 + Sync,
     {
         scoped_map(self.cfg.threads, population, |_, genes| fitness(genes))
-    }
-
-    /// Flat-arena counterpart of [`GeneticAlgorithm::evaluate`].
-    fn evaluate_flat<F>(
-        &self,
-        genes: &[f64],
-        genome_len: usize,
-        pop_size: usize,
-        fitness: &F,
-    ) -> Vec<f64>
-    where
-        F: Fn(&[f64]) -> f64 + Sync,
-    {
-        let slices: Vec<&[f64]> = (0..pop_size)
-            .map(|i| &genes[i * genome_len..(i + 1) * genome_len])
-            .collect();
-        scoped_map(self.cfg.threads, &slices, |_, genome| fitness(genome))
     }
 
     fn tournament(&self, rng: &mut StdRng, scores: &[f64]) -> usize {
@@ -942,26 +764,37 @@ mod tests {
     }
 
     #[test]
-    fn flat_engine_matches_reference_engine_bitwise() {
-        // The arena-backed `run` must retrace the historical per-genome-Vec
-        // engine exactly: same genomes, same scores, same history.
+    fn run_matches_reference_engine_and_reuses_elite_scores() {
+        // `run` is `run_blocks` with one block: it must retrace the
+        // historical per-genome-Vec engine exactly — same genomes, same
+        // scores, same history — while answering elites and unmutated
+        // clones from their parent's score instead of re-evaluating them.
         for seed in [3, 11, 21] {
-            let cfg = GaConfig {
-                population: 10,
-                generations: 6,
-                ..GaConfig::first_level(seed)
-            };
-            let init = |rng: &mut StdRng, _: usize| (0..7).map(|_| rng.gen()).collect::<Vec<_>>();
-            let flat = GeneticAlgorithm::new(cfg).run(7, init, sphere);
-            let reference = GeneticAlgorithm::new(cfg).run_reference(7, init, sphere);
-            assert_eq!(flat.best_genes, reference.best_genes, "seed {seed}");
-            assert_eq!(
-                flat.best_fitness.to_bits(),
-                reference.best_fitness.to_bits()
-            );
-            assert_eq!(flat.history, reference.history);
-            assert_eq!(flat.mean_history, reference.mean_history);
-            assert_eq!(flat.evaluations, reference.evaluations);
+            for threads in [1, 4] {
+                let cfg = GaConfig {
+                    population: 10,
+                    generations: 6,
+                    ..GaConfig::first_level(seed).with_threads(threads)
+                };
+                let init =
+                    |rng: &mut StdRng, _: usize| (0..7).map(|_| rng.gen()).collect::<Vec<_>>();
+                let flat = GeneticAlgorithm::new(cfg).run(7, init, sphere);
+                let reference = GeneticAlgorithm::new(cfg).run_reference(7, init, sphere);
+                assert_eq!(flat.best_genes, reference.best_genes, "seed {seed}");
+                assert_eq!(
+                    flat.best_fitness.to_bits(),
+                    reference.best_fitness.to_bits()
+                );
+                assert_eq!(flat.history, reference.history);
+                assert_eq!(flat.mean_history, reference.mean_history);
+                assert_eq!(flat.evaluations, reference.evaluations);
+                // Two elites per generation are verbatim copies.
+                assert!(
+                    flat.blocks_reused >= 2 * cfg.generations as u64,
+                    "seed {seed}: elites were re-scored ({} reused)",
+                    flat.blocks_reused
+                );
+            }
         }
     }
 
@@ -981,7 +814,7 @@ mod tests {
     }
 
     #[test]
-    fn run_blocks_matches_run_bitwise_without_pruning() {
+    fn run_blocks_matches_whole_genome_run_bitwise() {
         for seed in [5, 17] {
             let cfg = GaConfig {
                 population: 8,
@@ -1000,8 +833,7 @@ mod tests {
                 block_sum(&terms)
             };
             let whole = GeneticAlgorithm::new(cfg).run(12, init, blocked_sphere);
-            let blocks =
-                GeneticAlgorithm::new(cfg).run_blocks(4, 3, init, block_term, block_sum, None);
+            let blocks = GeneticAlgorithm::new(cfg).run_blocks(4, 3, init, block_term, block_sum);
             assert_eq!(whole.best_genes, blocks.best_genes, "seed {seed}");
             assert_eq!(whole.best_fitness.to_bits(), blocks.best_fitness.to_bits());
             assert_eq!(whole.history, blocks.history);
@@ -1010,8 +842,6 @@ mod tests {
             // Elites are verbatim copies of their parents, so the delta path
             // must have reused at least their blocks.
             assert!(blocks.blocks_reused > 0, "seed {seed}: no delta reuse");
-            assert_eq!(blocks.pruned_genomes, 0);
-            assert_eq!(whole.blocks_reused, 0);
         }
     }
 
@@ -1029,7 +859,6 @@ mod tests {
                 |rng, _| (0..15).map(|_| rng.gen()).collect(),
                 block_term,
                 block_sum,
-                None,
             )
         };
         let serial = run(1);
@@ -1038,67 +867,6 @@ mod tests {
             assert_eq!(serial.best_genes, parallel.best_genes, "threads={threads}");
             assert_eq!(serial.history, parallel.history, "threads={threads}");
         }
-    }
-
-    #[test]
-    fn pruned_run_blocks_keeps_a_true_best_and_monotone_history() {
-        // The partial block sum is a sound lower bound for the full sum, so
-        // pruning may abandon dominated genomes but must never corrupt the
-        // returned best: its fitness must equal a full recomputation, and
-        // the history must stay monotone (the incumbent is an elite).
-        let cfg = GaConfig {
-            population: 12,
-            generations: 8,
-            ..GaConfig::second_level(31)
-        };
-        let bound = |terms: &[f64]| block_sum(terms);
-        let out = GeneticAlgorithm::new(cfg).run_blocks(
-            6,
-            3,
-            |rng, _| (0..18).map(|_| rng.gen()).collect(),
-            block_term,
-            block_sum,
-            Some(&bound),
-        );
-        let recomputed: f64 = out
-            .best_genes
-            .chunks(3)
-            .enumerate()
-            .map(|(j, b)| block_term(j, b))
-            .sum();
-        assert_eq!(out.best_fitness.to_bits(), recomputed.to_bits());
-        for w in out.history.windows(2) {
-            assert!(w[1] <= w[0] + 1e-12, "history regressed: {:?}", out.history);
-        }
-        // Same seed, same pruned trajectory.
-        let again = GeneticAlgorithm::new(cfg).run_blocks(
-            6,
-            3,
-            |rng, _| (0..18).map(|_| rng.gen()).collect(),
-            block_term,
-            block_sum,
-            Some(&bound),
-        );
-        assert_eq!(out.best_genes, again.best_genes);
-        assert_eq!(out.history, again.history);
-    }
-
-    #[test]
-    fn pruning_never_changes_generation_zero_or_one_bests() {
-        // Pruning starts at generation 1 and the incumbent is an elite, so
-        // the first two history entries must match the unpruned run exactly.
-        let cfg = GaConfig {
-            population: 10,
-            generations: 6,
-            ..GaConfig::second_level(47)
-        };
-        let bound = |terms: &[f64]| block_sum(terms);
-        let init = |rng: &mut StdRng, _: usize| (0..12).map(|_| rng.gen()).collect::<Vec<_>>();
-        let plain = GeneticAlgorithm::new(cfg).run_blocks(4, 3, init, block_term, block_sum, None);
-        let pruned =
-            GeneticAlgorithm::new(cfg).run_blocks(4, 3, init, block_term, block_sum, Some(&bound));
-        assert_eq!(plain.history[0].to_bits(), pruned.history[0].to_bits());
-        assert_eq!(plain.history[1].to_bits(), pruned.history[1].to_bits());
     }
 
     /// A block term that remembers which chain step computed it.  Equality
@@ -1157,23 +925,16 @@ mod tests {
                 let mut genes: Vec<f64> = (0..POP * GENOME).map(|_| rng.gen()).collect();
                 let mut parents: Vec<Option<usize>> = vec![None; POP];
                 let reused_count = AtomicU64::new(0);
-                let pruned_count = AtomicU64::new(0);
-                let (mut terms, mut valid, _) = ga.evaluate_blocks(
+                let (mut terms, _) = ga.evaluate_blocks(
                     &genes,
                     &[],
-                    GENOME,
-                    POP,
                     BLOCKS,
                     BLOCK_LEN,
                     &[],
-                    &[],
                     &parents,
-                    f64::INFINITY,
                     &block_eval,
                     &combine,
-                    None,
                     &reused_count,
-                    &pruned_count,
                 );
 
                 let mut reused_terms = 0usize;
@@ -1195,22 +956,16 @@ mod tests {
                             }
                         }
                     }
-                    let (t, v, scores) = ga.evaluate_blocks(
+                    let (t, scores) = ga.evaluate_blocks(
                         &next,
                         &genes,
-                        GENOME,
-                        POP,
                         BLOCKS,
                         BLOCK_LEN,
                         &terms,
-                        &valid,
                         &parents,
-                        f64::INFINITY,
                         &block_eval,
                         &combine,
-                        None,
                         &reused_count,
-                        &pruned_count,
                     );
                     // Oracle: full recomputation of every block, combined in
                     // the same order.  Delta fitness must match bit for bit.
@@ -1232,16 +987,14 @@ mod tests {
                     }
                     genes = next;
                     terms = t;
-                    valid = v;
                 }
                 assert!(
                     reused_terms > 0,
                     "seed {seed} threads {threads}: no term was ever delta-reused"
                 );
                 // The engine's own reuse counter agrees with the tag-based
-                // count, and nothing was pruned without a bound.
+                // count.
                 assert_eq!(reused_count.load(Ordering::Relaxed), reused_terms as u64);
-                assert_eq!(pruned_count.load(Ordering::Relaxed), 0);
             }
         }
     }

@@ -46,7 +46,6 @@
 
 pub mod ablation;
 pub mod baseline;
-mod builder;
 mod evaluator;
 mod ga;
 mod genome;
@@ -55,7 +54,6 @@ mod mapping;
 pub mod report;
 pub mod scheduler;
 
-pub use builder::SearchBuilder;
 pub use evaluator::{AssignmentCost, DesignPolicy, Evaluator, WorstOfModel};
 pub use ga::{genome_stream_seed, GaConfig, GaOutcome, GeneticAlgorithm};
 pub use genome::{FirstLevelGenome, SecondLevelGenome};

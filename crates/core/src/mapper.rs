@@ -5,20 +5,18 @@
 //! * [`SearchEngine::Flat`] (the default) — the rebuilt hot path: flat
 //!   arena-backed GA populations, incremental per-layer (delta) fitness in
 //!   the second level via [`GeneticAlgorithm::run_blocks`], a hoisted
-//!   evaluation context, a whole-decision memo on top of the per-assignment
-//!   second-level memo, and optional early termination of dominated
-//!   genomes ([`SearchConfig::early_termination`]).
+//!   evaluation context, and a whole-decision memo on top of the
+//!   per-assignment second-level memo.
 //! * [`SearchEngine::Reference`] — the pre-rebuild pipeline, retained
 //!   verbatim as the bit-identity oracle.  The differential tests (and the
 //!   `perf_smoke` speedup headline) run both engines on the same seeds and
 //!   assert the returned [`SearchResult`]s are bit-identical.
 //!
 //! Both engines are deterministic for any thread count; see the `ga` module
-//! docs.  Prefer constructing searches through
-//! [`SearchBuilder`](crate::SearchBuilder).
+//! docs.
 
 use crate::evaluator::{AssignmentCost, DesignPolicy, Evaluator};
-use crate::ga::{BlockBound, GaConfig, GeneticAlgorithm};
+use crate::ga::{GaConfig, GeneticAlgorithm};
 use crate::genome::{decode_strategy_fast, FirstLevelGenome, SecondLevelGenome, GENES_PER_LAYER};
 use crate::mapping::{Assignment, Mapping};
 use mars_accel::{Catalog, DesignId, ProfileTable};
@@ -39,7 +37,7 @@ use std::time::{Duration, Instant};
 pub enum SearchEngine {
     /// The rebuilt engine: flat genome arenas, delta fitness, memoised
     /// decision caches.  Bit-identical to [`SearchEngine::Reference`] on the
-    /// same seed (unless [`SearchConfig::early_termination`] is enabled).
+    /// same seed.
     #[default]
     Flat,
     /// The pre-rebuild pipeline, kept as the correctness oracle.
@@ -54,52 +52,24 @@ pub struct SearchConfig {
     pub first_level: GaConfig,
     /// Hyper-parameters of the second-level GA (per-layer strategies).
     pub second_level: GaConfig,
-    /// Maximum number of accelerator sets (0 = one per accelerator).
-    pub max_sets: usize,
     /// Master seed; the per-level seeds are derived from it.
     pub seed: u64,
     /// Which engine runs the search.
     pub engine: SearchEngine,
-    /// Abandon second-level genomes whose partial cost already exceeds the
-    /// best-ever incumbent (flat engine only).  The returned best is still a
-    /// genuine, fully evaluated optimum with deterministic index-order
-    /// tie-breaks, but the search explores a (deterministically) different
-    /// trajectory than with the flag off, so leave it off when bit-identity
-    /// with [`SearchEngine::Reference`] matters.
-    pub early_termination: bool,
 }
 
 impl SearchConfig {
     /// The configuration used for the paper-scale experiments.
-    ///
-    /// Deprecated as a direct entry point: prefer
-    /// [`SearchBuilder::new(seed)`](crate::SearchBuilder::new) (standard is
-    /// its default budget), which resolves to exactly this configuration.
-    ///
-    /// ```
-    /// use mars_core::{SearchBuilder, SearchConfig};
-    /// assert_eq!(SearchBuilder::new(42).search_config(), SearchConfig::standard(42));
-    /// ```
     pub fn standard(seed: u64) -> Self {
         Self {
             first_level: GaConfig::first_level(seed),
             second_level: GaConfig::second_level(seed.wrapping_add(1)),
-            max_sets: 0,
             seed,
             engine: SearchEngine::Flat,
-            early_termination: false,
         }
     }
 
     /// A reduced configuration for unit tests, examples and quick runs.
-    ///
-    /// Deprecated as a direct entry point: prefer
-    /// [`SearchBuilder::new(seed).fast()`](crate::SearchBuilder::fast).
-    ///
-    /// ```
-    /// use mars_core::{SearchBuilder, SearchConfig};
-    /// assert_eq!(SearchBuilder::new(42).fast().search_config(), SearchConfig::fast(42));
-    /// ```
     pub fn fast(seed: u64) -> Self {
         Self {
             first_level: GaConfig {
@@ -112,10 +82,8 @@ impl SearchConfig {
                 generations: 6,
                 ..GaConfig::second_level(seed.wrapping_add(1))
             },
-            max_sets: 0,
             seed,
             engine: SearchEngine::Flat,
-            early_termination: false,
         }
     }
 
@@ -126,8 +94,6 @@ impl SearchConfig {
     /// first-level worker threads, so giving them their own pools would only
     /// oversubscribe the machine.  The search outcome is bit-identical for
     /// every thread count.
-    ///
-    /// Prefer [`SearchBuilder::threads`](crate::SearchBuilder::threads).
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.first_level.threads = threads;
         self.second_level.threads = 1;
@@ -137,13 +103,6 @@ impl SearchConfig {
     /// Returns the configuration with the given engine selected.
     pub fn with_engine(mut self, engine: SearchEngine) -> Self {
         self.engine = engine;
-        self
-    }
-
-    /// Returns the configuration with early termination toggled (see
-    /// [`SearchConfig::early_termination`]).
-    pub fn with_early_termination(mut self, on: bool) -> Self {
-        self.early_termination = on;
         self
     }
 
@@ -186,10 +145,9 @@ pub struct EvalStats {
     pub term_table: CacheStats,
     /// Hit/miss counters of the flat engine's greedy per-layer winner memo.
     pub greedy_cache: CacheStats,
-    /// Block terms reused by the flat engine's delta-fitness path.
+    /// Block terms reused by the flat engine's second-level delta-fitness
+    /// path.
     pub blocks_reused: u64,
-    /// Second-level genomes abandoned by early termination.
-    pub pruned_genomes: u64,
     /// Wall-clock time of the whole search.
     pub elapsed: Duration,
 }
@@ -286,15 +244,6 @@ const IDLE_COST: AssignmentCost = AssignmentCost {
     memory_ok: true,
 };
 
-/// Per-search totals of the flat engine's second-level GA runs.  Each run
-/// happens exactly once per decision key (behind the [`OnceCache`]), so the
-/// relaxed sums are deterministic for any thread count.
-#[derive(Debug, Default)]
-struct SearchCounters {
-    blocks_reused: AtomicU64,
-    pruned_genomes: AtomicU64,
-}
-
 /// Reconstructs the serial-trajectory hit/miss split of a memo cache from
 /// its (deterministic) lookup total and its (deterministic) entry count:
 /// each distinct entry misses exactly once in a serial run, and racing
@@ -345,14 +294,6 @@ impl<'a> Mars<'a> {
     /// nothing.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
-        self
-    }
-
-    /// Sets the worker-thread count for first-level fitness evaluation (see
-    /// [`SearchConfig::with_threads`]); the outcome is bit-identical for every
-    /// thread count.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.config = self.config.with_threads(threads);
         self
     }
 
@@ -410,7 +351,6 @@ impl<'a> Mars<'a> {
             stats.second_level_searches as u64,
         );
         r.counter("search/blocks_reused", stats.blocks_reused);
-        r.counter("search/pruned_genomes", stats.pruned_genomes);
         for (name, cache) in [
             ("layer_cache", stats.layer_cache),
             ("search_cache", stats.search_cache),
@@ -423,16 +363,7 @@ impl<'a> Mars<'a> {
         r.wall_seconds("search/elapsed", stats.elapsed.as_secs_f64());
     }
 
-    fn resolved_max_sets(&self) -> usize {
-        if self.config.max_sets == 0 {
-            self.topo.len()
-        } else {
-            self.config.max_sets.min(self.topo.len()).max(1)
-        }
-    }
-
     /// The initial first-level population, shared verbatim by both engines.
-    #[allow(clippy::too_many_arguments)]
     fn first_level_seed(
         &self,
         rng: &mut StdRng,
@@ -441,7 +372,6 @@ impl<'a> Mars<'a> {
         candidates: &[Vec<AccelId>],
         profile: &ProfileTable,
         design_scores: &[f64],
-        max_sets: usize,
     ) -> Vec<f64> {
         match i {
             // The baseline-like seed: the topology groups as sets, evenly
@@ -469,7 +399,7 @@ impl<'a> Mars<'a> {
             // all cut points pushed to the end, so the remaining sets idle.
             2 => {
                 let mut genes = layout.heuristic_seed(self.topo, candidates, design_scores);
-                let cuts_start = genes.len() - (max_sets - 1);
+                let cuts_start = genes.len() - (self.topo.len() - 1);
                 for g in &mut genes[cuts_start..] {
                     *g = 1.0;
                 }
@@ -491,32 +421,21 @@ impl<'a> Mars<'a> {
         let evaluator =
             Evaluator::with_policy(self.net, self.topo, self.catalog, self.policy.clone());
 
-        let max_sets = self.resolved_max_sets();
         let layout = FirstLevelGenome::new(
             candidates.len(),
             self.catalog.len(),
-            max_sets,
+            self.topo.len(),
             self.net.len(),
         );
 
         let second_cache: FlatSecondCache = OnceCache::new();
         let decision_cache: DecisionCache = OnceCache::new();
-        let counters = SearchCounters::default();
+        let blocks_reused = AtomicU64::new(0);
 
         let first_ga = GeneticAlgorithm::new(self.config.first_level);
         let outcome = first_ga.run(
             layout.len(),
-            |rng, i| {
-                self.first_level_seed(
-                    rng,
-                    i,
-                    &layout,
-                    &candidates,
-                    &profile,
-                    &design_scores,
-                    max_sets,
-                )
-            },
+            |rng, i| self.first_level_seed(rng, i, &layout, &candidates, &profile, &design_scores),
             |genes| {
                 let assignments = layout.decode(genes, &candidates);
                 self.flat_latency(
@@ -524,7 +443,7 @@ impl<'a> Mars<'a> {
                     &evaluator,
                     &second_cache,
                     &decision_cache,
-                    &counters,
+                    &blocks_reused,
                 )
             },
         );
@@ -538,7 +457,7 @@ impl<'a> Mars<'a> {
                 if a.is_idle() {
                     continue;
                 }
-                let second = self.second_level_flat(a, &evaluator, &second_cache, &counters);
+                let second = self.second_level_flat(a, &evaluator, &second_cache, &blocks_reused);
                 strategies.extend(second.strategies.iter().map(|(k, v)| (*k, *v)));
             }
             let latency = self.flat_latency(
@@ -546,7 +465,7 @@ impl<'a> Mars<'a> {
                 &evaluator,
                 &second_cache,
                 &decision_cache,
-                &counters,
+                &blocks_reused,
             );
             (latency, assignments, strategies)
         } else {
@@ -568,8 +487,7 @@ impl<'a> Mars<'a> {
             ),
             term_table: evaluator.term_stats(),
             greedy_cache: evaluator.greedy_stats(),
-            blocks_reused: counters.blocks_reused.load(Relaxed),
-            pruned_genomes: counters.pruned_genomes.load(Relaxed),
+            blocks_reused: blocks_reused.load(Relaxed),
             elapsed,
         };
         self.record_search(&outcome, &stats);
@@ -591,7 +509,7 @@ impl<'a> Mars<'a> {
         evaluator: &Evaluator<'_>,
         second_cache: &FlatSecondCache,
         decision_cache: &DecisionCache,
-        counters: &SearchCounters,
+        blocks_reused: &AtomicU64,
     ) -> f64 {
         let key: Vec<SecondLevelKey> = assignments
             .iter()
@@ -604,7 +522,7 @@ impl<'a> Mars<'a> {
                     if a.is_idle() {
                         IDLE_COST
                     } else {
-                        self.second_level_flat(a, evaluator, second_cache, counters)
+                        self.second_level_flat(a, evaluator, second_cache, blocks_reused)
                             .cost
                     }
                 })
@@ -617,7 +535,8 @@ impl<'a> Mars<'a> {
                 let mut strategies = BTreeMap::new();
                 for a in assignments {
                     if !a.is_idle() {
-                        let second = self.second_level_flat(a, evaluator, second_cache, counters);
+                        let second =
+                            self.second_level_flat(a, evaluator, second_cache, blocks_reused);
                         strategies.extend(second.strategies.iter().map(|(k, v)| (*k, *v)));
                     }
                 }
@@ -637,7 +556,7 @@ impl<'a> Mars<'a> {
         assignment: &Assignment,
         evaluator: &Evaluator<'_>,
         cache: &FlatSecondCache,
-        counters: &SearchCounters,
+        blocks_reused: &AtomicU64,
     ) -> Arc<SecondOutcome> {
         let key: SecondLevelKey = (
             assignment.accels.clone(),
@@ -646,7 +565,7 @@ impl<'a> Mars<'a> {
             assignment.layers.end,
         );
         cache.get_or_compute(key.clone(), || {
-            Arc::new(self.search_strategies_flat(assignment, evaluator, &key, counters))
+            Arc::new(self.search_strategies_flat(assignment, evaluator, &key, blocks_reused))
         })
     }
 
@@ -658,7 +577,7 @@ impl<'a> Mars<'a> {
         assignment: &Assignment,
         evaluator: &Evaluator<'_>,
         key: &SecondLevelKey,
-        counters: &SearchCounters,
+        blocks_reused: &AtomicU64,
     ) -> SecondOutcome {
         let compute_layers: Vec<usize> = assignment
             .layers
@@ -790,24 +709,6 @@ impl<'a> Mars<'a> {
                 f64::INFINITY
             }
         };
-        // Sound lower bound for early termination: per-layer latencies are a
-        // subset of the full cost's non-negative contributions, and a failed
-        // per-layer memory check can only end in an infinite fitness.
-        let bound = |terms: &[LayerTerm]| -> f64 {
-            let mut s = 0.0;
-            for t in terms {
-                if !t.memory_ok {
-                    return f64::INFINITY;
-                }
-                s += t.seconds;
-            }
-            s
-        };
-        let prune: Option<BlockBound<'_, LayerTerm>> = if self.config.early_termination {
-            Some(&bound)
-        } else {
-            None
-        };
 
         // Greedy per-layer seed: for every layer, the best strategy from the
         // paper's candidate space when evaluated in isolation.  The GA then
@@ -829,17 +730,11 @@ impl<'a> Mars<'a> {
             },
             block_eval,
             fitness,
-            prune,
         );
         // Accumulated inside the OnceCache compute closure, so each
-        // second-level key contributes exactly once — the totals are a pure
+        // second-level key contributes exactly once — the total is a pure
         // function of the set of keys searched, hence thread invariant.
-        counters
-            .blocks_reused
-            .fetch_add(outcome.blocks_reused, Relaxed);
-        counters
-            .pruned_genomes
-            .fetch_add(outcome.pruned_genomes, Relaxed);
+        blocks_reused.fetch_add(outcome.blocks_reused, Relaxed);
 
         let strategies: BTreeMap<usize, Strategy> = layout
             .decode(&outcome.best_genes)
@@ -886,11 +781,10 @@ impl<'a> Mars<'a> {
             Evaluator::with_policy(self.net, self.topo, self.catalog, self.policy.clone())
                 .with_per_layer_cache_keys();
 
-        let max_sets = self.resolved_max_sets();
         let layout = FirstLevelGenome::new(
             candidates.len(),
             self.catalog.len(),
-            max_sets,
+            self.topo.len(),
             self.net.len(),
         );
 
@@ -901,17 +795,7 @@ impl<'a> Mars<'a> {
         let first_ga = GeneticAlgorithm::new(self.config.first_level);
         let outcome = first_ga.run_reference(
             layout.len(),
-            |rng, i| {
-                self.first_level_seed(
-                    rng,
-                    i,
-                    &layout,
-                    &candidates,
-                    &profile,
-                    &design_scores,
-                    max_sets,
-                )
-            },
+            |rng, i| self.first_level_seed(rng, i, &layout, &candidates, &profile, &design_scores),
             |genes| {
                 let (latency, _, _) =
                     self.decide(genes, &layout, &candidates, &evaluator, &second_cache);
@@ -948,7 +832,6 @@ impl<'a> Mars<'a> {
             term_table: evaluator.term_stats(),
             greedy_cache: evaluator.greedy_stats(),
             blocks_reused: 0,
-            pruned_genomes: 0,
             elapsed,
         };
         self.record_search(&outcome, &stats);
@@ -1176,8 +1059,7 @@ mod tests {
         let catalog = Catalog::standard_three();
         let run = |threads| {
             Mars::new(&net, &topo, &catalog)
-                .with_config(SearchConfig::fast(17))
-                .with_threads(threads)
+                .with_config(SearchConfig::fast(17).with_threads(threads))
                 .search()
         };
         let serial = run(1);
@@ -1200,8 +1082,11 @@ mod tests {
         for (seed, threads) in [(17, 1), (17, 4), (40, 1)] {
             let run = |engine| {
                 Mars::new(&net, &topo, &catalog)
-                    .with_config(SearchConfig::fast(seed).with_engine(engine))
-                    .with_threads(threads)
+                    .with_config(
+                        SearchConfig::fast(seed)
+                            .with_engine(engine)
+                            .with_threads(threads),
+                    )
                     .search()
             };
             let flat = run(SearchEngine::Flat);
@@ -1216,29 +1101,6 @@ mod tests {
             assert_eq!(flat.history, reference.history);
             assert_eq!(flat.evaluations, reference.evaluations);
         }
-    }
-
-    #[test]
-    fn early_termination_still_returns_a_valid_deterministic_mapping() {
-        let net = zoo::alexnet(1000);
-        let topo = presets::f1_16xlarge();
-        let catalog = Catalog::standard_three();
-        let run = || {
-            Mars::new(&net, &topo, &catalog)
-                .with_config(SearchConfig::fast(5).with_early_termination(true))
-                .search()
-        };
-        let a = run();
-        let b = run();
-        assert!(a.mapping.is_valid());
-        assert_eq!(
-            a.mapping.latency_seconds.to_bits(),
-            b.mapping.latency_seconds.to_bits()
-        );
-        assert_eq!(a.mapping.assignments, b.mapping.assignments);
-        // The pruned search still cannot lose to the baseline seed.
-        let baseline = baseline::computation_prioritized(&net, &topo, &catalog);
-        assert!(a.mapping.latency_seconds <= baseline.latency_seconds * 1.001);
     }
 
     #[test]

@@ -257,19 +257,6 @@ pub struct CoScheduleConfig {
 
 impl CoScheduleConfig {
     /// The paper-scale budget: a broader outer GA over fast inner searches.
-    ///
-    /// Deprecated as a direct entry point: prefer
-    /// [`SearchBuilder`](crate::SearchBuilder), whose
-    /// [`co_schedule_config`](crate::SearchBuilder::co_schedule_config)
-    /// resolves to exactly this configuration.
-    ///
-    /// ```
-    /// use mars_core::{CoScheduleConfig, SearchBuilder};
-    /// assert_eq!(
-    ///     SearchBuilder::new(7).co_schedule_config(),
-    ///     CoScheduleConfig::standard(7)
-    /// );
-    /// ```
     pub fn standard(seed: u64) -> Self {
         Self {
             outer: GaConfig {
@@ -284,17 +271,6 @@ impl CoScheduleConfig {
     }
 
     /// A reduced budget for unit tests, examples and quick runs.
-    ///
-    /// Deprecated as a direct entry point: prefer
-    /// [`SearchBuilder::new(seed).fast()`](crate::SearchBuilder::fast).
-    ///
-    /// ```
-    /// use mars_core::{CoScheduleConfig, SearchBuilder};
-    /// assert_eq!(
-    ///     SearchBuilder::new(3).fast().co_schedule_config(),
-    ///     CoScheduleConfig::fast(3)
-    /// );
-    /// ```
     pub fn fast(seed: u64) -> Self {
         Self {
             outer: GaConfig {

@@ -253,6 +253,16 @@ pub enum TrafficError {
         /// Index of the accelerator whose state the event contradicts.
         accel: usize,
     },
+    /// An LLM lane's KV budget cannot hold one maximal request (prompt plus
+    /// full output), so such a request could never be admitted.
+    RequestExceedsKvBudget {
+        /// Index of the offending workload.
+        workload: usize,
+        /// KV bytes of one maximal request.
+        request_bytes: u64,
+        /// The lane's KV budget in bytes.
+        budget_bytes: u64,
+    },
 }
 
 impl std::fmt::Display for TrafficError {
@@ -295,6 +305,14 @@ impl std::fmt::Display for TrafficError {
             TrafficError::InconsistentFault { fault, accel } => write!(
                 f,
                 "fault {fault} contradicts accelerator {accel}'s up/down state"
+            ),
+            TrafficError::RequestExceedsKvBudget {
+                workload,
+                request_bytes,
+                budget_bytes,
+            } => write!(
+                f,
+                "workload {workload}: one maximal request ({request_bytes} B) exceeds the lane's KV budget ({budget_bytes} B)"
             ),
         }
     }

@@ -192,15 +192,11 @@ impl LlmSpec {
     ///
     /// # Errors
     ///
-    /// Propagates [`PhasedTraffic::validate`], and returns
+    /// Propagates [`PhasedTraffic::validate`], returns
     /// [`TrafficError::WorkloadMismatch`] when the workload count and the
-    /// traffic's profile vectors disagree.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a lane cannot hold one maximal request — the scenario would
-    /// deadlock (a request that can never be admitted), which is a
-    /// construction bug, not a runtime condition.
+    /// traffic's profile vectors disagree, and
+    /// [`TrafficError::RequestExceedsKvBudget`] when a lane cannot hold one
+    /// maximal request (such a request could never be admitted).
     pub fn validate(&self) -> Result<(), TrafficError> {
         self.traffic.validate()?;
         if self.traffic.workloads() != self.workloads.len() {
@@ -211,13 +207,15 @@ impl LlmSpec {
             });
         }
         for (w, llm) in self.workloads.iter().enumerate() {
-            assert!(
-                llm.max_request_kv_bytes() <= self.kv_budget_bytes(w),
-                "{}: one maximal request ({} B) exceeds the lane's KV budget ({} B)",
-                llm.name,
-                llm.max_request_kv_bytes(),
-                self.kv_budget_bytes(w),
-            );
+            let (request_bytes, budget_bytes) =
+                (llm.max_request_kv_bytes(), self.kv_budget_bytes(w));
+            if request_bytes > budget_bytes {
+                return Err(TrafficError::RequestExceedsKvBudget {
+                    workload: w,
+                    request_bytes,
+                    budget_bytes,
+                });
+            }
         }
         Ok(())
     }

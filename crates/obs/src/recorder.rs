@@ -18,7 +18,7 @@
 //! across `MARS_THREADS` values.
 
 use crate::store::Obs;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// A cheap, cloneable observability handle — see the module docs.
 #[derive(Debug, Clone, Default)]
@@ -57,107 +57,76 @@ impl Recorder {
         self.inner.is_some()
     }
 
+    /// Runs `f` on the store when enabled (`None` when disabled — a null
+    /// check).  A poisoned store is recovered rather than propagated: the
+    /// lock is only held around one `Obs` update, a map insert, push or
+    /// counter increment that leaves the store valid plain data even if it
+    /// panics.
+    #[inline]
+    fn with_store<R>(&self, f: impl FnOnce(&mut Obs) -> R) -> Option<R> {
+        self.inner
+            .as_ref()
+            .map(|inner| f(&mut inner.lock().unwrap_or_else(PoisonError::into_inner)))
+    }
+
     /// Adds `delta` to counter `name`.
     #[inline]
     pub fn counter(&self, name: &str, delta: u64) {
-        if let Some(inner) = &self.inner {
-            inner
-                .lock()
-                .expect("obs store poisoned")
-                .counter(name, delta);
-        }
+        self.with_store(|obs| obs.counter(name, delta));
     }
 
     /// Raises peak gauge `name` to at least `value`.
     #[inline]
     pub fn gauge_max(&self, name: &str, value: f64) {
-        if let Some(inner) = &self.inner {
-            inner
-                .lock()
-                .expect("obs store poisoned")
-                .gauge_max(name, value);
-        }
+        self.with_store(|obs| obs.gauge_max(name, value));
     }
 
     /// Records `value` into histogram `name`.
     #[inline]
     pub fn observe(&self, name: &str, value: f64) {
-        if let Some(inner) = &self.inner {
-            inner
-                .lock()
-                .expect("obs store poisoned")
-                .observe(name, value);
-        }
+        self.with_store(|obs| obs.observe(name, value));
     }
 
     /// Appends a `(t, value)` sample to series `name`.
     #[inline]
     pub fn point(&self, name: &str, t: f64, value: f64) {
-        if let Some(inner) = &self.inner {
-            inner
-                .lock()
-                .expect("obs store poisoned")
-                .point(name, t, value);
-        }
+        self.with_store(|obs| obs.point(name, t, value));
     }
 
     /// Appends a span on `track` from `start` to `end` sim seconds.
     #[inline]
     pub fn span(&self, track: &str, name: &str, start: f64, end: f64) {
-        if let Some(inner) = &self.inner {
-            inner
-                .lock()
-                .expect("obs store poisoned")
-                .span(track, name, start, end);
-        }
+        self.with_store(|obs| obs.span(track, name, start, end));
     }
 
     /// Appends an instantaneous marker on `track` at `at` sim seconds.
     #[inline]
     pub fn instant(&self, track: &str, name: &str, at: f64) {
-        if let Some(inner) = &self.inner {
-            inner
-                .lock()
-                .expect("obs store poisoned")
-                .instant(track, name, at);
-        }
+        self.with_store(|obs| obs.instant(track, name, at));
     }
 
     /// Adds wall-clock seconds in the explicitly nondeterministic profiling
     /// section — see [`Obs::wall_seconds`].
     #[inline]
     pub fn wall_seconds(&self, name: &str, seconds: f64) {
-        if let Some(inner) = &self.inner {
-            inner
-                .lock()
-                .expect("obs store poisoned")
-                .wall_seconds(name, seconds);
-        }
+        self.with_store(|obs| obs.wall_seconds(name, seconds));
     }
 
     /// Folds a shard's finished store into this recorder (no-op when
     /// disabled).  Call in item order after a parallel join.
     pub fn absorb(&self, shard: &Obs) {
-        if let Some(inner) = &self.inner {
-            inner.lock().expect("obs store poisoned").merge(shard);
-        }
+        self.with_store(|obs| obs.merge(shard));
     }
 
     /// A snapshot of everything recorded so far (empty when disabled).
     pub fn snapshot(&self) -> Obs {
-        match &self.inner {
-            Some(inner) => inner.lock().expect("obs store poisoned").clone(),
-            None => Obs::new(),
-        }
+        self.with_store(|obs| obs.clone()).unwrap_or_default()
     }
 
     /// Takes the recorded store out, leaving the recorder empty but still
     /// enabled (empty when disabled).
     pub fn take(&self) -> Obs {
-        match &self.inner {
-            Some(inner) => std::mem::take(&mut *inner.lock().expect("obs store poisoned")),
-            None => Obs::new(),
-        }
+        self.with_store(std::mem::take).unwrap_or_default()
     }
 }
 
@@ -204,5 +173,26 @@ mod tests {
         assert!(r.snapshot().is_empty());
         r.counter("c", 7);
         assert_eq!(r.snapshot().counter_value("c"), 7);
+    }
+
+    #[test]
+    fn poisoned_store_is_recovered_not_propagated() {
+        let r = Recorder::enabled();
+        r.counter("c", 1);
+        let store = Arc::clone(r.inner.as_ref().expect("enabled"));
+        let died = std::thread::spawn(move || {
+            let _held = store.lock().unwrap();
+            panic!("recording thread dies holding the store lock");
+        })
+        .join();
+        assert!(died.is_err());
+        assert!(r.inner.as_ref().expect("enabled").is_poisoned());
+        // Every entry point still records, reads and drains.
+        r.counter("c", 2);
+        r.point("s", 0.0, 1.0);
+        r.absorb(&Obs::new());
+        assert_eq!(r.snapshot().counter_value("c"), 3);
+        assert_eq!(r.take().counter_value("c"), 3);
+        assert!(r.snapshot().is_empty());
     }
 }

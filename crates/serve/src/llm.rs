@@ -161,6 +161,14 @@ pub enum LlmServeError {
     },
     /// The spec itself is invalid (propagated from [`LlmSpec::validate`]).
     Traffic(TrafficError),
+    /// The trace's horizon is not a positive finite number.
+    InvalidHorizon(f64),
+    /// A workload's request stream violates the [`LlmTrace`] invariant:
+    /// arrivals must be sorted, finite and inside `[0, horizon)`.
+    InvalidTrace {
+        /// Index of the offending workload.
+        workload: usize,
+    },
 }
 
 impl std::fmt::Display for LlmServeError {
@@ -171,6 +179,11 @@ impl std::fmt::Display for LlmServeError {
                 "spec has {workloads} workloads but the trace has {streams} request streams"
             ),
             LlmServeError::Traffic(e) => write!(f, "invalid LLM scenario: {e}"),
+            LlmServeError::InvalidHorizon(h) => write!(f, "invalid LLM trace horizon {h}"),
+            LlmServeError::InvalidTrace { workload } => write!(
+                f,
+                "workload {workload}: arrivals must be sorted and inside [0, horizon)"
+            ),
         }
     }
 }
@@ -181,6 +194,31 @@ impl From<TrafficError> for LlmServeError {
     fn from(e: TrafficError) -> Self {
         LlmServeError::Traffic(e)
     }
+}
+
+/// Checks that `trace` lines up with `spec` and keeps the [`LlmTrace`]
+/// invariant the event loop relies on — a positive finite horizon, every
+/// stream sorted, finite and inside `[0, horizon)` — in one O(n) pass, as
+/// [`SimState::new`](crate::SimState::new) does for CNN traces.
+fn check_inputs(spec: &LlmSpec, trace: &LlmTrace) -> Result<(), LlmServeError> {
+    if spec.workloads.len() != trace.requests.len() {
+        return Err(LlmServeError::ShapeMismatch {
+            workloads: spec.workloads.len(),
+            streams: trace.requests.len(),
+        });
+    }
+    let horizon = trace.horizon_seconds;
+    if !(horizon > 0.0 && horizon.is_finite()) {
+        return Err(LlmServeError::InvalidHorizon(horizon));
+    }
+    for (w, stream) in trace.requests.iter().enumerate() {
+        let in_window = stream.iter().all(|r| (0.0..horizon).contains(&r.arrival));
+        let sorted = stream.windows(2).all(|p| p[0].arrival <= p[1].arrival);
+        if !(in_window && sorted) {
+            return Err(LlmServeError::InvalidTrace { workload: w });
+        }
+    }
+    Ok(())
 }
 
 /// Per-request lifecycle state inside a lane (struct-of-arrays, like the
@@ -504,18 +542,15 @@ impl LlmSimState {
     ///
     /// # Errors
     ///
-    /// Rejects spec/trace shape mismatches and invalid specs.
+    /// Rejects spec/trace shape mismatches, a horizon that is not positive
+    /// and finite, and request streams that are not sorted, finite and
+    /// inside `[0, horizon)`.
     pub fn new(
         spec: &LlmSpec,
         trace: &LlmTrace,
         mode: BatchingMode,
     ) -> Result<Self, LlmServeError> {
-        if spec.workloads.len() != trace.requests.len() {
-            return Err(LlmServeError::ShapeMismatch {
-                workloads: spec.workloads.len(),
-                streams: trace.requests.len(),
-            });
-        }
+        check_inputs(spec, trace)?;
         let horizon = trace.horizon_seconds;
         let lanes: Vec<LlmLane> = spec
             .workloads
@@ -745,13 +780,10 @@ pub fn simulate_llm_sharded_observed(
     mode: BatchingMode,
     recorder: &Recorder,
 ) -> Result<LlmServeReport, LlmServeError> {
+    // Checked on the whole trace so a rejected stream is reported by its
+    // global workload index, not its index inside a shard.
+    check_inputs(spec, trace)?;
     let k = spec.workloads.len();
-    if k != trace.requests.len() {
-        return Err(LlmServeError::ShapeMismatch {
-            workloads: k,
-            streams: trace.requests.len(),
-        });
-    }
     if k == 0 {
         let sim = LlmSimState::new(spec, trace, mode)?.with_recorder(recorder.clone());
         return Ok(sim.finish());
@@ -980,6 +1012,64 @@ mod tests {
         assert!(matches!(
             simulate_llm(&spec, &trace, BatchingMode::Continuous),
             Err(LlmServeError::ShapeMismatch { .. })
+        ));
+    }
+
+    #[test]
+    fn nan_arrival_is_a_typed_error_not_a_panic() {
+        let spec = llm_mix();
+        let mut trace = LlmTrace::draw(&spec, 3).unwrap();
+        trace.requests[2][0].arrival = f64::NAN;
+        for mode in BatchingMode::ALL {
+            assert_eq!(
+                simulate_llm_sharded(&spec, &trace, mode),
+                Err(LlmServeError::InvalidTrace { workload: 2 })
+            );
+            assert_eq!(
+                simulate_llm(&spec, &trace, mode),
+                Err(LlmServeError::InvalidTrace { workload: 2 })
+            );
+        }
+        // Unsorted and out-of-window streams are rejected the same way.
+        let mut unsorted = LlmTrace::draw(&spec, 3).unwrap();
+        unsorted.requests[1].swap(0, 1);
+        assert_eq!(
+            simulate_llm_sharded(&spec, &unsorted, BatchingMode::Continuous),
+            Err(LlmServeError::InvalidTrace { workload: 1 })
+        );
+        let mut late = LlmTrace::draw(&spec, 3).unwrap();
+        late.requests[0].last_mut().unwrap().arrival = late.horizon_seconds;
+        assert!(matches!(
+            LlmSimState::new(&spec, &late, BatchingMode::OneShot),
+            Err(LlmServeError::InvalidTrace { workload: 0 })
+        ));
+    }
+
+    #[test]
+    fn nan_horizon_is_rejected() {
+        let spec = llm_mix();
+        for horizon in [f64::NAN, f64::INFINITY, 0.0, -1.0] {
+            let mut trace = LlmTrace::draw(&spec, 5).unwrap();
+            trace.horizon_seconds = horizon;
+            for mode in BatchingMode::ALL {
+                assert!(
+                    matches!(
+                        simulate_llm_sharded(&spec, &trace, mode),
+                        Err(LlmServeError::InvalidHorizon(h)) if h.to_bits() == horizon.to_bits()
+                    ),
+                    "horizon {horizon} accepted"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn lane_too_small_for_one_request_is_a_typed_error() {
+        let mut spec = llm_mix();
+        spec.accel_memory_bytes = 1;
+        assert!(matches!(
+            LlmTrace::draw(&spec, 42),
+            Err(TrafficError::RequestExceedsKvBudget { workload: 0, .. })
         ));
     }
 }

@@ -15,9 +15,7 @@ fn main() {
 
     for mix in MixZoo::ALL {
         let workloads: Vec<Workload> = mix.entries();
-        let result = SearchBuilder::new(42)
-            .fast()
-            .co_schedule(&workloads, &topo, &catalog)
+        let result = mars::co_schedule(&workloads, &topo, &catalog, &CoScheduleConfig::fast(42))
             .expect("valid mix");
         println!("== {mix} ==");
         print!("{}", report::render_co_schedule(&workloads, &result));

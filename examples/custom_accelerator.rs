@@ -35,7 +35,9 @@ fn main() {
 
     // Search.
     let baseline = mars::core::baseline::computation_prioritized(&net, &topo, &catalog);
-    let result = SearchBuilder::new(5).fast().search(&net, &topo, &catalog);
+    let result = Mars::new(&net, &topo, &catalog)
+        .with_config(SearchConfig::fast(5))
+        .search();
 
     println!("baseline: {:.3} ms", baseline.latency_ms());
     println!("MARS:     {:.3} ms", result.latency_ms());

@@ -26,7 +26,7 @@ fn main() {
         scenario.phases.len()
     );
 
-    let config = RuntimeConfig::new(SearchBuilder::new(42).fast().co_schedule_config());
+    let config = RuntimeConfig::new(CoScheduleConfig::fast(42));
     let cache = InnerSearchCache::new();
     for policy in RuntimePolicy::ALL {
         let report = mars::runtime::run_elastic_with_cache(

@@ -13,7 +13,7 @@ use mars::serve::Trace;
 fn main() {
     let topo = mars::topology::presets::f1_16xlarge();
     let catalog = Catalog::standard_three();
-    let config = RuntimeConfig::new(SearchBuilder::new(42).fast().co_schedule_config());
+    let config = RuntimeConfig::new(CoScheduleConfig::fast(42));
 
     for mix in mars::model::zoo::MixZoo::ALL {
         let workloads: Vec<Workload> = mix.entries();

@@ -26,10 +26,10 @@ fn main() {
             let topo = mars::topology::presets::h2h_cloud(gbps);
             let designs = mars::core::baseline::default_fixed_designs(&topo, &catalog);
             let h2h = mars::core::baseline::h2h_like(net, &topo, &catalog, &designs);
-            let result = SearchBuilder::new(11)
-                .fast()
-                .fixed_designs(designs)
-                .search(net, &topo, &catalog);
+            let result = Mars::new(net, &topo, &catalog)
+                .with_config(SearchConfig::fast(11))
+                .with_fixed_designs(designs)
+                .search();
             println!(
                 "{:<16} {:>12.1} {:>12.1} {:>7.1}%",
                 label,

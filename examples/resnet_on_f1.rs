@@ -23,7 +23,9 @@ fn main() {
     for benchmark in Benchmark::ALL {
         let net = benchmark.build();
         let baseline = mars::core::baseline::computation_prioritized(&net, &topo, &catalog);
-        let result = SearchBuilder::new(7).fast().search(&net, &topo, &catalog);
+        let result = Mars::new(&net, &topo, &catalog)
+            .with_config(SearchConfig::fast(7))
+            .search();
         println!(
             "{:<12} {:>8} {:>9.2}G {:>12.3} {:>12.3} {:>7.1}%",
             benchmark.name(),

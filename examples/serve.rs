@@ -15,9 +15,7 @@ fn main() {
     let topo = mars::topology::presets::f1_16xlarge();
     let catalog = Catalog::standard_three();
 
-    let co = SearchBuilder::new(42)
-        .fast()
-        .co_schedule(&workloads, &topo, &catalog)
+    let co = mars::co_schedule(&workloads, &topo, &catalog, &CoScheduleConfig::fast(42))
         .expect("bundled mix fits the platform");
 
     let profiles: Vec<TrafficProfile> = mix.traffic();

@@ -43,9 +43,10 @@
 //! println!("{}", mars::core::report::render(&net, &result.mapping));
 //! ```
 //!
-//! For full control (budgets, engines, fixed-design policies, custom thread
-//! counts) use [`core::SearchBuilder`] — one fluent entry point over the
-//! single-workload search and the co-schedule:
+//! For full control (budgets, engines, fixed-design policies, recorders,
+//! custom thread counts) build a [`core::Mars`] search with a
+//! [`core::SearchConfig`]; [`co_schedule`] takes a
+//! [`core::CoScheduleConfig`] the same way:
 //!
 //! ```no_run
 //! use mars::prelude::*;
@@ -54,19 +55,15 @@
 //! let topo = mars::topology::presets::f1_16xlarge();
 //! let catalog = Catalog::standard_three();
 //!
-//! let result = SearchBuilder::new(42)
-//!     .standard()
-//!     .threads(0)
-//!     .search(&net, &topo, &catalog);
+//! let result = Mars::new(&net, &topo, &catalog)
+//!     .with_config(SearchConfig::standard(42).with_threads(0))
+//!     .search();
 //! println!(
 //!     "{} evals, {:.0}% cache hits",
 //!     result.stats.evaluations,
 //!     100.0 * result.stats.layer_cache.hit_rate()
 //! );
 //! ```
-//!
-//! The pre-builder constructors ([`core::SearchConfig::fast`],
-//! [`core::CoScheduleConfig::standard`], …) remain as thin wrappers.
 //!
 //! ## Multi-workload co-scheduling
 //!
@@ -164,10 +161,9 @@ pub fn quickstart(
     seed: u64,
     threads: usize,
 ) -> core::SearchResult {
-    core::SearchBuilder::new(seed)
-        .fast()
-        .threads(threads)
-        .search(net, topo, catalog)
+    core::Mars::new(net, topo, catalog)
+        .with_config(core::SearchConfig::fast(seed).with_threads(threads))
+        .search()
 }
 
 /// Co-schedules several DNN workloads onto disjoint accelerator partitions of
@@ -216,8 +212,8 @@ pub mod prelude {
     pub use mars_comm::{CommConfig, CommSim};
     pub use mars_core::{
         Assignment, CoScheduleConfig, CoScheduleResult, DesignPolicy, EvalStats, Evaluator,
-        GaConfig, InnerSearchCache, Mapping, Mars, Placement, SearchBuilder, SearchConfig,
-        SearchEngine, SearchResult, Workload,
+        GaConfig, InnerSearchCache, Mapping, Mars, Placement, SearchConfig, SearchEngine,
+        SearchResult, Workload,
     };
     pub use mars_model::{
         ConvParams, Dim, DimSet, FaultEvent, FaultKind, FeatureMap, Layer, LayerId, LayerKind,
@@ -245,8 +241,8 @@ mod tests {
         assert_eq!(net.conv_layers().count(), 5);
         let s = Strategy::none();
         assert!(s.is_none());
-        let cfg = SearchBuilder::new(1).fast().threads(2).search_config();
-        assert_eq!(cfg, SearchConfig::fast(1).with_threads(2));
+        let cfg = SearchConfig::fast(1).with_threads(2);
+        assert_eq!(cfg.threads(), 2);
         assert_eq!(EvalStats::default().cache_hits(), 0);
         assert_eq!(SearchEngine::default(), SearchEngine::Flat);
         let r = Recorder::enabled();

@@ -35,16 +35,15 @@ fn search_result_and_metrics_are_thread_and_recorder_invariant() {
 
     let mut exports = Vec::new();
     for threads in [1usize, 4] {
-        let plain = SearchBuilder::new(31)
-            .fast()
-            .threads(threads)
-            .search(&net, &topo, &catalog);
+        let config = SearchConfig::fast(31).with_threads(threads);
+        let plain = Mars::new(&net, &topo, &catalog)
+            .with_config(config)
+            .search();
         let recorder = Recorder::enabled();
-        let observed = SearchBuilder::new(31)
-            .fast()
-            .threads(threads)
-            .recorder(recorder.clone())
-            .search(&net, &topo, &catalog);
+        let observed = Mars::new(&net, &topo, &catalog)
+            .with_config(config)
+            .with_recorder(recorder.clone())
+            .search();
 
         assert_eq!(
             plain.mapping.latency_seconds.to_bits(),
