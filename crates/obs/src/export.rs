@@ -1,20 +1,29 @@
 //! Exporters: flat machine-diffable metrics JSON and Chrome trace-event
 //! JSON (loadable in Perfetto or `chrome://tracing`).
 //!
-//! Both exporters render from a [canonicalized](Obs::canonicalize) copy of
-//! the store, so the bytes they produce are a pure function of the recorded
-//! observations — independent of thread counts, shard groupings or
-//! insertion order.  The metrics JSON follows the same restricted flat shape
-//! as the repo's `BENCH_*.json` files (string keys to numbers, one nesting
-//! level for grouping); the trace JSON is the Chrome trace-event array
-//! format with timestamps in **simulated microseconds**.
+//! The bytes both exporters produce are a pure function of the recorded
+//! observations — independent of thread counts, shard groupings, insertion
+//! order or how the store's string table numbered its labels.  Neither
+//! copies the store: maps render in key order, a series is sorted (on a
+//! copy) only when it is out of order, and the trace exporter sorts a copy
+//! of the `Copy` span and instant records by string rank.  Each export is
+//! one pass that writes every event straight into one pre-sized `String`.
+//! The metrics JSON follows the same restricted flat shape as the repo's
+//! `BENCH_*.json` files (string keys to numbers, one nesting level for
+//! grouping); the trace JSON is the Chrome trace-event array format with
+//! timestamps in **simulated microseconds**.
 
-use crate::store::Obs;
+use crate::store::{point_order, sort_instants, sort_spans, Obs};
+use std::borrow::Cow;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
-/// Escapes a string for embedding in a JSON string literal.
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
+/// Appends `s` escaped for a JSON string literal.
+fn push_esc(out: &mut String, s: &str) {
+    if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
+        out.push_str(s);
+        return;
+    }
     for c in s.chars() {
         match c {
             '"' => out.push_str("\\\""),
@@ -26,101 +35,118 @@ fn esc(s: &str) -> String {
             c => out.push(c),
         }
     }
-    out
 }
 
-/// Renders a finite `f64` (JSON has no inf/NaN; they become strings the
-/// flat parser skips, which is the right behaviour for sentinel gauges).
-fn num(v: f64) -> String {
+/// Appends a finite `f64` in its `{}` form (JSON has no inf/NaN; they become
+/// strings the flat parser skips, which is the right behaviour for sentinel
+/// gauges).
+fn push_num(out: &mut String, v: f64) {
     if v.is_finite() {
-        format!("{v}")
+        let _ = write!(out, "{v}");
     } else {
-        format!("\"{v}\"")
+        let _ = write!(out, "\"{v}\"");
     }
+}
+
+/// Appends an integer.
+fn push_int(out: &mut String, n: impl std::fmt::Display) {
+    let _ = write!(out, "{n}");
+}
+
+/// `pts` in canonical order, copied and sorted only when out of order.
+fn sorted_points(pts: &[(f64, f64)]) -> Cow<'_, [(f64, f64)]> {
+    if pts.windows(2).all(|w| point_order(&w[0], &w[1]).is_le()) {
+        Cow::Borrowed(pts)
+    } else {
+        let mut owned = pts.to_vec();
+        owned.sort_by(point_order);
+        Cow::Owned(owned)
+    }
+}
+
+/// Appends `,\n  "title": {` and one `"key": value` line per entry of `map`
+/// (nothing when `map` is empty).
+fn section<V>(
+    out: &mut String,
+    title: &str,
+    map: &BTreeMap<String, V>,
+    mut value: impl FnMut(&mut String, &V),
+) {
+    if map.is_empty() {
+        return;
+    }
+    out.push_str(",\n  \"");
+    out.push_str(title);
+    out.push_str("\": {\n");
+    for (i, (k, v)) in map.iter().enumerate() {
+        if i > 0 {
+            out.push_str(",\n");
+        }
+        out.push_str("    \"");
+        push_esc(out, k);
+        out.push_str("\": ");
+        value(out, v);
+    }
+    out.push_str("\n  }");
 }
 
 /// Renders the flat metrics JSON: counters, peak gauges, histograms
 /// (count/min/max plus non-empty `(edge, count)` buckets) and series.
 pub fn metrics_json(obs: &Obs) -> String {
-    let mut obs = obs.clone();
-    obs.canonicalize();
-    let mut out = String::new();
+    let points: usize = obs.series.values().map(Vec::len).sum();
+    let keys = obs.counters.len() + obs.gauges.len() + obs.series.len() + obs.wall.len();
+    let mut out = String::with_capacity(64 + 64 * keys + 256 * obs.hists.len() + 48 * points);
     out.push_str("{\n  \"schema\": \"mars-obs-metrics-v1\"");
-
-    if !obs.counters.is_empty() {
-        out.push_str(",\n  \"counters\": {\n");
-        let lines: Vec<String> = obs
-            .counters
-            .iter()
-            .map(|(k, v)| format!("    \"{}\": {v}", esc(k)))
-            .collect();
-        out.push_str(&lines.join(",\n"));
-        out.push_str("\n  }");
-    }
-    if !obs.gauges.is_empty() {
-        out.push_str(",\n  \"gauges\": {\n");
-        let lines: Vec<String> = obs
-            .gauges
-            .iter()
-            .map(|(k, v)| format!("    \"{}\": {}", esc(k), num(*v)))
-            .collect();
-        out.push_str(&lines.join(",\n"));
-        out.push_str("\n  }");
-    }
-    if !obs.hists.is_empty() {
-        out.push_str(",\n  \"histograms\": {\n");
-        let lines: Vec<String> = obs
-            .hists
-            .iter()
-            .map(|(k, h)| {
-                let buckets: Vec<String> = h
-                    .nonzero_buckets()
-                    .iter()
-                    .map(|(edge, c)| format!("[{}, {c}]", num(*edge)))
-                    .collect();
-                format!(
-                    "    \"{}\": {{\"count\": {}, \"underflow\": {}, \"overflow\": {}, \"min\": {}, \"max\": {}, \"buckets\": [{}]}}",
-                    esc(k),
-                    h.count(),
-                    h.underflow(),
-                    h.overflow(),
-                    num(h.min()),
-                    num(h.max()),
-                    buckets.join(", ")
-                )
-            })
-            .collect();
-        out.push_str(&lines.join(",\n"));
-        out.push_str("\n  }");
-    }
-    if !obs.series.is_empty() {
-        out.push_str(",\n  \"series\": {\n");
-        let lines: Vec<String> = obs
-            .series
-            .iter()
-            .map(|(k, pts)| {
-                let pairs: Vec<String> = pts
-                    .iter()
-                    .map(|(t, v)| format!("[{}, {}]", num(*t), num(*v)))
-                    .collect();
-                format!("    \"{}\": [{}]", esc(k), pairs.join(", "))
-            })
-            .collect();
-        out.push_str(&lines.join(",\n"));
-        out.push_str("\n  }");
-    }
-    if !obs.wall().is_empty() {
-        // Wall time is the one explicitly nondeterministic section: these
-        // bytes may differ between otherwise identical runs.
-        out.push_str(",\n  \"wall_seconds_nondeterministic\": {\n");
-        let lines: Vec<String> = obs
-            .wall()
-            .iter()
-            .map(|(k, v)| format!("    \"{}\": {}", esc(k), num(*v)))
-            .collect();
-        out.push_str(&lines.join(",\n"));
-        out.push_str("\n  }");
-    }
+    section(&mut out, "counters", &obs.counters, |out, &v| {
+        push_int(out, v)
+    });
+    section(&mut out, "gauges", &obs.gauges, |out, &v| push_num(out, v));
+    section(&mut out, "histograms", &obs.hists, |out, h| {
+        out.push_str("{\"count\": ");
+        push_int(out, h.count());
+        out.push_str(", \"underflow\": ");
+        push_int(out, h.underflow());
+        out.push_str(", \"overflow\": ");
+        push_int(out, h.overflow());
+        out.push_str(", \"min\": ");
+        push_num(out, h.min());
+        out.push_str(", \"max\": ");
+        push_num(out, h.max());
+        out.push_str(", \"buckets\": [");
+        for (i, (edge, c)) in h.nonzero_buckets().into_iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push('[');
+            push_num(out, edge);
+            out.push_str(", ");
+            push_int(out, c);
+            out.push(']');
+        }
+        out.push_str("]}");
+    });
+    section(&mut out, "series", &obs.series, |out, pts| {
+        out.push('[');
+        for (i, &(t, v)) in sorted_points(pts).iter().enumerate() {
+            if i > 0 {
+                out.push_str(", ");
+            }
+            out.push('[');
+            push_num(out, t);
+            out.push_str(", ");
+            push_num(out, v);
+            out.push(']');
+        }
+        out.push(']');
+    });
+    // Wall time is the one explicitly nondeterministic section: these bytes
+    // may differ between otherwise identical runs.
+    section(
+        &mut out,
+        "wall_seconds_nondeterministic",
+        &obs.wall,
+        |out, &v| push_num(out, v),
+    );
     out.push_str("\n}\n");
     out
 }
@@ -133,58 +159,88 @@ pub fn metrics_json(obs: &Obs) -> String {
 /// seconds scaled to microseconds, so a one-second simulation renders as
 /// one second on the Perfetto timeline.
 pub fn chrome_trace_json(obs: &Obs) -> String {
-    let mut obs = obs.clone();
-    obs.canonicalize();
+    let rank = obs.label_ranks();
+    let mut spans = obs.spans.clone();
+    sort_spans(&mut spans, &rank);
+    let mut instants = obs.instants.clone();
+    sort_instants(&mut instants, &rank);
 
-    // Deterministic track ids: collect every referenced track name, sorted.
-    let mut tracks: Vec<&str> = obs
-        .spans
-        .iter()
-        .map(|s| s.track.as_str())
-        .chain(obs.instants.iter().map(|i| i.track.as_str()))
+    // Deterministic track ids: the labels used as tracks, numbered from 1
+    // in string order.
+    let mut is_track = vec![false; rank.len()];
+    for s in &spans {
+        is_track[s.track as usize] = true;
+    }
+    for i in &instants {
+        is_track[i.track as usize] = true;
+    }
+    let mut tracks: Vec<u32> = (0..rank.len() as u32)
+        .filter(|&id| is_track[id as usize])
         .collect();
-    tracks.sort_unstable();
-    tracks.dedup();
-    let tid_of = |track: &str| tracks.binary_search(&track).unwrap_or(0) + 1;
+    tracks.sort_unstable_by_key(|&id| rank[id as usize]);
+    let mut tid = vec![0u32; rank.len()];
+    for (n, &id) in tracks.iter().enumerate() {
+        tid[id as usize] = n as u32 + 1;
+    }
     let us = |t: f64| t * 1e6;
 
-    let mut events: Vec<String> = Vec::new();
-    for (tid, track) in tracks.iter().enumerate() {
-        events.push(format!(
-            "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": {}, \"args\": {{\"name\": \"{}\"}}}}",
-            tid + 1,
-            esc(track)
-        ));
+    // Room for each event's fixed text, its name and ~40 bytes of numbers.
+    let len = |id: u32| obs.label(id).len();
+    let capacity = 8
+        + tracks.iter().map(|&t| 90 + len(t)).sum::<usize>()
+        + spans.iter().map(|s| 120 + len(s.name)).sum::<usize>()
+        + instants.iter().map(|i| 110 + len(i.name)).sum::<usize>()
+        + obs
+            .series
+            .iter()
+            .map(|(k, p)| (100 + k.len()) * p.len())
+            .sum::<usize>();
+    let mut out = String::with_capacity(capacity);
+    out.push_str("[\n");
+    for (i, &track) in tracks.iter().enumerate() {
+        out.push_str("{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": ");
+        push_int(&mut out, i + 1);
+        out.push_str(", \"args\": {\"name\": \"");
+        push_esc(&mut out, obs.label(track));
+        out.push_str("\"}},\n");
     }
-    for s in &obs.spans {
-        events.push(format!(
-            "{{\"name\": \"{}\", \"cat\": \"sim\", \"ph\": \"X\", \"ts\": {}, \"dur\": {}, \"pid\": 1, \"tid\": {}}}",
-            esc(&s.name),
-            num(us(s.start)),
-            num(us((s.end - s.start).max(0.0))),
-            tid_of(&s.track)
-        ));
+    for s in &spans {
+        out.push_str("{\"name\": \"");
+        push_esc(&mut out, obs.label(s.name));
+        out.push_str("\", \"cat\": \"sim\", \"ph\": \"X\", \"ts\": ");
+        push_num(&mut out, us(s.start));
+        out.push_str(", \"dur\": ");
+        push_num(&mut out, us((s.end - s.start).max(0.0)));
+        out.push_str(", \"pid\": 1, \"tid\": ");
+        push_int(&mut out, tid[s.track as usize]);
+        out.push_str("},\n");
     }
-    for i in &obs.instants {
-        events.push(format!(
-            "{{\"name\": \"{}\", \"cat\": \"sim\", \"ph\": \"i\", \"s\": \"t\", \"ts\": {}, \"pid\": 1, \"tid\": {}}}",
-            esc(&i.name),
-            num(us(i.at)),
-            tid_of(&i.track)
-        ));
+    for i in &instants {
+        out.push_str("{\"name\": \"");
+        push_esc(&mut out, obs.label(i.name));
+        out.push_str("\", \"cat\": \"sim\", \"ph\": \"i\", \"s\": \"t\", \"ts\": ");
+        push_num(&mut out, us(i.at));
+        out.push_str(", \"pid\": 1, \"tid\": ");
+        push_int(&mut out, tid[i.track as usize]);
+        out.push_str("},\n");
     }
     for (name, pts) in &obs.series {
-        for (t, v) in pts {
-            events.push(format!(
-                "{{\"name\": \"{}\", \"ph\": \"C\", \"ts\": {}, \"pid\": 1, \"args\": {{\"value\": {}}}}}",
-                esc(name),
-                num(us(*t)),
-                num(*v)
-            ));
+        for &(t, v) in sorted_points(pts).iter() {
+            out.push_str("{\"name\": \"");
+            push_esc(&mut out, name);
+            out.push_str("\", \"ph\": \"C\", \"ts\": ");
+            push_num(&mut out, us(t));
+            out.push_str(", \"pid\": 1, \"args\": {\"value\": ");
+            push_num(&mut out, v);
+            out.push_str("}},\n");
         }
     }
-
-    format!("[\n{}\n]\n", events.join(",\n"))
+    // Every event ended with ",\n"; the last one ends the array instead.
+    if out.ends_with(",\n") {
+        out.truncate(out.len() - 2);
+    }
+    out.push_str("\n]\n");
+    out
 }
 
 #[cfg(test)]
@@ -236,11 +292,29 @@ mod tests {
         assert_eq!(open, close);
     }
 
+    /// Spans and instants on three tracks, all starting at 0.25, recorded
+    /// in the order `which` lists them — so a store's string table numbers
+    /// the shared strings in that order, and string ranks break the ties.
+    fn ties(o: &mut Obs, which: &[usize]) {
+        let events = [
+            ("lane/1", "batch(2)"),
+            ("faults", "lane/0"),
+            ("lane/0", "batch(2)"),
+        ];
+        for &k in which {
+            let (track, name) = events[k];
+            o.span(track, name, 0.25, 0.25 + 0.125 * k as f64);
+            o.instant(track, name, 0.25);
+        }
+    }
+
     #[test]
     fn exports_are_insertion_order_invariant() {
-        let a = sample();
+        let mut a = sample();
+        ties(&mut a, &[0, 1, 2]);
         let mut b = Obs::new();
         // Same observations, recorded in a different order.
+        ties(&mut b, &[2, 0, 1]);
         b.span("lane/0", "batch(4)", 0.125, 0.1875);
         b.point("search/best_fitness", 1.0, 11.0);
         b.observe("serve/batch_size", 8.0);
@@ -250,8 +324,33 @@ mod tests {
         b.observe("serve/batch_size", 4.0);
         b.point("search/best_fitness", 0.0, 12.5);
         b.instant("lane/0", "fault:down", 0.15625);
-        assert_eq!(metrics_json(&a), metrics_json(&b));
-        assert_eq!(chrome_trace_json(&a), chrome_trace_json(&b));
+        // Same observations again, split over two shards that first see the
+        // shared strings in different orders, merged either way round: the
+        // merged tables number every string differently.
+        let mut s1 = Obs::new();
+        s1.instant("lane/0", "fault:down", 0.15625);
+        ties(&mut s1, &[2, 1]);
+        s1.counter("search/evals", 40);
+        s1.observe("serve/batch_size", 8.0);
+        s1.point("search/best_fitness", 1.0, 11.0);
+        let mut s2 = Obs::new();
+        ties(&mut s2, &[0]);
+        s2.span("lane/0", "batch(4)", 0.125, 0.1875);
+        s2.counter("search/evals", 2);
+        s2.gauge_max("kv/peak", 0.75);
+        s2.observe("serve/batch_size", 4.0);
+        s2.point("search/best_fitness", 0.0, 12.5);
+        let mut c = Obs::new();
+        c.merge(&s1);
+        c.merge(&s2);
+        let mut d = Obs::new();
+        d.merge(&s2);
+        d.merge(&s1);
+        assert_ne!(c.label(0), d.label(0));
+        for other in [&b, &c, &d] {
+            assert_eq!(metrics_json(&a), metrics_json(other));
+            assert_eq!(chrome_trace_json(&a), chrome_trace_json(other));
+        }
     }
 
     #[test]
@@ -261,4 +360,121 @@ mod tests {
         let text = metrics_json(&o);
         assert!(text.contains("\"g\": \"inf\""));
     }
+
+    /// Every event kind, JSON escaping (quote, backslash, newline, a
+    /// control character and non-ASCII), non-finite and `{}`-formatted
+    /// values, an empty histogram's infinite min/max, out-of-order series
+    /// points, spans that tie on start (broken by track, then end, then
+    /// name), a backwards span and a track that holds only instants.
+    fn golden_store() -> Obs {
+        let mut o = Obs::new();
+        o.counter("search/evals", 40);
+        o.counter("esc/\"q\"\\b\nl\u{1}µ", 7);
+        o.counter("search/evals", 2);
+        o.gauge_max("kv/peak", 0.75);
+        o.gauge_max("kv/peak", 0.5);
+        o.gauge_max("g/inf", f64::INFINITY);
+        o.gauge_max("g/neg", -3.25);
+        o.gauge_max("g/tiny", 1e-7);
+        o.gauge_max("g/huge", 1e21);
+        o.observe("serve/batch_size", 4.0);
+        o.observe("serve/batch_size", 8.0);
+        o.observe("serve/batch_size", 0.0);
+        o.observe("serve/batch_size", 1e12);
+        o.observe("h/empty", f64::NAN);
+        o.point("s/b", 1.0, 11.0);
+        o.point("s/b", 0.5, 2.0);
+        o.point("s/b", 0.0, 12.5);
+        o.point("s/b", 0.5, 1.0);
+        o.point("s/b", -0.0, f64::INFINITY);
+        o.point("s/a", 0.1, 0.3);
+        o.point("s/a", 1.0 / 3.0, 0.1 + 0.2);
+        o.span("lane/b", "batch(2)", 0.25, 0.5);
+        o.span("lane/a", "batch(9)", 0.25, 0.75);
+        o.span("lane/a", "batch(3)", 0.25, 0.5);
+        o.span("lane/a", "batch(1)", 0.25, 0.5);
+        o.span("lane/\"x\"\\\n\u{1}", "na\"me\\\n\u{1}", 0.125, 0.1875);
+        o.span("lane/b", "backwards", 0.6, 0.4);
+        o.span("lane/a", "batch(4)", 0.0, 0.1);
+        o.instant("faults", "restore:a3", 0.3);
+        o.instant("lane/a", "mark", 0.3);
+        o.instant("faults", "fail:a3", 0.3);
+        o.instant("faults", "lane/b", 0.05);
+        o.wall_seconds("wall/x", 0.5);
+        o
+    }
+
+    /// Byte-exact exports of [`golden_store`] and of the empty store.
+    #[test]
+    fn exports_match_golden_bytes() {
+        assert_eq!(metrics_json(&golden_store()), METRICS);
+        assert_eq!(chrome_trace_json(&golden_store()), TRACE);
+        assert_eq!(metrics_json(&Obs::new()), EMPTY_METRICS);
+        assert_eq!(chrome_trace_json(&Obs::new()), EMPTY_TRACE);
+    }
+
+    // The expected bytes, as rendered by the earlier exporters that cloned
+    // and canonicalized the store and formatted each event on its own.
+    const METRICS: &str = r#"{
+  "schema": "mars-obs-metrics-v1",
+  "counters": {
+    "esc/\"q\"\\b\nl\u0001µ": 7,
+    "search/evals": 42
+  },
+  "gauges": {
+    "g/huge": 1000000000000000000000,
+    "g/inf": "inf",
+    "g/neg": -3.25,
+    "g/tiny": 0.0000001,
+    "kv/peak": 0.75
+  },
+  "histograms": {
+    "h/empty": {"count": 1, "underflow": 0, "overflow": 1, "min": "inf", "max": "-inf", "buckets": []},
+    "serve/batch_size": {"count": 4, "underflow": 1, "overflow": 1, "min": 0, "max": 1000000000000, "buckets": [[4, 1], [8, 1]]}
+  },
+  "series": {
+    "s/a": [[0.1, 0.3], [0.3333333333333333, 0.30000000000000004]],
+    "s/b": [[-0, "inf"], [0, 12.5], [0.5, 1], [0.5, 2], [1, 11]]
+  },
+  "wall_seconds_nondeterministic": {
+    "wall/x": 0.5
+  }
+}
+"#;
+
+    const TRACE: &str = r#"[
+{"name": "thread_name", "ph": "M", "pid": 1, "tid": 1, "args": {"name": "faults"}},
+{"name": "thread_name", "ph": "M", "pid": 1, "tid": 2, "args": {"name": "lane/\"x\"\\\n\u0001"}},
+{"name": "thread_name", "ph": "M", "pid": 1, "tid": 3, "args": {"name": "lane/a"}},
+{"name": "thread_name", "ph": "M", "pid": 1, "tid": 4, "args": {"name": "lane/b"}},
+{"name": "batch(4)", "cat": "sim", "ph": "X", "ts": 0, "dur": 100000, "pid": 1, "tid": 3},
+{"name": "na\"me\\\n\u0001", "cat": "sim", "ph": "X", "ts": 125000, "dur": 62500, "pid": 1, "tid": 2},
+{"name": "batch(1)", "cat": "sim", "ph": "X", "ts": 250000, "dur": 250000, "pid": 1, "tid": 3},
+{"name": "batch(3)", "cat": "sim", "ph": "X", "ts": 250000, "dur": 250000, "pid": 1, "tid": 3},
+{"name": "batch(9)", "cat": "sim", "ph": "X", "ts": 250000, "dur": 500000, "pid": 1, "tid": 3},
+{"name": "batch(2)", "cat": "sim", "ph": "X", "ts": 250000, "dur": 250000, "pid": 1, "tid": 4},
+{"name": "backwards", "cat": "sim", "ph": "X", "ts": 600000, "dur": 0, "pid": 1, "tid": 4},
+{"name": "lane/b", "cat": "sim", "ph": "i", "s": "t", "ts": 50000, "pid": 1, "tid": 1},
+{"name": "fail:a3", "cat": "sim", "ph": "i", "s": "t", "ts": 300000, "pid": 1, "tid": 1},
+{"name": "restore:a3", "cat": "sim", "ph": "i", "s": "t", "ts": 300000, "pid": 1, "tid": 1},
+{"name": "mark", "cat": "sim", "ph": "i", "s": "t", "ts": 300000, "pid": 1, "tid": 3},
+{"name": "s/a", "ph": "C", "ts": 100000, "pid": 1, "args": {"value": 0.3}},
+{"name": "s/a", "ph": "C", "ts": 333333.3333333333, "pid": 1, "args": {"value": 0.30000000000000004}},
+{"name": "s/b", "ph": "C", "ts": -0, "pid": 1, "args": {"value": "inf"}},
+{"name": "s/b", "ph": "C", "ts": 0, "pid": 1, "args": {"value": 12.5}},
+{"name": "s/b", "ph": "C", "ts": 500000, "pid": 1, "args": {"value": 1}},
+{"name": "s/b", "ph": "C", "ts": 500000, "pid": 1, "args": {"value": 2}},
+{"name": "s/b", "ph": "C", "ts": 1000000, "pid": 1, "args": {"value": 11}}
+]
+"#;
+
+    const EMPTY_METRICS: &str = r#"{
+  "schema": "mars-obs-metrics-v1"
+}
+"#;
+
+    const EMPTY_TRACE: &str = r#"[
+
+]
+"#;
 }

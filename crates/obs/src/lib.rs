@@ -17,6 +17,14 @@
 //! merged metrics are bit-identical across `MARS_THREADS` values — the
 //! workspace's observability determinism suite pins both.
 //!
+//! The enabled path is allocation-light.  A metric key is allocated the
+//! first time it is seen, and span and instant tracks and names are interned
+//! in one string table per store, so a [`Span`] or [`Instant`] is a `Copy`
+//! record of two `u32` ids and its times; snapshots, merges and shard
+//! hand-offs copy plain data.  Both exporters read the store in place, sort
+//! only a copy of the span and instant records (by time, then string rank),
+//! and write every event straight into one pre-sized `String`.
+//!
 //! ```
 //! use mars_obs::{chrome_trace_json, metrics_json, Recorder};
 //!

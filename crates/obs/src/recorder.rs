@@ -118,7 +118,9 @@ impl Recorder {
         self.with_store(|obs| obs.merge(shard));
     }
 
-    /// A snapshot of everything recorded so far (empty when disabled).
+    /// A snapshot of everything recorded so far (empty when disabled): a
+    /// copy of the keyed maps and the string table plus a plain-data copy
+    /// of the span and instant records.
     pub fn snapshot(&self) -> Obs {
         self.with_store(|obs| obs.clone()).unwrap_or_default()
     }

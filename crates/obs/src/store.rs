@@ -9,19 +9,32 @@
 //! * counters are `u64` sums (associative),
 //! * gauges are **peaks** (`f64::max`, commutative for non-NaN values),
 //! * histograms are integer buckets ([`Histogram::merge`]),
-//! * series points and spans are appended and canonically sorted on export,
-//!   with a total order over all fields.
+//! * series points and spans are appended; the exporters and
+//!   [`Obs::canonicalize`] order them by a total order over all fields.
+//!
+//! Metric keys are allocated once, the first time a key is seen.  Span and
+//! instant tracks and names live in one interned string table, so [`Span`]
+//! and [`Instant`] are `Copy` records (two `u32` ids plus their times):
+//! recording one is a table lookup and a push, and snapshots, merges and
+//! shard hand-offs copy plain data.  Ids number strings in first-seen order,
+//! which differs between stores; [`Obs::merge`] remaps the other store's
+//! ids, and [`Obs::canonicalize`] renumbers the table into string order so
+//! canonical stores compare with `==`.
 
 use crate::hist::Histogram;
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
+use std::collections::{BTreeMap, HashMap};
+use std::fmt;
 
 /// One span-style trace event on a named track, in simulated seconds.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A `Copy` record: its track (the Chrome-trace thread it renders on, e.g.
+/// `lane/3`) and its name (e.g. `batch(4)` or `reconfigure:queue-growth`)
+/// are ids into the string table of the [`Obs`] it was recorded in.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Span {
-    /// Track (Chrome-trace thread) the span renders on, e.g. `lane/3`.
-    pub track: String,
-    /// Event name, e.g. `batch(4)` or `reconfigure:queue-growth`.
-    pub name: String,
+    pub(crate) track: u32,
+    pub(crate) name: u32,
     /// Start instant in simulated seconds.
     pub start: f64,
     /// End instant in simulated seconds (`>= start`).
@@ -29,14 +42,87 @@ pub struct Span {
 }
 
 /// One instantaneous trace event on a named track.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// A `Copy` record, like [`Span`]: its track and its name (e.g.
+/// `fault:accel3-down`) are ids into the string table of the [`Obs`] it was
+/// recorded in.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Instant {
-    /// Track the marker renders on.
-    pub track: String,
-    /// Event name, e.g. `fault:accel3-down`.
-    pub name: String,
+    pub(crate) track: u32,
+    pub(crate) name: u32,
     /// The instant in simulated seconds.
     pub at: f64,
+}
+
+/// The interned string table of span and instant tracks and names: id `i`
+/// is `strings[i]`, and `ids` indexes it.  `Debug` shows only the table, so
+/// it prints in a deterministic order.
+#[derive(Clone, PartialEq, Default)]
+struct Labels {
+    strings: Vec<String>,
+    ids: HashMap<String, u32>,
+}
+
+impl Labels {
+    /// The id of `s`, allocating it on first sight.
+    fn id(&mut self, s: &str) -> u32 {
+        if let Some(&id) = self.ids.get(s) {
+            return id;
+        }
+        let id = u32::try_from(self.strings.len()).expect("fewer than 2^32 trace labels");
+        self.strings.push(s.to_owned());
+        self.ids.insert(s.to_owned(), id);
+        id
+    }
+}
+
+impl fmt::Debug for Labels {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_list().entries(&self.strings).finish()
+    }
+}
+
+/// Applies `f` to the value under `key`, inserting `default()` first — and
+/// allocating the key — only the first time `key` is seen.
+fn update<V>(
+    map: &mut BTreeMap<String, V>,
+    key: &str,
+    default: impl FnOnce() -> V,
+    f: impl FnOnce(&mut V),
+) {
+    match map.get_mut(key) {
+        Some(v) => f(v),
+        None => f(map.entry(key.to_owned()).or_insert_with(default)),
+    }
+}
+
+/// The canonical order of series points: by time, then value.
+pub(crate) fn point_order(a: &(f64, f64), b: &(f64, f64)) -> Ordering {
+    a.0.total_cmp(&b.0).then_with(|| a.1.total_cmp(&b.1))
+}
+
+/// Sorts spans into canonical order — start, track, end, name — where
+/// `rank[id]` is label `id`'s position in string order.
+pub(crate) fn sort_spans(spans: &mut [Span], rank: &[u32]) {
+    let r = |id: u32| rank[id as usize];
+    spans.sort_by(|a, b| {
+        a.start
+            .total_cmp(&b.start)
+            .then_with(|| r(a.track).cmp(&r(b.track)))
+            .then_with(|| a.end.total_cmp(&b.end))
+            .then_with(|| r(a.name).cmp(&r(b.name)))
+    });
+}
+
+/// Sorts instants into canonical order — at, track, name — ranked as in
+/// [`sort_spans`].
+pub(crate) fn sort_instants(instants: &mut [Instant], rank: &[u32]) {
+    let r = |id: u32| rank[id as usize];
+    instants.sort_by(|a, b| {
+        a.at.total_cmp(&b.at)
+            .then_with(|| r(a.track).cmp(&r(b.track)))
+            .then_with(|| r(a.name).cmp(&r(b.name)))
+    });
 }
 
 /// The deterministic observation store — see the module docs for the merge
@@ -47,6 +133,7 @@ pub struct Obs {
     pub(crate) gauges: BTreeMap<String, f64>,
     pub(crate) hists: BTreeMap<String, Histogram>,
     pub(crate) series: BTreeMap<String, Vec<(f64, f64)>>,
+    labels: Labels,
     pub(crate) spans: Vec<Span>,
     pub(crate) instants: Vec<Instant>,
     pub(crate) wall: BTreeMap<String, f64>,
@@ -71,7 +158,7 @@ impl Obs {
 
     /// Adds `delta` to counter `name`.
     pub fn counter(&mut self, name: &str, delta: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += delta;
+        update(&mut self.counters, name, || 0, |c| *c += delta);
     }
 
     /// Raises peak gauge `name` to at least `value` (NaN is ignored).
@@ -79,34 +166,30 @@ impl Obs {
         if value.is_nan() {
             return;
         }
-        let g = self
-            .gauges
-            .entry(name.to_string())
-            .or_insert(f64::NEG_INFINITY);
-        *g = g.max(value);
+        update(
+            &mut self.gauges,
+            name,
+            || f64::NEG_INFINITY,
+            |g| *g = g.max(value),
+        );
     }
 
     /// Records `value` into histogram `name`.
     pub fn observe(&mut self, name: &str, value: f64) {
-        self.hists
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        update(&mut self.hists, name, Histogram::new, |h| h.record(value));
     }
 
     /// Appends a `(t, value)` sample to series `name` (t in sim seconds).
     pub fn point(&mut self, name: &str, t: f64, value: f64) {
-        self.series
-            .entry(name.to_string())
-            .or_default()
-            .push((t, value));
+        update(&mut self.series, name, Vec::new, |s| s.push((t, value)));
     }
 
     /// Appends a span on `track` from `start` to `end` sim seconds.
     pub fn span(&mut self, track: &str, name: &str, start: f64, end: f64) {
+        let (track, name) = (self.labels.id(track), self.labels.id(name));
         self.spans.push(Span {
-            track: track.to_string(),
-            name: name.to_string(),
+            track,
+            name,
             start,
             end,
         });
@@ -114,11 +197,8 @@ impl Obs {
 
     /// Appends an instantaneous marker on `track` at `at` sim seconds.
     pub fn instant(&mut self, track: &str, name: &str, at: f64) {
-        self.instants.push(Instant {
-            track: track.to_string(),
-            name: name.to_string(),
-            at,
-        });
+        let (track, name) = (self.labels.id(track), self.labels.id(name));
+        self.instants.push(Instant { track, name, at });
     }
 
     /// Adds wall-clock `seconds` under `name` in the **explicitly
@@ -129,7 +209,7 @@ impl Obs {
     /// whole stores, so a wall entry from inside an instrumented engine is
     /// a test failure, not a tolerated wobble.
     pub fn wall_seconds(&mut self, name: &str, seconds: f64) {
-        *self.wall.entry(name.to_string()).or_insert(0.0) += seconds;
+        update(&mut self.wall, name, || 0.0, |w| *w += seconds);
     }
 
     /// The nondeterministic wall-clock entries (empty for fully
@@ -171,54 +251,90 @@ impl Obs {
         &self.spans
     }
 
+    /// The track or name string behind a [`Span`] or [`Instant`] id of this
+    /// store.
+    pub(crate) fn label(&self, id: u32) -> &str {
+        &self.labels.strings[id as usize]
+    }
+
+    /// `rank[id]`: the position of label `id` in string order.
+    pub(crate) fn label_ranks(&self) -> Vec<u32> {
+        let strings = &self.labels.strings;
+        let mut order: Vec<u32> = (0..strings.len() as u32).collect();
+        order.sort_unstable_by(|&a, &b| strings[a as usize].cmp(&strings[b as usize]));
+        let mut rank = vec![0; order.len()];
+        for (r, &id) in order.iter().enumerate() {
+            rank[id as usize] = r as u32;
+        }
+        rank
+    }
+
     /// Folds `other` into `self`: counters add, gauges take the max,
-    /// histograms merge bucket-wise, series and trace events append.  After
+    /// histograms merge bucket-wise, series and trace events append (with
+    /// `other`'s label ids remapped into this store's table).  After
     /// [`canonicalize`](Obs::canonicalize), the result is bit-identical for
     /// any shard grouping of the same per-item observations.
     pub fn merge(&mut self, other: &Obs) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+        for (k, &v) in &other.counters {
+            self.counter(k, v);
         }
-        for (k, v) in &other.gauges {
-            let g = self.gauges.entry(k.clone()).or_insert(f64::NEG_INFINITY);
-            *g = g.max(*v);
+        for (k, &v) in &other.gauges {
+            self.gauge_max(k, v);
         }
         for (k, h) in &other.hists {
-            self.hists.entry(k.clone()).or_default().merge(h);
+            update(&mut self.hists, k, Histogram::new, |mine| mine.merge(h));
         }
         for (k, pts) in &other.series {
-            self.series
-                .entry(k.clone())
-                .or_default()
-                .extend_from_slice(pts);
+            update(&mut self.series, k, Vec::new, |mine| {
+                mine.extend_from_slice(pts)
+            });
         }
-        self.spans.extend_from_slice(&other.spans);
-        self.instants.extend_from_slice(&other.instants);
-        for (k, v) in &other.wall {
-            *self.wall.entry(k.clone()).or_insert(0.0) += v;
+        let remap: Vec<u32> = other
+            .labels
+            .strings
+            .iter()
+            .map(|s| self.labels.id(s))
+            .collect();
+        let id = |old: u32| remap[old as usize];
+        self.spans.extend(other.spans.iter().map(|s| Span {
+            track: id(s.track),
+            name: id(s.name),
+            ..*s
+        }));
+        self.instants.extend(other.instants.iter().map(|i| Instant {
+            track: id(i.track),
+            name: id(i.name),
+            ..*i
+        }));
+        for (k, &v) in &other.wall {
+            self.wall_seconds(k, v);
         }
     }
 
     /// Sorts series points and trace events into their canonical total
-    /// order, so stores merged from different shard groupings of the same
-    /// observations compare (and export) bit-identically.  The exporters
-    /// call this themselves; call it directly before comparing stores.
+    /// order and renumbers the string table into string order, so stores
+    /// merged from different shard groupings of the same observations
+    /// compare with `==`.  The exporters do not need it: they order what
+    /// they render themselves.
     pub fn canonicalize(&mut self) {
         for pts in self.series.values_mut() {
-            pts.sort_by(|a, b| a.0.total_cmp(&b.0).then_with(|| a.1.total_cmp(&b.1)));
+            pts.sort_by(point_order);
         }
-        self.spans.sort_by(|a, b| {
-            a.start
-                .total_cmp(&b.start)
-                .then_with(|| a.track.cmp(&b.track))
-                .then_with(|| a.end.total_cmp(&b.end))
-                .then_with(|| a.name.cmp(&b.name))
-        });
-        self.instants.sort_by(|a, b| {
-            a.at.total_cmp(&b.at)
-                .then_with(|| a.track.cmp(&b.track))
-                .then_with(|| a.name.cmp(&b.name))
-        });
+        let rank = self.label_ranks();
+        sort_spans(&mut self.spans, &rank);
+        sort_instants(&mut self.instants, &rank);
+        let new = |old: u32| rank[old as usize];
+        for s in &mut self.spans {
+            (s.track, s.name) = (new(s.track), new(s.name));
+        }
+        for i in &mut self.instants {
+            (i.track, i.name) = (new(i.track), new(i.name));
+        }
+        // The strings are distinct, so sorting them puts each at its rank.
+        self.labels.strings.sort_unstable();
+        for id in self.labels.ids.values_mut() {
+            *id = new(*id);
+        }
     }
 }
 
@@ -246,13 +362,35 @@ mod tests {
         assert_eq!(o.histogram("h").unwrap().count(), 1);
         assert_eq!(o.series("s").unwrap().len(), 1);
         assert_eq!(o.spans().len(), 1);
+        let span = o.spans()[0];
+        assert_eq!((o.label(span.track), o.label(span.name)), ("t", "work"));
         assert!(!o.is_empty());
         assert!(Obs::new().is_empty());
     }
 
     #[test]
     fn merge_is_grouping_invariant_after_canonicalize() {
-        let parts: Vec<Obs> = (0..6).map(|i| sample_obs(i as f64 * 0.25)).collect();
+        // Shard `i` also records four (track, name) pairs that tie on start,
+        // first seeing them from pair `i % 4`, so the shards' string tables
+        // number the shared strings differently.
+        let pairs = [
+            ("lane/b", "batch(2)"),
+            ("lane/a", "batch(1)"),
+            ("faults", "lane/a"),
+            ("lane/a", "batch(2)"),
+        ];
+        let parts: Vec<Obs> = (0..6)
+            .map(|i| {
+                let shift = i as f64 * 0.25;
+                let mut o = sample_obs(shift);
+                for k in 0..pairs.len() {
+                    let (track, name) = pairs[(i + k) % pairs.len()];
+                    o.span(track, name, shift, shift + 0.05 * k as f64);
+                    o.instant(track, name, shift);
+                }
+                o
+            })
+            .collect();
 
         // One-shard grouping: fold everything into one store.
         let mut flat = Obs::new();
@@ -273,6 +411,9 @@ mod tests {
         grouped.merge(&b);
         grouped.merge(&a);
         grouped.merge(&c);
+        // The two groupings numbered the shared strings differently.
+        assert_ne!(flat.labels, grouped.labels);
+        assert_ne!(flat, grouped);
 
         flat.canonicalize();
         grouped.canonicalize();
@@ -281,6 +422,14 @@ mod tests {
         assert_eq!(
             flat.gauge_value("g").unwrap().to_bits(),
             grouped.gauge_value("g").unwrap().to_bits()
+        );
+        // Canonical ids are string ranks, and merged spans keep their
+        // strings through the remap.
+        assert!(flat.labels.strings.windows(2).all(|w| w[0] < w[1]));
+        let first = flat.spans()[0];
+        assert_eq!(
+            (flat.label(first.track), flat.label(first.name)),
+            ("faults", "lane/a")
         );
     }
 

@@ -535,6 +535,11 @@ pub struct LlmSimState {
     /// everything recorded is lane-local and merges bit-identically across
     /// shard splits.  Disabled (a null check) by default.
     recorder: Recorder,
+    /// Per-lane span tracks (`llm/<name>`) and KV series keys
+    /// (`llm/kv_reserved/<name>`), built once when an enabled recorder
+    /// attaches.
+    tracks: Vec<String>,
+    kv_keys: Vec<String>,
 }
 
 impl LlmSimState {
@@ -580,6 +585,8 @@ impl LlmSimState {
             calendar,
             clock: 0.0,
             recorder: Recorder::disabled(),
+            tracks: Vec::new(),
+            kv_keys: Vec::new(),
         })
     }
 
@@ -588,6 +595,11 @@ impl LlmSimState {
     /// quantity derives from the simulated clock, so attaching a recorder
     /// never changes the report.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
+        if recorder.is_enabled() {
+            let names = self.lanes.iter().map(|lane| &lane.llm.name);
+            self.tracks = names.clone().map(|n| format!("llm/{n}")).collect();
+            self.kv_keys = names.map(|n| format!("llm/kv_reserved/{n}")).collect();
+        }
         self.recorder = recorder;
         self
     }
@@ -635,7 +647,7 @@ impl LlmSimState {
             let gen = lane.generation;
             if self.recorder.is_enabled() {
                 self.recorder.point(
-                    &format!("llm/kv_reserved/{}", lane.llm.name),
+                    &self.kv_keys[ev.lane as usize],
                     now,
                     lane.kv_reserved as f64,
                 );
@@ -652,7 +664,7 @@ impl LlmSimState {
                         _ => "decode",
                     };
                     self.recorder
-                        .span(&format!("llm/{}", lane.llm.name), phase, now, end);
+                        .span(&self.tracks[ev.lane as usize], phase, now, end);
                 }
                 // Decode re-entry: the next iteration's end is a fresh
                 // calendar event for this lane.

@@ -38,6 +38,7 @@ use mars_core::CoScheduleResult;
 use mars_model::TrafficProfile;
 use mars_obs::Recorder;
 use mars_topology::AccelId;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 /// When the batcher hands an accumulated batch to its partition.
@@ -756,6 +757,11 @@ pub struct SimState {
     /// from the simulation clock and deterministic counters, so attaching a
     /// recorder never changes the simulation.
     recorder: Recorder,
+    /// Per-lane span tracks (`lane/<name>`), built once when an enabled
+    /// recorder attaches.
+    tracks: Vec<String>,
+    /// Reused buffer each batch span's name (`batch(n)`) renders into.
+    label: String,
     /// `true` only on a top-level (unsharded) simulation: engine-level
     /// metrics (calendar occupancy, stale-event skips) depend on which lanes
     /// share the calendar, so a partition shard must not record them — the
@@ -865,6 +871,8 @@ impl SimState {
             accel_busy,
             down: Vec::new(),
             recorder: Recorder::disabled(),
+            tracks: Vec::new(),
+            label: String::new(),
             engine_metrics: false,
         })
     }
@@ -876,8 +884,7 @@ impl SimState {
     /// quantity derives from the simulated clock, and the default disabled
     /// recorder compiles the hooks down to null checks.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.recorder = recorder;
-        self.engine_metrics = true;
+        self.attach(recorder, true);
         self
     }
 
@@ -886,8 +893,18 @@ impl SimState {
     /// metrics depend on the shard split, so only the shard-invariant
     /// lane metrics are recorded.
     pub(crate) fn set_shard_recorder(&mut self, recorder: Recorder) {
+        self.attach(recorder, false);
+    }
+
+    /// Installs `recorder` and, when it is enabled, builds the per-lane span
+    /// tracks the dispatch hot path records on.
+    fn attach(&mut self, recorder: Recorder, engine_metrics: bool) {
+        if recorder.is_enabled() {
+            let names = self.lanes.iter().map(|lane| &lane.name);
+            self.tracks = names.map(|n| format!("lane/{n}")).collect();
+        }
         self.recorder = recorder;
-        self.engine_metrics = false;
+        self.engine_metrics = engine_metrics;
     }
 
     /// The simulated horizon in seconds.
@@ -1078,12 +1095,10 @@ impl SimState {
             self.recorder.observe("serve/batch_size", event.size as f64);
             self.recorder
                 .observe("serve/queue_depth", lane.arena.queue_len() as f64);
-            self.recorder.span(
-                &format!("lane/{}", lane.name),
-                &format!("batch({})", event.size),
-                event.start,
-                event.finish,
-            );
+            self.label.clear();
+            let _ = write!(self.label, "batch({})", event.size);
+            self.recorder
+                .span(&self.tracks[w], &self.label, event.start, event.finish);
         }
         event
     }
@@ -1652,6 +1667,15 @@ mod tests {
                 &ServeConfig::default()
             ),
             Err(ServeError::InvalidHorizon(_))
+        ));
+        assert!(matches!(
+            simulate(
+                &co,
+                &profiles,
+                &Trace::poisson(&profiles, f64::INFINITY, 1),
+                &ServeConfig::default()
+            ),
+            Err(ServeError::InvalidHorizon(h)) if h == f64::INFINITY
         ));
         assert_eq!(
             simulate(

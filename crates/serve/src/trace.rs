@@ -40,14 +40,19 @@ impl Trace {
     /// always yields the same trace.
     ///
     /// Profiles with non-positive or non-finite `qps` yield an empty stream
-    /// (the simulator rejects them before this matters).
+    /// (the simulator rejects them before this matters), and so does every
+    /// profile when `horizon_seconds` is not positive and finite (the
+    /// simulator rejects the horizon with [`ServeError::InvalidHorizon`]).
+    ///
+    /// [`ServeError::InvalidHorizon`]: crate::ServeError::InvalidHorizon
     pub fn poisson(profiles: &[TrafficProfile], horizon_seconds: f64, seed: u64) -> Self {
         let arrivals = profiles
             .iter()
             .enumerate()
             .map(|(w, p)| {
                 let mut times = Vec::new();
-                if !(p.qps > 0.0 && p.qps.is_finite() && horizon_seconds > 0.0) {
+                let horizon_ok = horizon_seconds > 0.0 && horizon_seconds.is_finite();
+                if !(p.qps > 0.0 && p.qps.is_finite() && horizon_ok) {
                     return times;
                 }
                 let mut rng =
@@ -284,7 +289,11 @@ mod tests {
     fn degenerate_profiles_yield_empty_streams() {
         let zero = vec![TrafficProfile::new(0.0, 4.0)];
         assert_eq!(Trace::poisson(&zero, 1.0, 7).total_requests(), 0);
-        let t = Trace::poisson(&profiles(), 0.0, 7);
-        assert_eq!(t.total_requests(), 0);
+        // A horizon that is not positive and finite draws nothing; an
+        // infinite one must not draw forever.
+        for horizon in [0.0, -1.0, f64::INFINITY, f64::NAN] {
+            let t = Trace::poisson(&profiles(), horizon, 7);
+            assert_eq!(t.arrivals, vec![Vec::<f64>::new(); 2], "horizon {horizon}");
+        }
     }
 }

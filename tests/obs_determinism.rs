@@ -17,7 +17,7 @@ use mars::serve::{
 };
 
 /// The deterministic export of everything a recorder collected: wall time
-/// stripped, store canonicalized, both exporters rendered.
+/// stripped, both exporters rendered (they order events canonically).
 fn deterministic_exports(recorder: &Recorder) -> (String, String) {
     let mut obs = recorder.snapshot();
     obs.strip_wall();
