@@ -10,6 +10,7 @@ use mars_accel::Catalog;
 use mars_bench::{table3_row, Budget};
 use mars_core::baseline;
 use mars_model::zoo::Benchmark;
+use mars_obs::Recorder;
 use mars_topology::presets;
 
 fn bench_baseline_mapper(c: &mut Criterion) {
@@ -35,7 +36,7 @@ fn bench_mars_search(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(benchmark.name()),
             &benchmark,
-            |b, &bm| b.iter(|| table3_row(bm, Budget::Fast, 1)),
+            |b, &bm| b.iter(|| table3_row(bm, Budget::Fast, 1, &Recorder::disabled())),
         );
     }
     group.finish();

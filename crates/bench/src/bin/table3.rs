@@ -8,7 +8,7 @@
 //! cargo run --release -p mars-bench --bin table3 -- --metrics search.json --trace search-trace.json
 //! ```
 
-use mars_bench::{table3_row_observed, BinContext};
+use mars_bench::{table3_row, BinContext};
 use mars_core::report;
 use mars_model::zoo::Benchmark;
 
@@ -24,7 +24,7 @@ fn main() {
 
     let mut reductions = Vec::new();
     for (i, benchmark) in Benchmark::ALL.into_iter().enumerate() {
-        let row = table3_row_observed(benchmark, budget, 40 + i as u64, &recorder);
+        let row = table3_row(benchmark, budget, 40 + i as u64, &recorder);
         reductions.push(row.reduction_percent());
         println!(
             "{:<12} {:>7} {:>8.1}M {:>7.2}G {:>13.3} {:>11.3}({:+.1}%) {:>10.2} {:>9.1}",

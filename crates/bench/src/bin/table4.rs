@@ -6,7 +6,7 @@
 //! MARS_BUDGET=full cargo run --release -p mars-bench --bin table4
 //! ```
 
-use mars_bench::{table4_rows_observed, BinContext};
+use mars_bench::{table4_rows, BinContext};
 use mars_model::zoo;
 
 fn main() {
@@ -32,7 +32,7 @@ fn main() {
     let rows: Vec<Vec<mars_bench::Table4Row>> = models
         .iter()
         .enumerate()
-        .map(|(i, net)| table4_rows_observed(net, budget, 90 + i as u64, &recorder))
+        .map(|(i, net)| table4_rows(net, budget, 90 + i as u64, &recorder))
         .collect();
 
     for (a, b) in rows[0].iter().zip(&rows[1]) {

@@ -11,7 +11,7 @@
 //! MARS_BUDGET=full cargo run --release -p mars-bench --bin table_failover
 //! ```
 
-use mars_bench::{table_failover_row_observed, BinContext};
+use mars_bench::{table_failover_row, BinContext};
 use mars_model::zoo::MixZoo;
 
 fn main() {
@@ -35,7 +35,7 @@ fn main() {
 
     let rows: Vec<_> = MixZoo::ALL
         .into_iter()
-        .map(|mix| table_failover_row_observed(mix, budget, 42, &recorder))
+        .map(|mix| table_failover_row(mix, budget, 42, &recorder))
         .collect();
 
     for row in &rows {

@@ -13,7 +13,7 @@
 //! cargo run --release -p mars-bench --bin table_fleet -- --trace fleet.json   # open in Perfetto
 //! ```
 
-use mars_bench::{table_fleet_row_observed, BinContext};
+use mars_bench::{table_fleet_row, BinContext};
 use mars_model::zoo::MixZoo;
 
 fn main() {
@@ -21,7 +21,7 @@ fn main() {
     ctx.print_shard_header("TABLE FLEET: CALENDAR-QUEUE ENGINE AT FLEET SCALE");
     let recorder = ctx.recorder();
 
-    let row = table_fleet_row_observed(42, &recorder);
+    let row = table_fleet_row(42, &recorder);
     println!(
         "fleet: {} workloads on {} accelerators, {} requests over {:.1}s horizon, {} fault events",
         row.workloads,

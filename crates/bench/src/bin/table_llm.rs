@@ -10,7 +10,7 @@
 //! MARS_THREADS=8 cargo run --release -p mars-bench --bin table_llm
 //! ```
 
-use mars_bench::{table_llm_row_observed, BinContext};
+use mars_bench::{table_llm_row, BinContext};
 use mars_serve::BatchingMode;
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
     ctx.print_shard_header("TABLE LLM: CONTINUOUS BATCHING VS ONE-SHOT");
     let recorder = ctx.recorder();
 
-    let row = table_llm_row_observed(42, &recorder);
+    let row = table_llm_row(42, &recorder);
     println!(
         "mix: {} LLM workloads, {} requests over {:.1}s horizon",
         row.workloads,

@@ -10,7 +10,7 @@
 //! MARS_BUDGET=full cargo run --release -p mars-bench --bin table_serve
 //! ```
 
-use mars_bench::{table_serve_row_observed, BinContext};
+use mars_bench::{table_serve_row, BinContext};
 use mars_model::zoo::MixZoo;
 use mars_serve::render_serve;
 
@@ -36,7 +36,7 @@ fn main() {
     let rows: Vec<_> = MixZoo::ALL
         .into_iter()
         .enumerate()
-        .map(|(i, mix)| table_serve_row_observed(mix, budget, 42 + i as u64, &recorder))
+        .map(|(i, mix)| table_serve_row(mix, budget, 42 + i as u64, &recorder))
         .collect();
 
     for row in &rows {

@@ -10,6 +10,9 @@
 //! paper-scale GA budgets, anything else for the fast CI budgets) and
 //! `MARS_THREADS` (fitness-evaluation worker threads; `0`/unset = all cores,
 //! `1` = serial — the mapping found is identical either way).
+//!
+//! Every row function takes a [`Recorder`] (pass [`Recorder::disabled`] to
+//! record nothing); recording never changes a row, bit for bit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -24,9 +27,9 @@ use mars_model::{Network, PhasedTraffic, TrafficProfile};
 use mars_obs::Recorder;
 use mars_runtime::{run_elastic_observed, ElasticReport, RuntimeConfig, RuntimePolicy};
 use mars_serve::{
-    fleet_co_schedule, reference, simulate, simulate_llm_sharded_observed, simulate_observed,
-    simulate_sharded_observed, BatchingMode, DispatchPolicy, FaultPolicy, LlmServeReport, LlmTrace,
-    ServeConfig, ServeReport, SimState, Trace,
+    fleet_co_schedule, reference, simulate_llm_sharded_observed, simulate_sharded_observed,
+    BatchingMode, DispatchPolicy, FaultPolicy, LlmServeReport, LlmTrace, ServeConfig, ServeReport,
+    SimState, Trace,
 };
 use mars_topology::{presets, Topology};
 use std::time::Instant;
@@ -107,16 +110,10 @@ impl Table3Row {
     }
 }
 
-/// Runs one Table III row: baseline and MARS on the F1-style platform.
-pub fn table3_row(benchmark: Benchmark, budget: Budget, seed: u64) -> Table3Row {
-    table3_row_observed(benchmark, budget, seed, &Recorder::disabled())
-}
-
-/// [`table3_row`] with an observability [`Recorder`] attached to the MARS
-/// search: per-generation convergence series, evaluation counters and
-/// cache-hit splits stream into it.  The row itself is bit-identical to
-/// [`table3_row`]'s.
-pub fn table3_row_observed(
+/// Runs one Table III row: baseline and MARS on the F1-style platform, with
+/// `recorder` attached to the MARS search (per-generation convergence
+/// series, evaluation counters and cache-hit splits).
+pub fn table3_row(
     benchmark: Benchmark,
     budget: Budget,
     seed: u64,
@@ -164,16 +161,10 @@ impl Table4Row {
 }
 
 /// Runs the Table IV sweep for one heterogeneous model: five bandwidth levels,
-/// H2H-like mapper vs MARS with fixed heterogeneous designs.
-pub fn table4_rows(net: &Network, budget: Budget, seed: u64) -> Vec<Table4Row> {
-    table4_rows_observed(net, budget, seed, &Recorder::disabled())
-}
-
-/// [`table4_rows`] with an observability [`Recorder`] attached to every MARS
-/// search of the bandwidth sweep (the five levels run sequentially, so the
-/// recorded series are deterministic).  The rows are bit-identical to
-/// [`table4_rows`]'s.
-pub fn table4_rows_observed(
+/// H2H-like mapper vs MARS with fixed heterogeneous designs, with `recorder`
+/// attached to every MARS search (the five levels run sequentially, so the
+/// recorded series are deterministic).
+pub fn table4_rows(
     net: &Network,
     budget: Budget,
     seed: u64,
@@ -293,45 +284,22 @@ impl ServeRow {
 /// Runs one `table_serve` row: co-schedules the mix (same platform, catalog
 /// and seed conventions as [`table_multi_row`]), draws a one-second seeded
 /// Poisson trace from the mix's bundled [`MixZoo::traffic`] profile, and
-/// replays it under every dispatch policy.
-pub fn table_serve_row(mix: MixZoo, budget: Budget, seed: u64) -> ServeRow {
-    table_serve_row_observed(mix, budget, seed, &Recorder::disabled())
-}
-
-/// [`table_serve_row`] with an observability [`Recorder`] attached to the
-/// default-policy replay (see [`table_serve_row_on_observed`]).
-pub fn table_serve_row_observed(
-    mix: MixZoo,
-    budget: Budget,
-    seed: u64,
-    recorder: &Recorder,
-) -> ServeRow {
-    let workloads = mix.entries();
-    let topo = presets::f1_16xlarge();
-    let catalog = Catalog::standard_three();
-    let co = co_schedule(
-        &workloads,
-        &topo,
-        &catalog,
-        &budget.co_schedule_config(seed),
-    )
-    .expect("bundled mixes fit the F1 platform");
-    table_serve_row_on_observed(mix, seed, co, recorder)
+/// replays it under every dispatch policy (see [`table_serve_row_on`]).
+pub fn table_serve_row(mix: MixZoo, budget: Budget, seed: u64, recorder: &Recorder) -> ServeRow {
+    let co = table_multi_row(mix, budget, seed).result;
+    table_serve_row_on(mix, seed, co, recorder)
 }
 
 /// The serving half of [`table_serve_row`], on a co-schedule already
 /// computed for `(mix, seed)`.  Callers that also run [`table_multi_row`]
 /// (like the `perf_smoke` gate) reuse its result here instead of repeating
 /// the deterministic — and expensive — co-schedule search.
-pub fn table_serve_row_on(mix: MixZoo, seed: u64, co: CoScheduleResult) -> ServeRow {
-    table_serve_row_on_observed(mix, seed, co, &Recorder::disabled())
-}
-
-/// [`table_serve_row_on`] with an observability [`Recorder`] attached to the
-/// *default-policy* replay (recording every policy would overlay four
-/// replays of the same trace on the same tracks and histograms, which is
-/// noise, not signal).  The row is bit-identical to [`table_serve_row_on`]'s.
-pub fn table_serve_row_on_observed(
+///
+/// Each policy replays on one [`SimState`] (so the engine-level calendar
+/// metrics are recorded too), with `recorder` on the *default-policy* replay
+/// only: recording every policy would overlay the replays of one trace on
+/// the same tracks and histograms, which is noise, not signal.
+pub fn table_serve_row_on(
     mix: MixZoo,
     seed: u64,
     co: CoScheduleResult,
@@ -344,12 +312,10 @@ pub fn table_serve_row_on_observed(
         .into_iter()
         .map(|policy| {
             let config = ServeConfig { policy, ..base };
-            if policy == base.policy {
-                simulate_observed(&co, &profiles, &trace, &config, recorder)
-            } else {
-                simulate(&co, &profiles, &trace, &config)
-            }
-            .expect("bundled profiles and placements are valid")
+            SimState::new(&co, &profiles, &trace, &config)
+                .expect("bundled profiles and placements are valid")
+                .with_recorder(arm_recorder(policy == base.policy, recorder))
+                .finish()
         })
         .collect();
     ServeRow {
@@ -445,21 +411,17 @@ macro_rules! fleet_step_drive {
 /// Runs one `table_fleet` row at `seed`: builds the [`MixZoo::fleet`]
 /// scenario's synthetic co-schedule, replays its seeded phased trace with
 /// the bundled failure schedule under every dispatch policy (on the
-/// partition-sharded runner), then times the calendar-queue engine against
-/// the legacy oracle on the identical windowed drive.  The two engines'
-/// reports are asserted bit-equal — the bench refuses to print a speedup
-/// over an oracle it disagrees with.
-pub fn table_fleet_row(seed: u64) -> FleetRow {
-    table_fleet_row_observed(seed, &Recorder::disabled())
-}
-
-/// [`table_fleet_row`] with an observability [`Recorder`] attached to the
-/// *default-policy* faulted replay: batch spans per lane, queue/batch-size
-/// histograms, per-accelerator busy gauges and fault instants stream into
-/// it.  The timed engine head-to-head always runs unobserved so the reported
-/// wall clocks measure the engines, not the recording.  The row is
-/// bit-identical to [`table_fleet_row`]'s.
-pub fn table_fleet_row_observed(seed: u64, recorder: &Recorder) -> FleetRow {
+/// lane-shard runner), then times the calendar-queue engine against the
+/// legacy oracle on the identical windowed drive.  The two engines' reports
+/// are asserted bit-equal — the bench refuses to print a speedup over an
+/// oracle it disagrees with.
+///
+/// `recorder` is attached to the *default-policy* faulted replay: batch
+/// spans per lane, queue/batch-size histograms, per-accelerator busy gauges
+/// and fault instants stream into it.  The timed engine head-to-head always
+/// runs unobserved so the reported wall clocks measure the engines, not the
+/// recording.
+pub fn table_fleet_row(seed: u64, recorder: &Recorder) -> FleetRow {
     let fleet = MixZoo::fleet();
     let co = fleet_co_schedule(&fleet);
     let profiles = fleet.traffic.phases[0].profiles.clone();
@@ -471,11 +433,6 @@ pub fn table_fleet_row_observed(seed: u64, recorder: &Recorder) -> FleetRow {
     let reports: Vec<ServeReport> = DispatchPolicy::ALL
         .into_iter()
         .map(|policy| {
-            let r = if policy == default_policy {
-                recorder.clone()
-            } else {
-                Recorder::disabled()
-            };
             simulate_sharded_observed(
                 &co,
                 &profiles,
@@ -483,7 +440,7 @@ pub fn table_fleet_row_observed(seed: u64, recorder: &Recorder) -> FleetRow {
                 &ServeConfig::new(policy),
                 faults,
                 FaultPolicy::RequeueInflight,
-                &r,
+                &arm_recorder(policy == default_policy, recorder),
             )
             .expect("valid fleet inputs")
         })
@@ -568,27 +525,19 @@ impl LlmRow {
 /// Runs one `table_llm` row at `seed`: draws the
 /// [`llm_mix`](mars_model::zoo::llm_mix) trace (arrivals, token shapes,
 /// phase-stamped deadlines) and replays it under one-shot and continuous
-/// batching on the lane-sharded runner, timing each replay.
-pub fn table_llm_row(seed: u64) -> LlmRow {
-    table_llm_row_observed(seed, &Recorder::disabled())
-}
-
-/// [`table_llm_row`] with an observability [`Recorder`] attached to the
-/// *continuous-batching* replay (the treatment arm — its prefill/decode
-/// phase spans and KV-reservation series are what the trace is for).  The
-/// row's reports are bit-identical to [`table_llm_row`]'s.
-pub fn table_llm_row_observed(seed: u64, recorder: &Recorder) -> LlmRow {
+/// batching on the lane-shard runner, timing each replay.
+///
+/// `recorder` is attached to the *continuous-batching* replay (the
+/// treatment arm — its prefill/decode phase spans and KV-reservation series
+/// are what the trace is for).
+pub fn table_llm_row(seed: u64, recorder: &Recorder) -> LlmRow {
     let spec = mars_model::zoo::llm_mix();
     let trace = LlmTrace::draw(&spec, seed).expect("bundled LLM mix is valid");
 
     let mut reports = Vec::with_capacity(BatchingMode::ALL.len());
     let mut wall_seconds = Vec::with_capacity(BatchingMode::ALL.len());
     for mode in BatchingMode::ALL {
-        let r = if mode == BatchingMode::Continuous {
-            recorder.clone()
-        } else {
-            Recorder::disabled()
-        };
+        let r = arm_recorder(mode == BatchingMode::Continuous, recorder);
         let t = Instant::now();
         let report =
             simulate_llm_sharded_observed(&spec, &trace, mode, &r).expect("valid LLM inputs");
@@ -666,22 +615,17 @@ impl ElasticRow {
 /// conventions as [`table_multi_row`]).  All three policies share one
 /// [`InnerSearchCache`], so the initial co-schedule is searched once and
 /// every re-schedule pays only for genuinely new partitions.
-pub fn table_elastic_row(mix: MixZoo, budget: Budget, seed: u64) -> ElasticRow {
-    table_elastic_row_observed(mix, budget, seed, &Recorder::disabled())
-}
-
-/// [`table_elastic_row`] with an observability [`Recorder`] attached to the
-/// *Reactive* run — the arm whose drift-monitor windows and
-/// trigger → re-plan → migrate timeline the trace exists to show.  The row
-/// is bit-identical to [`table_elastic_row`]'s.
-pub fn table_elastic_row_observed(
+///
+/// `recorder` is attached to the *Reactive* run — the arm whose
+/// drift-monitor windows and trigger → re-plan → migrate timeline the trace
+/// exists to show.
+pub fn table_elastic_row(
     mix: MixZoo,
     budget: Budget,
     seed: u64,
     recorder: &Recorder,
 ) -> ElasticRow {
-    let scenario = mix.phased_traffic();
-    elastic_row_on(mix, scenario, budget, seed, recorder)
+    elastic_row_on(mix, mix.phased_traffic(), budget, seed, recorder)
 }
 
 /// Runs one `table_failover` row: like [`table_elastic_row`] but over the
@@ -691,23 +635,15 @@ pub fn table_elastic_row_observed(
 /// the gain accessors apply; the headline here is
 /// [`ElasticRow::reactive_vs_static_goodput_gain`] under *faults*: Static
 /// keeps serving into a dead partition while Reactive re-plans onto the
-/// survivors.
-pub fn table_failover_row(mix: MixZoo, budget: Budget, seed: u64) -> ElasticRow {
-    table_failover_row_observed(mix, budget, seed, &Recorder::disabled())
-}
-
-/// [`table_failover_row`] with an observability [`Recorder`] attached to the
-/// *Reactive* run — under faults the fault instants land on the `"faults"`
-/// track next to the recovery timeline.  The row is bit-identical to
-/// [`table_failover_row`]'s.
-pub fn table_failover_row_observed(
+/// survivors.  With `recorder` on the Reactive run, the fault instants land
+/// on the `"faults"` track next to the recovery timeline.
+pub fn table_failover_row(
     mix: MixZoo,
     budget: Budget,
     seed: u64,
     recorder: &Recorder,
 ) -> ElasticRow {
-    let scenario = mix.failure_scenario();
-    elastic_row_on(mix, scenario, budget, seed, recorder)
+    elastic_row_on(mix, mix.failure_scenario(), budget, seed, recorder)
 }
 
 /// The shared body of the two elastic rows: runs every [`RuntimePolicy`] on
@@ -728,11 +664,7 @@ fn elastic_row_on(
     let reports = RuntimePolicy::ALL
         .into_iter()
         .map(|policy| {
-            let r = if policy == RuntimePolicy::Reactive {
-                recorder.clone()
-            } else {
-                Recorder::disabled()
-            };
+            let r = arm_recorder(policy == RuntimePolicy::Reactive, recorder);
             run_elastic_observed(
                 &workloads, &topo, &catalog, &scenario, &trace, policy, &config, &cache, &r,
             )
@@ -744,6 +676,16 @@ fn elastic_row_on(
         scenario,
         trace,
         reports,
+    }
+}
+
+/// `recorder` for the one arm of a row that records, a disabled recorder for
+/// the others.
+fn arm_recorder(records: bool, recorder: &Recorder) -> Recorder {
+    if records {
+        recorder.clone()
+    } else {
+        Recorder::disabled()
     }
 }
 
@@ -1089,7 +1031,7 @@ mod tests {
 
     #[test]
     fn table3_row_for_alexnet_shows_improvement() {
-        let row = table3_row(Benchmark::AlexNet, Budget::Fast, 1);
+        let row = table3_row(Benchmark::AlexNet, Budget::Fast, 1, &Recorder::disabled());
         assert_eq!(row.convs, 5);
         assert!(row.baseline_ms > 0.0 && row.mars_ms > 0.0);
         assert!(row.mars_ms <= row.baseline_ms * 1.001);
@@ -1099,7 +1041,7 @@ mod tests {
     #[test]
     fn table4_rows_cover_all_bandwidth_levels() {
         let net = mars_model::zoo::casia_surf_like();
-        let rows = table4_rows(&net, Budget::Fast, 2);
+        let rows = table4_rows(&net, Budget::Fast, 2, &Recorder::disabled());
         assert_eq!(rows.len(), 5);
         // MARS's intra-layer parallelism should beat the layer-per-accelerator
         // mapper at every bandwidth level; with the reduced test budget allow
@@ -1140,7 +1082,7 @@ mod tests {
 
     #[test]
     fn table_serve_row_replays_one_trace_under_every_policy() {
-        let row = table_serve_row(MixZoo::ClassicPair, Budget::Fast, 42);
+        let row = table_serve_row(MixZoo::ClassicPair, Budget::Fast, 42, &Recorder::disabled());
         assert_eq!(row.reports.len(), DispatchPolicy::ALL.len());
         let requests = row.trace.total_requests();
         assert!(requests > 0);

@@ -20,6 +20,7 @@ use mars_bench::{
     table_multi_row, table_serve_row, Budget,
 };
 use mars_model::zoo::{Benchmark, MixZoo};
+use mars_obs::Recorder;
 use mars_runtime::RuntimePolicy;
 use mars_serve::{BatchingMode, DispatchPolicy};
 
@@ -49,7 +50,12 @@ const TABLE3_GOLDEN: [(Benchmark, f64, f64); 5] = [
 
 fn golden_table3_row(index: usize) {
     let (benchmark, baseline_ms, mars_ms) = TABLE3_GOLDEN[index];
-    let row = table3_row(benchmark, Budget::Fast, 40 + index as u64);
+    let row = table3_row(
+        benchmark,
+        Budget::Fast,
+        40 + index as u64,
+        &Recorder::disabled(),
+    );
     assert_pinned(
         &format!("{} baseline", benchmark.name()),
         row.baseline_ms,
@@ -142,7 +148,7 @@ const SERVE_GOLDEN: [(MixZoo, usize, [usize; 3]); 3] = [
 #[ignore = "golden search; run via --include-ignored (CI nightly)"]
 fn golden_table_serve_goodput() {
     for (index, (mix, requests, goodputs)) in SERVE_GOLDEN.into_iter().enumerate() {
-        let row = table_serve_row(mix, Budget::Fast, 42 + index as u64);
+        let row = table_serve_row(mix, Budget::Fast, 42 + index as u64, &Recorder::disabled());
         assert_eq!(
             row.trace.total_requests(),
             requests,
@@ -182,7 +188,7 @@ const ELASTIC_GOLDEN: [(MixZoo, usize, [usize; 3]); 3] = [
 fn golden_table_elastic_goodput() {
     let mut strict_wins = 0usize;
     for (mix, requests, goodputs) in ELASTIC_GOLDEN {
-        let row = table_elastic_row(mix, Budget::Fast, 42);
+        let row = table_elastic_row(mix, Budget::Fast, 42, &Recorder::disabled());
         assert_eq!(
             row.trace.total_requests(),
             requests,
@@ -239,7 +245,7 @@ const FAILOVER_GOLDEN: [(MixZoo, usize, [usize; 3]); 3] = [
 #[ignore = "golden search; run via --include-ignored (CI nightly)"]
 fn golden_table_failover_goodput() {
     for (mix, requests, goodputs) in FAILOVER_GOLDEN {
-        let row = table_failover_row(mix, Budget::Fast, 42);
+        let row = table_failover_row(mix, Budget::Fast, 42, &Recorder::disabled());
         assert_eq!(
             row.trace.total_requests(),
             requests,
@@ -302,7 +308,7 @@ const FLEET_GOLDEN: (usize, [usize; 3]) = (126_518, [23_450, 79_726, 82_383]);
 #[ignore = "golden fleet replay; run via --include-ignored (CI nightly)"]
 fn golden_table_fleet_goodput() {
     let (requests, goodputs) = FLEET_GOLDEN;
-    let row = table_fleet_row(42);
+    let row = table_fleet_row(42, &Recorder::disabled());
     assert_eq!(
         row.trace.total_requests(),
         requests,
@@ -344,7 +350,7 @@ const LLM_GOLDEN: (usize, [(usize, usize); 2]) = (213, [(147, 61), (200, 171)]);
 #[ignore = "golden LLM replay; run via --include-ignored (CI nightly)"]
 fn golden_table_llm_goodput() {
     let (requests, outcomes) = LLM_GOLDEN;
-    let row = table_llm_row(42);
+    let row = table_llm_row(42, &Recorder::disabled());
     assert_eq!(
         row.trace.total_requests(),
         requests,

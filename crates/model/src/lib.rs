@@ -39,5 +39,6 @@ pub use layer::{ConvParams, DenseParams, Layer, LayerKind, NormActParams, PoolKi
 pub use loopnest::{Dim, DimSet, LoopNest};
 pub use tensor::{FeatureMap, TensorShape, BYTES_PER_ELEMENT};
 pub use workload::{
-    FaultEvent, FaultKind, PhasedTraffic, TrafficError, TrafficPhase, TrafficProfile, Workload,
+    validate_faults, FaultEvent, FaultKind, PhasedTraffic, TrafficError, TrafficPhase,
+    TrafficProfile, Workload,
 };

@@ -504,49 +504,7 @@ impl PhasedTraffic {
                 }
             }
         }
-        self.validate_faults()
-    }
-
-    /// Checks the fault-sequence invariants: every instant finite and
-    /// strictly inside `(0, horizon)`, non-decreasing instants, link factors
-    /// in `(0, 1]`, and a consistent up/down history per accelerator (no
-    /// double failure, no restoring a healthy accelerator).
-    fn validate_faults(&self) -> Result<(), TrafficError> {
-        let mut prev = 0.0_f64;
-        let mut down: Vec<usize> = Vec::new();
-        for (i, fault) in self.faults.iter().enumerate() {
-            let at = fault.at_seconds;
-            if !(at.is_finite() && at > 0.0 && at < self.horizon_seconds) {
-                return Err(TrafficError::InvalidFaultTime {
-                    fault: i,
-                    at_seconds: at,
-                });
-            }
-            if at < prev {
-                return Err(TrafficError::UnsortedFaults { fault: i });
-            }
-            prev = at;
-            match fault.kind {
-                FaultKind::AccelDown { accel } => {
-                    if down.contains(&accel) {
-                        return Err(TrafficError::InconsistentFault { fault: i, accel });
-                    }
-                    down.push(accel);
-                }
-                FaultKind::AccelRestored { accel } => {
-                    let Some(pos) = down.iter().position(|&a| a == accel) else {
-                        return Err(TrafficError::InconsistentFault { fault: i, accel });
-                    };
-                    down.remove(pos);
-                }
-                FaultKind::LinkDegraded { factor } => {
-                    if !(factor.is_finite() && factor > 0.0 && factor <= 1.0) {
-                        return Err(TrafficError::InvalidLinkFactor { fault: i, factor });
-                    }
-                }
-            }
-        }
-        Ok(())
+        validate_faults(&self.faults, self.horizon_seconds)
     }
 
     /// Index of the phase active at time `t` (clamped: times before 0 map to
@@ -606,6 +564,54 @@ impl PhasedTraffic {
             })
             .max()
     }
+}
+
+/// Checks a fault schedule against a scenario horizon: every instant finite
+/// and strictly inside `(0, horizon)`, non-decreasing instants, link factors
+/// in `(0, 1]`, and a consistent up/down history per accelerator (no double
+/// failure, no restoring a healthy accelerator).  [`PhasedTraffic::validate`]
+/// runs it on the scenario's own faults; a serving replay runs it on the
+/// schedule it is handed.
+///
+/// # Errors
+///
+/// Returns the first violated invariant — see [`TrafficError`].
+pub fn validate_faults(faults: &[FaultEvent], horizon_seconds: f64) -> Result<(), TrafficError> {
+    let mut prev = 0.0_f64;
+    let mut down: Vec<usize> = Vec::new();
+    for (i, fault) in faults.iter().enumerate() {
+        let at = fault.at_seconds;
+        if !(at.is_finite() && at > 0.0 && at < horizon_seconds) {
+            return Err(TrafficError::InvalidFaultTime {
+                fault: i,
+                at_seconds: at,
+            });
+        }
+        if at < prev {
+            return Err(TrafficError::UnsortedFaults { fault: i });
+        }
+        prev = at;
+        match fault.kind {
+            FaultKind::AccelDown { accel } => {
+                if down.contains(&accel) {
+                    return Err(TrafficError::InconsistentFault { fault: i, accel });
+                }
+                down.push(accel);
+            }
+            FaultKind::AccelRestored { accel } => {
+                let Some(pos) = down.iter().position(|&a| a == accel) else {
+                    return Err(TrafficError::InconsistentFault { fault: i, accel });
+                };
+                down.remove(pos);
+            }
+            FaultKind::LinkDegraded { factor } => {
+                if !(factor.is_finite() && factor > 0.0 && factor <= 1.0) {
+                    return Err(TrafficError::InvalidLinkFactor { fault: i, factor });
+                }
+            }
+        }
+    }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -27,17 +27,21 @@
 //!   and every applied change stamps a new monotonically increasing
 //!   [`epoch`](ReconfigureEvent::epoch).
 //!
-//! [`run_elastic`] compares three [`RuntimePolicy`]s — `Static` (never
-//! re-schedule), `Reactive` (drift-triggered) and `Oracle` (phase-boundary
-//! clairvoyant) — under the same trace; all three are bit-identical across
-//! `MARS_THREADS` values and repeat runs.
+//! [`run_elastic_with_cache`] compares three [`RuntimePolicy`]s — `Static`
+//! (never re-schedule), `Reactive` (drift-triggered) and `Oracle`
+//! (phase-boundary clairvoyant) — under the same trace; all three are
+//! bit-identical across `MARS_THREADS` values and repeat runs, and runs that
+//! share an [`InnerSearchCache`](mars_core::InnerSearchCache) share every
+//! inner search.  [`run_elastic_observed`] is the same loop with a
+//! [`Recorder`](mars_obs::Recorder) attached.
 //!
 //! ## Surviving a failure
 //!
 //! ```no_run
 //! use mars_accel::Catalog;
+//! use mars_core::InnerSearchCache;
 //! use mars_model::zoo::MixZoo;
-//! use mars_runtime::{run_elastic, RuntimeConfig, RuntimePolicy};
+//! use mars_runtime::{run_elastic_with_cache, RuntimeConfig, RuntimePolicy};
 //! use mars_serve::Trace;
 //! use mars_topology::presets;
 //!
@@ -48,7 +52,7 @@
 //! assert!(!scenario.faults.is_empty());
 //! let trace = Trace::phased(&scenario, 42).unwrap();
 //! let config = RuntimeConfig::new(mars_core::CoScheduleConfig::fast(42));
-//! let report = run_elastic(
+//! let report = run_elastic_with_cache(
 //!     &mix.entries(),
 //!     &presets::f1_16xlarge(),
 //!     &Catalog::standard_three(),
@@ -56,6 +60,7 @@
 //!     &trace,
 //!     RuntimePolicy::Reactive,
 //!     &config,
+//!     &InnerSearchCache::new(),
 //! )
 //! .unwrap();
 //! println!("recovered through epoch {}", report.final_epoch());
@@ -63,8 +68,9 @@
 //!
 //! ```no_run
 //! use mars_accel::Catalog;
+//! use mars_core::InnerSearchCache;
 //! use mars_model::zoo::MixZoo;
-//! use mars_runtime::{run_elastic, RuntimeConfig, RuntimePolicy};
+//! use mars_runtime::{run_elastic_with_cache, RuntimeConfig, RuntimePolicy};
 //! use mars_serve::Trace;
 //! use mars_topology::presets;
 //!
@@ -75,10 +81,13 @@
 //! let topo = presets::f1_16xlarge();
 //! let catalog = Catalog::standard_three();
 //! let config = RuntimeConfig::new(mars_core::CoScheduleConfig::fast(42));
+//! let cache = InnerSearchCache::new();
 //!
 //! for policy in RuntimePolicy::ALL {
-//!     let report =
-//!         run_elastic(&workloads, &topo, &catalog, &scenario, &trace, policy, &config).unwrap();
+//!     let report = run_elastic_with_cache(
+//!         &workloads, &topo, &catalog, &scenario, &trace, policy, &config, &cache,
+//!     )
+//!     .unwrap();
 //!     println!(
 //!         "{policy}: goodput {} of {} ({} re-placements)",
 //!         report.serve.goodput,
@@ -98,8 +107,8 @@ mod runtime;
 pub use migrate::{migration_cost, MigrationConfig, MigrationCost};
 pub use monitor::{DriftMonitor, MonitorConfig, ReconfigureTrigger, TriggerReason};
 pub use runtime::{
-    run_elastic, run_elastic_observed, run_elastic_with_cache, ElasticError, ElasticReport,
-    ReconfigureEvent, RuntimeConfig, RuntimePolicy,
+    run_elastic_observed, run_elastic_with_cache, ElasticError, ElasticReport, ReconfigureEvent,
+    RuntimeConfig, RuntimePolicy,
 };
 
 /// Re-export of the non-stationary traffic vocabulary the runtime consumes

@@ -1,6 +1,6 @@
 //! The elastic control loop: serve → observe → re-schedule → migrate.
 //!
-//! [`run_elastic`] closes the loop between the serving simulator
+//! [`run_elastic_with_cache`] closes the loop between the serving simulator
 //! (`mars-serve`) and the co-scheduler (`mars-core`): a [`SimState`] replays
 //! a non-stationary [`PhasedTraffic`] trace while the chosen
 //! [`RuntimePolicy`] decides if and when the placement is re-searched:
@@ -132,24 +132,6 @@ impl RuntimeConfig {
             weight_shift_limit: 8.0,
             fault_policy: FaultPolicy::default(),
         }
-    }
-
-    /// Sets the serving knobs.
-    pub fn with_serve(mut self, serve: ServeConfig) -> Self {
-        self.serve = serve;
-        self
-    }
-
-    /// Sets the drift-monitor thresholds.
-    pub fn with_monitor(mut self, monitor: MonitorConfig) -> Self {
-        self.monitor = monitor;
-        self
-    }
-
-    /// Sets the in-flight policy for accelerator failures.
-    pub fn with_fault_policy(mut self, fault_policy: FaultPolicy) -> Self {
-        self.fault_policy = fault_policy;
-        self
     }
 }
 
@@ -334,39 +316,16 @@ impl ElasticReport {
 /// semantics.  `trace` must be drawn from `scenario` (same horizon, same
 /// workload count); use [`Trace::phased`].
 ///
+/// Inner searches go through `cache`, so several runs over the same
+/// `(workloads, topo, catalog, schedule)` — the Static/Reactive/Oracle
+/// comparison of `table_elastic` — share every one; a single run passes
+/// `&InnerSearchCache::new()`.  See [`InnerSearchCache`] for the
+/// reuse-soundness contract.
+///
 /// # Errors
 ///
 /// Rejects malformed scenarios, shape mismatches and degenerate knobs, and
 /// propagates co-scheduler and simulator rejections — see [`ElasticError`].
-pub fn run_elastic(
-    workloads: &[Workload],
-    topo: &Topology,
-    catalog: &Catalog,
-    scenario: &PhasedTraffic,
-    trace: &Trace,
-    policy: RuntimePolicy,
-    config: &RuntimeConfig,
-) -> Result<ElasticReport, ElasticError> {
-    run_elastic_with_cache(
-        workloads,
-        topo,
-        catalog,
-        scenario,
-        trace,
-        policy,
-        config,
-        &InnerSearchCache::new(),
-    )
-}
-
-/// [`run_elastic`] with an externally-owned [`InnerSearchCache`], so several
-/// runs over the same `(workloads, topo, catalog, schedule)` — the
-/// Static/Reactive/Oracle comparison of `table_elastic` — share every inner
-/// search.  See [`InnerSearchCache`] for the reuse-soundness contract.
-///
-/// # Errors
-///
-/// As for [`run_elastic`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_elastic_with_cache(
     workloads: &[Workload],
@@ -401,7 +360,7 @@ pub fn run_elastic_with_cache(
 ///
 /// # Errors
 ///
-/// As for [`run_elastic`].
+/// As for [`run_elastic_with_cache`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_elastic_observed(
     workloads: &[Workload],

@@ -14,8 +14,8 @@ use mars_core::{co_schedule, CoScheduleConfig, GaConfig, InnerSearchCache, Workl
 use mars_model::zoo;
 use mars_model::{FaultEvent, PhasedTraffic, TrafficPhase, TrafficProfile};
 use mars_runtime::{
-    migration_cost, run_elastic, run_elastic_with_cache, DriftMonitor, MigrationConfig,
-    MonitorConfig, RuntimeConfig, RuntimePolicy,
+    migration_cost, run_elastic_with_cache, DriftMonitor, MigrationConfig, MonitorConfig,
+    RuntimeConfig, RuntimePolicy,
 };
 use mars_serve::{LaneSnapshot, SimSnapshot, Trace};
 use mars_topology::{presets, AccelId};
@@ -218,7 +218,7 @@ fn elastic_report_is_bit_identical_across_thread_counts() {
 
     let run = |threads: usize| {
         let config = RuntimeConfig::new(tiny_schedule(5).with_threads(threads));
-        run_elastic(
+        run_elastic_with_cache(
             &workloads,
             &topo,
             &catalog,
@@ -226,6 +226,7 @@ fn elastic_report_is_bit_identical_across_thread_counts() {
             &trace,
             RuntimePolicy::Reactive,
             &config,
+            &InnerSearchCache::new(),
         )
         .unwrap()
     };
@@ -244,7 +245,7 @@ fn elastic_report_is_bit_identical_across_thread_counts() {
     // The oracle sees the same scenario boundaries at every thread count too.
     let oracle = |threads: usize| {
         let config = RuntimeConfig::new(tiny_schedule(5).with_threads(threads));
-        run_elastic(
+        run_elastic_with_cache(
             &workloads,
             &topo,
             &catalog,
@@ -252,6 +253,7 @@ fn elastic_report_is_bit_identical_across_thread_counts() {
             &trace,
             RuntimePolicy::Oracle,
             &config,
+            &InnerSearchCache::new(),
         )
         .unwrap()
     };
@@ -309,7 +311,11 @@ fn empty_fault_list_is_bit_identical_to_a_fault_free_run() {
     for policy in RuntimePolicy::ALL {
         let run = |s: &PhasedTraffic| {
             let trace = Trace::phased(s, 11).unwrap();
-            run_elastic(&workloads, &topo, &catalog, s, &trace, policy, &config).unwrap()
+            let cache = InnerSearchCache::new();
+            run_elastic_with_cache(
+                &workloads, &topo, &catalog, s, &trace, policy, &config, &cache,
+            )
+            .unwrap()
         };
         assert_eq!(run(&plain), run(&stripped), "{policy} diverged");
     }
@@ -338,8 +344,9 @@ fn recovery_placements_avoid_downed_accels_and_epochs_increase() {
 
     let run = |policy, threads: usize| {
         let config = RuntimeConfig::new(tiny_schedule(5).with_threads(threads));
-        run_elastic(
-            &workloads, &topo, &catalog, &scenario, &trace, policy, &config,
+        let cache = InnerSearchCache::new();
+        run_elastic_with_cache(
+            &workloads, &topo, &catalog, &scenario, &trace, policy, &config, &cache,
         )
         .unwrap()
     };
@@ -382,7 +389,8 @@ fn degenerate_inputs_are_rejected() {
     let trace = Trace::phased(&scenario, 3).unwrap();
     let config = RuntimeConfig::new(tiny_schedule(1));
     let run = |w: &[Workload], s: &PhasedTraffic, t: &Trace, c: &RuntimeConfig| {
-        run_elastic(w, &topo, &catalog, s, t, RuntimePolicy::Reactive, c)
+        let cache = InnerSearchCache::new();
+        run_elastic_with_cache(w, &topo, &catalog, s, t, RuntimePolicy::Reactive, c, &cache)
     };
 
     // Scenario shape vs workloads.

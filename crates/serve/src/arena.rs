@@ -205,12 +205,6 @@ impl RequestArena {
     pub fn latencies(&self) -> &[f64] {
         &self.latencies
     }
-
-    /// Moves the latency samples out (for consuming a finished shard
-    /// without copying), leaving the arena's sample list empty.
-    pub fn take_latencies(&mut self) -> Vec<f64> {
-        std::mem::take(&mut self.latencies)
-    }
 }
 
 #[cfg(test)]

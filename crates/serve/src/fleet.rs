@@ -1,29 +1,15 @@
 //! Fleet-scale serving: synthetic placements for the
-//! [`MixZoo::fleet`](mars_model::zoo::MixZoo::fleet) scenario and the
-//! partition-sharded simulation that runs it across worker threads.
-//!
-//! Lanes never interact — each workload owns a disjoint accelerator
-//! partition, and faults/restores address accelerators, not lanes — so the
-//! simulation decomposes exactly: partition the lanes into contiguous
-//! shards, run each shard as an independent [`SimState`] on the
-//! `mars-parallel` worker pool, and merge the shard outputs *in lane order*.
-//! Every per-lane figure is computed by the same float operations in the
-//! same order as the single-shard run, and the aggregate percentiles are
-//! recomputed from the concatenated raw samples, so the merged
-//! [`ServeReport`] is **bit-identical** to the unsharded one for every
-//! `MARS_THREADS` setting — the determinism contract the equivalence suite
-//! (`tests/fleet_sim_equivalence.rs`) pins.
+//! [`MixZoo::fleet`](mars_model::zoo::MixZoo::fleet) scenario, and the CNN
+//! replay entry points, which run [`SimState`] lane shards on the
+//! lane-shard runner (`crate::lanes`).
 
-use crate::sim::{
-    percentile_triple_ms, FaultPolicy, ServeConfig, ServeError, ServeReport, SimState,
-    WorkloadServeStats,
-};
+use crate::lanes::run_lanes;
+use crate::sim::{validate, FaultPolicy, ServeConfig, ServeError, ServeReport, SimState};
 use crate::trace::Trace;
 use mars_core::{CoScheduleResult, Mapping, Placement, SearchResult};
 use mars_model::zoo::FleetSpec;
-use mars_model::{FaultEvent, FaultKind, TrafficProfile};
-use mars_obs::{Obs, Recorder};
-use mars_parallel::{resolve_threads, scoped_map, threads_from_env};
+use mars_model::{validate_faults, FaultEvent, FaultKind, TrafficProfile};
+use mars_obs::Recorder;
 use mars_topology::AccelId;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -76,49 +62,20 @@ pub fn fleet_co_schedule(spec: &FleetSpec) -> CoScheduleResult {
     }
 }
 
-/// What one shard hands back for the deterministic merge.
-struct ShardOut {
-    stats: Vec<WorkloadServeStats>,
-    latencies: Vec<Vec<f64>>,
-    accel_busy: Vec<(AccelId, f64)>,
-    obs: Obs,
-}
-
-/// [`simulate`](crate::simulate), sharded by accelerator partition across
-/// the `MARS_THREADS` worker pool.  Bit-identical to the unsharded run at
-/// every thread count (see the module docs).
+/// Replays `trace` against the co-schedule's placements under `config`
+/// (`profiles[w]` and `trace.arrivals[w]` describe workload `w` of
+/// `co.placements`), applying a hardware-fault schedule — `&[]` for a
+/// healthy pool: `AccelDown` → [`SimState::fail_accel`] under
+/// `fault_policy`, `AccelRestored` → [`SimState::restore_accel`];
+/// `LinkDegraded` has no serving-level analogue and is ignored (in the
+/// elastic runtime the co-scheduler handles it).  The lanes run as shards on
+/// the `MARS_THREADS` pool, bit-identical to driving one [`SimState`]
+/// through the same `run_until`/fault sequence.
 ///
 /// # Errors
 ///
-/// Rejects exactly the inputs [`SimState::new`] rejects.
-pub fn simulate_sharded(
-    co: &CoScheduleResult,
-    profiles: &[TrafficProfile],
-    trace: &Trace,
-    config: &ServeConfig,
-) -> Result<ServeReport, ServeError> {
-    simulate_sharded_with_faults(
-        co,
-        profiles,
-        trace,
-        config,
-        &[],
-        FaultPolicy::RequeueInflight,
-    )
-}
-
-/// [`simulate_sharded`] with a hardware-fault schedule: each
-/// [`FaultEvent`] is applied at its instant (`AccelDown` →
-/// [`SimState::fail_accel`] under `fault_policy`, `AccelRestored` →
-/// [`SimState::restore_accel`]; `LinkDegraded` has no serving-level
-/// analogue and is ignored, as in the elastic runtime's recovery path the
-/// co-scheduler handles it).  Equivalent to driving one [`SimState`] through
-/// the same `run_until`/fault sequence — bit-identically, at every
-/// `MARS_THREADS` setting.
-///
-/// # Errors
-///
-/// Rejects exactly the inputs [`SimState::new`] rejects.
+/// Rejects exactly the inputs [`SimState::new`] rejects, then an invalid
+/// fault schedule as [`ServeError::Traffic`].
 pub fn simulate_sharded_with_faults(
     co: &CoScheduleResult,
     profiles: &[TrafficProfile],
@@ -141,16 +98,16 @@ pub fn simulate_sharded_with_faults(
 /// [`simulate_sharded_with_faults`] with an observability recorder: each
 /// shard records its lanes' metrics (batch-size/queue-depth histograms,
 /// per-lane batch spans, per-accelerator busy gauges) into a local store,
-/// absorbed into `recorder` in shard — i.e. global lane — order after the
-/// join.  Lane metrics are keyed by placement name and partitions are
-/// disjoint, so the merged record is bit-identical at every `MARS_THREADS`
-/// setting, exactly like the report itself.  Engine-level metrics (calendar
-/// occupancy, stale skips) depend on the shard split and are not recorded
-/// here.
+/// absorbed into `recorder` in lane order after the join.  Lane metrics are
+/// keyed by placement name and partitions are disjoint, so the merged record
+/// is bit-identical at every `MARS_THREADS` setting, exactly like the report
+/// itself.  Engine-level metrics (calendar occupancy, stale skips) depend on
+/// the shard split and are not recorded here; attach a recorder to one
+/// engine with [`SimState::with_recorder`] for those.
 ///
 /// # Errors
 ///
-/// Rejects exactly the inputs [`SimState::new`] rejects.
+/// As for [`simulate_sharded_with_faults`].
 #[allow(clippy::too_many_arguments)]
 pub fn simulate_sharded_observed(
     co: &CoScheduleResult,
@@ -161,106 +118,24 @@ pub fn simulate_sharded_observed(
     fault_policy: FaultPolicy,
     recorder: &Recorder,
 ) -> Result<ServeReport, ServeError> {
-    let k = co.placements.len();
-    if profiles.len() != k || trace.arrivals.len() != k {
-        return Err(ServeError::ShapeMismatch {
-            placements: k,
-            profiles: profiles.len(),
-            streams: trace.arrivals.len(),
-        });
-    }
-    if k == 0 {
-        // No lanes to shard; keep the unsharded path's validation behaviour.
-        let mut sim = SimState::new(co, profiles, trace, config)?;
-        sim.set_shard_recorder(recorder.clone());
+    validate(co, profiles, trace, config)?;
+    validate_faults(faults, trace.horizon_seconds).map_err(ServeError::Traffic)?;
+    let lanes = run_lanes(co.placements.len(), recorder, |range, local| {
+        let mut sim = SimState::for_lanes(co, profiles, trace, config, range);
+        sim.attach(local, false);
         drive_faults(&mut sim, faults, fault_policy);
-        return Ok(sim.finish());
-    }
-
-    let threads = threads_from_env();
-    let workers = resolve_threads(threads).min(k);
-    let shard_size = k.div_ceil(workers).max(1);
-    let shards: Vec<(usize, usize)> = (0..k)
-        .step_by(shard_size)
-        .map(|lo| (lo, (lo + shard_size).min(k)))
-        .collect();
-
-    let outputs: Vec<Result<ShardOut, ServeError>> =
-        scoped_map(threads, &shards, |_, &(lo, hi)| {
-            // A shard is a sub-problem in its own right: the lanes' slice of
-            // the placements, profiles and arrival streams.  Lane `w` of the
-            // shard is global lane `lo + w`.
-            let sub_co = CoScheduleResult {
-                placements: co.placements[lo..hi].to_vec(),
-                makespan_seconds: 0.0,
-                weighted_makespan_seconds: 0.0,
-                sequential_makespan_seconds: 0.0,
-                sequential_weighted_makespan_seconds: 0.0,
-                outer_history: Vec::new(),
-                outer_evaluations: 0,
-                inner_searches: 0,
-                elapsed: Duration::ZERO,
-            };
-            let sub_trace = Trace {
-                horizon_seconds: trace.horizon_seconds,
-                arrivals: trace.arrivals[lo..hi].to_vec(),
-            };
-            let mut sim = SimState::new(&sub_co, &profiles[lo..hi], &sub_trace, config)?;
-            let local = recorder.local();
-            sim.set_shard_recorder(local.clone());
-            drive_faults(&mut sim, faults, fault_policy);
-            sim.run_until(trace.horizon_seconds);
-            let (stats, latencies, accel_busy) = sim.into_shard_parts();
-            Ok(ShardOut {
-                stats,
-                latencies,
-                accel_busy,
-                obs: local.take(),
-            })
-        });
-
-    // Deterministic merge, in shard (= global lane) order.
-    let mut per_workload: Vec<WorkloadServeStats> = Vec::with_capacity(k);
-    let mut all: Vec<f64> = Vec::new();
-    let mut busy: BTreeMap<AccelId, f64> = BTreeMap::new();
-    for (&(lo, _), out) in shards.iter().zip(outputs) {
-        let out = out?;
-        for (local, mut stats) in out.stats.into_iter().enumerate() {
-            stats.workload = lo + local;
-            per_workload.push(stats);
-        }
-        for lane in out.latencies {
-            all.extend(lane);
-        }
-        // Partitions are disjoint, so each accelerator's busy total comes
-        // whole from exactly one shard — no cross-shard float addition.
-        for (a, b) in out.accel_busy {
-            *busy.entry(a).or_insert(0.0) += b;
-        }
-        recorder.absorb(&out.obs);
-    }
-    let horizon = trace.horizon_seconds;
-    let utilization: Vec<(AccelId, f64)> =
-        busy.into_iter().map(|(a, b)| (a, b / horizon)).collect();
-    let (p50_ms, p95_ms, p99_ms) = percentile_triple_ms(&mut all);
-    Ok(ServeReport {
-        policy: config.policy,
-        horizon_seconds: horizon,
-        total_requests: per_workload.iter().map(|s| s.requests).sum(),
-        completed: per_workload.iter().map(|s| s.completed).sum(),
-        goodput: per_workload.iter().map(|s| s.met_sla).sum(),
-        p50_ms,
-        p95_ms,
-        p99_ms,
-        per_workload,
-        utilization,
-    })
+        sim.finish_lanes()
+    });
+    Ok(ServeReport::from_lanes(
+        config.policy,
+        trace.horizon_seconds,
+        lanes,
+    ))
 }
 
 /// Applies a fault schedule to a simulation: advance to each event's instant,
 /// then fail or restore the accelerator.  Fault instants are visited in the
-/// given order ([`PhasedTraffic`](mars_model::PhasedTraffic) validation
-/// guarantees non-decreasing times).
+/// given order ([`validate_faults`] guarantees non-decreasing times).
 fn drive_faults(sim: &mut SimState, faults: &[FaultEvent], fault_policy: FaultPolicy) {
     for fault in faults {
         sim.run_until(fault.at_seconds);
@@ -279,6 +154,7 @@ mod tests {
     use super::*;
     use crate::sim::DispatchPolicy;
     use mars_model::zoo::MixZoo;
+    use mars_model::TrafficError;
 
     #[test]
     fn fleet_spec_and_schedule_are_consistent() {
@@ -297,38 +173,71 @@ mod tests {
         assert!(fleet.traffic.max_fault_accel().unwrap() < seen.len());
     }
 
+    /// The fault schedule is validated before any lane runs: a reversed
+    /// bundled schedule, a failure at a NaN instant and a restore of a
+    /// healthy accelerator are typed errors, not quietly different replays.
     #[test]
-    fn sharded_no_fault_run_matches_simulate_bit_for_bit() {
+    fn invalid_fault_schedules_are_rejected() {
         let fleet = MixZoo::fleet();
         let co = fleet_co_schedule(&fleet);
         let profiles = fleet.traffic.phases[0].profiles.clone();
         let trace = Trace::phased(&fleet.traffic, 42).unwrap();
-        let config = ServeConfig::new(DispatchPolicy::SlaWeighted);
-        let sharded = simulate_sharded(&co, &profiles, &trace, &config).unwrap();
-        let single = crate::sim::simulate(&co, &profiles, &trace, &config).unwrap();
-        assert_eq!(sharded, single);
-        assert!(sharded.total_requests > 0);
+        let replay = |faults: &[FaultEvent]| {
+            simulate_sharded_with_faults(
+                &co,
+                &profiles,
+                &trace,
+                &ServeConfig::new(DispatchPolicy::EarliestDeadline),
+                faults,
+                FaultPolicy::RequeueInflight,
+            )
+        };
+        let mut reversed = fleet.traffic.faults.clone();
+        reversed.reverse();
+        assert!(matches!(replay(&reversed), Err(ServeError::Traffic(_))));
+        assert!(matches!(
+            replay(&[FaultEvent::accel_down(f64::NAN, 0)]),
+            Err(ServeError::Traffic(TrafficError::InvalidFaultTime {
+                fault: 0,
+                ..
+            }))
+        ));
+        assert_eq!(
+            replay(&[FaultEvent::accel_restored(1.0, 3)]),
+            Err(ServeError::Traffic(TrafficError::InconsistentFault {
+                fault: 0,
+                accel: 3
+            }))
+        );
     }
 
+    /// Zero lanes: the runner returns the engine's all-zero report, and
+    /// still rejects a bad horizon.
     #[test]
-    fn sharded_fault_run_matches_a_hand_driven_sim_state() {
-        let fleet = MixZoo::fleet();
-        let co = fleet_co_schedule(&fleet);
-        let profiles = fleet.traffic.phases[0].profiles.clone();
-        let trace = Trace::phased(&fleet.traffic, 7).unwrap();
-        let config = ServeConfig::new(DispatchPolicy::EarliestDeadline);
-        let faults = &fleet.traffic.faults;
-        let sharded = simulate_sharded_with_faults(
-            &co,
-            &profiles,
-            &trace,
-            &config,
-            faults,
-            FaultPolicy::RequeueInflight,
-        )
-        .unwrap();
-        let mut sim = SimState::new(&co, &profiles, &trace, &config).unwrap();
-        drive_faults(&mut sim, faults, FaultPolicy::RequeueInflight);
-        assert_eq!(sharded, sim.finish());
+    fn zero_lane_replay_matches_the_engine() {
+        let co = crate::testing::synthetic_co(&[], &[]);
+        let trace = Trace {
+            horizon_seconds: 1.0,
+            arrivals: Vec::new(),
+        };
+        let config = ServeConfig::default();
+        let replay = |trace: &Trace| {
+            simulate_sharded_with_faults(&co, &[], trace, &config, &[], FaultPolicy::default())
+        };
+        let report = replay(&trace).unwrap();
+        assert_eq!(
+            report,
+            SimState::new(&co, &[], &trace, &config).unwrap().finish()
+        );
+        assert!(report.per_workload.is_empty() && report.utilization.is_empty());
+        assert_eq!(
+            (report.p50_ms, report.p95_ms, report.p99_ms),
+            (0.0, 0.0, 0.0)
+        );
+        let nan = Trace {
+            horizon_seconds: f64::NAN,
+            arrivals: Vec::new(),
+        };
+        assert!(matches!(replay(&nan), Err(ServeError::InvalidHorizon(h)) if h.is_nan()));
     }
 }

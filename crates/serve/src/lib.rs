@@ -20,6 +20,11 @@
 //! [`ServeReport`] is bit-identical across `MARS_THREADS` values and repeat
 //! runs — the same determinism contract as every other MARS subsystem.
 //!
+//! Every whole-run replay — [`simulate_sharded_with_faults`] for CNN
+//! placements, [`simulate_llm_sharded`] for LLM lanes, and their `_observed`
+//! forms — validates its input once and runs its lanes as shards on the
+//! `MARS_THREADS` pool, merged into a report bit-identical to one engine's.
+//!
 //! The resumable [`SimState`] also supports *fault injection* for the
 //! elastic runtime above: [`SimState::fail_accel`] revokes the dead lane's
 //! in-flight batch (its requests requeued or lost per [`FaultPolicy`]) and
@@ -30,7 +35,9 @@
 //! use mars_accel::Catalog;
 //! use mars_core::{co_schedule, CoScheduleConfig};
 //! use mars_model::zoo::MixZoo;
-//! use mars_serve::{render_serve, simulate, DispatchPolicy, ServeConfig, Trace};
+//! use mars_serve::{
+//!     render_serve, simulate_sharded_with_faults, DispatchPolicy, FaultPolicy, ServeConfig, Trace,
+//! };
 //! use mars_topology::presets;
 //!
 //! let mix = MixZoo::ClassicPair;
@@ -42,7 +49,9 @@
 //! let profiles = mix.traffic();
 //! let trace = Trace::poisson(&profiles, 1.0, 42);
 //! let config = ServeConfig::new(DispatchPolicy::EarliestDeadline);
-//! let report = simulate(&co, &profiles, &trace, &config).unwrap();
+//! let report =
+//!     simulate_sharded_with_faults(&co, &profiles, &trace, &config, &[], FaultPolicy::default())
+//!         .unwrap();
 //! println!("{}", render_serve(&report));
 //! assert!(report.goodput <= report.total_requests);
 //! ```
@@ -53,23 +62,22 @@
 pub mod arena;
 pub mod calendar;
 mod fleet;
+mod lanes;
 mod llm;
 pub mod reference;
 mod report;
 mod sim;
 mod trace;
 
-pub use fleet::{
-    fleet_co_schedule, simulate_sharded, simulate_sharded_observed, simulate_sharded_with_faults,
-};
+pub use fleet::{fleet_co_schedule, simulate_sharded_observed, simulate_sharded_with_faults};
 pub use llm::{
-    compare_batching, simulate_llm, simulate_llm_sharded, simulate_llm_sharded_observed,
-    BatchingMode, LlmLaneStats, LlmRequest, LlmServeError, LlmServeReport, LlmSimState, LlmTrace,
+    simulate_llm_sharded, simulate_llm_sharded_observed, BatchingMode, LlmLaneStats, LlmRequest,
+    LlmServeError, LlmServeReport, LlmSimState, LlmTrace,
 };
 pub use report::render_serve;
 pub use sim::{
-    simulate, simulate_observed, BatchEvent, DispatchPolicy, FaultPolicy, LaneSnapshot,
-    ServeConfig, ServeError, ServeReport, SimSnapshot, SimState, WorkloadServeStats,
+    BatchEvent, DispatchPolicy, FaultPolicy, LaneSnapshot, ServeConfig, ServeError, ServeReport,
+    SimSnapshot, SimState, WorkloadServeStats,
 };
 pub use trace::Trace;
 
@@ -82,49 +90,27 @@ pub mod testing {
     //! Test-support constructors shared by this crate's unit and
     //! integration tests.  Not part of the public API.
 
-    use mars_core::{CoScheduleResult, Mapping, Placement, SearchResult};
-    use mars_topology::AccelId;
-    use std::collections::BTreeMap;
-    use std::time::Duration;
+    use mars_core::CoScheduleResult;
+    use mars_model::zoo::FleetSpec;
+    use mars_model::PhasedTraffic;
 
     /// A synthetic co-schedule with no real search behind it: one placement
-    /// per latency (seconds), two accelerators each, the given SLA weights.
+    /// per latency (seconds), two accelerators each, the given SLA weights —
+    /// [`fleet_co_schedule`](crate::fleet_co_schedule) of a spec named
+    /// `net0, net1, …` (it reads no traffic).
     pub fn synthetic_co(latencies: &[f64], weights: &[f64]) -> CoScheduleResult {
-        let placements: Vec<Placement> = latencies
-            .iter()
-            .enumerate()
-            .map(|(w, &lat)| Placement {
-                workload: w,
-                name: format!("net{w}"),
-                weight: weights[w],
-                batch: 1,
-                accels: vec![AccelId(2 * w), AccelId(2 * w + 1)],
-                result: SearchResult {
-                    mapping: Mapping::new(Vec::new(), BTreeMap::new(), lat),
-                    history: Vec::new(),
-                    evaluations: 0,
-                    elapsed: Duration::ZERO,
-                    stats: Default::default(),
-                },
-            })
-            .collect();
-        CoScheduleResult {
-            placements,
-            makespan_seconds: 0.0,
-            weighted_makespan_seconds: 0.0,
-            sequential_makespan_seconds: 0.0,
-            sequential_weighted_makespan_seconds: 0.0,
-            outer_history: Vec::new(),
-            outer_evaluations: 0,
-            inner_searches: 0,
-            elapsed: Duration::ZERO,
-        }
+        crate::fleet_co_schedule(&FleetSpec {
+            names: (0..latencies.len()).map(|w| format!("net{w}")).collect(),
+            weights: weights.to_vec(),
+            latencies_seconds: latencies.to_vec(),
+            traffic: PhasedTraffic::new(0.0, Vec::new()),
+        })
     }
 }
 
-/// Runs the same trace under every [`DispatchPolicy`], in
-/// [`DispatchPolicy::ALL`] order — the comparison the `table_serve`
-/// benchmark prints.
+/// Replays the same trace on a healthy pool under every [`DispatchPolicy`],
+/// in [`DispatchPolicy::ALL`] order, on the lane-shard runner (see
+/// [`simulate_sharded_with_faults`]).
 ///
 /// # Errors
 ///
@@ -140,7 +126,7 @@ pub fn compare_policies(
         .into_iter()
         .map(|policy| {
             let config = ServeConfig { policy, ..*base };
-            simulate(co, profiles, trace, &config)
+            simulate_sharded_with_faults(co, profiles, trace, &config, &[], FaultPolicy::default())
         })
         .collect()
 }

@@ -29,16 +29,17 @@
 //! bit-identical across thread counts and repeat runs.
 
 use crate::calendar::CalendarQueue;
+use crate::lanes::{run_lanes, Lanes};
 use crate::sim::percentile_triple_ms;
 use crate::trace::Trace;
 use mars_core::genome_stream_seed;
 use mars_model::zoo::{LlmSpec, LlmWorkload};
 use mars_model::TrafficError;
-use mars_obs::{Obs, Recorder};
-use mars_parallel::{resolve_threads, scoped_map, threads_from_env};
+use mars_obs::Recorder;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Domain-separation tag for per-request token draws, so prompt/output
 /// lengths never correlate with the arrival streams (`TRACE_STREAM` /
@@ -515,6 +516,35 @@ pub struct LlmServeReport {
     pub per_workload: Vec<LlmLaneStats>,
 }
 
+impl LlmServeReport {
+    /// Assembles the report from finished lanes in lane order: the one
+    /// place an `LlmServeReport` is built, for a single engine and for
+    /// merged shards alike.
+    pub(crate) fn from_lanes(
+        mode: BatchingMode,
+        horizon_seconds: f64,
+        lanes: Lanes<LlmLaneStats>,
+    ) -> Self {
+        let Lanes {
+            stats: per_workload,
+            mut latencies,
+            ..
+        } = lanes;
+        let (p50_ms, p95_ms, p99_ms) = percentile_triple_ms(&mut latencies);
+        LlmServeReport {
+            mode,
+            horizon_seconds,
+            total_requests: per_workload.iter().map(|s| s.requests).sum(),
+            completed: per_workload.iter().map(|s| s.completed).sum(),
+            goodput: per_workload.iter().map(|s| s.met_sla).sum(),
+            p50_ms,
+            p95_ms,
+            p99_ms,
+            per_workload,
+        }
+    }
+}
+
 /// The resumable LLM serving simulation over one [`LlmSpec`] and its drawn
 /// [`LlmTrace`].
 ///
@@ -556,15 +586,24 @@ impl LlmSimState {
         mode: BatchingMode,
     ) -> Result<Self, LlmServeError> {
         check_inputs(spec, trace)?;
+        Ok(Self::for_lanes(spec, trace, mode, 0..spec.workloads.len()))
+    }
+
+    /// Builds the initial state of the lanes `range` of already-validated
+    /// inputs — a lane shard, or every lane.  Lane `w` keeps its global
+    /// workload index `range.start + w`.
+    pub(crate) fn for_lanes(
+        spec: &LlmSpec,
+        trace: &LlmTrace,
+        mode: BatchingMode,
+        range: Range<usize>,
+    ) -> Self {
         let horizon = trace.horizon_seconds;
-        let lanes: Vec<LlmLane> = spec
-            .workloads
-            .iter()
-            .enumerate()
-            .map(|(w, llm)| {
+        let lanes: Vec<LlmLane> = range
+            .map(|w| {
                 LlmLane::new(
                     w,
-                    llm.clone(),
+                    spec.workloads[w].clone(),
                     trace.requests[w].clone(),
                     spec.kv_budget_bytes(w),
                     spec.max_batch_slots,
@@ -578,7 +617,7 @@ impl LlmSimState {
                 calendar.insert(first.arrival, w as u32, 0);
             }
         }
-        Ok(Self {
+        Self {
             mode,
             horizon,
             lanes,
@@ -587,7 +626,7 @@ impl LlmSimState {
             recorder: Recorder::disabled(),
             tracks: Vec::new(),
             kv_keys: Vec::new(),
-        })
+        }
     }
 
     /// Attaches an observability recorder: per-lane prefill/decode phase
@@ -691,32 +730,33 @@ impl LlmSimState {
     /// Builds the report for the state as it stands.
     pub fn report(&self) -> LlmServeReport {
         self.record_lane_gauges();
-        let per_workload: Vec<LlmLaneStats> = self.lanes.iter().map(lane_stats).collect();
-        let mut all: Vec<f64> = self
-            .lanes
-            .iter()
-            .flat_map(|l| l.latencies.iter().copied())
-            .collect();
-        let (p50_ms, p95_ms, p99_ms) = percentile_triple_ms(&mut all);
-        LlmServeReport {
-            mode: self.mode,
-            horizon_seconds: self.horizon,
-            total_requests: self.lanes.iter().map(|l| l.requests.len()).sum(),
-            completed: per_workload.iter().map(|s| s.completed).sum(),
-            goodput: per_workload.iter().map(|s| s.met_sla).sum(),
-            p50_ms,
-            p95_ms,
-            p99_ms,
-            per_workload,
-        }
+        LlmServeReport::from_lanes(self.mode, self.horizon, self.lanes())
     }
 
     /// Runs to the horizon and returns the final report.  Work in flight at
     /// the horizon is abandoned — its requests count as arrived, not
     /// completed, exactly as in the fleet engine.
-    pub fn finish(mut self) -> LlmServeReport {
+    pub fn finish(self) -> LlmServeReport {
+        let (mode, horizon) = (self.mode, self.horizon);
+        LlmServeReport::from_lanes(mode, horizon, self.finish_lanes())
+    }
+
+    /// Runs to the horizon, records the final lane gauges, and hands back
+    /// the finished lanes (what a lane shard returns to the runner).
+    pub(crate) fn finish_lanes(mut self) -> Lanes<LlmLaneStats> {
         self.run_until(self.horizon);
-        self.report()
+        self.record_lane_gauges();
+        self.lanes()
+    }
+
+    /// The lanes as they stand, in lane order.
+    fn lanes(&self) -> Lanes<LlmLaneStats> {
+        let samples: Vec<&[f64]> = self.lanes.iter().map(|l| &l.latencies[..]).collect();
+        Lanes {
+            stats: self.lanes.iter().map(lane_stats).collect(),
+            latencies: samples.concat(),
+            accel_busy: Vec::new(),
+        }
     }
 }
 
@@ -745,25 +785,14 @@ fn lane_stats(lane: &LlmLane) -> LlmLaneStats {
     }
 }
 
-/// Runs the scenario to completion in one call.
+/// Replays `trace` against `spec` under `mode`, its lanes sharded across
+/// the `MARS_THREADS` worker pool.
 ///
-/// # Errors
-///
-/// As for [`LlmSimState::new`].
-pub fn simulate_llm(
-    spec: &LlmSpec,
-    trace: &LlmTrace,
-    mode: BatchingMode,
-) -> Result<LlmServeReport, LlmServeError> {
-    Ok(LlmSimState::new(spec, trace, mode)?.finish())
-}
-
-/// [`simulate_llm`], sharded by lane across the `MARS_THREADS` worker pool.
-///
-/// Lanes never interact, so the decomposition is exact: each shard simulates
-/// its lane range as an independent [`LlmSimState`] and the merge re-derives
-/// the aggregate percentiles from the concatenated raw samples — the merged
-/// report is **bit-identical** to the unsharded one at every thread count.
+/// Lanes never interact, so the decomposition is exact: each shard
+/// simulates its lane range as an independent [`LlmSimState`] and the merge
+/// re-derives the aggregate percentiles from the concatenated raw samples,
+/// so the report is **bit-identical** to one engine's at every thread
+/// count.
 ///
 /// # Errors
 ///
@@ -779,9 +808,9 @@ pub fn simulate_llm_sharded(
 /// [`simulate_llm_sharded`] with an observability recorder: each shard
 /// records its lanes' metrics (prefill/decode spans, KV levels and gauges,
 /// keyed by workload name) into a local store, absorbed into `recorder` in
-/// shard — i.e. global lane — order after the join.  Lanes never interact,
-/// so the merged record is bit-identical at every `MARS_THREADS` setting,
-/// exactly like the report.
+/// lane order after the join.  Lanes never interact, so the merged record
+/// is bit-identical at every `MARS_THREADS` setting, exactly like the
+/// report.
 ///
 /// # Errors
 ///
@@ -792,95 +821,17 @@ pub fn simulate_llm_sharded_observed(
     mode: BatchingMode,
     recorder: &Recorder,
 ) -> Result<LlmServeReport, LlmServeError> {
-    // Checked on the whole trace so a rejected stream is reported by its
-    // global workload index, not its index inside a shard.
     check_inputs(spec, trace)?;
-    let k = spec.workloads.len();
-    if k == 0 {
-        let sim = LlmSimState::new(spec, trace, mode)?.with_recorder(recorder.clone());
-        return Ok(sim.finish());
-    }
-    let threads = threads_from_env();
-    let workers = resolve_threads(threads).min(k);
-    let shard_size = k.div_ceil(workers).max(1);
-    let shards: Vec<(usize, usize)> = (0..k)
-        .step_by(shard_size)
-        .map(|lo| (lo, (lo + shard_size).min(k)))
-        .collect();
-
-    // What one shard hands back for the deterministic merge: its lanes'
-    // stats, their raw latency samples (for the aggregate percentiles), and
-    // its local observability store.
-    type ShardOut = (Vec<LlmLaneStats>, Vec<Vec<f64>>, Obs);
-    let outputs: Vec<Result<ShardOut, LlmServeError>> =
-        scoped_map(threads, &shards, |_, &(lo, hi)| {
-            let sub_spec = LlmSpec {
-                workloads: spec.workloads[lo..hi].to_vec(),
-                traffic: spec.traffic.clone(),
-                accel_memory_bytes: spec.accel_memory_bytes,
-                max_batch_slots: spec.max_batch_slots,
-            };
-            let sub_trace = LlmTrace {
-                horizon_seconds: trace.horizon_seconds,
-                requests: trace.requests[lo..hi].to_vec(),
-            };
-            let local = recorder.local();
-            let mut sim =
-                LlmSimState::new(&sub_spec, &sub_trace, mode)?.with_recorder(local.clone());
-            sim.run_until(trace.horizon_seconds);
-            sim.record_lane_gauges();
-            // Stats first (they read `lane.latencies`), then *move* the
-            // samples out instead of cloning every lane's latency vector.
-            let stats: Vec<LlmLaneStats> = sim.lanes.iter().map(lane_stats).collect();
-            let latencies: Vec<Vec<f64>> = sim
-                .lanes
-                .iter_mut()
-                .map(|l| std::mem::take(&mut l.latencies))
-                .collect();
-            Ok((stats, latencies, local.take()))
-        });
-
-    let mut per_workload: Vec<LlmLaneStats> = Vec::with_capacity(k);
-    let mut all: Vec<f64> = Vec::new();
-    for (&(lo, _), out) in shards.iter().zip(outputs) {
-        let (stats, latencies, obs) = out?;
-        for (local, mut s) in stats.into_iter().enumerate() {
-            s.workload = lo + local;
-            per_workload.push(s);
-        }
-        for lane in latencies {
-            all.extend(lane);
-        }
-        recorder.absorb(&obs);
-    }
-    let (p50_ms, p95_ms, p99_ms) = percentile_triple_ms(&mut all);
-    Ok(LlmServeReport {
+    let lanes = run_lanes(spec.workloads.len(), recorder, |range, local| {
+        LlmSimState::for_lanes(spec, trace, mode, range)
+            .with_recorder(local)
+            .finish_lanes()
+    });
+    Ok(LlmServeReport::from_lanes(
         mode,
-        horizon_seconds: trace.horizon_seconds,
-        total_requests: per_workload.iter().map(|s| s.requests).sum(),
-        completed: per_workload.iter().map(|s| s.completed).sum(),
-        goodput: per_workload.iter().map(|s| s.met_sla).sum(),
-        p50_ms,
-        p95_ms,
-        p99_ms,
-        per_workload,
-    })
-}
-
-/// Runs the same trace under both [`BatchingMode`]s, in
-/// [`BatchingMode::ALL`] order — the comparison `table_llm` prints.
-///
-/// # Errors
-///
-/// Propagates the first [`LlmServeError`].
-pub fn compare_batching(
-    spec: &LlmSpec,
-    trace: &LlmTrace,
-) -> Result<Vec<LlmServeReport>, LlmServeError> {
-    BatchingMode::ALL
-        .into_iter()
-        .map(|mode| simulate_llm_sharded(spec, trace, mode))
-        .collect()
+        trace.horizon_seconds,
+        lanes,
+    ))
 }
 
 #[cfg(test)]
@@ -888,6 +839,15 @@ mod tests {
     use super::*;
     use mars_model::zoo::llm_mix;
     use mars_model::{PhasedTraffic, TrafficPhase, TrafficProfile};
+
+    /// One engine, validated and run to the horizon.
+    fn replay(
+        spec: &LlmSpec,
+        trace: &LlmTrace,
+        mode: BatchingMode,
+    ) -> Result<LlmServeReport, LlmServeError> {
+        Ok(LlmSimState::new(spec, trace, mode)?.finish())
+    }
 
     fn tiny_spec() -> LlmSpec {
         let mut spec = llm_mix();
@@ -937,7 +897,7 @@ mod tests {
             }]],
         };
         for mode in BatchingMode::ALL {
-            let report = simulate_llm(&spec, &trace, mode).unwrap();
+            let report = replay(&spec, &trace, mode).unwrap();
             assert_eq!(report.completed, 1, "{mode}");
             assert_eq!(report.goodput, 1, "{mode}");
             // Alone in the lane, both modes cost prefill + 3 solo decodes.
@@ -956,7 +916,7 @@ mod tests {
         let spec = llm_mix();
         let trace = LlmTrace::draw(&spec, 42).unwrap();
         for mode in BatchingMode::ALL {
-            let report = simulate_llm(&spec, &trace, mode).unwrap();
+            let report = replay(&spec, &trace, mode).unwrap();
             assert_eq!(report.total_requests, trace.total_requests());
             assert!(report.goodput <= report.completed);
             assert!(report.completed <= report.total_requests);
@@ -977,7 +937,10 @@ mod tests {
     fn continuous_batching_beats_one_shot_on_goodput() {
         let spec = llm_mix();
         let trace = LlmTrace::draw(&spec, 42).unwrap();
-        let reports = compare_batching(&spec, &trace).unwrap();
+        let reports: Vec<LlmServeReport> = BatchingMode::ALL
+            .into_iter()
+            .map(|mode| simulate_llm_sharded(&spec, &trace, mode).unwrap())
+            .collect();
         let one_shot = &reports[0];
         let continuous = &reports[1];
         assert!(
@@ -996,7 +959,7 @@ mod tests {
         let trace = LlmTrace::draw(&spec, 7).unwrap();
         for mode in BatchingMode::ALL {
             let sharded = simulate_llm_sharded(&spec, &trace, mode).unwrap();
-            let single = simulate_llm(&spec, &trace, mode).unwrap();
+            let single = replay(&spec, &trace, mode).unwrap();
             assert_eq!(sharded, single, "{mode}");
         }
     }
@@ -1022,7 +985,7 @@ mod tests {
         let mut trace = LlmTrace::draw(&spec, 1).unwrap();
         trace.requests.pop();
         assert!(matches!(
-            simulate_llm(&spec, &trace, BatchingMode::Continuous),
+            replay(&spec, &trace, BatchingMode::Continuous),
             Err(LlmServeError::ShapeMismatch { .. })
         ));
     }
@@ -1038,7 +1001,7 @@ mod tests {
                 Err(LlmServeError::InvalidTrace { workload: 2 })
             );
             assert_eq!(
-                simulate_llm(&spec, &trace, mode),
+                replay(&spec, &trace, mode),
                 Err(LlmServeError::InvalidTrace { workload: 2 })
             );
         }
@@ -1082,6 +1045,32 @@ mod tests {
         assert!(matches!(
             LlmTrace::draw(&spec, 42),
             Err(TrafficError::RequestExceedsKvBudget { workload: 0, .. })
+        ));
+    }
+
+    /// Zero lanes: the runner returns the engine's all-zero report, and
+    /// still rejects a bad horizon.
+    #[test]
+    fn zero_lane_replay_matches_the_engine() {
+        let mut spec = llm_mix();
+        spec.workloads.clear();
+        let mut trace = LlmTrace {
+            horizon_seconds: 1.0,
+            requests: Vec::new(),
+        };
+        for mode in BatchingMode::ALL {
+            let report = simulate_llm_sharded(&spec, &trace, mode).unwrap();
+            assert_eq!(report, replay(&spec, &trace, mode).unwrap());
+            assert!(report.per_workload.is_empty());
+            assert_eq!(
+                (report.p50_ms, report.p95_ms, report.p99_ms),
+                (0.0, 0.0, 0.0)
+            );
+        }
+        trace.horizon_seconds = f64::NAN;
+        assert!(matches!(
+            simulate_llm_sharded(&spec, &trace, BatchingMode::Continuous),
+            Err(LlmServeError::InvalidHorizon(h)) if h.is_nan()
         ));
     }
 }

@@ -16,7 +16,8 @@
 //! [`ServeReport`]s, including the float-associativity-sensitive aggregates.
 //! The `table_fleet` benchmark also times it to report the new engine's
 //! events-per-second speedup.  It is **not** part of the serving API proper:
-//! use [`crate::simulate`] / [`crate::SimState`] for real work.
+//! use [`crate::simulate_sharded_with_faults`] / [`crate::SimState`] for real
+//! work.
 
 use crate::sim::{
     percentile_triple_ms, validate_service, BatchEvent, DispatchPolicy, FaultPolicy, LaneSnapshot,
@@ -532,7 +533,7 @@ impl SimState {
 }
 
 /// The one-shot legacy simulation (oracle counterpart of
-/// [`crate::simulate`]).
+/// [`crate::SimState::finish`]).
 ///
 /// # Errors
 ///

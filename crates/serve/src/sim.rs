@@ -33,12 +33,14 @@
 
 use crate::arena::RequestArena;
 use crate::calendar::CalendarQueue;
+use crate::lanes::Lanes;
 use crate::trace::Trace;
 use mars_core::CoScheduleResult;
-use mars_model::TrafficProfile;
+use mars_model::{TrafficError, TrafficProfile};
 use mars_obs::Recorder;
 use mars_topology::AccelId;
 use std::fmt::Write as _;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// When the batcher hands an accumulated batch to its partition.
@@ -228,6 +230,9 @@ pub enum ServeError {
         /// Index of the offending workload.
         workload: usize,
     },
+    /// The fault schedule handed to a replay is invalid (see
+    /// [`validate_faults`](mars_model::validate_faults)).
+    Traffic(TrafficError),
 }
 
 impl std::fmt::Display for ServeError {
@@ -261,6 +266,7 @@ impl std::fmt::Display for ServeError {
                 f,
                 "workload {workload}'s arrival stream is not sorted inside [0, horizon)"
             ),
+            ServeError::Traffic(e) => write!(f, "invalid fault schedule: {e}"),
         }
     }
 }
@@ -323,6 +329,37 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
+    /// Assembles the report from finished lanes in lane order: the one
+    /// place a `ServeReport` is built, for a single engine and for merged
+    /// shards alike.
+    pub(crate) fn from_lanes(
+        policy: DispatchPolicy,
+        horizon_seconds: f64,
+        lanes: Lanes<WorkloadServeStats>,
+    ) -> Self {
+        let Lanes {
+            stats: per_workload,
+            mut latencies,
+            accel_busy,
+        } = lanes;
+        let (p50_ms, p95_ms, p99_ms) = percentile_triple_ms(&mut latencies);
+        ServeReport {
+            policy,
+            horizon_seconds,
+            total_requests: per_workload.iter().map(|s| s.requests).sum(),
+            completed: per_workload.iter().map(|s| s.completed).sum(),
+            goodput: per_workload.iter().map(|s| s.met_sla).sum(),
+            p50_ms,
+            p95_ms,
+            p99_ms,
+            per_workload,
+            utilization: accel_busy
+                .into_iter()
+                .map(|(a, busy)| (a, busy / horizon_seconds))
+                .collect(),
+        }
+    }
+
     /// Completed requests per second of simulated time.
     pub fn throughput_per_second(&self) -> f64 {
         if self.horizon_seconds > 0.0 {
@@ -677,7 +714,9 @@ impl Lane {
     }
 }
 
-/// The resumable serving simulation: the explicit state behind [`simulate`].
+/// The resumable serving simulation: the engine behind every replay
+/// ([`simulate_sharded_with_faults`](crate::simulate_sharded_with_faults)
+/// runs one per lane shard).
 ///
 /// A `SimState` owns one batching [lane](LaneSnapshot) per placement and
 /// advances them on demand — [`run_until`](SimState::run_until) a chosen
@@ -714,7 +753,7 @@ impl Lane {
 /// ```
 /// use mars_model::TrafficProfile;
 /// use mars_serve::testing::synthetic_co;
-/// use mars_serve::{simulate, ServeConfig, SimState, Trace};
+/// use mars_serve::{simulate_sharded_with_faults, FaultPolicy, ServeConfig, SimState, Trace};
 ///
 /// let co = synthetic_co(&[1e-3], &[1.0]);
 /// let profiles = [TrafficProfile::new(200.0, 5.0)];
@@ -726,7 +765,9 @@ impl Lane {
 /// let checkpoint = sim.clone();       // checkpoint = clone
 /// let report = checkpoint.finish();   // restore = resume the clone
 /// assert_eq!(report, sim.finish());
-/// assert_eq!(report, simulate(&co, &profiles, &trace, &config).unwrap());
+/// let replay =
+///     simulate_sharded_with_faults(&co, &profiles, &trace, &config, &[], FaultPolicy::default());
+/// assert_eq!(report, replay.unwrap());
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimState {
@@ -774,8 +815,7 @@ impl SimState {
     /// Validates the inputs and builds the initial (time-zero) state.
     ///
     /// `profiles[w]` and `trace.arrivals[w]` describe workload `w` of
-    /// `co.placements` (co-schedule input order), exactly as for
-    /// [`simulate`].
+    /// `co.placements` (co-schedule input order).
     ///
     /// # Errors
     ///
@@ -787,53 +827,34 @@ impl SimState {
         trace: &Trace,
         config: &ServeConfig,
     ) -> Result<Self, ServeError> {
-        let k = co.placements.len();
-        if profiles.len() != k || trace.arrivals.len() != k {
-            return Err(ServeError::ShapeMismatch {
-                placements: k,
-                profiles: profiles.len(),
-                streams: trace.arrivals.len(),
-            });
-        }
-        let horizon = trace.horizon_seconds;
-        if !(horizon > 0.0 && horizon.is_finite()) {
-            return Err(ServeError::InvalidHorizon(horizon));
-        }
-        if config.max_batch == 0 {
-            return Err(ServeError::ZeroMaxBatch);
-        }
-        for (knob, value) in [
-            ("batch_timeout_seconds", config.batch_timeout_seconds),
-            ("dispatch_overhead_factor", config.dispatch_overhead_factor),
-            ("deadline_slack_factor", config.deadline_slack_factor),
-        ] {
-            if !(value >= 0.0 && value.is_finite()) {
-                return Err(ServeError::InvalidKnob { knob, value });
-            }
-        }
-        validate_service(co, profiles)?;
-        // The event loop's lookahead (batch-fill prediction, FIFO timeout
-        // anchored on the queue head) silently assumes each stream is sorted
-        // and inside the horizon — enforce the Trace invariant instead of
-        // producing quietly wrong numbers for a hand-built trace.
-        for (w, stream) in trace.arrivals.iter().enumerate() {
-            let in_window = stream.iter().all(|t| (0.0..horizon).contains(t));
-            let sorted = stream.windows(2).all(|p| p[0] <= p[1]);
-            if !(in_window && sorted) {
-                return Err(ServeError::InvalidTrace { workload: w });
-            }
-        }
+        validate(co, profiles, trace, config)?;
+        Ok(Self::for_lanes(
+            co,
+            profiles,
+            trace,
+            config,
+            0..co.placements.len(),
+        ))
+    }
 
-        let ids: std::collections::BTreeSet<AccelId> = co
-            .placements
+    /// Builds the initial state of the lanes `range` of already-validated
+    /// inputs — a lane shard, or every lane.  Lane `w` keeps its global
+    /// workload index `range.start + w`.
+    pub(crate) fn for_lanes(
+        co: &CoScheduleResult,
+        profiles: &[TrafficProfile],
+        trace: &Trace,
+        config: &ServeConfig,
+        range: Range<usize>,
+    ) -> Self {
+        let placements = &co.placements[range.clone()];
+        let ids: std::collections::BTreeSet<AccelId> = placements
             .iter()
             .flat_map(|p| p.accels.iter().copied())
             .collect();
         let accel_busy: Vec<(AccelId, f64)> = ids.into_iter().map(|a| (a, 0.0)).collect();
-        let lanes: Vec<Lane> = co
-            .placements
-            .iter()
-            .enumerate()
+        let lanes: Vec<Lane> = range
+            .zip(placements)
             .map(|(w, placement)| {
                 let latency = placement.result.mapping.latency_seconds;
                 Lane {
@@ -860,11 +881,12 @@ impl SimState {
                 }
             })
             .collect();
-        Ok(Self {
+        let k = lanes.len();
+        Self {
             config: *config,
-            horizon,
+            horizon: trace.horizon_seconds,
             clock: 0.0,
-            events: CalendarQueue::for_horizon(horizon, k, 8),
+            events: CalendarQueue::for_horizon(trace.horizon_seconds, k, 8),
             dirty: (0..k as u32).collect(),
             needs_refine: true,
             lanes,
@@ -874,7 +896,7 @@ impl SimState {
             tracks: Vec::new(),
             label: String::new(),
             engine_metrics: false,
-        })
+        }
     }
 
     /// Attaches an observability recorder to this (top-level) simulation:
@@ -888,17 +910,12 @@ impl SimState {
         self
     }
 
-    /// Attaches a recorder restricted to lane-local metrics, for partition
-    /// shards (see [`crate::simulate_sharded_observed`]): engine-level
-    /// metrics depend on the shard split, so only the shard-invariant
-    /// lane metrics are recorded.
-    pub(crate) fn set_shard_recorder(&mut self, recorder: Recorder) {
-        self.attach(recorder, false);
-    }
-
     /// Installs `recorder` and, when it is enabled, builds the per-lane span
-    /// tracks the dispatch hot path records on.
-    fn attach(&mut self, recorder: Recorder, engine_metrics: bool) {
+    /// tracks the dispatch hot path records on.  Lane shards (see
+    /// [`crate::simulate_sharded_observed`]) attach theirs without
+    /// `engine_metrics`: those depend on the shard split, so a shard records
+    /// only the shard-invariant lane metrics.
+    pub(crate) fn attach(&mut self, recorder: Recorder, engine_metrics: bool) {
         if recorder.is_enabled() {
             let names = self.lanes.iter().map(|lane| &lane.name);
             self.tracks = names.map(|n| format!("lane/{n}")).collect();
@@ -1275,9 +1292,11 @@ impl SimState {
             .map(|&f| TrafficProfile::new(0.0, f))
             .collect();
         validate_service(co, &profiles)?;
-        for (lane, placement) in self.lanes.iter_mut().zip(&co.placements) {
+        for ((lane, placement), &factor) in
+            self.lanes.iter_mut().zip(&co.placements).zip(sla_factors)
+        {
             lane.latency = placement.result.mapping.latency_seconds;
-            lane.sla_seconds = sla_factors[lane.workload] * lane.latency;
+            lane.sla_seconds = factor * lane.latency;
             lane.accels = placement.accels.clone().into();
             lane.free = lane.free.max(activate_at);
             for &a in &placement.accels {
@@ -1334,71 +1353,39 @@ impl SimState {
     /// [`run_until`](SimState::run_until)`(horizon)` — or use
     /// [`finish`](SimState::finish) — for the complete-run report.
     pub fn report(&self) -> ServeReport {
-        let per_workload: Vec<WorkloadServeStats> = self.lanes.iter().map(Lane::stats).collect();
-        let mut all: Vec<f64> = self
-            .lanes
-            .iter()
-            .flat_map(|l| l.arena.latencies().iter().copied())
-            .collect();
-        let utilization: Vec<(AccelId, f64)> = self
-            .accel_busy
-            .iter()
-            .map(|&(a, busy)| (a, busy / self.horizon))
-            .collect();
-        let (p50_ms, p95_ms, p99_ms) = percentile_triple_ms(&mut all);
-        ServeReport {
-            policy: self.config.policy,
-            horizon_seconds: self.horizon,
-            total_requests: per_workload.iter().map(|s| s.requests).sum(),
-            completed: per_workload.iter().map(|s| s.completed).sum(),
-            goodput: per_workload.iter().map(|s| s.met_sla).sum(),
-            p50_ms,
-            p95_ms,
-            p99_ms,
-            per_workload,
-            utilization,
-        }
+        ServeReport::from_lanes(self.config.policy, self.horizon, self.lanes())
     }
 
-    /// Records the per-accelerator busy totals as gauges.  `gauge_max` is
-    /// idempotent for these monotone values, so repeated reports are safe;
+    /// Runs the remaining events and returns the final [`ServeReport`].
+    pub fn finish(self) -> ServeReport {
+        let (policy, horizon) = (self.config.policy, self.horizon);
+        ServeReport::from_lanes(policy, horizon, self.finish_lanes())
+    }
+
+    /// Runs the remaining events, records the per-accelerator busy totals
+    /// as gauges, and hands back the finished lanes (what a lane shard
+    /// returns to the runner).  `gauge_max` keeps the gauges idempotent, and
     /// partitions are disjoint across shards, so the merged gauges are
     /// shard-count invariant.
-    fn record_busy_gauges(&self) {
+    pub(crate) fn finish_lanes(mut self) -> Lanes<WorkloadServeStats> {
+        self.run_until(self.horizon);
         if self.recorder.is_enabled() {
             for &(a, busy) in &self.accel_busy {
                 self.recorder
                     .gauge_max(&format!("serve/accel_busy_seconds/a{}", a.0), busy);
             }
         }
+        self.lanes()
     }
 
-    /// Runs the remaining events and returns the final [`ServeReport`].
-    pub fn finish(mut self) -> ServeReport {
-        self.run_until(self.horizon);
-        self.record_busy_gauges();
-        self.report()
-    }
-
-    /// Decomposes a *finished* shard into merge parts for the partition-
-    /// sharded simulation (`crate::fleet`): per-lane stats, the raw latency
-    /// samples behind the aggregate percentiles, and the accelerator busy
-    /// pairs.  A [`ServeReport`] alone cannot be merged bit-identically —
-    /// the aggregate percentiles need every shard's raw samples.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn into_shard_parts(
-        mut self,
-    ) -> (Vec<WorkloadServeStats>, Vec<Vec<f64>>, Vec<(AccelId, f64)>) {
-        self.record_busy_gauges();
-        // Stats first (they read the samples), then *move* the samples out
-        // instead of copying every lane's latency vector.
-        let stats = self.lanes.iter().map(Lane::stats).collect();
-        let latencies = self
-            .lanes
-            .iter_mut()
-            .map(|l| l.arena.take_latencies())
-            .collect();
-        (stats, latencies, self.accel_busy)
+    /// The lanes as they stand, in lane order.
+    fn lanes(&self) -> Lanes<WorkloadServeStats> {
+        let samples: Vec<&[f64]> = self.lanes.iter().map(|l| l.arena.latencies()).collect();
+        Lanes {
+            stats: self.lanes.iter().map(Lane::stats).collect(),
+            latencies: samples.concat(),
+            accel_busy: self.accel_busy.clone(),
+        }
     }
 }
 
@@ -1414,6 +1401,54 @@ fn busy_slots_of(accel_busy: &[(AccelId, f64)], accels: &[AccelId]) -> Vec<u32> 
                 .expect("lane accelerators always have busy entries") as u32
         })
         .collect()
+}
+
+/// Every check [`SimState::new`] makes, on the whole input and in this
+/// order: shapes, horizon, knobs, each lane's SLA factor and placement
+/// latency, then every arrival stream.
+pub(crate) fn validate(
+    co: &CoScheduleResult,
+    profiles: &[TrafficProfile],
+    trace: &Trace,
+    config: &ServeConfig,
+) -> Result<(), ServeError> {
+    let k = co.placements.len();
+    if profiles.len() != k || trace.arrivals.len() != k {
+        return Err(ServeError::ShapeMismatch {
+            placements: k,
+            profiles: profiles.len(),
+            streams: trace.arrivals.len(),
+        });
+    }
+    let horizon = trace.horizon_seconds;
+    if !(horizon > 0.0 && horizon.is_finite()) {
+        return Err(ServeError::InvalidHorizon(horizon));
+    }
+    if config.max_batch == 0 {
+        return Err(ServeError::ZeroMaxBatch);
+    }
+    for (knob, value) in [
+        ("batch_timeout_seconds", config.batch_timeout_seconds),
+        ("dispatch_overhead_factor", config.dispatch_overhead_factor),
+        ("deadline_slack_factor", config.deadline_slack_factor),
+    ] {
+        if !(value >= 0.0 && value.is_finite()) {
+            return Err(ServeError::InvalidKnob { knob, value });
+        }
+    }
+    validate_service(co, profiles)?;
+    // The event loop's lookahead (batch-fill prediction, FIFO timeout
+    // anchored on the queue head) silently assumes each stream is sorted
+    // and inside the horizon — enforce the Trace invariant instead of
+    // producing quietly wrong numbers for a hand-built trace.
+    for (w, stream) in trace.arrivals.iter().enumerate() {
+        let in_window = stream.iter().all(|t| (0.0..horizon).contains(t));
+        let sorted = stream.windows(2).all(|p| p[0] <= p[1]);
+        if !(in_window && sorted) {
+            return Err(ServeError::InvalidTrace { workload: w });
+        }
+    }
+    Ok(())
 }
 
 /// The per-placement service-parameter checks shared by [`SimState::new`]
@@ -1440,52 +1475,20 @@ pub(crate) fn validate_service(
     Ok(())
 }
 
-/// Replays `trace` against the co-schedule's placements under `config` and
-/// returns the aggregate [`ServeReport`].
-///
-/// `profiles[w]` and `trace.arrivals[w]` describe workload `w` of
-/// `co.placements` (co-schedule input order).  The simulation is
-/// deterministic: the same inputs always produce a bit-identical report,
-/// regardless of `MARS_THREADS` or repetition.  This is the one-shot form of
-/// [`SimState`], which additionally supports pausing, checkpointing and
-/// mid-run re-placement.
-///
-/// # Errors
-///
-/// Rejects mismatched input shapes and degenerate knobs — see [`ServeError`].
-pub fn simulate(
-    co: &CoScheduleResult,
-    profiles: &[TrafficProfile],
-    trace: &Trace,
-    config: &ServeConfig,
-) -> Result<ServeReport, ServeError> {
-    Ok(SimState::new(co, profiles, trace, config)?.finish())
-}
-
-/// [`simulate`] with an observability [`Recorder`] attached: batch spans,
-/// queue-depth/batch-size histograms, per-accelerator busy gauges and the
-/// engine-level calendar metrics stream into it as the replay runs.  The
-/// returned [`ServeReport`] is bit-identical to [`simulate`]'s.
-///
-/// # Errors
-///
-/// As for [`simulate`].
-pub fn simulate_observed(
-    co: &CoScheduleResult,
-    profiles: &[TrafficProfile],
-    trace: &Trace,
-    config: &ServeConfig,
-    recorder: &Recorder,
-) -> Result<ServeReport, ServeError> {
-    Ok(SimState::new(co, profiles, trace, config)?
-        .with_recorder(recorder.clone())
-        .finish())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testing::synthetic_co;
+
+    /// One engine, validated and run to the horizon.
+    fn replay(
+        co: &CoScheduleResult,
+        profiles: &[TrafficProfile],
+        trace: &Trace,
+        config: &ServeConfig,
+    ) -> Result<ServeReport, ServeError> {
+        Ok(SimState::new(co, profiles, trace, config)?.finish())
+    }
 
     fn trace_of(arrivals: Vec<Vec<f64>>, horizon: f64) -> Trace {
         Trace {
@@ -1505,7 +1508,7 @@ mod tests {
         let profiles = [TrafficProfile::new(100.0, 5.0)];
         let trace = trace_of(vec![vec![0.0, 1.0 * MS, 2.0 * MS]], 0.1);
 
-        let fifo = simulate(
+        let fifo = replay(
             &co,
             &profiles,
             &trace,
@@ -1517,7 +1520,7 @@ mod tests {
         assert_eq!(fifo.goodput, 0);
         assert!((fifo.p50_ms - 13.0).abs() < 1e-9);
 
-        let edf = simulate(
+        let edf = replay(
             &co,
             &profiles,
             &trace,
@@ -1538,14 +1541,14 @@ mod tests {
         let co_heavy = synthetic_co(&[1.0 * MS], &[2.0]);
         let profiles = [TrafficProfile::new(100.0, 5.0)];
         let trace = trace_of(vec![vec![0.0, 1.0 * MS, 2.0 * MS]], 0.1);
-        let edf = simulate(
+        let edf = replay(
             &co_heavy,
             &profiles,
             &trace,
             &ServeConfig::new(DispatchPolicy::EarliestDeadline).with_max_batch(4),
         )
         .unwrap();
-        let slaw = simulate(
+        let slaw = replay(
             &co_heavy,
             &profiles,
             &trace,
@@ -1565,7 +1568,7 @@ mod tests {
         let profiles = [TrafficProfile::new(100.0, 50.0)];
         // Four simultaneous-ish arrivals fill max_batch=2 twice.
         let trace = trace_of(vec![vec![0.0, 0.1 * MS, 0.2 * MS, 0.3 * MS]], 0.1);
-        let report = simulate(
+        let report = replay(
             &co,
             &profiles,
             &trace,
@@ -1584,7 +1587,7 @@ mod tests {
         let profiles = [TrafficProfile::new(100.0, 3.0)];
         // Horizon 25 ms: the second batch (starting ~20ms, cost 20ms) is cut.
         let trace = trace_of(vec![vec![0.0, 1.0 * MS, 15.0 * MS]], 25.0 * MS);
-        let report = simulate(
+        let report = replay(
             &co,
             &profiles,
             &trace,
@@ -1609,7 +1612,7 @@ mod tests {
             TrafficProfile::new(50.0, 5.0),
         ];
         let trace = Trace::poisson(&profiles, 0.5, 7);
-        let report = simulate(&co, &profiles, &trace, &ServeConfig::default()).unwrap();
+        let report = replay(&co, &profiles, &trace, &ServeConfig::default()).unwrap();
         let ids: Vec<AccelId> = report.utilization.iter().map(|(a, _)| *a).collect();
         assert_eq!(ids, (0..4).map(AccelId).collect::<Vec<_>>());
         assert!(report.goodput <= report.completed);
@@ -1622,7 +1625,7 @@ mod tests {
         let co = synthetic_co(&[1.0 * MS], &[1.0]);
         let profiles = [TrafficProfile::new(100.0, 50.0)];
         let trace = trace_of(vec![vec![0.0, 0.5 * MS, 1.0 * MS]], 0.1);
-        let report = simulate(
+        let report = replay(
             &co,
             &profiles,
             &trace,
@@ -1642,8 +1645,8 @@ mod tests {
             TrafficProfile::new(80.0, 6.0),
         ];
         let trace = Trace::poisson(&profiles, 1.0, 42);
-        let a = simulate(&co, &profiles, &trace, &ServeConfig::default()).unwrap();
-        let b = simulate(&co, &profiles, &trace, &ServeConfig::default()).unwrap();
+        let a = replay(&co, &profiles, &trace, &ServeConfig::default()).unwrap();
+        let b = replay(&co, &profiles, &trace, &ServeConfig::default()).unwrap();
         assert_eq!(a, b);
         assert_eq!(a.p99_ms.to_bits(), b.p99_ms.to_bits());
     }
@@ -1656,11 +1659,11 @@ mod tests {
 
         let two = [profiles[0], profiles[0]];
         assert!(matches!(
-            simulate(&co, &two, &trace, &ServeConfig::default()),
+            replay(&co, &two, &trace, &ServeConfig::default()),
             Err(ServeError::ShapeMismatch { .. })
         ));
         assert!(matches!(
-            simulate(
+            replay(
                 &co,
                 &profiles,
                 &trace_of(vec![vec![]], 0.0),
@@ -1669,7 +1672,7 @@ mod tests {
             Err(ServeError::InvalidHorizon(_))
         ));
         assert!(matches!(
-            simulate(
+            replay(
                 &co,
                 &profiles,
                 &Trace::poisson(&profiles, f64::INFINITY, 1),
@@ -1678,7 +1681,7 @@ mod tests {
             Err(ServeError::InvalidHorizon(h)) if h == f64::INFINITY
         ));
         assert_eq!(
-            simulate(
+            replay(
                 &co,
                 &profiles,
                 &trace,
@@ -1687,7 +1690,7 @@ mod tests {
             Err(ServeError::ZeroMaxBatch)
         );
         assert!(matches!(
-            simulate(
+            replay(
                 &co,
                 &profiles,
                 &trace,
@@ -1697,12 +1700,12 @@ mod tests {
         ));
         let bad_sla = [TrafficProfile::new(100.0, 0.0)];
         assert!(matches!(
-            simulate(&co, &bad_sla, &trace, &ServeConfig::default()),
+            replay(&co, &bad_sla, &trace, &ServeConfig::default()),
             Err(ServeError::InvalidSla { workload: 0, .. })
         ));
         let invalid = synthetic_co(&[f64::INFINITY], &[1.0]);
         assert!(matches!(
-            simulate(&invalid, &profiles, &trace, &ServeConfig::default()),
+            replay(&invalid, &profiles, &trace, &ServeConfig::default()),
             Err(ServeError::InvalidPlacementLatency { workload: 0, .. })
         ));
         // Hand-built traces must respect the Trace invariant: sorted, finite
@@ -1714,7 +1717,7 @@ mod tests {
             vec![0.1, f64::NAN, 0.2], // not a time
         ] {
             assert_eq!(
-                simulate(
+                replay(
                     &co,
                     &profiles,
                     &trace_of(vec![bad], 1.0),
@@ -1798,13 +1801,13 @@ mod tests {
         let co = synthetic_co(&[1.0 * MS], &[1.0]);
         let profiles = [TrafficProfile::new(100.0, 5.0)];
         let trace = trace_of(vec![vec![0.0]], 0.1);
-        let report = simulate(&co, &profiles, &trace, &ServeConfig::default()).unwrap();
+        let report = replay(&co, &profiles, &trace, &ServeConfig::default()).unwrap();
         assert_eq!(report.completed, 1);
         assert!(report.p50_ms > 0.0);
         assert_eq!(report.p50_ms.to_bits(), report.p95_ms.to_bits());
         assert_eq!(report.p95_ms.to_bits(), report.p99_ms.to_bits());
         // And the zero-completion report keeps explicit zeros.
-        let none = simulate(
+        let none = replay(
             &co,
             &profiles,
             &trace_of(vec![vec![0.099]], 0.1),
@@ -1828,7 +1831,7 @@ mod tests {
         let trace = Trace::poisson(&profiles, 0.5, 42);
         for policy in DispatchPolicy::ALL {
             let config = ServeConfig::new(policy).with_max_batch(4);
-            let uninterrupted = simulate(&co, &profiles, &trace, &config).unwrap();
+            let uninterrupted = replay(&co, &profiles, &trace, &config).unwrap();
             // Walk the run one dispatch at a time; at each boundary fork a
             // checkpoint and run it to completion.
             let mut sim = SimState::new(&co, &profiles, &trace, &config).unwrap();
@@ -1858,7 +1861,7 @@ mod tests {
         let profiles = [TrafficProfile::new(400.0, 6.0)];
         let trace = Trace::poisson(&profiles, 0.4, 7);
         let config = ServeConfig::default();
-        let uninterrupted = simulate(&co, &profiles, &trace, &config).unwrap();
+        let uninterrupted = replay(&co, &profiles, &trace, &config).unwrap();
         let mut sim = SimState::new(&co, &profiles, &trace, &config).unwrap();
         let mut t = 0.0;
         while t < 0.4 {
@@ -1902,7 +1905,7 @@ mod tests {
         assert!(sim.drain_seconds() >= snap.clock);
         assert_eq!(
             sim.finish(),
-            simulate(&co, &profiles, &trace, &config).unwrap()
+            replay(&co, &profiles, &trace, &config).unwrap()
         );
     }
 
@@ -1955,14 +1958,14 @@ mod tests {
         // Sparse singleton arrivals: every batch is a lone request launched
         // at the last safe instant.
         let trace = Trace::poisson(&profiles, 1.0, 13);
-        let zero = simulate(
+        let zero = replay(
             &co,
             &profiles,
             &trace,
             &ServeConfig::new(DispatchPolicy::EarliestDeadline),
         )
         .unwrap();
-        let slack = simulate(
+        let slack = replay(
             &co,
             &profiles,
             &trace,
@@ -1977,7 +1980,7 @@ mod tests {
         assert!(slack.p95_ms <= zero.p95_ms + 1e-9);
         // And the zero-slack run is the pinned legacy behaviour (the knob
         // does not perturb it).
-        let legacy = simulate(
+        let legacy = replay(
             &co,
             &profiles,
             &trace,
@@ -2002,7 +2005,7 @@ mod tests {
         let trace = Trace::poisson(&profiles, 1.0, 3);
         let config = ServeConfig::default();
 
-        let static_report = simulate(&co_slow, &profiles, &trace, &config).unwrap();
+        let static_report = replay(&co_slow, &profiles, &trace, &config).unwrap();
 
         let mut sim = SimState::new(&co_slow, &profiles, &trace, &config).unwrap();
         sim.run_until(0.5);

@@ -3,10 +3,24 @@
 //! physical envelope — goodput never exceeds arrivals, busy time never
 //! exceeds the horizon, and the simulation is a pure function of its inputs.
 
+use mars_core::CoScheduleResult;
 use mars_model::TrafficProfile;
 use mars_serve::testing::synthetic_co;
-use mars_serve::{simulate, DispatchPolicy, ServeConfig, Trace};
+use mars_serve::{
+    simulate_sharded_with_faults, DispatchPolicy, FaultPolicy, ServeConfig, ServeError,
+    ServeReport, Trace,
+};
 use proptest::prelude::*;
+
+/// A whole-run replay on a healthy pool.
+fn simulate(
+    co: &CoScheduleResult,
+    profiles: &[TrafficProfile],
+    trace: &Trace,
+    config: &ServeConfig,
+) -> Result<ServeReport, ServeError> {
+    simulate_sharded_with_faults(co, profiles, trace, config, &[], FaultPolicy::default())
+}
 
 fn policy_of(index: usize) -> DispatchPolicy {
     DispatchPolicy::ALL[index % DispatchPolicy::ALL.len()]

@@ -75,9 +75,12 @@
 //! ## Online serving
 //!
 //! [`serve`] replays a seeded request-arrival trace against a co-schedule's
-//! placements with SLA-aware dynamic batching ([`serve::simulate`]),
-//! producing tail-latency, goodput and utilisation figures — see
-//! [`serve::Trace`] and [`serve::DispatchPolicy`].  Bundled traffic
+//! placements with SLA-aware dynamic batching
+//! ([`serve::simulate_sharded_with_faults`], or [`serve::compare_policies`]
+//! for every dispatch policy), producing tail-latency, goodput and
+//! utilisation figures — see [`serve::Trace`] and [`serve::DispatchPolicy`].
+//! Every whole-run replay splits its lanes across the `MARS_THREADS` pool
+//! and is bit-identical to one [`serve::SimState`] run.  Bundled traffic
 //! profiles live on [`model::zoo::MixZoo::traffic`].
 //!
 //! ## Elastic serving
@@ -87,7 +90,7 @@
 //! [`model::zoo::MixZoo::phased_traffic`]): a drift monitor watches the
 //! live stream, re-schedules run [`co_schedule`] warm-started from the
 //! incumbent, and a migration cost model prices every placement change
-//! before it activates — see [`runtime::run_elastic`] and
+//! before it activates — see [`runtime::run_elastic_with_cache`] and
 //! [`runtime::RuntimePolicy`].
 //!
 //! ## Fault tolerance
@@ -104,15 +107,17 @@
 //!
 //! Every layer accepts an [`obs::Recorder`]: the search streams convergence
 //! series and cache-hit counters ([`core::Mars::with_recorder`]), the
-//! serving simulators stream batch spans, queue histograms and fault
-//! instants ([`serve::simulate_observed`]), and the elastic runtime records
-//! its drift-monitor windows and trigger→re-plan→migrate timeline
-//! ([`runtime::run_elastic_observed`]).  All recorded quantities derive from
-//! simulation clocks and deterministic counters, so an instrumented run is
-//! bit-identical to an uninstrumented one; [`obs::metrics_json`] and
-//! [`obs::chrome_trace_json`] (loadable in Perfetto) export the collected
-//! [`obs::Obs`].  The default [`obs::Recorder::disabled`] compiles every
-//! record call down to a null check.
+//! serving replays stream batch spans, queue histograms and fault instants
+//! ([`serve::simulate_sharded_observed`], or
+//! [`serve::SimState::with_recorder`] for one engine plus its calendar
+//! metrics), and the elastic runtime records its drift-monitor windows and
+//! trigger→re-plan→migrate timeline ([`runtime::run_elastic_observed`]).
+//! All recorded quantities derive from simulation clocks and deterministic
+//! counters, so an instrumented run is bit-identical to an uninstrumented
+//! one; [`obs::metrics_json`] and [`obs::chrome_trace_json`] (loadable in
+//! Perfetto) export the collected [`obs::Obs`].  The default
+//! [`obs::Recorder::disabled`] compiles every record call down to a null
+//! check.
 //!
 //! The `examples/` directory contains runnable versions of these flows
 //! (`quickstart`, `resnet_on_f1`, `hetero_bandwidth_sweep`,
@@ -222,7 +227,8 @@ pub mod prelude {
     pub use mars_obs::{Obs, Recorder};
     pub use mars_parallel::{evaluate_layer, EvalContext, LayerEval, ShardPlan, Strategy};
     pub use mars_runtime::{
-        run_elastic, DriftMonitor, ElasticReport, MonitorConfig, RuntimeConfig, RuntimePolicy,
+        run_elastic_with_cache, DriftMonitor, ElasticReport, MonitorConfig, RuntimeConfig,
+        RuntimePolicy,
     };
     pub use mars_serve::{DispatchPolicy, FaultPolicy, ServeConfig, ServeReport, SimState, Trace};
     pub use mars_topology::{AccelId, Gbps, Topology, TopologyBuilder};

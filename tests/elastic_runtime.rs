@@ -33,7 +33,7 @@ fn run_mix(mix: MixZoo, policy: RuntimePolicy, threads: usize) -> ElasticReport 
     let catalog = Catalog::standard_three();
     let scenario: PhasedTraffic = mix.phased_traffic();
     let trace = Trace::phased(&scenario, DEFAULT_SEED).expect("bundled scenario is valid");
-    run_elastic(
+    run_elastic_with_cache(
         &workloads,
         &topo,
         &catalog,
@@ -41,6 +41,7 @@ fn run_mix(mix: MixZoo, policy: RuntimePolicy, threads: usize) -> ElasticReport 
         &trace,
         policy,
         &tiny_runtime(threads),
+        &InnerSearchCache::new(),
     )
     .expect("bundled scenario fits the F1 platform")
 }
@@ -121,7 +122,7 @@ fn bundled_failure_scenarios_inject_faults_and_policies_recover() {
     let workloads: Vec<Workload> = mix.entries();
     let scenario = mix.failure_scenario();
     let trace = Trace::phased(&scenario, DEFAULT_SEED).unwrap();
-    let report = run_elastic(
+    let report = run_elastic_with_cache(
         &workloads,
         &topo,
         &catalog,
@@ -129,6 +130,7 @@ fn bundled_failure_scenarios_inject_faults_and_policies_recover() {
         &trace,
         RuntimePolicy::Reactive,
         &tiny_runtime(1),
+        &InnerSearchCache::new(),
     )
     .expect("bundled failure scenario fits the F1 platform");
     assert!(

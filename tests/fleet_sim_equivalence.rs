@@ -17,8 +17,8 @@ use mars::model::zoo::MixZoo;
 use mars::model::{FaultEvent, FaultKind, PhasedTraffic};
 use mars::prelude::*;
 use mars::serve::{
-    fleet_co_schedule, reference, simulate, simulate_sharded, simulate_sharded_with_faults,
-    ServeReport, SimSnapshot,
+    fleet_co_schedule, reference, simulate_sharded_with_faults, ServeError, ServeReport,
+    SimSnapshot,
 };
 use mars::topology::AccelId;
 
@@ -104,7 +104,9 @@ fn assert_engines_agree(
         let config = ServeConfig::new(policy);
 
         // One-shot, no faults.
-        let new = simulate(co, &profiles, trace, &config).expect("valid inputs");
+        let new = SimState::new(co, &profiles, trace, &config)
+            .expect("valid inputs")
+            .finish();
         let legacy = reference::simulate(co, &profiles, trace, &config).expect("valid inputs");
         assert_eq!(new, legacy, "{label}/{policy:?}: one-shot reports diverge");
 
@@ -192,9 +194,11 @@ fn fleet_new_engine_matches_legacy_oracle() {
 }
 
 /// The sharded runner against the single-shard run, `MARS_THREADS` ∈
-/// {1, 4, 8}, with and without the fleet fault schedule.  The only test in
-/// this binary that touches the environment (the other tests never read
-/// `MARS_THREADS`), so the sequential set/restore cannot race.
+/// {1, 4, 8}, with and without the fleet fault schedule, and its input
+/// errors against the engine's: a lane in the second half corrupted three
+/// ways must be named by its global index at every thread count.  The only
+/// test in this binary that touches the environment or calls the runner
+/// (which reads `MARS_THREADS`), so the sequential set/restore cannot race.
 #[test]
 fn fleet_sharded_equals_single_shard_at_every_thread_count() {
     let fleet = MixZoo::fleet();
@@ -205,7 +209,9 @@ fn fleet_sharded_equals_single_shard_at_every_thread_count() {
 
     for policy in DispatchPolicy::ALL {
         let config = ServeConfig::new(policy);
-        let single = simulate(&co, &profiles, &trace, &config).expect("valid");
+        let single = SimState::new(&co, &profiles, &trace, &config)
+            .expect("valid")
+            .finish();
         let (_, single_faulted) = drive_new(
             &co,
             &profiles,
@@ -216,7 +222,15 @@ fn fleet_sharded_equals_single_shard_at_every_thread_count() {
         );
         for threads in ["1", "4", "8"] {
             std::env::set_var("MARS_THREADS", threads);
-            let sharded = simulate_sharded(&co, &profiles, &trace, &config).expect("valid");
+            let sharded = simulate_sharded_with_faults(
+                &co,
+                &profiles,
+                &trace,
+                &config,
+                &[],
+                FaultPolicy::RequeueInflight,
+            )
+            .expect("valid");
             assert_eq!(
                 sharded, single,
                 "{policy:?}/MARS_THREADS={threads}: sharded run diverges"
@@ -233,6 +247,43 @@ fn fleet_sharded_equals_single_shard_at_every_thread_count() {
             assert_eq!(
                 sharded_faulted, single_faulted,
                 "{policy:?}/MARS_THREADS={threads}: sharded fault run diverges"
+            );
+        }
+    }
+
+    let lane = 100;
+    let mut bad_arrival = trace.clone();
+    bad_arrival.arrivals[lane].push(f64::NAN);
+    let mut bad_sla = profiles.clone();
+    bad_sla[lane].sla_factor = -1.0;
+    let mut bad_latency = co.clone();
+    bad_latency.placements[lane].result.mapping.latency_seconds = 0.0;
+    let config = ServeConfig::default();
+    for (co, profiles, trace) in [
+        (&co, &profiles, &bad_arrival),
+        (&co, &bad_sla, &trace),
+        (&bad_latency, &profiles, &trace),
+    ] {
+        let expected = SimState::new(co, profiles, trace, &config).map(SimState::finish);
+        assert!(matches!(
+            expected,
+            Err(ServeError::InvalidTrace { workload: 100 }
+                | ServeError::InvalidSla { workload: 100, .. }
+                | ServeError::InvalidPlacementLatency { workload: 100, .. })
+        ));
+        for threads in ["1", "4", "8"] {
+            std::env::set_var("MARS_THREADS", threads);
+            let sharded = simulate_sharded_with_faults(
+                co,
+                profiles,
+                trace,
+                &config,
+                &fleet.traffic.faults,
+                FaultPolicy::RequeueInflight,
+            );
+            assert_eq!(
+                sharded, expected,
+                "MARS_THREADS={threads}: the runner names the wrong lane"
             );
         }
     }

@@ -21,7 +21,7 @@ use mars::core::CoScheduleError;
 use mars::model::zoo::{llm_mix, MixZoo};
 use mars::model::Workload;
 use mars::prelude::*;
-use mars::serve::{simulate_llm, simulate_llm_sharded, BatchingMode, LlmSimState, LlmTrace};
+use mars::serve::{simulate_llm_sharded, BatchingMode, LlmSimState, LlmTrace};
 use mars::topology::presets;
 use proptest::prelude::*;
 
@@ -158,7 +158,9 @@ fn no_batching_step_exceeds_the_kv_budget_at_any_thread_count() {
         }
         let stepped = sim.report();
 
-        let single = simulate_llm(&spec, &trace, mode).expect("valid inputs");
+        let single = LlmSimState::new(&spec, &trace, mode)
+            .expect("valid inputs")
+            .finish();
         assert_eq!(stepped, single, "{mode}: stepped run diverges");
         for s in &single.per_workload {
             assert!(

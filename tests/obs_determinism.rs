@@ -12,8 +12,8 @@ use mars::obs::{chrome_trace_json, metrics_json, Recorder};
 use mars::prelude::*;
 use mars::runtime::{run_elastic_observed, RuntimePolicy};
 use mars::serve::{
-    simulate, simulate_llm_sharded_observed, simulate_observed, simulate_sharded_observed,
-    simulate_sharded_with_faults, BatchingMode, LlmTrace,
+    simulate_llm_sharded_observed, simulate_sharded_observed, simulate_sharded_with_faults,
+    BatchingMode, LlmTrace,
 };
 
 /// The deterministic export of everything a recorder collected: wall time
@@ -71,8 +71,8 @@ fn search_result_and_metrics_are_thread_and_recorder_invariant() {
     );
 }
 
-/// Recorder on vs off → identical `ServeReport` on the unsharded simulator,
-/// with the expected lane metrics collected.
+/// Recorder on vs off → identical `ServeReport` on one engine, with the
+/// expected lane and engine-level metrics collected.
 #[test]
 fn serve_report_is_unchanged_by_recording() {
     let mix = MixZoo::ClassicPair;
@@ -84,9 +84,14 @@ fn serve_report_is_unchanged_by_recording() {
     let trace = mars::serve::Trace::poisson(&profiles, 1.0, 42);
     let config = ServeConfig::default();
 
-    let plain = simulate(&co, &profiles, &trace, &config).unwrap();
+    let plain = SimState::new(&co, &profiles, &trace, &config)
+        .unwrap()
+        .finish();
     let recorder = Recorder::enabled();
-    let observed = simulate_observed(&co, &profiles, &trace, &config, &recorder).unwrap();
+    let observed = SimState::new(&co, &profiles, &trace, &config)
+        .unwrap()
+        .with_recorder(recorder.clone())
+        .finish();
     assert_eq!(plain, observed, "recording changed the serve report");
 
     let obs = recorder.snapshot();
@@ -200,8 +205,15 @@ fn elastic_report_is_unchanged_by_recording() {
     for threads in [1usize, 4] {
         let config = RuntimeConfig::new(CoScheduleConfig::fast(42).with_threads(threads));
         for policy in RuntimePolicy::ALL {
-            let plain = mars::runtime::run_elastic(
-                &workloads, &topo, &catalog, &scenario, &trace, policy, &config,
+            let plain = mars::runtime::run_elastic_with_cache(
+                &workloads,
+                &topo,
+                &catalog,
+                &scenario,
+                &trace,
+                policy,
+                &config,
+                &InnerSearchCache::new(),
             )
             .unwrap();
             let recorder = Recorder::enabled();

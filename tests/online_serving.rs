@@ -5,7 +5,7 @@
 
 use mars::model::zoo::MixZoo;
 use mars::prelude::*;
-use mars::serve::{compare_policies, render_serve, simulate};
+use mars::serve::{compare_policies, render_serve, simulate_sharded_with_faults};
 
 const DEFAULT_SEED: u64 = 42;
 
@@ -26,8 +26,10 @@ fn serve_mix(
     .expect("bundled mix fits the F1 platform");
     let profiles: Vec<TrafficProfile> = mix.traffic();
     let trace = Trace::poisson(&profiles, 1.0, DEFAULT_SEED);
-    let report = simulate(&co, &profiles, &trace, &ServeConfig::new(policy))
-        .expect("bundled profiles are valid");
+    let config = ServeConfig::new(policy);
+    let report =
+        simulate_sharded_with_faults(&co, &profiles, &trace, &config, &[], FaultPolicy::default())
+            .expect("bundled profiles are valid");
     (trace, report)
 }
 
