@@ -9,9 +9,10 @@
 //! `table_serve`) and update the pinned constants together with
 //! EXPERIMENTS/README notes.
 //!
-//! The search-running tests are `#[ignore]`d so `cargo test -q` stays fast;
-//! the scheduled nightly workflow runs them via `--include-ignored` at
-//! `MARS_THREADS=1`, `4` and `8`, which also enforces that the pinned
+//! Every test here runs in the default suite (`cargo test -q`, a few
+//! seconds at the test profile's `opt-level = 1`), so each PR pins every
+//! table number.  CI runs the suite at `MARS_THREADS=1` and `4`, and the
+//! scheduled nightly workflow adds `8`, which also enforces that the pinned
 //! numbers are identical at every thread count.
 
 use mars_accel::{Catalog, ProfileTable};
@@ -67,31 +68,26 @@ fn golden_table3_row(index: usize) {
 }
 
 #[test]
-#[ignore = "golden search; run via --include-ignored (CI nightly)"]
 fn golden_table3_alexnet() {
     golden_table3_row(0);
 }
 
 #[test]
-#[ignore = "golden search; run via --include-ignored (CI nightly)"]
 fn golden_table3_vgg16() {
     golden_table3_row(1);
 }
 
 #[test]
-#[ignore = "golden search; run via --include-ignored (CI nightly)"]
 fn golden_table3_resnet34() {
     golden_table3_row(2);
 }
 
 #[test]
-#[ignore = "golden search; run via --include-ignored (CI nightly)"]
 fn golden_table3_resnet101() {
     golden_table3_row(3);
 }
 
 #[test]
-#[ignore = "golden search; run via --include-ignored (CI nightly)"]
 fn golden_table3_wide_resnet50_2() {
     golden_table3_row(4);
 }
@@ -145,7 +141,6 @@ const SERVE_GOLDEN: [(MixZoo, usize, [usize; 3]); 3] = [
 ];
 
 #[test]
-#[ignore = "golden search; run via --include-ignored (CI nightly)"]
 fn golden_table_serve_goodput() {
     for (index, (mix, requests, goodputs)) in SERVE_GOLDEN.into_iter().enumerate() {
         let row = table_serve_row(mix, Budget::Fast, 42 + index as u64, &Recorder::disabled());
@@ -184,7 +179,6 @@ const ELASTIC_GOLDEN: [(MixZoo, usize, [usize; 3]); 3] = [
 ];
 
 #[test]
-#[ignore = "golden search; run via --include-ignored (CI nightly)"]
 fn golden_table_elastic_goodput() {
     let mut strict_wins = 0usize;
     for (mix, requests, goodputs) in ELASTIC_GOLDEN {
@@ -242,7 +236,6 @@ const FAILOVER_GOLDEN: [(MixZoo, usize, [usize; 3]); 3] = [
 ];
 
 #[test]
-#[ignore = "golden search; run via --include-ignored (CI nightly)"]
 fn golden_table_failover_goodput() {
     for (mix, requests, goodputs) in FAILOVER_GOLDEN {
         let row = table_failover_row(mix, Budget::Fast, 42, &Recorder::disabled());
@@ -305,7 +298,6 @@ fn golden_table_failover_goodput() {
 const FLEET_GOLDEN: (usize, [usize; 3]) = (126_518, [23_450, 79_726, 82_383]);
 
 #[test]
-#[ignore = "golden fleet replay; run via --include-ignored (CI nightly)"]
 fn golden_table_fleet_goodput() {
     let (requests, goodputs) = FLEET_GOLDEN;
     let row = table_fleet_row(42, &Recorder::disabled());
@@ -347,7 +339,6 @@ fn golden_table_fleet_goodput() {
 const LLM_GOLDEN: (usize, [(usize, usize); 2]) = (213, [(147, 61), (200, 171)]);
 
 #[test]
-#[ignore = "golden LLM replay; run via --include-ignored (CI nightly)"]
 fn golden_table_llm_goodput() {
     let (requests, outcomes) = LLM_GOLDEN;
     let row = table_llm_row(42, &Recorder::disabled());
@@ -390,7 +381,6 @@ fn golden_table_llm_goodput() {
 }
 
 #[test]
-#[ignore = "golden search; run via --include-ignored (CI nightly)"]
 fn golden_table_multi_makespans() {
     for (index, (mix, co_ms, seq_ms)) in MULTI_GOLDEN.into_iter().enumerate() {
         let row = table_multi_row(mix, Budget::Fast, 42 + index as u64);

@@ -214,9 +214,12 @@ pub struct Evaluator<'a> {
     greedy_cache: OnceCache<(ConvParams, u64), Strategy>,
     /// Per-context-signature [`TermTable`]s (flat engine only).
     term_tables: Mutex<HashMap<u64, Arc<TermTable>>>,
-    /// Total [`Evaluator::fast_term`] calls (one relaxed increment per
-    /// lookup; the call count is a pure function of the search trajectory,
-    /// so the total is thread-count invariant once workers have joined).
+    /// Total [`Evaluator::fast_term`] calls.  Callers add their lookups in
+    /// bulk through [`Evaluator::count_term_lookups`], once per
+    /// second-level search and once per greedy scan, rather than one shared
+    /// atomic increment per lookup.  Each count is a pure function of the
+    /// search trajectory, so the total is thread-count invariant once
+    /// workers have joined.
     term_lookups: AtomicU64,
     /// Shape class of every layer: layers with identical [`ConvParams`] share
     /// a class (and a [`TermTable`] row); non-compute layers get `u32::MAX`.
@@ -461,7 +464,8 @@ impl<'a> Evaluator<'a> {
                     f64::INFINITY
                 }
             };
-            for s in mars_parallel::paper_strategies() {
+            let candidates = mars_parallel::paper_strategies();
+            for &s in &candidates {
                 let (latency, _, ok) = self.fast_term(table, layer_index, s, ctx);
                 let latency = if ok { latency } else { f64::INFINITY };
                 if latency < best_latency {
@@ -469,6 +473,7 @@ impl<'a> Evaluator<'a> {
                     best = s;
                 }
             }
+            self.count_term_lookups(1 + candidates.len() as u64);
             best
         })
     }
@@ -487,11 +492,19 @@ impl<'a> Evaluator<'a> {
         }))
     }
 
+    /// Adds `lookups` [`Evaluator::fast_term`] calls to the total that
+    /// [`Evaluator::term_stats`] reports.
+    pub(crate) fn count_term_lookups(&self, lookups: u64) {
+        self.term_lookups
+            .fetch_add(lookups, std::sync::atomic::Ordering::Relaxed);
+    }
+
     /// Per-layer term of `strategy` through a [`TermTable`]: a dense indexed
     /// load on a hit, a direct [`evaluate_layer`] call (then a table fill) on
     /// a miss.  The table already deduplicates by shape class and context,
-    /// so misses skip the sharded cache's hashing entirely; lookups are
-    /// counted in [`Evaluator::term_stats`] (not in
+    /// so misses skip the sharded cache's hashing entirely.  The caller
+    /// counts its lookups with [`Evaluator::count_term_lookups`]; they are
+    /// reported by [`Evaluator::term_stats`] (not by
     /// [`Evaluator::cache_stats`]).  `table` must come from
     /// [`Evaluator::term_table`] for the context `ctx` evaluates in.
     pub(crate) fn fast_term(
@@ -502,7 +515,6 @@ impl<'a> Evaluator<'a> {
         ctx: &EvalContext<'_>,
     ) -> LayerCacheValue {
         use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
-        self.term_lookups.fetch_add(1, Relaxed);
         let class = self.shape_class[layer_index] as usize;
         let slot = &table.slots[class * STRATEGY_CODES + strategy_code(strategy)];
         let state = slot.state.load(Acquire);

@@ -31,15 +31,29 @@
 //! remaining block terms (with a debug-build cross-check that every reused
 //! term matches a fresh evaluation).  [`GeneticAlgorithm::run`] is the
 //! whole-genome case: one block, so elites and unmutated clones reuse their
-//! parent's score.  The RNG call sequence is identical to the historical
-//! per-genome-`Vec` engine, which is retained verbatim as
+//! parent's score.  The block terms and scores of a generation live in one
+//! slot-major arena, double-buffered like the genes, so a serial run
+//! allocates nothing per genome.  A NaN score counts as `+∞`, the mark of
+//! an invalid individual.
+//!
+//! ## Branch-free breeding
+//!
+//! The RNG call sequence is identical to the historical per-genome-`Vec`
+//! engine, which is retained verbatim as
 //! [`GeneticAlgorithm::run_reference`]; a test pins the two bit-identical.
+//! Breeding reads the same words but spends no branch on a coin whose
+//! outcome is random: `rng.gen_bool(0.5)` holds exactly when a word's top
+//! bit is clear, so a crossover gene is a sign-mask blend of the parents'
+//! bits, and `rng.gen_bool(rate)` holds exactly when the word's top 53 bits
+//! fall below `⌈rate · 2⁵³⌉`, a threshold computed once per run.  Only a
+//! mutation that comes up heads branches, into the unchanged Box-Muller
+//! step, whose `ln` and `cos` bound breeding's cost while the stream is
+//! fixed.
 
-use mars_parallel::scoped_map;
+use mars_parallel::{resolve_threads, scoped_map};
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::time::{Duration, Instant};
 
 /// Genetic-algorithm hyper-parameters.
@@ -217,9 +231,10 @@ impl GeneticAlgorithm {
     ///   heuristic seeding happens: individual 0 is conventionally the
     ///   heuristic seed, the rest random);
     /// * `fitness` — evaluates a genome (lower is better; `INFINITY` marks an
-    ///   invalid individual).  It must be a *pure* function of the genes: the
-    ///   engine may evaluate a generation's genomes concurrently on
-    ///   [`GaConfig::threads`] worker threads and in any order.
+    ///   invalid individual, and a NaN score counts as `INFINITY`).  It must
+    ///   be a *pure* function of the genes: the engine may evaluate a
+    ///   generation's genomes concurrently on [`GaConfig::threads`] worker
+    ///   threads and in any order.
     ///
     /// This is [`GeneticAlgorithm::run_blocks`] with the whole genome as one
     /// block, so elites and unmutated clones keep their parent's score
@@ -369,7 +384,14 @@ impl GeneticAlgorithm {
         let start = Instant::now();
         let cfg = self.cfg;
         let pop_size = cfg.population.max(2);
-        let genome_len = n_blocks * block_len;
+        let fitness = BlockFitness {
+            n_blocks,
+            block_len,
+            eval: block_eval,
+            combine,
+        };
+        let genome_len = fitness.genome_len();
+        let mutation_coin = coin_threshold(cfg.mutation_rate);
 
         // Flat arena: all genomes of a generation live in one allocation,
         // double-buffered with `next` so breeding never allocates.
@@ -384,32 +406,20 @@ impl GeneticAlgorithm {
             }
         }
 
-        // Deterministic total: reuse decisions are pure functions of the
-        // genes, so a relaxed sum over worker threads is exact and
-        // thread-count invariant.
-        let reused = AtomicU64::new(0);
-
-        // Per-slot block terms of the current generation, and which
-        // previous-generation slot each genome was bred from.
+        // Block terms and scores of the current generation, double-buffered
+        // with `prev` like the genes, and which previous-generation slot each
+        // genome was bred from.
         let mut parents: Vec<Option<usize>> = vec![None; pop_size];
-        let (mut terms, mut scores) = self.evaluate_blocks(
-            &genes,
-            &[],
-            n_blocks,
-            block_len,
-            &[],
-            &parents,
-            &block_eval,
-            &combine,
-            &reused,
-        );
+        let mut scored = Scored::default();
+        let mut prev = Scored::default();
+        let mut reused = self.evaluate_blocks(&fitness, &genes, None, &parents, &mut scored);
         let mut evaluations = pop_size;
 
         // Best-ever individual, updated in index order after each (possibly
         // parallel) evaluation so ties always resolve to the lowest index.
         let mut best_genes = genes[..genome_len].to_vec();
-        let mut best_fitness = scores[0];
-        for (i, &s) in scores.iter().enumerate().skip(1) {
+        let mut best_fitness = scored.scores[0];
+        for (i, &s) in scored.scores.iter().enumerate().skip(1) {
             if s < best_fitness {
                 best_fitness = s;
                 best_genes.copy_from_slice(&genes[i * genome_len..(i + 1) * genome_len]);
@@ -417,12 +427,13 @@ impl GeneticAlgorithm {
         }
 
         let mut history = Vec::with_capacity(cfg.generations + 1);
-        history.push(best_of(&scores));
+        history.push(best_of(&scored.scores));
         let mut mean_history = Vec::with_capacity(cfg.generations + 1);
-        mean_history.push(mean_of(&scores));
+        mean_history.push(mean_of(&scored.scores));
 
         let mut next = vec![0.0f64; pop_size * genome_len];
         for generation in 1..=cfg.generations {
+            let scores = &scored.scores;
             let mut order: Vec<usize> = (0..pop_size).collect();
             order.sort_by(|a, b| scores[*a].partial_cmp(&scores[*b]).expect("finite or inf"));
 
@@ -439,44 +450,37 @@ impl GeneticAlgorithm {
                     generation as u64,
                     slot as u64,
                 ));
-                let a = self.tournament(&mut rng, &scores);
-                let dst = slot * genome_len;
+                let a = self.tournament(&mut rng, scores);
+                let child = &mut next[slot * genome_len..(slot + 1) * genome_len];
+                let genome_a = &genes[a * genome_len..(a + 1) * genome_len];
                 if rng.gen_bool(cfg.crossover_rate) {
-                    let b = self.tournament(&mut rng, &scores);
-                    for g in 0..genome_len {
-                        next[dst + g] = if rng.gen_bool(0.5) {
-                            genes[a * genome_len + g]
-                        } else {
-                            genes[b * genome_len + g]
-                        };
-                    }
+                    let b = self.tournament(&mut rng, scores);
+                    let genome_b = &genes[b * genome_len..(b + 1) * genome_len];
+                    crossover_into(&mut rng, child, genome_a, genome_b);
                 } else {
-                    next[dst..dst + genome_len]
-                        .copy_from_slice(&genes[a * genome_len..(a + 1) * genome_len]);
+                    child.copy_from_slice(genome_a);
                 }
-                self.mutate_slice(&mut rng, &mut next[dst..dst + genome_len]);
+                self.mutate_bred(&mut rng, child, mutation_coin);
                 *parent = Some(a);
             }
 
             std::mem::swap(&mut genes, &mut next);
-            // After the swap `next` holds the parent generation's genes —
-            // exactly what block reuse compares child blocks against.
-            (terms, scores) = self.evaluate_blocks(
+            std::mem::swap(&mut scored, &mut prev);
+            // After the swaps `next` and `prev` hold the parent generation's
+            // genes and terms — exactly what block reuse compares child
+            // blocks against and copies terms from.
+            reused += self.evaluate_blocks(
+                &fitness,
                 &genes,
-                &next,
-                n_blocks,
-                block_len,
-                &terms,
+                Some((&next, &prev)),
                 &parents,
-                &block_eval,
-                &combine,
-                &reused,
+                &mut scored,
             );
             evaluations += pop_size;
-            history.push(best_of(&scores));
-            mean_history.push(mean_of(&scores));
+            history.push(best_of(&scored.scores));
+            mean_history.push(mean_of(&scored.scores));
 
-            for (i, &s) in scores.iter().enumerate() {
+            for (i, &s) in scored.scores.iter().enumerate() {
                 if s < best_fitness {
                     best_fitness = s;
                     best_genes.copy_from_slice(&genes[i * genome_len..(i + 1) * genome_len]);
@@ -490,66 +494,71 @@ impl GeneticAlgorithm {
             history,
             mean_history,
             evaluations,
-            blocks_reused: reused.load(Relaxed),
+            blocks_reused: reused,
             elapsed: start.elapsed(),
         }
     }
 
-    /// Scores one generation of a [`GeneticAlgorithm::run_blocks`] search:
-    /// per-slot block terms with parent reuse, and `combine` for the score.
-    /// Returns `(terms, scores)`.
-    #[allow(clippy::too_many_arguments)]
+    /// Scores one generation of a [`GeneticAlgorithm::run_blocks`] search
+    /// into `out`.  `prev` holds the parent generation's genes and terms
+    /// (`None` for the initial population); a block whose genes equal its
+    /// breeding parent's reuses the parent's term.  Returns the number of
+    /// reused terms.
+    ///
+    /// With one resolved worker the genomes are scored in slot order
+    /// straight into `out`'s arenas, so nothing is allocated per genome.
+    /// With more, each slot is scored on the pool into its own small `Vec`
+    /// and copied in; that path serves the first-level GA, whose genomes
+    /// are one block each and whose fitness dwarfs the copy.
     fn evaluate_blocks<B, E, C>(
         &self,
+        fitness: &BlockFitness<E, C>,
         genes: &[f64],
-        prev_genes: &[f64],
-        n_blocks: usize,
-        block_len: usize,
-        prev_terms: &[Vec<B>],
+        prev: Option<(&[f64], &Scored<B>)>,
         parents: &[Option<usize>],
-        block_eval: &E,
-        combine: &C,
-        reused_total: &AtomicU64,
-    ) -> (Vec<Vec<B>>, Vec<f64>)
+        out: &mut Scored<B>,
+    ) -> u64
     where
         B: Clone + PartialEq + std::fmt::Debug + Send + Sync,
         E: Fn(usize, &[f64]) -> B + Sync,
         C: Fn(&[B]) -> f64 + Sync,
     {
-        let genome_len = n_blocks * block_len;
+        let (genome_len, n_blocks) = (fitness.genome_len(), fitness.n_blocks);
+        let genome = |slot: usize| &genes[slot * genome_len..(slot + 1) * genome_len];
+        let parent_of = |slot: usize| {
+            let (prev_genes, prev) = prev?;
+            let p = parents[slot]?;
+            Some((
+                &prev_genes[p * genome_len..(p + 1) * genome_len],
+                &prev.terms[p * n_blocks..(p + 1) * n_blocks],
+            ))
+        };
+        out.terms.clear();
+        out.scores.clear();
+
+        let workers = resolve_threads(self.cfg.threads);
+        if workers <= 1 || parents.len() < 2 {
+            let mut reused = 0;
+            for slot in 0..parents.len() {
+                let (score, r) = fitness.score(genome(slot), parent_of(slot), &mut out.terms);
+                out.scores.push(score);
+                reused += r;
+            }
+            return reused;
+        }
         let slots: Vec<usize> = (0..parents.len()).collect();
-        scoped_map(self.cfg.threads, &slots, |_, &slot| {
-            let genome = &genes[slot * genome_len..(slot + 1) * genome_len];
-            let parent = parents[slot].filter(|_| !prev_terms.is_empty());
-            let terms: Vec<B> = (0..n_blocks)
-                .map(|j| {
-                    let block = &genome[j * block_len..(j + 1) * block_len];
-                    let reused = parent.and_then(|p| {
-                        let at = p * genome_len + j * block_len;
-                        (block == &prev_genes[at..at + block_len]).then(|| prev_terms[p][j].clone())
-                    });
-                    match reused {
-                        Some(t) => {
-                            #[cfg(debug_assertions)]
-                            {
-                                let fresh = block_eval(j, block);
-                                debug_assert!(
-                                    fresh == t,
-                                    "delta-fitness reuse mismatch at block {j}: {fresh:?} != {t:?}"
-                                );
-                            }
-                            reused_total.fetch_add(1, Relaxed);
-                            t
-                        }
-                        None => block_eval(j, block),
-                    }
-                })
-                .collect();
-            let score = combine(&terms);
-            (terms, score)
-        })
-        .into_iter()
-        .unzip()
+        let per_slot = scoped_map(workers, &slots, |_, &slot| {
+            let mut terms = Vec::with_capacity(n_blocks);
+            let (score, reused) = fitness.score(genome(slot), parent_of(slot), &mut terms);
+            (terms, score, reused)
+        });
+        let mut reused = 0;
+        for (terms, score, r) in per_slot {
+            out.terms.extend(terms);
+            out.scores.push(score);
+            reused += r;
+        }
+        reused
     }
 
     /// Scores one generation, fanning the genomes out over the worker pool
@@ -580,12 +589,7 @@ impl GeneticAlgorithm {
     }
 
     fn mutate(&self, rng: &mut StdRng, mut genes: Vec<f64>) -> Vec<f64> {
-        self.mutate_slice(rng, &mut genes);
-        genes
-    }
-
-    fn mutate_slice(&self, rng: &mut StdRng, genes: &mut [f64]) {
-        for g in genes {
+        for g in &mut genes {
             if rng.gen_bool(self.cfg.mutation_rate) {
                 // Box-Muller Gaussian step.
                 let u1: f64 = rng.gen_range(1e-9..1.0);
@@ -594,6 +598,142 @@ impl GeneticAlgorithm {
                 *g = (*g + normal * self.cfg.mutation_sigma).clamp(0.0, 1.0);
             }
         }
+        genes
+    }
+
+    /// Gaussian mutation of a bred child in place: [`GeneticAlgorithm::mutate`]
+    /// with each gene's `rng.gen_bool(mutation_rate)` coin taken as the
+    /// integer compare of [`coin_threshold`] (`coin` is its value for the
+    /// configured rate).  Same draws, same Box-Muller step, same genes.
+    fn mutate_bred(&self, rng: &mut StdRng, genes: &mut [f64], coin: Option<u64>) {
+        if genes.is_empty() {
+            return;
+        }
+        // `gen_bool` rejects a rate outside [0, 1] at the first coin it
+        // flips; so does this, at the same point of the run.
+        let threshold =
+            coin.unwrap_or_else(|| panic!("p={} is not a probability", self.cfg.mutation_rate));
+        for g in genes {
+            if heads(rng.next_u64(), threshold) {
+                // Box-Muller Gaussian step.
+                let u1: f64 = rng.gen_range(1e-9..1.0);
+                let u2: f64 = rng.gen_range(0.0..1.0);
+                let normal = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
+                *g = (*g + normal * self.cfg.mutation_sigma).clamp(0.0, 1.0);
+            }
+        }
+    }
+}
+
+/// The per-block fitness of a [`GeneticAlgorithm::run_blocks`] search: a
+/// genome is `n_blocks` blocks of `block_len` genes, block `j` scores as
+/// the term `eval(j, block)`, and `combine` folds a genome's terms into its
+/// fitness.
+struct BlockFitness<E, C> {
+    n_blocks: usize,
+    block_len: usize,
+    eval: E,
+    combine: C,
+}
+
+impl<E, C> BlockFitness<E, C> {
+    fn genome_len(&self) -> usize {
+        self.n_blocks * self.block_len
+    }
+
+    /// Appends the terms of `genome` to `terms` and returns the genome's
+    /// score and how many terms it reused.  `parent` holds the breeding
+    /// parent's genes and terms: a block whose genes equal the parent's
+    /// takes the parent's term instead of being evaluated, and debug builds
+    /// check it against a fresh evaluation.  A NaN score becomes `+∞`,
+    /// which already marks an invalid individual and keeps the generation
+    /// sortable.
+    fn score<B>(
+        &self,
+        genome: &[f64],
+        parent: Option<(&[f64], &[B])>,
+        terms: &mut Vec<B>,
+    ) -> (f64, u64)
+    where
+        B: Clone + PartialEq + std::fmt::Debug,
+        E: Fn(usize, &[f64]) -> B,
+        C: Fn(&[B]) -> f64,
+    {
+        let first = terms.len();
+        let mut reused = 0;
+        for j in 0..self.n_blocks {
+            let span = j * self.block_len..(j + 1) * self.block_len;
+            let block = &genome[span.clone()];
+            match parent.filter(|(genes, _)| block == &genes[span]) {
+                Some((_, parent_terms)) => {
+                    let t = parent_terms[j].clone();
+                    #[cfg(debug_assertions)]
+                    {
+                        let fresh = (self.eval)(j, block);
+                        debug_assert!(
+                            fresh == t,
+                            "delta-fitness reuse mismatch at block {j}: {fresh:?} != {t:?}"
+                        );
+                    }
+                    reused += 1;
+                    terms.push(t);
+                }
+                None => terms.push((self.eval)(j, block)),
+            }
+        }
+        let score = (self.combine)(&terms[first..]);
+        (if score.is_nan() { f64::INFINITY } else { score }, reused)
+    }
+}
+
+/// One generation's block terms and scores.  `terms` is slot-major: slot
+/// `i`'s terms are `terms[i * n_blocks..(i + 1) * n_blocks]`.
+struct Scored<B> {
+    terms: Vec<B>,
+    scores: Vec<f64>,
+}
+
+impl<B> Default for Scored<B> {
+    fn default() -> Self {
+        Self {
+            terms: Vec::new(),
+            scores: Vec::new(),
+        }
+    }
+}
+
+/// The integer form of `rng.gen_bool(p)`.  The coin draws a word `w` and
+/// comes up heads when `(w >> 11) · 2⁻⁵³ < p`; scaling by 2⁵³ is exact, so
+/// that holds exactly when `(w >> 11) < ⌈p · 2⁵³⌉`, the threshold returned
+/// here (see [`heads`]).  `None` when `p` is not a probability, which
+/// `gen_bool` rejects.
+fn coin_threshold(p: f64) -> Option<u64> {
+    (0.0..=1.0)
+        .contains(&p)
+        .then(|| (p * (1u64 << 53) as f64).ceil() as u64)
+}
+
+/// `rng.gen_bool(p)` on the word `w`, given `threshold ==
+/// coin_threshold(p)`.
+fn heads(w: u64, threshold: u64) -> bool {
+    w >> 11 < threshold
+}
+
+/// All ones when the word `w` makes a crossover child take parent `b`'s
+/// gene, else zero.  `rng.gen_bool(0.5)` on `w` is `(w >> 11) · 2⁻⁵³ <
+/// 0.5`, which holds exactly when the top bit of `w` is clear, and then the
+/// gene comes from `a`.
+fn take_b_mask(w: u64) -> u64 {
+    ((w as i64) >> 63) as u64
+}
+
+/// Uniform crossover of `a` and `b` into `child`, one draw per gene as in
+/// [`GeneticAlgorithm::crossover`], with each gene picked by a
+/// [`take_b_mask`] blend of the parents' bits rather than a branch.
+fn crossover_into(rng: &mut StdRng, child: &mut [f64], a: &[f64], b: &[f64]) {
+    for ((c, x), y) in child.iter_mut().zip(a).zip(b) {
+        let take_b = take_b_mask(rng.next_u64());
+        *c = f64::from_bits((x.to_bits() & !take_b) | (y.to_bits() & take_b));
     }
 }
 
@@ -764,6 +904,82 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "p=1.5 is not a probability")]
+    fn mutation_rate_outside_the_unit_interval_is_rejected() {
+        // `gen_bool` rejects such a rate; the integer coin must not turn it
+        // into "always mutate".
+        let ga = GeneticAlgorithm::new(GaConfig {
+            mutation_rate: 1.5,
+            ..GaConfig::tiny(2)
+        });
+        ga.run(4, |_, _| vec![0.5; 4], sphere);
+    }
+
+    #[test]
+    fn nan_fitness_scores_as_an_invalid_individual() {
+        // A NaN score used to panic the generation sort.  It now scores
+        // `+∞`, like any other invalid individual.
+        let fitness = |genes: &[f64]| {
+            if genes[0] > 0.5 {
+                f64::NAN
+            } else {
+                sphere(genes)
+            }
+        };
+        let out = GeneticAlgorithm::new(GaConfig::tiny(3)).run(
+            3,
+            |rng, _| (0..3).map(|_| rng.gen()).collect(),
+            fitness,
+        );
+        assert!(!out.best_fitness.is_nan());
+        assert!(out.best_genes[0] <= 0.5, "a NaN genome won: {out:?}");
+        assert!(out.history.iter().all(|h| !h.is_nan()), "{out:?}");
+        assert!(out.mean_history.iter().all(|m| !m.is_nan()), "{out:?}");
+    }
+
+    /// An RNG that always draws the same word, to put a chosen word under
+    /// `gen_bool`.
+    struct Word(u64);
+
+    impl RngCore for Word {
+        fn next_u64(&mut self) -> u64 {
+            self.0
+        }
+    }
+
+    #[test]
+    fn integer_coins_equal_gen_bool_on_the_same_word() {
+        let mut rng = StdRng::seed_from_u64(31);
+        let random: Vec<u64> = (0..4096).map(|_| rng.next_u64()).collect();
+        for p in [0.0, 0.15, 0.2, 0.25, 0.5, 0.8, 1.0] {
+            let t = coin_threshold(p).expect("a probability");
+            // Words whose top 53 bits are just below, on and just above
+            // the threshold, with random low bits.
+            let edges: Vec<u64> = [t.wrapping_sub(1), t, t + 1]
+                .into_iter()
+                .filter(|top| *top < 1 << 53)
+                .map(|top| top << 11 | (rng.next_u64() & 0x7ff))
+                .collect();
+            assert!(!edges.is_empty(), "p {p}");
+            for &w in random.iter().chain(&edges) {
+                assert_eq!(heads(w, t), Word(w).gen_bool(p), "p {p} word {w:#018x}");
+            }
+        }
+        for p in [-0.1, 1.5, f64::NAN] {
+            assert_eq!(coin_threshold(p), None, "p {p}");
+        }
+
+        // The crossover's sign mask takes parent `a` exactly when
+        // `gen_bool(0.5)` comes up true.
+        let signs = [0, 1 << 63, (1 << 63) - 1, u64::MAX, 1 << 62];
+        for &w in random.iter().chain(&signs) {
+            let mask = take_b_mask(w);
+            assert!(mask == 0 || mask == u64::MAX, "word {w:#018x}");
+            assert_eq!(mask == 0, Word(w).gen_bool(0.5), "word {w:#018x}");
+        }
+    }
+
+    #[test]
     fn run_matches_reference_engine_and_reuses_elite_scores() {
         // `run` is `run_blocks` with one block: it must retrace the
         // historical per-genome-Vec engine exactly — same genomes, same
@@ -909,33 +1125,28 @@ mod tests {
                     ..GaConfig::second_level(seed).with_threads(threads)
                 });
                 let step = AtomicUsize::new(0);
-                let block_eval = |j: usize, block: &[f64]| TaggedTerm {
-                    value: block_term(j, block),
-                    step: step.load(Ordering::Relaxed),
-                };
-                let combine = |terms: &[TaggedTerm]| {
-                    let mut total = 0.0;
-                    for t in terms {
-                        total += t.value;
-                    }
-                    total
+                let fitness = BlockFitness {
+                    n_blocks: BLOCKS,
+                    block_len: BLOCK_LEN,
+                    eval: |j: usize, block: &[f64]| TaggedTerm {
+                        value: block_term(j, block),
+                        step: step.load(Ordering::Relaxed),
+                    },
+                    combine: |terms: &[TaggedTerm]| {
+                        let mut total = 0.0;
+                        for t in terms {
+                            total += t.value;
+                        }
+                        total
+                    },
                 };
 
                 let mut rng = StdRng::seed_from_u64(seed ^ 0xD1F7);
                 let mut genes: Vec<f64> = (0..POP * GENOME).map(|_| rng.gen()).collect();
                 let mut parents: Vec<Option<usize>> = vec![None; POP];
-                let reused_count = AtomicU64::new(0);
-                let (mut terms, _) = ga.evaluate_blocks(
-                    &genes,
-                    &[],
-                    BLOCKS,
-                    BLOCK_LEN,
-                    &[],
-                    &parents,
-                    &block_eval,
-                    &combine,
-                    &reused_count,
-                );
+                let mut terms = Scored::default();
+                let mut reused_count =
+                    ga.evaluate_blocks(&fitness, &genes, None, &parents, &mut terms);
 
                 let mut reused_terms = 0usize;
                 for s in 1..=STEPS {
@@ -956,17 +1167,15 @@ mod tests {
                             }
                         }
                     }
-                    let (t, scores) = ga.evaluate_blocks(
+                    let mut t = Scored::default();
+                    reused_count += ga.evaluate_blocks(
+                        &fitness,
                         &next,
-                        &genes,
-                        BLOCKS,
-                        BLOCK_LEN,
-                        &terms,
+                        Some((&genes, &terms)),
                         &parents,
-                        &block_eval,
-                        &combine,
-                        &reused_count,
+                        &mut t,
                     );
+                    let scores = &t.scores;
                     // Oracle: full recomputation of every block, combined in
                     // the same order.  Delta fitness must match bit for bit.
                     for slot in 0..POP {
@@ -980,10 +1189,11 @@ mod tests {
                             full.to_bits(),
                             "seed {seed} threads {threads} step {s} slot {slot}"
                         );
-                        for (j, term) in t[slot].iter().enumerate() {
+                        let slot_terms = &t.terms[slot * BLOCKS..(slot + 1) * BLOCKS];
+                        for (j, term) in slot_terms.iter().enumerate() {
                             assert_eq!(term.value.to_bits(), fresh[j].to_bits());
                         }
-                        reused_terms += t[slot].iter().filter(|term| term.step < s).count();
+                        reused_terms += slot_terms.iter().filter(|term| term.step < s).count();
                     }
                     genes = next;
                     terms = t;
@@ -994,7 +1204,7 @@ mod tests {
                 );
                 // The engine's own reuse counter agrees with the tag-based
                 // count.
-                assert_eq!(reused_count.load(Ordering::Relaxed), reused_terms as u64);
+                assert_eq!(reused_count, reused_terms as u64);
             }
         }
     }

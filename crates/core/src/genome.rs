@@ -378,49 +378,85 @@ pub fn decode_strategy(block: &[f64]) -> Strategy {
     Strategy::try_new(es, ss).expect("decoder produces disjoint ES/SS with at most two ES dims")
 }
 
-/// Allocation-free equivalent of [`decode_strategy`], used by the flat search
-/// engine's per-block fitness hot loop (which decodes millions of blocks per
-/// search).  Bit-identical to [`decode_strategy`], including its tie-breaks:
-/// equal ES scores resolve to the lower dimension index (the stable
-/// descending sort) and equal SS scores to the higher (`max_by` keeps the
-/// last maximum).  A test pins the two equal on random blocks.
+/// Allocation- and branch-free equivalent of [`decode_strategy`], used by
+/// the flat search engine's per-block fitness hot loop (which decodes
+/// millions of blocks per search).  Bit-identical to [`decode_strategy`],
+/// including its tie-breaks: equal ES scores resolve to the lower dimension
+/// index (the stable descending sort) and equal SS scores to the higher
+/// (`max_by` keeps the last maximum).
+///
+/// On random genes every threshold test and arg-max comparison is a coin
+/// flip, so the decoder takes no data-dependent branch.  Each score becomes
+/// an integer key (see [`key_above`]), and running arg-maxes over the keys
+/// update through mask blends: an ES score displaces a running top-two
+/// entry only when strictly greater (the lowest index keeps a tie), an SS
+/// score displaces the running best on `>=` (the highest index takes it).
+/// Tests pin the two decoders equal on random and tie-heavy blocks.
 pub fn decode_strategy_fast(block: &[f64]) -> Strategy {
     debug_assert_eq!(block.len(), GENES_PER_LAYER);
-    let es_scores = &block[..6];
-    let ss_scores = &block[6..12];
+    let es_scores: &[f64; 6] = block[..6].try_into().expect("six ES genes");
+    let ss_scores: &[f64; 6] = block[6..12].try_into().expect("six SS genes");
 
-    let mut first: Option<(usize, f64)> = None;
-    for (i, &s) in es_scores.iter().enumerate() {
-        if s > ES_THRESHOLD && first.is_none_or(|(_, best)| s > best) {
-            first = Some((i, s));
-        }
+    // Running top two ES keys with their dimension indices.
+    let (mut k1, mut i1, mut k2, mut i2) = (0, NO_DIM, 0, NO_DIM);
+    for (i, &s) in (0u64..).zip(es_scores) {
+        let k = key_above(s, ES_THRESHOLD);
+        let (beats1, beats2) = (k > k1, k > k2);
+        // A new first pushes the old first down to second.
+        (k2, i2) = (
+            blend(beats1, k1, blend(beats2, k, k2)),
+            blend(beats1, i1, blend(beats2, i, i2)),
+        );
+        (k1, i1) = (blend(beats1, k, k1), blend(beats1, i, i1));
     }
-    let mut second: Option<(usize, f64)> = None;
-    if let Some((fi, _)) = first {
-        for (i, &s) in es_scores.iter().enumerate() {
-            if i != fi && s > ES_THRESHOLD && second.is_none_or(|(_, best)| s > best) {
-                second = Some((i, s));
-            }
-        }
-    }
-    let es: DimSet = first
-        .into_iter()
-        .chain(second)
-        .map(|(i, _)| Dim::from_index(i))
-        .collect();
+    let es = dim_singleton(i1).union(dim_singleton(i2));
 
-    let mut ss: Option<(usize, f64)> = None;
-    for (i, &s) in ss_scores.iter().enumerate() {
-        if s > SS_THRESHOLD
-            && !es.contains(Dim::from_index(i))
-            && ss.is_none_or(|(_, best)| s >= best)
-        {
-            ss = Some((i, s));
-        }
+    // Running best SS key outside the ES dimensions.  It starts at 1, above
+    // the 0 of every non-candidate and below every candidate's key.
+    let (mut ks, mut is) = (1, NO_DIM);
+    for (i, (&s, d)) in (0u64..).zip(ss_scores.iter().zip(Dim::ALL)) {
+        let k = blend(es.contains(d), 0, key_above(s, SS_THRESHOLD));
+        let take = k >= ks;
+        (ks, is) = (blend(take, k, ks), blend(take, i, is));
     }
 
-    Strategy::try_new(es, ss.map(|(i, _)| Dim::from_index(i)))
+    Strategy::try_new(es, DIM_OR_NONE[is as usize])
         .expect("decoder produces disjoint ES/SS with at most two ES dims")
+}
+
+/// Dimension index standing for "no dimension" in [`decode_strategy_fast`].
+const NO_DIM: u64 = 6;
+
+/// `Some(Dim::ALL[i])`, or `None` at [`NO_DIM`].
+const DIM_OR_NONE: [Option<Dim>; 7] = [
+    Some(Dim::Cout),
+    Some(Dim::Cin),
+    Some(Dim::H),
+    Some(Dim::W),
+    Some(Dim::Kh),
+    Some(Dim::Kw),
+    None,
+];
+
+/// `{Dim::ALL[i]}`, or the empty set at [`NO_DIM`]: a table lookup, not a
+/// branch.
+fn dim_singleton(i: u64) -> DimSet {
+    DIM_OR_NONE.map(DimSet::from_dims)[i as usize]
+}
+
+/// The arg-max key of a gene score against a positive `threshold`: the
+/// score's bit pattern when it lies above the threshold (positive floats
+/// order like their bits), else 0, which never wins.  A NaN score is never
+/// above, as in [`decode_strategy`]'s filters.
+fn key_above(score: f64, threshold: f64) -> u64 {
+    score.to_bits() & u64::from(score > threshold).wrapping_neg()
+}
+
+/// `if take { a } else { b }` as a mask blend, which compiles to a
+/// conditional move rather than a branch the CPU would mispredict.
+fn blend(take: bool, a: u64, b: u64) -> u64 {
+    let mask = u64::from(take).wrapping_neg();
+    (a & mask) | (b & !mask)
 }
 
 #[cfg(test)]
@@ -564,6 +600,38 @@ mod tests {
             decode_strategy_fast(&[0.1; GENES_PER_LAYER]),
             decode_strategy(&[0.1; GENES_PER_LAYER])
         );
+
+        // Uniform genes almost never tie.  Draw every gene from a handful of
+        // values instead: each threshold, the next float above it, and a few
+        // values that win — so most blocks hold ties among the candidates,
+        // and scores sit exactly on and just above the thresholds.
+        let above = |t: f64| f64::from_bits(t.to_bits() + 1);
+        let values = [
+            0.2,
+            ES_THRESHOLD,
+            above(ES_THRESHOLD),
+            SS_THRESHOLD,
+            above(SS_THRESHOLD),
+            0.85,
+            0.95,
+        ];
+        let mut tied = 0;
+        for _ in 0..25_000 {
+            let block: Vec<f64> = (0..GENES_PER_LAYER)
+                .map(|_| values[rng.gen_range(0..values.len())])
+                .collect();
+            assert_eq!(
+                decode_strategy_fast(&block),
+                decode_strategy(&block),
+                "block {block:?}"
+            );
+            let ties = |scores: &[f64], t: f64| {
+                let top = scores.iter().copied().fold(t, f64::max);
+                top > t && scores.iter().filter(|s| **s == top).count() > 1
+            };
+            tied += usize::from(ties(&block[..6], ES_THRESHOLD) || ties(&block[6..], SS_THRESHOLD));
+        }
+        assert!(tied > 10_000, "only {tied} blocks tie on a top score");
     }
 
     #[test]

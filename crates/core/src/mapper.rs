@@ -735,6 +735,13 @@ impl<'a> Mars<'a> {
         // second-level key contributes exactly once — the total is a pure
         // function of the set of keys searched, hence thread invariant.
         blocks_reused.fetch_add(outcome.blocks_reused, Relaxed);
+        // The search's term lookups, counted once: every block of every
+        // scored genome that was not reused from its parent, plus one per
+        // layer for the winner's terms below.
+        let layers = compute_layers.len() as u64;
+        evaluator.count_term_lookups(
+            outcome.evaluations as u64 * layers - outcome.blocks_reused + layers,
+        );
 
         let strategies: BTreeMap<usize, Strategy> = layout
             .decode(&outcome.best_genes)
@@ -1135,6 +1142,28 @@ mod tests {
         assert_eq!(reference.stats.term_table.lookups(), 0);
         assert_eq!(reference.stats.greedy_cache.lookups(), 0);
         assert_eq!(reference.stats.blocks_reused, 0);
+    }
+
+    #[test]
+    fn work_counters_count_every_term_lookup_once() {
+        // AlexNet at `fast(40)` looks terms up 9 004 times, one per
+        // `fast_term` call outside the debug-only reuse cross-check, which
+        // is no lookup the search needs.  Counting them in bulk, once per
+        // second-level search and greedy scan, must give exactly that, at
+        // every thread count; so must the other work counters.
+        let net = zoo::alexnet(1000);
+        let topo = presets::f1_16xlarge();
+        let catalog = Catalog::standard_three();
+        for threads in [1, 4] {
+            let stats = Mars::new(&net, &topo, &catalog)
+                .with_config(SearchConfig::fast(40).with_threads(threads))
+                .search()
+                .stats;
+            assert_eq!(stats.term_table.lookups(), 9_004, "threads {threads}");
+            assert_eq!(stats.term_table.misses, 4_685);
+            assert_eq!(stats.greedy_cache.lookups(), 82);
+            assert_eq!(stats.blocks_reused, 1_074);
+        }
     }
 
     #[test]

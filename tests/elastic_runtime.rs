@@ -12,7 +12,7 @@ use mars::serve::Trace;
 const DEFAULT_SEED: u64 = 42;
 
 /// A reduced-budget runtime config so the acceptance suite stays fast; the
-/// full fast-budget comparison lives in the `#[ignore]`d golden test
+/// full fast-budget comparison lives in the golden test
 /// (`golden_table_elastic_goodput`).
 fn tiny_runtime(threads: usize) -> RuntimeConfig {
     let schedule = CoScheduleConfig {

@@ -121,10 +121,8 @@ fn co_schedule_is_bit_identical_across_one_and_four_threads() {
     }
 }
 
-/// The heavier bundled mixes also win at the default seed; run with
-/// `cargo test -- --include-ignored` (the scheduled nightly workflow does).
+/// The heavier bundled mixes also win at the default seed.
 #[test]
-#[ignore = "heavier mixes; exercised by the nightly --include-ignored matrix"]
 fn heavier_bundled_mixes_also_beat_sequential_exclusive() {
     for mix in [MixZoo::ResNetSurf, MixZoo::HeteroTriple] {
         let (_, result) = run(mix, 1);
