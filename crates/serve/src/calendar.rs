@@ -1,27 +1,26 @@
-//! A bucketed calendar event queue for the fleet-scale simulation engine.
+//! The event queue of the fleet-scale simulation engine.
 //!
 //! The serving simulator's event loop needs a priority queue of *lane wake
 //! hints* — "lane `w` may dispatch at or after time `t`" — with a strict
 //! deterministic order even when hints collide on the same instant.  A
-//! [`CalendarQueue`] stores events in an array of fixed-width time buckets
-//! (Brown's calendar-queue scheme, the classic discrete-event structure):
-//! insertion drops an event into `bucket = ⌊time / width⌋`, and popping scans
-//! forward from a cursor that only ever has to re-visit a bucket when an
-//! event is inserted behind it.  With bucket widths matched to the event
-//! density, both operations are amortised O(1) — no per-event heap
-//! percolation, no allocation beyond the bucket vectors themselves.
+//! [`CalendarQueue`] is a binary min-heap of `(time, lane, seq)` keys, the
+//! time stored as `u64` bits whose unsigned order is [`f64::total_cmp`]
+//! order: insert and pop are O(log n) in the number of queued events, with
+//! no tuning to the event density and no allocation once the heap has grown
+//! to the engine's working size.
 //!
 //! Ordering is total and deterministic: events pop by
 //! `(time, lane, seq)` with times compared via [`f64::total_cmp`].  Two
 //! events at the *same* instant pop lowest-lane first — exactly the
 //! tie-break the legacy linear scan applied (`start < s` keeps the first,
 //! i.e. lowest, workload index), so an engine built on this queue reproduces
-//! the scan's dispatch order bit for bit.
+//! the scan's dispatch order bit for bit.  Events with equal keys are
+//! identical, so the heap's arbitrary order among them is unobservable.
 //!
 //! ```
 //! use mars_serve::calendar::CalendarQueue;
 //!
-//! let mut q = CalendarQueue::new(1.0, 8);
+//! let mut q = CalendarQueue::new();
 //! q.insert(2.5, 1, 0);
 //! q.insert(0.5, 0, 0);
 //! q.insert(2.5, 0, 0); // same instant as lane 1: lane 0 pops first
@@ -33,6 +32,9 @@
 //! assert_eq!(q.pop_min().unwrap().lane, 1);
 //! assert!(q.pop_min().is_none());
 //! ```
+
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// One scheduled wake event: lane `lane` may act at or after `time`.
 ///
@@ -50,12 +52,16 @@ pub struct Event {
     pub seq: u32,
 }
 
+/// The heap key: `(order_bits(time), lane, seq)`.
+type Key = (u64, u32, u32);
+
 impl Event {
-    /// The deterministic total order: `(time, lane, seq)` ascending.
-    fn key(&self) -> (u64, u32, u32) {
-        // total_cmp order of finite non-negative f64s equals their bit
-        // order; going through bits keeps the key `Ord` and branch-free.
-        (order_bits(self.time), self.lane, self.seq)
+    fn from_key((bits, lane, seq): Key) -> Self {
+        Event {
+            time: time_of(bits),
+            lane,
+            seq,
+        }
     }
 }
 
@@ -70,150 +76,78 @@ fn order_bits(t: f64) -> u64 {
     }
 }
 
-/// A bucketed calendar queue of [`Event`]s, ordered by `(time, lane, seq)`.
+/// The inverse of [`order_bits`]: the exact `f64` the bits came from.
+fn time_of(bits: u64) -> f64 {
+    f64::from_bits(if bits >> 63 == 1 {
+        bits & !(1 << 63)
+    } else {
+        !bits
+    })
+}
+
+/// A min-priority queue of [`Event`]s, ordered by `(time, lane, seq)`.
 ///
-/// The bucket array is sized once at construction (`width` seconds per
-/// bucket); events past the last bucket land in a catch-all final bucket, and
-/// events before time zero clamp into bucket 0, so *any* finite time is
-/// accepted — correctness never depends on the bucket geometry, only speed
-/// does.  An insert behind the cursor (a re-armed lane, a mutation waking a
-/// lane at the current clock) rewinds the cursor, so pop order stays globally
-/// correct even for non-monotone insert patterns.
+/// Any time but NaN is accepted — negative, `±∞` and inserts behind the
+/// last pop (a re-armed lane, a mutation waking a lane at the current
+/// clock) included — and pop order is globally correct for any interleaving
+/// of inserts and pops.
 ///
 /// ```
 /// use mars_serve::calendar::CalendarQueue;
 ///
-/// // Same-instant events pop by (lane, seq), and an insert *behind* the
-/// // cursor is found again — the cursor rewinds rather than skipping it.
-/// let mut q = CalendarQueue::new(0.25, 4);
+/// // An insert *behind* the last pop is the next to pop.
+/// let mut q = CalendarQueue::new();
 /// q.insert(0.9, 3, 7);
 /// assert_eq!(q.pop_min().unwrap().lane, 3);
-/// q.insert(0.1, 2, 1); // behind the popped bucket
+/// q.insert(0.1, 2, 1);
 /// assert_eq!(q.pop_min().unwrap().lane, 2);
 /// assert!(q.is_empty());
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct CalendarQueue {
-    /// `buckets[i]` holds events with `time ∈ [i·width, (i+1)·width)`
-    /// (unsorted; the pop scan finds the bucket minimum).
-    buckets: Vec<Vec<Event>>,
-    /// Bucket width in seconds.
-    width: f64,
-    /// First bucket that may be non-empty; only rewound by inserts.
-    cursor: usize,
-    len: usize,
+    heap: BinaryHeap<Reverse<Key>>,
 }
 
 impl CalendarQueue {
-    /// Creates a queue with `buckets` buckets of `width` seconds each.
-    ///
-    /// `width` must be positive and finite; `buckets` is clamped below at 1.
-    /// Events at or past `buckets × width` share the final (catch-all)
-    /// bucket.
-    pub fn new(width: f64, buckets: usize) -> Self {
-        assert!(width > 0.0 && width.is_finite(), "invalid bucket width");
-        Self {
-            buckets: vec![Vec::new(); buckets.max(1)],
-            width,
-            cursor: 0,
-            len: 0,
-        }
-    }
-
-    /// A queue sized for a simulation: buckets spanning `[0, horizon]` with
-    /// roughly `per_lane` buckets per lane (clamped into `[16, 4096]` total).
-    pub fn for_horizon(horizon: f64, lanes: usize, per_lane: usize) -> Self {
-        let buckets = (lanes.saturating_mul(per_lane)).clamp(16, 4096);
-        let width = if horizon > 0.0 && horizon.is_finite() {
-            horizon / buckets as f64
-        } else {
-            1.0
-        };
-        Self::new(width.max(f64::MIN_POSITIVE), buckets)
+    /// Creates an empty queue.
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Number of events currently queued (stale events included until
     /// popped).
     pub fn len(&self) -> usize {
-        self.len
+        self.heap.len()
     }
 
     /// `true` when no event is queued.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// The bucket index `time` falls into (clamped into the array).
-    fn bucket_of(&self, time: f64) -> usize {
-        let raw = (time / self.width).floor();
-        if raw > 0.0 {
-            // Float→int `as` casts saturate, so any time at or past the
-            // bucketed span — `+∞` included — lands in the final catch-all
-            // bucket, never wraps or truncates into an early one.
-            (raw as usize).min(self.buckets.len() - 1)
-        } else {
-            // Times before `width` — `-∞` included — clamp into bucket 0.
-            0
-        }
+        self.heap.is_empty()
     }
 
     /// Inserts an event.
     ///
     /// `time` must not be NaN: NaN has no defined place in the
     /// `(time, lane, seq)` pop order, so it is **rejected by a panic in
-    /// every build** (a release-mode NaN silently bucketed at 0 would
-    /// corrupt the pop order undetectably).  `±∞` are accepted with
-    /// saturating bucket placement — `+∞` joins the final catch-all bucket
-    /// and pops after every finite event, `-∞` clamps into bucket 0 and
-    /// pops before them ([`f64::total_cmp`] orders both correctly).
+    /// every build**.  `±∞` are accepted: `+∞` pops after every finite
+    /// event and `-∞` before them ([`f64::total_cmp`] orders both).
     ///
     /// # Panics
     ///
     /// Panics if `time` is NaN.
     pub fn insert(&mut self, time: f64, lane: u32, seq: u32) {
         assert!(!time.is_nan(), "CalendarQueue::insert: NaN event time");
-        let b = self.bucket_of(time);
-        self.buckets[b].push(Event { time, lane, seq });
-        self.len += 1;
-        if b < self.cursor {
-            self.cursor = b;
-        }
-    }
-
-    /// The `(bucket, index)` of the globally smallest event, advancing the
-    /// cursor past empty buckets as a side effect.
-    fn min_position(&mut self) -> Option<(usize, usize)> {
-        if self.len == 0 {
-            return None;
-        }
-        while self.buckets[self.cursor].is_empty() {
-            self.cursor += 1;
-        }
-        // Every event in bucket `cursor` is earlier than every event in any
-        // later bucket (same-bucket times share the bucket's window; the
-        // catch-all final bucket is only ever compared within itself), so
-        // the bucket-local minimum is the global one.
-        let bucket = &self.buckets[self.cursor];
-        let idx = bucket
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, e)| e.key())
-            .map(|(i, _)| i)
-            .expect("non-empty bucket");
-        Some((self.cursor, idx))
+        self.heap.push(Reverse((order_bits(time), lane, seq)));
     }
 
     /// The smallest event without removing it.
-    pub fn peek_min(&mut self) -> Option<Event> {
-        self.min_position().map(|(b, i)| self.buckets[b][i])
+    pub fn peek_min(&self) -> Option<Event> {
+        self.heap.peek().map(|&Reverse(key)| Event::from_key(key))
     }
 
     /// Removes and returns the smallest event.
     pub fn pop_min(&mut self) -> Option<Event> {
-        let (b, i) = self.min_position()?;
-        let ev = self.buckets[b].swap_remove(i);
-        self.len -= 1;
-        Some(ev)
+        self.heap.pop().map(|Reverse(key)| Event::from_key(key))
     }
 }
 
@@ -223,7 +157,7 @@ mod tests {
 
     #[test]
     fn pops_in_time_lane_seq_order() {
-        let mut q = CalendarQueue::new(0.5, 8);
+        let mut q = CalendarQueue::new();
         q.insert(1.0, 2, 0);
         q.insert(1.0, 1, 5);
         q.insert(1.0, 1, 3);
@@ -238,11 +172,11 @@ mod tests {
     }
 
     #[test]
-    fn catch_all_bucket_and_zero_clamp_accept_any_finite_time() {
-        let mut q = CalendarQueue::new(1.0, 4);
-        q.insert(1e9, 0, 0); // far past the last bucket
-        q.insert(7.0, 1, 0); // also in the catch-all bucket
-        q.insert(-3.0, 2, 0); // clamps into bucket 0
+    fn far_future_and_negative_times_pop_in_order() {
+        let mut q = CalendarQueue::new();
+        q.insert(1e9, 0, 0);
+        q.insert(7.0, 1, 0);
+        q.insert(-3.0, 2, 0);
         assert_eq!(q.pop_min().unwrap().lane, 2);
         assert_eq!(q.pop_min().unwrap().lane, 1);
         assert_eq!(q.pop_min().unwrap().lane, 0);
@@ -251,26 +185,24 @@ mod tests {
     #[test]
     #[should_panic(expected = "NaN event time")]
     fn nan_event_time_is_rejected_in_every_build() {
-        let mut q = CalendarQueue::new(1.0, 4);
+        let mut q = CalendarQueue::new();
         q.insert(f64::NAN, 0, 0);
     }
 
     #[test]
-    fn infinite_times_saturate_to_the_correct_end_buckets() {
-        let mut q = CalendarQueue::new(1.0, 4);
-        q.insert(f64::INFINITY, 0, 0); // catch-all bucket, pops last
+    fn infinite_times_pop_at_the_correct_ends() {
+        let mut q = CalendarQueue::new();
+        q.insert(f64::INFINITY, 0, 0); // pops last
         q.insert(2.0, 1, 0);
-        q.insert(f64::NEG_INFINITY, 2, 0); // bucket 0, pops first
+        q.insert(f64::NEG_INFINITY, 2, 0); // pops first
         q.insert(0.5, 3, 0);
         let order: Vec<u32> = std::iter::from_fn(|| q.pop_min()).map(|e| e.lane).collect();
         assert_eq!(order, vec![2, 3, 1, 0]);
     }
 
     #[test]
-    fn insert_at_current_bucket_boundary_is_found() {
-        // Pop from bucket 3, then insert exactly at that bucket's floor —
-        // the cursor must not have moved past it.
-        let mut q = CalendarQueue::new(1.0, 8);
+    fn inserts_behind_the_last_pop_are_found() {
+        let mut q = CalendarQueue::new();
         q.insert(3.7, 0, 0);
         assert_eq!(q.pop_min().unwrap().time, 3.7);
         q.insert(3.0, 1, 0);
@@ -282,7 +214,7 @@ mod tests {
 
     #[test]
     fn peek_matches_pop() {
-        let mut q = CalendarQueue::for_horizon(10.0, 4, 8);
+        let mut q = CalendarQueue::new();
         for (i, t) in [4.2, 0.1, 9.9, 4.2].into_iter().enumerate() {
             q.insert(t, i as u32, 0);
         }

@@ -370,20 +370,21 @@ impl LlmLane {
     /// Completes the iteration that ends at `now` (continuous mode): new
     /// members finish their prefill (first token accepted), decode members
     /// accept one token, and finished sequences retire immediately.
+    /// `running` is compacted in place, visiting members in order, so
+    /// finished sequences retire in `running` order with no allocation.
     fn finish_iteration(&mut self, now: f64) {
         self.iter_new.clear();
-        let members = std::mem::take(&mut self.running);
-        let mut still_running = Vec::with_capacity(members.len());
-        for idx in members {
+        let mut running = std::mem::take(&mut self.running);
+        running.retain(|&idx| {
             let d = &mut self.arena.decoded[idx as usize];
             *d += 1; // prefill emits the first token; decode emits one more
-            if *d >= self.requests[idx as usize].output_tokens {
+            let done = *d >= self.requests[idx as usize].output_tokens;
+            if done {
                 self.retire(idx, now);
-            } else {
-                still_running.push(idx);
             }
-        }
-        self.running = still_running;
+            !done
+        });
+        self.running = running;
         self.in_flight = false;
     }
 
@@ -610,7 +611,7 @@ impl LlmSimState {
                 )
             })
             .collect();
-        let mut calendar = CalendarQueue::for_horizon(horizon, lanes.len().max(1), 64);
+        let mut calendar = CalendarQueue::new();
         // Seed each lane's first wake at its first arrival.
         for (w, lane) in lanes.iter().enumerate() {
             if let Some(first) = lane.requests.first() {

@@ -233,6 +233,18 @@ pub enum ServeError {
     /// The fault schedule handed to a replay is invalid (see
     /// [`validate_faults`](mars_model::validate_faults)).
     Traffic(TrafficError),
+    /// Two placements share an accelerator, or one lists it twice: the
+    /// engine needs disjoint partitions (each accelerator backs at most one
+    /// lane).
+    OverlappingPartitions {
+        /// The accelerator listed more than once.
+        accel: AccelId,
+        /// The first workload whose placement lists it.
+        first: usize,
+        /// The workload that lists it again (equal to `first` when one
+        /// placement lists it twice).
+        second: usize,
+    },
 }
 
 impl std::fmt::Display for ServeError {
@@ -267,6 +279,14 @@ impl std::fmt::Display for ServeError {
                 "workload {workload}'s arrival stream is not sorted inside [0, horizon)"
             ),
             ServeError::Traffic(e) => write!(f, "invalid fault schedule: {e}"),
+            ServeError::OverlappingPartitions {
+                accel,
+                first,
+                second,
+            } => write!(
+                f,
+                "{accel} is listed by workload {first} and again by workload {second}; partitions must be disjoint"
+            ),
         }
     }
 }
@@ -389,49 +409,50 @@ impl ServeReport {
     }
 }
 
-/// Nearest-rank percentile of an unsorted latency sample, in milliseconds.
-///
-/// Degenerate sample sizes get explicit, documented answers instead of
-/// falling out of the rank arithmetic:
-///
-/// * **0 samples** → `0.0` for every `q` — an explicit "nothing completed"
-///   marker, never `NaN` or a value interpolated off nothing.
-/// * **1 sample** → that sample for every `q`: with a single observation the
-///   p50, p95 and p99 are all exactly it (nearest-rank never interpolates,
-///   so no synthetic spread is invented around a lone point).
-///
-/// `q` is clamped into `[0, 1]`; `q = 0` means "the smallest sample" (rank
-/// is floored at 1).
-#[cfg_attr(not(test), allow(dead_code))] // hot paths use percentile_triple_ms
-pub(crate) fn percentile_ms(latencies: &mut [f64], q: f64) -> f64 {
-    latencies.sort_by(f64::total_cmp);
-    sorted_percentile_ms(latencies, q)
+/// The zero-based index of the nearest-rank `q` quantile of `n >= 1`
+/// sorted samples.
+fn nearest_rank(q: f64, n: usize) -> usize {
+    ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n) - 1
 }
 
-/// [`percentile_ms`] for a sample that is **already sorted** by
-/// [`f64::total_cmp`]: pure rank arithmetic and an index, no sort.
-pub(crate) fn sorted_percentile_ms(sorted: &[f64], q: f64) -> f64 {
-    match sorted.len() {
-        0 => 0.0,
-        1 => sorted[0] * 1e3,
-        n => {
-            let rank = ((q.clamp(0.0, 1.0) * n as f64).ceil() as usize).clamp(1, n);
-            sorted[rank - 1] * 1e3
-        }
-    }
-}
-
-/// The (p50, p95, p99) triple of an unsorted sample, sorting **once** and
-/// indexing three times.  Bit-identical to three [`percentile_ms`] calls
-/// (re-sorting sorted data is the identity), but ~3x cheaper on the ~100k+
-/// sample vectors the fleet reports aggregate.
+/// The (p50, p95, p99) triple of an unsorted sample, in milliseconds, by
+/// selection instead of a sort: O(n) where a sort is O(n log n).
+///
+/// It selects the p50 rank over the whole slice, then the p95 rank in the
+/// part right of it, then the p99 rank right of that; equal ranks reuse the
+/// value already found.  (Low rank first: the later selections run on the
+/// upper half and the top 5%, about half the work of selecting p99 first.)
+/// Under [`f64::total_cmp`] only bit-identical values compare equal, so the
+/// element selection puts at a rank is, bit for bit, the one a sort puts
+/// there: the triple equals three calls of the sort-based `percentile_ms`
+/// oracle in this module's tests, degenerate sizes included (0 samples →
+/// `0.0`, 1 sample → that sample).
+///
+/// The slice is left partly ordered, not sorted.  Every caller passes a
+/// buffer it drops afterwards, so nothing observes the order.
 pub(crate) fn percentile_triple_ms(latencies: &mut [f64]) -> (f64, f64, f64) {
-    latencies.sort_by(f64::total_cmp);
-    (
-        sorted_percentile_ms(latencies, 0.50),
-        sorted_percentile_ms(latencies, 0.95),
-        sorted_percentile_ms(latencies, 0.99),
-    )
+    let n = latencies.len();
+    if n == 0 {
+        return (0.0, 0.0, 0.0);
+    }
+    let [r50, r95, r99] = [0.50, 0.95, 0.99].map(|q| nearest_rank(q, n));
+    // Each selection leaves the ranks above it in `above`, which starts at
+    // rank `r + 1` of the whole slice.
+    let (_, &mut p50, above_p50) = latencies.select_nth_unstable_by(r50, f64::total_cmp);
+    let (p95, above_p95) = if r95 == r50 {
+        (p50, above_p50)
+    } else {
+        let (_, &mut p95, above) = above_p50.select_nth_unstable_by(r95 - r50 - 1, f64::total_cmp);
+        (p95, above)
+    };
+    let p99 = if r99 == r95 {
+        p95
+    } else {
+        *above_p95
+            .select_nth_unstable_by(r99 - r95 - 1, f64::total_cmp)
+            .1
+    };
+    (p50 * 1e3, p95 * 1e3, p99 * 1e3)
 }
 
 /// One dispatched batch, as reported by [`SimState::step`].
@@ -729,7 +750,7 @@ impl Lane {
 /// # Fleet-scale engine
 ///
 /// Since the fleet rewrite this state is event-driven rather than
-/// scan-driven: a bucketed [`CalendarQueue`] holds one *wake hint* per lane
+/// scan-driven: a binary-heap [`CalendarQueue`] holds one *wake hint* per lane
 /// — a proven lower bound on the lane's next dispatch instant — so
 /// `run_until` touches only the lanes that can actually act before the
 /// bound, and `step` pops the globally-earliest dispatch instead of
@@ -740,9 +761,11 @@ impl Lane {
 /// engines bit-identical across every bundled mix, policy and fault
 /// scenario.
 ///
-/// Like the legacy loop, the engine assumes the co-schedule's partitions are
+/// Like the legacy loop, the engine needs the co-schedule's partitions to be
 /// **disjoint** (each accelerator backs at most one lane at a time) — the
-/// invariant the co-scheduler guarantees — so lanes never interact except
+/// invariant the co-scheduler guarantees, and which construction and
+/// [`apply_placements`](SimState::apply_placements) check
+/// ([`ServeError::OverlappingPartitions`]) — so lanes never interact except
 /// through explicit faults and re-placements.
 ///
 /// The elastic runtime (`mars-runtime`) builds directly on the resumable
@@ -819,8 +842,8 @@ impl SimState {
     ///
     /// # Errors
     ///
-    /// Rejects mismatched input shapes and degenerate knobs — see
-    /// [`ServeError`].
+    /// Rejects mismatched input shapes, degenerate knobs and overlapping
+    /// partitions — see [`ServeError`].
     pub fn new(
         co: &CoScheduleResult,
         profiles: &[TrafficProfile],
@@ -865,7 +888,7 @@ impl SimState {
                     sla_seconds: profiles[w].sla_factor * latency,
                     accels: placement.accels.clone().into(),
                     busy_slots: busy_slots_of(&accel_busy, &placement.accels),
-                    arena: RequestArena::new(trace.arrivals[w].clone().into()),
+                    arena: RequestArena::new(Arc::from(trace.arrivals[w].as_slice())),
                     free: 0.0,
                     busy: 0.0,
                     batches: 0,
@@ -886,7 +909,7 @@ impl SimState {
             config: *config,
             horizon: trace.horizon_seconds,
             clock: 0.0,
-            events: CalendarQueue::for_horizon(trace.horizon_seconds, k, 8),
+            events: CalendarQueue::new(),
             dirty: (0..k as u32).collect(),
             needs_refine: true,
             lanes,
@@ -1271,8 +1294,9 @@ impl SimState {
     ///
     /// # Errors
     ///
-    /// Rejects shape mismatches and degenerate latencies/SLA factors, like
-    /// [`SimState::new`] — the state is unchanged on error.
+    /// Rejects shape mismatches, degenerate latencies/SLA factors and
+    /// overlapping partitions, like [`SimState::new`] — the state is
+    /// unchanged on error.
     pub fn apply_placements(
         &mut self,
         co: &CoScheduleResult,
@@ -1405,7 +1429,7 @@ fn busy_slots_of(accel_busy: &[(AccelId, f64)], accels: &[AccelId]) -> Vec<u32> 
 
 /// Every check [`SimState::new`] makes, on the whole input and in this
 /// order: shapes, horizon, knobs, each lane's SLA factor and placement
-/// latency, then every arrival stream.
+/// latency, disjoint partitions, then every arrival stream.
 pub(crate) fn validate(
     co: &CoScheduleResult,
     profiles: &[TrafficProfile],
@@ -1452,7 +1476,8 @@ pub(crate) fn validate(
 }
 
 /// The per-placement service-parameter checks shared by [`SimState::new`]
-/// and [`SimState::apply_placements`] (and their reference-oracle twins).
+/// and [`SimState::apply_placements`] (and their reference-oracle twins),
+/// then the disjointness of the partitions.
 pub(crate) fn validate_service(
     co: &CoScheduleResult,
     profiles: &[TrafficProfile],
@@ -1472,6 +1497,20 @@ pub(crate) fn validate_service(
             });
         }
     }
+    // Lanes attribute busy time per accelerator and are sharded as if they
+    // never interact, so a shared accelerator would be double-booked.
+    let mut owner = std::collections::BTreeMap::new();
+    for (second, placement) in co.placements.iter().enumerate() {
+        for &accel in &placement.accels {
+            if let Some(first) = owner.insert(accel, second) {
+                return Err(ServeError::OverlappingPartitions {
+                    accel,
+                    first,
+                    second,
+                });
+            }
+        }
+    }
     Ok(())
 }
 
@@ -1479,6 +1518,28 @@ pub(crate) fn validate_service(
 mod tests {
     use super::*;
     use crate::testing::synthetic_co;
+
+    /// Nearest-rank percentile of an unsorted latency sample, in milliseconds,
+    /// by a full sort: the oracle [`percentile_triple_ms`] is tested against.
+    ///
+    /// Degenerate sample sizes get explicit, documented answers instead of
+    /// falling out of the rank arithmetic:
+    ///
+    /// * **0 samples** → `0.0` for every `q` — an explicit "nothing completed"
+    ///   marker, never `NaN` or a value interpolated off nothing.
+    /// * **1 sample** → that sample for every `q`: with a single observation the
+    ///   p50, p95 and p99 are all exactly it (nearest-rank never interpolates,
+    ///   so no synthetic spread is invented around a lone point).
+    ///
+    /// `q` is clamped into `[0, 1]`; `q = 0` means "the smallest sample" (rank
+    /// is floored at 1).
+    fn percentile_ms(latencies: &mut [f64], q: f64) -> f64 {
+        latencies.sort_by(f64::total_cmp);
+        match latencies.len() {
+            0 => 0.0,
+            n => latencies[nearest_rank(q, n)] * 1e3,
+        }
+    }
 
     /// One engine, validated and run to the horizon.
     fn replay(
@@ -1766,11 +1827,31 @@ mod tests {
         assert_eq!(percentile_ms(&mut many, 2.0), 3.0);
     }
 
-    /// The sort-once triple is bit-identical to three independent
-    /// [`percentile_ms`] calls, for every sample size the degenerate-case
-    /// contract distinguishes (0, 1, 2, many).
+    /// The selection triple is bit-identical to three independent
+    /// sort-based [`percentile_ms`] calls: on the sizes the degenerate-case
+    /// contract distinguishes (0, 1, 2, many); on every size up to 64 with
+    /// samples drawn from six values — signed zeros, ties, two neighbouring
+    /// `f64`s and `+∞` — so ties and signed zeros land on every rank; on
+    /// ~100k uniform samples; and on ~100k samples over three values.
     #[test]
     fn percentile_triple_matches_three_individual_calls() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        fn check(sample: &[f64]) {
+            let mut triple_input = sample.to_vec();
+            let (p50, p95, p99) = percentile_triple_ms(&mut triple_input);
+            for (q, got) in [(0.50, p50), (0.95, p95), (0.99, p99)] {
+                let mut fresh = sample.to_vec();
+                assert_eq!(
+                    got.to_bits(),
+                    percentile_ms(&mut fresh, q).to_bits(),
+                    "q={q} n={} sample={sample:?}",
+                    sample.len()
+                );
+            }
+        }
+
         let samples: [&[f64]; 4] = [
             &[],
             &[0.0075],
@@ -1780,18 +1861,26 @@ mod tests {
             ],
         ];
         for sample in samples {
-            let mut triple_input = sample.to_vec();
-            let (p50, p95, p99) = percentile_triple_ms(&mut triple_input);
-            for (q, got) in [(0.50, p50), (0.95, p95), (0.99, p99)] {
-                let mut fresh = sample.to_vec();
-                assert_eq!(
-                    got.to_bits(),
-                    percentile_ms(&mut fresh, q).to_bits(),
-                    "q={q} n={}",
-                    sample.len()
-                );
+            check(sample);
+        }
+
+        let next_above = f64::from_bits(2e-3f64.to_bits() + 1);
+        let values = [-0.0, 0.0, 1e-3, 2e-3, next_above, f64::INFINITY];
+        let mut rng = StdRng::seed_from_u64(17);
+        for n in 0..=64 {
+            for _ in 0..32 {
+                let sample: Vec<f64> = (0..n)
+                    .map(|_| values[rng.gen_range(0..values.len())])
+                    .collect();
+                check(&sample);
             }
         }
+        let uniform: Vec<f64> = (0..100_000).map(|_| rng.gen::<f64>()).collect();
+        check(&uniform);
+        let three: Vec<f64> = (0..100_000)
+            .map(|_| [1e-3, 2e-3, 3e-3][rng.gen_range(0..3usize)])
+            .collect();
+        check(&three);
     }
 
     /// A one-completion simulation reports that completion's latency as its
@@ -2104,6 +2193,62 @@ mod tests {
         sim.restore_accel(AccelId(1));
         let report = sim.finish();
         assert_eq!(report.completed, 1);
+    }
+
+    /// Overlapping partitions are a typed error at every entry point.  The
+    /// sharded replay used to accept this input, book accelerator 0 busy
+    /// for 253% of the horizon, and report a utilisation that differed in
+    /// its last bits between `MARS_THREADS=1` and `4`.
+    #[test]
+    fn overlapping_partitions_are_rejected_at_every_entry_point() {
+        let mut shared = synthetic_co(&[1.0 * MS; 8], &[1.0; 8]);
+        for p in &mut shared.placements {
+            p.accels = vec![AccelId(0), AccelId(1)];
+        }
+        let profiles = [TrafficProfile::new(200.0, 5.0); 8];
+        let trace = Trace::poisson(&profiles, 2.0, 7);
+        let config = ServeConfig::default();
+        let faults = [
+            mars_model::FaultEvent::accel_down(0.5, 0),
+            mars_model::FaultEvent::accel_restored(0.9, 0),
+        ];
+        let overlap = Err(ServeError::OverlappingPartitions {
+            accel: AccelId(0),
+            first: 0,
+            second: 1,
+        });
+
+        assert_eq!(
+            SimState::new(&shared, &profiles, &trace, &config).map(|_| ()),
+            overlap
+        );
+        for policy in [FaultPolicy::LoseInflight, FaultPolicy::RequeueInflight] {
+            let replay = crate::simulate_sharded_with_faults(
+                &shared, &profiles, &trace, &config, &faults, policy,
+            );
+            assert_eq!(replay.map(|_| ()), overlap);
+        }
+        // A re-placement onto shared accelerators is rejected and leaves the
+        // running simulation untouched.
+        let disjoint = synthetic_co(&[1.0 * MS; 8], &[1.0; 8]);
+        let mut sim = SimState::new(&disjoint, &profiles, &trace, &config).unwrap();
+        sim.run_until(0.5);
+        let before = sim.snapshot();
+        assert_eq!(sim.apply_placements(&shared, &[5.0; 8], 0.5), overlap);
+        assert_eq!(sim.snapshot(), before);
+
+        // One placement listing an accelerator twice overlaps itself.
+        let mut twice = synthetic_co(&[1.0 * MS], &[1.0]);
+        twice.placements[0].accels = vec![AccelId(1), AccelId(1)];
+        let trace = Trace::poisson(&profiles[..1], 2.0, 7);
+        assert_eq!(
+            SimState::new(&twice, &profiles[..1], &trace, &config).map(|_| ()),
+            Err(ServeError::OverlappingPartitions {
+                accel: AccelId(1),
+                first: 0,
+                second: 0,
+            })
+        );
     }
 
     fn sim_err_is_shape(

@@ -4,10 +4,10 @@
 //! The fleet engine's correctness rests on the queue popping events in
 //! exact `(time, lane, seq)` order — with [`f64::total_cmp`] time order and
 //! deterministic tie-breaks at equal instants — for *any* interleaving of
-//! inserts and pops, any bucket geometry, and times outside the bucketed
-//! span (catch-all bucket, negative clamp).  The reference model is a
-//! `BTreeMap` keyed on the same total order: every queue operation is
-//! mirrored against it and every popped event must match the map's minimum.
+//! inserts and pops, and for any non-NaN time: negative, huge, `±∞`, or
+//! behind the last pop.  The reference model is a `BTreeMap` keyed on the
+//! same total order: every queue operation is mirrored against it and every
+//! popped event must match the map's minimum.
 
 use mars_serve::calendar::CalendarQueue;
 use proptest::prelude::*;
@@ -60,32 +60,39 @@ proptest! {
 
     #[test]
     fn queue_pops_agree_with_the_ordered_map_model(
-        width in 0.01f64..2.0,
-        buckets in 1usize..48,
         ops in proptest::collection::vec(
             (0u8..100, -2.0f64..12.0, 0u32..24, 0u32..4),
             1..120,
         ),
     ) {
-        let mut queue = CalendarQueue::new(width, buckets);
+        let mut queue = CalendarQueue::new();
         let mut model = Model::default();
-        // The floor of the bucket the cursor last popped from: inserting
-        // exactly there is the regression the cursor-rewind guards against.
         let mut last_popped = 0.0f64;
 
         for (sel, t, lane, seq) in ops {
             match sel {
                 // Plain insert; coarse rounding manufactures equal-time
                 // collisions so the (lane, seq) tie-break actually fires.
-                0..=54 => {
+                0..=49 => {
                     let time = if sel % 3 == 0 { (t * 4.0).round() / 4.0 } else { t };
                     queue.insert(time, lane, seq);
                     model.insert(time, lane, seq);
                 }
-                // Insert at the *current bucket's* floor boundary — at or
-                // behind the cursor after a pop from that bucket.
-                55..=69 => {
-                    let time = (last_popped / width).floor().max(0.0) * width;
+                // Insert at or behind the last popped instant.
+                50..=59 => {
+                    let time = (last_popped * 4.0).floor() / 4.0;
+                    queue.insert(time, lane, seq);
+                    model.insert(time, lane, seq);
+                }
+                // Extreme times: ±∞, huge finite, and signed zeros.
+                60..=69 => {
+                    let time = match sel % 5 {
+                        0 => f64::INFINITY,
+                        1 => f64::NEG_INFINITY,
+                        2 => f64::MAX * (t / 12.0),
+                        3 => -0.0,
+                        _ => 0.0,
+                    };
                     queue.insert(time, lane, seq);
                     model.insert(time, lane, seq);
                 }
@@ -124,76 +131,6 @@ proptest! {
         }
 
         // Drain: the full remaining order must match, ties and all.
-        while let Some(ev) = queue.pop_min() {
-            let (bits, l, s) = model.pop_min().expect("model drains with queue");
-            prop_assert_eq!(order_bits(ev.time), bits);
-            prop_assert_eq!((ev.lane, ev.seq), (l, s));
-        }
-        prop_assert_eq!(model.len, 0);
-    }
-
-    /// Extreme-but-finite times clustered around the bucketed span
-    /// `buckets × width` — the catch-all boundary, where a mis-clamped
-    /// bucket index would scramble pop order — interleaved with in-span
-    /// times, must still pop in exact `(time, lane, seq)` order.
-    #[test]
-    fn extreme_times_near_the_catch_all_boundary_pop_in_order(
-        width in 0.01f64..2.0,
-        buckets in 1usize..48,
-        ops in proptest::collection::vec(
-            (0u8..100, -4.0f64..4.0, 0u32..16, 0u32..4),
-            1..120,
-        ),
-    ) {
-        let mut queue = CalendarQueue::new(width, buckets);
-        let mut model = Model::default();
-        let span = buckets as f64 * width;
-
-        for (sel, t, lane, seq) in ops {
-            match sel {
-                // Hug the catch-all boundary: span ± a few bucket widths.
-                0..=39 => {
-                    let time = span + t * width;
-                    queue.insert(time, lane, seq);
-                    model.insert(time, lane, seq);
-                }
-                // Huge but finite times, deep inside the catch-all bucket.
-                40..=54 => {
-                    let time = span * (2.0 + t.abs()) + f64::MAX * 1e-300 * t.abs();
-                    queue.insert(time, lane, seq);
-                    model.insert(time, lane, seq);
-                }
-                // Exactly at the span boundary (ties exercise the
-                // lane/seq order inside the catch-all bucket).
-                55..=64 => {
-                    queue.insert(span, lane, seq);
-                    model.insert(span, lane, seq);
-                }
-                // Ordinary in-span times, so cross-bucket order against the
-                // extremes is exercised too.
-                65..=79 => {
-                    let time = (t.abs() / 4.0) * span;
-                    queue.insert(time, lane, seq);
-                    model.insert(time, lane, seq);
-                }
-                _ => {
-                    let popped = queue.pop_min();
-                    let expected = model.pop_min();
-                    match (popped, expected) {
-                        (None, None) => {}
-                        (Some(ev), Some((bits, l, s))) => {
-                            prop_assert_eq!(order_bits(ev.time), bits);
-                            prop_assert_eq!((ev.lane, ev.seq), (l, s));
-                        }
-                        (got, want) => {
-                            prop_assert!(false, "pop mismatch: queue {got:?}, model {want:?}");
-                        }
-                    }
-                }
-            }
-            prop_assert_eq!(queue.len(), model.len);
-        }
-
         while let Some(ev) = queue.pop_min() {
             let (bits, l, s) = model.pop_min().expect("model drains with queue");
             prop_assert_eq!(order_bits(ev.time), bits);
