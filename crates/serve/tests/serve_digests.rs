@@ -21,6 +21,11 @@
 //!   batch event and the final report;
 //! - `llm_mix()` with `LlmTrace::draw(.., 42)` under both `BatchingMode`s
 //!   through `simulate_llm_sharded`;
+//! - the metrics JSON and the Chrome trace JSON of that LLM replay through
+//!   `simulate_llm_sharded_observed`, under both `BatchingMode`s;
+//! - one `LlmSimState` per `BatchingMode` on that mix: its report at a
+//!   quarter, half and three quarters of the horizon, then the finished
+//!   report;
 //! - the metrics JSON of one recorded `SimState` fleet run with the bundled
 //!   faults, which includes the `serve/calendar_occupancy` series.
 //!
@@ -30,10 +35,11 @@
 
 use mars_model::zoo::{llm_mix, MixZoo};
 use mars_model::{FaultEvent, FaultKind, TrafficProfile};
-use mars_obs::{metrics_json, Recorder};
+use mars_obs::{chrome_trace_json, metrics_json, Recorder};
 use mars_serve::{
-    fleet_co_schedule, simulate_llm_sharded, simulate_sharded_with_faults, BatchingMode,
-    DispatchPolicy, FaultPolicy, LlmTrace, ServeConfig, SimState, Trace,
+    fleet_co_schedule, simulate_llm_sharded, simulate_llm_sharded_observed,
+    simulate_sharded_with_faults, BatchingMode, DispatchPolicy, FaultPolicy, LlmSimState, LlmTrace,
+    ServeConfig, SimState, Trace,
 };
 use mars_topology::AccelId;
 use std::fmt::{Debug, Write};
@@ -140,6 +146,26 @@ const LLM_DIGESTS: [(BatchingMode, u64); 2] = [
     (BatchingMode::Continuous, 0x191d_2ede_d224_0864),
 ];
 
+/// `llm_mix()` per batching mode through `simulate_llm_sharded_observed`:
+/// `[metrics_json, chrome_trace_json]` of what the replay recorded.
+const LLM_EXPORT_DIGESTS: [(BatchingMode, [u64; 2]); 2] = [
+    (
+        BatchingMode::OneShot,
+        [0x31aa_f6b3_e034_5884, 0x037e_794b_3cb6_3c15],
+    ),
+    (
+        BatchingMode::Continuous,
+        [0x0c3e_da1d_84b8_5c52, 0xe7c8_8ceb_a473_137e],
+    ),
+];
+
+/// `llm_mix()` per batching mode: one `LlmSimState`'s reports at ¼, ½ and
+/// ¾ of the horizon, then its finished report, hashed in that order.
+const LLM_RESUMED_DIGESTS: [(BatchingMode, u64); 2] = [
+    (BatchingMode::OneShot, 0x8a7b_f437_1701_489f),
+    (BatchingMode::Continuous, 0xde83_42f2_82e9_9366),
+];
+
 /// `metrics_json` of the recorded fleet run with the bundled faults.
 const METRICS_DIGEST: u64 = 0xd444_8f94_260b_664b;
 
@@ -202,6 +228,42 @@ fn llm_replay_digests() {
     for (mode, pinned) in LLM_DIGESTS {
         let report = simulate_llm_sharded(&spec, &trace, mode).expect("valid LLM replay");
         assert_digest(&format!("llm {mode}"), digest_of(&report), pinned);
+    }
+}
+
+#[test]
+fn llm_export_digests() {
+    let spec = llm_mix();
+    let trace = LlmTrace::draw(&spec, SEED).expect("bundled LLM mix is valid");
+    for (mode, [metrics_pin, trace_pin]) in LLM_EXPORT_DIGESTS {
+        let recorder = Recorder::enabled();
+        simulate_llm_sharded_observed(&spec, &trace, mode, &recorder).expect("valid LLM replay");
+        let obs = recorder.take();
+        let metrics = metrics_json(&obs);
+        let chrome = chrome_trace_json(&obs);
+        assert!(metrics.contains("llm/kv_reserved/") && chrome.contains("llm/"));
+        let mut d = Digest::new();
+        d.write_str(&metrics).expect("hashing never fails");
+        assert_digest(&format!("llm {mode} metrics"), d.0, metrics_pin);
+        let mut d = Digest::new();
+        d.write_str(&chrome).expect("hashing never fails");
+        assert_digest(&format!("llm {mode} trace"), d.0, trace_pin);
+    }
+}
+
+#[test]
+fn llm_sim_state_resumed_digests() {
+    let spec = llm_mix();
+    let trace = LlmTrace::draw(&spec, SEED).expect("bundled LLM mix is valid");
+    for (mode, pinned) in LLM_RESUMED_DIGESTS {
+        let mut sim = LlmSimState::new(&spec, &trace, mode).expect("valid LLM inputs");
+        let mut d = Digest::new();
+        for quarter in 1..4 {
+            sim.run_until(trace.horizon_seconds * f64::from(quarter) / 4.0);
+            d.add(&sim.report());
+        }
+        d.add(&sim.finish());
+        assert_digest(&format!("llm {mode} resumed"), d.0, pinned);
     }
 }
 
