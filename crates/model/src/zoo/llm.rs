@@ -144,10 +144,16 @@ impl LlmWorkload {
         self.kv_bytes_per_token * tokens
     }
 
+    /// KV-cache footprint of one fully decoded request: its prompt plus its
+    /// output, summed in `u64` so no token counts can overflow.
+    pub fn request_kv_bytes(&self, prompt_tokens: u32, output_tokens: u32) -> u64 {
+        self.kv_bytes(u64::from(prompt_tokens) + u64::from(output_tokens))
+    }
+
     /// The largest KV reservation any single request of this workload can
     /// need: its maximal prompt plus maximal output, fully decoded.
     pub fn max_request_kv_bytes(&self) -> u64 {
-        self.kv_bytes((self.prompt_tokens.1 + self.output_tokens.1) as u64)
+        self.request_kv_bytes(self.prompt_tokens.1, self.output_tokens.1)
     }
 
     /// Resident bytes on every accelerator serving this workload with up to
@@ -313,6 +319,20 @@ mod tests {
             llm.weights_bytes + 4 * llm.max_request_kv_bytes()
         );
         assert!(llm.resident_bytes(5) > llm.resident_bytes(4));
+        // A `u32::MAX`-token prompt range needs its true reservation, which
+        // no lane can hold.
+        let huge = LlmWorkload {
+            prompt_tokens: (1, u32::MAX),
+            ..LlmWorkload::chat_7b()
+        };
+        let tokens = u64::from(u32::MAX) + u64::from(huge.output_tokens.1);
+        assert_eq!(huge.max_request_kv_bytes(), huge.kv_bytes(tokens));
+        let mut spec = llm_mix();
+        spec.workloads[0] = huge;
+        assert!(matches!(
+            spec.validate(),
+            Err(TrafficError::RequestExceedsKvBudget { workload: 0, .. })
+        ));
     }
 
     #[test]

@@ -120,33 +120,28 @@ pub fn simulate_sharded_observed(
 ) -> Result<ServeReport, ServeError> {
     validate(co, profiles, trace, config)?;
     validate_faults(faults, trace.horizon_seconds).map_err(ServeError::Traffic)?;
-    let lanes = run_lanes(co.placements.len(), recorder, |range, local| {
-        let mut sim = SimState::for_lanes(co, profiles, trace, config, range);
-        sim.attach(local, false);
-        drive_faults(&mut sim, faults, fault_policy);
-        sim.finish_lanes()
-    });
-    Ok(ServeReport::from_lanes(
-        config.policy,
-        trace.horizon_seconds,
-        lanes,
-    ))
-}
-
-/// Applies a fault schedule to a simulation: advance to each event's instant,
-/// then fail or restore the accelerator.  Fault instants are visited in the
-/// given order ([`validate_faults`] guarantees non-decreasing times).
-fn drive_faults(sim: &mut SimState, faults: &[FaultEvent], fault_policy: FaultPolicy) {
-    for fault in faults {
-        sim.run_until(fault.at_seconds);
-        match fault.kind {
-            FaultKind::AccelDown { accel } => {
-                sim.fail_accel(AccelId(accel), fault_policy);
+    Ok(run_lanes(
+        co.placements.len(),
+        recorder,
+        (*config, trace.horizon_seconds),
+        |range, local| {
+            let mut sim = SimState::for_lanes(co, profiles, trace, config, range);
+            sim.engine.attach(local, false);
+            // Advance to each fault's instant, then fail or restore the
+            // accelerator (`validate_faults` guarantees non-decreasing times).
+            for fault in faults {
+                sim.run_until(fault.at_seconds);
+                match fault.kind {
+                    FaultKind::AccelDown { accel } => {
+                        sim.fail_accel(AccelId(accel), fault_policy);
+                    }
+                    FaultKind::AccelRestored { accel } => sim.restore_accel(AccelId(accel)),
+                    FaultKind::LinkDegraded { .. } => {}
+                }
             }
-            FaultKind::AccelRestored { accel } => sim.restore_accel(AccelId(accel)),
-            FaultKind::LinkDegraded { .. } => {}
-        }
-    }
+            sim.engine
+        },
+    ))
 }
 
 #[cfg(test)]

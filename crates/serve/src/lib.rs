@@ -20,10 +20,15 @@
 //! [`ServeReport`] is bit-identical across `MARS_THREADS` values and repeat
 //! runs — the same determinism contract as every other MARS subsystem.
 //!
-//! Every whole-run replay — [`simulate_sharded_with_faults`] for CNN
-//! placements, [`simulate_llm_sharded`] for LLM lanes, and their `_observed`
-//! forms — validates its input once and runs its lanes as shards on the
-//! `MARS_THREADS` pool, merged into a report bit-identical to one engine's.
+//! CNN batching lanes ([`SimState`]) and LLM continuous-batching lanes
+//! ([`LlmSimState`]) run on one resumable event engine: each lane says when
+//! it next acts, a calendar queue holds one wake event per lane, and
+//! `run_until` advances each due lane in one burst up to the bound.  Every
+//! whole-run replay — [`simulate_sharded_with_faults`] for CNN placements,
+//! [`simulate_llm_sharded`] for LLM lanes, and their `_observed` forms —
+//! validates its input once (rejecting it with a [`ServeError`]) and runs
+//! its lanes as shards on the `MARS_THREADS` pool, merged into a report
+//! bit-identical to one engine's.
 //!
 //! The resumable [`SimState`] also supports *fault injection* for the
 //! elastic runtime above: [`SimState::fail_accel`] revokes the dead lane's
@@ -72,7 +77,7 @@ mod trace;
 pub use fleet::{fleet_co_schedule, simulate_sharded_observed, simulate_sharded_with_faults};
 pub use llm::{
     simulate_llm_sharded, simulate_llm_sharded_observed, BatchingMode, LlmLaneStats, LlmRequest,
-    LlmServeError, LlmServeReport, LlmSimState, LlmTrace,
+    LlmServeReport, LlmSimState, LlmTrace,
 };
 pub use report::render_serve;
 pub use sim::{
@@ -106,27 +111,4 @@ pub mod testing {
             traffic: PhasedTraffic::new(0.0, Vec::new()),
         })
     }
-}
-
-/// Replays the same trace on a healthy pool under every [`DispatchPolicy`],
-/// in [`DispatchPolicy::ALL`] order, on the lane-shard runner (see
-/// [`simulate_sharded_with_faults`]).
-///
-/// # Errors
-///
-/// Propagates the first [`ServeError`]; the inputs are validated identically
-/// for every policy, so an error from one policy is an error for all.
-pub fn compare_policies(
-    co: &mars_core::CoScheduleResult,
-    profiles: &[TrafficProfile],
-    trace: &Trace,
-    base: &ServeConfig,
-) -> Result<Vec<ServeReport>, ServeError> {
-    DispatchPolicy::ALL
-        .into_iter()
-        .map(|policy| {
-            let config = ServeConfig { policy, ..*base };
-            simulate_sharded_with_faults(co, profiles, trace, &config, &[], FaultPolicy::default())
-        })
-        .collect()
 }

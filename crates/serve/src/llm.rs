@@ -10,12 +10,12 @@
 //! module implements that loop — **continuous batching** — next to the
 //! classic **one-shot** static batch as its baseline.
 //!
-//! Mechanically, decode-phase requests *re-enter the lane queue via calendar
-//! events*: each iteration's end is a [`CalendarQueue`] event, popping it
-//! completes the iteration (tokens accepted, finished sequences retired),
-//! admission control refills the slots under the lane's KV budget, and the
-//! next iteration's end is inserted as a fresh event.  Lane generation
-//! counters make superseded events stale, exactly as in the fleet engine.
+//! Mechanically, decode-phase requests *re-enter the lane's schedule as
+//! calendar events*: each iteration's end is the lane's next wake on the
+//! serving event engine it shares with [`SimState`](crate::SimState).  The
+//! wake completes the iteration (tokens accepted, finished sequences
+//! retired), admission control refills the slots under the lane's KV budget,
+//! and the next iteration's end becomes the lane's next wake.
 //!
 //! Memory is enforced by **reservation**: admission reserves the worst-case
 //! KV footprint of the whole request (prompt plus full output) up front, so
@@ -28,9 +28,8 @@
 //! factor of the traffic phase in force at arrival), and the report is
 //! bit-identical across thread counts and repeat runs.
 
-use crate::calendar::CalendarQueue;
-use crate::lanes::{run_lanes, Lanes};
-use crate::sim::percentile_triple_ms;
+use crate::lanes::{check_streams, run_lanes, Engine, Env, Lanes, ServeLane};
+use crate::sim::{check_horizon, percentile_triple_ms, ServeError};
 use crate::trace::Trace;
 use mars_core::genome_stream_seed;
 use mars_model::zoo::{LlmSpec, LlmWorkload};
@@ -150,113 +149,28 @@ impl LlmTrace {
     }
 }
 
-/// Why an LLM simulation rejected its inputs.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LlmServeError {
-    /// The spec's workload count and the trace's stream count disagree.
-    ShapeMismatch {
-        /// Number of workloads in the spec.
-        workloads: usize,
-        /// Number of request streams in the trace.
-        streams: usize,
-    },
-    /// The spec itself is invalid (propagated from [`LlmSpec::validate`]).
-    Traffic(TrafficError),
-    /// The trace's horizon is not a positive finite number.
-    InvalidHorizon(f64),
-    /// A workload's request stream violates the [`LlmTrace`] invariant:
-    /// arrivals must be sorted, finite and inside `[0, horizon)`.
-    InvalidTrace {
-        /// Index of the offending workload.
-        workload: usize,
-    },
-}
-
-impl std::fmt::Display for LlmServeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LlmServeError::ShapeMismatch { workloads, streams } => write!(
-                f,
-                "spec has {workloads} workloads but the trace has {streams} request streams"
-            ),
-            LlmServeError::Traffic(e) => write!(f, "invalid LLM scenario: {e}"),
-            LlmServeError::InvalidHorizon(h) => write!(f, "invalid LLM trace horizon {h}"),
-            LlmServeError::InvalidTrace { workload } => write!(
-                f,
-                "workload {workload}: arrivals must be sorted and inside [0, horizon)"
-            ),
-        }
-    }
-}
-
-impl std::error::Error for LlmServeError {}
-
-impl From<TrafficError> for LlmServeError {
-    fn from(e: TrafficError) -> Self {
-        LlmServeError::Traffic(e)
-    }
-}
-
-/// Checks that `trace` lines up with `spec` and keeps the [`LlmTrace`]
-/// invariant the event loop relies on — a positive finite horizon, every
-/// stream sorted, finite and inside `[0, horizon)` — in one O(n) pass, as
-/// [`SimState::new`](crate::SimState::new) does for CNN traces.
-fn check_inputs(spec: &LlmSpec, trace: &LlmTrace) -> Result<(), LlmServeError> {
-    if spec.workloads.len() != trace.requests.len() {
-        return Err(LlmServeError::ShapeMismatch {
-            workloads: spec.workloads.len(),
-            streams: trace.requests.len(),
-        });
-    }
-    let horizon = trace.horizon_seconds;
-    if !(horizon > 0.0 && horizon.is_finite()) {
-        return Err(LlmServeError::InvalidHorizon(horizon));
-    }
-    for (w, stream) in trace.requests.iter().enumerate() {
-        let in_window = stream.iter().all(|r| (0.0..horizon).contains(&r.arrival));
-        let sorted = stream.windows(2).all(|p| p[0].arrival <= p[1].arrival);
-        if !(in_window && sorted) {
-            return Err(LlmServeError::InvalidTrace { workload: w });
-        }
-    }
-    Ok(())
-}
-
-/// Per-request lifecycle state inside a lane (struct-of-arrays, like the
-/// fleet engine's arena — but with token/phase state, and without the
-/// queue-contiguity invariant: continuous batching retires sequences out of
-/// admission order).
-#[derive(Debug, Clone, Default)]
-struct LlmArena {
-    /// Tokens accepted into the KV cache beyond the prompt (0 while waiting
-    /// or prefilling; the prefill emits the first output token).
-    decoded: Vec<u32>,
-    /// KV bytes reserved for the request while it is in flight.
-    reserved: Vec<u64>,
-    /// Completion latency, seconds (`NaN` until completed).
-    latency: Vec<f64>,
-}
-
-impl LlmArena {
-    fn with_len(n: usize) -> Self {
-        Self {
-            decoded: vec![0; n],
-            reserved: vec![0; n],
-            latency: vec![f64::NAN; n],
-        }
-    }
-}
-
 /// One workload's serving lane: a single accelerator card holding the
 /// model's weights, a KV budget, and the iteration state machine.
+///
+/// Its actions are wakes: an arrival on an idle lane, or the end of an
+/// iteration (one-shot: of a batch).  Each wake finishes the work that
+/// ended, admits what fits, and launches the next iteration, whose end is
+/// the lane's next wake — decode-phase sequences re-enter the lane's
+/// schedule that way.
 #[derive(Debug, Clone)]
-struct LlmLane {
+pub(crate) struct LlmLane {
     workload: usize,
     llm: LlmWorkload,
     requests: Vec<LlmRequest>,
-    arena: LlmArena,
+    /// Per request: tokens accepted beyond the prompt in continuous mode
+    /// (the prefill emits the first output token), and KV bytes reserved
+    /// while in flight.
+    decoded: Vec<u32>,
+    reserved: Vec<u64>,
     kv_budget: u64,
     slots: usize,
+    /// When the lane next wakes (`None`: never).
+    wake: Option<f64>,
     /// Next request index not yet pulled into the admission queue.
     next_arrival: usize,
     /// Admission queue (request indices, FCFS).
@@ -271,8 +185,6 @@ struct LlmLane {
     kv_reserved: u64,
     /// High-water mark of `kv_reserved`.
     peak_kv: u64,
-    /// Lane generation: bumped whenever a new wake supersedes the old one.
-    generation: u32,
     completed: usize,
     met_sla: usize,
     latencies: Vec<f64>,
@@ -281,24 +193,26 @@ struct LlmLane {
     /// Σ decode-phase occupancy over iterations (for the mean batch figure).
     decode_occupancy: usize,
     busy_seconds: f64,
+    /// The lane's span track (`llm/<name>`) and KV series key
+    /// (`llm/kv_reserved/<name>`), named when an enabled recorder attaches.
+    track: String,
+    kv_key: String,
 }
 
 impl LlmLane {
-    fn new(
-        workload: usize,
-        llm: LlmWorkload,
-        requests: Vec<LlmRequest>,
-        spec_budget: u64,
-        slots: usize,
-    ) -> Self {
-        let n = requests.len();
+    /// Workload `w`'s lane at time zero.
+    fn new(spec: &LlmSpec, trace: &LlmTrace, w: usize) -> Self {
+        let requests = trace.requests[w].clone();
         Self {
-            workload,
-            llm,
+            workload: w,
+            llm: spec.workloads[w].clone(),
+            // The first wake is the first arrival.
+            wake: requests.first().map(|r| r.arrival),
+            decoded: vec![0; requests.len()],
+            reserved: vec![0; requests.len()],
             requests,
-            arena: LlmArena::with_len(n),
-            kv_budget: spec_budget,
-            slots,
+            kv_budget: spec.kv_budget_bytes(w),
+            slots: spec.max_batch_slots,
             next_arrival: 0,
             queue: VecDeque::new(),
             running: Vec::new(),
@@ -306,7 +220,6 @@ impl LlmLane {
             in_flight: false,
             kv_reserved: 0,
             peak_kv: 0,
-            generation: 0,
             completed: 0,
             met_sla: 0,
             latencies: Vec::new(),
@@ -314,6 +227,8 @@ impl LlmLane {
             prefills: 0,
             decode_occupancy: 0,
             busy_seconds: 0.0,
+            track: String::new(),
+            kv_key: String::new(),
         }
     }
 
@@ -338,14 +253,14 @@ impl LlmLane {
             let req = self.requests[idx as usize];
             let need = self
                 .llm
-                .kv_bytes((req.prompt_tokens + req.output_tokens) as u64);
+                .request_kv_bytes(req.prompt_tokens, req.output_tokens);
             if self.kv_reserved + need > self.kv_budget {
                 break;
             }
             self.queue.pop_front();
             self.kv_reserved += need;
             self.peak_kv = self.peak_kv.max(self.kv_reserved);
-            self.arena.reserved[idx as usize] = need;
+            self.reserved[idx as usize] = need;
             self.running.push(idx);
             self.iter_new.push(idx);
             self.prefills += 1;
@@ -357,9 +272,8 @@ impl LlmLane {
     fn retire(&mut self, idx: u32, now: f64) {
         let req = self.requests[idx as usize];
         let latency = now - req.arrival;
-        self.arena.latency[idx as usize] = latency;
-        self.kv_reserved -= self.arena.reserved[idx as usize];
-        self.arena.reserved[idx as usize] = 0;
+        self.kv_reserved -= self.reserved[idx as usize];
+        self.reserved[idx as usize] = 0;
         self.completed += 1;
         if latency <= req.sla_seconds {
             self.met_sla += 1;
@@ -376,7 +290,7 @@ impl LlmLane {
         self.iter_new.clear();
         let mut running = std::mem::take(&mut self.running);
         running.retain(|&idx| {
-            let d = &mut self.arena.decoded[idx as usize];
+            let d = &mut self.decoded[idx as usize];
             *d += 1; // prefill emits the first token; decode emits one more
             let done = *d >= self.requests[idx as usize].output_tokens;
             if done {
@@ -393,31 +307,32 @@ impl LlmLane {
     fn finish_batch(&mut self, now: f64) {
         self.iter_new.clear();
         for idx in std::mem::take(&mut self.running) {
-            self.arena.decoded[idx as usize] = self.requests[idx as usize].output_tokens;
             self.retire(idx, now);
         }
         self.in_flight = false;
     }
 
-    /// Starts the next unit of work at `now`, returning the instant its end
-    /// event should fire, or `None` if the lane has nothing admitted.
+    /// Starts the next unit of work at `now`, returning the instant it
+    /// ends, or `None` if the lane has nothing admitted.
     fn start_work(&mut self, now: f64, mode: BatchingMode, horizon: f64) -> Option<f64> {
         if self.running.is_empty() {
             return None;
         }
         self.in_flight = true;
+        // The prefills of the newly admitted — in one-shot mode the whole
+        // batch, since every earlier member retired with its batch.
+        let prefill: f64 = self
+            .iter_new
+            .iter()
+            .map(|&i| {
+                self.llm
+                    .prefill_seconds(self.requests[i as usize].prompt_tokens)
+            })
+            .sum();
         let duration = match mode {
             BatchingMode::Continuous => {
-                // One iteration: the prefills of the newly admitted plus one
-                // decode step of everything already holding tokens.
-                let prefill: f64 = self
-                    .iter_new
-                    .iter()
-                    .map(|&i| {
-                        self.llm
-                            .prefill_seconds(self.requests[i as usize].prompt_tokens)
-                    })
-                    .sum();
+                // One iteration: the prefills plus one decode step of
+                // everything already holding tokens.
                 let decoding = self.running.len() - self.iter_new.len();
                 self.iterations += 1;
                 self.decode_occupancy += decoding;
@@ -432,14 +347,6 @@ impl LlmLane {
                 // The whole batch runs to completion: every prefill, then
                 // enough decode iterations for the slowest member, with all
                 // slots held throughout.
-                let prefill: f64 = self
-                    .running
-                    .iter()
-                    .map(|&i| {
-                        self.llm
-                            .prefill_seconds(self.requests[i as usize].prompt_tokens)
-                    })
-                    .sum();
                 let longest = self
                     .running
                     .iter()
@@ -455,6 +362,118 @@ impl LlmLane {
         let end = now + duration;
         self.busy_seconds += (end.min(horizon) - now.min(horizon)).max(0.0);
         Some(end)
+    }
+
+    /// The wake at `now`: finishes the work that ended, admits what fits,
+    /// launches the next unit of work and returns the next wake.
+    fn wake_at(&mut self, now: f64, env: &Env<BatchingMode>) -> Option<f64> {
+        if self.in_flight {
+            match env.knobs {
+                BatchingMode::Continuous => self.finish_iteration(now),
+                BatchingMode::OneShot => self.finish_batch(now),
+            }
+        }
+        self.pull_arrivals(now);
+        self.admit();
+        let recorder = &env.recorder;
+        if recorder.is_enabled() {
+            recorder.point(&self.kv_key, now, self.kv_reserved as f64);
+        }
+        let Some(end) = self.start_work(now, env.knobs, env.horizon) else {
+            // Idle: wake at the next arrival.
+            return self.requests.get(self.next_arrival).map(|r| r.arrival);
+        };
+        if recorder.is_enabled() {
+            // `iter_new` still holds this iteration's prefilling members
+            // (cleared when the iteration finishes), so the phase
+            // composition is readable right after launch.
+            let prefilling = self.iter_new.len();
+            let phase = match (prefilling > 0, self.running.len() > prefilling) {
+                (true, true) => "prefill+decode",
+                (true, false) => "prefill",
+                _ => "decode",
+            };
+            recorder.span(&self.track, phase, now, end);
+        }
+        Some(end)
+    }
+}
+
+impl ServeLane for LlmLane {
+    type Knobs = BatchingMode;
+    type Stats = LlmLaneStats;
+    type Report = LlmServeReport;
+    const AT_BOUND: bool = true;
+
+    fn advance(&mut self, env: &mut Env<BatchingMode>, bound: f64) -> Option<f64> {
+        while let Some(now) = self.wake.filter(|&t| t <= bound) {
+            self.wake = self.wake_at(now, env);
+        }
+        self.wake
+    }
+
+    fn name_tracks(&mut self) {
+        self.track = format!("llm/{}", self.llm.name);
+        self.kv_key = format!("llm/kv_reserved/{}", self.llm.name);
+    }
+
+    fn stats(&self) -> LlmLaneStats {
+        let mut sample = self.latencies.clone();
+        let (p50_ms, p95_ms, p99_ms) = percentile_triple_ms(&mut sample);
+        LlmLaneStats {
+            workload: self.workload,
+            name: self.llm.name.clone(),
+            requests: self.requests.len(),
+            completed: self.completed,
+            met_sla: self.met_sla,
+            prefills: self.prefills,
+            iterations: self.iterations,
+            mean_running: if self.iterations > 0 {
+                self.decode_occupancy as f64 / self.iterations as f64
+            } else {
+                0.0
+            },
+            p50_ms,
+            p95_ms,
+            p99_ms,
+            busy_seconds: self.busy_seconds,
+            peak_kv_bytes: self.peak_kv,
+            kv_budget_bytes: self.kv_budget,
+        }
+    }
+
+    fn latencies(&self) -> &[f64] {
+        &self.latencies
+    }
+
+    fn record_gauges(&self, recorder: &Recorder) {
+        let name = &self.llm.name;
+        recorder.gauge_max(&format!("llm/kv_peak_bytes/{name}"), self.peak_kv as f64);
+        recorder.gauge_max(&format!("llm/busy_seconds/{name}"), self.busy_seconds);
+    }
+
+    fn report(
+        mode: BatchingMode,
+        horizon_seconds: f64,
+        lanes: Lanes<LlmLaneStats>,
+    ) -> LlmServeReport {
+        let Lanes {
+            stats: per_workload,
+            mut latencies,
+            ..
+        } = lanes;
+        let (p50_ms, p95_ms, p99_ms) = percentile_triple_ms(&mut latencies);
+        LlmServeReport {
+            mode,
+            horizon_seconds,
+            total_requests: per_workload.iter().map(|s| s.requests).sum(),
+            completed: per_workload.iter().map(|s| s.completed).sum(),
+            goodput: per_workload.iter().map(|s| s.met_sla).sum(),
+            p50_ms,
+            p95_ms,
+            p99_ms,
+            per_workload,
+        }
     }
 }
 
@@ -517,60 +536,18 @@ pub struct LlmServeReport {
     pub per_workload: Vec<LlmLaneStats>,
 }
 
-impl LlmServeReport {
-    /// Assembles the report from finished lanes in lane order: the one
-    /// place an `LlmServeReport` is built, for a single engine and for
-    /// merged shards alike.
-    pub(crate) fn from_lanes(
-        mode: BatchingMode,
-        horizon_seconds: f64,
-        lanes: Lanes<LlmLaneStats>,
-    ) -> Self {
-        let Lanes {
-            stats: per_workload,
-            mut latencies,
-            ..
-        } = lanes;
-        let (p50_ms, p95_ms, p99_ms) = percentile_triple_ms(&mut latencies);
-        LlmServeReport {
-            mode,
-            horizon_seconds,
-            total_requests: per_workload.iter().map(|s| s.requests).sum(),
-            completed: per_workload.iter().map(|s| s.completed).sum(),
-            goodput: per_workload.iter().map(|s| s.met_sla).sum(),
-            p50_ms,
-            p95_ms,
-            p99_ms,
-            per_workload,
-        }
-    }
-}
-
 /// The resumable LLM serving simulation over one [`LlmSpec`] and its drawn
 /// [`LlmTrace`].
 ///
-/// Lanes are independent (one workload per accelerator card), but share one
-/// [`CalendarQueue`] ordered by `(time, lane, seq)` — iteration ends are
-/// calendar events, and decode-phase sequences re-enter the lane's schedule
-/// by inserting the next iteration's end.  All state is plain data, so
-/// checkpoint/restore is `Clone`, as for the fleet engine.
+/// Lanes are independent (one workload per accelerator card) and run on the
+/// event engine [`SimState`](crate::SimState) runs on: each lane's next
+/// wake — an arrival on an idle lane, or the end of the running iteration —
+/// is one calendar event, and [`run_until`](LlmSimState::run_until)
+/// advances each due lane through all its wakes up to the bound.  All state
+/// is plain data, so checkpoint/restore is `Clone`, as for the fleet engine.
 #[derive(Debug, Clone)]
 pub struct LlmSimState {
-    mode: BatchingMode,
-    horizon: f64,
-    lanes: Vec<LlmLane>,
-    calendar: CalendarQueue,
-    clock: f64,
-    /// Observability sink: prefill/decode phase spans and KV reservation
-    /// levels land here, keyed by workload name.  Lanes are independent, so
-    /// everything recorded is lane-local and merges bit-identically across
-    /// shard splits.  Disabled (a null check) by default.
-    recorder: Recorder,
-    /// Per-lane span tracks (`llm/<name>`) and KV series keys
-    /// (`llm/kv_reserved/<name>`), built once when an enabled recorder
-    /// attaches.
-    tracks: Vec<String>,
-    kv_keys: Vec<String>,
+    engine: Engine<LlmLane>,
 }
 
 impl LlmSimState {
@@ -578,56 +555,16 @@ impl LlmSimState {
     ///
     /// # Errors
     ///
-    /// Rejects spec/trace shape mismatches, a horizon that is not positive
-    /// and finite, and request streams that are not sorted, finite and
-    /// inside `[0, horizon)`.
-    pub fn new(
-        spec: &LlmSpec,
-        trace: &LlmTrace,
-        mode: BatchingMode,
-    ) -> Result<Self, LlmServeError> {
-        check_inputs(spec, trace)?;
-        Ok(Self::for_lanes(spec, trace, mode, 0..spec.workloads.len()))
-    }
-
-    /// Builds the initial state of the lanes `range` of already-validated
-    /// inputs — a lane shard, or every lane.  Lane `w` keeps its global
-    /// workload index `range.start + w`.
-    pub(crate) fn for_lanes(
-        spec: &LlmSpec,
-        trace: &LlmTrace,
-        mode: BatchingMode,
-        range: Range<usize>,
-    ) -> Self {
-        let horizon = trace.horizon_seconds;
-        let lanes: Vec<LlmLane> = range
-            .map(|w| {
-                LlmLane::new(
-                    w,
-                    spec.workloads[w].clone(),
-                    trace.requests[w].clone(),
-                    spec.kv_budget_bytes(w),
-                    spec.max_batch_slots,
-                )
-            })
-            .collect();
-        let mut calendar = CalendarQueue::new();
-        // Seed each lane's first wake at its first arrival.
-        for (w, lane) in lanes.iter().enumerate() {
-            if let Some(first) = lane.requests.first() {
-                calendar.insert(first.arrival, w as u32, 0);
-            }
-        }
-        Self {
-            mode,
-            horizon,
-            lanes,
-            calendar,
-            clock: 0.0,
-            recorder: Recorder::disabled(),
-            tracks: Vec::new(),
-            kv_keys: Vec::new(),
-        }
+    /// Rejects, in this order: shape mismatches, a horizon that is not
+    /// positive and finite, zero batch slots, a spec that fails
+    /// [`LlmSpec::validate`], then — in one pass over the requests — a
+    /// request whose KV need exceeds its lane's budget and arrivals that are
+    /// not sorted, finite and inside `[0, horizon)` (see [`ServeError`]).
+    pub fn new(spec: &LlmSpec, trace: &LlmTrace, mode: BatchingMode) -> Result<Self, ServeError> {
+        validate(spec, trace)?;
+        Ok(Self {
+            engine: engine(spec, trace, mode, 0..spec.workloads.len()),
+        })
     }
 
     /// Attaches an observability recorder: per-lane prefill/decode phase
@@ -635,165 +572,93 @@ impl LlmSimState {
     /// quantity derives from the simulated clock, so attaching a recorder
     /// never changes the report.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        if recorder.is_enabled() {
-            let names = self.lanes.iter().map(|lane| &lane.llm.name);
-            self.tracks = names.clone().map(|n| format!("llm/{n}")).collect();
-            self.kv_keys = names.map(|n| format!("llm/kv_reserved/{n}")).collect();
-        }
-        self.recorder = recorder;
+        self.engine.attach(recorder, false);
         self
     }
 
-    /// Records the final per-lane gauges (peak KV, busy seconds); idempotent
-    /// under repeated reports because the values are monotone.
-    fn record_lane_gauges(&self) {
-        if self.recorder.is_enabled() {
-            for lane in &self.lanes {
-                self.recorder.gauge_max(
-                    &format!("llm/kv_peak_bytes/{}", lane.llm.name),
-                    lane.peak_kv as f64,
-                );
-                self.recorder.gauge_max(
-                    &format!("llm/busy_seconds/{}", lane.llm.name),
-                    lane.busy_seconds,
-                );
-            }
-        }
-    }
-
-    /// Advances the simulation to `until` (events strictly after it stay
-    /// queued).
+    /// Advances the simulation to `min(until, horizon)`: every wake at or
+    /// before that instant happens; later ones stay queued.
     pub fn run_until(&mut self, until: f64) {
-        while let Some(ev) = self.calendar.peek_min() {
-            if ev.time > until {
-                break;
-            }
-            self.calendar.pop_min();
-            let lane = &mut self.lanes[ev.lane as usize];
-            if ev.seq != lane.generation {
-                continue; // superseded wake
-            }
-            let now = ev.time;
-            self.clock = self.clock.max(now);
-            if lane.in_flight {
-                match self.mode {
-                    BatchingMode::Continuous => lane.finish_iteration(now),
-                    BatchingMode::OneShot => lane.finish_batch(now),
-                }
-            }
-            lane.pull_arrivals(now);
-            lane.admit();
-            lane.generation = lane.generation.wrapping_add(1);
-            let gen = lane.generation;
-            if self.recorder.is_enabled() {
-                self.recorder.point(
-                    &self.kv_keys[ev.lane as usize],
-                    now,
-                    lane.kv_reserved as f64,
-                );
-            }
-            if let Some(end) = lane.start_work(now, self.mode, self.horizon) {
-                if self.recorder.is_enabled() {
-                    // `iter_new` still holds this iteration's prefilling
-                    // members (cleared when the iteration finishes), so the
-                    // phase composition is readable right after launch.
-                    let prefilling = lane.iter_new.len();
-                    let phase = match (prefilling > 0, lane.running.len() > prefilling) {
-                        (true, true) => "prefill+decode",
-                        (true, false) => "prefill",
-                        _ => "decode",
-                    };
-                    self.recorder
-                        .span(&self.tracks[ev.lane as usize], phase, now, end);
-                }
-                // Decode re-entry: the next iteration's end is a fresh
-                // calendar event for this lane.
-                self.calendar.insert(end, ev.lane, gen);
-            } else if lane.next_arrival < lane.requests.len() {
-                // Idle: wake at the next arrival.
-                let at = lane.requests[lane.next_arrival].arrival;
-                self.calendar.insert(at, ev.lane, gen);
-            }
-        }
-        self.clock = self.clock.max(until.min(self.horizon));
+        self.engine.run_until(until);
     }
 
     /// KV bytes currently reserved on workload `w`'s lane.
     pub fn kv_reserved_bytes(&self, w: usize) -> u64 {
-        self.lanes[w].kv_reserved
+        self.engine.lanes[w].kv_reserved
     }
 
     /// Workload `w`'s KV budget.
     pub fn kv_budget_bytes(&self, w: usize) -> u64 {
-        self.lanes[w].kv_budget
+        self.engine.lanes[w].kv_budget
     }
 
     /// Builds the report for the state as it stands.
     pub fn report(&self) -> LlmServeReport {
-        self.record_lane_gauges();
-        LlmServeReport::from_lanes(self.mode, self.horizon, self.lanes())
+        self.engine.report()
     }
 
     /// Runs to the horizon and returns the final report.  Work in flight at
     /// the horizon is abandoned — its requests count as arrived, not
     /// completed, exactly as in the fleet engine.
     pub fn finish(self) -> LlmServeReport {
-        let (mode, horizon) = (self.mode, self.horizon);
-        LlmServeReport::from_lanes(mode, horizon, self.finish_lanes())
-    }
-
-    /// Runs to the horizon, records the final lane gauges, and hands back
-    /// the finished lanes (what a lane shard returns to the runner).
-    pub(crate) fn finish_lanes(mut self) -> Lanes<LlmLaneStats> {
-        self.run_until(self.horizon);
-        self.record_lane_gauges();
-        self.lanes()
-    }
-
-    /// The lanes as they stand, in lane order.
-    fn lanes(&self) -> Lanes<LlmLaneStats> {
-        let samples: Vec<&[f64]> = self.lanes.iter().map(|l| &l.latencies[..]).collect();
-        Lanes {
-            stats: self.lanes.iter().map(lane_stats).collect(),
-            latencies: samples.concat(),
-            accel_busy: Vec::new(),
-        }
+        self.engine.finish()
     }
 }
 
-fn lane_stats(lane: &LlmLane) -> LlmLaneStats {
-    let mut sample = lane.latencies.clone();
-    let (p50_ms, p95_ms, p99_ms) = percentile_triple_ms(&mut sample);
-    LlmLaneStats {
-        workload: lane.workload,
-        name: lane.llm.name.clone(),
-        requests: lane.requests.len(),
-        completed: lane.completed,
-        met_sla: lane.met_sla,
-        prefills: lane.prefills,
-        iterations: lane.iterations,
-        mean_running: if lane.iterations > 0 {
-            lane.decode_occupancy as f64 / lane.iterations as f64
-        } else {
-            0.0
-        },
-        p50_ms,
-        p95_ms,
-        p99_ms,
-        busy_seconds: lane.busy_seconds,
-        peak_kv_bytes: lane.peak_kv,
-        kv_budget_bytes: lane.kv_budget,
+/// The time-zero engine of the lanes `range` of already-validated inputs —
+/// a lane shard, or every lane.  Lane `w` keeps its global workload index
+/// `range.start + w`.
+fn engine(
+    spec: &LlmSpec,
+    trace: &LlmTrace,
+    mode: BatchingMode,
+    range: Range<usize>,
+) -> Engine<LlmLane> {
+    let lanes = range.map(|w| LlmLane::new(spec, trace, w)).collect();
+    Engine::new(mode, trace.horizon_seconds, lanes, Vec::new())
+}
+
+/// Every check [`LlmSimState::new`] makes, in its documented order.
+fn validate(spec: &LlmSpec, trace: &LlmTrace) -> Result<(), ServeError> {
+    let k = spec.workloads.len();
+    let profiles = spec.traffic.workloads();
+    if profiles != k || trace.requests.len() != k {
+        return Err(ServeError::ShapeMismatch {
+            placements: k,
+            profiles,
+            streams: trace.requests.len(),
+        });
     }
+    check_horizon(trace.horizon_seconds)?;
+    if spec.max_batch_slots == 0 {
+        return Err(ServeError::ZeroMaxBatch);
+    }
+    spec.validate().map_err(ServeError::Traffic)?;
+    // A request that can never be admitted would block its lane's FCFS
+    // queue for the rest of the run.
+    check_streams(trace.horizon_seconds, &trace.requests, |w, r| {
+        let llm = &spec.workloads[w];
+        let request_bytes = llm.request_kv_bytes(r.prompt_tokens, r.output_tokens);
+        let budget_bytes = spec.kv_budget_bytes(w);
+        if request_bytes > budget_bytes {
+            return Err(ServeError::Traffic(TrafficError::RequestExceedsKvBudget {
+                workload: w,
+                request_bytes,
+                budget_bytes,
+            }));
+        }
+        Ok(r.arrival)
+    })
 }
 
 /// Replays `trace` against `spec` under `mode`, its lanes sharded across
 /// the `MARS_THREADS` worker pool.
 ///
 /// Lanes never interact, so the decomposition is exact: each shard
-/// simulates its lane range as an independent [`LlmSimState`] and the merge
+/// simulates its lane range as an independent engine and the merge
 /// re-derives the aggregate percentiles from the concatenated raw samples,
-/// so the report is **bit-identical** to one engine's at every thread
-/// count.
+/// so the report is **bit-identical** to one [`LlmSimState`]'s at every
+/// thread count.
 ///
 /// # Errors
 ///
@@ -802,7 +667,7 @@ pub fn simulate_llm_sharded(
     spec: &LlmSpec,
     trace: &LlmTrace,
     mode: BatchingMode,
-) -> Result<LlmServeReport, LlmServeError> {
+) -> Result<LlmServeReport, ServeError> {
     simulate_llm_sharded_observed(spec, trace, mode, &Recorder::disabled())
 }
 
@@ -821,17 +686,18 @@ pub fn simulate_llm_sharded_observed(
     trace: &LlmTrace,
     mode: BatchingMode,
     recorder: &Recorder,
-) -> Result<LlmServeReport, LlmServeError> {
-    check_inputs(spec, trace)?;
-    let lanes = run_lanes(spec.workloads.len(), recorder, |range, local| {
-        LlmSimState::for_lanes(spec, trace, mode, range)
-            .with_recorder(local)
-            .finish_lanes()
-    });
-    Ok(LlmServeReport::from_lanes(
-        mode,
-        trace.horizon_seconds,
-        lanes,
+) -> Result<LlmServeReport, ServeError> {
+    validate(spec, trace)?;
+    let k = spec.workloads.len();
+    Ok(run_lanes(
+        k,
+        recorder,
+        (mode, trace.horizon_seconds),
+        |range, local| {
+            let mut shard = engine(spec, trace, mode, range);
+            shard.attach(local, false);
+            shard
+        },
     ))
 }
 
@@ -846,7 +712,7 @@ mod tests {
         spec: &LlmSpec,
         trace: &LlmTrace,
         mode: BatchingMode,
-    ) -> Result<LlmServeReport, LlmServeError> {
+    ) -> Result<LlmServeReport, ServeError> {
         Ok(LlmSimState::new(spec, trace, mode)?.finish())
     }
 
@@ -987,7 +853,7 @@ mod tests {
         trace.requests.pop();
         assert!(matches!(
             replay(&spec, &trace, BatchingMode::Continuous),
-            Err(LlmServeError::ShapeMismatch { .. })
+            Err(ServeError::ShapeMismatch { .. })
         ));
     }
 
@@ -999,11 +865,11 @@ mod tests {
         for mode in BatchingMode::ALL {
             assert_eq!(
                 simulate_llm_sharded(&spec, &trace, mode),
-                Err(LlmServeError::InvalidTrace { workload: 2 })
+                Err(ServeError::InvalidTrace { workload: 2 })
             );
             assert_eq!(
                 replay(&spec, &trace, mode),
-                Err(LlmServeError::InvalidTrace { workload: 2 })
+                Err(ServeError::InvalidTrace { workload: 2 })
             );
         }
         // Unsorted and out-of-window streams are rejected the same way.
@@ -1011,13 +877,13 @@ mod tests {
         unsorted.requests[1].swap(0, 1);
         assert_eq!(
             simulate_llm_sharded(&spec, &unsorted, BatchingMode::Continuous),
-            Err(LlmServeError::InvalidTrace { workload: 1 })
+            Err(ServeError::InvalidTrace { workload: 1 })
         );
         let mut late = LlmTrace::draw(&spec, 3).unwrap();
         late.requests[0].last_mut().unwrap().arrival = late.horizon_seconds;
         assert!(matches!(
             LlmSimState::new(&spec, &late, BatchingMode::OneShot),
-            Err(LlmServeError::InvalidTrace { workload: 0 })
+            Err(ServeError::InvalidTrace { workload: 0 })
         ));
     }
 
@@ -1031,7 +897,7 @@ mod tests {
                 assert!(
                     matches!(
                         simulate_llm_sharded(&spec, &trace, mode),
-                        Err(LlmServeError::InvalidHorizon(h)) if h.to_bits() == horizon.to_bits()
+                        Err(ServeError::InvalidHorizon(h)) if h.to_bits() == horizon.to_bits()
                     ),
                     "horizon {horizon} accepted"
                 );
@@ -1039,14 +905,24 @@ mod tests {
         }
     }
 
+    /// A lane too small for one request is a typed error when the trace is
+    /// drawn, and at every entry point when a trace drawn earlier is
+    /// replayed on it.
     #[test]
     fn lane_too_small_for_one_request_is_a_typed_error() {
         let mut spec = llm_mix();
+        let trace = LlmTrace::draw(&spec, 42).unwrap();
         spec.accel_memory_bytes = 1;
         assert!(matches!(
             LlmTrace::draw(&spec, 42),
             Err(TrafficError::RequestExceedsKvBudget { workload: 0, .. })
         ));
+        let expected = ServeError::Traffic(TrafficError::RequestExceedsKvBudget {
+            workload: 0,
+            request_bytes: spec.workloads[0].max_request_kv_bytes(),
+            budget_bytes: 0,
+        });
+        assert_rejected(&spec, &trace, &expected);
     }
 
     /// Zero lanes: the runner returns the engine's all-zero report, and
@@ -1055,6 +931,8 @@ mod tests {
     fn zero_lane_replay_matches_the_engine() {
         let mut spec = llm_mix();
         spec.workloads.clear();
+        // A valid spec with no workloads: its phases carry no profiles.
+        spec.traffic = PhasedTraffic::new(1.0, vec![TrafficPhase::new(0.0, Vec::new())]);
         let mut trace = LlmTrace {
             horizon_seconds: 1.0,
             requests: Vec::new(),
@@ -1071,7 +949,75 @@ mod tests {
         trace.horizon_seconds = f64::NAN;
         assert!(matches!(
             simulate_llm_sharded(&spec, &trace, BatchingMode::Continuous),
-            Err(LlmServeError::InvalidHorizon(h)) if h.is_nan()
+            Err(ServeError::InvalidHorizon(h)) if h.is_nan()
         ));
+    }
+
+    /// A bound past the horizon is clamped to it: iteration ends after the
+    /// horizon never happen, so the run still matches `finish()` alone.
+    #[test]
+    fn run_until_past_the_horizon_is_clamped_to_it() {
+        let spec = llm_mix();
+        let trace = LlmTrace::draw(&spec, 42).unwrap();
+        for mode in BatchingMode::ALL {
+            let finished = replay(&spec, &trace, mode).unwrap();
+            let mut sim = LlmSimState::new(&spec, &trace, mode).unwrap();
+            sim.run_until(2.0 * trace.horizon_seconds);
+            assert_eq!(sim.report(), finished, "{mode}");
+            assert_eq!(sim.finish(), finished, "{mode}");
+        }
+    }
+
+    /// Every whole-run entry point, for one input.
+    fn every_entry_point(spec: &LlmSpec, trace: &LlmTrace) -> Vec<Result<(), ServeError>> {
+        let recorder = Recorder::enabled();
+        BatchingMode::ALL
+            .into_iter()
+            .flat_map(|mode| {
+                [
+                    LlmSimState::new(spec, trace, mode).map(|_| ()),
+                    simulate_llm_sharded(spec, trace, mode).map(|_| ()),
+                    simulate_llm_sharded_observed(spec, trace, mode, &recorder).map(|_| ()),
+                ]
+            })
+            .collect()
+    }
+
+    #[track_caller]
+    fn assert_rejected(spec: &LlmSpec, trace: &LlmTrace, expected: &ServeError) {
+        for got in every_entry_point(spec, trace) {
+            assert_eq!(got.as_ref(), Err(expected));
+        }
+    }
+
+    /// Zero batch slots would admit nothing: rejected like a zero CNN
+    /// `max_batch`.
+    #[test]
+    fn zero_batch_slots_are_rejected() {
+        let mut spec = llm_mix();
+        let trace = LlmTrace::draw(&spec, 42).unwrap();
+        spec.max_batch_slots = 0;
+        assert_rejected(&spec, &trace, &ServeError::ZeroMaxBatch);
+    }
+
+    /// A trace request that can never be admitted would block its lane's
+    /// FCFS queue forever; it is rejected by workload, with its KV need
+    /// summed in `u64` so even a `u32::MAX`-token prompt cannot overflow.
+    #[test]
+    fn request_over_the_kv_budget_is_rejected() {
+        let spec = llm_mix();
+        let just_over = (spec.kv_budget_bytes(1) / spec.workloads[1].kv_bytes_per_token) as u32;
+        for (w, prompt_tokens) in [(1, just_over), (0, u32::MAX)] {
+            let mut trace = LlmTrace::draw(&spec, 42).unwrap();
+            let request = &mut trace.requests[w][3];
+            request.prompt_tokens = prompt_tokens;
+            let tokens = u64::from(prompt_tokens) + u64::from(request.output_tokens);
+            let expected = ServeError::Traffic(TrafficError::RequestExceedsKvBudget {
+                workload: w,
+                request_bytes: spec.workloads[w].kv_bytes(tokens),
+                budget_bytes: spec.kv_budget_bytes(w),
+            });
+            assert_rejected(&spec, &trace, &expected);
+        }
     }
 }

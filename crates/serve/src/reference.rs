@@ -19,9 +19,11 @@
 //! use [`crate::simulate_sharded_with_faults`] / [`crate::SimState`] for real
 //! work.
 
+use crate::lanes::{Lanes, ServeLane};
 use crate::sim::{
-    percentile_triple_ms, validate_service, BatchEvent, DispatchPolicy, FaultPolicy, LaneSnapshot,
-    ServeConfig, ServeError, ServeReport, SimSnapshot, WorkloadServeStats,
+    percentile_triple_ms, validate, validate_placements, validate_sla_factors, BatchEvent,
+    DispatchPolicy, FaultPolicy, Lane, LaneSnapshot, ServeConfig, ServeError, ServeReport,
+    SimSnapshot, WorkloadServeStats,
 };
 use crate::trace::Trace;
 use mars_core::CoScheduleResult;
@@ -219,52 +221,19 @@ pub struct SimState {
 }
 
 impl SimState {
-    /// Validates the inputs and builds the initial (time-zero) state —
-    /// identical checks to [`crate::SimState::new`].
+    /// Validates the inputs with the checks [`crate::SimState::new`] makes
+    /// and builds the initial (time-zero) state.
     ///
     /// # Errors
     ///
-    /// Rejects mismatched input shapes and degenerate knobs — see
-    /// [`ServeError`].
+    /// As for [`crate::SimState::new`].
     pub fn new(
         co: &CoScheduleResult,
         profiles: &[TrafficProfile],
         trace: &Trace,
         config: &ServeConfig,
     ) -> Result<Self, ServeError> {
-        let k = co.placements.len();
-        if profiles.len() != k || trace.arrivals.len() != k {
-            return Err(ServeError::ShapeMismatch {
-                placements: k,
-                profiles: profiles.len(),
-                streams: trace.arrivals.len(),
-            });
-        }
-        let horizon = trace.horizon_seconds;
-        if !(horizon > 0.0 && horizon.is_finite()) {
-            return Err(ServeError::InvalidHorizon(horizon));
-        }
-        if config.max_batch == 0 {
-            return Err(ServeError::ZeroMaxBatch);
-        }
-        for (knob, value) in [
-            ("batch_timeout_seconds", config.batch_timeout_seconds),
-            ("dispatch_overhead_factor", config.dispatch_overhead_factor),
-            ("deadline_slack_factor", config.deadline_slack_factor),
-        ] {
-            if !(value >= 0.0 && value.is_finite()) {
-                return Err(ServeError::InvalidKnob { knob, value });
-            }
-        }
-        validate_service(co, profiles)?;
-        for (w, stream) in trace.arrivals.iter().enumerate() {
-            let in_window = stream.iter().all(|t| (0.0..horizon).contains(t));
-            let sorted = stream.windows(2).all(|p| p[0] <= p[1]);
-            if !(in_window && sorted) {
-                return Err(ServeError::InvalidTrace { workload: w });
-            }
-        }
-
+        validate(co, profiles, trace, config)?;
         let mut accel_busy = BTreeMap::new();
         let lanes = co
             .placements
@@ -300,7 +269,7 @@ impl SimState {
             .collect();
         Ok(Self {
             config: *config,
-            horizon,
+            horizon: trace.horizon_seconds,
             clock: 0.0,
             lanes,
             accel_busy,
@@ -443,19 +412,7 @@ impl SimState {
         sla_factors: &[f64],
         activate_at: f64,
     ) -> Result<(), ServeError> {
-        let k = self.lanes.len();
-        if co.placements.len() != k || sla_factors.len() != k {
-            return Err(ServeError::ShapeMismatch {
-                placements: co.placements.len(),
-                profiles: sla_factors.len(),
-                streams: k,
-            });
-        }
-        let profiles: Vec<TrafficProfile> = sla_factors
-            .iter()
-            .map(|&f| TrafficProfile::new(0.0, f))
-            .collect();
-        validate_service(co, &profiles)?;
+        validate_placements(self.lanes.len(), co, sla_factors)?;
         for (lane, placement) in self.lanes.iter_mut().zip(&co.placements) {
             lane.latency = placement.result.mapping.latency_seconds;
             lane.sla_seconds = sla_factors[lane.workload] * lane.latency;
@@ -475,21 +432,7 @@ impl SimState {
     ///
     /// Rejects a mismatched factor count or non-positive/non-finite factors.
     pub fn set_sla_factors(&mut self, sla_factors: &[f64]) -> Result<(), ServeError> {
-        if sla_factors.len() != self.lanes.len() {
-            return Err(ServeError::ShapeMismatch {
-                placements: self.lanes.len(),
-                profiles: sla_factors.len(),
-                streams: self.lanes.len(),
-            });
-        }
-        for (w, &f) in sla_factors.iter().enumerate() {
-            if !(f > 0.0 && f.is_finite()) {
-                return Err(ServeError::InvalidSla {
-                    workload: w,
-                    sla_factor: f,
-                });
-            }
-        }
+        validate_sla_factors(self.lanes.len(), sla_factors)?;
         for (lane, &f) in self.lanes.iter_mut().zip(sla_factors) {
             lane.sla_seconds = f * lane.latency;
         }
@@ -498,31 +441,16 @@ impl SimState {
 
     /// Builds the report for the state as it stands.
     pub fn report(&self) -> ServeReport {
-        let per_workload: Vec<WorkloadServeStats> =
-            self.lanes.iter().map(LaneState::stats).collect();
-        let mut all: Vec<f64> = self
-            .lanes
-            .iter()
-            .flat_map(|l| l.latencies.iter().copied())
-            .collect();
-        let utilization: Vec<(AccelId, f64)> = self
-            .accel_busy
-            .iter()
-            .map(|(&a, &busy)| (a, busy / self.horizon))
-            .collect();
-        let (p50_ms, p95_ms, p99_ms) = percentile_triple_ms(&mut all);
-        ServeReport {
-            policy: self.config.policy,
-            horizon_seconds: self.horizon,
-            total_requests: per_workload.iter().map(|s| s.requests).sum(),
-            completed: per_workload.iter().map(|s| s.completed).sum(),
-            goodput: per_workload.iter().map(|s| s.met_sla).sum(),
-            p50_ms,
-            p95_ms,
-            p99_ms,
-            per_workload,
-            utilization,
-        }
+        let lanes = Lanes {
+            stats: self.lanes.iter().map(LaneState::stats).collect(),
+            latencies: self
+                .lanes
+                .iter()
+                .flat_map(|l| l.latencies.iter().copied())
+                .collect(),
+            accel_busy: self.accel_busy.iter().map(|(&a, &b)| (a, b)).collect(),
+        };
+        Lane::report(self.config, self.horizon, lanes)
     }
 
     /// Runs the remaining events and returns the final [`ServeReport`].

@@ -32,8 +32,7 @@
 //! is bit-identical across `MARS_THREADS` settings and repeat runs.
 
 use crate::arena::RequestArena;
-use crate::calendar::CalendarQueue;
-use crate::lanes::Lanes;
+use crate::lanes::{check_streams, Engine, Env, Lanes, ServeLane};
 use crate::trace::Trace;
 use mars_core::CoScheduleResult;
 use mars_model::{TrafficError, TrafficProfile};
@@ -189,7 +188,9 @@ impl Default for ServeConfig {
 /// Errors rejected before a simulation starts.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ServeError {
-    /// The trace or profile slice does not line up with the placements.
+    /// The trace or profile slice does not line up with the placements (for
+    /// LLM lanes: the spec's workloads and traffic profiles, and the trace's
+    /// request streams).
     ShapeMismatch {
         /// Number of placements in the co-schedule.
         placements: usize,
@@ -200,7 +201,7 @@ pub enum ServeError {
     },
     /// The trace's horizon is not a positive finite number.
     InvalidHorizon(f64),
-    /// `max_batch` is zero.
+    /// `max_batch` (for LLM lanes: `max_batch_slots`) is zero.
     ZeroMaxBatch,
     /// A knob that must be non-negative and finite is not.
     InvalidKnob {
@@ -231,7 +232,9 @@ pub enum ServeError {
         workload: usize,
     },
     /// The fault schedule handed to a replay is invalid (see
-    /// [`validate_faults`](mars_model::validate_faults)).
+    /// [`validate_faults`](mars_model::validate_faults)), an LLM spec fails
+    /// [`LlmSpec::validate`](mars_model::zoo::LlmSpec::validate), or an LLM
+    /// request needs more KV memory than its lane's budget.
     Traffic(TrafficError),
     /// Two placements share an accelerator, or one lists it twice: the
     /// engine needs disjoint partitions (each accelerator backs at most one
@@ -278,7 +281,7 @@ impl std::fmt::Display for ServeError {
                 f,
                 "workload {workload}'s arrival stream is not sorted inside [0, horizon)"
             ),
-            ServeError::Traffic(e) => write!(f, "invalid fault schedule: {e}"),
+            ServeError::Traffic(e) => write!(f, "invalid scenario: {e}"),
             ServeError::OverlappingPartitions {
                 accel,
                 first,
@@ -349,37 +352,6 @@ pub struct ServeReport {
 }
 
 impl ServeReport {
-    /// Assembles the report from finished lanes in lane order: the one
-    /// place a `ServeReport` is built, for a single engine and for merged
-    /// shards alike.
-    pub(crate) fn from_lanes(
-        policy: DispatchPolicy,
-        horizon_seconds: f64,
-        lanes: Lanes<WorkloadServeStats>,
-    ) -> Self {
-        let Lanes {
-            stats: per_workload,
-            mut latencies,
-            accel_busy,
-        } = lanes;
-        let (p50_ms, p95_ms, p99_ms) = percentile_triple_ms(&mut latencies);
-        ServeReport {
-            policy,
-            horizon_seconds,
-            total_requests: per_workload.iter().map(|s| s.requests).sum(),
-            completed: per_workload.iter().map(|s| s.completed).sum(),
-            goodput: per_workload.iter().map(|s| s.met_sla).sum(),
-            p50_ms,
-            p95_ms,
-            p99_ms,
-            per_workload,
-            utilization: accel_busy
-                .into_iter()
-                .map(|(a, busy)| (a, busy / horizon_seconds))
-                .collect(),
-        }
-    }
-
     /// Completed requests per second of simulated time.
     pub fn throughput_per_second(&self) -> f64 {
         if self.horizon_seconds > 0.0 {
@@ -523,7 +495,7 @@ pub struct SimSnapshot {
 /// [`crate::reference`]: the equivalence suite demands bit-identical reports,
 /// and float associativity makes even a re-parenthesisation observable.
 #[derive(Debug, Clone)]
-struct Lane {
+pub(crate) struct Lane {
     workload: usize,
     name: String,
     /// SLA weight of the placement (drives [`DispatchPolicy::SlaWeighted`]).
@@ -536,7 +508,7 @@ struct Lane {
     /// The accelerators currently backing the lane (for busy attribution);
     /// shared with every snapshot taken while this placement is in force.
     accels: Arc<[AccelId]>,
-    /// Indices of this lane's accelerators in the state's sorted
+    /// Indices of this lane's accelerators in the engine's sorted
     /// `accel_busy` vector (parallel to `accels`), so busy attribution on
     /// the dispatch hot path is two array adds instead of map lookups.
     /// Recomputed whenever a placement swap can grow the accelerator set.
@@ -553,19 +525,12 @@ struct Lane {
     met_sla: usize,
     /// Finish instant of the most recent dispatch (`0` before the first).
     inflight_finish: f64,
-    /// Generation counter: a queued wake event whose `seq` is older than
-    /// this is stale and discarded on pop (mutations bump it instead of
-    /// searching the queue).
-    seq: u32,
-    /// `true` while exactly one live (current-`seq`) event for this lane is
-    /// queued.
-    armed: bool,
-    /// `true` when the live event's time is the lane's *exact* next dispatch
+    /// `true` when the lane's live event is its *exact* next dispatch
     /// instant (the `decide(horizon)` fixpoint), not just a lower bound.
     exact: bool,
-    /// `true` when a mutation invalidated the lane's event since it was last
-    /// advanced.
-    dirty: bool,
+    /// The lane's span track (`lane/<name>`), named when an enabled
+    /// recorder attaches.
+    track: String,
 }
 
 impl Lane {
@@ -629,9 +594,12 @@ impl Lane {
         }
     }
 
-    /// Launches the batch decided at `start`, updating all lane accounting.
+    /// Launches the batch decided at `start`, updating all lane accounting
+    /// and the busy time of the lane's accelerators, and records it.
     /// Allocation-free: the batch is the arena's in-flight span.
-    fn dispatch(&mut self, config: &ServeConfig, horizon: f64, start: f64) -> BatchEvent {
+    fn dispatch(&mut self, env: &mut Env<ServeConfig>, start: f64) -> BatchEvent {
+        let (config, horizon) = (&env.knobs, env.horizon);
+        let before = self.busy;
         let overhead = config.dispatch_overhead_factor * self.latency;
         let size = self.arena.take_batch(start, config.max_batch);
         // Parenthesised as cost-then-add: bit-compatible with the original
@@ -656,6 +624,21 @@ impl Lane {
         self.batches += 1;
         self.dispatched += size;
         self.inflight_finish = finish;
+        let delta = self.busy - before;
+        for &slot in &self.busy_slots {
+            env.accel_busy[slot as usize].1 += delta;
+        }
+        if env.recorder.is_enabled() {
+            // Lane-local, keyed by placement name: the same batches on the
+            // same lanes regardless of shard split, so the merged record is
+            // shard-count invariant.
+            env.recorder.observe("serve/batch_size", size as f64);
+            env.recorder
+                .observe("serve/queue_depth", self.arena.queue_len() as f64);
+            env.label.clear();
+            let _ = write!(env.label, "batch({size})");
+            env.recorder.span(&self.track, &env.label, start, finish);
+        }
         BatchEvent {
             workload: self.workload,
             start,
@@ -698,6 +681,63 @@ impl Lane {
         delta
     }
 
+    /// `true` when the lane's accelerator subset intersects the failed set
+    /// `down` — the lane cannot dispatch until it is re-placed onto
+    /// survivors or its accelerators are restored.
+    fn blocked(&self, down: &[AccelId]) -> bool {
+        self.accels.iter().any(|a| down.binary_search(a).is_ok())
+    }
+
+    fn snapshot(&self) -> LaneSnapshot {
+        LaneSnapshot {
+            workload: self.workload,
+            enqueued: self.arena.enqueued(),
+            queued: self.arena.queue_len(),
+            completed: self.completed,
+            met_sla: self.met_sla,
+            busy_seconds: self.busy,
+            free_at: self.free,
+            accels: Arc::clone(&self.accels),
+        }
+    }
+}
+
+impl ServeLane for Lane {
+    type Knobs = ServeConfig;
+    type Stats = WorkloadServeStats;
+    type Report = ServeReport;
+    const AT_BOUND: bool = false;
+
+    /// Runs the decide/dispatch loop up to `bound` (the legacy per-lane
+    /// inner loop, verbatim) and returns the lane's wake hint.
+    fn advance(&mut self, env: &mut Env<ServeConfig>, bound: f64) -> Option<f64> {
+        if self.blocked(&env.down) {
+            return None; // re-armed by the restore / re-placement
+        }
+        let last = loop {
+            match self.decide(&env.knobs, bound) {
+                Some(start) if start < bound => {
+                    self.dispatch(env, start);
+                }
+                other => break other,
+            }
+        };
+        // Wake hint: the lane cannot dispatch before `min(start, next
+        // arrival)` — pulling future arrivals can only move the decision
+        // earlier via arrivals at or past this segment's bound, and with no
+        // new pulls the decision is exactly `start`.  `None` means an empty
+        // queue: nothing happens before the next arrival.  Streams whose
+        // hint reaches the horizon can never dispatch again (arrivals all
+        // lie inside the horizon), so the engine leaves them un-armed.
+        self.exact = false;
+        let next_arrival = self.arena.next_arrival().unwrap_or(f64::INFINITY);
+        Some(last.map_or(next_arrival, |start| start.min(next_arrival)))
+    }
+
+    fn name_tracks(&mut self) {
+        self.track = format!("lane/{}", self.name);
+    }
+
     fn stats(&self) -> WorkloadServeStats {
         let mut sample = self.arena.latencies().to_vec();
         let (p50_ms, p95_ms, p99_ms) = percentile_triple_ms(&mut sample);
@@ -721,16 +761,37 @@ impl Lane {
         }
     }
 
-    fn snapshot(&self) -> LaneSnapshot {
-        LaneSnapshot {
-            workload: self.workload,
-            enqueued: self.arena.enqueued(),
-            queued: self.arena.queue_len(),
-            completed: self.completed,
-            met_sla: self.met_sla,
-            busy_seconds: self.busy,
-            free_at: self.free,
-            accels: Arc::clone(&self.accels),
+    fn latencies(&self) -> &[f64] {
+        self.arena.latencies()
+    }
+
+    /// The one place a [`ServeReport`] is assembled, for the engine and the
+    /// reference oracle alike.
+    fn report(
+        config: ServeConfig,
+        horizon_seconds: f64,
+        lanes: Lanes<WorkloadServeStats>,
+    ) -> ServeReport {
+        let Lanes {
+            stats: per_workload,
+            mut latencies,
+            accel_busy,
+        } = lanes;
+        let (p50_ms, p95_ms, p99_ms) = percentile_triple_ms(&mut latencies);
+        ServeReport {
+            policy: config.policy,
+            horizon_seconds,
+            total_requests: per_workload.iter().map(|s| s.requests).sum(),
+            completed: per_workload.iter().map(|s| s.completed).sum(),
+            goodput: per_workload.iter().map(|s| s.met_sla).sum(),
+            p50_ms,
+            p95_ms,
+            p99_ms,
+            per_workload,
+            utilization: accel_busy
+                .into_iter()
+                .map(|(a, busy)| (a, busy / horizon_seconds))
+                .collect(),
         }
     }
 }
@@ -749,12 +810,13 @@ impl Lane {
 ///
 /// # Fleet-scale engine
 ///
-/// Since the fleet rewrite this state is event-driven rather than
-/// scan-driven: a binary-heap [`CalendarQueue`] holds one *wake hint* per lane
-/// — a proven lower bound on the lane's next dispatch instant — so
-/// `run_until` touches only the lanes that can actually act before the
-/// bound, and `step` pops the globally-earliest dispatch instead of
-/// re-deciding every lane.  Request bookkeeping is a struct-of-arrays
+/// The state is event-driven rather than scan-driven: it runs on the event
+/// engine it shares with [`LlmSimState`](crate::LlmSimState), whose
+/// binary-heap [`CalendarQueue`](crate::calendar::CalendarQueue) holds one
+/// *wake hint* per lane — a proven lower bound on the lane's next dispatch
+/// instant — so `run_until` touches only the lanes that can actually act
+/// before the bound, and `step` pops the globally-earliest dispatch instead
+/// of re-deciding every lane.  Request bookkeeping is a struct-of-arrays
 /// [`RequestArena`] per lane (no per-batch allocations).  The retired
 /// linear-scan loop survives verbatim in [`crate::reference`] as the
 /// differential oracle; `tests/fleet_sim_equivalence.rs` pins the two
@@ -794,44 +856,10 @@ impl Lane {
 /// ```
 #[derive(Debug, Clone)]
 pub struct SimState {
-    config: ServeConfig,
-    horizon: f64,
-    clock: f64,
-    lanes: Vec<Lane>,
-    /// Cumulative busy seconds per accelerator, sorted by id (so
-    /// re-placements keep attributing to whichever accelerators were backing
-    /// the lane at dispatch time).  A sorted `Vec` rather than an ordered
-    /// map: lanes cache their accelerators' slots (`Lane::busy_slots`) and
-    /// the dispatch hot path indexes straight into it.
-    accel_busy: Vec<(AccelId, f64)>,
-    /// The accelerators currently failed, kept sorted — the cached state
-    /// [`down`](SimState::down) borrows (no per-call allocation).
-    down: Vec<AccelId>,
-    /// The calendar of per-lane wake events.
-    events: CalendarQueue,
-    /// Lanes mutated since their last advance (deduplicated via
-    /// `Lane::dirty`), processed before the calendar on the next advance.
-    dirty: Vec<u32>,
+    pub(crate) engine: Engine<Lane>,
     /// `true` when some lane's event is a hint (or missing after a
     /// mutation), so [`step`](SimState::step) must refine before popping.
     needs_refine: bool,
-    /// Observability sink: batch spans, queue-depth/batch-size histograms
-    /// and fault markers land here.  Disabled by default — every recording
-    /// site is an inlineable null check.  All recorded quantities derive
-    /// from the simulation clock and deterministic counters, so attaching a
-    /// recorder never changes the simulation.
-    recorder: Recorder,
-    /// Per-lane span tracks (`lane/<name>`), built once when an enabled
-    /// recorder attaches.
-    tracks: Vec<String>,
-    /// Reused buffer each batch span's name (`batch(n)`) renders into.
-    label: String,
-    /// `true` only on a top-level (unsharded) simulation: engine-level
-    /// metrics (calendar occupancy, stale-event skips) depend on which lanes
-    /// share the calendar, so a partition shard must not record them — the
-    /// lane-local metrics it does record merge bit-identically at every
-    /// shard count.
-    engine_metrics: bool,
 }
 
 impl SimState {
@@ -896,29 +924,14 @@ impl SimState {
                     completed: 0,
                     met_sla: 0,
                     inflight_finish: 0.0,
-                    seq: 0,
-                    armed: false,
                     exact: false,
-                    // Every lane starts dirty: the first advance arms it.
-                    dirty: true,
+                    track: String::new(),
                 }
             })
             .collect();
-        let k = lanes.len();
         Self {
-            config: *config,
-            horizon: trace.horizon_seconds,
-            clock: 0.0,
-            events: CalendarQueue::new(),
-            dirty: (0..k as u32).collect(),
+            engine: Engine::new(*config, trace.horizon_seconds, lanes, accel_busy),
             needs_refine: true,
-            lanes,
-            accel_busy,
-            down: Vec::new(),
-            recorder: Recorder::disabled(),
-            tracks: Vec::new(),
-            label: String::new(),
-            engine_metrics: false,
         }
     }
 
@@ -929,121 +942,29 @@ impl SimState {
     /// quantity derives from the simulated clock, and the default disabled
     /// recorder compiles the hooks down to null checks.
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
-        self.attach(recorder, true);
+        self.engine.attach(recorder, true);
         self
-    }
-
-    /// Installs `recorder` and, when it is enabled, builds the per-lane span
-    /// tracks the dispatch hot path records on.  Lane shards (see
-    /// [`crate::simulate_sharded_observed`]) attach theirs without
-    /// `engine_metrics`: those depend on the shard split, so a shard records
-    /// only the shard-invariant lane metrics.
-    pub(crate) fn attach(&mut self, recorder: Recorder, engine_metrics: bool) {
-        if recorder.is_enabled() {
-            let names = self.lanes.iter().map(|lane| &lane.name);
-            self.tracks = names.map(|n| format!("lane/{n}")).collect();
-        }
-        self.recorder = recorder;
-        self.engine_metrics = engine_metrics;
     }
 
     /// The simulated horizon in seconds.
     pub fn horizon_seconds(&self) -> f64 {
-        self.horizon
+        self.engine.env.horizon
     }
 
     /// The current clock: the largest `run_until` bound reached so far.
     pub fn clock(&self) -> f64 {
-        self.clock
+        self.engine.clock
     }
 
     /// Advances every lane, dispatching each batch whose launch instant lies
     /// strictly before `min(t, horizon)`.  Idempotent for non-increasing
     /// `t`; a sequence of `run_until` calls with increasing bounds is bit-
-    /// identical to one call with the final bound.
-    ///
-    /// Cost is proportional to the lanes that actually act before the bound
-    /// (plus lanes touched by mutations since the last advance) — idle lanes
-    /// sleep in the calendar instead of being re-scanned.
+    /// identical to one call with the final bound.  Cost is proportional to
+    /// the lanes that act before the bound (plus lanes mutated since the
+    /// last advance): idle lanes sleep in the calendar.
     pub fn run_until(&mut self, t: f64) {
-        let bound = t.min(self.horizon).max(self.clock);
-        // Mutated lanes first: their events were invalidated, so they are
-        // advanced directly (the legacy scan also re-decided them here).
-        let dirty = std::mem::take(&mut self.dirty);
-        for w in dirty {
-            let w = w as usize;
-            if !self.lanes[w].dirty {
-                continue;
-            }
-            self.lanes[w].dirty = false;
-            if self.lane_blocked(w) {
-                continue;
-            }
-            self.advance_lane(w, bound);
-        }
-        // Then the calendar: every wake hint strictly before the bound.  A
-        // hint is a proven lower bound on the lane's next dispatch, so a
-        // lane whose event lies at or past `bound` provably does nothing in
-        // this segment — including pulling arrivals — exactly like the
-        // legacy scan's no-op `decide` on it.
-        while let Some(ev) = self.events.peek_min() {
-            if ev.time >= bound {
-                break;
-            }
-            self.events.pop_min();
-            let w = ev.lane as usize;
-            if ev.seq != self.lanes[w].seq {
-                if self.engine_metrics {
-                    self.recorder.counter("serve/stale_skips", 1);
-                }
-                continue; // stale: superseded by a mutation
-            }
-            self.lanes[w].armed = false;
-            if self.lane_blocked(w) {
-                continue; // re-armed by the restore / re-placement
-            }
-            self.advance_lane(w, bound);
-        }
-        self.clock = bound;
+        self.engine.run_until(t);
         self.needs_refine = true;
-        if self.engine_metrics && self.recorder.is_enabled() {
-            self.recorder.point(
-                "serve/calendar_occupancy",
-                self.clock,
-                self.events.len() as f64,
-            );
-        }
-    }
-
-    /// Runs lane `w`'s decide/dispatch loop up to `bound` (the legacy
-    /// per-lane inner loop, verbatim), then re-arms its wake event.
-    fn advance_lane(&mut self, w: usize, bound: f64) {
-        let last = loop {
-            match self.lanes[w].decide(&self.config, bound) {
-                Some(start) if start < bound => {
-                    self.dispatch_lane(w, start);
-                }
-                other => break other,
-            }
-        };
-        // Wake hint: the lane cannot dispatch before `min(start, next
-        // arrival)` — pulling future arrivals can only move the decision
-        // earlier via arrivals at or past this segment's bound, and with no
-        // new pulls the decision is exactly `start`.  `None` means an empty
-        // queue: nothing happens before the next arrival.  Streams whose
-        // hint reaches the horizon can never dispatch again (arrivals all
-        // lie inside the horizon), so they stay un-armed.
-        let next_arrival = self.lanes[w].arena.next_arrival().unwrap_or(f64::INFINITY);
-        let hint = match last {
-            Some(start) => start.min(next_arrival),
-            None => next_arrival,
-        };
-        if hint < self.horizon {
-            let lane = &mut self.lanes[w];
-            lane.armed = true;
-            lane.exact = false;
-            self.events.insert(hint, w as u32, lane.seq);
-        }
     }
 
     /// Dispatches the single globally-earliest pending batch (ties resolve
@@ -1062,123 +983,70 @@ impl SimState {
             self.refine_all();
             self.needs_refine = false;
         }
-        loop {
-            let ev = self.events.pop_min()?;
-            let w = ev.lane as usize;
-            if ev.seq != self.lanes[w].seq {
-                if self.engine_metrics {
-                    self.recorder.counter("serve/stale_skips", 1);
-                }
-                continue; // stale
-            }
-            self.lanes[w].armed = false;
-            debug_assert!(self.lanes[w].exact, "refined queue holds exact events");
-            debug_assert!(!self.lane_blocked(w), "blocked lanes are never armed exact");
-            // The event's time *is* the dispatch instant: `refine_all` /
-            // `arm_exact` computed it as the lane's `decide(horizon)`
-            // fixpoint, and nothing that invalidates it (mutations, a
-            // `run_until` advance) leaves the event live.
-            let event = self.dispatch_lane(w, ev.time);
-            self.arm_exact(w);
-            return Some(event);
-        }
+        let ev = self.engine.pop_due(f64::INFINITY)?;
+        let w = ev.lane as usize;
+        let e = &mut self.engine;
+        debug_assert!(e.lanes[w].exact, "refined queue holds exact events");
+        debug_assert!(
+            !e.lanes[w].blocked(&e.env.down),
+            "blocked lanes are never armed exact"
+        );
+        // The event's time *is* the dispatch instant: `refine_all` /
+        // `arm_exact` computed it as the lane's `decide(horizon)` fixpoint,
+        // and nothing that invalidates it (mutations, a `run_until` advance)
+        // leaves the event live.
+        let event = e.lanes[w].dispatch(&mut e.env, ev.time);
+        self.arm_exact(w);
+        Some(event)
     }
 
     /// Replaces every hint (and every dirtied lane's missing event) with the
     /// lane's exact next dispatch instant, so the calendar's minimum is the
     /// true global minimum with the legacy `(time, lane)` tie-break.
     fn refine_all(&mut self) {
-        for w in 0..self.lanes.len() {
-            let lane = &mut self.lanes[w];
-            if lane.dirty {
-                lane.dirty = false; // mutations already un-armed the lane
-            } else if lane.armed && !lane.exact {
-                lane.seq = lane.seq.wrapping_add(1); // stale the hint
-                lane.armed = false;
+        for w in 0..self.engine.lanes.len() {
+            let e = &mut self.engine;
+            let mark = &mut e.marks[w];
+            if mark.dirty {
+                mark.dirty = false; // mutations already un-armed the lane
+            } else if mark.armed && !e.lanes[w].exact {
+                mark.seq = mark.seq.wrapping_add(1); // stale the hint
+                mark.armed = false;
             } else {
                 continue; // exact already, or provably inactive
             }
-            if self.lane_blocked(w) {
+            if e.lanes[w].blocked(&e.env.down) {
                 continue;
             }
             self.arm_exact(w);
         }
-        self.dirty.clear();
+        self.engine.dirty.clear();
     }
 
     /// Arms lane `w` with its exact next dispatch instant (the
     /// `decide(horizon)` fixpoint), if one exists inside the horizon.
     fn arm_exact(&mut self, w: usize) {
-        if let Some(start) = self.lanes[w].decide(&self.config, self.horizon) {
-            if start < self.horizon {
-                let lane = &mut self.lanes[w];
-                lane.armed = true;
-                lane.exact = true;
-                self.events.insert(start, w as u32, lane.seq);
+        let e = &mut self.engine;
+        let horizon = e.env.horizon;
+        if let Some(start) = e.lanes[w].decide(&e.env.knobs, horizon) {
+            if start < horizon {
+                e.lanes[w].exact = true;
+                e.arm(w, start);
             }
         }
-    }
-
-    fn dispatch_lane(&mut self, w: usize, start: f64) -> BatchEvent {
-        let lane = &mut self.lanes[w];
-        let before = lane.busy;
-        let event = lane.dispatch(&self.config, self.horizon, start);
-        let delta = lane.busy - before;
-        for &slot in &lane.busy_slots {
-            self.accel_busy[slot as usize].1 += delta;
-        }
-        if self.recorder.is_enabled() {
-            // Lane-local, keyed by placement name: the same batches on the
-            // same lanes regardless of shard split, so the merged record is
-            // shard-count invariant.
-            let lane = &self.lanes[w];
-            self.recorder.observe("serve/batch_size", event.size as f64);
-            self.recorder
-                .observe("serve/queue_depth", lane.arena.queue_len() as f64);
-            self.label.clear();
-            let _ = write!(self.label, "batch({})", event.size);
-            self.recorder
-                .span(&self.tracks[w], &self.label, event.start, event.finish);
-        }
-        event
     }
 
     /// Observes the current state (see [`SimSnapshot`]); does not advance
     /// the simulation.  Cheap at fleet scale: per-lane accelerator lists are
     /// shared (`Arc`), not copied.
     pub fn snapshot(&self) -> SimSnapshot {
+        let e = &self.engine;
         SimSnapshot {
-            clock: self.clock,
-            lanes: self.lanes.iter().map(Lane::snapshot).collect(),
-            accel_busy: self.accel_busy.clone(),
-            down: self.down.clone(),
+            clock: e.clock,
+            lanes: e.lanes.iter().map(Lane::snapshot).collect(),
+            accel_busy: e.env.accel_busy.clone(),
+            down: e.env.down.clone(),
         }
-    }
-
-    /// `true` when lane `w`'s current accelerator subset intersects the
-    /// failed set — the lane cannot dispatch until it is re-placed onto
-    /// survivors or its accelerators are restored.
-    fn lane_blocked(&self, w: usize) -> bool {
-        self.lanes[w]
-            .accels
-            .iter()
-            .any(|a| self.down.binary_search(a).is_ok())
-    }
-
-    /// Marks lane `w` mutated: its queued event (if any) is staled and the
-    /// lane joins the dirty set processed by the next advance.
-    fn mark_dirty(&mut self, w: usize) {
-        let lane = &mut self.lanes[w];
-        if lane.armed {
-            lane.seq = lane.seq.wrapping_add(1);
-            lane.armed = false;
-            lane.exact = false;
-        }
-        if !lane.dirty {
-            lane.dirty = true;
-            self.dirty.push(w as u32);
-        }
-        self.needs_refine = true;
     }
 
     /// Fails accelerator `accel` at the current clock.  Any batch in flight
@@ -1195,43 +1063,41 @@ impl SimState {
     /// calling this, so exactly the batches launched before the failure are
     /// affected.
     pub fn fail_accel(&mut self, accel: AccelId, policy: FaultPolicy) -> usize {
-        match self.down.binary_search(&accel) {
+        match self.engine.env.down.binary_search(&accel) {
             Ok(_) => return 0,
-            Err(idx) => self.down.insert(idx, accel),
+            Err(idx) => self.engine.env.down.insert(idx, accel),
         }
         // Only the sim that owns a lane backed by `accel` records the fault
         // instant: in the sharded runner every shard replays the full fault
         // schedule, and partitions are disjoint, so this gate keeps the
         // merged trace identical to the single-shard one (one instant per
         // fault, not one per shard).
-        if self.recorder.is_enabled() && self.owns_accel(accel) {
-            self.recorder
-                .instant("faults", &format!("fail:a{}", accel.0), self.clock);
-        }
-        let clock = self.clock;
-        let horizon = self.horizon;
+        self.record_fault("fail", accel);
+        self.needs_refine = true;
+        let e = &mut self.engine;
+        let (clock, horizon) = (e.clock, e.env.horizon);
         let mut interrupted = 0;
-        for w in 0..self.lanes.len() {
-            if !self.lanes[w].accels.contains(&accel) {
+        for w in 0..e.lanes.len() {
+            if !e.lanes[w].accels.contains(&accel) {
                 continue;
             }
             // The lane just became blocked: silence its wake event.
-            self.mark_dirty(w);
-            let lane = &self.lanes[w];
+            e.mark_dirty(w);
+            let lane = &mut e.lanes[w];
             // Only a genuinely running batch (launched before the failure,
             // finishing after it) is revoked; `free` alone can sit in the
             // future for other reasons (migration blocking).
             if lane.arena.inflight_len() == 0 || lane.inflight_finish <= clock {
                 continue;
             }
-            interrupted += self.lanes[w].arena.inflight_len();
-            let delta = self.lanes[w].revoke_inflight(clock, horizon, policy);
-            let lane = &self.lanes[w];
+            interrupted += lane.arena.inflight_len();
+            let delta = lane.revoke_inflight(clock, horizon, policy);
             for &slot in &lane.busy_slots {
-                self.accel_busy[slot as usize].1 += delta;
+                e.env.accel_busy[slot as usize].1 += delta;
             }
         }
-        self.recorder
+        e.env
+            .recorder
             .counter("serve/revoked_requests", interrupted as u64);
         interrupted
     }
@@ -1240,24 +1106,31 @@ impl SimState {
     /// it unblocks resume dispatching from now (never retroactively inside
     /// the outage window).  Restoring a healthy accelerator is a no-op.
     pub fn restore_accel(&mut self, accel: AccelId) {
-        match self.down.binary_search(&accel) {
-            Ok(idx) => {
-                self.down.remove(idx);
-            }
-            Err(_) => return,
-        }
+        let Ok(idx) = self.engine.env.down.binary_search(&accel) else {
+            return;
+        };
+        self.engine.env.down.remove(idx);
         // Owner-gated like the failure instant (see fail_accel).
-        if self.recorder.is_enabled() && self.owns_accel(accel) {
-            self.recorder
-                .instant("faults", &format!("restore:a{}", accel.0), self.clock);
-        }
-        let clock = self.clock;
-        for w in 0..self.lanes.len() {
-            if self.lanes[w].accels.contains(&accel) && !self.lane_blocked(w) {
-                let lane = &mut self.lanes[w];
-                lane.free = lane.free.max(clock);
-                self.mark_dirty(w);
+        self.record_fault("restore", accel);
+        self.needs_refine = true;
+        let e = &mut self.engine;
+        for w in 0..e.lanes.len() {
+            let lane = &mut e.lanes[w];
+            if lane.accels.contains(&accel) && !lane.blocked(&e.env.down) {
+                lane.free = lane.free.max(e.clock);
+                e.mark_dirty(w);
             }
+        }
+    }
+
+    /// Records a `what:a<id>` fault instant at the clock, if some lane of
+    /// this sim is backed by `accel`.
+    fn record_fault(&self, what: &str, accel: AccelId) {
+        let e = &self.engine;
+        if e.env.recorder.is_enabled() && e.lanes.iter().any(|l| l.accels.contains(&accel)) {
+            e.env
+                .recorder
+                .instant("faults", &format!("{what}:a{}", accel.0), e.clock);
         }
     }
 
@@ -1265,19 +1138,15 @@ impl SimState {
     /// cached down set (the drift monitor polls this every window; the
     /// legacy `Vec`-building accessor allocated on every call).
     pub fn down(&self) -> &[AccelId] {
-        &self.down
-    }
-
-    /// Whether some lane of this sim is backed by `accel`.
-    fn owns_accel(&self, accel: AccelId) -> bool {
-        self.lanes.iter().any(|l| l.accels.contains(&accel))
+        &self.engine.env.down
     }
 
     /// When every in-flight batch has finished: the latest lane `free`
     /// instant (at least the clock).  The elastic runtime drains to this
     /// point before migrating weights.
     pub fn drain_seconds(&self) -> f64 {
-        self.lanes.iter().map(|l| l.free).fold(self.clock, f64::max)
+        let e = &self.engine;
+        e.lanes.iter().map(|l| l.free).fold(e.clock, f64::max)
     }
 
     /// Swaps in a re-scheduled co-schedule: each lane adopts its new
@@ -1303,40 +1172,28 @@ impl SimState {
         sla_factors: &[f64],
         activate_at: f64,
     ) -> Result<(), ServeError> {
-        let k = self.lanes.len();
-        if co.placements.len() != k || sla_factors.len() != k {
-            return Err(ServeError::ShapeMismatch {
-                placements: co.placements.len(),
-                profiles: sla_factors.len(),
-                streams: k,
-            });
-        }
-        let profiles: Vec<TrafficProfile> = sla_factors
-            .iter()
-            .map(|&f| TrafficProfile::new(0.0, f))
-            .collect();
-        validate_service(co, &profiles)?;
-        for ((lane, placement), &factor) in
-            self.lanes.iter_mut().zip(&co.placements).zip(sla_factors)
+        let k = self.engine.lanes.len();
+        validate_placements(k, co, sla_factors)?;
+        let e = &mut self.engine;
+        for ((lane, placement), &factor) in e.lanes.iter_mut().zip(&co.placements).zip(sla_factors)
         {
             lane.latency = placement.result.mapping.latency_seconds;
             lane.sla_seconds = factor * lane.latency;
             lane.accels = placement.accels.clone().into();
             lane.free = lane.free.max(activate_at);
             for &a in &placement.accels {
-                if let Err(idx) = self.accel_busy.binary_search_by_key(&a, |&(id, _)| id) {
-                    self.accel_busy.insert(idx, (a, 0.0));
+                if let Err(idx) = e.env.accel_busy.binary_search_by_key(&a, |&(id, _)| id) {
+                    e.env.accel_busy.insert(idx, (a, 0.0));
                 }
             }
         }
         // New entries shift the sorted vector, so every lane's cached slots
         // are recomputed (placement swaps are rare; dispatches are not).
-        for lane in &mut self.lanes {
-            lane.busy_slots = busy_slots_of(&self.accel_busy, &lane.accels);
+        for lane in &mut e.lanes {
+            lane.busy_slots = busy_slots_of(&e.env.accel_busy, &lane.accels);
         }
-        for w in 0..self.lanes.len() {
-            self.mark_dirty(w);
-        }
+        (0..k).for_each(|w| e.mark_dirty(w));
+        self.needs_refine = true;
         Ok(())
     }
 
@@ -1348,27 +1205,14 @@ impl SimState {
     ///
     /// Rejects a mismatched factor count or non-positive/non-finite factors.
     pub fn set_sla_factors(&mut self, sla_factors: &[f64]) -> Result<(), ServeError> {
-        if sla_factors.len() != self.lanes.len() {
-            return Err(ServeError::ShapeMismatch {
-                placements: self.lanes.len(),
-                profiles: sla_factors.len(),
-                streams: self.lanes.len(),
-            });
-        }
-        for (w, &f) in sla_factors.iter().enumerate() {
-            if !(f > 0.0 && f.is_finite()) {
-                return Err(ServeError::InvalidSla {
-                    workload: w,
-                    sla_factor: f,
-                });
-            }
-        }
-        for (lane, &f) in self.lanes.iter_mut().zip(sla_factors) {
+        let k = self.engine.lanes.len();
+        validate_sla_factors(k, sla_factors)?;
+        let e = &mut self.engine;
+        for (lane, &f) in e.lanes.iter_mut().zip(sla_factors) {
             lane.sla_seconds = f * lane.latency;
         }
-        for w in 0..self.lanes.len() {
-            self.mark_dirty(w);
-        }
+        (0..k).for_each(|w| e.mark_dirty(w));
+        self.needs_refine = true;
         Ok(())
     }
 
@@ -1377,39 +1221,12 @@ impl SimState {
     /// [`run_until`](SimState::run_until)`(horizon)` — or use
     /// [`finish`](SimState::finish) — for the complete-run report.
     pub fn report(&self) -> ServeReport {
-        ServeReport::from_lanes(self.config.policy, self.horizon, self.lanes())
+        self.engine.report()
     }
 
     /// Runs the remaining events and returns the final [`ServeReport`].
     pub fn finish(self) -> ServeReport {
-        let (policy, horizon) = (self.config.policy, self.horizon);
-        ServeReport::from_lanes(policy, horizon, self.finish_lanes())
-    }
-
-    /// Runs the remaining events, records the per-accelerator busy totals
-    /// as gauges, and hands back the finished lanes (what a lane shard
-    /// returns to the runner).  `gauge_max` keeps the gauges idempotent, and
-    /// partitions are disjoint across shards, so the merged gauges are
-    /// shard-count invariant.
-    pub(crate) fn finish_lanes(mut self) -> Lanes<WorkloadServeStats> {
-        self.run_until(self.horizon);
-        if self.recorder.is_enabled() {
-            for &(a, busy) in &self.accel_busy {
-                self.recorder
-                    .gauge_max(&format!("serve/accel_busy_seconds/a{}", a.0), busy);
-            }
-        }
-        self.lanes()
-    }
-
-    /// The lanes as they stand, in lane order.
-    fn lanes(&self) -> Lanes<WorkloadServeStats> {
-        let samples: Vec<&[f64]> = self.lanes.iter().map(|l| l.arena.latencies()).collect();
-        Lanes {
-            stats: self.lanes.iter().map(Lane::stats).collect(),
-            latencies: samples.concat(),
-            accel_busy: self.accel_busy.clone(),
-        }
+        self.engine.finish()
     }
 }
 
@@ -1444,10 +1261,7 @@ pub(crate) fn validate(
             streams: trace.arrivals.len(),
         });
     }
-    let horizon = trace.horizon_seconds;
-    if !(horizon > 0.0 && horizon.is_finite()) {
-        return Err(ServeError::InvalidHorizon(horizon));
-    }
+    check_horizon(trace.horizon_seconds)?;
     if config.max_batch == 0 {
         return Err(ServeError::ZeroMaxBatch);
     }
@@ -1460,33 +1274,70 @@ pub(crate) fn validate(
             return Err(ServeError::InvalidKnob { knob, value });
         }
     }
-    validate_service(co, profiles)?;
-    // The event loop's lookahead (batch-fill prediction, FIFO timeout
-    // anchored on the queue head) silently assumes each stream is sorted
-    // and inside the horizon — enforce the Trace invariant instead of
-    // producing quietly wrong numbers for a hand-built trace.
-    for (w, stream) in trace.arrivals.iter().enumerate() {
-        let in_window = stream.iter().all(|t| (0.0..horizon).contains(t));
-        let sorted = stream.windows(2).all(|p| p[0] <= p[1]);
-        if !(in_window && sorted) {
-            return Err(ServeError::InvalidTrace { workload: w });
-        }
+    validate_service(co, profiles.iter().map(|p| p.sla_factor))?;
+    check_streams(trace.horizon_seconds, &trace.arrivals, |_, &t| Ok(t))
+}
+
+/// Rejects a horizon that is not a positive finite number.
+pub(crate) fn check_horizon(horizon: f64) -> Result<(), ServeError> {
+    if horizon > 0.0 && horizon.is_finite() {
+        Ok(())
+    } else {
+        Err(ServeError::InvalidHorizon(horizon))
     }
-    Ok(())
+}
+
+/// The checks of [`SimState::apply_placements`] on `k` lanes: one placement
+/// and one SLA factor per lane, then [`validate_service`].
+pub(crate) fn validate_placements(
+    k: usize,
+    co: &CoScheduleResult,
+    sla_factors: &[f64],
+) -> Result<(), ServeError> {
+    if co.placements.len() != k || sla_factors.len() != k {
+        return Err(ServeError::ShapeMismatch {
+            placements: co.placements.len(),
+            profiles: sla_factors.len(),
+            streams: k,
+        });
+    }
+    validate_service(co, sla_factors.iter().copied())
+}
+
+/// The checks of [`SimState::set_sla_factors`] on `k` lanes: one positive,
+/// finite factor per lane.
+pub(crate) fn validate_sla_factors(k: usize, sla_factors: &[f64]) -> Result<(), ServeError> {
+    if sla_factors.len() != k {
+        return Err(ServeError::ShapeMismatch {
+            placements: k,
+            profiles: sla_factors.len(),
+            streams: k,
+        });
+    }
+    match sla_factors
+        .iter()
+        .position(|&f| !(f > 0.0 && f.is_finite()))
+    {
+        Some(w) => Err(ServeError::InvalidSla {
+            workload: w,
+            sla_factor: sla_factors[w],
+        }),
+        None => Ok(()),
+    }
 }
 
 /// The per-placement service-parameter checks shared by [`SimState::new`]
-/// and [`SimState::apply_placements`] (and their reference-oracle twins),
-/// then the disjointness of the partitions.
-pub(crate) fn validate_service(
+/// and [`SimState::apply_placements`], then the disjointness of the
+/// partitions.
+fn validate_service(
     co: &CoScheduleResult,
-    profiles: &[TrafficProfile],
+    sla_factors: impl Iterator<Item = f64>,
 ) -> Result<(), ServeError> {
-    for (w, p) in profiles.iter().enumerate() {
-        if !(p.sla_factor > 0.0 && p.sla_factor.is_finite()) {
+    for (w, sla_factor) in sla_factors.enumerate() {
+        if !(sla_factor > 0.0 && sla_factor.is_finite()) {
             return Err(ServeError::InvalidSla {
                 workload: w,
-                sla_factor: p.sla_factor,
+                sla_factor,
             });
         }
         let lat = co.placements[w].result.mapping.latency_seconds;

@@ -21,8 +21,9 @@
 //!   batch event and the final report;
 //! - `llm_mix()` with `LlmTrace::draw(.., 42)` under both `BatchingMode`s
 //!   through `simulate_llm_sharded`;
-//! - the metrics JSON and the Chrome trace JSON of that LLM replay through
-//!   `simulate_llm_sharded_observed`, under both `BatchingMode`s;
+//! - the metrics JSON and the Chrome trace JSON of that LLM replay, under
+//!   both `BatchingMode`s, through `simulate_llm_sharded_observed` and
+//!   through one `LlmSimState` with a recorder (the same bytes);
 //! - one `LlmSimState` per `BatchingMode` on that mix: its report at a
 //!   quarter, half and three quarters of the horizon, then the finished
 //!   report;
@@ -236,18 +237,32 @@ fn llm_export_digests() {
     let spec = llm_mix();
     let trace = LlmTrace::draw(&spec, SEED).expect("bundled LLM mix is valid");
     for (mode, [metrics_pin, trace_pin]) in LLM_EXPORT_DIGESTS {
-        let recorder = Recorder::enabled();
-        simulate_llm_sharded_observed(&spec, &trace, mode, &recorder).expect("valid LLM replay");
-        let obs = recorder.take();
-        let metrics = metrics_json(&obs);
-        let chrome = chrome_trace_json(&obs);
-        assert!(metrics.contains("llm/kv_reserved/") && chrome.contains("llm/"));
-        let mut d = Digest::new();
-        d.write_str(&metrics).expect("hashing never fails");
-        assert_digest(&format!("llm {mode} metrics"), d.0, metrics_pin);
-        let mut d = Digest::new();
-        d.write_str(&chrome).expect("hashing never fails");
-        assert_digest(&format!("llm {mode} trace"), d.0, trace_pin);
+        let sharded = Recorder::enabled();
+        simulate_llm_sharded_observed(&spec, &trace, mode, &sharded).expect("valid LLM replay");
+        let single = Recorder::enabled();
+        LlmSimState::new(&spec, &trace, mode)
+            .expect("valid LLM inputs")
+            .with_recorder(single.clone())
+            .finish();
+        for (path, recorder) in [("sharded", sharded), ("one engine", single)] {
+            let obs = recorder.take();
+            let metrics = metrics_json(&obs);
+            let chrome = chrome_trace_json(&obs);
+            assert!(metrics.contains("llm/kv_reserved/") && chrome.contains("llm/"));
+            // LLM lanes record lane-local metrics only: never the calendar
+            // occupancy or stale-skip counts of a top-level CNN engine.
+            assert!(
+                !metrics.contains("serve/calendar_occupancy")
+                    && !metrics.contains("serve/stale_skips"),
+                "llm {mode} {path}: engine-level metrics recorded"
+            );
+            let mut d = Digest::new();
+            d.write_str(&metrics).expect("hashing never fails");
+            assert_digest(&format!("llm {mode} {path} metrics"), d.0, metrics_pin);
+            let mut d = Digest::new();
+            d.write_str(&chrome).expect("hashing never fails");
+            assert_digest(&format!("llm {mode} {path} trace"), d.0, trace_pin);
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! ```
 
 use mars::prelude::*;
-use mars::serve::{compare_policies, render_serve, ServeConfig, Trace};
+use mars::serve::{render_serve, simulate_sharded_with_faults, Trace};
 
 fn main() {
     let mix = mars::model::zoo::MixZoo::ClassicPair;
@@ -27,10 +27,18 @@ fn main() {
         co.placements.len()
     );
 
-    let reports = compare_policies(&co, &profiles, &trace, &ServeConfig::default())
+    for policy in DispatchPolicy::ALL {
+        let config = ServeConfig::new(policy);
+        // `&[]`: no fault schedule, a healthy pool.
+        let report = simulate_sharded_with_faults(
+            &co,
+            &profiles,
+            &trace,
+            &config,
+            &[],
+            FaultPolicy::default(),
+        )
         .expect("bundled profiles are valid");
-    for report in &reports {
-        print!("{}", render_serve(report));
-        println!();
+        println!("{}", render_serve(&report));
     }
 }

@@ -76,9 +76,10 @@
 //!
 //! [`serve`] replays a seeded request-arrival trace against a co-schedule's
 //! placements with SLA-aware dynamic batching
-//! ([`serve::simulate_sharded_with_faults`], or [`serve::compare_policies`]
-//! for every dispatch policy), producing tail-latency, goodput and
-//! utilisation figures — see [`serve::Trace`] and [`serve::DispatchPolicy`].
+//! ([`serve::simulate_sharded_with_faults`], called once per
+//! [`serve::DispatchPolicy`] to compare them), producing tail-latency,
+//! goodput and utilisation figures — see [`serve::Trace`].  LLM lanes
+//! ([`serve::simulate_llm_sharded`]) run on the same event engine.
 //! Every whole-run replay splits its lanes across the `MARS_THREADS` pool
 //! and is bit-identical to one [`serve::SimState`] run.  Bundled traffic
 //! profiles live on [`model::zoo::MixZoo::traffic`].

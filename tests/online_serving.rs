@@ -5,7 +5,7 @@
 
 use mars::model::zoo::MixZoo;
 use mars::prelude::*;
-use mars::serve::{compare_policies, render_serve, simulate_sharded_with_faults};
+use mars::serve::{render_serve, simulate_sharded_with_faults};
 
 const DEFAULT_SEED: u64 = 42;
 
@@ -95,12 +95,20 @@ fn every_policy_serves_the_same_request_stream() {
     .unwrap();
     let profiles: Vec<TrafficProfile> = MixZoo::ClassicPair.traffic();
     let trace = Trace::poisson(&profiles, 1.0, DEFAULT_SEED);
-    let reports = compare_policies(&co, &profiles, &trace, &ServeConfig::default()).unwrap();
-    assert_eq!(reports.len(), DispatchPolicy::ALL.len());
-    for (report, policy) in reports.iter().zip(DispatchPolicy::ALL) {
+    for policy in DispatchPolicy::ALL {
+        let config = ServeConfig::new(policy);
+        let report = simulate_sharded_with_faults(
+            &co,
+            &profiles,
+            &trace,
+            &config,
+            &[],
+            FaultPolicy::default(),
+        )
+        .unwrap();
         assert_eq!(report.policy, policy);
         assert_eq!(report.total_requests, trace.total_requests());
-        let text = render_serve(report);
+        let text = render_serve(&report);
         assert!(text.contains(policy.name()));
         for w in &workloads {
             assert!(text.contains(w.network.name()));
