@@ -50,7 +50,7 @@ fn main() {
                 report.serve.p95_ms,
                 report.final_epoch(),
                 report.placements_changed(),
-                report.migration_seconds() * 1e3 + 0.0,
+                report.migration_seconds() * 1e3,
                 report
                     .reconfigurations
                     .iter()

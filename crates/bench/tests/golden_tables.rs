@@ -6,8 +6,7 @@
 //! *intentional* — a drift here means paper-reproduction results silently
 //! changed.  When a change is deliberate, re-run
 //! `cargo run --release -p mars-bench --bin table3` (and `table_multi`,
-//! `table_serve`) and update the pinned constants together with
-//! EXPERIMENTS/README notes.
+//! `table_serve`) and update the pinned constants.
 //!
 //! Every test here runs in the default suite (`cargo test -q`, a few
 //! seconds at the test profile's `opt-level = 1`), so each PR pins every

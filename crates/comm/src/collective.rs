@@ -9,13 +9,16 @@
 //!   model used by ASTRA-Sim's analytical backend.  Tests cross-check the two
 //!   on contention-free topologies.
 
-use crate::config::CommConfig;
-use crate::event::{Endpoint, Engine, Transfer};
+use crate::event::{Endpoint, Engine, Transfer, HOST_LATENCY, LINK_LATENCY};
 use mars_topology::{transfer_seconds, AccelId, Topology};
+
+/// Smallest chunk a ring collective splits its payload into, in bytes, so
+/// tiny messages are not dominated by per-chunk latency.
+const MIN_CHUNK_BYTES: u64 = 4096;
 
 /// Per-step alpha/beta cost of the slowest consecutive pair on the ring formed
 /// by `set` (in the given order).
-fn ring_step_cost(topo: &Topology, cfg: &CommConfig, set: &[AccelId], chunk_bytes: u64) -> f64 {
+fn ring_step_cost(topo: &Topology, set: &[AccelId], chunk_bytes: u64) -> f64 {
     let p = set.len();
     if p < 2 {
         return 0.0;
@@ -25,11 +28,11 @@ fn ring_step_cost(topo: &Topology, cfg: &CommConfig, set: &[AccelId], chunk_byte
         let a = set[i];
         let b = set[(i + 1) % p];
         let cost = if topo.requires_host_staging(a, b) {
-            2.0 * cfg.host_latency
+            2.0 * HOST_LATENCY
                 + transfer_seconds(chunk_bytes, topo.host_bandwidth(a))
                 + transfer_seconds(chunk_bytes, topo.host_bandwidth(b))
         } else {
-            cfg.link_latency + transfer_seconds(chunk_bytes, topo.bandwidth(a, b))
+            LINK_LATENCY + transfer_seconds(chunk_bytes, topo.bandwidth(a, b))
         };
         worst = worst.max(cost);
     }
@@ -61,8 +64,8 @@ fn ring_steps(set: &[AccelId], steps: usize, chunk_bytes: u64) -> Vec<Transfer> 
 }
 
 /// Chunk size of a ring collective over `p` members moving `bytes` per member.
-fn ring_chunk(cfg: &CommConfig, bytes: u64, p: usize) -> u64 {
-    (bytes / p.max(1) as u64).max(cfg.min_chunk_bytes.min(bytes.max(1)))
+fn ring_chunk(bytes: u64, p: usize) -> u64 {
+    (bytes / p.max(1) as u64).max(MIN_CHUNK_BYTES.min(bytes.max(1)))
 }
 
 /// Makespan of `steps` barrier-separated ring steps over `set`, each step
@@ -78,7 +81,6 @@ fn ring_chunk(cfg: &CommConfig, bytes: u64, p: usize) -> u64 {
 /// per-transfer allocations and resource hashing is worth ~20x.
 fn ring_makespan(engine: &Engine<'_>, set: &[AccelId], steps: usize, chunk_bytes: u64) -> f64 {
     let topo = engine.topology();
-    let cfg = engine.config();
     let p = set.len();
     // Per ring edge: the one or two hop durations the engine would price.
     let edges: Vec<(f64, f64, bool)> = (0..p)
@@ -87,13 +89,13 @@ fn ring_makespan(engine: &Engine<'_>, set: &[AccelId], steps: usize, chunk_bytes
             let b = set[(i + 1) % p];
             if topo.requires_host_staging(a, b) {
                 (
-                    cfg.host_latency + transfer_seconds(chunk_bytes, topo.host_bandwidth(a)),
-                    cfg.host_latency + transfer_seconds(chunk_bytes, topo.host_bandwidth(b)),
+                    HOST_LATENCY + transfer_seconds(chunk_bytes, topo.host_bandwidth(a)),
+                    HOST_LATENCY + transfer_seconds(chunk_bytes, topo.host_bandwidth(b)),
                     true,
                 )
             } else {
                 (
-                    cfg.link_latency + transfer_seconds(chunk_bytes, topo.bandwidth(a, b)),
+                    LINK_LATENCY + transfer_seconds(chunk_bytes, topo.bandwidth(a, b)),
                     0.0,
                     false,
                 )
@@ -127,24 +129,24 @@ fn ring_makespan(engine: &Engine<'_>, set: &[AccelId], steps: usize, chunk_bytes
 ///
 /// Used to combine the partial sums produced when a reduction dimension
 /// (`Cin`, `Kh`, `Kw`) is partitioned into exclusive shards (Fig. 2(b)).
-pub fn all_reduce(engine: &Engine<'_>, cfg: &CommConfig, set: &[AccelId], bytes: u64) -> f64 {
+pub fn all_reduce(engine: &Engine<'_>, set: &[AccelId], bytes: u64) -> f64 {
     let p = set.len();
     if p < 2 || bytes == 0 {
         return 0.0;
     }
-    let chunk = ring_chunk(cfg, bytes, p);
+    let chunk = ring_chunk(bytes, p);
     // Reduce-scatter (p-1 steps) followed by all-gather (p-1 steps).
     ring_makespan(engine, set, 2 * (p - 1), chunk)
 }
 
 /// Closed-form estimate of [`all_reduce`].
-pub fn estimate_all_reduce(topo: &Topology, cfg: &CommConfig, set: &[AccelId], bytes: u64) -> f64 {
+pub fn estimate_all_reduce(topo: &Topology, set: &[AccelId], bytes: u64) -> f64 {
     let p = set.len();
     if p < 2 || bytes == 0 {
         return 0.0;
     }
-    let chunk = ring_chunk(cfg, bytes, p);
-    2.0 * (p - 1) as f64 * ring_step_cost(topo, cfg, set, chunk)
+    let chunk = ring_chunk(bytes, p);
+    2.0 * (p - 1) as f64 * ring_step_cost(topo, set, chunk)
 }
 
 /// Ring All-Gather: every member contributes a shard of `shard_bytes` and ends
@@ -157,27 +159,13 @@ pub fn all_gather(engine: &Engine<'_>, set: &[AccelId], shard_bytes: u64) -> f64
     ring_makespan(engine, set, p - 1, shard_bytes)
 }
 
-/// Closed-form estimate of [`all_gather`].
-pub fn estimate_all_gather(
-    topo: &Topology,
-    cfg: &CommConfig,
-    set: &[AccelId],
-    shard_bytes: u64,
-) -> f64 {
-    let p = set.len();
-    if p < 2 || shard_bytes == 0 {
-        return 0.0;
-    }
-    (p - 1) as f64 * ring_step_cost(topo, cfg, set, shard_bytes)
-}
-
 /// Ring Reduce-Scatter of a tensor of `bytes` replicated on every member.
-pub fn reduce_scatter(engine: &Engine<'_>, cfg: &CommConfig, set: &[AccelId], bytes: u64) -> f64 {
+pub fn reduce_scatter(engine: &Engine<'_>, set: &[AccelId], bytes: u64) -> f64 {
     let p = set.len();
     if p < 2 || bytes == 0 {
         return 0.0;
     }
-    let chunk = ring_chunk(cfg, bytes, p);
+    let chunk = ring_chunk(bytes, p);
     ring_makespan(engine, set, p - 1, chunk)
 }
 
@@ -193,16 +181,11 @@ pub fn ring_shift(engine: &Engine<'_>, set: &[AccelId], shard_bytes: u64) -> f64
 }
 
 /// Closed-form estimate of [`ring_shift`].
-pub fn estimate_ring_shift(
-    topo: &Topology,
-    cfg: &CommConfig,
-    set: &[AccelId],
-    shard_bytes: u64,
-) -> f64 {
+pub fn estimate_ring_shift(topo: &Topology, set: &[AccelId], shard_bytes: u64) -> f64 {
     if set.len() < 2 || shard_bytes == 0 {
         return 0.0;
     }
-    ring_step_cost(topo, cfg, set, shard_bytes)
+    ring_step_cost(topo, set, shard_bytes)
 }
 
 /// Pipelined broadcast of `bytes` from `set[0]` along the ring order.
@@ -301,15 +284,13 @@ mod tests {
         let topo = presets::f1_16xlarge();
         let intra = group(&topo);
         let cross: Vec<AccelId> = vec![AccelId(0), AccelId(1), AccelId(4), AccelId(5)];
-        for cfg in [CommConfig::new(), CommConfig::zero_latency()] {
-            let engine = Engine::new(&topo, cfg);
-            for set in [&intra, &cross] {
-                for steps in [1usize, 3, 6] {
-                    for bytes in [1u64, 4096, 1 << 20] {
-                        let fast = ring_makespan(&engine, set, steps, bytes);
-                        let dag = engine.simulate(&ring_steps(set, steps, bytes));
-                        assert_eq!(fast.to_bits(), dag.to_bits(), "{set:?} {steps} {bytes}");
-                    }
+        let engine = Engine::new(&topo);
+        for set in [&intra, &cross] {
+            for steps in [1usize, 3, 6] {
+                for bytes in [1u64, 4096, 1 << 20] {
+                    let fast = ring_makespan(&engine, set, steps, bytes);
+                    let dag = engine.simulate(&ring_steps(set, steps, bytes));
+                    assert_eq!(fast.to_bits(), dag.to_bits(), "{set:?} {steps} {bytes}");
                 }
             }
         }
@@ -318,12 +299,11 @@ mod tests {
     #[test]
     fn all_reduce_matches_estimate_on_contention_free_ring() {
         let topo = presets::f1_16xlarge();
-        let cfg = CommConfig::zero_latency();
-        let engine = Engine::new(&topo, cfg);
+        let engine = Engine::new(&topo);
         let set = group(&topo);
         let bytes = 4 << 20;
-        let simulated = all_reduce(&engine, &cfg, &set, bytes);
-        let estimated = estimate_all_reduce(&topo, &cfg, &set, bytes);
+        let simulated = all_reduce(&engine, &set, bytes);
+        let estimated = estimate_all_reduce(&topo, &set, bytes);
         assert!(
             (simulated - estimated).abs() / estimated < 0.01,
             "sim {simulated} vs est {estimated}"
@@ -333,26 +313,24 @@ mod tests {
     #[test]
     fn all_reduce_scales_with_bytes_and_is_zero_for_singletons() {
         let topo = presets::f1_16xlarge();
-        let cfg = CommConfig::new();
-        let engine = Engine::new(&topo, cfg);
+        let engine = Engine::new(&topo);
         let set = group(&topo);
-        let small = all_reduce(&engine, &cfg, &set, 1 << 16);
-        let large = all_reduce(&engine, &cfg, &set, 1 << 22);
+        let small = all_reduce(&engine, &set, 1 << 16);
+        let large = all_reduce(&engine, &set, 1 << 22);
         assert!(large > small);
-        assert_eq!(all_reduce(&engine, &cfg, &[AccelId(0)], 1 << 20), 0.0);
-        assert_eq!(all_reduce(&engine, &cfg, &set, 0), 0.0);
+        assert_eq!(all_reduce(&engine, &[AccelId(0)], 1 << 20), 0.0);
+        assert_eq!(all_reduce(&engine, &set, 0), 0.0);
     }
 
     #[test]
     fn cross_group_all_reduce_is_much_slower() {
         let topo = presets::f1_16xlarge();
-        let cfg = CommConfig::new();
-        let engine = Engine::new(&topo, cfg);
+        let engine = Engine::new(&topo);
         let intra = group(&topo);
         let cross: Vec<AccelId> = vec![AccelId(0), AccelId(1), AccelId(4), AccelId(5)];
         let bytes = 1 << 20;
-        let t_intra = all_reduce(&engine, &cfg, &intra, bytes);
-        let t_cross = all_reduce(&engine, &cfg, &cross, bytes);
+        let t_intra = all_reduce(&engine, &intra, bytes);
+        let t_cross = all_reduce(&engine, &cross, bytes);
         assert!(
             t_cross > 3.0 * t_intra,
             "cross {t_cross} vs intra {t_intra}"
@@ -362,12 +340,11 @@ mod tests {
     #[test]
     fn all_gather_and_reduce_scatter_are_cheaper_than_all_reduce() {
         let topo = presets::f1_16xlarge();
-        let cfg = CommConfig::zero_latency();
-        let engine = Engine::new(&topo, cfg);
+        let engine = Engine::new(&topo);
         let set = group(&topo);
         let bytes = 1 << 20;
-        let ar = all_reduce(&engine, &cfg, &set, bytes);
-        let rs = reduce_scatter(&engine, &cfg, &set, bytes);
+        let ar = all_reduce(&engine, &set, bytes);
+        let rs = reduce_scatter(&engine, &set, bytes);
         let ag = all_gather(&engine, &set, bytes / set.len() as u64);
         assert!(rs < ar);
         assert!(ag < ar);
@@ -378,49 +355,48 @@ mod tests {
     #[test]
     fn ring_shift_is_one_step() {
         let topo = presets::f1_16xlarge();
-        let cfg = CommConfig::zero_latency();
-        let engine = Engine::new(&topo, cfg);
+        let engine = Engine::new(&topo);
         let set = group(&topo);
         let shard = 1 << 20;
         let shift = ring_shift(&engine, &set, shard);
-        let est = estimate_ring_shift(&topo, &cfg, &set, shard);
+        let est = estimate_ring_shift(&topo, &set, shard);
         assert!((shift - est).abs() / est < 0.01);
-        // One step of `shard` bytes over 8 Gbps ~ 1.05 ms.
-        assert!((shift - transfer_seconds(shard, 8.0)).abs() < 1e-6);
+        // One step of `shard` bytes over 8 Gbps ~ 1.05 ms, plus the link
+        // latency.
+        assert!((shift - (LINK_LATENCY + transfer_seconds(shard, 8.0))).abs() < 1e-12);
     }
 
     #[test]
     fn broadcast_pipelines_along_the_ring() {
         let topo = presets::f1_16xlarge();
-        let cfg = CommConfig::zero_latency();
-        let engine = Engine::new(&topo, cfg);
+        let engine = Engine::new(&topo);
         let set = group(&topo);
         let bytes = 1 << 20;
         let t = broadcast(&engine, &set, bytes);
         // Three sequential hops over 8 Gbps.
-        assert!((t - 3.0 * transfer_seconds(bytes, 8.0)).abs() < 1e-6);
+        let hop = LINK_LATENCY + transfer_seconds(bytes, 8.0);
+        assert!((t - 3.0 * hop).abs() < 1e-12);
         assert_eq!(broadcast(&engine, &[AccelId(0)], bytes), 0.0);
     }
 
     #[test]
     fn host_scatter_gather_use_parallel_host_links() {
         let topo = presets::f1_16xlarge();
-        let cfg = CommConfig::zero_latency();
-        let engine = Engine::new(&topo, cfg);
+        let engine = Engine::new(&topo);
         let set = group(&topo);
         let bytes = 1 << 20;
         // Distinct host links: all four transfers run in parallel at 2 Gbps.
+        let hop = HOST_LATENCY + transfer_seconds(bytes, 2.0);
         let t = host_scatter(&engine, &set, bytes);
-        assert!((t - transfer_seconds(bytes, 2.0)).abs() < 1e-6);
+        assert!((t - hop).abs() < 1e-12);
         let t = host_gather(&engine, &set, bytes);
-        assert!((t - transfer_seconds(bytes, 2.0)).abs() < 1e-6);
+        assert!((t - hop).abs() < 1e-12);
     }
 
     #[test]
     fn redistribute_is_free_within_same_set_and_costly_across_groups() {
         let topo = presets::f1_16xlarge();
-        let cfg = CommConfig::zero_latency();
-        let engine = Engine::new(&topo, cfg);
+        let engine = Engine::new(&topo);
         let g0 = topo.group_members(0);
         let g1 = topo.group_members(1);
         assert_eq!(redistribute(&engine, &g0, &g0, 1 << 20), 0.0);

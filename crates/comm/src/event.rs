@@ -10,9 +10,15 @@
 //! Transfers between accelerators without a direct link are automatically
 //! expanded into two host-staged hops (source → host, host → destination).
 
-use crate::config::CommConfig;
 use mars_topology::{transfer_seconds, AccelId, Topology};
 use std::collections::HashMap;
+
+/// Fixed latency of one direct accelerator-to-accelerator transfer (DMA
+/// descriptor setup, PCIe peer-to-peer initiation), in seconds.
+pub(crate) const LINK_LATENCY: f64 = 5e-6;
+/// Fixed latency of one host-staged hop (kernel driver involvement, host
+/// memory copy), in seconds.
+pub(crate) const HOST_LATENCY: f64 = 25e-6;
 
 /// One end of a transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -82,23 +88,17 @@ struct Hop {
 #[derive(Debug, Clone)]
 pub struct Engine<'a> {
     topo: &'a Topology,
-    cfg: CommConfig,
 }
 
 impl<'a> Engine<'a> {
-    /// Creates an engine over a topology with the given configuration.
-    pub fn new(topo: &'a Topology, cfg: CommConfig) -> Self {
-        Self { topo, cfg }
+    /// Creates an engine over a topology.
+    pub fn new(topo: &'a Topology) -> Self {
+        Self { topo }
     }
 
     /// The topology this engine schedules on.
     pub fn topology(&self) -> &Topology {
         self.topo
-    }
-
-    /// The configuration the engine prices hops with.
-    pub fn config(&self) -> CommConfig {
-        self.cfg
     }
 
     /// Expands a transfer into its sequence of hops (1 for direct or
@@ -113,19 +113,19 @@ impl<'a> Engine<'a> {
                     vec![
                         Hop {
                             resource: Resource::HostUplink(a),
-                            duration: self.cfg.host_latency
+                            duration: HOST_LATENCY
                                 + transfer_seconds(t.bytes, self.topo.host_bandwidth(a)),
                         },
                         Hop {
                             resource: Resource::HostDownlink(b),
-                            duration: self.cfg.host_latency
+                            duration: HOST_LATENCY
                                 + transfer_seconds(t.bytes, self.topo.host_bandwidth(b)),
                         },
                     ]
                 } else {
                     vec![Hop {
                         resource: Resource::Link(a, b),
-                        duration: self.cfg.link_latency
+                        duration: LINK_LATENCY
                             + transfer_seconds(t.bytes, self.topo.bandwidth(a, b)),
                     }]
                 }
@@ -133,15 +133,13 @@ impl<'a> Engine<'a> {
             (Endpoint::Accel(a), Endpoint::Host) => {
                 vec![Hop {
                     resource: Resource::HostUplink(a),
-                    duration: self.cfg.host_latency
-                        + transfer_seconds(t.bytes, self.topo.host_bandwidth(a)),
+                    duration: HOST_LATENCY + transfer_seconds(t.bytes, self.topo.host_bandwidth(a)),
                 }]
             }
             (Endpoint::Host, Endpoint::Accel(a)) => {
                 vec![Hop {
                     resource: Resource::HostDownlink(a),
-                    duration: self.cfg.host_latency
-                        + transfer_seconds(t.bytes, self.topo.host_bandwidth(a)),
+                    duration: HOST_LATENCY + transfer_seconds(t.bytes, self.topo.host_bandwidth(a)),
                 }]
             }
             (Endpoint::Host, Endpoint::Host) => vec![],
@@ -204,25 +202,26 @@ mod tests {
     use mars_topology::presets;
 
     fn engine(topo: &Topology) -> Engine<'_> {
-        Engine::new(topo, CommConfig::zero_latency())
+        Engine::new(topo)
     }
 
     #[test]
     fn direct_transfer_uses_link_bandwidth() {
         let topo = presets::f1_16xlarge();
         let e = engine(&topo);
-        // 1 MB over 8 Gbps = 1 ms.
+        // 1 MB over 8 Gbps = 1 ms, plus the link latency.
         let t = e.point_to_point(AccelId(0), AccelId(1), 1_000_000);
-        assert!((t - 1e-3).abs() < 1e-9, "{t}");
+        assert!((t - (1e-3 + LINK_LATENCY)).abs() < 1e-9, "{t}");
     }
 
     #[test]
     fn cross_group_transfer_is_host_staged() {
         let topo = presets::f1_16xlarge();
         let e = engine(&topo);
-        // 1 MB over 2 Gbps host link, twice (up and down) = 8 ms.
+        // 1 MB over 2 Gbps host link, twice (up and down) = 8 ms, plus two
+        // host-hop latencies.
         let t = e.point_to_point(AccelId(0), AccelId(4), 1_000_000);
-        assert!((t - 8e-3).abs() < 1e-8, "{t}");
+        assert!((t - (8e-3 + 2.0 * HOST_LATENCY)).abs() < 1e-8, "{t}");
         // Much slower than the intra-group transfer.
         assert!(t > 4.0 * e.point_to_point(AccelId(0), AccelId(1), 1_000_000));
     }
@@ -239,7 +238,7 @@ mod tests {
     #[test]
     fn fixed_latency_is_added_per_hop() {
         let topo = presets::f1_16xlarge();
-        let e = Engine::new(&topo, CommConfig::new());
+        let e = engine(&topo);
         let direct = e.point_to_point(AccelId(0), AccelId(1), 0);
         assert!((direct - 5e-6).abs() < 1e-12);
         let staged = e.point_to_point(AccelId(0), AccelId(4), 0);
@@ -250,7 +249,7 @@ mod tests {
     fn contention_serialises_transfers_on_same_link() {
         let topo = presets::f1_16xlarge();
         let e = engine(&topo);
-        // Two 1 MB transfers over the same link: 2 ms total.
+        // Two 1 MB transfers over the same link: 2 ms plus two latencies.
         let transfers = vec![
             Transfer::new(
                 Endpoint::Accel(AccelId(0)),
@@ -264,8 +263,9 @@ mod tests {
             ),
         ];
         let t = e.simulate(&transfers);
-        assert!((t - 2e-3).abs() < 1e-9, "{t}");
-        // Two transfers on disjoint links proceed in parallel: 1 ms.
+        assert!((t - 2.0 * (1e-3 + LINK_LATENCY)).abs() < 1e-9, "{t}");
+        // Two transfers on disjoint links proceed in parallel: one transfer's
+        // time.
         let transfers = vec![
             Transfer::new(
                 Endpoint::Accel(AccelId(0)),
@@ -279,14 +279,15 @@ mod tests {
             ),
         ];
         let t = e.simulate(&transfers);
-        assert!((t - 1e-3).abs() < 1e-9, "{t}");
+        assert!((t - (1e-3 + LINK_LATENCY)).abs() < 1e-9, "{t}");
     }
 
     #[test]
     fn dependencies_are_respected() {
         let topo = presets::f1_16xlarge();
         let e = engine(&topo);
-        // Chain of two dependent transfers on disjoint links: 2 ms.
+        // Chain of two dependent transfers on disjoint links: two transfers'
+        // time.
         let transfers = vec![
             Transfer::new(
                 Endpoint::Accel(AccelId(0)),
@@ -301,7 +302,7 @@ mod tests {
             .after([0]),
         ];
         let (makespan, completions) = e.simulate_with_completions(&transfers);
-        assert!((makespan - 2e-3).abs() < 1e-9);
+        assert!((makespan - 2.0 * (1e-3 + LINK_LATENCY)).abs() < 1e-9);
         assert!(completions[1] > completions[0]);
     }
 
@@ -336,6 +337,6 @@ mod tests {
             ),
         ];
         let t = e.simulate(&transfers);
-        assert!((t - 8e-3).abs() < 1e-8, "{t}");
+        assert!((t - (8e-3 + 2.0 * HOST_LATENCY)).abs() < 1e-8, "{t}");
     }
 }

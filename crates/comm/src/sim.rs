@@ -2,7 +2,6 @@
 //! evaluator and the mapping search.
 
 use crate::collective;
-use crate::config::CommConfig;
 use crate::event::Engine;
 use mars_topology::{AccelId, Topology};
 
@@ -13,31 +12,19 @@ use mars_topology::{AccelId, Topology};
 #[derive(Debug, Clone)]
 pub struct CommSim<'a> {
     engine: Engine<'a>,
-    cfg: CommConfig,
 }
 
 impl<'a> CommSim<'a> {
-    /// Creates a simulator with the default [`CommConfig`].
+    /// Creates a simulator over `topo`.
     pub fn new(topo: &'a Topology) -> Self {
-        Self::with_config(topo, CommConfig::new())
-    }
-
-    /// Creates a simulator with an explicit configuration.
-    pub fn with_config(topo: &'a Topology, cfg: CommConfig) -> Self {
         Self {
-            engine: Engine::new(topo, cfg),
-            cfg,
+            engine: Engine::new(topo),
         }
     }
 
     /// The underlying topology.
     pub fn topology(&self) -> &Topology {
         self.engine.topology()
-    }
-
-    /// The simulator configuration.
-    pub fn config(&self) -> CommConfig {
-        self.cfg
     }
 
     /// Point-to-point transfer latency (host-staged automatically when the two
@@ -48,7 +35,7 @@ impl<'a> CommSim<'a> {
 
     /// Ring All-Reduce of `bytes` per member over `set`.
     pub fn all_reduce(&self, set: &[AccelId], bytes: u64) -> f64 {
-        collective::all_reduce(&self.engine, &self.cfg, set, bytes)
+        collective::all_reduce(&self.engine, set, bytes)
     }
 
     /// Ring All-Gather of `shard_bytes` per member over `set`.
@@ -58,7 +45,7 @@ impl<'a> CommSim<'a> {
 
     /// Ring Reduce-Scatter of `bytes` per member over `set`.
     pub fn reduce_scatter(&self, set: &[AccelId], bytes: u64) -> f64 {
-        collective::reduce_scatter(&self.engine, &self.cfg, set, bytes)
+        collective::reduce_scatter(&self.engine, set, bytes)
     }
 
     /// One ring-shift step of `shard_bytes` per member over `set` (the
@@ -109,14 +96,6 @@ mod tests {
         assert!(sim.host_gather(&set, bytes) > 0.0);
         assert_eq!(sim.redistribute(&set, &set, bytes), 0.0);
         assert!(sim.point_to_point(AccelId(0), AccelId(1), bytes) > 0.0);
-    }
-
-    #[test]
-    fn configuration_is_exposed() {
-        let topo = presets::f1_16xlarge();
-        let cfg = CommConfig::zero_latency();
-        let sim = CommSim::with_config(&topo, cfg);
-        assert_eq!(sim.config(), cfg);
         assert_eq!(sim.topology().len(), 8);
     }
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the collective-communication simulator.
 
-use mars_comm::{CommConfig, CommSim};
+use mars_comm::CommSim;
 use mars_topology::{presets, AccelId};
 use proptest::prelude::*;
 
@@ -60,7 +60,7 @@ proptest! {
         b in 0usize..8,
     ) {
         let topo = presets::f1_16xlarge();
-        let sim = CommSim::with_config(&topo, CommConfig::zero_latency());
+        let sim = CommSim::new(&topo);
         let t_ab = sim.point_to_point(AccelId(a), AccelId(b), bytes);
         let t_ba = sim.point_to_point(AccelId(b), AccelId(a), bytes);
         prop_assert!((t_ab - t_ba).abs() < 1e-12);

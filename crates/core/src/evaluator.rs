@@ -280,7 +280,7 @@ impl<'a> Evaluator<'a> {
     /// runs with this keying so engine head-to-heads measure the rebuilt
     /// pipeline rather than crediting the shared shape cache to both sides.
     #[must_use]
-    pub fn with_per_layer_cache_keys(mut self) -> Self {
+    pub(crate) fn with_per_layer_cache_keys(mut self) -> Self {
         self.per_layer_keys = true;
         self
     }

@@ -52,19 +52,17 @@ pub struct SearchConfig {
     pub first_level: GaConfig,
     /// Hyper-parameters of the second-level GA (per-layer strategies).
     pub second_level: GaConfig,
-    /// Master seed; the per-level seeds are derived from it.
-    pub seed: u64,
     /// Which engine runs the search.
     pub engine: SearchEngine,
 }
 
 impl SearchConfig {
-    /// The configuration used for the paper-scale experiments.
+    /// The configuration used for the paper-scale experiments: the first
+    /// level seeded with `seed`, the second with `seed + 1`.
     pub fn standard(seed: u64) -> Self {
         Self {
             first_level: GaConfig::first_level(seed),
             second_level: GaConfig::second_level(seed.wrapping_add(1)),
-            seed,
             engine: SearchEngine::Flat,
         }
     }
@@ -82,7 +80,6 @@ impl SearchConfig {
                 generations: 6,
                 ..GaConfig::second_level(seed.wrapping_add(1))
             },
-            seed,
             engine: SearchEngine::Flat,
         }
     }

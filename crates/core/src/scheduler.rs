@@ -861,7 +861,6 @@ fn run_inner_search(
     // the same workload explores consistently across candidate partitions.
     let seed = genome_stream_seed(config.seed, 0x5eed, workload as u64);
     let mut inner = config.inner;
-    inner.seed = seed;
     inner.first_level.seed = seed;
     inner.second_level.seed = seed.wrapping_add(1);
     // The search outcome is bit-identical for every thread count, so the

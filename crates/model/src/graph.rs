@@ -210,11 +210,6 @@ impl Network {
         self.layers.iter().map(Layer::param_count).sum()
     }
 
-    /// Total parameter bytes.
-    pub fn total_param_bytes(&self) -> u64 {
-        self.layers.iter().map(Layer::param_bytes).sum()
-    }
-
     /// The activation shape flowing along edge `(from, to)`, i.e. the output
     /// shape of `from`.  Returns `None` when `from` does not exist.
     pub fn edge_activation(&self, from: LayerId) -> Option<FeatureMap> {
@@ -334,11 +329,6 @@ impl ChainBuilder {
     /// Id of the last layer pushed, if any.
     pub fn tail(&self) -> Option<LayerId> {
         self.tail
-    }
-
-    /// Access to the network under construction (e.g. to add skip edges).
-    pub fn network_mut(&mut self) -> &mut Network {
-        &mut self.net
     }
 
     /// Finishes the chain and returns the network.

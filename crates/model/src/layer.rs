@@ -284,11 +284,6 @@ impl Layer {
         }
     }
 
-    /// Parameter size in bytes.
-    pub fn param_bytes(&self) -> u64 {
-        self.param_count() * BYTES_PER_ELEMENT
-    }
-
     /// Shape of the activation produced by the layer.
     pub fn output_shape(&self) -> FeatureMap {
         match &self.kind {

@@ -62,11 +62,6 @@ impl Dim {
     pub fn is_reduction(self) -> bool {
         matches!(self, Dim::Cin | Dim::Kh | Dim::Kw)
     }
-
-    /// `true` for the spatial output dimensions `H` and `W`.
-    pub fn is_spatial(self) -> bool {
-        matches!(self, Dim::H | Dim::W)
-    }
 }
 
 impl std::fmt::Display for Dim {

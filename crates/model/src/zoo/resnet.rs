@@ -3,8 +3,8 @@
 //! The builders follow the torchvision reference architectures so that the
 //! parameter and MAC totals match the figures the paper quotes in Table III.
 //! Projection shortcuts (1×1 convolutions on the identity path) are included
-//! in the graph; the paper's `#Convs` column excludes them, which is noted in
-//! `EXPERIMENTS.md`.
+//! in the graph; the paper's `#Convs` column excludes them, so ResNet-34
+//! holds 36 convolutions here against the paper's 33.
 
 use crate::graph::{LayerId, Network};
 use crate::layer::{

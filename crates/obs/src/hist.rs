@@ -149,11 +149,6 @@ impl Histogram {
         self.max
     }
 
-    /// The count of regular bucket `i`.
-    pub fn bucket_count(&self, i: usize) -> u64 {
-        self.counts[i]
-    }
-
     /// Cumulative counts: `cdf()[i]` is the number of samples in underflow
     /// plus regular buckets `0..=i`.  Monotone non-decreasing by
     /// construction; the last entry plus `overflow()` equals `count()`.

@@ -3,11 +3,11 @@
 //! The mapping search memoises per-layer evaluations and second-level search
 //! results.  Under parallel fitness evaluation a single `Mutex<HashMap>`
 //! serialises every lookup; [`ShardedCache`] removes that bottleneck by
-//! hashing each key to one of N independent `Mutex<HashMap>` shards, so
+//! hashing each key to one of 16 independent `Mutex<HashMap>` shards, so
 //! threads touching different keys almost never contend on the same lock.
 //!
-//! With `shards == 1` the cache is exactly the old single-mutex cache, which
-//! the tests use to check behavioural equivalence.
+//! Sharding only spreads the locks: after any sequence of operations the
+//! cache holds exactly what one `HashMap` would, which the tests check.
 //!
 //! Two flavours share the sharding machinery:
 //!
@@ -36,9 +36,9 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Default shard count: enough ways that a typical worker-pool's threads
-/// rarely collide, small enough that `len()` stays cheap.
-pub const DEFAULT_SHARDS: usize = 16;
+/// Shard count of every cache: enough ways that a typical worker-pool's
+/// threads rarely collide, small enough that `len()` stays cheap.
+const SHARDS: usize = 16;
 
 /// Hit/miss counters observed on a cache's memoising entry points.
 ///
@@ -79,55 +79,32 @@ impl CacheStats {
     }
 }
 
-/// A concurrent memo cache sharded over N independent locks.
+/// A concurrent memo cache sharded over 16 independent locks.
 ///
 /// Keys are assigned to shards by hash, so two threads operating on different
 /// keys contend only when the keys happen to share a shard (probability
-/// `1/N`).  Values are returned by clone; the cache is intended for small
+/// `1/16`).  Values are returned by clone; the cache is intended for small
 /// value types (tuples of numbers, small maps).
 pub struct ShardedCache<K, V> {
-    shards: Vec<Mutex<HashMap<K, V>>>,
+    shards: [Mutex<HashMap<K, V>>; SHARDS],
     hits: AtomicU64,
     misses: AtomicU64,
 }
 
 impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
-    /// Creates a cache with [`DEFAULT_SHARDS`] ways.
+    /// Creates an empty cache.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// Creates a cache with an explicit shard count.
-    ///
-    /// A shard count of `0` would make every key lookup divide by zero, so it
-    /// is clamped to `1` (the single-mutex cache) rather than rejected — a
-    /// degenerate-but-working configuration beats a panic deep inside a
-    /// search.  `shard_count` reports the effective value.
-    ///
-    /// ```
-    /// use mars_parallel::cache::ShardedCache;
-    /// let cache: ShardedCache<u32, u32> = ShardedCache::with_shards(0);
-    /// assert_eq!(cache.shard_count(), 1);
-    /// ```
-    pub fn with_shards(shards: usize) -> Self {
         Self {
-            shards: (0..shards.max(1))
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+            shards: std::array::from_fn(|_| Mutex::new(HashMap::new())),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
     }
 
-    /// Number of shards the key space is split over.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     fn shard_for(&self, key: &K) -> &Mutex<HashMap<K, V>> {
         let mut h = DefaultHasher::new();
         key.hash(&mut h);
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+        &self.shards[(h.finish() as usize) % SHARDS]
     }
 
     /// Returns a clone of the cached value for `key`, if present.
@@ -241,24 +218,13 @@ pub struct OnceCache<K, V> {
 }
 
 impl<K: Hash + Eq, V: Clone> OnceCache<K, V> {
-    /// Creates a cache with [`DEFAULT_SHARDS`] ways.
+    /// Creates an empty cache.
     pub fn new() -> Self {
-        Self::with_shards(DEFAULT_SHARDS)
-    }
-
-    /// Creates a cache with an explicit shard count (clamped to at least 1,
-    /// like [`ShardedCache::with_shards`]).
-    pub fn with_shards(shards: usize) -> Self {
         Self {
-            slots: ShardedCache::with_shards(shards),
+            slots: ShardedCache::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
         }
-    }
-
-    /// Number of shards the key space is split over.
-    pub fn shard_count(&self) -> usize {
-        self.slots.shard_count()
     }
 
     /// Returns the cached value for `key`, running `compute` on a miss.
@@ -348,7 +314,7 @@ mod tests {
 
     #[test]
     fn get_or_insert_with_memoises() {
-        let cache: ShardedCache<u32, u32> = ShardedCache::with_shards(4);
+        let cache: ShardedCache<u32, u32> = ShardedCache::new();
         let mut calls = 0;
         for _ in 0..3 {
             let v = cache.get_or_insert_with(9, || {
@@ -362,25 +328,23 @@ mod tests {
 
     #[test]
     fn single_shard_matches_multi_shard_contents() {
-        // shards=1 is the old single-mutex cache; any shard count must expose
-        // exactly the same contents for the same operations.
-        let one = ShardedCache::with_shards(1);
-        let many = ShardedCache::with_shards(16);
+        // One `HashMap` is the single-shard cache; the sharded cache must
+        // expose exactly the same contents for the same operations.
+        let mut one = HashMap::new();
+        let many = ShardedCache::new();
         for k in 0u64..200 {
             one.insert(k, k * k);
             many.insert(k, k * k);
         }
         assert_eq!(one.len(), many.len());
         for k in 0u64..200 {
-            assert_eq!(one.get(&k), many.get(&k));
+            assert_eq!(one.get(&k).copied(), many.get(&k));
         }
-        assert_eq!(one.shard_count(), 1);
-        assert_eq!(many.shard_count(), 16);
     }
 
     #[test]
     fn keys_spread_over_multiple_shards() {
-        let cache: ShardedCache<u64, ()> = ShardedCache::with_shards(8);
+        let cache: ShardedCache<u64, ()> = ShardedCache::new();
         for k in 0..1000 {
             cache.insert(k, ());
         }
@@ -393,21 +357,8 @@ mod tests {
     }
 
     #[test]
-    fn zero_shards_is_clamped_to_one_and_works() {
-        let cache: ShardedCache<u64, u64> = ShardedCache::with_shards(0);
-        assert_eq!(cache.shard_count(), 1);
-        assert_eq!(cache.get_or_insert_with(7, || 49), 49);
-        assert_eq!(cache.get(&7), Some(49));
-
-        let once: OnceCache<u64, u64> = OnceCache::with_shards(0);
-        assert_eq!(once.shard_count(), 1);
-        assert_eq!(once.get_or_compute(7, || 49), 49);
-        assert_eq!(once.get(&7), Some(49));
-    }
-
-    #[test]
     fn once_cache_memoises_and_reports_len() {
-        let cache: OnceCache<u32, u32> = OnceCache::with_shards(4);
+        let cache: OnceCache<u32, u32> = OnceCache::new();
         assert!(cache.is_empty());
         let mut calls = 0;
         for _ in 0..3 {
@@ -429,7 +380,7 @@ mod tests {
         // N threads hammer the same key; the slow computation must run
         // exactly once, with every thread observing the winner's value.
         use std::sync::atomic::{AtomicUsize, Ordering};
-        let cache: OnceCache<u64, u64> = OnceCache::with_shards(2);
+        let cache: OnceCache<u64, u64> = OnceCache::new();
         let calls = AtomicUsize::new(0);
         let barrier = std::sync::Barrier::new(8);
         std::thread::scope(|scope| {
@@ -458,7 +409,7 @@ mod tests {
 
     #[test]
     fn stats_count_hits_and_misses() {
-        let cache: ShardedCache<u32, u32> = ShardedCache::with_shards(4);
+        let cache: ShardedCache<u32, u32> = ShardedCache::new();
         assert_eq!(cache.stats(), CacheStats::default());
         cache.get_or_insert_with(1, || 1);
         cache.get_or_insert_with(1, || 1);
@@ -468,7 +419,7 @@ mod tests {
         assert_eq!(s.lookups(), 3);
         assert!((s.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
 
-        let once: OnceCache<u32, u32> = OnceCache::with_shards(4);
+        let once: OnceCache<u32, u32> = OnceCache::new();
         once.get_or_compute(1, || 1);
         once.get_or_compute(1, || 1);
         let s = once.stats();
@@ -480,7 +431,7 @@ mod tests {
 
     #[test]
     fn concurrent_mixed_hit_miss_stress() {
-        let cache: ShardedCache<u64, u64> = ShardedCache::with_shards(8);
+        let cache: ShardedCache<u64, u64> = ShardedCache::new();
         std::thread::scope(|scope| {
             for t in 0..8u64 {
                 let cache = &cache;

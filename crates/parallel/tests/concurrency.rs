@@ -3,7 +3,9 @@
 
 use mars_parallel::cache::ShardedCache;
 use mars_parallel::pool::scoped_map;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Mutex;
 
 /// A compute function with an observable call counter, used to count misses.
 fn keyed_value(key: u64) -> u64 {
@@ -44,7 +46,7 @@ fn pool_workers_racing_a_once_cache_compute_each_key_exactly_once() {
     // distinct keys, and each key's expensive computation must run once no
     // matter how the workers interleave.
     use mars_parallel::cache::OnceCache;
-    let cache: OnceCache<u64, u64> = OnceCache::with_shards(4);
+    let cache: OnceCache<u64, u64> = OnceCache::new();
     let computations = AtomicUsize::new(0);
     // 64 items, all hammering the same 4 keys.
     let population: Vec<u64> = (0..64).map(|i| i % 4).collect();
@@ -67,35 +69,37 @@ fn pool_workers_racing_a_once_cache_compute_each_key_exactly_once() {
 
 #[test]
 fn single_shard_cache_behaves_like_the_old_global_mutex_cache() {
-    // shard-count = 1 is exactly the pre-sharding design: one lock, one map.
-    // Run the same concurrent workload against 1 shard and 16 shards and
-    // require identical final contents.
-    let old_style: ShardedCache<u64, u64> = ShardedCache::with_shards(1);
-    let sharded: ShardedCache<u64, u64> = ShardedCache::with_shards(16);
+    // The pre-sharding design was one lock around one map.  Run the same
+    // concurrent workload against it and the sharded cache and require
+    // identical final contents.
+    let old_style: Mutex<HashMap<u64, u64>> = Mutex::new(HashMap::new());
+    let sharded: ShardedCache<u64, u64> = ShardedCache::new();
 
-    for cache in [&old_style, &sharded] {
-        std::thread::scope(|scope| {
-            for t in 0..4u64 {
-                scope.spawn(move || {
-                    for i in 0..250 {
-                        let key = (t * 125 + i) % 500;
-                        let v = cache.get_or_insert_with(key, || keyed_value(key));
-                        assert_eq!(v, keyed_value(key));
-                    }
-                });
-            }
-        });
-    }
+    std::thread::scope(|scope| {
+        for t in 0..4u64 {
+            let (old_style, sharded) = (&old_style, &sharded);
+            scope.spawn(move || {
+                for i in 0..250 {
+                    let key = (t * 125 + i) % 500;
+                    let v = sharded.get_or_insert_with(key, || keyed_value(key));
+                    assert_eq!(v, keyed_value(key));
+                    let mut map = old_style.lock().unwrap();
+                    assert_eq!(*map.entry(key).or_insert_with(|| keyed_value(key)), v);
+                }
+            });
+        }
+    });
 
+    let old_style = old_style.into_inner().unwrap();
     assert_eq!(old_style.len(), sharded.len());
     for key in 0..500 {
-        assert_eq!(old_style.get(&key), sharded.get(&key), "key {key}");
+        assert_eq!(old_style.get(&key).copied(), sharded.get(&key), "key {key}");
     }
 }
 
 #[test]
 fn cache_stress_with_interleaved_inserts_and_reads() {
-    let cache: ShardedCache<(u64, u64), Vec<u64>> = ShardedCache::with_shards(8);
+    let cache: ShardedCache<(u64, u64), Vec<u64>> = ShardedCache::new();
     std::thread::scope(|scope| {
         for t in 0..6u64 {
             let cache = &cache;

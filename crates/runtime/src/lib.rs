@@ -21,9 +21,10 @@
 //!   activates;
 //! * when the scenario injects [`FaultEvent`]s, the
 //!   monitor's [`TriggerReason::TopologyChanged`] forces an *epoch-style
-//!   recovery*: in-flight work on the dead accelerator is revoked per the
-//!   configured [`FaultPolicy`], the co-scheduler re-plans on the surviving
-//!   sub-topology ([`Topology::subtopology`](mars_topology::Topology::subtopology)),
+//!   recovery*: in-flight work on the dead accelerator is requeued
+//!   ([`FaultPolicy::RequeueInflight`]), the co-scheduler re-plans on the
+//!   surviving sub-topology
+//!   ([`Topology::subtopology`](mars_topology::Topology::subtopology)),
 //!   and every applied change stamps a new monotonically increasing
 //!   [`epoch`](ReconfigureEvent::epoch).
 //!
@@ -104,8 +105,8 @@ mod migrate;
 mod monitor;
 mod runtime;
 
-pub use migrate::{migration_cost, MigrationConfig, MigrationCost};
-pub use monitor::{DriftMonitor, MonitorConfig, ReconfigureTrigger, TriggerReason};
+pub use migrate::{migration_cost, MigrationCost};
+pub use monitor::{DriftMonitor, ReconfigureTrigger, TriggerReason};
 pub use runtime::{
     run_elastic_observed, run_elastic_with_cache, ElasticError, ElasticReport, ReconfigureEvent,
     RuntimeConfig, RuntimePolicy,

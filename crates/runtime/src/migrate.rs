@@ -7,7 +7,8 @@
 //!    runtime reads this off the simulator; it is not part of this module).
 //! 2. **Weight transfer** — each workload whose accelerator subset changed
 //!    re-stages its weights onto the new subset.  The byte volume is
-//!    `total_params × bytes_per_param`, and the transfer time comes from the
+//!    `total_params × 2` (half-precision serving weights, the common
+//!    deployment format), and the transfer time comes from the
 //!    same `mars-comm` engine the mapper's evaluator uses
 //!    ([`CommSim::redistribute`]): shards move pairwise from old to new
 //!    members over the [`Topology`]'s links (host-staged when two
@@ -18,30 +19,13 @@
 //! that lands on the incumbent partition costs exactly zero — the property
 //! the runtime's tests pin.
 
-use mars_comm::{CommConfig, CommSim};
+use mars_comm::CommSim;
 use mars_core::CoScheduleResult;
 use mars_model::Workload;
 use mars_topology::Topology;
 
-/// Knobs of the migration cost model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MigrationConfig {
-    /// Bytes per model parameter staged onto the new subset.  Defaults to
-    /// `2` (half-precision serving weights, the common deployment format);
-    /// use `4` to price fp32 staging.
-    pub bytes_per_param: u64,
-    /// Communication-engine knobs (link latency etc.) for the transfers.
-    pub comm: CommConfig,
-}
-
-impl Default for MigrationConfig {
-    fn default() -> Self {
-        Self {
-            bytes_per_param: 2,
-            comm: CommConfig::new(),
-        }
-    }
-}
+/// Bytes per model parameter staged onto the new subset.
+const BYTES_PER_PARAM: u64 = 2;
 
 /// The charged cost of activating a new placement.
 #[derive(Debug, Clone, PartialEq)]
@@ -83,9 +67,8 @@ pub fn migration_cost(
     workloads: &[Workload],
     old: &CoScheduleResult,
     new: &CoScheduleResult,
-    config: &MigrationConfig,
 ) -> MigrationCost {
-    let sim = CommSim::with_config(topo, config.comm);
+    let sim = CommSim::new(topo);
     let mut cost = MigrationCost::free();
     for ((w, workload), (old_p, new_p)) in workloads
         .iter()
@@ -95,7 +78,7 @@ pub fn migration_cost(
         if old_p.accels == new_p.accels {
             continue;
         }
-        let bytes = workload.network.total_params() * config.bytes_per_param;
+        let bytes = workload.network.total_params() * BYTES_PER_PARAM;
         cost.seconds += sim.redistribute(&old_p.accels, &new_p.accels, bytes);
         cost.bytes += bytes;
         cost.migrated.push(w);
@@ -134,7 +117,7 @@ mod tests {
         let topo = presets::f1_16xlarge();
         let catalog = mars_accel::Catalog::standard_three();
         let co = co_schedule(&workloads, &topo, &catalog, &tiny(3)).unwrap();
-        let cost = migration_cost(&topo, &workloads, &co, &co, &MigrationConfig::default());
+        let cost = migration_cost(&topo, &workloads, &co, &co);
         assert!(cost.is_free());
         assert_eq!(cost.seconds, 0.0);
         assert_eq!(cost.bytes, 0);
@@ -151,18 +134,10 @@ mod tests {
         let mut b = a.clone();
         b.placements[0].accels = a.placements[1].accels.clone();
         b.placements[1].accels = a.placements[0].accels.clone();
-        let cost = migration_cost(&topo, &workloads, &a, &b, &MigrationConfig::default());
+        let cost = migration_cost(&topo, &workloads, &a, &b);
         assert_eq!(cost.migrated, vec![0, 1]);
         assert!(cost.seconds > 0.0);
         let expected: u64 = workloads.iter().map(|w| w.network.total_params() * 2).sum();
         assert_eq!(cost.bytes, expected);
-        // Doubling the precision doubles the bytes and never cheapens time.
-        let fp32 = MigrationConfig {
-            bytes_per_param: 4,
-            ..MigrationConfig::default()
-        };
-        let wider = migration_cost(&topo, &workloads, &a, &b, &fp32);
-        assert_eq!(wider.bytes, 2 * expected);
-        assert!(wider.seconds >= cost.seconds);
     }
 }

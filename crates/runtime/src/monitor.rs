@@ -1,19 +1,20 @@
 //! Windowed drift detection over the live serving stream.
 //!
 //! The monitor never looks at the traffic scenario — only at what the
-//! serving simulation actually did.  At every window boundary the runtime
-//! hands it the current [`SimSnapshot`] plus the window's arrival counts;
-//! the monitor diffs against the previous snapshot and checks three
-//! deterministic signals:
+//! serving simulation actually did.  At the end of every half-second window
+//! of simulated time the runtime hands it the current [`SimSnapshot`] plus
+//! the window's arrival counts; the monitor diffs against the previous
+//! snapshot and checks three deterministic signals:
 //!
-//! 1. **SLA misses** — the fraction of the window's completions that blew
-//!    their deadline.
-//! 2. **Queue growth** — a lane's waiting room growing by more than a fixed
-//!    number of requests across the window (the classic symptom of a
-//!    partition whose service rate fell behind its arrival rate).
-//! 3. **Imbalance** — the busiest accelerator working more than a fixed
-//!    multiple of the platform mean while the platform is meaningfully
-//!    loaded (capacity parked on the wrong partition).
+//! 1. **SLA misses** — more than 20% of the window's completions blew their
+//!    deadline, counted only once the window has at least 6 completions.
+//! 2. **Queue growth** — a lane's waiting room grew by at least 8 requests
+//!    across the window (the classic symptom of a partition whose service
+//!    rate fell behind its arrival rate).
+//! 3. **Imbalance** — the busiest accelerator worked more than 6× the
+//!    platform mean while the mean accelerator was busy for at least 30% of
+//!    the window (capacity parked on the wrong partition; an idle platform is
+//!    allowed to be lopsided).
 //!
 //! Every check is a pure function of the two snapshots, so trigger
 //! sequences are bit-identical across `MARS_THREADS` values and repeat runs
@@ -23,44 +24,25 @@ use mars_obs::Recorder;
 use mars_serve::SimSnapshot;
 use mars_topology::AccelId;
 
-/// Thresholds of the drift monitor.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonitorConfig {
-    /// Length of the observation window in seconds.
-    pub window_seconds: f64,
-    /// Fire when more than this fraction of the window's completions missed
-    /// their deadline (given at least
-    /// [`min_window_completions`](MonitorConfig::min_window_completions)).
-    pub miss_rate_threshold: f64,
-    /// Fire when some lane's queue grew by at least this many requests over
-    /// the window.
-    pub queue_growth_threshold: usize,
-    /// Fire when the busiest accelerator's window busy time exceeds this
-    /// multiple of the platform mean (and the mean itself is at least
-    /// [`imbalance_min_load`](MonitorConfig::imbalance_min_load) of the
-    /// window).
-    pub imbalance_threshold: f64,
-    /// Mean per-accelerator load (busy fraction of the window) below which
-    /// the imbalance check stays silent — an idle platform is allowed to be
-    /// lopsided.
-    pub imbalance_min_load: f64,
-    /// Minimum completions in a window for the miss-rate check to be
-    /// statistically meaningful.
-    pub min_window_completions: usize,
-}
-
-impl Default for MonitorConfig {
-    fn default() -> Self {
-        Self {
-            window_seconds: 0.5,
-            miss_rate_threshold: 0.20,
-            queue_growth_threshold: 8,
-            imbalance_threshold: 6.0,
-            imbalance_min_load: 0.30,
-            min_window_completions: 6,
-        }
-    }
-}
+/// Length of the observation window in seconds.
+pub(crate) const WINDOW_SECONDS: f64 = 0.5;
+/// Fire when more than this fraction of the window's completions missed
+/// their deadline (given at least [`MIN_WINDOW_COMPLETIONS`]).
+const MISS_RATE_THRESHOLD: f64 = 0.20;
+/// Minimum completions in a window for the miss-rate check to be
+/// statistically meaningful.
+const MIN_WINDOW_COMPLETIONS: usize = 6;
+/// Fire when some lane's queue grew by at least this many requests over the
+/// window.
+const QUEUE_GROWTH_THRESHOLD: usize = 8;
+/// Fire when the busiest accelerator's window busy time exceeds this
+/// multiple of the platform mean (and the mean is at least
+/// [`IMBALANCE_MIN_LOAD`] of the window).
+const IMBALANCE_THRESHOLD: f64 = 6.0;
+/// Mean per-accelerator load (busy fraction of the window) below which the
+/// imbalance check stays silent — an idle platform is allowed to be
+/// lopsided.
+const IMBALANCE_MIN_LOAD: f64 = 0.30;
 
 /// Why a [`ReconfigureTrigger`] fired.
 #[derive(Debug, Clone, PartialEq)]
@@ -133,10 +115,63 @@ pub struct ReconfigureTrigger {
     pub window_arrivals: Vec<usize>,
 }
 
+/// What one window did, diffed from its two snapshots: the single source of
+/// both the trigger checks and the recorded signal series.
+struct Window {
+    /// Window length in seconds (never zero).
+    seconds: f64,
+    /// Completions during the window.  Counter diffs saturate: revoking an
+    /// in-flight batch after a failure legitimately rolls `completed` and
+    /// `met_sla` backwards.
+    completed: usize,
+    /// Completions during the window that missed their deadline.
+    missed: usize,
+    /// Requests queued across all lanes at the window's end.
+    queued: usize,
+    /// Busy seconds per accelerator during the window.  Accelerators may
+    /// appear in the new snapshot that the old one never saw (after a
+    /// re-placement); their whole busy time counts as this window's.
+    busy: Vec<f64>,
+}
+
+impl Window {
+    fn between(prev: &SimSnapshot, now: &SimSnapshot) -> Self {
+        let mut completed = 0usize;
+        let mut met = 0usize;
+        let mut queued = 0usize;
+        for (a, b) in prev.lanes.iter().zip(&now.lanes) {
+            completed += b.completed.saturating_sub(a.completed);
+            met += b.met_sla.saturating_sub(a.met_sla);
+            queued += b.queued;
+        }
+        let prev_busy = |id| {
+            prev.accel_busy
+                .iter()
+                .find(|(a, _)| *a == id)
+                .map_or(0.0, |(_, b)| *b)
+        };
+        Self {
+            seconds: (now.clock - prev.clock).max(f64::MIN_POSITIVE),
+            completed,
+            missed: completed.saturating_sub(met),
+            queued,
+            busy: now
+                .accel_busy
+                .iter()
+                .map(|&(id, busy)| busy - prev_busy(id))
+                .collect(),
+        }
+    }
+
+    /// Mean busy seconds per accelerator, `None` on an empty platform.
+    fn mean_busy(&self) -> Option<f64> {
+        (!self.busy.is_empty()).then(|| self.busy.iter().sum::<f64>() / self.busy.len() as f64)
+    }
+}
+
 /// The windowed drift monitor: diffs consecutive [`SimSnapshot`]s.
 #[derive(Debug, Clone)]
 pub struct DriftMonitor {
-    config: MonitorConfig,
     prev: SimSnapshot,
     triggers: usize,
     /// Observability sink for the per-window drift signals (miss rate,
@@ -146,9 +181,8 @@ pub struct DriftMonitor {
 
 impl DriftMonitor {
     /// Starts monitoring from `initial` (normally the time-zero snapshot).
-    pub fn new(config: MonitorConfig, initial: SimSnapshot) -> Self {
+    pub fn new(initial: SimSnapshot) -> Self {
         Self {
-            config,
             prev: initial,
             triggers: 0,
             recorder: Recorder::disabled(),
@@ -162,11 +196,6 @@ impl DriftMonitor {
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
-    }
-
-    /// The monitor's thresholds.
-    pub fn config(&self) -> &MonitorConfig {
-        &self.config
     }
 
     /// Triggers fired so far.
@@ -188,8 +217,9 @@ impl DriftMonitor {
         snapshot: &SimSnapshot,
         window_arrivals: &[usize],
     ) -> Option<ReconfigureTrigger> {
-        let reason = self.drift_reason(snapshot);
-        self.record_window(snapshot);
+        let window = Window::between(&self.prev, snapshot);
+        let reason = self.drift_reason(&window, snapshot);
+        self.record_window(&window, snapshot.clock);
         self.prev = snapshot.clone();
         reason.map(|reason| {
             self.triggers += 1;
@@ -209,58 +239,28 @@ impl DriftMonitor {
     }
 
     /// Records the window's drift-signal values as series keyed on the
-    /// window-end clock — the same arithmetic [`drift_reason`](Self::drift_reason)
-    /// uses, so the plotted signals are exactly what the thresholds saw.
-    fn record_window(&self, now: &SimSnapshot) {
+    /// window-end clock — read off the same [`Window`] the trigger checks
+    /// use, so the plotted signals are exactly what the thresholds saw.
+    fn record_window(&self, window: &Window, clock: f64) {
         if !self.recorder.is_enabled() {
             return;
         }
-        let prev = &self.prev;
-        let window = (now.clock - prev.clock).max(f64::MIN_POSITIVE);
-
-        let mut completed = 0usize;
-        let mut met = 0usize;
-        let mut queued = 0usize;
-        for (a, b) in prev.lanes.iter().zip(&now.lanes) {
-            completed += b.completed.saturating_sub(a.completed);
-            met += b.met_sla.saturating_sub(a.met_sla);
-            queued += b.queued;
-        }
-        let missed = completed.saturating_sub(met);
-        let miss_rate = if completed > 0 {
-            missed as f64 / completed as f64
+        let miss_rate = if window.completed > 0 {
+            window.missed as f64 / window.completed as f64
         } else {
             0.0
         };
-
-        let prev_busy = |id| {
-            prev.accel_busy
-                .iter()
-                .find(|(a, _)| *a == id)
-                .map_or(0.0, |(_, b)| *b)
-        };
-        let deltas: Vec<f64> = now
-            .accel_busy
-            .iter()
-            .map(|&(id, busy)| busy - prev_busy(id))
-            .collect();
-        let mean_load = if deltas.is_empty() {
-            0.0
-        } else {
-            deltas.iter().sum::<f64>() / deltas.len() as f64 / window
-        };
-
+        let mean_load = window.mean_busy().map_or(0.0, |mean| mean / window.seconds);
         self.recorder
-            .point("runtime/window_miss_rate", now.clock, miss_rate);
+            .point("runtime/window_miss_rate", clock, miss_rate);
         self.recorder
-            .point("runtime/window_queued", now.clock, queued as f64);
+            .point("runtime/window_queued", clock, window.queued as f64);
         self.recorder
-            .point("runtime/window_utilization", now.clock, mean_load);
+            .point("runtime/window_utilization", clock, mean_load);
     }
 
-    fn drift_reason(&self, now: &SimSnapshot) -> Option<TriggerReason> {
+    fn drift_reason(&self, window: &Window, now: &SimSnapshot) -> Option<TriggerReason> {
         let prev = &self.prev;
-        let window = (now.clock - prev.clock).max(f64::MIN_POSITIVE);
 
         // 0. Topology change — an accelerator failed or was restored.  This
         // outranks every drift heuristic: the platform the incumbent
@@ -271,25 +271,17 @@ impl DriftMonitor {
             });
         }
 
-        // 1. SLA misses among the window's completions.  Counter diffs use
-        // saturating arithmetic: revoking an in-flight batch after a failure
-        // legitimately rolls `completed`/`met_sla` backwards.
-        let mut completed = 0usize;
-        let mut met = 0usize;
-        for (a, b) in prev.lanes.iter().zip(&now.lanes) {
-            completed += b.completed.saturating_sub(a.completed);
-            met += b.met_sla.saturating_sub(a.met_sla);
-        }
-        let missed = completed.saturating_sub(met);
-        if completed >= self.config.min_window_completions
-            && missed as f64 > self.config.miss_rate_threshold * completed as f64
+        // 1. SLA misses among the window's completions.
+        let (missed, completed) = (window.missed, window.completed);
+        if completed >= MIN_WINDOW_COMPLETIONS
+            && missed as f64 > MISS_RATE_THRESHOLD * completed as f64
         {
             return Some(TriggerReason::SlaMisses { missed, completed });
         }
 
         // 2. Queue growth on any lane.
         for (a, b) in prev.lanes.iter().zip(&now.lanes) {
-            if b.queued >= a.queued + self.config.queue_growth_threshold {
+            if b.queued >= a.queued + QUEUE_GROWTH_THRESHOLD {
                 return Some(TriggerReason::QueueGrowth {
                     workload: b.workload,
                     from: a.queued,
@@ -298,26 +290,10 @@ impl DriftMonitor {
             }
         }
 
-        // 3. Per-accelerator imbalance over the window.  Accelerators may
-        // appear in `now` that `prev` never saw (after a re-placement);
-        // their whole busy time counts as this window's.
-        let prev_busy = |id| {
-            prev.accel_busy
-                .iter()
-                .find(|(a, _)| *a == id)
-                .map_or(0.0, |(_, b)| *b)
-        };
-        let deltas: Vec<f64> = now
-            .accel_busy
-            .iter()
-            .map(|&(id, busy)| busy - prev_busy(id))
-            .collect();
-        if !deltas.is_empty() {
-            let max = deltas.iter().copied().fold(0.0, f64::max);
-            let mean = deltas.iter().sum::<f64>() / deltas.len() as f64;
-            if mean / window >= self.config.imbalance_min_load
-                && max > self.config.imbalance_threshold * mean
-            {
+        // 3. Per-accelerator imbalance over the window.
+        if let Some(mean) = window.mean_busy() {
+            let max = window.busy.iter().copied().fold(0.0, f64::max);
+            if mean / window.seconds >= IMBALANCE_MIN_LOAD && max > IMBALANCE_THRESHOLD * mean {
                 return Some(TriggerReason::Imbalance { ratio: max / mean });
             }
         }
@@ -360,7 +336,7 @@ mod tests {
     #[test]
     fn fires_on_miss_rate_and_reports_the_window() {
         let start = snap(0.0, vec![lane(0, 0, 0, 0)], &[0.0, 0.0]);
-        let mut monitor = DriftMonitor::new(MonitorConfig::default(), start);
+        let mut monitor = DriftMonitor::new(start);
         // 20 completions, 12 missed: 60% > 25%.
         let t = monitor
             .observe(&snap(0.25, vec![lane(0, 20, 8, 0)], &[0.1, 0.1]), &[20])
@@ -380,7 +356,7 @@ mod tests {
     #[test]
     fn too_few_completions_stay_silent_but_queue_growth_fires() {
         let start = snap(0.0, vec![lane(0, 0, 0, 0)], &[0.0, 0.0]);
-        let mut monitor = DriftMonitor::new(MonitorConfig::default(), start);
+        let mut monitor = DriftMonitor::new(start);
         // 4 completions all missed — below min_window_completions, silent.
         assert!(monitor
             .observe(&snap(0.25, vec![lane(0, 4, 0, 2)], &[0.0, 0.0]), &[6])
@@ -401,36 +377,32 @@ mod tests {
 
     #[test]
     fn imbalance_needs_load_and_a_lopsided_platform() {
-        let config = MonitorConfig {
-            imbalance_threshold: 3.0,
-            imbalance_min_load: 0.3,
-            ..MonitorConfig::default()
+        // Eight accelerators, one window, the shipped thresholds: fire when
+        // the busiest accelerator works more than 6x the platform mean while
+        // the mean accelerator is busy for at least 30% of the window.
+        let start = snap(0.0, vec![lane(0, 0, 0, 0)], &[0.0; 8]);
+        let observe = |busy: &[f64]| {
+            DriftMonitor::new(start.clone())
+                .observe(&snap(WINDOW_SECONDS, vec![lane(0, 0, 0, 0)], busy), &[0])
         };
-        let start = snap(0.0, vec![lane(0, 0, 0, 0)], &[0.0, 0.0]);
-        let mut monitor = DriftMonitor::new(config.clone(), start.clone());
-        // Lopsided but nearly idle: mean load (0.04+0)/2/0.25 = 8% — silent.
-        assert!(monitor
-            .observe(&snap(0.25, vec![lane(0, 0, 0, 0)], &[0.04, 0.0]), &[0])
-            .is_none());
-        // Lopsided *and* loaded: one accel at 96% of the window, the other
-        // cold → ratio 2.0 with threshold 1.5 fires.
-        let mut eager = DriftMonitor::new(
-            MonitorConfig {
-                imbalance_threshold: 1.5,
-                ..config
-            },
-            start,
-        );
-        let t = eager
-            .observe(&snap(0.25, vec![lane(0, 0, 0, 0)], &[0.24, 0.0]), &[0])
-            .expect("imbalance");
-        assert!(matches!(t.reason, TriggerReason::Imbalance { ratio } if ratio > 1.9));
+        // Loaded and lopsided: a 1.3 s batch (busy time is credited at
+        // dispatch) on one accelerator, the other seven cold.  Mean load
+        // 1.3 / 8 / 0.5 = 32.5%, ratio 8.
+        let mut lopsided = [0.0; 8];
+        lopsided[3] = 1.3;
+        let t = observe(&lopsided).expect("a loaded lopsided window fires");
+        assert_eq!(t.reason, TriggerReason::Imbalance { ratio: 8.0 });
+        // Loaded but balanced: every accelerator busy the whole window.
+        assert!(observe(&[WINDOW_SECONDS; 8]).is_none());
+        // Lopsided but near-idle: the same shape at 0.04 s is a 1% mean load.
+        lopsided[3] = 0.04;
+        assert!(observe(&lopsided).is_none());
     }
 
     #[test]
     fn topology_change_outranks_every_other_signal() {
         let start = snap(0.0, vec![lane(0, 0, 0, 0)], &[0.0, 0.0]);
-        let mut monitor = DriftMonitor::new(MonitorConfig::default(), start);
+        let mut monitor = DriftMonitor::new(start);
         // A window that would fire SlaMisses *and* QueueGrowth on its own —
         // but accel 1 also went down, and that wins.
         let mut failed = snap(0.25, vec![lane(0, 20, 2, 12)], &[0.1, 0.1]);
@@ -453,10 +425,7 @@ mod tests {
 
     #[test]
     fn stationary_windows_never_fire_and_rebase_resets_the_baseline() {
-        let mut monitor = DriftMonitor::new(
-            MonitorConfig::default(),
-            snap(0.0, vec![lane(0, 0, 0, 1)], &[0.0, 0.0]),
-        );
+        let mut monitor = DriftMonitor::new(snap(0.0, vec![lane(0, 0, 0, 1)], &[0.0, 0.0]));
         // A healthy steady state: high completions, low misses, flat queue,
         // balanced platform.
         for k in 1..=20usize {

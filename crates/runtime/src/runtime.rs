@@ -26,8 +26,8 @@
 //! [`ElasticReport`] is bit-identical across `MARS_THREADS` values and
 //! repeat runs.
 
-use crate::migrate::{migration_cost, MigrationConfig, MigrationCost};
-use crate::monitor::{DriftMonitor, MonitorConfig, TriggerReason};
+use crate::migrate::{migration_cost, MigrationCost};
+use crate::monitor::{DriftMonitor, TriggerReason, WINDOW_SECONDS};
 use mars_accel::Catalog;
 use mars_core::{
     co_schedule_cached, CoScheduleConfig, CoScheduleError, CoScheduleResult, InnerSearchCache,
@@ -74,64 +74,55 @@ impl std::fmt::Display for RuntimePolicy {
     }
 }
 
-/// Knobs of the elastic runtime.
+/// Launch margin of the EDF serving lanes, as a fraction of the batch cost:
+/// healthy lanes meet deadlines robustly instead of by floating-point luck,
+/// so the monitor's miss-rate signal means *drift*, not zero-slack
+/// metastability.
+const DEADLINE_SLACK: f64 = 0.2;
+/// Simulated seconds a *reactive* background re-search takes before its
+/// result can start migrating (the oracle pays zero — it is clairvoyant).
+const RESCHEDULE_DELAY_SECONDS: f64 = 0.050;
+/// Minimum simulated seconds between two reactive reconfigurations.
+const COOLDOWN_SECONDS: f64 = 1.0;
+/// Hard cap on *placement-changing* reconfigurations per run (a
+/// runaway-trigger backstop; re-schedules that confirm the incumbent are
+/// free and uncounted).
+const MAX_RECONFIGURATIONS: usize = 6;
+/// Migration budget: a re-schedule whose weight transfer would take longer
+/// than this is declined (recorded but not applied).  Moving hundreds of
+/// megabytes of weights can cost more serving time than a better placement
+/// recovers — an elastic runtime must know when *not* to move.
+const MAX_MIGRATION_SECONDS: f64 = 0.3;
+/// How far observed load may scale a workload's SLA weight for the
+/// re-search, as a factor in `[1/limit, limit]` around the base weight.
+const WEIGHT_SHIFT_LIMIT: f64 = 8.0;
+/// What happens to batches in flight on an accelerator the moment it fails.
+const FAULT_POLICY: FaultPolicy = FaultPolicy::RequeueInflight;
+/// Most monitor windows one run may span: a longer horizon would mean an
+/// unbounded list of control-loop boundaries.
+const MAX_WINDOWS_PER_RUN: f64 = 1e6;
+
+/// Configuration of the elastic runtime: the budget of its co-schedules.
+///
+/// Everything else the runtime does is fixed: EDF serving with a 20% launch
+/// margin, drift checks every 0.5 s of simulated time, fp16 weight
+/// migration over the platform's links, a 50 ms background-search delay for
+/// reactive re-schedules, a one-second cooldown between them, at most 6
+/// placement changes per run, a 0.3 s migration budget, observed load
+/// shifting SLA weights by up to 8x, and in-flight batches on a failed
+/// accelerator requeued.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RuntimeConfig {
     /// Budget, master seed and (optional) warm start of every co-schedule
     /// the runtime runs; re-schedules always warm-start from the incumbent
     /// on top of this.
     pub schedule: CoScheduleConfig,
-    /// Serving knobs (dispatch policy, batching) of the simulator.
-    pub serve: ServeConfig,
-    /// Drift-monitor thresholds (Reactive only).
-    pub monitor: MonitorConfig,
-    /// Migration cost model (weight bytes, comm knobs).
-    pub migration: MigrationConfig,
-    /// Simulated seconds a *reactive* background re-search takes before its
-    /// result can start migrating (the oracle pays zero — it is clairvoyant).
-    pub reschedule_delay_seconds: f64,
-    /// Minimum simulated seconds between two reactive reconfigurations.
-    pub cooldown_seconds: f64,
-    /// Hard cap on *placement-changing* reconfigurations per run (a
-    /// runaway-trigger backstop; re-schedules that confirm the incumbent
-    /// are free and uncounted).
-    pub max_reconfigurations: usize,
-    /// Migration budget: a re-schedule whose weight transfer would take
-    /// longer than this is declined (recorded but not applied).  Moving
-    /// hundreds of megabytes of weights can cost more serving time than a
-    /// better placement recovers — an elastic runtime must know when *not*
-    /// to move.
-    pub max_migration_seconds: f64,
-    /// How far observed load may scale a workload's SLA weight for the
-    /// re-search, as a factor in `[1/limit, limit]` around the base weight.
-    pub weight_shift_limit: f64,
-    /// What happens to batches in flight on an accelerator the moment it
-    /// fails — requeued (default) or lost.  Only consulted when the
-    /// scenario carries [`FaultEvent`](mars_model::FaultEvent)s.
-    pub fault_policy: FaultPolicy,
 }
 
 impl RuntimeConfig {
-    /// Defaults around the given co-schedule budget: EDF serving, the
-    /// default monitor thresholds, fp16 migration, a 50 ms background-search
-    /// delay, a one-second cooldown, at most 6 reconfigurations, and load
-    /// allowed to shift weights by up to 8x.
+    /// The runtime around the given co-schedule budget.
     pub fn new(schedule: CoScheduleConfig) -> Self {
-        Self {
-            schedule,
-            // A 20% launch margin: healthy lanes meet deadlines robustly
-            // instead of by floating-point luck, so the monitor's miss-rate
-            // signal means *drift*, not zero-slack metastability.
-            serve: ServeConfig::default().with_deadline_slack(0.2),
-            monitor: MonitorConfig::default(),
-            migration: MigrationConfig::default(),
-            reschedule_delay_seconds: 0.050,
-            cooldown_seconds: 1.0,
-            max_reconfigurations: 6,
-            max_migration_seconds: 0.3,
-            weight_shift_limit: 8.0,
-            fault_policy: FaultPolicy::default(),
-        }
+        Self { schedule }
     }
 }
 
@@ -160,12 +151,12 @@ pub enum ElasticError {
         /// The trace horizon in seconds.
         trace: f64,
     },
-    /// A runtime knob is not a non-negative finite number.
-    InvalidKnob {
-        /// Name of the offending knob.
-        knob: &'static str,
-        /// The rejected value.
-        value: f64,
+    /// The scenario spans more than 10⁶ monitor windows (500,000 s).
+    HorizonTooLong {
+        /// The scenario horizon in seconds.
+        horizon: f64,
+        /// The longest accepted horizon in seconds.
+        max: f64,
     },
     /// A fault event in the scenario names an accelerator the topology does
     /// not have.
@@ -194,7 +185,9 @@ impl std::fmt::Display for ElasticError {
             ElasticError::HorizonMismatch { scenario, trace } => {
                 write!(f, "horizon mismatch: scenario {scenario}s, trace {trace}s")
             }
-            ElasticError::InvalidKnob { knob, value } => write!(f, "invalid {knob}: {value}"),
+            ElasticError::HorizonTooLong { horizon, max } => {
+                write!(f, "horizon {horizon}s exceeds the {max}s limit")
+            }
             ElasticError::FaultAccelOutOfRange {
                 accel,
                 accelerators,
@@ -226,7 +219,7 @@ impl From<ServeError> for ElasticError {
 
 /// One reconfiguration decision the runtime took: a placement change, a
 /// search that confirmed the incumbent, or a change declined because its
-/// migration would blow the [`RuntimeConfig::max_migration_seconds`] budget.
+/// migration would take longer than the 0.3 s migration budget.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ReconfigureEvent {
     /// When the decision was taken (trigger instant or phase boundary).
@@ -293,11 +286,11 @@ impl ElasticReport {
     /// Total simulated seconds spent migrating weights (applied changes
     /// only — declined migrations cost nothing).
     pub fn migration_seconds(&self) -> f64 {
+        // Folded from +0.0: an empty `f64` sum is -0.0.
         self.reconfigurations
             .iter()
             .filter(|e| e.applied)
-            .map(|e| e.migration.seconds)
-            .sum()
+            .fold(0.0, |total, e| total + e.migration.seconds)
     }
 
     /// The configuration epoch the run ended on: 0 if the placement never
@@ -324,8 +317,9 @@ impl ElasticReport {
 ///
 /// # Errors
 ///
-/// Rejects malformed scenarios, shape mismatches and degenerate knobs, and
-/// propagates co-scheduler and simulator rejections — see [`ElasticError`].
+/// Rejects malformed scenarios, shape mismatches and horizons past 10⁶
+/// monitor windows, and propagates co-scheduler and simulator rejections —
+/// see [`ElasticError`].
 #[allow(clippy::too_many_arguments)]
 pub fn run_elastic_with_cache(
     workloads: &[Workload],
@@ -388,33 +382,13 @@ pub fn run_elastic_observed(
             trace: trace.horizon_seconds,
         });
     }
-    for (knob, value) in [
-        ("reschedule_delay_seconds", config.reschedule_delay_seconds),
-        ("cooldown_seconds", config.cooldown_seconds),
-        ("max_migration_seconds", config.max_migration_seconds),
-    ] {
-        if !(value >= 0.0 && value.is_finite()) {
-            return Err(ElasticError::InvalidKnob { knob, value });
-        }
-    }
-    if !(config.weight_shift_limit >= 1.0 && config.weight_shift_limit.is_finite()) {
-        return Err(ElasticError::InvalidKnob {
-            knob: "weight_shift_limit",
-            value: config.weight_shift_limit,
-        });
-    }
-    // The window must be positive, and not so small that the control loop's
-    // boundary list explodes: a degenerate window (say 1e-12 s against a 12 s
-    // horizon) would mean trillions of observation marks — reject it up
-    // front instead of hanging inside the boundary builder.
-    let window = config.monitor.window_seconds;
-    const MAX_WINDOWS_PER_RUN: f64 = 1e6;
-    if !(window > 0.0 && window.is_finite())
-        || scenario.horizon_seconds / window > MAX_WINDOWS_PER_RUN
-    {
-        return Err(ElasticError::InvalidKnob {
-            knob: "monitor.window_seconds",
-            value: window,
+    // The control loop keeps one boundary per monitor window: reject a
+    // horizon that would make that list unbounded up front instead of
+    // building it.
+    if scenario.horizon_seconds / WINDOW_SECONDS > MAX_WINDOWS_PER_RUN {
+        return Err(ElasticError::HorizonTooLong {
+            horizon: scenario.horizon_seconds,
+            max: MAX_WINDOWS_PER_RUN * WINDOW_SECONDS,
         });
     }
     if let Some(accel) = scenario.max_fault_accel() {
@@ -433,11 +407,10 @@ pub fn run_elastic_observed(
         &incumbent,
         &scenario.phases[0].profiles,
         trace,
-        &config.serve,
+        &ServeConfig::default().with_deadline_slack(DEADLINE_SLACK),
     )?
     .with_recorder(recorder.clone());
-    let mut monitor =
-        DriftMonitor::new(config.monitor.clone(), sim.snapshot()).with_recorder(recorder.clone());
+    let mut monitor = DriftMonitor::new(sim.snapshot()).with_recorder(recorder.clone());
 
     // Control-loop boundaries: every monitor window mark plus every phase
     // start plus every fault instant, in order.  Instants that coincide are
@@ -445,10 +418,10 @@ pub fn run_elastic_observed(
     // observation).
     let horizon = scenario.horizon_seconds;
     let mut boundaries: Vec<f64> = Vec::new();
-    let mut mark = config.monitor.window_seconds;
+    let mut mark = WINDOW_SECONDS;
     while mark < horizon {
         boundaries.push(mark);
-        mark += config.monitor.window_seconds;
+        mark += WINDOW_SECONDS;
     }
     boundaries.extend(scenario.boundaries());
     boundaries.extend(scenario.fault_instants());
@@ -480,7 +453,7 @@ pub fn run_elastic_observed(
         {
             match scenario.faults[fault_idx].kind {
                 FaultKind::AccelDown { accel } => {
-                    sim.fail_accel(AccelId(accel), config.fault_policy);
+                    sim.fail_accel(AccelId(accel), FAULT_POLICY);
                     pool_changed = true;
                 }
                 FaultKind::AccelRestored { accel } => {
@@ -543,9 +516,9 @@ pub fn run_elastic_observed(
             let window = (t - last_obs).max(f64::MIN_POSITIVE);
             if let Some(trigger) = monitor.observe(&sim.snapshot(), &arrivals) {
                 let topology = matches!(trigger.reason, TriggerReason::TopologyChanged { .. });
-                let calm = t - last_reconfig >= config.cooldown_seconds;
+                let calm = t - last_reconfig >= COOLDOWN_SECONDS;
                 let changed = events.iter().filter(|e| e.changed()).count();
-                if topology || (calm && changed < config.max_reconfigurations) {
+                if topology || (calm && changed < MAX_RECONFIGURATIONS) {
                     let rates: Vec<f64> = trigger
                         .window_arrivals
                         .iter()
@@ -565,7 +538,7 @@ pub fn run_elastic_observed(
                             cache,
                             at: t,
                             rates: &rates,
-                            delay: config.reschedule_delay_seconds,
+                            delay: RESCHEDULE_DELAY_SECONDS,
                             reason: trigger.reason,
                             sla_factors: &sla_factors,
                             link_factor,
@@ -688,7 +661,6 @@ fn reconfigure(
         // load signal to adapt to — keep the incumbent.
         return Ok(());
     }
-    let limit = r.config.weight_shift_limit;
     let eff: Vec<Workload> = r
         .workloads
         .iter()
@@ -697,7 +669,7 @@ fn reconfigure(
             // With no load signal (a recovery under a silent window), fall
             // back to the base weights.
             let shift = if has_load {
-                (load / mean).clamp(1.0 / limit, limit)
+                (load / mean).clamp(1.0 / WEIGHT_SHIFT_LIMIT, WEIGHT_SHIFT_LIMIT)
             } else {
                 1.0
             };
@@ -755,14 +727,11 @@ fn reconfigure(
         sub_co
     };
 
-    let mut migration =
-        migration_cost(r.topo, r.workloads, incumbent, &new_co, &r.config.migration);
+    let mut migration = migration_cost(r.topo, r.workloads, incumbent, &new_co);
     if r.link_factor < 1.0 {
         migration.seconds /= r.link_factor;
     }
-    if migration.is_free()
-        || (!incumbent_dead && migration.seconds > r.config.max_migration_seconds)
-    {
+    if migration.is_free() || (!incumbent_dead && migration.seconds > MAX_MIGRATION_SECONDS) {
         // Either the search confirmed the incumbent (free), or the better
         // placement is not worth its transfer bill: record the decision,
         // change nothing, pay nothing.  (A recovery move is never declined

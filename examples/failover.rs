@@ -44,7 +44,7 @@ fn main() {
                 report.serve.p95_ms,
                 report.final_epoch(),
                 report.placements_changed(),
-                report.migration_seconds() * 1e3 + 0.0,
+                report.migration_seconds() * 1e3,
             );
             for event in &report.reconfigurations {
                 let down: Vec<String> = event.down.iter().map(|a| a.0.to_string()).collect();

@@ -215,7 +215,7 @@ pub fn co_schedule(
 /// Commonly used types, importable with `use mars::prelude::*`.
 pub mod prelude {
     pub use mars_accel::{AccelDesign, Catalog, DesignId, PerformanceModel, ProfileTable};
-    pub use mars_comm::{CommConfig, CommSim};
+    pub use mars_comm::CommSim;
     pub use mars_core::{
         Assignment, CoScheduleConfig, CoScheduleResult, DesignPolicy, EvalStats, Evaluator,
         GaConfig, InnerSearchCache, Mapping, Mars, Placement, SearchConfig, SearchEngine,
@@ -228,8 +228,7 @@ pub mod prelude {
     pub use mars_obs::{Obs, Recorder};
     pub use mars_parallel::{evaluate_layer, EvalContext, LayerEval, ShardPlan, Strategy};
     pub use mars_runtime::{
-        run_elastic_with_cache, DriftMonitor, ElasticReport, MonitorConfig, RuntimeConfig,
-        RuntimePolicy,
+        run_elastic_with_cache, DriftMonitor, ElasticReport, RuntimeConfig, RuntimePolicy,
     };
     pub use mars_serve::{DispatchPolicy, FaultPolicy, ServeConfig, ServeReport, SimState, Trace};
     pub use mars_topology::{AccelId, Gbps, Topology, TopologyBuilder};

@@ -66,6 +66,11 @@ fn policies_respect_their_contracts() {
     let static_run = run_mix(MixZoo::ClassicPair, RuntimePolicy::Static, 1);
     assert!(static_run.reconfigurations.is_empty(), "Static never moves");
     assert_eq!(static_run.triggers_fired, 0, "Static runs no monitor");
+    assert_eq!(
+        static_run.migration_seconds().to_bits(),
+        0.0f64.to_bits(),
+        "nothing migrated is +0.0 seconds, not -0.0"
+    );
 
     let oracle = run_mix(MixZoo::ClassicPair, RuntimePolicy::Oracle, 1);
     assert_eq!(oracle.triggers_fired, 0, "the Oracle runs no monitor");
@@ -92,7 +97,7 @@ fn policies_respect_their_contracts() {
         for (_, u) in &report.serve.utilization {
             assert!((0.0..=1.0 + 1e-12).contains(u));
         }
-        assert!(report.migration_seconds() >= 0.0);
+        assert!(report.migration_seconds().is_sign_positive());
     }
 }
 
