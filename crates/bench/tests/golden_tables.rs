@@ -13,21 +13,88 @@
 //! table number.  CI runs the suite at `MARS_THREADS=1` and `4`, and the
 //! scheduled nightly workflow adds `8`, which also enforces that the pinned
 //! numbers are identical at every thread count.
+//!
+//! The co-schedule and elastic goldens also pin a digest of each row's whole
+//! output (see [`multi_digest`] and [`elastic_digest`]), so a change that
+//! keeps the headline numbers but moves a placement, a mapping or a
+//! reconfiguration still fails here.
 
 use mars_accel::{Catalog, ProfileTable};
 use mars_bench::{
     table3_row, table_elastic_row, table_failover_row, table_fleet_row, table_llm_row,
-    table_multi_row, table_serve_row, Budget,
+    table_multi_row, table_serve_row, Budget, ElasticRow, MultiRow,
 };
 use mars_model::zoo::{Benchmark, MixZoo};
 use mars_obs::Recorder;
 use mars_runtime::RuntimePolicy;
 use mars_serve::{BatchingMode, DispatchPolicy};
+use std::fmt::{Debug, Write};
 
 /// Tolerance in milliseconds: the pins are recorded at 1e-9 ms precision and
 /// the searches are bit-deterministic, so the only slack needed is decimal
 /// rounding of the constants themselves.
 const TOL_MS: f64 = 1e-6;
+
+/// FNV-1a over the bytes written into it, so `Debug` output streams into
+/// the hash without building the whole string.  `Debug` prints every `f64`
+/// in its shortest round-trip form, so equal digests mean equal bits.
+struct Digest(u64);
+
+impl Write for Digest {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for b in s.bytes() {
+            self.0 ^= u64::from(b);
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+fn digest_of(value: &impl Debug) -> u64 {
+    let mut d = Digest(0xcbf2_9ce4_8422_2325);
+    write!(d, "{value:?}").expect("hashing never fails");
+    d.0
+}
+
+/// Digest of a `table_multi` row: every placement's workload, accelerators
+/// and mapping, both makespans, the outer GA's history and evaluation count,
+/// and both sequential-exclusive makespans.  Timings, search statistics and
+/// the inner-search count are left out: they vary with the machine and with
+/// what the cache already held.
+fn multi_digest(row: &MultiRow) -> u64 {
+    let r = &row.result;
+    let placements: Vec<_> = r
+        .placements
+        .iter()
+        .map(|p| (p.workload, &p.accels, &p.result.mapping))
+        .collect();
+    digest_of(&(
+        placements,
+        r.makespan_seconds.to_bits(),
+        r.weighted_makespan_seconds.to_bits(),
+        &r.outer_history,
+        r.outer_evaluations,
+        r.sequential_makespan_seconds.to_bits(),
+        r.sequential_weighted_makespan_seconds.to_bits(),
+    ))
+}
+
+/// Digest of an elastic row: every policy's whole [`ElasticReport`]
+/// (serving report, reconfiguration events, trigger count).
+///
+/// [`ElasticReport`]: mars_runtime::ElasticReport
+fn elastic_digest(row: &ElasticRow) -> u64 {
+    digest_of(&row.reports)
+}
+
+#[track_caller]
+fn assert_digest(what: &str, got: u64, pinned: u64) {
+    assert_eq!(
+        got, pinned,
+        "{what}: digest {got:#018x}, pinned {pinned:#018x} \
+         (intentional change? re-pin the digest constants)"
+    );
+}
 
 #[track_caller]
 fn assert_pinned(what: &str, got: f64, pinned: f64) {
@@ -121,11 +188,26 @@ fn golden_table2_design_preferences() {
 }
 
 /// The co-scheduling headline numbers of `table_multi` at its seeds
-/// (`42 + row`): `(mix, co_makespan_ms, sequential_makespan_ms)`.
-const MULTI_GOLDEN: [(MixZoo, f64, f64); 3] = [
-    (MixZoo::ClassicPair, 64.584400000, 82.098062000),
-    (MixZoo::ResNetSurf, 19.898528000, 28.942344000),
-    (MixZoo::HeteroTriple, 38.156704000, 40.679349000),
+/// (`42 + row`): `(mix, co_makespan_ms, sequential_makespan_ms, digest)`.
+const MULTI_GOLDEN: [(MixZoo, f64, f64, u64); 3] = [
+    (
+        MixZoo::ClassicPair,
+        64.584400000,
+        82.098062000,
+        0xd60c_0c21_79bb_636b,
+    ),
+    (
+        MixZoo::ResNetSurf,
+        19.898528000,
+        28.942344000,
+        0x7178_55ad_2662_b848,
+    ),
+    (
+        MixZoo::HeteroTriple,
+        38.156704000,
+        40.679349000,
+        0x3442_bfc9_cc07_42cf,
+    ),
 ];
 
 /// The online-serving headline numbers of `table_serve` at its seeds
@@ -167,21 +249,37 @@ fn golden_table_serve_goodput() {
 }
 
 /// The elastic-runtime headline numbers of `table_elastic` at seed 42:
-/// `(mix, total requests, [static, reactive, oracle] goodput)`.  Goodputs
+/// `(mix, total requests, [static, reactive, oracle] goodput, digest)`.  Goodputs
 /// are request *counts*, so the pins are exact integers — any drift at all
 /// means the traffic scenarios, the drift monitor, the warm-started
 /// re-scheduler or the migration model changed.
-const ELASTIC_GOLDEN: [(MixZoo, usize, [usize; 3]); 3] = [
-    (MixZoo::ClassicPair, 454, [432, 432, 432]),
-    (MixZoo::ResNetSurf, 1127, [930, 945, 968]),
-    (MixZoo::HeteroTriple, 819, [532, 627, 642]),
+const ELASTIC_GOLDEN: [(MixZoo, usize, [usize; 3], u64); 3] = [
+    (
+        MixZoo::ClassicPair,
+        454,
+        [432, 432, 432],
+        0x8aa2_3d75_2879_4fa8,
+    ),
+    (
+        MixZoo::ResNetSurf,
+        1127,
+        [930, 945, 968],
+        0x21be_c132_2419_2528,
+    ),
+    (
+        MixZoo::HeteroTriple,
+        819,
+        [532, 627, 642],
+        0x31a9_7662_1da6_9998,
+    ),
 ];
 
 #[test]
 fn golden_table_elastic_goodput() {
     let mut strict_wins = 0usize;
-    for (mix, requests, goodputs) in ELASTIC_GOLDEN {
+    for (mix, requests, goodputs, digest) in ELASTIC_GOLDEN {
         let row = table_elastic_row(mix, Budget::Fast, 42, &Recorder::disabled());
+        assert_digest(&format!("{mix} elastic"), elastic_digest(&row), digest);
         assert_eq!(
             row.trace.total_requests(),
             requests,
@@ -223,21 +321,37 @@ fn golden_table_elastic_goodput() {
 }
 
 /// The failover headline numbers of `table_failover` at seed 42:
-/// `(mix, total requests, [static, reactive, oracle] goodput)` under the
-/// bundled failure scenarios.  Goodputs are request *counts*, so the pins
+/// `(mix, total requests, [static, reactive, oracle] goodput, digest)` under
+/// the bundled failure scenarios.  Goodputs are request *counts*, so the pins
 /// are exact integers — any drift at all means the fault injection, the
 /// revocation accounting, the topology trigger or the sub-topology
 /// re-scheduler changed.
-const FAILOVER_GOLDEN: [(MixZoo, usize, [usize; 3]); 3] = [
-    (MixZoo::ClassicPair, 454, [203, 391, 392]),
-    (MixZoo::ResNetSurf, 1127, [413, 798, 889]),
-    (MixZoo::HeteroTriple, 819, [407, 547, 611]),
+const FAILOVER_GOLDEN: [(MixZoo, usize, [usize; 3], u64); 3] = [
+    (
+        MixZoo::ClassicPair,
+        454,
+        [203, 391, 392],
+        0xb465_3f98_7646_a81a,
+    ),
+    (
+        MixZoo::ResNetSurf,
+        1127,
+        [413, 798, 889],
+        0xbb80_8997_9de3_4cfc,
+    ),
+    (
+        MixZoo::HeteroTriple,
+        819,
+        [407, 547, 611],
+        0x39b7_4e87_0b8c_fc4f,
+    ),
 ];
 
 #[test]
 fn golden_table_failover_goodput() {
-    for (mix, requests, goodputs) in FAILOVER_GOLDEN {
+    for (mix, requests, goodputs, digest) in FAILOVER_GOLDEN {
         let row = table_failover_row(mix, Budget::Fast, 42, &Recorder::disabled());
+        assert_digest(&format!("{mix} failover"), elastic_digest(&row), digest);
         assert_eq!(
             row.trace.total_requests(),
             requests,
@@ -381,8 +495,9 @@ fn golden_table_llm_goodput() {
 
 #[test]
 fn golden_table_multi_makespans() {
-    for (index, (mix, co_ms, seq_ms)) in MULTI_GOLDEN.into_iter().enumerate() {
+    for (index, (mix, co_ms, seq_ms, digest)) in MULTI_GOLDEN.into_iter().enumerate() {
         let row = table_multi_row(mix, Budget::Fast, 42 + index as u64);
+        assert_digest(&format!("{mix} co-schedule"), multi_digest(&row), digest);
         assert_pinned(
             &format!("{mix} co-scheduled"),
             row.result.makespan_ms(),
