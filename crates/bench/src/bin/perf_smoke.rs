@@ -99,7 +99,7 @@ fn main() {
     let mut multi_rows = Vec::new();
     for (i, mix) in MixZoo::ALL.into_iter().enumerate() {
         let row = table_multi_row(mix, budget, 42 + i as u64);
-        multi_min_speedup = multi_min_speedup.min(row.result.speedup_over_sequential());
+        multi_min_speedup = multi_min_speedup.min(row.speedup());
         multi_rows.push(row);
     }
     let table_multi_s = t.elapsed().as_secs_f64();

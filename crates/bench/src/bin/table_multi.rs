@@ -41,17 +41,14 @@ fn main() {
             "multi/outer_evaluations",
             row.result.outer_evaluations as u64,
         );
-        recorder.gauge_max(
-            &format!("multi/speedup/{}", row.mix.name()),
-            row.result.speedup_over_sequential(),
-        );
+        recorder.gauge_max(&format!("multi/speedup/{}", row.mix.name()), row.speedup());
         println!(
             "{:<14} {:>5} {:>12.3} {:>14.3} {:>8.2}x {:>10.1} {:>8}",
             row.mix.name(),
             row.workloads.len(),
             row.result.makespan_ms(),
-            row.result.sequential_makespan_ms(),
-            row.result.speedup_over_sequential(),
+            row.sequential.makespan_ms(),
+            row.speedup(),
             row.result.throughput_per_second(),
             row.result.inner_searches,
         );
@@ -62,7 +59,7 @@ fn main() {
         println!("== {} ==", row.mix.name());
         print!(
             "{}",
-            report::render_co_schedule(&row.workloads, &row.result)
+            report::render_co_schedule(&row.workloads, &row.result, &row.sequential)
         );
     }
 

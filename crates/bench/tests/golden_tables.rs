@@ -74,8 +74,8 @@ fn multi_digest(row: &MultiRow) -> u64 {
         r.weighted_makespan_seconds.to_bits(),
         &r.outer_history,
         r.outer_evaluations,
-        r.sequential_makespan_seconds.to_bits(),
-        r.sequential_weighted_makespan_seconds.to_bits(),
+        row.sequential.makespan_seconds.to_bits(),
+        row.sequential.weighted_makespan_seconds.to_bits(),
     ))
 }
 
@@ -505,10 +505,10 @@ fn golden_table_multi_makespans() {
         );
         assert_pinned(
             &format!("{mix} sequential"),
-            row.result.sequential_makespan_ms(),
+            row.sequential.makespan_ms(),
             seq_ms,
         );
         // Co-scheduling beats sequential-exclusive on every bundled mix.
-        assert!(row.result.makespan_ms() < row.result.sequential_makespan_ms());
+        assert!(row.result.makespan_ms() < row.sequential.makespan_ms());
     }
 }

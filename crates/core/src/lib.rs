@@ -60,6 +60,6 @@ pub use genome::{FirstLevelGenome, SecondLevelGenome};
 pub use mapper::{EvalStats, Mars, SearchConfig, SearchEngine, SearchResult};
 pub use mapping::{Assignment, Mapping};
 pub use scheduler::{
-    co_schedule, co_schedule_cached, CoScheduleConfig, CoScheduleError, CoScheduleResult,
-    InnerSearchCache, Placement, WarmStart, Workload,
+    co_schedule, co_schedule_cached, sequential_exclusive, CoScheduleConfig, CoScheduleError,
+    CoScheduleResult, InnerSearchCache, Placement, SequentialBaseline, WarmStart, Workload,
 };

@@ -2,7 +2,7 @@
 //! by MARS" column, plus the system-level co-schedule report.
 
 use crate::mapping::Mapping;
-use crate::scheduler::{CoScheduleResult, Workload};
+use crate::scheduler::{CoScheduleResult, SequentialBaseline, Workload};
 use mars_model::Network;
 use mars_topology::AccelId;
 use std::collections::BTreeMap;
@@ -93,18 +93,24 @@ pub fn describe_accel_set(set: &[AccelId]) -> String {
     }
 }
 
-/// Renders a co-schedule outcome: the system-level makespan/throughput line,
-/// one line per placement, and the per-placement mapping description.
+/// Renders a co-schedule outcome: the system-level makespan/throughput line
+/// (against its [`sequential_exclusive`](crate::scheduler::sequential_exclusive)
+/// baseline), one line per placement, and the per-placement mapping
+/// description.
 ///
 /// `workloads` must be the slice the co-schedule was computed from (the
 /// placements reference it by index for the mapping descriptions).
-pub fn render_co_schedule(workloads: &[Workload], result: &CoScheduleResult) -> String {
+pub fn render_co_schedule(
+    workloads: &[Workload],
+    result: &CoScheduleResult,
+    sequential: &SequentialBaseline,
+) -> String {
     let mut out = format!(
         "co-schedule: makespan {:.3} ms (weighted {:.3}) | sequential-exclusive {:.3} ms | speedup {:.2}x | {:.1} inf/s\n",
         result.makespan_ms(),
         result.weighted_makespan_seconds * 1e3,
-        result.sequential_makespan_ms(),
-        result.speedup_over_sequential(),
+        sequential.makespan_ms(),
+        sequential.speedup_of(result),
         result.throughput_per_second(),
     );
     for p in &result.placements {
@@ -200,8 +206,14 @@ mod tests {
             },
             ..crate::scheduler::CoScheduleConfig::fast(1)
         };
-        let result = crate::scheduler::co_schedule(&workloads, &topo, &catalog, &config).unwrap();
-        let text = render_co_schedule(&workloads, &result);
+        let cache = crate::scheduler::InnerSearchCache::new();
+        let result =
+            crate::scheduler::co_schedule_cached(&workloads, &topo, &catalog, &config, &cache)
+                .unwrap();
+        let sequential =
+            crate::scheduler::sequential_exclusive(&workloads, &topo, &catalog, &config, &cache)
+                .unwrap();
+        let text = render_co_schedule(&workloads, &result, &sequential);
         assert!(text.contains("makespan"));
         assert!(text.contains("sequential-exclusive"));
         assert!(text.contains("AlexNet"));

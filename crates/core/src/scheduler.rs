@@ -17,19 +17,20 @@
 //!   demand-proportional split and a group-boundary-aligned split.
 //! * **Inner searches** — for each `(workload, subset)` the existing
 //!   two-level [`Mars`] GA runs on the [`Topology::subtopology`] of the
-//!   subset.  Results are memoised in a [`OnceCache`] keyed by
-//!   `(workload, subset)`, so each inner search runs **exactly once** even
-//!   when concurrent outer genomes race on it, and the outer fitness is a
-//!   pure function of the genes — which makes the whole co-schedule
-//!   bit-identical for every thread count, like the single-network search.
+//!   subset.  Results are memoised in a [`OnceCache`] keyed by the workload
+//!   and the sub-platform's *content* (links, host links, DRAM, groups — not
+//!   which ids it came from), so each inner search runs **exactly once**
+//!   even when concurrent outer genomes race on it, isomorphic subsets share
+//!   one search, and the outer fitness is a pure function of the genes —
+//!   which makes the whole co-schedule bit-identical for every thread count,
+//!   like the single-network search.
 //!
 //! The fitness minimised is the *weighted makespan*: workloads start
 //! simultaneously on their disjoint subsets, workload `i` finishes its batch
 //! at `t_i = batch_i · latency_i`, and the objective is
-//! `max_i weight_i · t_i`.  The result also reports the
-//! sequential-exclusive baseline (every workload gets the whole platform,
-//! back to back, in descending-weight order) so callers can see when
-//! co-scheduling pays off.
+//! `max_i weight_i · t_i`.  [`sequential_exclusive`] computes the baseline
+//! (every workload gets the whole platform, back to back, in
+//! descending-weight order) so callers can see when co-scheduling pays off.
 
 use crate::ga::{genome_stream_seed, GaConfig, GeneticAlgorithm};
 use crate::mapper::{Mars, SearchConfig, SearchResult};
@@ -86,6 +87,17 @@ pub enum CoScheduleError {
         /// The largest per-accelerator capacity the platform offers, bytes.
         capacity_bytes: u64,
     },
+    /// A GA hyper-parameter is out of range: a `mutation_sigma` that is
+    /// negative or not finite, or a `mutation_rate` or `crossover_rate`
+    /// outside `[0, 1]`.
+    InvalidGaConfig {
+        /// Which GA: `outer`, `inner.first_level` or `inner.second_level`.
+        ga: &'static str,
+        /// The offending field.
+        field: &'static str,
+        /// The rejected value.
+        value: f64,
+    },
 }
 
 impl std::fmt::Display for CoScheduleError {
@@ -114,6 +126,9 @@ impl std::fmt::Display for CoScheduleError {
                 "workload {workload} needs {demand_bytes} B resident memory per accelerator, \
                  but the tightest usable accelerator offers only {capacity_bytes} B"
             ),
+            CoScheduleError::InvalidGaConfig { ga, field, value } => {
+                write!(f, "{ga} GA has invalid {field} {value}")
+            }
         }
     }
 }
@@ -337,7 +352,9 @@ pub struct Placement {
     /// The accelerators of this partition, as ids of the *original* topology.
     pub accels: Vec<AccelId>,
     /// The inner search outcome; its mapping's accelerator ids are translated
-    /// back to the original topology.
+    /// back to the original topology.  Its `stats` and `elapsed` belong to
+    /// the search that filled the [`InnerSearchCache`] entry, which may have
+    /// run in an earlier call or on another subset with the same content.
     pub result: SearchResult,
 }
 
@@ -365,18 +382,14 @@ pub struct CoScheduleResult {
     pub makespan_seconds: f64,
     /// The optimised objective: maximum weighted completion time.
     pub weighted_makespan_seconds: f64,
-    /// Sequential-exclusive baseline makespan: every workload runs on the
-    /// *whole* platform, back to back (descending SLA weight order).
-    pub sequential_makespan_seconds: f64,
-    /// Weighted makespan of the sequential-exclusive baseline under the same
-    /// descending-weight order.
-    pub sequential_weighted_makespan_seconds: f64,
     /// Best weighted makespan after every outer generation.
     pub outer_history: Vec<f64>,
     /// Number of outer fitness evaluations.
     pub outer_evaluations: usize,
-    /// Number of distinct inner `(workload, subset)` searches actually run
-    /// (cache hits excluded).
+    /// Number of inner searches this call ran.  Cache hits are excluded,
+    /// and that includes hits on entries an earlier call filled and on a
+    /// subset whose sub-platform has the same content as one already
+    /// searched (on F1, `{0,1}`, `{1,2}` and `{2,3}` are one search).
     pub inner_searches: usize,
     /// Wall-clock time of the whole co-schedule.
     pub elapsed: Duration,
@@ -388,26 +401,6 @@ impl CoScheduleResult {
         self.makespan_seconds * 1e3
     }
 
-    /// Sequential-exclusive makespan in milliseconds.
-    pub fn sequential_makespan_ms(&self) -> f64 {
-        self.sequential_makespan_seconds * 1e3
-    }
-
-    /// How much faster the co-schedule finishes the round than running the
-    /// workloads back-to-back on the whole platform (>1 = co-scheduling wins).
-    ///
-    /// Returns `0.0` for degenerate results whose makespan is zero (an empty
-    /// or zero-latency mix): no meaningful ratio exists there, and `0.0` is
-    /// an explicit "no speedup measured" marker rather than a division by
-    /// zero propagating `inf`/`NaN` into reports.
-    pub fn speedup_over_sequential(&self) -> f64 {
-        if self.makespan_seconds > 0.0 {
-            self.sequential_makespan_seconds / self.makespan_seconds
-        } else {
-            0.0
-        }
-    }
-
     /// Total inferences completed per round.
     pub fn total_inferences(&self) -> usize {
         self.placements.iter().map(|p| p.batch).sum()
@@ -415,8 +408,7 @@ impl CoScheduleResult {
 
     /// Aggregate system throughput in inferences per second.
     ///
-    /// Like [`speedup_over_sequential`](Self::speedup_over_sequential),
-    /// returns `0.0` when the makespan is zero instead of dividing by it.
+    /// Returns `0.0` when the makespan is zero instead of dividing by it.
     pub fn throughput_per_second(&self) -> f64 {
         if self.makespan_seconds > 0.0 {
             self.total_inferences() as f64 / self.makespan_seconds
@@ -429,6 +421,39 @@ impl CoScheduleResult {
     pub fn is_valid(&self) -> bool {
         self.makespan_seconds.is_finite()
             && self.placements.iter().all(|p| p.result.mapping.is_valid())
+    }
+}
+
+/// The sequential-exclusive baseline of a workload mix: every workload runs
+/// alone on the *whole* platform, back to back, in descending SLA-weight
+/// order (ties in input order).  Computed by [`sequential_exclusive`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SequentialBaseline {
+    /// When the last workload finishes its batch, in seconds.
+    pub makespan_seconds: f64,
+    /// Maximum weighted completion time under the same order.
+    pub weighted_makespan_seconds: f64,
+}
+
+impl SequentialBaseline {
+    /// Makespan in milliseconds.
+    pub fn makespan_ms(&self) -> f64 {
+        self.makespan_seconds * 1e3
+    }
+
+    /// How much faster `co` finishes the round than this baseline (>1 =
+    /// co-scheduling wins).
+    ///
+    /// Returns `0.0` when `co`'s makespan is zero (an empty or zero-latency
+    /// mix): no meaningful ratio exists there, and `0.0` is an explicit "no
+    /// speedup measured" marker rather than a division by zero propagating
+    /// `inf`/`NaN` into reports.
+    pub fn speedup_of(&self, co: &CoScheduleResult) -> f64 {
+        if co.makespan_seconds > 0.0 {
+            self.makespan_seconds / co.makespan_seconds
+        } else {
+            0.0
+        }
     }
 }
 
@@ -530,22 +555,32 @@ impl OuterGenome {
     }
 }
 
-type InnerKey = (usize, Vec<AccelId>);
+/// An inner search's cache key: the workload index and the exact content of
+/// the sub-platform it runs on (see [`platform_key`]).
+type InnerKey = (usize, Vec<u64>);
 type InnerCache = OnceCache<InnerKey, Arc<SearchResult>>;
 
-/// A shareable exactly-once memo of inner `(workload, subset)` searches,
-/// for callers that run [`co_schedule_cached`] repeatedly over the *same*
-/// workloads, platform, catalog, inner budget and master seed — the elastic
-/// runtime's online re-scheduling loop.  Subsets already searched by any
-/// previous call (the incumbent's partition, the full-platform sequential
-/// baseline, every candidate the outer GA visited) are cache hits, so a
-/// warm-started re-schedule only pays for genuinely new partitions.
+/// A shareable exactly-once memo of inner searches, for callers that run
+/// [`co_schedule_cached`] and [`sequential_exclusive`] repeatedly — the
+/// elastic runtime's online re-scheduling loop, or a table row that wants
+/// both the co-schedule and its baseline.
 ///
-/// **Soundness**: a cached value is a pure function of
-/// `(workload index, subset, network, inner config, master seed)`.  The
-/// cache only keys on the first two, so reusing it with a different network
-/// list, inner budget or seed would silently serve stale results — create a
-/// fresh cache whenever any of those change.
+/// An entry is keyed by the workload index and the *content* of the
+/// sub-platform the search ran on: every value [`Topology::subtopology`]
+/// copies (link bandwidths, host links, DRAM, group labels), as bits, but
+/// not the platform's name or which ids the subset had.  Each entry holds
+/// the search result in the sub-platform's local ids; a call translates it
+/// to its own ids.  So isomorphic subsets share one search, and a re-plan
+/// on the survivors of a failure (a call on a [`Topology::subtopology`])
+/// hits the entries the full-pool calls filled.
+///
+/// **Soundness**: a cached value is a pure function of the key plus the
+/// network list, the catalog, the inner budget ([`CoScheduleConfig::inner`])
+/// and the master seed ([`CoScheduleConfig::seed`]).  One cache therefore
+/// serves every sub-topology of one platform, for one network list (the SLA
+/// weights, batches and memory demands may change), one catalog, one inner
+/// budget and one master seed.  Reusing it after any of those change would
+/// silently serve stale results — create a fresh cache instead.
 #[derive(Debug, Default)]
 pub struct InnerSearchCache {
     cache: InnerCache,
@@ -559,77 +594,89 @@ impl InnerSearchCache {
     }
 
     /// Total number of distinct inner searches computed through this cache
-    /// over its whole lifetime (across every `co_schedule_cached` call).
+    /// over its whole lifetime (across every [`co_schedule_cached`] and
+    /// [`sequential_exclusive`] call).
     pub fn searches_run(&self) -> usize {
         self.total_searches.load(Ordering::Relaxed)
     }
 }
 
-/// Co-schedules `workloads` onto disjoint partitions of `topo`.
-///
-/// Every workload receives a non-empty accelerator subset; the subsets are
-/// pairwise disjoint and together cover the platform.  The returned result
-/// carries one [`Placement`] per workload (input order) plus the
-/// system-level makespan/throughput figures and the sequential-exclusive
-/// baseline.  The outcome is bit-identical for every
-/// [`CoScheduleConfig::with_threads`] value.
-///
-/// # Errors
-///
-/// Rejects empty workload lists, more workloads than accelerators, and
-/// non-positive weights or batches — see [`CoScheduleError`].
-///
-/// ```no_run
-/// use mars_accel::Catalog;
-/// use mars_core::scheduler::{co_schedule, CoScheduleConfig, Workload};
-/// use mars_model::zoo;
-/// use mars_topology::presets;
-///
-/// let workloads = vec![
-///     Workload::new(zoo::alexnet(1000)).with_batch(16).with_weight(1.5),
-///     Workload::new(zoo::vgg16(1000)),
-/// ];
-/// let topo = presets::f1_16xlarge();
-/// let catalog = Catalog::standard_three();
-/// let result = co_schedule(
-///     &workloads,
-///     &topo,
-///     &catalog,
-///     &CoScheduleConfig::fast(42),
-/// )
-/// .unwrap();
-/// assert!(result.speedup_over_sequential() > 1.0);
-/// ```
-pub fn co_schedule(
-    workloads: &[Workload],
-    topo: &Topology,
-    catalog: &Catalog,
-    config: &CoScheduleConfig,
-) -> Result<CoScheduleResult, CoScheduleError> {
-    co_schedule_cached(workloads, topo, catalog, config, &InnerSearchCache::new())
+/// The content of the sub-platform `subset` (ascending ids of `topo`)
+/// induces: exactly the values [`Topology::subtopology`] copies, as bits,
+/// and nothing else.  Two subsets with equal keys have equal sub-topologies
+/// up to the name, so an inner search on either returns the same result in
+/// local ids.
+fn platform_key(topo: &Topology, subset: &[AccelId]) -> Vec<u64> {
+    debug_assert!(subset.windows(2).all(|w| w[0] < w[1]), "ascending ids");
+    let m = subset.len();
+    let mut key = Vec::with_capacity(m * (m + 3));
+    for &a in subset {
+        key.extend(subset.iter().map(|&b| topo.bandwidth(a, b).to_bits()));
+    }
+    key.extend(subset.iter().map(|&a| topo.host_bandwidth(a).to_bits()));
+    key.extend(subset.iter().map(|&a| topo.dram_bytes(a)));
+    key.extend(subset.iter().map(|&a| topo.group(a) as u64));
+    key
 }
 
-/// [`co_schedule`] with an externally-owned [`InnerSearchCache`], so a
-/// sequence of searches over the same inputs (an online re-scheduling loop)
-/// reuses every inner search any earlier call already ran.  The result is
-/// identical to [`co_schedule`]'s except that
-/// [`CoScheduleResult::inner_searches`] counts only the searches *this*
-/// call actually computed — cache hits from earlier calls are free and
-/// uncounted.
-///
-/// See [`InnerSearchCache`] for the reuse-soundness contract.
-///
-/// # Errors
-///
-/// As for [`co_schedule`].
-pub fn co_schedule_cached(
+/// The inner searches of one call, looked up in (and added to) a shared
+/// [`InnerSearchCache`].
+struct InnerSearches<'a> {
+    workloads: &'a [Workload],
+    topo: &'a Topology,
+    catalog: &'a Catalog,
+    config: &'a CoScheduleConfig,
+    shared: &'a InnerSearchCache,
+    /// Searches this call computed (cache hits excluded).
+    computed: AtomicUsize,
+}
+
+impl<'a> InnerSearches<'a> {
+    fn new(
+        workloads: &'a [Workload],
+        topo: &'a Topology,
+        catalog: &'a Catalog,
+        config: &'a CoScheduleConfig,
+        shared: &'a InnerSearchCache,
+    ) -> Self {
+        Self {
+            workloads,
+            topo,
+            catalog,
+            config,
+            shared,
+            computed: AtomicUsize::new(0),
+        }
+    }
+
+    /// Workload `w`'s search on the sub-platform of `subset` (ascending ids
+    /// of the topology), in the sub-platform's local ids: a cache hit, or a
+    /// search run now on `threads` workers.
+    fn get(&self, w: usize, subset: &[AccelId], threads: usize) -> Arc<SearchResult> {
+        let key = (w, platform_key(self.topo, subset));
+        self.shared.cache.get_or_compute(key, || {
+            self.computed.fetch_add(1, Ordering::Relaxed);
+            self.shared.total_searches.fetch_add(1, Ordering::Relaxed);
+            Arc::new(run_inner_search(
+                &self.workloads[w].network,
+                self.topo,
+                subset,
+                self.catalog,
+                self.config,
+                w,
+                threads,
+            ))
+        })
+    }
+}
+
+/// Rejects inputs no search can run on — see [`CoScheduleError`].
+fn check_inputs(
     workloads: &[Workload],
     topo: &Topology,
     catalog: &Catalog,
     config: &CoScheduleConfig,
-    shared: &InnerSearchCache,
-) -> Result<CoScheduleResult, CoScheduleError> {
-    let start = Instant::now();
+) -> Result<(), CoScheduleError> {
     let k = workloads.len();
     let n = topo.len();
     if k == 0 {
@@ -652,25 +699,30 @@ pub fn co_schedule_cached(
             return Err(CoScheduleError::InvalidBatch { workload: i });
         }
     }
-
-    let ids: Vec<AccelId> = topo.accelerators().collect();
-
-    // Per-accelerator memory capacity, as a *hard* placement constraint.  An
-    // adaptive platform may configure any accelerator with any catalog
-    // design, so the usable capacity is the accelerator's DRAM clamped by the
-    // tightest design's on-board memory — design-choice-independent, which
-    // keeps the memoised inner searches pure (their cache key carries no
-    // design dimension).  A workload's `memory_bytes` must fit on **every**
-    // accelerator of its partition (weights stay resident wherever its
-    // shards run); zero means unconstrained.
-    let catalog_min = catalog.min_memory_bytes();
-    let capacity_of = |a: AccelId| topo.dram_bytes(a).min(catalog_min);
-    let memory_fits = |w: usize, subset: &[AccelId]| -> bool {
-        let demand = workloads[w].memory_bytes;
-        demand == 0 || subset.iter().all(|&a| capacity_of(a) >= demand)
-    };
+    for (ga, cfg) in [
+        ("outer", &config.outer),
+        ("inner.first_level", &config.inner.first_level),
+        ("inner.second_level", &config.inner.second_level),
+    ] {
+        let invalid = |field, value| CoScheduleError::InvalidGaConfig { ga, field, value };
+        if !(cfg.mutation_sigma.is_finite() && cfg.mutation_sigma >= 0.0) {
+            return Err(invalid("mutation_sigma", cfg.mutation_sigma));
+        }
+        for (field, rate) in [
+            ("mutation_rate", cfg.mutation_rate),
+            ("crossover_rate", cfg.crossover_rate),
+        ] {
+            if !(0.0..=1.0).contains(&rate) {
+                return Err(invalid(field, rate));
+            }
+        }
+    }
+    let best = topo
+        .accelerators()
+        .map(|a| usable_capacity(topo, catalog, a))
+        .max()
+        .unwrap_or(0);
     for (i, w) in workloads.iter().enumerate() {
-        let best = ids.iter().map(|&a| capacity_of(a)).max().unwrap_or(0);
         if w.memory_bytes > 0 && w.memory_bytes > best {
             return Err(CoScheduleError::MemoryInfeasible {
                 workload: i,
@@ -679,6 +731,101 @@ pub fn co_schedule_cached(
             });
         }
     }
+    Ok(())
+}
+
+/// Per-accelerator memory capacity, as a *hard* placement constraint.  An
+/// adaptive platform may configure any accelerator with any catalog design,
+/// so the usable capacity is the accelerator's DRAM clamped by the tightest
+/// design's on-board memory — design-choice-independent, which keeps the
+/// memoised inner searches pure (their cache key carries no design
+/// dimension).
+fn usable_capacity(topo: &Topology, catalog: &Catalog, a: AccelId) -> u64 {
+    topo.dram_bytes(a).min(catalog.min_memory_bytes())
+}
+
+/// Co-schedules `workloads` onto disjoint partitions of `topo`.
+///
+/// Every workload receives a non-empty accelerator subset; the subsets are
+/// pairwise disjoint and together cover the platform.  The returned result
+/// carries one [`Placement`] per workload (input order) plus the
+/// system-level makespan/throughput figures; [`sequential_exclusive`]
+/// computes the baseline to compare them with.  The outcome is
+/// bit-identical for every [`CoScheduleConfig::with_threads`] value.
+///
+/// # Errors
+///
+/// Rejects empty workload lists, more workloads than accelerators,
+/// non-positive weights or batches, memory demands no accelerator can hold
+/// and out-of-range GA hyper-parameters — see [`CoScheduleError`].
+///
+/// ```no_run
+/// use mars_accel::Catalog;
+/// use mars_core::scheduler::{
+///     co_schedule_cached, sequential_exclusive, CoScheduleConfig, InnerSearchCache, Workload,
+/// };
+/// use mars_model::zoo;
+/// use mars_topology::presets;
+///
+/// let workloads = vec![
+///     Workload::new(zoo::alexnet(1000)).with_batch(16).with_weight(1.5),
+///     Workload::new(zoo::vgg16(1000)),
+/// ];
+/// let topo = presets::f1_16xlarge();
+/// let catalog = Catalog::standard_three();
+/// let config = CoScheduleConfig::fast(42);
+/// let cache = InnerSearchCache::new();
+/// let result = co_schedule_cached(&workloads, &topo, &catalog, &config, &cache).unwrap();
+/// let sequential = sequential_exclusive(&workloads, &topo, &catalog, &config, &cache).unwrap();
+/// assert!(sequential.speedup_of(&result) > 1.0);
+/// ```
+pub fn co_schedule(
+    workloads: &[Workload],
+    topo: &Topology,
+    catalog: &Catalog,
+    config: &CoScheduleConfig,
+) -> Result<CoScheduleResult, CoScheduleError> {
+    co_schedule_cached(workloads, topo, catalog, config, &InnerSearchCache::new())
+}
+
+/// [`co_schedule`] with an externally-owned [`InnerSearchCache`], so a
+/// sequence of searches over the same inputs (an online re-scheduling loop,
+/// or a co-schedule and its [`sequential_exclusive`] baseline) reuses every
+/// inner search any earlier call already ran, on this topology or on any
+/// other sub-topology of the same platform.  The result is identical to
+/// [`co_schedule`]'s except that [`CoScheduleResult::inner_searches`]
+/// counts only the searches *this* call actually computed — cache hits
+/// from earlier calls are free and uncounted.
+///
+/// With two or more workloads every partition is a strict subset of the
+/// platform, so no full-platform search runs.
+///
+/// See [`InnerSearchCache`] for the reuse-soundness contract.
+///
+/// # Errors
+///
+/// As for [`co_schedule`].
+pub fn co_schedule_cached(
+    workloads: &[Workload],
+    topo: &Topology,
+    catalog: &Catalog,
+    config: &CoScheduleConfig,
+    shared: &InnerSearchCache,
+) -> Result<CoScheduleResult, CoScheduleError> {
+    let start = Instant::now();
+    check_inputs(workloads, topo, catalog, config)?;
+    let k = workloads.len();
+    let n = topo.len();
+    let ids: Vec<AccelId> = topo.accelerators().collect();
+
+    // A workload's `memory_bytes` must fit on **every** accelerator of its
+    // partition (weights stay resident wherever its shards run); zero means
+    // unconstrained.
+    let capacity_of = |a: AccelId| usable_capacity(topo, catalog, a);
+    let memory_fits = |w: usize, subset: &[AccelId]| -> bool {
+        let demand = workloads[w].memory_bytes;
+        demand == 0 || subset.iter().all(|&a| capacity_of(a) >= demand)
+    };
     let demands: Vec<u64> = workloads.iter().map(Workload::demand_macs).collect();
     let layout = OuterGenome {
         workloads: k,
@@ -686,30 +833,11 @@ pub fn co_schedule_cached(
     };
 
     // Exactly-once memo of the inner searches: the expensive part of an outer
-    // fitness evaluation.  Keys are pure coordinates, values already carry
-    // globally-translated mappings.  `searches_run` counts only this call's
-    // computations; the shared cache's own counter spans its lifetime.
-    let cache: &InnerCache = &shared.cache;
-    let searches_run = AtomicUsize::new(0);
-
-    let inner_with = |w: usize, subset: &[AccelId], threads: usize| -> Arc<SearchResult> {
-        cache.get_or_compute((w, subset.to_vec()), || {
-            searches_run.fetch_add(1, Ordering::Relaxed);
-            shared.total_searches.fetch_add(1, Ordering::Relaxed);
-            Arc::new(run_inner_search(
-                &workloads[w].network,
-                topo,
-                subset,
-                catalog,
-                config,
-                w,
-                threads,
-            ))
-        })
-    };
-    // Inside the outer GA the inner searches stay serial: they already run on
-    // the GA's worker threads, and their own pools would oversubscribe.
-    let inner = |w: usize, subset: &[AccelId]| inner_with(w, subset, 1);
+    // fitness evaluation.  Inside the outer GA they stay serial: they already
+    // run on the GA's worker threads, and their own pools would
+    // oversubscribe.
+    let searches = InnerSearches::new(workloads, topo, catalog, config, shared);
+    let inner = |w: usize, subset: &[AccelId]| searches.get(w, subset, 1);
 
     let weighted_makespan_of = |genes: &[f64]| -> f64 {
         let subsets = layout.decode_subsets(genes, &ids);
@@ -792,7 +920,12 @@ pub fn co_schedule_cached(
                 weight: workloads[w].weight,
                 batch: workloads[w].batch,
                 accels: subset.clone(),
-                result: (*result).clone(),
+                // The subset is ascending, so it is the sub-platform's
+                // local-to-caller id map.
+                result: SearchResult {
+                    mapping: remap_mapping(&result.mapping, subset),
+                    ..(*result).clone()
+                },
             }
         })
         .collect();
@@ -807,11 +940,43 @@ pub fn co_schedule_cached(
         .map(Placement::weighted_seconds)
         .fold(0.0, f64::max);
 
-    // Sequential-exclusive baseline: every workload alone on the full
-    // platform, scheduled back to back in descending SLA-weight order (the
-    // natural priority order; ties resolve to input order).
-    let mut seq_order: Vec<usize> = (0..k).collect();
-    seq_order.sort_by(|a, b| {
+    Ok(CoScheduleResult {
+        placements,
+        makespan_seconds,
+        weighted_makespan_seconds,
+        outer_history: outcome.history,
+        outer_evaluations: outcome.evaluations,
+        inner_searches: searches.computed.load(Ordering::Relaxed),
+        elapsed: start.elapsed(),
+    })
+}
+
+/// The sequential-exclusive baseline of `workloads` on `topo`: every
+/// workload alone on the whole platform, back to back in descending SLA
+/// weight order (the natural priority order; ties resolve to input order).
+///
+/// Its full-platform inner searches go through `cache`, so they are shared
+/// with any [`co_schedule_cached`] call on the same cache (a single-workload
+/// co-schedule searches the full platform too).  They run on the caller's
+/// thread and may use the configured worker pool
+/// ([`CoScheduleConfig::with_threads`]); the baseline is bit-identical at
+/// every thread count.
+///
+/// # Errors
+///
+/// As for [`co_schedule`]: the inputs pass the same checks.
+pub fn sequential_exclusive(
+    workloads: &[Workload],
+    topo: &Topology,
+    catalog: &Catalog,
+    config: &CoScheduleConfig,
+    cache: &InnerSearchCache,
+) -> Result<SequentialBaseline, CoScheduleError> {
+    check_inputs(workloads, topo, catalog, config)?;
+    let ids: Vec<AccelId> = topo.accelerators().collect();
+    let searches = InnerSearches::new(workloads, topo, catalog, config, cache);
+    let mut order: Vec<usize> = (0..workloads.len()).collect();
+    order.sort_by(|a, b| {
         workloads[*b]
             .weight
             .partial_cmp(&workloads[*a].weight)
@@ -819,32 +984,20 @@ pub fn co_schedule_cached(
             .then(a.cmp(b))
     });
     let mut clock = 0.0f64;
-    let mut seq_weighted = 0.0f64;
-    for &w in &seq_order {
-        // These full-platform searches run on the caller's thread after the
-        // outer GA has finished, so unlike the fitness-path searches they may
-        // use the configured worker pool — the result is bit-identical at
-        // every thread count, only faster.
-        let result = inner_with(w, &ids, config.outer.threads);
+    let mut weighted = 0.0f64;
+    for &w in &order {
+        let result = searches.get(w, &ids, config.outer.threads);
         clock += workloads[w].batch as f64 * result.mapping.latency_seconds;
-        seq_weighted = seq_weighted.max(workloads[w].weight * clock);
+        weighted = weighted.max(workloads[w].weight * clock);
     }
-
-    Ok(CoScheduleResult {
-        placements,
-        makespan_seconds,
-        weighted_makespan_seconds,
-        sequential_makespan_seconds: clock,
-        sequential_weighted_makespan_seconds: seq_weighted,
-        outer_history: outcome.history,
-        outer_evaluations: outcome.evaluations,
-        inner_searches: searches_run.load(Ordering::Relaxed),
-        elapsed: start.elapsed(),
+    Ok(SequentialBaseline {
+        makespan_seconds: clock,
+        weighted_makespan_seconds: weighted,
     })
 }
 
-/// Runs one inner [`Mars`] search for `net` on the sub-platform of `subset`
-/// and translates the resulting mapping back to the original topology's ids.
+/// Runs one inner [`Mars`] search for `net` on the sub-platform of `subset`;
+/// the mapping stays in the sub-platform's local ids.
 fn run_inner_search(
     net: &Network,
     topo: &Topology,
@@ -854,7 +1007,7 @@ fn run_inner_search(
     workload: usize,
     threads: usize,
 ) -> SearchResult {
-    let (sub, map) = topo
+    let (sub, _) = topo
         .subtopology(subset)
         .expect("decoded subsets are valid accelerator sets");
     // Deterministic per-workload seeds; the subset does not enter the seed so
@@ -865,14 +1018,10 @@ fn run_inner_search(
     inner.second_level.seed = seed.wrapping_add(1);
     // The search outcome is bit-identical for every thread count, so the
     // caller picks: serial inside the outer GA's workers, the configured pool
-    // for the post-GA sequential baseline.
+    // for the sequential baseline.
     inner = inner.with_threads(threads);
 
-    let result = Mars::new(net, &sub, catalog).with_config(inner).search();
-    SearchResult {
-        mapping: remap_mapping(&result.mapping, &map),
-        ..result
-    }
+    Mars::new(net, &sub, catalog).with_config(inner).search()
 }
 
 /// Translates a mapping searched on a sub-topology back to the original
@@ -1007,6 +1156,100 @@ mod tests {
             co_schedule(&bad_batch, &topo, &catalog, &cfg).unwrap_err(),
             CoScheduleError::InvalidBatch { workload: 0 }
         );
+
+        // The baseline runs the same checks.
+        let cache = InnerSearchCache::new();
+        let baseline = |w: &[Workload]| sequential_exclusive(w, &topo, &catalog, &cfg, &cache);
+        assert_eq!(baseline(&[]).unwrap_err(), CoScheduleError::NoWorkloads);
+        assert!(matches!(
+            baseline(&nine).unwrap_err(),
+            CoScheduleError::TooManyWorkloads { .. }
+        ));
+        assert!(matches!(
+            baseline(&bad_weight).unwrap_err(),
+            CoScheduleError::InvalidWeight { workload: 0, .. }
+        ));
+        assert_eq!(cache.searches_run(), 0);
+    }
+
+    /// `co_schedule` with `edit` applied to a valid config, on a one-workload
+    /// mix (the checks run before any search).
+    fn co_schedule_with(edit: impl FnOnce(&mut CoScheduleConfig)) -> CoScheduleError {
+        let mut cfg = tiny_config(1);
+        edit(&mut cfg);
+        co_schedule(
+            &[Workload::new(zoo::alexnet(10))],
+            &presets::single_group(2, 8.0, 2.0),
+            &Catalog::standard_three(),
+            &cfg,
+        )
+        .unwrap_err()
+    }
+
+    #[test]
+    fn outer_mutation_sigma_that_is_not_finite_and_non_negative_is_a_typed_error() {
+        for sigma in [f64::NAN, f64::INFINITY, -0.1] {
+            let err = co_schedule_with(|c| c.outer.mutation_sigma = sigma);
+            assert!(
+                matches!(
+                    err,
+                    CoScheduleError::InvalidGaConfig {
+                        ga: "outer",
+                        field: "mutation_sigma",
+                        value,
+                    } if value.to_bits() == sigma.to_bits()
+                ),
+                "sigma {sigma}: got {err:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn nan_inner_mutation_sigma_is_a_typed_error() {
+        let err = co_schedule_with(|c| c.inner.first_level.mutation_sigma = f64::NAN);
+        assert!(
+            matches!(
+                err,
+                CoScheduleError::InvalidGaConfig {
+                    ga: "inner.first_level",
+                    field: "mutation_sigma",
+                    ..
+                }
+            ),
+            "got {err:?}"
+        );
+    }
+
+    #[test]
+    fn ga_rates_outside_zero_one_are_typed_errors() {
+        assert_eq!(
+            co_schedule_with(|c| c.outer.crossover_rate = 1.5),
+            CoScheduleError::InvalidGaConfig {
+                ga: "outer",
+                field: "crossover_rate",
+                value: 1.5,
+            }
+        );
+        assert_eq!(
+            co_schedule_with(|c| c.inner.second_level.mutation_rate = -0.25),
+            CoScheduleError::InvalidGaConfig {
+                ga: "inner.second_level",
+                field: "mutation_rate",
+                value: -0.25,
+            }
+        );
+        let err = co_schedule_with(|c| c.inner.first_level.crossover_rate = f64::NAN);
+        assert!(
+            matches!(
+                err,
+                CoScheduleError::InvalidGaConfig {
+                    ga: "inner.first_level",
+                    field: "crossover_rate",
+                    ..
+                }
+            ),
+            "got {err:?}"
+        );
     }
 
     #[test]
@@ -1117,10 +1360,20 @@ mod tests {
             result.placements[0].accels,
             topo.accelerators().collect::<Vec<_>>()
         );
-        // With one workload, concurrent == sequential.
+        // With one workload, concurrent == sequential, and the baseline's
+        // full-platform search is the co-schedule's own.
+        let cache = InnerSearchCache::new();
+        let cfg = tiny_config(2);
+        let co = co_schedule_cached(&workloads, &topo, &catalog, &cfg, &cache).unwrap();
+        let seq = sequential_exclusive(&workloads, &topo, &catalog, &cfg, &cache).unwrap();
+        assert_eq!(cache.searches_run(), 1);
+        assert_eq!(
+            co.makespan_seconds.to_bits(),
+            seq.makespan_seconds.to_bits()
+        );
         assert_eq!(
             result.makespan_seconds.to_bits(),
-            result.sequential_makespan_seconds.to_bits()
+            seq.makespan_seconds.to_bits()
         );
     }
 
@@ -1166,9 +1419,9 @@ mod tests {
         let catalog = Catalog::standard_three();
         let result = co_schedule(&workloads, &topo, &catalog, &tiny_config(3)).unwrap();
         // Distinct (workload, subset) pairs are bounded by workloads x cut
-        // positions (+ the sequential full-platform runs); far fewer than
-        // outer evaluations x workloads without memoisation.
-        let bound = 2 * 7 + 2;
+        // positions; far fewer than outer evaluations x workloads without
+        // memoisation.
+        let bound = 2 * 7;
         assert!(
             result.inner_searches <= bound,
             "{} inner searches exceed the {bound} distinct keys",
@@ -1186,27 +1439,116 @@ mod tests {
             placements: Vec::new(),
             makespan_seconds: 0.0,
             weighted_makespan_seconds: 0.0,
-            sequential_makespan_seconds: 0.0,
-            sequential_weighted_makespan_seconds: 0.0,
             outer_history: Vec::new(),
             outer_evaluations: 0,
             inner_searches: 0,
             elapsed: Duration::ZERO,
         };
+        let zero = SequentialBaseline {
+            makespan_seconds: 0.0,
+            weighted_makespan_seconds: 0.0,
+        };
         assert_eq!(empty.total_inferences(), 0);
-        assert_eq!(empty.speedup_over_sequential(), 0.0);
+        assert_eq!(zero.speedup_of(&empty), 0.0);
         assert_eq!(empty.throughput_per_second(), 0.0);
-        assert!(empty.speedup_over_sequential().is_finite());
         assert!(empty.throughput_per_second().is_finite());
 
         // Zero co-schedule makespan with a non-zero sequential one is still
         // degenerate: no ratio, not an infinite speedup.
-        let lopsided = CoScheduleResult {
-            sequential_makespan_seconds: 1.0,
-            ..empty
+        let lopsided = SequentialBaseline {
+            makespan_seconds: 1.0,
+            ..zero
         };
-        assert_eq!(lopsided.speedup_over_sequential(), 0.0);
-        assert_eq!(lopsided.throughput_per_second(), 0.0);
+        assert_eq!(lopsided.speedup_of(&empty), 0.0);
+    }
+
+    #[test]
+    fn platform_keys_are_equal_exactly_when_sub_topologies_are() {
+        let f1 = presets::f1_16xlarge();
+        let ids: Vec<AccelId> = f1.accelerators().collect();
+        let subsets: Vec<&[AccelId]> = (0..8)
+            .flat_map(|i| (i + 1..=8).map(move |j| (i, j)))
+            .map(|(i, j)| &ids[i..j])
+            .collect();
+        for a in &subsets {
+            for b in &subsets {
+                assert_eq!(
+                    platform_key(&f1, a) == platform_key(&f1, b),
+                    f1.subtopology(a).unwrap().0 == f1.subtopology(b).unwrap().0,
+                    "{a:?} vs {b:?}"
+                );
+            }
+        }
+        // Isomorphic pairs inside one F1 group share a key; a pair in the
+        // other group does not (its group label differs).
+        let key = |s: &[usize]| {
+            let set: Vec<AccelId> = s.iter().copied().map(AccelId).collect();
+            platform_key(&f1, &set)
+        };
+        assert_eq!(key(&[0, 1]), key(&[1, 2]));
+        assert_eq!(key(&[0, 1]), key(&[2, 3]));
+        assert_ne!(key(&[0, 1]), key(&[4, 5]));
+        // A subset of a survivors' sub-topology keys like the same subset of
+        // the full platform.
+        let survivors: Vec<AccelId> = [0, 2, 3, 5, 6, 7].map(AccelId).to_vec();
+        let (sub, map) = f1.subtopology(&survivors).unwrap();
+        for local in [vec![0, 1], vec![1, 2], vec![3, 4, 5]] {
+            let local: Vec<AccelId> = local.into_iter().map(AccelId).collect();
+            let global: Vec<AccelId> = local.iter().map(|a| map[a.0]).collect();
+            assert_eq!(platform_key(&sub, &local), platform_key(&f1, &global));
+        }
+    }
+
+    #[test]
+    fn isomorphic_sub_platforms_share_one_inner_search() {
+        let f1 = presets::f1_16xlarge();
+        let catalog = Catalog::standard_three();
+        let workloads = vec![Workload::new(zoo::alexnet(10))];
+        let cfg = tiny_config(4);
+        let cache = InnerSearchCache::new();
+        let (low, low_map) = f1.subtopology(&[AccelId(0), AccelId(1)]).unwrap();
+        let (high, high_map) = f1.subtopology(&[AccelId(2), AccelId(3)]).unwrap();
+        let first = co_schedule_cached(&workloads, &low, &catalog, &cfg, &cache).unwrap();
+        let second = co_schedule_cached(&workloads, &high, &catalog, &cfg, &cache).unwrap();
+        assert_eq!(first.inner_searches, 1);
+        assert_eq!(second.inner_searches, 0, "{{2,3}} reuses {{0,1}}'s search");
+        assert_eq!(cache.searches_run(), 1);
+        // Up to the renaming 0 -> 2, 1 -> 3 the mappings are the same.
+        let on_f1 = |co: &CoScheduleResult, map: &[AccelId]| {
+            remap_mapping(&co.placements[0].result.mapping, map)
+        };
+        let renamed = |m: &Mapping| {
+            let mut m = m.clone();
+            for a in &mut m.assignments {
+                for id in &mut a.accels {
+                    id.0 += 2;
+                }
+            }
+            m
+        };
+        let (a, b) = (on_f1(&first, &low_map), on_f1(&second, &high_map));
+        assert_eq!(renamed(&a), b);
+        assert_eq!(a.latency_seconds.to_bits(), b.latency_seconds.to_bits());
+    }
+
+    #[test]
+    fn a_multi_workload_co_schedule_runs_no_full_platform_search() {
+        let workloads = two_small_workloads();
+        let topo = presets::f1_16xlarge();
+        let catalog = Catalog::standard_three();
+        let cfg = tiny_config(6);
+        let cache = InnerSearchCache::new();
+        co_schedule_cached(&workloads, &topo, &catalog, &cfg, &cache).unwrap();
+        let before = cache.searches_run();
+        let seq = sequential_exclusive(&workloads, &topo, &catalog, &cfg, &cache).unwrap();
+        // Both full-platform searches are new: the co-schedule ran neither.
+        assert_eq!(cache.searches_run(), before + 2);
+        assert!(seq.makespan_seconds > 0.0);
+        assert!(seq.weighted_makespan_seconds > 0.0);
+        // And a second baseline is free.
+        let again = sequential_exclusive(&workloads, &topo, &catalog, &cfg, &cache).unwrap();
+        assert_eq!(cache.searches_run(), before + 2);
+        assert_eq!(again, seq);
     }
 
     #[test]

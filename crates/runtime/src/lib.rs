@@ -24,8 +24,9 @@
 //!   recovery*: in-flight work on the dead accelerator is requeued
 //!   ([`FaultPolicy::RequeueInflight`]), the co-scheduler re-plans on the
 //!   surviving sub-topology
-//!   ([`Topology::subtopology`](mars_topology::Topology::subtopology)),
-//!   and every applied change stamps a new monotonically increasing
+//!   ([`Topology::subtopology`](mars_topology::Topology::subtopology))
+//!   through the same cache, and every applied change stamps a new
+//!   monotonically increasing
 //!   [`epoch`](ReconfigureEvent::epoch).
 //!
 //! [`run_elastic_with_cache`] compares three [`RuntimePolicy`]s — `Static`
@@ -33,7 +34,7 @@
 //! (phase-boundary clairvoyant) — under the same trace; all three are
 //! bit-identical across `MARS_THREADS` values and repeat runs, and runs that
 //! share an [`InnerSearchCache`](mars_core::InnerSearchCache) share every
-//! inner search.  [`run_elastic_observed`] is the same loop with a
+//! inner search, fault re-plans included.  [`run_elastic_observed`] is the same loop with a
 //! [`Recorder`](mars_obs::Recorder) attached.
 //!
 //! ## Surviving a failure

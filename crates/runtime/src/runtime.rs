@@ -37,7 +37,6 @@ use mars_model::{FaultKind, PhasedTraffic, TrafficError};
 use mars_obs::Recorder;
 use mars_serve::{FaultPolicy, ServeConfig, ServeError, ServeReport, SimState, Trace};
 use mars_topology::{AccelId, Topology};
-use std::collections::BTreeMap;
 
 /// Who decides when the placement changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -309,7 +308,8 @@ impl ElasticReport {
 /// semantics.  `trace` must be drawn from `scenario` (same horizon, same
 /// workload count); use [`Trace::phased`].
 ///
-/// Inner searches go through `cache`, so several runs over the same
+/// Inner searches go through `cache`, re-plans on the survivors of a
+/// failure included, so several runs over the same
 /// `(workloads, topo, catalog, schedule)` — the Static/Reactive/Oracle
 /// comparison of `table_elastic` — share every one; a single run passes
 /// `&InnerSearchCache::new()`.  See [`InnerSearchCache`] for the
@@ -434,13 +434,10 @@ pub fn run_elastic_observed(
     let mut sla_factors: Vec<f64> = scenario.phases[0].sla_factors();
 
     // Fault bookkeeping: the next unprocessed fault, the current host-link
-    // health (scales migration transfer time), the configuration epoch, and
-    // one inner-search cache per down set — a cached inner search is only
-    // sound against the exact accelerator pool it was computed on.
+    // health (scales migration transfer time) and the configuration epoch.
     let mut fault_idx = 0usize;
     let mut link_factor = 1.0f64;
     let mut epoch = 0u64;
-    let mut sub_caches: BTreeMap<Vec<AccelId>, InnerSearchCache> = BTreeMap::new();
 
     for &t in &boundaries {
         sim.run_until(t);
@@ -490,7 +487,6 @@ pub fn run_elastic_observed(
                 &mut incumbent,
                 &mut events,
                 &mut epoch,
-                &mut sub_caches,
                 Reschedule {
                     workloads,
                     topo,
@@ -529,7 +525,6 @@ pub fn run_elastic_observed(
                         &mut incumbent,
                         &mut events,
                         &mut epoch,
-                        &mut sub_caches,
                         Reschedule {
                             workloads,
                             topo,
@@ -632,7 +627,6 @@ fn reconfigure(
     incumbent: &mut CoScheduleResult,
     events: &mut Vec<ReconfigureEvent>,
     epoch: &mut u64,
-    sub_caches: &mut BTreeMap<Vec<AccelId>, InnerSearchCache>,
     r: Reschedule<'_>,
 ) -> Result<(), ElasticError> {
     let down = sim.down().to_vec();
@@ -714,10 +708,9 @@ fn reconfigure(
         if restrictable {
             schedule = schedule.warm_start(&restricted);
         }
-        // A cached inner search is keyed on (workload, accel subset) *within
-        // one topology*: sub-topology searches get a cache per down set.
-        let sub_cache = sub_caches.entry(down.clone()).or_default();
-        let mut sub_co = co_schedule_cached(&eff, &sub_topo, r.catalog, &schedule, sub_cache)?;
+        // The cache keys inner searches on sub-platform content, so the
+        // survivors' searches share it with the full-pool ones.
+        let mut sub_co = co_schedule_cached(&eff, &sub_topo, r.catalog, &schedule, r.cache)?;
         // Rename the winning placements back into the global id space.
         for p in &mut sub_co.placements {
             for a in &mut p.accels {

@@ -453,3 +453,41 @@ fn overlong_horizon_is_rejected_before_any_search() {
     );
     assert_eq!(cache.searches_run(), 0);
 }
+
+/// One cache serves every policy, fault re-plans on the survivors included:
+/// on each bundled failure scenario, Static, Reactive and Oracle sharing one
+/// cache report exactly what they report on three fresh caches, and run
+/// fewer inner searches in total.
+#[test]
+fn policies_sharing_one_cache_match_fresh_caches_with_fewer_searches() {
+    let topo = presets::f1_16xlarge();
+    let catalog = Catalog::standard_three();
+    let config = RuntimeConfig::new(CoScheduleConfig::fast(42));
+    for mix in zoo::MixZoo::ALL {
+        let workloads = mix.entries();
+        let scenario = mix.failure_scenario();
+        let trace = Trace::phased(&scenario, 42).unwrap();
+        let run = |policy, cache: &InnerSearchCache| {
+            let report = run_elastic_with_cache(
+                &workloads, &topo, &catalog, &scenario, &trace, policy, &config, cache,
+            )
+            .unwrap();
+            // `Debug` prints every f64 in its shortest round-trip form, so
+            // equal renderings mean equal bits.
+            format!("{report:?}")
+        };
+        let shared = InnerSearchCache::new();
+        let mut fresh_searches = 0;
+        for policy in RuntimePolicy::ALL {
+            let fresh = InnerSearchCache::new();
+            let alone = run(policy, &fresh);
+            fresh_searches += fresh.searches_run();
+            assert_eq!(run(policy, &shared), alone, "{mix}/{policy}");
+        }
+        assert!(
+            shared.searches_run() < fresh_searches,
+            "{mix}: shared cache ran {} searches, fresh caches {fresh_searches}",
+            shared.searches_run()
+        );
+    }
+}

@@ -53,8 +53,6 @@ pub fn fleet_co_schedule(spec: &FleetSpec) -> CoScheduleResult {
         placements,
         makespan_seconds: 0.0,
         weighted_makespan_seconds: 0.0,
-        sequential_makespan_seconds: 0.0,
-        sequential_weighted_makespan_seconds: 0.0,
         outer_history: Vec::new(),
         outer_evaluations: 0,
         inner_searches: 0,

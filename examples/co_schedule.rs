@@ -13,12 +13,22 @@ fn main() {
     let topo = mars::topology::presets::f1_16xlarge();
     let catalog = Catalog::standard_three();
 
+    let config = CoScheduleConfig::fast(42);
     for mix in MixZoo::ALL {
         let workloads: Vec<Workload> = mix.entries();
-        let result = mars::co_schedule(&workloads, &topo, &catalog, &CoScheduleConfig::fast(42))
+        // One cache: the baseline's full-platform searches join the
+        // co-schedule's.
+        let cache = InnerSearchCache::new();
+        let result = mars::core::co_schedule_cached(&workloads, &topo, &catalog, &config, &cache)
             .expect("valid mix");
+        let sequential =
+            mars::core::sequential_exclusive(&workloads, &topo, &catalog, &config, &cache)
+                .expect("valid mix");
         println!("== {mix} ==");
-        print!("{}", report::render_co_schedule(&workloads, &result));
+        print!(
+            "{}",
+            report::render_co_schedule(&workloads, &result, &sequential)
+        );
         println!(
             "   ({} inner searches, {} outer evals, {:.1} s)\n",
             result.inner_searches,

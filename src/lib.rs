@@ -178,15 +178,18 @@ pub fn quickstart(
 ///
 /// Each workload gets a non-empty accelerator subset; the subsets are
 /// pairwise disjoint and cover the platform.  The result reports per-workload
-/// placements plus system-level makespan/throughput figures and the
-/// sequential-exclusive baseline (every workload alone on the whole platform,
-/// back to back).  Like [`quickstart`], the outcome is bit-identical for
-/// every [`core::CoScheduleConfig::with_threads`] value.
+/// placements plus system-level makespan/throughput figures;
+/// [`core::sequential_exclusive`] computes the baseline (every workload alone
+/// on the whole platform, back to back), and shares inner searches with
+/// [`core::co_schedule_cached`] through one [`core::InnerSearchCache`].
+/// Like [`quickstart`], the outcome is bit-identical for every
+/// [`core::CoScheduleConfig::with_threads`] value.
 ///
 /// # Errors
 ///
-/// Rejects empty workload lists, more workloads than accelerators, and
-/// non-positive weights or batches — see [`core::CoScheduleError`].
+/// Rejects empty workload lists, more workloads than accelerators,
+/// non-positive weights or batches, unsatisfiable memory demands and
+/// out-of-range GA hyper-parameters — see [`core::CoScheduleError`].
 ///
 /// ```no_run
 /// use mars::prelude::*;
@@ -194,14 +197,22 @@ pub fn quickstart(
 /// let workloads: Vec<Workload> = mars::model::zoo::MixZoo::ResNetSurf.entries();
 /// let topo = mars::topology::presets::f1_16xlarge();
 /// let catalog = Catalog::standard_three();
+/// let config = CoScheduleConfig::fast(42);
 ///
-/// let result =
-///     mars::co_schedule(&workloads, &topo, &catalog, &CoScheduleConfig::fast(42)).unwrap();
+/// let result = mars::co_schedule(&workloads, &topo, &catalog, &config).unwrap();
+/// let sequential = mars::core::sequential_exclusive(
+///     &workloads,
+///     &topo,
+///     &catalog,
+///     &config,
+///     &InnerSearchCache::new(),
+/// )
+/// .unwrap();
 /// println!(
 ///     "{}",
-///     mars::core::report::render_co_schedule(&workloads, &result)
+///     mars::core::report::render_co_schedule(&workloads, &result, &sequential)
 /// );
-/// assert!(result.speedup_over_sequential() > 1.0);
+/// assert!(sequential.speedup_of(&result) > 1.0);
 /// ```
 pub fn co_schedule(
     workloads: &[core::Workload],
@@ -219,7 +230,7 @@ pub mod prelude {
     pub use mars_core::{
         Assignment, CoScheduleConfig, CoScheduleResult, DesignPolicy, EvalStats, Evaluator,
         GaConfig, InnerSearchCache, Mapping, Mars, Placement, SearchConfig, SearchEngine,
-        SearchResult, Workload,
+        SearchResult, SequentialBaseline, Workload,
     };
     pub use mars_model::{
         ConvParams, Dim, DimSet, FaultEvent, FaultKind, FeatureMap, Layer, LayerId, LayerKind,

@@ -14,23 +14,24 @@ fn mix_workloads(mix: MixZoo) -> Vec<Workload> {
     mix.entries()
 }
 
-fn run(mix: MixZoo, threads: usize) -> (Vec<Workload>, CoScheduleResult) {
+/// The mix's co-schedule and its sequential-exclusive baseline, searched
+/// through one cache.
+fn run(mix: MixZoo, threads: usize) -> (Vec<Workload>, CoScheduleResult, SequentialBaseline) {
     let workloads = mix_workloads(mix);
     let topo = mars::topology::presets::f1_16xlarge();
     let catalog = Catalog::standard_three();
-    let result = mars::co_schedule(
-        &workloads,
-        &topo,
-        &catalog,
-        &CoScheduleConfig::fast(DEFAULT_SEED).with_threads(threads),
-    )
-    .expect("bundled mix fits the F1 platform");
-    (workloads, result)
+    let config = CoScheduleConfig::fast(DEFAULT_SEED).with_threads(threads);
+    let cache = InnerSearchCache::new();
+    let result = mars::core::co_schedule_cached(&workloads, &topo, &catalog, &config, &cache)
+        .expect("bundled mix fits the F1 platform");
+    let sequential = mars::core::sequential_exclusive(&workloads, &topo, &catalog, &config, &cache)
+        .expect("bundled mix fits the F1 platform");
+    (workloads, result, sequential)
 }
 
 #[test]
 fn places_distinct_networks_on_disjoint_subsets_of_one_topology() {
-    let (workloads, result) = run(MixZoo::ClassicPair, 1);
+    let (workloads, result, _) = run(MixZoo::ClassicPair, 1);
     let topo = mars::topology::presets::f1_16xlarge();
 
     assert!(result.is_valid());
@@ -72,27 +73,27 @@ fn places_distinct_networks_on_disjoint_subsets_of_one_topology() {
 
 #[test]
 fn weighted_makespan_beats_sequential_exclusive_on_the_bundled_mix() {
-    let (_, result) = run(MixZoo::ClassicPair, 1);
+    let (_, result, sequential) = run(MixZoo::ClassicPair, 1);
     assert!(
-        result.weighted_makespan_seconds < result.sequential_weighted_makespan_seconds,
+        result.weighted_makespan_seconds < sequential.weighted_makespan_seconds,
         "co-scheduled weighted makespan {:.3} ms must beat sequential-exclusive {:.3} ms",
         result.weighted_makespan_seconds * 1e3,
-        result.sequential_weighted_makespan_seconds * 1e3,
+        sequential.weighted_makespan_seconds * 1e3,
     );
     assert!(
-        result.makespan_seconds < result.sequential_makespan_seconds,
+        result.makespan_seconds < sequential.makespan_seconds,
         "co-scheduled makespan {:.3} ms must beat sequential-exclusive {:.3} ms",
         result.makespan_ms(),
-        result.sequential_makespan_ms(),
+        sequential.makespan_ms(),
     );
-    assert!(result.speedup_over_sequential() > 1.0);
+    assert!(sequential.speedup_of(&result) > 1.0);
     assert!(result.throughput_per_second() > 0.0);
 }
 
 #[test]
 fn co_schedule_is_bit_identical_across_one_and_four_threads() {
-    let (_, serial) = run(MixZoo::ClassicPair, 1);
-    let (_, parallel) = run(MixZoo::ClassicPair, 4);
+    let (_, serial, serial_seq) = run(MixZoo::ClassicPair, 1);
+    let (_, parallel, parallel_seq) = run(MixZoo::ClassicPair, 4);
 
     assert_eq!(
         serial.makespan_seconds.to_bits(),
@@ -103,8 +104,8 @@ fn co_schedule_is_bit_identical_across_one_and_four_threads() {
         parallel.weighted_makespan_seconds.to_bits()
     );
     assert_eq!(
-        serial.sequential_makespan_seconds.to_bits(),
-        parallel.sequential_makespan_seconds.to_bits()
+        serial_seq.makespan_seconds.to_bits(),
+        parallel_seq.makespan_seconds.to_bits()
     );
     assert_eq!(serial.outer_history, parallel.outer_history);
     assert_eq!(serial.outer_evaluations, parallel.outer_evaluations);
@@ -125,18 +126,18 @@ fn co_schedule_is_bit_identical_across_one_and_four_threads() {
 #[test]
 fn heavier_bundled_mixes_also_beat_sequential_exclusive() {
     for mix in [MixZoo::ResNetSurf, MixZoo::HeteroTriple] {
-        let (_, result) = run(mix, 1);
+        let (_, result, sequential) = run(mix, 1);
         assert!(result.is_valid(), "{mix}: invalid co-schedule");
         assert!(
-            result.weighted_makespan_seconds < result.sequential_weighted_makespan_seconds,
+            result.weighted_makespan_seconds < sequential.weighted_makespan_seconds,
             "{mix}: weighted {:.3} ms vs sequential {:.3} ms",
             result.weighted_makespan_seconds * 1e3,
-            result.sequential_weighted_makespan_seconds * 1e3,
+            sequential.weighted_makespan_seconds * 1e3,
         );
         assert!(
-            result.speedup_over_sequential() > 1.0,
+            sequential.speedup_of(&result) > 1.0,
             "{mix}: speedup {:.2}",
-            result.speedup_over_sequential()
+            sequential.speedup_of(&result)
         );
     }
 }
@@ -144,8 +145,8 @@ fn heavier_bundled_mixes_also_beat_sequential_exclusive() {
 /// The report renders the system line and one line per workload.
 #[test]
 fn co_schedule_report_covers_every_workload() {
-    let (workloads, result) = run(MixZoo::ClassicPair, 1);
-    let text = mars::core::report::render_co_schedule(&workloads, &result);
+    let (workloads, result, sequential) = run(MixZoo::ClassicPair, 1);
+    let text = mars::core::report::render_co_schedule(&workloads, &result, &sequential);
     assert!(text.contains("makespan"));
     assert!(text.contains("speedup"));
     for w in &workloads {
