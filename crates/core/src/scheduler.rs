@@ -36,7 +36,6 @@ use crate::ga::{genome_stream_seed, GaConfig, GeneticAlgorithm};
 use crate::mapper::{Mars, SearchConfig, SearchResult};
 use crate::mapping::{Assignment, Mapping};
 use mars_accel::Catalog;
-use mars_model::Network;
 use mars_parallel::OnceCache;
 use mars_topology::{AccelId, Topology};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -657,16 +656,31 @@ impl<'a> InnerSearches<'a> {
         self.shared.cache.get_or_compute(key, || {
             self.computed.fetch_add(1, Ordering::Relaxed);
             self.shared.total_searches.fetch_add(1, Ordering::Relaxed);
-            Arc::new(run_inner_search(
-                &self.workloads[w].network,
-                self.topo,
-                subset,
-                self.catalog,
-                self.config,
-                w,
-                threads,
-            ))
+            Arc::new(self.search(w, subset, threads))
         })
+    }
+
+    /// Runs workload `w`'s [`Mars`] search on the sub-platform of `subset`;
+    /// the mapping stays in the sub-platform's local ids.
+    fn search(&self, w: usize, subset: &[AccelId], threads: usize) -> SearchResult {
+        let (sub, _) = self
+            .topo
+            .subtopology(subset)
+            .expect("decoded subsets are valid accelerator sets");
+        // Deterministic per-workload seeds; the subset does not enter the
+        // seed, so the same workload explores consistently across candidate
+        // partitions, and equal cache keys give bit-identical results.
+        let seed = genome_stream_seed(self.config.seed, 0x5eed, w as u64);
+        let mut inner = self.config.inner;
+        inner.first_level.seed = seed;
+        inner.second_level.seed = seed.wrapping_add(1);
+        // The search outcome is bit-identical for every thread count, so the
+        // caller picks: serial inside the outer GA's workers, the configured
+        // pool for the sequential baseline.
+        inner = inner.with_threads(threads);
+        Mars::new(&self.workloads[w].network, &sub, self.catalog)
+            .with_config(inner)
+            .search()
     }
 }
 
@@ -994,34 +1008,6 @@ pub fn sequential_exclusive(
         makespan_seconds: clock,
         weighted_makespan_seconds: weighted,
     })
-}
-
-/// Runs one inner [`Mars`] search for `net` on the sub-platform of `subset`;
-/// the mapping stays in the sub-platform's local ids.
-fn run_inner_search(
-    net: &Network,
-    topo: &Topology,
-    subset: &[AccelId],
-    catalog: &Catalog,
-    config: &CoScheduleConfig,
-    workload: usize,
-    threads: usize,
-) -> SearchResult {
-    let (sub, _) = topo
-        .subtopology(subset)
-        .expect("decoded subsets are valid accelerator sets");
-    // Deterministic per-workload seeds; the subset does not enter the seed so
-    // the same workload explores consistently across candidate partitions.
-    let seed = genome_stream_seed(config.seed, 0x5eed, workload as u64);
-    let mut inner = config.inner;
-    inner.first_level.seed = seed;
-    inner.second_level.seed = seed.wrapping_add(1);
-    // The search outcome is bit-identical for every thread count, so the
-    // caller picks: serial inside the outer GA's workers, the configured pool
-    // for the sequential baseline.
-    inner = inner.with_threads(threads);
-
-    Mars::new(net, &sub, catalog).with_config(inner).search()
 }
 
 /// Translates a mapping searched on a sub-topology back to the original
