@@ -1158,14 +1158,15 @@ mod tests {
         assert_eq!(cache.searches_run(), 0);
     }
 
-    /// `co_schedule` with `edit` applied to a valid config, on a one-workload
-    /// mix (the checks run before any search).
+    /// `co_schedule` with `edit` applied to a valid config.  Two workloads,
+    /// so the outer GA has rank genes to compare: with one, a NaN outer gene
+    /// is never compared and the search used to finish anyway.
     fn co_schedule_with(edit: impl FnOnce(&mut CoScheduleConfig)) -> CoScheduleError {
         let mut cfg = tiny_config(1);
         edit(&mut cfg);
         co_schedule(
-            &[Workload::new(zoo::alexnet(10))],
-            &presets::single_group(2, 8.0, 2.0),
+            &two_small_workloads(),
+            &presets::single_group(4, 8.0, 2.0),
             &Catalog::standard_three(),
             &cfg,
         )
