@@ -60,7 +60,7 @@ pub fn computation_prioritized(net: &Network, topo: &Topology, catalog: &Catalog
         strategies.insert(id.0, Strategy::exclusive(longest));
     }
 
-    evaluator.into_mapping(assignments, strategies)
+    evaluator.mapping_of(assignments, strategies)
 }
 
 /// Assigns a fixed design to every accelerator for the H2H comparison:
@@ -153,7 +153,7 @@ pub fn h2h_like(
 
     let evaluator =
         Evaluator::with_policy(net, topo, catalog, DesignPolicy::Fixed(designs.clone()));
-    evaluator.into_mapping(assignments, BTreeMap::new())
+    evaluator.mapping_of(assignments, BTreeMap::new())
 }
 
 #[cfg(test)]

@@ -9,18 +9,29 @@
 //! are memoised.
 
 use crate::mapping::Assignment;
+use crate::memo::{set_key, NetworkMemo, SetMemo, Term};
 use mars_accel::{AccelDesign, Catalog, DesignId, PerformanceModel};
 use mars_comm::CommSim;
 use mars_model::{ConvParams, DimSet, Network};
 use mars_parallel::{
-    evaluate_layer, evaluate_non_conv, CacheStats, EvalContext, OnceCache, ShardedCache, Strategy,
+    evaluate_layer, evaluate_non_conv, CacheStats, EvalContext, ShardedCache, Strategy,
 };
 use mars_topology::{AccelId, Topology};
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, AtomicU8};
+use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
+
+/// The serial-trajectory hit/miss split of `lookups`, of which `misses`
+/// computed a new entry.
+fn split(lookups: &AtomicU64, misses: &AtomicU64) -> CacheStats {
+    let (lookups, misses) = (lookups.load(Relaxed), misses.load(Relaxed));
+    CacheStats {
+        hits: lookups.saturating_sub(misses),
+        misses,
+    }
+}
 
 /// How accelerator designs are decided.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -135,41 +146,7 @@ impl ModelHandle {
 // per-layer keying (the pre-rebuild behaviour, kept for the reference search
 // engine) the tag is the layer index, so repeated shapes do not share.
 type LayerCacheKey = (ConvParams, u64, u32, Strategy);
-type LayerCacheValue = (f64, u64, bool);
-
-/// Size of the dense strategy axis of a [`TermTable`]: a [`Strategy`] packs
-/// into nine bits (a six-bit ES dimension mask — at most two bits set — and
-/// a three-bit shared-dimension code), so every decodable strategy has a
-/// slot.
-pub(crate) const STRATEGY_CODES: usize = 512;
-
-/// Dense index of a strategy in a [`STRATEGY_CODES`]-entry table row.
-fn strategy_code(s: Strategy) -> usize {
-    let es_bits: usize = s.es().iter().map(|d| 1usize << d.index()).sum();
-    let ss = s.ss().map_or(0, |d| d.index() + 1);
-    (es_bits << 3) | ss
-}
-
-/// One lock-free slot of a [`TermTable`].  `state` is `0` while empty and
-/// `1` (memory fits) or `2` (memory exceeded) once filled; the release store
-/// on `state` publishes the relaxed `seconds`/`weight` stores to any thread
-/// whose acquire load observes it.  Concurrent fills recompute the same pure
-/// value, so the race is benign.
-#[derive(Default)]
-struct MemoSlot {
-    state: AtomicU8,
-    seconds: AtomicU64,
-    weight: AtomicU64,
-}
-
-/// Dense per-layer term memo of one evaluation context, shared across every
-/// second-level search with the same context signature: one lock-free slot
-/// per `(layer shape class, strategy code)`.  Repeated shapes collapse onto
-/// one row, so a term is computed once per search run rather than once per
-/// search — the flat engine's cross-generation (and cross-search) cache.
-pub(crate) struct TermTable {
-    slots: Vec<MemoSlot>,
-}
+type LayerCacheValue = Term;
 
 /// Evaluates mappings of one network onto one topology with one design
 /// catalogue.
@@ -204,29 +181,29 @@ pub struct Evaluator<'a> {
     sim: CommSim<'a>,
     policy: DesignPolicy,
     cache: ShardedCache<LayerCacheKey, LayerCacheValue>,
-    /// Greedy per-layer winners, keyed by shape + context signature: the
-    /// arg-min over the paper's candidate strategies is a pure function of
-    /// the layer shape and evaluation context, so the flat engine's greedy
-    /// seeding reuses it across repeated shapes, assignments and searches.
-    /// An exactly-once cache, so the candidate scan (and the term lookups it
-    /// performs) runs once per key for any thread count — which keeps the
-    /// [`Evaluator::term_stats`] lookup totals deterministic.
-    greedy_cache: OnceCache<(ConvParams, u64), Strategy>,
-    /// Per-context-signature [`TermTable`]s (flat engine only).
-    term_tables: Mutex<HashMap<u64, Arc<TermTable>>>,
-    /// Total [`Evaluator::fast_term`] calls.  Callers add their lookups in
-    /// bulk through [`Evaluator::count_term_lookups`], once per
-    /// second-level search and once per greedy scan, rather than one shared
-    /// atomic increment per lookup.  Each count is a pure function of the
-    /// search trajectory, so the total is thread-count invariant once
-    /// workers have joined.
+    /// The flat engine's term tables and greedy winners, which other
+    /// searches of the same network may share (see [`NetworkMemo`]).
+    memo: Arc<NetworkMemo>,
+    /// This evaluator's handles on `memo`'s set entries, by exact
+    /// (accelerators, design): each set's content key is built and interned
+    /// once per search, so a term lookup stays an indexed load.
+    sets: Mutex<HashMap<SetId, Arc<SetMemo>>>,
+    /// Term lookups of this evaluator's search.  Callers add them in bulk
+    /// through [`Evaluator::count_term_lookups`], once per second-level
+    /// search and once per greedy scan, rather than one shared atomic
+    /// increment per lookup.
     term_lookups: AtomicU64,
-    /// Shape class of every layer: layers with identical [`ConvParams`] share
-    /// a class (and a [`TermTable`] row); non-compute layers get `u32::MAX`.
-    shape_class: Vec<u32>,
-    n_shape_classes: usize,
+    /// Term slots this evaluator's search filled.
+    term_fills: AtomicU64,
+    /// Greedy-winner lookups and candidate scans of this evaluator's search.
+    greedy_lookups: AtomicU64,
+    greedy_scans: AtomicU64,
     per_layer_keys: bool,
 }
+
+/// An accelerator set as the flat engine names it inside one search: its
+/// members in order and the design the set is configured with.
+pub(crate) type SetId = (Vec<AccelId>, DesignId);
 
 impl<'a> Evaluator<'a> {
     /// Creates an evaluator with the adaptive design policy.
@@ -241,21 +218,19 @@ impl<'a> Evaluator<'a> {
         catalog: &'a Catalog,
         policy: DesignPolicy,
     ) -> Self {
-        let mut shapes: Vec<ConvParams> = Vec::new();
-        let shape_class: Vec<u32> = net
-            .layers()
-            .iter()
-            .map(|layer| match layer.as_conv() {
-                Some(conv) => match shapes.iter().position(|s| *s == conv) {
-                    Some(i) => i as u32,
-                    None => {
-                        shapes.push(conv);
-                        (shapes.len() - 1) as u32
-                    }
-                },
-                None => u32::MAX,
-            })
-            .collect();
+        Self::with_memo(net, topo, catalog, policy, Arc::new(NetworkMemo::new(net)))
+    }
+
+    /// Creates an evaluator whose term tables and greedy winners live in
+    /// `memo`, a memo made for `net` that other searches may share.
+    pub(crate) fn with_memo(
+        net: &'a Network,
+        topo: &'a Topology,
+        catalog: &'a Catalog,
+        policy: DesignPolicy,
+        memo: Arc<NetworkMemo>,
+    ) -> Self {
+        debug_assert_eq!(memo.layers(), net.len(), "memo made for another network");
         Self {
             net,
             topo,
@@ -263,11 +238,12 @@ impl<'a> Evaluator<'a> {
             sim: CommSim::new(topo),
             policy,
             cache: ShardedCache::new(),
-            greedy_cache: OnceCache::new(),
-            term_tables: Mutex::new(HashMap::new()),
+            memo,
+            sets: Mutex::new(HashMap::new()),
             term_lookups: AtomicU64::new(0),
-            n_shape_classes: shapes.len(),
-            shape_class,
+            term_fills: AtomicU64::new(0),
+            greedy_lookups: AtomicU64::new(0),
+            greedy_scans: AtomicU64::new(0),
             per_layer_keys: false,
         }
     }
@@ -285,78 +261,32 @@ impl<'a> Evaluator<'a> {
         self
     }
 
-    /// The network being mapped.
-    pub fn network(&self) -> &Network {
-        self.net
-    }
-
-    /// The target topology.
-    pub fn topology(&self) -> &Topology {
-        self.topo
-    }
-
-    /// The design catalogue.
-    pub fn catalog(&self) -> &Catalog {
-        self.catalog
-    }
-
-    /// The design policy in force.
-    pub fn policy(&self) -> &DesignPolicy {
-        &self.policy
-    }
-
     /// Number of memoised per-layer evaluations.
     pub fn cache_entries(&self) -> usize {
         self.cache.len()
     }
 
     /// Hit/miss counters of the per-layer memo cache.
-    pub fn cache_stats(&self) -> CacheStats {
+    pub(crate) fn cache_stats(&self) -> CacheStats {
         self.cache.stats()
     }
 
-    /// Hit/miss counters of the dense `TermTable`s the flat engine's
-    /// second-level searches look terms up in.
+    /// Hit/miss counters of this evaluator's term lookups: misses are the
+    /// slots it filled, hits the remaining lookups.
     ///
-    /// Misses are counted as the number of *filled slots* rather than by a
-    /// per-fill counter: concurrent lookups racing on the same empty slot
-    /// both recompute (the benign race documented on `TermTable`), but the
-    /// set of slots that end up filled is a pure function of the search
-    /// trajectory.  Combined with the exactly-once greedy cache keeping the
-    /// lookup total deterministic, the reported split is bit-identical for
-    /// every thread count — it is exactly the split a serial run observes.
-    pub fn term_stats(&self) -> CacheStats {
-        use std::sync::atomic::Ordering::Relaxed;
-        let lookups = self.term_lookups.load(Relaxed);
-        let misses: u64 = self
-            .term_tables
-            .lock()
-            .expect("term table map poisoned")
-            .values()
-            .map(|table| {
-                table
-                    .slots
-                    .iter()
-                    .filter(|slot| slot.state.load(Relaxed) != 0)
-                    .count() as u64
-            })
-            .sum();
-        CacheStats {
-            hits: lookups.saturating_sub(misses),
-            misses,
-        }
+    /// Concurrent lookups racing on one empty slot both compute it, but
+    /// exactly one fill wins.  So on a memo no other search shares, misses
+    /// are the filled slots, a pure function of the search trajectory, and
+    /// the split is the one a serial run observes at every thread count.  On
+    /// a shared memo it depends on what the other searches filled first.
+    pub(crate) fn term_stats(&self) -> CacheStats {
+        split(&self.term_lookups, &self.term_fills)
     }
 
-    /// Hit/miss counters of the greedy per-layer winner cache (flat engine
-    /// seeding).  Misses are counted as distinct keys, so the split is
-    /// thread-count invariant (see [`Evaluator::term_stats`]).
-    pub fn greedy_stats(&self) -> CacheStats {
-        let lookups = self.greedy_cache.stats().lookups();
-        let misses = self.greedy_cache.len() as u64;
-        CacheStats {
-            hits: lookups.saturating_sub(misses),
-            misses,
-        }
+    /// Hit/miss counters of this evaluator's greedy-winner lookups: misses
+    /// are the candidate scans it ran (see [`Evaluator::term_stats`]).
+    pub(crate) fn greedy_stats(&self) -> CacheStats {
+        split(&self.greedy_lookups, &self.greedy_scans)
     }
 
     /// The communication simulator the evaluator prices collectives with.
@@ -436,108 +366,105 @@ impl<'a> Evaluator<'a> {
         })
     }
 
+    /// The memo entry of `set`: this evaluator's handle when it has one,
+    /// else the entry of the set's content key ([`set_key`]) in the shared
+    /// memo, kept as this evaluator's handle.
+    pub(crate) fn set_memo(&self, set: &SetId) -> Arc<SetMemo> {
+        let mut sets = self.sets.lock().expect("set handle map poisoned");
+        if let Some(entry) = sets.get(set) {
+            return Arc::clone(entry);
+        }
+        let (accels, design) = set;
+        let entry = self
+            .memo
+            .set(set_key(self.topo, accels, |a| match &self.policy {
+                DesignPolicy::Adaptive => *design,
+                DesignPolicy::Fixed(map) => map.get(&a).copied().unwrap_or(DesignId(0)),
+            }));
+        sets.insert(set.clone(), Arc::clone(&entry));
+        entry
+    }
+
     /// The best strategy for one compute layer in one evaluation context:
     /// the latency arg-min over [`mars_parallel::paper_strategies`] with the
     /// default (unpartitioned) strategy as the initial incumbent and ties
     /// resolved to the earlier candidate.  The winner is a pure function of
-    /// the layer shape and the context signature, so it is memoised across
-    /// repeated shapes, assignments and searches; the flat search engine
-    /// seeds its per-layer genes from it without rescanning the candidate
-    /// space.
+    /// the layer shape and the set's memo key, so it is memoised in the set's
+    /// entry across repeated shapes, assignments and searches; the flat
+    /// search engine seeds its per-layer genes from it without rescanning
+    /// the candidate space.  `set` must be the entry of the set `ctx`
+    /// evaluates on.
     pub(crate) fn greedy_paper_strategy(
         &self,
-        table: &TermTable,
+        set: &SetMemo,
         layer_index: usize,
-        signature: u64,
         ctx: &EvalContext<'_>,
     ) -> Strategy {
-        let conv = self.net.layers()[layer_index]
-            .as_conv()
-            .expect("compute layer");
-        self.greedy_cache.get_or_compute((conv, signature), || {
-            let mut best = Strategy::default();
-            let mut best_latency = {
-                let (latency, _, ok) = self.fast_term(table, layer_index, best, ctx);
-                if ok {
-                    latency
-                } else {
-                    f64::INFINITY
+        self.greedy_lookups.fetch_add(1, Relaxed);
+        *set.greedy(self.memo.shape_class(layer_index))
+            .get_or_init(|| {
+                self.greedy_scans.fetch_add(1, Relaxed);
+                let latency_of = |s| {
+                    let (latency, _, ok) = self.fast_term(set, layer_index, s, ctx);
+                    if ok {
+                        latency
+                    } else {
+                        f64::INFINITY
+                    }
+                };
+                let mut best = Strategy::default();
+                let mut best_latency = latency_of(best);
+                let candidates = mars_parallel::paper_strategies();
+                for &s in &candidates {
+                    let latency = latency_of(s);
+                    if latency < best_latency {
+                        best_latency = latency;
+                        best = s;
+                    }
                 }
-            };
-            let candidates = mars_parallel::paper_strategies();
-            for &s in &candidates {
-                let (latency, _, ok) = self.fast_term(table, layer_index, s, ctx);
-                let latency = if ok { latency } else { f64::INFINITY };
-                if latency < best_latency {
-                    best_latency = latency;
-                    best = s;
-                }
-            }
-            self.count_term_lookups(1 + candidates.len() as u64);
-            best
-        })
-    }
-
-    /// The [`TermTable`] of one evaluation context (created zeroed on first
-    /// use).  One map lookup per second-level search; term lookups inside
-    /// the search are plain indexed atomic loads.
-    pub(crate) fn term_table(&self, signature: u64) -> Arc<TermTable> {
-        let mut tables = self.term_tables.lock().expect("term table map poisoned");
-        Arc::clone(tables.entry(signature).or_insert_with(|| {
-            Arc::new(TermTable {
-                slots: (0..self.n_shape_classes * STRATEGY_CODES)
-                    .map(|_| MemoSlot::default())
-                    .collect(),
+                self.count_term_lookups(1 + candidates.len() as u64);
+                best
             })
-        }))
     }
 
     /// Adds `lookups` [`Evaluator::fast_term`] calls to the total that
     /// [`Evaluator::term_stats`] reports.
     pub(crate) fn count_term_lookups(&self, lookups: u64) {
-        self.term_lookups
-            .fetch_add(lookups, std::sync::atomic::Ordering::Relaxed);
+        self.term_lookups.fetch_add(lookups, Relaxed);
     }
 
-    /// Per-layer term of `strategy` through a [`TermTable`]: a dense indexed
-    /// load on a hit, a direct [`evaluate_layer`] call (then a table fill) on
-    /// a miss.  The table already deduplicates by shape class and context,
-    /// so misses skip the sharded cache's hashing entirely.  The caller
-    /// counts its lookups with [`Evaluator::count_term_lookups`]; they are
-    /// reported by [`Evaluator::term_stats`] (not by
-    /// [`Evaluator::cache_stats`]).  `table` must come from
-    /// [`Evaluator::term_table`] for the context `ctx` evaluates in.
+    /// Per-layer term of `strategy` through a set's memo entry: a dense
+    /// indexed load on a hit, a direct [`evaluate_layer`] call (then a slot
+    /// fill) on a miss.  The entry already deduplicates by shape class and
+    /// set content, so misses skip the sharded cache's hashing entirely.
+    /// The caller counts its lookups with [`Evaluator::count_term_lookups`];
+    /// they are reported by [`Evaluator::term_stats`] (not by
+    /// [`Evaluator::cache_stats`]).  `set` must be the entry of the set
+    /// `ctx` evaluates on.
     pub(crate) fn fast_term(
         &self,
-        table: &TermTable,
+        set: &SetMemo,
         layer_index: usize,
         strategy: Strategy,
         ctx: &EvalContext<'_>,
-    ) -> LayerCacheValue {
-        use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
-        let class = self.shape_class[layer_index] as usize;
-        let slot = &table.slots[class * STRATEGY_CODES + strategy_code(strategy)];
-        let state = slot.state.load(Acquire);
-        if state != 0 {
-            return (
-                f64::from_bits(slot.seconds.load(Relaxed)),
-                slot.weight.load(Relaxed),
-                state == 1,
-            );
+    ) -> Term {
+        let slot = set.term(self.memo.shape_class(layer_index), strategy);
+        if let Some(term) = slot.get() {
+            return term;
         }
         let conv = self.net.layers()[layer_index]
             .as_conv()
             .expect("compute layer");
         let eval = evaluate_layer(&conv, &strategy, ctx);
-        let v = (
+        let term = (
             eval.total_seconds(),
             eval.plan.weight_shard_bytes,
             eval.memory_ok,
         );
-        slot.seconds.store(v.0.to_bits(), Relaxed);
-        slot.weight.store(v.1, Relaxed);
-        slot.state.store(if v.2 { 1 } else { 2 }, Release);
-        v
+        if slot.fill(term) {
+            self.term_fills.fetch_add(1, Relaxed);
+        }
+        term
     }
 
     /// Latency of one compute layer of `assignment` under `strategy`
@@ -548,7 +475,7 @@ impl<'a> Evaluator<'a> {
     /// # Panics
     ///
     /// Panics if `layer_index` is not a compute layer of the network.
-    pub fn conv_latency_under(
+    pub(crate) fn conv_latency_under(
         &self,
         assignment: &Assignment,
         layer_index: usize,
@@ -567,7 +494,7 @@ impl<'a> Evaluator<'a> {
 
     /// Evaluates the intra-set cost of one assignment under the given
     /// per-layer strategies.
-    pub fn evaluate_assignment(
+    pub(crate) fn evaluate_assignment(
         &self,
         assignment: &Assignment,
         strategies: &BTreeMap<usize, Strategy>,
@@ -650,7 +577,11 @@ impl<'a> Evaluator<'a> {
     /// `evaluate_assignment(&assignments[i], strategies)` for the strategies
     /// the cost was computed under; the result is then bit-identical to
     /// [`Evaluator::evaluate`].
-    pub fn evaluate_with_costs(&self, assignments: &[Assignment], costs: &[AssignmentCost]) -> f64 {
+    pub(crate) fn evaluate_with_costs(
+        &self,
+        assignments: &[Assignment],
+        costs: &[AssignmentCost],
+    ) -> f64 {
         debug_assert_eq!(assignments.len(), costs.len());
         self.evaluate_by(assignments, |i, _| costs[i])
     }
@@ -714,7 +645,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Convenience: evaluates and wraps the result into a [`Mapping`](crate::Mapping).
-    pub fn into_mapping(
+    pub(crate) fn mapping_of(
         &self,
         assignments: Vec<Assignment>,
         strategies: BTreeMap<usize, Strategy>,

@@ -51,6 +51,7 @@ mod ga;
 mod genome;
 mod mapper;
 mod mapping;
+mod memo;
 pub mod report;
 pub mod scheduler;
 

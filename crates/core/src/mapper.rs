@@ -15,10 +15,11 @@
 //! Both engines are deterministic for any thread count; see the `ga` module
 //! docs.
 
-use crate::evaluator::{AssignmentCost, DesignPolicy, Evaluator};
+use crate::evaluator::{AssignmentCost, DesignPolicy, Evaluator, SetId};
 use crate::ga::{GaConfig, GeneticAlgorithm};
 use crate::genome::{decode_strategy_fast, FirstLevelGenome, SecondLevelGenome, GENES_PER_LAYER};
 use crate::mapping::{Assignment, Mapping};
+use crate::memo::{NetworkMemo, SetMemo};
 use mars_accel::{Catalog, DesignId, ProfileTable};
 use mars_model::{DimSet, LoopNest, Network};
 use mars_obs::Recorder;
@@ -193,7 +194,9 @@ impl SearchResult {
     }
 }
 
-type SecondLevelKey = (Vec<AccelId>, DesignId, usize, usize);
+/// A second-level search: the ordered accelerator set, its design and the
+/// layer range.  It also seeds the search's GA.
+pub(crate) type SecondLevelKey = (Vec<AccelId>, DesignId, usize, usize);
 type SecondLevelValue = (BTreeMap<usize, Strategy>, f64);
 /// Exactly-once memo of the second-level searches: concurrent first-level
 /// workers racing on the same key block on the winner instead of redundantly
@@ -205,16 +208,26 @@ type BestDecision = (f64, Vec<Assignment>, BTreeMap<usize, Strategy>);
 /// per-layer strategies plus the assignment's evaluated cost, so first-level
 /// fitness never re-walks the layer range.
 #[derive(Debug, Clone)]
-struct SecondOutcome {
+pub(crate) struct SecondOutcome {
     strategies: BTreeMap<usize, Strategy>,
     cost: AssignmentCost,
 }
-type FlatSecondCache = OnceCache<SecondLevelKey, Arc<SecondOutcome>>;
 /// Whole-decision memo of the flat engine: a decoded first-level genome is
 /// fully described by its per-assignment keys, and repeated decisions
 /// (elites, clones, convergent genomes) are answered without touching the
-/// evaluator at all.
+/// evaluator at all.  Unlike the [`NetworkMemo`], it lives for one search.
 type DecisionCache = OnceCache<Vec<SecondLevelKey>, f64>;
+
+/// Work counters of one flat-engine search that the [`NetworkMemo`] cannot
+/// hold, because other searches may share it.
+#[derive(Default)]
+struct FlatCounters {
+    /// Second-level lookups, and the searches this search ran on a miss.
+    second_lookups: AtomicU64,
+    second_searches: AtomicU64,
+    /// Block terms reused by the delta-fitness path of those searches.
+    blocks_reused: AtomicU64,
+}
 
 /// Memoised per-layer term of the flat second-level search: everything
 /// `combine` needs from one compute layer under one strategy.
@@ -245,10 +258,10 @@ const IDLE_COST: AssignmentCost = AssignmentCost {
 /// its (deterministic) lookup total and its (deterministic) entry count:
 /// each distinct entry misses exactly once in a serial run, and racing
 /// duplicate computations never change either input.
-fn exact_split(stats: CacheStats, entries: u64) -> CacheStats {
+fn exact_split(lookups: u64, entries: u64) -> CacheStats {
     CacheStats {
-        hits: stats.lookups().saturating_sub(entries),
-        misses: entries.min(stats.lookups()),
+        hits: lookups.saturating_sub(entries),
+        misses: entries.min(lookups),
     }
 }
 
@@ -315,8 +328,19 @@ impl<'a> Mars<'a> {
     /// for every thread count because all stochastic state uses per-genome
     /// RNG streams and the shared caches only memoise pure functions.
     pub fn search(&self) -> SearchResult {
+        self.search_in(Arc::new(NetworkMemo::new(self.net)))
+    }
+
+    /// [`Mars::search`] with the flat engine's per-layer terms, greedy
+    /// winners and second-level results in `memo`, a memo made for this
+    /// network that other searches may share.  Every memo entry is a pure
+    /// function of its key, so the result is the same as on a fresh memo
+    /// as long as every search that shares it uses this network and this
+    /// second-level configuration; only the work counters in
+    /// [`SearchResult::stats`] depend on what the others computed first.
+    pub(crate) fn search_in(&self, memo: Arc<NetworkMemo>) -> SearchResult {
         match self.config.engine {
-            SearchEngine::Flat => self.search_flat(),
+            SearchEngine::Flat => self.search_flat(memo),
             SearchEngine::Reference => self.search_reference(),
         }
     }
@@ -410,13 +434,18 @@ impl<'a> Mars<'a> {
     // Flat engine
     // ------------------------------------------------------------------
 
-    fn search_flat(&self) -> SearchResult {
+    fn search_flat(&self, memo: Arc<NetworkMemo>) -> SearchResult {
         let start = Instant::now();
         let candidates = partition::accset_candidates(self.topo);
         let profile = ProfileTable::build(self.net, self.catalog);
         let design_scores = profile.normalized_scores();
-        let evaluator =
-            Evaluator::with_policy(self.net, self.topo, self.catalog, self.policy.clone());
+        let evaluator = Evaluator::with_memo(
+            self.net,
+            self.topo,
+            self.catalog,
+            self.policy.clone(),
+            Arc::clone(&memo),
+        );
 
         let layout = FirstLevelGenome::new(
             candidates.len(),
@@ -425,9 +454,8 @@ impl<'a> Mars<'a> {
             self.net.len(),
         );
 
-        let second_cache: FlatSecondCache = OnceCache::new();
         let decision_cache: DecisionCache = OnceCache::new();
-        let blocks_reused = AtomicU64::new(0);
+        let counters = FlatCounters::default();
 
         let first_ga = GeneticAlgorithm::new(self.config.first_level);
         let outcome = first_ga.run(
@@ -435,13 +463,7 @@ impl<'a> Mars<'a> {
             |rng, i| self.first_level_seed(rng, i, &layout, &candidates, &profile, &design_scores),
             |genes| {
                 let assignments = layout.decode(genes, &candidates);
-                self.flat_latency(
-                    &assignments,
-                    &evaluator,
-                    &second_cache,
-                    &decision_cache,
-                    &blocks_reused,
-                )
+                self.flat_latency(&assignments, &evaluator, &memo, &decision_cache, &counters)
             },
         );
 
@@ -454,16 +476,11 @@ impl<'a> Mars<'a> {
                 if a.is_idle() {
                     continue;
                 }
-                let second = self.second_level_flat(a, &evaluator, &second_cache, &blocks_reused);
+                let second = self.second_level_flat(a, &evaluator, &memo, &counters);
                 strategies.extend(second.strategies.iter().map(|(k, v)| (*k, *v)));
             }
-            let latency = self.flat_latency(
-                &assignments,
-                &evaluator,
-                &second_cache,
-                &decision_cache,
-                &blocks_reused,
-            );
+            let latency =
+                self.flat_latency(&assignments, &evaluator, &memo, &decision_cache, &counters);
             (latency, assignments, strategies)
         } else {
             // Every individual was invalid; fall back to the heuristic seed.
@@ -474,17 +491,21 @@ impl<'a> Mars<'a> {
         };
 
         let elapsed = start.elapsed();
+        let second_searches = counters.second_searches.load(Relaxed);
         let stats = EvalStats {
             evaluations: outcome.evaluations,
-            second_level_searches: second_cache.len(),
-            layer_cache: exact_split(evaluator.cache_stats(), evaluator.cache_entries() as u64),
+            second_level_searches: second_searches as usize,
+            layer_cache: exact_split(
+                evaluator.cache_stats().lookups(),
+                evaluator.cache_entries() as u64,
+            ),
             search_cache: exact_split(
-                second_cache.stats().merged(decision_cache.stats()),
-                (second_cache.len() + decision_cache.len()) as u64,
+                counters.second_lookups.load(Relaxed) + decision_cache.stats().lookups(),
+                second_searches + decision_cache.len() as u64,
             ),
             term_table: evaluator.term_stats(),
             greedy_cache: evaluator.greedy_stats(),
-            blocks_reused: blocks_reused.load(Relaxed),
+            blocks_reused: counters.blocks_reused.load(Relaxed),
             elapsed,
         };
         self.record_search(&outcome, &stats);
@@ -504,9 +525,9 @@ impl<'a> Mars<'a> {
         &self,
         assignments: &[Assignment],
         evaluator: &Evaluator<'_>,
-        second_cache: &FlatSecondCache,
+        memo: &NetworkMemo,
         decision_cache: &DecisionCache,
-        blocks_reused: &AtomicU64,
+        counters: &FlatCounters,
     ) -> f64 {
         let key: Vec<SecondLevelKey> = assignments
             .iter()
@@ -519,21 +540,22 @@ impl<'a> Mars<'a> {
                     if a.is_idle() {
                         IDLE_COST
                     } else {
-                        self.second_level_flat(a, evaluator, second_cache, blocks_reused)
-                            .cost
+                        self.second_level_flat(a, evaluator, memo, counters).cost
                     }
                 })
                 .collect();
             let latency = evaluator.evaluate_with_costs(assignments, &costs);
             // Debug cross-check: the memoised fast path must agree with a
-            // full re-evaluation through the reference entry point.
+            // full re-evaluation through the reference entry point.  The
+            // evaluator's per-layer cache is its own, so this recomputes on
+            // this search's topology every term and cost the memo returned,
+            // including those another search stored.
             #[cfg(debug_assertions)]
             {
                 let mut strategies = BTreeMap::new();
                 for a in assignments {
                     if !a.is_idle() {
-                        let second =
-                            self.second_level_flat(a, evaluator, second_cache, blocks_reused);
+                        let second = self.second_level_flat(a, evaluator, memo, counters);
                         strategies.extend(second.strategies.iter().map(|(k, v)| (*k, *v)));
                     }
                 }
@@ -548,21 +570,28 @@ impl<'a> Mars<'a> {
         })
     }
 
+    /// The second-level outcome of `assignment`, from the memo's entry for
+    /// its set content and (set, design, layer range) key, or searched now.
     fn second_level_flat(
         &self,
         assignment: &Assignment,
         evaluator: &Evaluator<'_>,
-        cache: &FlatSecondCache,
-        blocks_reused: &AtomicU64,
+        memo: &NetworkMemo,
+        counters: &FlatCounters,
     ) -> Arc<SecondOutcome> {
+        let set_id: SetId = (assignment.accels.clone(), assignment.design);
+        let set = evaluator.set_memo(&set_id);
+        let (accels, design) = set_id;
         let key: SecondLevelKey = (
-            assignment.accels.clone(),
-            assignment.design,
+            accels,
+            design,
             assignment.layers.start,
             assignment.layers.end,
         );
-        cache.get_or_compute(key.clone(), || {
-            Arc::new(self.search_strategies_flat(assignment, evaluator, &key, blocks_reused))
+        counters.second_lookups.fetch_add(1, Relaxed);
+        memo.second.get_or_compute((set.id(), key.clone()), || {
+            counters.second_searches.fetch_add(1, Relaxed);
+            Arc::new(self.search_strategies_flat(assignment, evaluator, &set, &key, counters))
         })
     }
 
@@ -573,8 +602,9 @@ impl<'a> Mars<'a> {
         &self,
         assignment: &Assignment,
         evaluator: &Evaluator<'_>,
+        set: &SetMemo,
         key: &SecondLevelKey,
-        blocks_reused: &AtomicU64,
+        counters: &FlatCounters,
     ) -> SecondOutcome {
         let compute_layers: Vec<usize> = assignment
             .layers
@@ -609,7 +639,6 @@ impl<'a> Mars<'a> {
         // handle, context and signature on every fitness call.
         let model = evaluator.model_for(assignment);
         let ctx = EvalContext::new(model.as_dyn(), evaluator.comm(), &assignment.accels);
-        let signature = evaluator.context_signature(assignment);
         let set_size = assignment.set_size();
 
         // Precomputed walk of the layer range: non-compute latencies and
@@ -646,13 +675,12 @@ impl<'a> Mars<'a> {
             .max()
             .unwrap_or(0);
 
-        // Dense term memo shared across every search with this context
-        // signature (see [`Evaluator::term_table`]): an indexed atomic load
-        // per lookup, instead of a hash + shard lock, and terms survive from
-        // one second-level search to the next.
-        let table = evaluator.term_table(signature);
+        // The set's dense term row, shared by every search of this network
+        // on a set with the same content (see [`NetworkMemo`]): an indexed
+        // atomic load per lookup, instead of a hash + shard lock, and terms
+        // survive from one second-level search to the next.
         let term_for = |pos: usize, strategy: Strategy| -> (f64, u64, bool) {
-            evaluator.fast_term(&table, compute_layers[pos], strategy, &ctx)
+            evaluator.fast_term(set, compute_layers[pos], strategy, &ctx)
         };
 
         let block_eval = |pos: usize, block: &[f64]| -> LayerTerm {
@@ -711,10 +739,9 @@ impl<'a> Mars<'a> {
         // paper's candidate space when evaluated in isolation.  The GA then
         // only has to repair the (usually few) places where neighbouring
         // layers should align their sharding to avoid re-distribution.
-        let greedy: Vec<Strategy> = (0..compute_layers.len())
-            .map(|pos| {
-                evaluator.greedy_paper_strategy(&table, compute_layers[pos], signature, &ctx)
-            })
+        let greedy: Vec<Strategy> = compute_layers
+            .iter()
+            .map(|&idx| evaluator.greedy_paper_strategy(set, idx, &ctx))
             .collect();
 
         let outcome = ga.run_blocks(
@@ -729,9 +756,12 @@ impl<'a> Mars<'a> {
             fitness,
         );
         // Accumulated inside the OnceCache compute closure, so each
-        // second-level key contributes exactly once — the total is a pure
-        // function of the set of keys searched, hence thread invariant.
-        blocks_reused.fetch_add(outcome.blocks_reused, Relaxed);
+        // second-level key contributes exactly once — on a memo no other
+        // search shares, the total is a pure function of the set of keys
+        // searched, hence thread invariant.
+        counters
+            .blocks_reused
+            .fetch_add(outcome.blocks_reused, Relaxed);
         // The search's term lookups, counted once: every block of every
         // scored genome that was not reused from its parent, plus one per
         // layer for the winner's terms below.
@@ -829,8 +859,11 @@ impl<'a> Mars<'a> {
         let stats = EvalStats {
             evaluations: outcome.evaluations,
             second_level_searches: second_cache.len(),
-            layer_cache: exact_split(evaluator.cache_stats(), evaluator.cache_entries() as u64),
-            search_cache: exact_split(second_cache.stats(), second_cache.len() as u64),
+            layer_cache: exact_split(
+                evaluator.cache_stats().lookups(),
+                evaluator.cache_entries() as u64,
+            ),
+            search_cache: exact_split(second_cache.stats().lookups(), second_cache.len() as u64),
             // The reference engine predates the dense term memo and the
             // greedy seed cache; both report zero lookups here.
             term_table: evaluator.term_stats(),
@@ -1143,11 +1176,16 @@ mod tests {
 
     #[test]
     fn work_counters_count_every_term_lookup_once() {
-        // AlexNet at `fast(40)` looks terms up 9 004 times, one per
+        // AlexNet at `fast(40)` looks terms up 6 572 times, one per
         // `fast_term` call outside the debug-only reuse cross-check, which
         // is no lookup the search needs.  Counting them in bulk, once per
         // second-level search and greedy scan, must give exactly that, at
-        // every thread count; so must the other work counters.
+        // every thread count; so must the other work counters.  The memo
+        // keys terms and greedy winners on set content, so F1's two
+        // identical groups share them: 2 143 slot fills and fewer greedy
+        // scans (9 004 lookups and 4 685 fills when they were keyed on
+        // accelerator ids).  Greedy lookups and reused blocks do not move:
+        // second-level searches are still keyed on their ids.
         let net = zoo::alexnet(1000);
         let topo = presets::f1_16xlarge();
         let catalog = Catalog::standard_three();
@@ -1156,8 +1194,8 @@ mod tests {
                 .with_config(SearchConfig::fast(40).with_threads(threads))
                 .search()
                 .stats;
-            assert_eq!(stats.term_table.lookups(), 9_004, "threads {threads}");
-            assert_eq!(stats.term_table.misses, 4_685);
+            assert_eq!(stats.term_table.lookups(), 6_572, "threads {threads}");
+            assert_eq!(stats.term_table.misses, 2_143);
             assert_eq!(stats.greedy_cache.lookups(), 82);
             assert_eq!(stats.blocks_reused, 1_074);
         }

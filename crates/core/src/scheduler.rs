@@ -35,6 +35,7 @@
 use crate::ga::{genome_stream_seed, GaConfig, GeneticAlgorithm};
 use crate::mapper::{Mars, SearchConfig, SearchResult};
 use crate::mapping::{Assignment, Mapping};
+use crate::memo::{push_set_content, NetworkMemo};
 use mars_accel::Catalog;
 use mars_parallel::OnceCache;
 use mars_topology::{AccelId, Topology};
@@ -583,6 +584,9 @@ type InnerCache = OnceCache<InnerKey, Arc<SearchResult>>;
 #[derive(Debug, Default)]
 pub struct InnerSearchCache {
     cache: InnerCache,
+    /// One memo of per-layer terms, greedy winners and second-level results
+    /// per workload index, handed to every inner search of that workload.
+    memos: OnceCache<usize, Arc<NetworkMemo>>,
     total_searches: AtomicUsize,
 }
 
@@ -609,11 +613,7 @@ fn platform_key(topo: &Topology, subset: &[AccelId]) -> Vec<u64> {
     debug_assert!(subset.windows(2).all(|w| w[0] < w[1]), "ascending ids");
     let m = subset.len();
     let mut key = Vec::with_capacity(m * (m + 3));
-    for &a in subset {
-        key.extend(subset.iter().map(|&b| topo.bandwidth(a, b).to_bits()));
-    }
-    key.extend(subset.iter().map(|&a| topo.host_bandwidth(a).to_bits()));
-    key.extend(subset.iter().map(|&a| topo.dram_bytes(a)));
+    push_set_content(&mut key, topo, subset);
     key.extend(subset.iter().map(|&a| topo.group(a) as u64));
     key
 }
@@ -678,9 +678,14 @@ impl<'a> InnerSearches<'a> {
         // caller picks: serial inside the outer GA's workers, the configured
         // pool for the sequential baseline.
         inner = inner.with_threads(threads);
-        Mars::new(&self.workloads[w].network, &sub, self.catalog)
+        let network = &self.workloads[w].network;
+        let memo = self
+            .shared
+            .memos
+            .get_or_compute(w, || Arc::new(NetworkMemo::new(network)));
+        Mars::new(network, &sub, self.catalog)
             .with_config(inner)
-            .search()
+            .search_in(memo)
     }
 }
 
