@@ -23,13 +23,14 @@ use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::{Arc, Mutex};
 
-/// The serial-trajectory hit/miss split of `lookups`, of which `misses`
-/// computed a new entry.
-fn split(lookups: &AtomicU64, misses: &AtomicU64) -> CacheStats {
-    let (lookups, misses) = (lookups.load(Relaxed), misses.load(Relaxed));
+/// Reconstructs the serial-trajectory hit/miss split of a memo cache from
+/// its (deterministic) lookup total and its (deterministic) count of
+/// computed entries: each entry misses exactly once in a serial run, and
+/// racing duplicate computations never change either input.
+pub(crate) fn exact_split(lookups: u64, entries: u64) -> CacheStats {
     CacheStats {
-        hits: lookups.saturating_sub(misses),
-        misses,
+        hits: lookups.saturating_sub(entries),
+        misses: entries.min(lookups),
     }
 }
 
@@ -146,7 +147,6 @@ impl ModelHandle {
 // per-layer keying (the pre-rebuild behaviour, kept for the reference search
 // engine) the tag is the layer index, so repeated shapes do not share.
 type LayerCacheKey = (ConvParams, u64, u32, Strategy);
-type LayerCacheValue = Term;
 
 /// Evaluates mappings of one network onto one topology with one design
 /// catalogue.
@@ -180,7 +180,7 @@ pub struct Evaluator<'a> {
     catalog: &'a Catalog,
     sim: CommSim<'a>,
     policy: DesignPolicy,
-    cache: ShardedCache<LayerCacheKey, LayerCacheValue>,
+    cache: ShardedCache<LayerCacheKey, Term>,
     /// The flat engine's term tables and greedy winners, which other
     /// searches of the same network may share (see [`NetworkMemo`]).
     memo: Arc<NetworkMemo>,
@@ -280,13 +280,19 @@ impl<'a> Evaluator<'a> {
     /// the split is the one a serial run observes at every thread count.  On
     /// a shared memo it depends on what the other searches filled first.
     pub(crate) fn term_stats(&self) -> CacheStats {
-        split(&self.term_lookups, &self.term_fills)
+        exact_split(
+            self.term_lookups.load(Relaxed),
+            self.term_fills.load(Relaxed),
+        )
     }
 
     /// Hit/miss counters of this evaluator's greedy-winner lookups: misses
     /// are the candidate scans it ran (see [`Evaluator::term_stats`]).
     pub(crate) fn greedy_stats(&self) -> CacheStats {
-        split(&self.greedy_lookups, &self.greedy_scans)
+        exact_split(
+            self.greedy_lookups.load(Relaxed),
+            self.greedy_scans.load(Relaxed),
+        )
     }
 
     /// The communication simulator the evaluator prices collectives with.
@@ -346,7 +352,7 @@ impl<'a> Evaluator<'a> {
         strategy: Strategy,
         signature: u64,
         ctx: &EvalContext<'_>,
-    ) -> LayerCacheValue {
+    ) -> Term {
         let conv = self.net.layers()[layer_index]
             .as_conv()
             .expect("compute layer");

@@ -15,7 +15,7 @@
 //! Both engines are deterministic for any thread count; see the `ga` module
 //! docs.
 
-use crate::evaluator::{AssignmentCost, DesignPolicy, Evaluator, SetId};
+use crate::evaluator::{exact_split, AssignmentCost, DesignPolicy, Evaluator, SetId};
 use crate::ga::{GaConfig, GeneticAlgorithm};
 use crate::genome::{decode_strategy_fast, FirstLevelGenome, SecondLevelGenome, GENES_PER_LAYER};
 use crate::mapping::{Assignment, Mapping};
@@ -126,14 +126,27 @@ impl Default for SearchConfig {
 /// per-layer lookup through `layer_cache`).
 ///
 /// Every hit/miss split is reported as the *serial-trajectory* split —
-/// misses are distinct computed entries, hits the remaining lookups — so
-/// the counters are bit-identical for every thread count even when
-/// concurrent lookups race on an in-flight entry.
+/// misses are the entries this search computed, hits the remaining
+/// lookups.  The flat engine keeps its terms, greedy winners and
+/// second-level results in a memo of the network that other searches may
+/// share:
+///
+/// - a standalone [`Mars::search`] has a memo of its own, so every counter
+///   is bit-identical for every thread count, even when concurrent lookups
+///   race on an in-flight entry;
+/// - an inner search of a co-schedule shares its workload's memo with every
+///   other inner search of the same [`InnerSearchCache`], so its
+///   `term_table`, `greedy_cache`, `second_level_searches`, `search_cache`
+///   and `blocks_reused` count only the work that searches of the same
+///   cache had not already done, and depend on which of them ran first.
+///   `evaluations`, `layer_cache` and the returned mapping do not.
+///
+/// [`InnerSearchCache`]: crate::InnerSearchCache
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct EvalStats {
     /// First-level fitness evaluations.
     pub evaluations: usize,
-    /// Distinct second-level GA searches actually run.
+    /// Distinct second-level GA searches this search actually ran.
     pub second_level_searches: usize,
     /// Hit/miss counters of the per-layer evaluation memo.
     pub layer_cache: CacheStats,
@@ -253,17 +266,6 @@ const IDLE_COST: AssignmentCost = AssignmentCost {
     weight_bytes_per_accel: 0,
     memory_ok: true,
 };
-
-/// Reconstructs the serial-trajectory hit/miss split of a memo cache from
-/// its (deterministic) lookup total and its (deterministic) entry count:
-/// each distinct entry misses exactly once in a serial run, and racing
-/// duplicate computations never change either input.
-fn exact_split(lookups: u64, entries: u64) -> CacheStats {
-    CacheStats {
-        hits: lookups.saturating_sub(entries),
-        misses: entries.min(lookups),
-    }
-}
 
 /// The MARS mapping framework: computation-aware accelerator selection and
 /// communication-aware multi-level parallelism search.

@@ -229,15 +229,6 @@ impl NetworkMemo {
     }
 }
 
-impl std::fmt::Debug for NetworkMemo {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NetworkMemo")
-            .field("layers", &self.shape_class.len())
-            .field("shape_classes", &self.shape_classes)
-            .finish_non_exhaustive()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -255,22 +246,17 @@ mod tests {
 
     /// Every ordered set of one to three distinct accelerators of `n`.
     fn ordered_sets(n: usize) -> Vec<Vec<AccelId>> {
-        let mut sets: Vec<Vec<usize>> = (0..n).map(|a| vec![a]).collect();
-        for _ in 0..2 {
-            let longer: Vec<Vec<usize>> = sets
-                .iter()
-                .filter(|s| s.len() == sets.last().map_or(0, Vec::len))
-                .flat_map(|s| {
-                    (0..n).filter(|a| !s.contains(a)).map(move |a| {
-                        let mut t = s.clone();
-                        t.push(a);
-                        t
-                    })
-                })
-                .collect();
-            sets.extend(longer);
+        let mut sets = Vec::new();
+        for a in 0..n {
+            sets.push(ids(&[a]));
+            for b in (0..n).filter(|&b| b != a) {
+                sets.push(ids(&[a, b]));
+                for c in (0..n).filter(|&c| c != a && c != b) {
+                    sets.push(ids(&[a, b, c]));
+                }
+            }
         }
-        sets.iter().map(|s| ids(s)).collect()
+        sets
     }
 
     #[test]

@@ -355,6 +355,11 @@ pub struct Placement {
     /// back to the original topology.  Its `stats` and `elapsed` belong to
     /// the search that filled the [`InnerSearchCache`] entry, which may have
     /// run in an earlier call or on another subset with the same content.
+    /// That search's term, greedy, second-level and reuse counts leave out
+    /// the work earlier searches of the same cache had already done (see
+    /// [`EvalStats`](crate::EvalStats)), so they depend on the order the
+    /// cache's searches ran in; the mapping, history and evaluation count
+    /// do not.
     pub result: SearchResult,
 }
 
@@ -574,13 +579,24 @@ type InnerCache = OnceCache<InnerKey, Arc<SearchResult>>;
 /// on the survivors of a failure (a call on a [`Topology::subtopology`])
 /// hits the entries the full-pool calls filled.
 ///
+/// The cache also keeps one memo per workload of the per-layer strategy
+/// terms, greedy per-layer winners and second-level search results its
+/// inner searches computed, keyed on the content of each accelerator set
+/// (the members' designs, links, host links and DRAM) rather than on ids.
+/// Every inner search of that workload reads and extends it, so a set a
+/// search on another sub-platform already scored costs nothing.  Results
+/// are unchanged, but an inner search's work counters leave out what the
+/// others already did (see [`Placement::result`]).
+///
 /// **Soundness**: a cached value is a pure function of the key plus the
 /// network list, the catalog, the inner budget ([`CoScheduleConfig::inner`])
-/// and the master seed ([`CoScheduleConfig::seed`]).  One cache therefore
-/// serves every sub-topology of one platform, for one network list (the SLA
-/// weights, batches and memory demands may change), one catalog, one inner
-/// budget and one master seed.  Reusing it after any of those change would
-/// silently serve stale results — create a fresh cache instead.
+/// and the master seed ([`CoScheduleConfig::seed`]); so is every memo
+/// entry, and every inner search of one workload has the same second-level
+/// seed.  One cache therefore serves every sub-topology of one platform,
+/// for one network list (the SLA weights, batches and memory demands may
+/// change), one catalog, one inner budget and one master seed.  Reusing it
+/// after any of those change would silently serve stale results — create a
+/// fresh cache instead.
 #[derive(Debug, Default)]
 pub struct InnerSearchCache {
     cache: InnerCache,
