@@ -583,8 +583,8 @@ type InnerCache = OnceCache<InnerKey, Arc<SearchResult>>;
 /// terms, greedy per-layer winners and second-level search results its
 /// inner searches computed, keyed on the content of each accelerator set
 /// (the members' designs, links, host links and DRAM) rather than on ids.
-/// Every inner search of that workload reads and extends it, so a set a
-/// search on another sub-platform already scored costs nothing.  Results
+/// Every inner search of that workload reads and extends it, so a term a
+/// search on another sub-platform already computed costs nothing.  Results
 /// are unchanged, but an inner search's work counters leave out what the
 /// others already did (see [`Placement::result`]).
 ///
