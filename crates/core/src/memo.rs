@@ -52,7 +52,7 @@ pub(crate) fn set_key(
 /// Number of strategies [`Strategy::try_new`] admits: an ES set of at most
 /// two of the six dimensions (1 + 6 + 15 sets), each with no SS dimension or
 /// one outside the set (7 + 36 + 75).
-pub(crate) const STRATEGY_SLOTS: usize = 118;
+const STRATEGY_SLOTS: usize = 118;
 
 /// Nine-bit code of a strategy: its six-bit ES dimension mask above a
 /// three-bit SS code (0 for none, else the dimension index + 1).
