@@ -365,7 +365,11 @@ mod tests {
     /// control character and non-ASCII), non-finite and `{}`-formatted
     /// values, an empty histogram's infinite min/max, out-of-order series
     /// points, spans that tie on start (broken by track, then end, then
-    /// name), a backwards span and a track that holds only instants.
+    /// name), a backwards span and a track that holds only instants.  The
+    /// `num/` gauges reach every branch of number rendering: exact ties,
+    /// which `{}` rounds up (`2^50 + 0.25` is `…624.3`), the smallest
+    /// subnormal and normal, the largest finite value, integers at and past
+    /// 2^53, small values in `0.000…` form and a negative integer.
     fn golden_store() -> Obs {
         let mut o = Obs::new();
         o.counter("search/evals", 40);
@@ -377,6 +381,17 @@ mod tests {
         o.gauge_max("g/neg", -3.25);
         o.gauge_max("g/tiny", 1e-7);
         o.gauge_max("g/huge", 1e21);
+        o.gauge_max("num/2^50+0.25", 2f64.powi(50) + 0.25);
+        o.gauge_max("num/2^50+0.75", 2f64.powi(50) + 0.75);
+        o.gauge_max("num/5e-324", 5e-324);
+        o.gauge_max("num/min_positive", f64::MIN_POSITIVE);
+        o.gauge_max("num/max", f64::MAX);
+        o.gauge_max("num/2^60", 2f64.powi(60));
+        o.gauge_max("num/1e22", 1e22);
+        o.gauge_max("num/1e23", 1e23);
+        o.gauge_max("num/0.00001234", 0.00001234);
+        o.gauge_max("num/-1.5e-7", -1.5e-7);
+        o.gauge_max("num/-123456789", -123456789.0);
         o.observe("serve/batch_size", 4.0);
         o.observe("serve/batch_size", 8.0);
         o.observe("serve/batch_size", 0.0);
@@ -426,7 +441,18 @@ mod tests {
     "g/inf": "inf",
     "g/neg": -3.25,
     "g/tiny": 0.0000001,
-    "kv/peak": 0.75
+    "kv/peak": 0.75,
+    "num/-1.5e-7": -0.00000015,
+    "num/-123456789": -123456789,
+    "num/0.00001234": 0.00001234,
+    "num/1e22": 10000000000000000000000,
+    "num/1e23": 100000000000000000000000,
+    "num/2^50+0.25": 1125899906842624.3,
+    "num/2^50+0.75": 1125899906842624.8,
+    "num/2^60": 1152921504606847000,
+    "num/5e-324": 0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000005,
+    "num/max": 179769313486231570000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000,
+    "num/min_positive": 0.000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000000022250738585072014
   },
   "histograms": {
     "h/empty": {"count": 1, "underflow": 0, "overflow": 1, "min": "inf", "max": "-inf", "buckets": []},

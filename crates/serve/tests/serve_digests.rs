@@ -27,8 +27,10 @@
 //! - one `LlmSimState` per `BatchingMode` on that mix: its report at a
 //!   quarter, half and three quarters of the horizon, then the finished
 //!   report;
-//! - the metrics JSON of one recorded `SimState` fleet run with the bundled
-//!   faults, which includes the `serve/calendar_occupancy` series.
+//! - the metrics JSON and the Chrome trace JSON of one recorded `SimState`
+//!   fleet run with the bundled faults: the metrics include the
+//!   `serve/calendar_occupancy` series, and the trace holds the CNN batch
+//!   spans and fault instants.
 //!
 //! When a change is *meant* to alter serving results, re-run this test,
 //! copy the printed digests into the constants below, and say so in the
@@ -170,6 +172,9 @@ const LLM_RESUMED_DIGESTS: [(BatchingMode, u64); 2] = [
 /// `metrics_json` of the recorded fleet run with the bundled faults.
 const METRICS_DIGEST: u64 = 0xd444_8f94_260b_664b;
 
+/// `chrome_trace_json` of the same recorded fleet run.
+const FLEET_TRACE_DIGEST: u64 = 0x907b_4435_26fd_857e;
+
 #[test]
 fn fleet_replay_digests() {
     let f = fleet();
@@ -300,9 +305,15 @@ fn recorded_fleet_metrics_digest() {
         }
     }
     sim.finish();
-    let metrics = metrics_json(&recorder.take());
+    let obs = recorder.take();
+    let metrics = metrics_json(&obs);
     assert!(metrics.contains("serve/calendar_occupancy"));
     let mut d = Digest::new();
     d.write_str(&metrics).expect("hashing never fails");
     assert_digest("metrics", d.0, METRICS_DIGEST);
+    let chrome = chrome_trace_json(&obs);
+    assert!(chrome.contains("\"ph\": \"X\"") && chrome.contains("\"ph\": \"i\""));
+    let mut d = Digest::new();
+    d.write_str(&chrome).expect("hashing never fails");
+    assert_digest("trace", d.0, FLEET_TRACE_DIGEST);
 }
