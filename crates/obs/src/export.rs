@@ -6,13 +6,18 @@
 //! order or how the store's string table numbered its labels.  Neither
 //! copies the store: maps render in key order, a series is sorted (on a
 //! copy) only when it is out of order, and the trace exporter sorts a copy
-//! of the `Copy` span and instant records by string rank.  Each export is
+//! of the `Copy` span and instant records on an integer key of their
+//! times' total-order bits and their labels' string ranks.  Each export is
 //! one pass that writes every event straight into one pre-sized `String`.
+//! Every number is written in its `{}` form by the crate's own writers
+//! (shortest round-trip digits, exact ties rounded up as `{}` rounds them),
+//! not through `fmt`; `write!` is left for escapes and non-finite values.
 //! The metrics JSON follows the same restricted flat shape as the repo's
 //! `BENCH_*.json` files (string keys to numbers, one nesting level for
 //! grouping); the trace JSON is the Chrome trace-event array format with
 //! timestamps in **simulated microseconds**.
 
+use crate::num::{push_f64, push_u64};
 use crate::store::{point_order, sort_instants, sort_spans, Obs};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
@@ -37,20 +42,15 @@ fn push_esc(out: &mut String, s: &str) {
     }
 }
 
-/// Appends a finite `f64` in its `{}` form (JSON has no inf/NaN; they become
-/// strings the flat parser skips, which is the right behaviour for sentinel
-/// gauges).
+/// Appends `v` in its `{}` form, quoted when it is not finite (JSON has no
+/// inf/NaN; they become strings the flat parser skips, which is the right
+/// behaviour for sentinel gauges).
 fn push_num(out: &mut String, v: f64) {
     if v.is_finite() {
-        let _ = write!(out, "{v}");
+        push_f64(out, v);
     } else {
         let _ = write!(out, "\"{v}\"");
     }
-}
-
-/// Appends an integer.
-fn push_int(out: &mut String, n: impl std::fmt::Display) {
-    let _ = write!(out, "{n}");
 }
 
 /// `pts` in canonical order, copied and sorted only when out of order.
@@ -98,16 +98,16 @@ pub fn metrics_json(obs: &Obs) -> String {
     let mut out = String::with_capacity(64 + 64 * keys + 256 * obs.hists.len() + 48 * points);
     out.push_str("{\n  \"schema\": \"mars-obs-metrics-v1\"");
     section(&mut out, "counters", &obs.counters, |out, &v| {
-        push_int(out, v)
+        push_u64(out, v)
     });
     section(&mut out, "gauges", &obs.gauges, |out, &v| push_num(out, v));
     section(&mut out, "histograms", &obs.hists, |out, h| {
         out.push_str("{\"count\": ");
-        push_int(out, h.count());
+        push_u64(out, h.count());
         out.push_str(", \"underflow\": ");
-        push_int(out, h.underflow());
+        push_u64(out, h.underflow());
         out.push_str(", \"overflow\": ");
-        push_int(out, h.overflow());
+        push_u64(out, h.overflow());
         out.push_str(", \"min\": ");
         push_num(out, h.min());
         out.push_str(", \"max\": ");
@@ -120,7 +120,7 @@ pub fn metrics_json(obs: &Obs) -> String {
             out.push('[');
             push_num(out, edge);
             out.push_str(", ");
-            push_int(out, c);
+            push_u64(out, c);
             out.push(']');
         }
         out.push_str("]}");
@@ -199,7 +199,7 @@ pub fn chrome_trace_json(obs: &Obs) -> String {
     out.push_str("[\n");
     for (i, &track) in tracks.iter().enumerate() {
         out.push_str("{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": ");
-        push_int(&mut out, i + 1);
+        push_u64(&mut out, i as u64 + 1);
         out.push_str(", \"args\": {\"name\": \"");
         push_esc(&mut out, obs.label(track));
         out.push_str("\"}},\n");
@@ -212,7 +212,7 @@ pub fn chrome_trace_json(obs: &Obs) -> String {
         out.push_str(", \"dur\": ");
         push_num(&mut out, us((s.end - s.start).max(0.0)));
         out.push_str(", \"pid\": 1, \"tid\": ");
-        push_int(&mut out, tid[s.track as usize]);
+        push_u64(&mut out, tid[s.track as usize].into());
         out.push_str("},\n");
     }
     for i in &instants {
@@ -221,7 +221,7 @@ pub fn chrome_trace_json(obs: &Obs) -> String {
         out.push_str("\", \"cat\": \"sim\", \"ph\": \"i\", \"s\": \"t\", \"ts\": ");
         push_num(&mut out, us(i.at));
         out.push_str(", \"pid\": 1, \"tid\": ");
-        push_int(&mut out, tid[i.track as usize]);
+        push_u64(&mut out, tid[i.track as usize].into());
         out.push_str("},\n");
     }
     for (name, pts) in &obs.series {

@@ -22,8 +22,12 @@
 //! in one string table per store, so a [`Span`] or [`Instant`] is a `Copy`
 //! record of two `u32` ids and its times; snapshots, merges and shard
 //! hand-offs copy plain data.  Both exporters read the store in place, sort
-//! only a copy of the span and instant records (by time, then string rank),
-//! and write every event straight into one pre-sized `String`.
+//! only a copy of the span and instant records (on an integer key: time,
+//! then string rank), and write every event straight into one pre-sized
+//! `String`.  Numbers keep the exact bytes `{}` gives them but skip the
+//! formatting machinery: integral values below 2^53 print as integers, and
+//! other values take Ryū's shortest round-trip digits, with multiplier
+//! tables computed at compile time and exact ties rounded up as `{}` does.
 //!
 //! ```
 //! use mars_obs::{chrome_trace_json, metrics_json, Recorder};
@@ -46,6 +50,7 @@
 
 mod export;
 mod hist;
+mod num;
 mod recorder;
 mod store;
 

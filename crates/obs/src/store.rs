@@ -101,28 +101,32 @@ pub(crate) fn point_order(a: &(f64, f64), b: &(f64, f64)) -> Ordering {
     a.0.total_cmp(&b.0).then_with(|| a.1.total_cmp(&b.1))
 }
 
+/// `x`'s bits, mapped so that their unsigned order is [`f64::total_cmp`]'s.
+fn total_order_bits(x: f64) -> u64 {
+    let bits = x.to_bits();
+    bits ^ ((bits as i64 >> 63) as u64 | 1 << 63)
+}
+
 /// Sorts spans into canonical order — start, track, end, name — where
-/// `rank[id]` is label `id`'s position in string order.
+/// `rank[id]` is label `id`'s position in string order.  Equal keys mean
+/// identical spans, so an unstable sort gives the one canonical order.
 pub(crate) fn sort_spans(spans: &mut [Span], rank: &[u32]) {
     let r = |id: u32| rank[id as usize];
-    spans.sort_by(|a, b| {
-        a.start
-            .total_cmp(&b.start)
-            .then_with(|| r(a.track).cmp(&r(b.track)))
-            .then_with(|| a.end.total_cmp(&b.end))
-            .then_with(|| r(a.name).cmp(&r(b.name)))
+    spans.sort_unstable_by_key(|s| {
+        (
+            total_order_bits(s.start),
+            r(s.track),
+            total_order_bits(s.end),
+            r(s.name),
+        )
     });
 }
 
-/// Sorts instants into canonical order — at, track, name — ranked as in
-/// [`sort_spans`].
+/// Sorts instants into canonical order — at, track, name — ranked and keyed
+/// as in [`sort_spans`].
 pub(crate) fn sort_instants(instants: &mut [Instant], rank: &[u32]) {
     let r = |id: u32| rank[id as usize];
-    instants.sort_by(|a, b| {
-        a.at.total_cmp(&b.at)
-            .then_with(|| r(a.track).cmp(&r(b.track)))
-            .then_with(|| r(a.name).cmp(&r(b.name)))
-    });
+    instants.sort_unstable_by_key(|i| (total_order_bits(i.at), r(i.track), r(i.name)));
 }
 
 /// The deterministic observation store — see the module docs for the merge
