@@ -5,9 +5,10 @@
 //! observations — independent of thread counts, shard groupings, insertion
 //! order or how the store's string table numbered its labels.  Neither
 //! copies the store: maps render in key order, a series is sorted (on a
-//! copy) only when it is out of order, and the trace exporter sorts a copy
-//! of the `Copy` span and instant records on an integer key of their
-//! times' total-order bits and their labels' string ranks.  Each export is
+//! copy) only when it is out of order, and the trace exporter sorts packed
+//! integer keys of the span and instant records (their times' total-order
+//! bits and their labels' string ranks), rebuilding the records from the
+//! sorted keys.  Each export is
 //! one pass that writes every event straight into one pre-sized `String`.
 //! Every number is written in its `{}` form by the crate's own writers
 //! (shortest round-trip digits, exact ties rounded up as `{}` rounds them),
@@ -18,7 +19,7 @@
 //! timestamps in **simulated microseconds**.
 
 use crate::num::{push_f64, push_u64};
-use crate::store::{point_order, sort_instants, sort_spans, Obs};
+use crate::store::{canonical_instants, canonical_spans, point_order, Obs};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -160,10 +161,14 @@ pub fn metrics_json(obs: &Obs) -> String {
 /// one second on the Perfetto timeline.
 pub fn chrome_trace_json(obs: &Obs) -> String {
     let rank = obs.label_ranks();
-    let mut spans = obs.spans.clone();
-    sort_spans(&mut spans, &rank);
-    let mut instants = obs.instants.clone();
-    sort_instants(&mut instants, &rank);
+    let spans = canonical_spans(&obs.spans, &rank);
+    let instants = canonical_instants(&obs.instants, &rank);
+    // The sorted records name their labels by rank.
+    let mut labels = vec![""; rank.len()];
+    for (id, &r) in rank.iter().enumerate() {
+        labels[r as usize] = obs.label(id as u32);
+    }
+    let label = |r: u32| labels[r as usize];
 
     // Deterministic track ids: the labels used as tracks, numbered from 1
     // in string order.
@@ -174,18 +179,17 @@ pub fn chrome_trace_json(obs: &Obs) -> String {
     for i in &instants {
         is_track[i.track as usize] = true;
     }
-    let mut tracks: Vec<u32> = (0..rank.len() as u32)
-        .filter(|&id| is_track[id as usize])
+    let tracks: Vec<u32> = (0..rank.len() as u32)
+        .filter(|&r| is_track[r as usize])
         .collect();
-    tracks.sort_unstable_by_key(|&id| rank[id as usize]);
     let mut tid = vec![0u32; rank.len()];
-    for (n, &id) in tracks.iter().enumerate() {
-        tid[id as usize] = n as u32 + 1;
+    for (n, &r) in tracks.iter().enumerate() {
+        tid[r as usize] = n as u32 + 1;
     }
     let us = |t: f64| t * 1e6;
 
     // Room for each event's fixed text, its name and ~40 bytes of numbers.
-    let len = |id: u32| obs.label(id).len();
+    let len = |r: u32| label(r).len();
     let capacity = 8
         + tracks.iter().map(|&t| 90 + len(t)).sum::<usize>()
         + spans.iter().map(|s| 120 + len(s.name)).sum::<usize>()
@@ -201,12 +205,12 @@ pub fn chrome_trace_json(obs: &Obs) -> String {
         out.push_str("{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": ");
         push_u64(&mut out, i as u64 + 1);
         out.push_str(", \"args\": {\"name\": \"");
-        push_esc(&mut out, obs.label(track));
+        push_esc(&mut out, label(track));
         out.push_str("\"}},\n");
     }
     for s in &spans {
         out.push_str("{\"name\": \"");
-        push_esc(&mut out, obs.label(s.name));
+        push_esc(&mut out, label(s.name));
         out.push_str("\", \"cat\": \"sim\", \"ph\": \"X\", \"ts\": ");
         push_num(&mut out, us(s.start));
         out.push_str(", \"dur\": ");
@@ -217,7 +221,7 @@ pub fn chrome_trace_json(obs: &Obs) -> String {
     }
     for i in &instants {
         out.push_str("{\"name\": \"");
-        push_esc(&mut out, obs.label(i.name));
+        push_esc(&mut out, label(i.name));
         out.push_str("\", \"cat\": \"sim\", \"ph\": \"i\", \"s\": \"t\", \"ts\": ");
         push_num(&mut out, us(i.at));
         out.push_str(", \"pid\": 1, \"tid\": ");

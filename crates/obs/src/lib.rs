@@ -22,8 +22,8 @@
 //! in one string table per store, so a [`Span`] or [`Instant`] is a `Copy`
 //! record of two `u32` ids and its times; snapshots, merges and shard
 //! hand-offs copy plain data.  Both exporters read the store in place, sort
-//! only a copy of the span and instant records (on an integer key: time,
-//! then string rank), and write every event straight into one pre-sized
+//! only packed integer keys of the span and instant records (time, then
+//! string rank), and write every event straight into one pre-sized
 //! `String`.  Numbers keep the exact bytes `{}` gives them but skip the
 //! formatting machinery: integral values below 2^53 print as integers, and
 //! other values take Ryū's shortest round-trip digits, with multiplier

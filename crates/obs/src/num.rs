@@ -168,23 +168,32 @@ fn shortest(bits: u64) -> (u64, i32) {
     let mv = 4 * m2;
     let mm_shift = u64::from(mantissa != 0 || exponent <= 1);
 
-    // vr, vp and vm: the value and its bounds over 10^e10, truncated.
-    let (e10, mut vr, mut vp, mut vm);
-    // Whether the digits vm drops are all zero: then vm itself is a bound.
+    // vr, vp and vm: the value and its bounds over 10^e10, truncated, where
+    // e10 is q for e2 >= 0 and q + e2 below.
+    let (q, mul, shift) = if e2 >= 0 {
+        let q = log10_pow2(e2) - i32::from(e2 > 3);
+        (
+            q,
+            POW5_INV[q as usize],
+            -e2 + q + POW5_BITS + pow5bits(q) - 1,
+        )
+    } else {
+        let q = log10_pow5(-e2) - i32::from(-e2 > 1);
+        let i = -e2 - q;
+        (q, POW5[i as usize], q - (pow5bits(i) - POW5_BITS))
+    };
+    let e10 = if e2 >= 0 { q } else { q + e2 };
+    let mut vr = mul_shift(mv, mul, shift);
+    let mut vp = mul_shift(mv + 2, mul, shift);
+    let mut vm = mul_shift(mv - 1 - mm_shift, mul, shift);
+    // Where a bound is exact at this scale: vm, when the interval includes
+    // it, may end the digit loop below; vp, when the interval excludes it,
+    // steps back inside.
     let mut vm_trailing_zeros = false;
     if e2 >= 0 {
-        let q = log10_pow2(e2) - i32::from(e2 > 3);
-        let shift = -e2 + q + POW5_BITS + pow5bits(q) - 1;
-        let mul = POW5_INV[q as usize];
-        (vr, vp, vm) = (
-            mul_shift(mv, mul, shift),
-            mul_shift(mv + 2, mul, shift),
-            mul_shift(mv - 1 - mm_shift, mul, shift),
-        );
-        e10 = q;
+        // The three lie within 4 of each other: when mv is a multiple of 5,
+        // neither bound is, so neither is exact.
         if q <= 21 && mv % 5 != 0 {
-            // Only one of mv, mv + 2 and mv - 1 - mm_shift can be a
-            // multiple of 5.
             let pow5 = 5u64.pow(q as u32);
             if accept_bounds {
                 vm_trailing_zeros = (mv - 1 - mm_shift) % pow5 == 0;
@@ -192,23 +201,11 @@ fn shortest(bits: u64) -> (u64, i32) {
                 vp -= u64::from((mv + 2) % pow5 == 0);
             }
         }
-    } else {
-        let q = log10_pow5(-e2) - i32::from(-e2 > 1);
-        let i = -e2 - q;
-        let shift = q - (pow5bits(i) - POW5_BITS);
-        let mul = POW5[i as usize];
-        (vr, vp, vm) = (
-            mul_shift(mv, mul, shift),
-            mul_shift(mv + 2, mul, shift),
-            mul_shift(mv - 1 - mm_shift, mul, shift),
-        );
-        e10 = q + e2;
-        if q <= 1 {
-            if accept_bounds {
-                vm_trailing_zeros = mm_shift == 1;
-            } else {
-                vp -= 1;
-            }
+    } else if q <= 1 {
+        if accept_bounds {
+            vm_trailing_zeros = mm_shift == 1;
+        } else {
+            vp -= 1;
         }
     }
 

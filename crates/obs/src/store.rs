@@ -107,26 +107,55 @@ fn total_order_bits(x: f64) -> u64 {
     bits ^ ((bits as i64 >> 63) as u64 | 1 << 63)
 }
 
-/// Sorts spans into canonical order — start, track, end, name — where
-/// `rank[id]` is label `id`'s position in string order.  Equal keys mean
-/// identical spans, so an unstable sort gives the one canonical order.
-pub(crate) fn sort_spans(spans: &mut [Span], rank: &[u32]) {
-    let r = |id: u32| rank[id as usize];
-    spans.sort_unstable_by_key(|s| {
-        (
-            total_order_bits(s.start),
-            r(s.track),
-            total_order_bits(s.end),
-            r(s.name),
-        )
-    });
+/// The `f64` whose [`total_order_bits`] are `key`.
+fn from_total_order_bits(key: u64) -> f64 {
+    f64::from_bits(if key >> 63 == 1 { key ^ 1 << 63 } else { !key })
 }
 
-/// Sorts instants into canonical order — at, track, name — ranked and keyed
-/// as in [`sort_spans`].
-pub(crate) fn sort_instants(instants: &mut [Instant], rank: &[u32]) {
+/// `spans` in canonical order — start, track, end, name — with each label
+/// id replaced by `rank[id]`, its position in string order.  The sort runs
+/// on packed integer keys (the times' total-order bits and the ranks); a
+/// key determines its span, so the spans are rebuilt from the sorted keys.
+pub(crate) fn canonical_spans(spans: &[Span], rank: &[u32]) -> Vec<Span> {
     let r = |id: u32| rank[id as usize];
-    instants.sort_unstable_by_key(|i| (total_order_bits(i.at), r(i.track), r(i.name)));
+    let mut keys: Vec<_> = spans
+        .iter()
+        .map(|s| {
+            (
+                total_order_bits(s.start),
+                r(s.track),
+                total_order_bits(s.end),
+                r(s.name),
+            )
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter()
+        .map(|(start, track, end, name)| Span {
+            track,
+            name,
+            start: from_total_order_bits(start),
+            end: from_total_order_bits(end),
+        })
+        .collect()
+}
+
+/// `instants` in canonical order — at, track, name — ranked and keyed as in
+/// [`canonical_spans`].
+pub(crate) fn canonical_instants(instants: &[Instant], rank: &[u32]) -> Vec<Instant> {
+    let r = |id: u32| rank[id as usize];
+    let mut keys: Vec<_> = instants
+        .iter()
+        .map(|i| (total_order_bits(i.at), r(i.track), r(i.name)))
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter()
+        .map(|(at, track, name)| Instant {
+            track,
+            name,
+            at: from_total_order_bits(at),
+        })
+        .collect()
 }
 
 /// The deterministic observation store — see the module docs for the merge
@@ -325,19 +354,12 @@ impl Obs {
             pts.sort_by(point_order);
         }
         let rank = self.label_ranks();
-        sort_spans(&mut self.spans, &rank);
-        sort_instants(&mut self.instants, &rank);
-        let new = |old: u32| rank[old as usize];
-        for s in &mut self.spans {
-            (s.track, s.name) = (new(s.track), new(s.name));
-        }
-        for i in &mut self.instants {
-            (i.track, i.name) = (new(i.track), new(i.name));
-        }
+        self.spans = canonical_spans(&self.spans, &rank);
+        self.instants = canonical_instants(&self.instants, &rank);
         // The strings are distinct, so sorting them puts each at its rank.
         self.labels.strings.sort_unstable();
         for id in self.labels.ids.values_mut() {
-            *id = new(*id);
+            *id = rank[*id as usize];
         }
     }
 }
