@@ -8,15 +8,14 @@
 //! copy) only when it is out of order, and the trace exporter sorts packed
 //! integer keys of the span and instant records (their times' total-order
 //! bits and their labels' string ranks), rebuilding the records from the
-//! sorted keys.  Each export is
-//! one pass that writes every event straight into one pre-sized `String`.
-//! Every number is written in its `{}` form by the crate's own writers
-//! (shortest round-trip digits, exact ties rounded up as `{}` rounds them),
-//! not through `fmt`; `write!` is left for escapes and non-finite values.
-//! The metrics JSON follows the same restricted flat shape as the repo's
-//! `BENCH_*.json` files (string keys to numbers, one nesting level for
-//! grouping); the trace JSON is the Chrome trace-event array format with
-//! timestamps in **simulated microseconds**.
+//! sorted keys.  Each export is one pass that writes every event straight
+//! into one pre-sized `String`.  Numbers keep their `{}` form but are
+//! written by the crate's own writers (shortest round-trip digits, exact
+//! ties rounded up as `{}` rounds them); `write!` is left for escapes and
+//! non-finite values.  The metrics JSON follows the same restricted flat
+//! shape as the repo's `BENCH_*.json` files (string keys to numbers, one
+//! nesting level for grouping); the trace JSON is the Chrome trace-event
+//! array format with timestamps in **simulated microseconds**.
 
 use crate::num::{push_f64, push_u64};
 use crate::store::{canonical_instants, canonical_spans, point_order, Obs};
@@ -372,8 +371,8 @@ mod tests {
     /// name), a backwards span and a track that holds only instants.  The
     /// `num/` gauges reach every branch of number rendering: exact ties,
     /// which `{}` rounds up (`2^50 + 0.25` is `…624.3`), the smallest
-    /// subnormal and normal, the largest finite value, integers at and past
-    /// 2^53, small values in `0.000…` form and a negative integer.
+    /// subnormal and normal, the largest finite value, integers past 2^53,
+    /// small values in `0.000…` form and a negative integer.
     fn golden_store() -> Obs {
         let mut o = Obs::new();
         o.counter("search/evals", 40);

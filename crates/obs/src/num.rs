@@ -100,13 +100,13 @@ fn log10_pow5(e: i32) -> i32 {
 
 const fn pow5_table() -> [u128; POW5_LEN] {
     let mut table = [0; POW5_LEN];
-    // 5^i · 2^128, so that shifting right by `bits + 3` also covers the
-    // powers shorter than POW5_BITS.
+    // 5^i · 2^128, so that one right shift keeps the top POW5_BITS bits of
+    // 5^i, also for the powers shorter than that.
     let mut p = [0u64; LIMBS];
     p[2] = 1;
     let mut i = 0;
     while i < POW5_LEN {
-        table[i] = shr_to_u128(&p, pow5bits(i as i32) as u32 + 3);
+        table[i] = shr_to_u128(&p, (pow5bits(i as i32) - POW5_BITS + 128) as u32);
         mul_small(&mut p, 5);
         i += 1;
     }
@@ -340,7 +340,7 @@ mod tests {
     }
 
     /// Compares [`push_f64`] with `{}` on `v` and `-v`.
-    fn check(v: f64, ours: &mut String, std: &mut String) {
+    fn compare(v: f64, ours: &mut String, std: &mut String) {
         for v in [v, -v] {
             ours.clear();
             push_f64(ours, v);
@@ -350,27 +350,28 @@ mod tests {
         }
     }
 
-    /// About 2 M values: random finite bit patterns, sim times in
-    /// microseconds, integers around 2^53, every power of two and of ten
-    /// with its neighbours, and exact ties, which `{}` rounds up.
+    /// About 2.3 M comparisons, each value and its negation: random finite
+    /// bit patterns, sim times in microseconds, integers around 2^53, every
+    /// power of two and of ten with its neighbours, and exact ties, which
+    /// `{}` rounds up.
     #[test]
     fn push_f64_matches_display() {
         let (mut ours, mut std) = (String::new(), String::new());
-        let mut check = |v: f64| check(v, &mut ours, &mut std);
+        let mut check = |v: f64| compare(v, &mut ours, &mut std);
         let mut rng = SplitMix(0x5eed);
         let neighbours = |v: f64| {
             let b = v.to_bits();
             [f64::from_bits(b - 1), v, f64::from_bits(b + 1)]
         };
 
-        for _ in 0..300_000 {
+        for _ in 0..400_000 {
             let v = f64::from_bits(rng.next());
             if v.is_finite() {
                 check(v);
             }
         }
         // Span timestamps: U[0, 8) seconds scaled as the trace scales them.
-        for _ in 0..300_000 {
+        for _ in 0..400_000 {
             check(rng.unit() * 8.0 * 1e6);
         }
         // Integers up to 2^64, many past 2^53 where `{}` rounds them, and
