@@ -102,9 +102,11 @@ impl Histogram {
         (exp as f64).exp2() * (1.0 + sub / SUB_BUCKETS as f64)
     }
 
-    /// Records one sample.  Non-finite and NaN samples are counted in the
-    /// overflow bucket (they still contribute to `count`, never to min/max);
-    /// zero and negative samples land in the underflow bucket.
+    /// Records one sample; every sample adds to `count`.  Samples at or
+    /// above the bucketed range, `+inf` included, and NaN are counted in the
+    /// overflow bucket; samples below it, zero, negatives and `-inf`
+    /// included, in the underflow bucket.  Every sample but NaN updates
+    /// min/max, so an infinite sample makes them infinite.
     pub fn record(&mut self, value: f64) {
         self.count += 1;
         match self.bucket_index(value) {
@@ -129,12 +131,14 @@ impl Histogram {
         self.count
     }
 
-    /// Samples below the bucketed range (including zero and negatives).
+    /// Samples below the bucketed range (including zero, negatives and
+    /// `-inf`).
     pub fn underflow(&self) -> u64 {
         self.underflow
     }
 
-    /// Samples above the bucketed range (including non-finite ones).
+    /// Samples at or above the bucketed range (including `+inf`), and NaN
+    /// samples.
     pub fn overflow(&self) -> u64 {
         self.overflow
     }
