@@ -459,6 +459,32 @@ mod tests {
         );
     }
 
+    /// The sort keys order times as `total_cmp` does, and the records are
+    /// rebuilt from them bit for bit: signed zeros, subnormals, infinities
+    /// and NaNs of either sign included.
+    #[test]
+    fn total_order_bits_round_trip_in_total_cmp_order() {
+        let xs = [
+            -f64::NAN,
+            f64::NEG_INFINITY,
+            -1.5,
+            -5e-324,
+            -0.0,
+            0.0,
+            5e-324,
+            2.5,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        for a in xs {
+            let key = total_order_bits(a);
+            assert_eq!(from_total_order_bits(key).to_bits(), a.to_bits());
+            for b in xs {
+                assert_eq!(key.cmp(&total_order_bits(b)), a.total_cmp(&b));
+            }
+        }
+    }
+
     #[test]
     fn gauge_keeps_the_peak_and_ignores_nan() {
         let mut o = Obs::new();
