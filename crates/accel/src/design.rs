@@ -49,11 +49,6 @@ impl AccelDesign {
     pub fn cycles_to_seconds(&self, cycles: u64) -> f64 {
         cycles as f64 * self.clock_period()
     }
-
-    /// Peak throughput in multiply-accumulate operations per second.
-    pub fn peak_macs_per_second(&self) -> f64 {
-        self.num_pes as f64 * self.frequency_mhz as f64 * 1e6
-    }
 }
 
 impl std::fmt::Display for AccelDesign {
@@ -171,7 +166,6 @@ mod tests {
         let d = ideal().design;
         assert!((d.cycles_to_seconds(200_000_000) - 1.0).abs() < 1e-12);
         assert!((d.clock_period() - 5e-9).abs() < 1e-15);
-        assert_eq!(d.peak_macs_per_second(), 512.0 * 200e6);
     }
 
     #[test]

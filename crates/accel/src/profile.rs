@@ -109,14 +109,6 @@ impl ProfileTable {
         let best = totals.iter().cloned().fold(f64::INFINITY, f64::min);
         totals.iter().map(|t| best / t).collect()
     }
-
-    /// Per-layer normalised scores: for each layer, each design's score is the
-    /// best design's cycles divided by its own cycles (1.0 = best).
-    pub fn per_layer_scores(&self, layer: LayerId) -> Vec<f64> {
-        let row = &self.cycles[layer.0];
-        let best = *row.iter().min().expect("at least one design") as f64;
-        row.iter().map(|c| best / (*c as f64).max(1.0)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -184,16 +176,6 @@ mod tests {
         assert_eq!(scores.len(), 3);
         assert!(scores.iter().all(|s| *s > 0.0 && *s <= 1.0));
         assert!(scores.iter().any(|s| (*s - 1.0).abs() < 1e-12));
-    }
-
-    #[test]
-    fn per_layer_scores_rank_designs() {
-        let (net, t) = table();
-        let (stem_id, _) = net.conv_layers().next().unwrap();
-        let scores = t.per_layer_scores(stem_id);
-        // Design 0 is best on the stem, so its score is 1.0 and others lower.
-        assert!((scores[0] - 1.0).abs() < 1e-12);
-        assert!(scores[1] < 1.0);
     }
 
     #[test]

@@ -28,10 +28,15 @@ fn bench_ablation_searches(c: &mut Criterion) {
     let net = zoo::alexnet(1000);
     let topo = presets::f1_16xlarge();
     let catalog = Catalog::standard_three();
+    let tiny = GaConfig {
+        population: 6,
+        generations: 4,
+        ..GaConfig::first_level(1)
+    };
     let mut group = c.benchmark_group("ga/ablation");
     group.sample_size(10);
     group.bench_function("single-level-tiny", |b| {
-        b.iter(|| ablation::single_level_search(&net, &topo, &catalog, GaConfig::tiny(1)))
+        b.iter(|| ablation::single_level_search(&net, &topo, &catalog, tiny))
     });
     group.bench_function("random-search-16", |b| {
         b.iter(|| ablation::random_search(&net, &topo, &catalog, 16, 1))

@@ -895,12 +895,6 @@ pub fn search_engine_row(benchmark: Benchmark, budget: Budget, seed: u64) -> Eng
     }
 }
 
-/// Formats a latency-and-reduction pair the way the paper's tables do, e.g.
-/// `14.9(-27.7%)`.
-pub fn format_with_reduction(latency_ms: f64, reduction_percent: f64) -> String {
-    format!("{latency_ms:.3}({:+.1}%)", -reduction_percent)
-}
-
 /// The perf-smoke gate: a machine-readable summary of the fast-budget
 /// headline numbers plus the floor check CI fails on.
 ///
@@ -1101,11 +1095,5 @@ mod tests {
         // The headline figure is a finite positive ratio on bundled mixes.
         let gain = row.sla_aware_goodput_gain();
         assert!(gain.is_finite() && gain > 0.0, "gain {gain}");
-    }
-
-    #[test]
-    fn formatting_matches_paper_style() {
-        let s = format_with_reduction(14.9, 27.7);
-        assert_eq!(s, "14.900(-27.7%)");
     }
 }

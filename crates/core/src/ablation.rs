@@ -197,7 +197,12 @@ mod tests {
         let net = zoo::alexnet(1000);
         let topo = presets::f1_16xlarge();
         let catalog = Catalog::standard_three();
-        let result = single_level_search(&net, &topo, &catalog, GaConfig::tiny(4));
+        let ga = GaConfig {
+            population: 6,
+            generations: 4,
+            ..GaConfig::first_level(4)
+        };
+        let result = single_level_search(&net, &topo, &catalog, ga);
         assert!(result.mapping.is_valid());
         assert!(result.evaluations > 0);
     }

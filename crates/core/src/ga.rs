@@ -56,24 +56,22 @@ use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
 use std::time::{Duration, Instant};
 
-/// Genetic-algorithm hyper-parameters.
+/// Genetic-algorithm budget and seed.
+///
+/// The variation and selection operators are not settable: they belong to
+/// the level that runs (see [`GeneticAlgorithm::new`]).  Every GA breeds an
+/// offspring by uniform crossover with probability 0.8 (otherwise it is a
+/// copy of one parent), picks parents by 3-way tournaments, keeps the 2 best
+/// individuals unchanged, and mutates each gene by a Gaussian step: with
+/// probability 0.2 and standard deviation 0.3 in the second-level search,
+/// with probability 0.15 and standard deviation 0.25 in every other GA (the
+/// first level, the co-schedule's outer GA and the ablations).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct GaConfig {
     /// Number of individuals per generation.
     pub population: usize,
     /// Number of generations.
     pub generations: usize,
-    /// Probability that an offspring is produced by crossover (otherwise it is
-    /// a mutated copy of one parent).
-    pub crossover_rate: f64,
-    /// Per-gene mutation probability.
-    pub mutation_rate: f64,
-    /// Standard deviation of the Gaussian mutation step.
-    pub mutation_sigma: f64,
-    /// Tournament size for parent selection.
-    pub tournament: usize,
-    /// Number of best individuals copied unchanged into the next generation.
-    pub elitism: usize,
     /// PRNG seed; searches with the same seed and inputs are reproducible,
     /// bit-identically, for **any** value of [`threads`](Self::threads).
     pub seed: u64,
@@ -84,47 +82,23 @@ pub struct GaConfig {
 }
 
 impl GaConfig {
-    /// The configuration used by the first-level search.
+    /// The budget of the first-level search: 16 individuals, 10
+    /// generations.
     pub fn first_level(seed: u64) -> Self {
         Self {
             population: 16,
             generations: 10,
-            crossover_rate: 0.8,
-            mutation_rate: 0.15,
-            mutation_sigma: 0.25,
-            tournament: 3,
-            elitism: 2,
             seed,
             threads: 1,
         }
     }
 
-    /// The configuration used by the second-level (per accelerator set)
-    /// search.
+    /// The budget of the second-level (per accelerator set) search: 20
+    /// individuals, 12 generations.
     pub fn second_level(seed: u64) -> Self {
         Self {
             population: 20,
             generations: 12,
-            crossover_rate: 0.8,
-            mutation_rate: 0.2,
-            mutation_sigma: 0.3,
-            tournament: 3,
-            elitism: 2,
-            seed,
-            threads: 1,
-        }
-    }
-
-    /// A deliberately tiny configuration for unit tests.
-    pub fn tiny(seed: u64) -> Self {
-        Self {
-            population: 6,
-            generations: 4,
-            crossover_rate: 0.8,
-            mutation_rate: 0.25,
-            mutation_sigma: 0.3,
-            tournament: 2,
-            elitism: 1,
             seed,
             threads: 1,
         }
@@ -143,6 +117,34 @@ impl Default for GaConfig {
         Self::first_level(0)
     }
 }
+
+/// Probability that an offspring is bred by crossover; otherwise it is a
+/// mutated copy of one parent.
+const CROSSOVER_RATE: f64 = 0.8;
+/// Tournament size of parent selection.
+const TOURNAMENT: usize = 3;
+/// Number of best individuals copied unchanged into the next generation.
+const ELITISM: usize = 2;
+
+/// The Gaussian mutation of one GA level: each gene mutates with
+/// probability `rate`, by a normal step of standard deviation `sigma`.
+#[derive(Debug, Clone, Copy)]
+struct Mutation {
+    rate: f64,
+    sigma: f64,
+}
+
+/// The mutation of every GA but the second level's: the first level, the
+/// co-schedule's outer GA and the ablations.
+const FIRST_LEVEL_MUTATION: Mutation = Mutation {
+    rate: 0.15,
+    sigma: 0.25,
+};
+/// The mutation of the second-level (per accelerator set) search.
+const SECOND_LEVEL_MUTATION: Mutation = Mutation {
+    rate: 0.2,
+    sigma: 0.3,
+};
 
 /// Derives the seed of the private RNG stream used for one genome.
 ///
@@ -211,12 +213,27 @@ impl GaOutcome {
 #[derive(Debug, Clone)]
 pub struct GeneticAlgorithm {
     cfg: GaConfig,
+    mutation: Mutation,
 }
 
 impl GeneticAlgorithm {
-    /// Creates an engine with the given configuration.
+    /// Creates an engine with the given budget and seed, breeding with the
+    /// operators of every GA but the second-level search (see
+    /// [`GaConfig`]).
     pub fn new(cfg: GaConfig) -> Self {
-        Self { cfg }
+        Self {
+            cfg,
+            mutation: FIRST_LEVEL_MUTATION,
+        }
+    }
+
+    /// The second-level search's engine: [`GeneticAlgorithm::new`] with the
+    /// second level's mutation.
+    pub(crate) fn second_level(cfg: GaConfig) -> Self {
+        Self {
+            cfg,
+            mutation: SECOND_LEVEL_MUTATION,
+        }
     }
 
     /// The engine configuration.
@@ -246,7 +263,12 @@ impl GeneticAlgorithm {
     ///
     /// // Minimise the sphere function centred at 0.7 per gene.
     /// let sphere = |genes: &[f64]| genes.iter().map(|g| (g - 0.7).powi(2)).sum();
-    /// let ga = GeneticAlgorithm::new(GaConfig::tiny(42).with_threads(2));
+    /// let cfg = GaConfig {
+    ///     population: 6,
+    ///     generations: 4,
+    ///     ..GaConfig::first_level(42)
+    /// };
+    /// let ga = GeneticAlgorithm::new(cfg.with_threads(2));
     /// let out = ga.run(4, |rng, _| (0..4).map(|_| rand::Rng::gen(rng)).collect(), sphere);
     /// assert!(out.best_fitness < 0.7);
     /// assert_eq!(out.history.len(), ga.config().generations + 1);
@@ -307,7 +329,7 @@ impl GeneticAlgorithm {
             let mut order: Vec<usize> = (0..pop_size).collect();
             order.sort_by(|a, b| scores[*a].partial_cmp(&scores[*b]).expect("finite or inf"));
 
-            let elites = cfg.elitism.min(pop_size);
+            let elites = ELITISM.min(pop_size);
             let mut next: Vec<Vec<f64>> = Vec::with_capacity(pop_size);
             for &i in order.iter().take(elites) {
                 next.push(population[i].clone());
@@ -320,7 +342,7 @@ impl GeneticAlgorithm {
                     slot as u64,
                 ));
                 let a = self.tournament(&mut rng, &scores);
-                let child = if rng.gen_bool(cfg.crossover_rate) {
+                let child = if rng.gen_bool(CROSSOVER_RATE) {
                     let b = self.tournament(&mut rng, &scores);
                     self.crossover(&mut rng, &population[a], &population[b])
                 } else {
@@ -391,7 +413,7 @@ impl GeneticAlgorithm {
             combine,
         };
         let genome_len = fitness.genome_len();
-        let mutation_coin = coin_threshold(cfg.mutation_rate);
+        let mutation_coin = coin_threshold(self.mutation.rate);
 
         // Flat arena: all genomes of a generation live in one allocation,
         // double-buffered with `next` so breeding never allocates.
@@ -437,7 +459,7 @@ impl GeneticAlgorithm {
             let mut order: Vec<usize> = (0..pop_size).collect();
             order.sort_by(|a, b| scores[*a].partial_cmp(&scores[*b]).expect("finite or inf"));
 
-            let elites = cfg.elitism.min(pop_size);
+            let elites = ELITISM.min(pop_size);
             for (slot, &i) in order.iter().take(elites).enumerate() {
                 let (src, dst) = (i * genome_len, slot * genome_len);
                 next[dst..dst + genome_len].copy_from_slice(&genes[src..src + genome_len]);
@@ -453,7 +475,7 @@ impl GeneticAlgorithm {
                 let a = self.tournament(&mut rng, scores);
                 let child = &mut next[slot * genome_len..(slot + 1) * genome_len];
                 let genome_a = &genes[a * genome_len..(a + 1) * genome_len];
-                if rng.gen_bool(cfg.crossover_rate) {
+                if rng.gen_bool(CROSSOVER_RATE) {
                     let b = self.tournament(&mut rng, scores);
                     let genome_b = &genes[b * genome_len..(b + 1) * genome_len];
                     crossover_into(&mut rng, child, genome_a, genome_b);
@@ -572,7 +594,7 @@ impl GeneticAlgorithm {
 
     fn tournament(&self, rng: &mut StdRng, scores: &[f64]) -> usize {
         let mut best = rng.gen_range(0..scores.len());
-        for _ in 1..self.cfg.tournament.max(1) {
+        for _ in 1..TOURNAMENT {
             let challenger = rng.gen_range(0..scores.len());
             if scores[challenger] < scores[best] {
                 best = challenger;
@@ -590,36 +612,29 @@ impl GeneticAlgorithm {
 
     fn mutate(&self, rng: &mut StdRng, mut genes: Vec<f64>) -> Vec<f64> {
         for g in &mut genes {
-            if rng.gen_bool(self.cfg.mutation_rate) {
+            if rng.gen_bool(self.mutation.rate) {
                 // Box-Muller Gaussian step.
                 let u1: f64 = rng.gen_range(1e-9..1.0);
                 let u2: f64 = rng.gen_range(0.0..1.0);
                 let normal = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-                *g = (*g + normal * self.cfg.mutation_sigma).clamp(0.0, 1.0);
+                *g = (*g + normal * self.mutation.sigma).clamp(0.0, 1.0);
             }
         }
         genes
     }
 
     /// Gaussian mutation of a bred child in place: [`GeneticAlgorithm::mutate`]
-    /// with each gene's `rng.gen_bool(mutation_rate)` coin taken as the
-    /// integer compare of [`coin_threshold`] (`coin` is its value for the
-    /// configured rate).  Same draws, same Box-Muller step, same genes.
-    fn mutate_bred(&self, rng: &mut StdRng, genes: &mut [f64], coin: Option<u64>) {
-        if genes.is_empty() {
-            return;
-        }
-        // `gen_bool` rejects a rate outside [0, 1] at the first coin it
-        // flips; so does this, at the same point of the run.
-        let threshold =
-            coin.unwrap_or_else(|| panic!("p={} is not a probability", self.cfg.mutation_rate));
+    /// with each gene's `rng.gen_bool(rate)` coin taken as the integer
+    /// compare of [`coin_threshold`] (`threshold` is its value for the
+    /// level's mutation rate).  Same draws, same Box-Muller step, same genes.
+    fn mutate_bred(&self, rng: &mut StdRng, genes: &mut [f64], threshold: u64) {
         for g in genes {
             if heads(rng.next_u64(), threshold) {
                 // Box-Muller Gaussian step.
                 let u1: f64 = rng.gen_range(1e-9..1.0);
                 let u2: f64 = rng.gen_range(0.0..1.0);
                 let normal = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-                *g = (*g + normal * self.cfg.mutation_sigma).clamp(0.0, 1.0);
+                *g = (*g + normal * self.mutation.sigma).clamp(0.0, 1.0);
             }
         }
     }
@@ -702,15 +717,13 @@ impl<B> Default for Scored<B> {
     }
 }
 
-/// The integer form of `rng.gen_bool(p)`.  The coin draws a word `w` and
-/// comes up heads when `(w >> 11) · 2⁻⁵³ < p`; scaling by 2⁵³ is exact, so
-/// that holds exactly when `(w >> 11) < ⌈p · 2⁵³⌉`, the threshold returned
-/// here (see [`heads`]).  `None` when `p` is not a probability, which
-/// `gen_bool` rejects.
-fn coin_threshold(p: f64) -> Option<u64> {
-    (0.0..=1.0)
-        .contains(&p)
-        .then(|| (p * (1u64 << 53) as f64).ceil() as u64)
+/// The integer form of `rng.gen_bool(p)` for a probability `p` (every
+/// mutation rate is one).  The coin draws a word `w` and comes up heads when
+/// `(w >> 11) · 2⁻⁵³ < p`; scaling by 2⁵³ is exact, so that holds exactly
+/// when `(w >> 11) < ⌈p · 2⁵³⌉`, the threshold returned here (see
+/// [`heads`]).
+fn coin_threshold(p: f64) -> u64 {
+    (p * (1u64 << 53) as f64).ceil() as u64
 }
 
 /// `rng.gen_bool(p)` on the word `w`, given `threshold ==
@@ -761,6 +774,15 @@ mod tests {
         genes.iter().map(|g| (g - 0.7).powi(2)).sum()
     }
 
+    /// A small first-level budget: 6 individuals, 4 generations.
+    fn small(seed: u64) -> GaConfig {
+        GaConfig {
+            population: 6,
+            generations: 4,
+            ..GaConfig::first_level(seed)
+        }
+    }
+
     #[test]
     fn optimises_a_smooth_function() {
         let ga = GeneticAlgorithm::new(GaConfig {
@@ -797,7 +819,7 @@ mod tests {
     #[test]
     fn same_seed_is_reproducible_and_different_seed_differs() {
         let run = |seed| {
-            GeneticAlgorithm::new(GaConfig::tiny(seed)).run(
+            GeneticAlgorithm::new(small(seed)).run(
                 5,
                 |rng, _| (0..5).map(|_| rng.gen()).collect(),
                 sphere,
@@ -854,7 +876,7 @@ mod tests {
     fn heuristic_seed_individual_is_kept_when_it_is_optimal() {
         // Individual 0 is seeded at the optimum; with elitism the search can
         // never do worse than the seed.
-        let ga = GeneticAlgorithm::new(GaConfig::tiny(5));
+        let ga = GeneticAlgorithm::new(small(5));
         let out = ga.run(
             4,
             |rng, i| {
@@ -894,25 +916,28 @@ mod tests {
 
     #[test]
     fn genomes_are_clamped_to_unit_interval() {
+        // Fitness rewards distance from 0.5, so mutation steps push genes
+        // past 0 and 1.  Initial genes are drawn from [0, 1) and crossover
+        // only copies parents' genes, so genes on a bound come from mutation
+        // steps the clamp held there.
+        let away_from_half = |genes: &[f64]| -genes.iter().map(|g| (g - 0.5).abs()).sum::<f64>();
         let ga = GeneticAlgorithm::new(GaConfig {
-            mutation_rate: 1.0,
-            mutation_sigma: 5.0,
-            ..GaConfig::tiny(2)
+            population: 24,
+            generations: 30,
+            ..GaConfig::first_level(2)
         });
-        let out = ga.run(4, |_, _| vec![0.5; 4], sphere);
+        let out = ga.run(
+            8,
+            |rng, _| (0..8).map(|_| rng.gen()).collect(),
+            away_from_half,
+        );
         assert!(out.best_genes.iter().all(|g| (0.0..=1.0).contains(g)));
-    }
-
-    #[test]
-    #[should_panic(expected = "p=1.5 is not a probability")]
-    fn mutation_rate_outside_the_unit_interval_is_rejected() {
-        // `gen_bool` rejects such a rate; the integer coin must not turn it
-        // into "always mutate".
-        let ga = GeneticAlgorithm::new(GaConfig {
-            mutation_rate: 1.5,
-            ..GaConfig::tiny(2)
-        });
-        ga.run(4, |_, _| vec![0.5; 4], sphere);
+        let bounds = out.best_genes.iter().filter(|g| **g == 0.0 || **g == 1.0);
+        assert!(
+            bounds.count() >= 4,
+            "few genes on a bound: {:?}",
+            out.best_genes
+        );
     }
 
     #[test]
@@ -926,7 +951,7 @@ mod tests {
                 sphere(genes)
             }
         };
-        let out = GeneticAlgorithm::new(GaConfig::tiny(3)).run(
+        let out = GeneticAlgorithm::new(small(3)).run(
             3,
             |rng, _| (0..3).map(|_| rng.gen()).collect(),
             fitness,
@@ -952,7 +977,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(31);
         let random: Vec<u64> = (0..4096).map(|_| rng.next_u64()).collect();
         for p in [0.0, 0.15, 0.2, 0.25, 0.5, 0.8, 1.0] {
-            let t = coin_threshold(p).expect("a probability");
+            let t = coin_threshold(p);
             // Words whose top 53 bits are just below, on and just above
             // the threshold, with random low bits.
             let edges: Vec<u64> = [t.wrapping_sub(1), t, t + 1]
@@ -965,10 +990,6 @@ mod tests {
                 assert_eq!(heads(w, t), Word(w).gen_bool(p), "p {p} word {w:#018x}");
             }
         }
-        for p in [-0.1, 1.5, f64::NAN] {
-            assert_eq!(coin_threshold(p), None, "p {p}");
-        }
-
         // The crossover's sign mask takes parent `a` exactly when
         // `gen_bool(0.5)` comes up true.
         let signs = [0, 1 << 63, (1 << 63) - 1, u64::MAX, 1 << 62];
@@ -1207,30 +1228,5 @@ mod tests {
                 assert_eq!(reused_count, reused_terms as u64);
             }
         }
-    }
-
-    #[test]
-    fn best_ever_survives_even_without_elitism() {
-        // With elitism 0 the best individual can be bred away from the
-        // population, but the outcome still reports the best ever seen.
-        let ga = GeneticAlgorithm::new(GaConfig {
-            elitism: 0,
-            mutation_rate: 1.0,
-            mutation_sigma: 2.0,
-            ..GaConfig::tiny(13)
-        });
-        let out = ga.run(
-            4,
-            |rng, i| {
-                if i == 0 {
-                    vec![0.7; 4]
-                } else {
-                    (0..4).map(|_| rng.gen()).collect()
-                }
-            },
-            sphere,
-        );
-        assert!(out.best_fitness < 1e-12);
-        assert_eq!(out.best_genes, vec![0.7; 4]);
     }
 }

@@ -45,13 +45,17 @@ pub enum SearchEngine {
     Reference,
 }
 
-/// Configuration of the complete two-level search.
+/// Configuration of the complete two-level search.  Each level's GA takes
+/// its budget and seed from here and its operators from the level (see
+/// [`GaConfig`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SearchConfig {
-    /// Hyper-parameters of the first-level GA (accelerator sets, designs,
+    /// Budget and seed of the first-level GA (accelerator sets, designs,
     /// workload allocation).
     pub first_level: GaConfig,
-    /// Hyper-parameters of the second-level GA (per-layer strategies).
+    /// Budget and seed of the second-level GA (per-layer strategies); each
+    /// second-level search mixes its (set, design, layer range) into the
+    /// seed.
     pub second_level: GaConfig,
     /// Which engine runs the search.
     pub engine: SearchEngine,
@@ -632,7 +636,7 @@ impl<'a> Mars<'a> {
         let layout = SecondLevelGenome::new(compute_layers.len());
         let mut seed_hasher = DefaultHasher::new();
         key.hash(&mut seed_hasher);
-        let ga = GeneticAlgorithm::new(GaConfig {
+        let ga = GeneticAlgorithm::second_level(GaConfig {
             seed: self.config.second_level.seed ^ seed_hasher.finish(),
             ..self.config.second_level
         });
@@ -962,7 +966,7 @@ impl<'a> Mars<'a> {
         let layout = SecondLevelGenome::new(compute_layers.len());
         let mut seed_hasher = DefaultHasher::new();
         key.hash(&mut seed_hasher);
-        let ga = GeneticAlgorithm::new(GaConfig {
+        let ga = GeneticAlgorithm::second_level(GaConfig {
             seed: self.config.second_level.seed ^ seed_hasher.finish(),
             ..self.config.second_level
         });

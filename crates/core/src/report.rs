@@ -202,7 +202,7 @@ mod tests {
             outer: crate::GaConfig {
                 population: 4,
                 generations: 1,
-                ..crate::GaConfig::tiny(1)
+                ..crate::GaConfig::first_level(1)
             },
             ..crate::scheduler::CoScheduleConfig::fast(1)
         };

@@ -54,6 +54,9 @@ pub use mars_model::Workload;
 pub enum CoScheduleError {
     /// No workloads were given.
     NoWorkloads,
+    /// The catalog holds no accelerator design, so no accelerator can be
+    /// configured.
+    EmptyCatalog,
     /// More workloads than accelerators: disjoint non-empty partitions are
     /// impossible.
     TooManyWorkloads {
@@ -87,23 +90,13 @@ pub enum CoScheduleError {
         /// The largest per-accelerator capacity the platform offers, bytes.
         capacity_bytes: u64,
     },
-    /// A GA hyper-parameter is out of range: a `mutation_sigma` that is
-    /// negative or not finite, or a `mutation_rate` or `crossover_rate`
-    /// outside `[0, 1]`.
-    InvalidGaConfig {
-        /// Which GA: `outer`, `inner.first_level` or `inner.second_level`.
-        ga: &'static str,
-        /// The offending field.
-        field: &'static str,
-        /// The rejected value.
-        value: f64,
-    },
 }
 
 impl std::fmt::Display for CoScheduleError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             CoScheduleError::NoWorkloads => write!(f, "no workloads to schedule"),
+            CoScheduleError::EmptyCatalog => write!(f, "the catalog holds no accelerator design"),
             CoScheduleError::TooManyWorkloads {
                 workloads,
                 accelerators,
@@ -126,9 +119,6 @@ impl std::fmt::Display for CoScheduleError {
                 "workload {workload} needs {demand_bytes} B resident memory per accelerator, \
                  but the tightest usable accelerator offers only {capacity_bytes} B"
             ),
-            CoScheduleError::InvalidGaConfig { ga, field, value } => {
-                write!(f, "{ga} GA has invalid {field} {value}")
-            }
         }
     }
 }
@@ -249,22 +239,17 @@ impl WarmStart {
 /// Configuration of the co-schedule search.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CoScheduleConfig {
-    /// Hyper-parameters of the outer GA over partition assignments.
-    ///
-    /// Its `seed` field is **ignored**: [`CoScheduleConfig::seed`] is the
-    /// single master seed of the whole co-schedule and overrides it, so the
-    /// outer GA and every derived inner-search seed stay consistent.
+    /// Budget of the outer GA over partition assignments.  Its
+    /// [`seed`](GaConfig::seed) is the master seed of the whole co-schedule:
+    /// it seeds the outer GA and derives every per-workload inner-search
+    /// seed.
     pub outer: GaConfig,
     /// Budget template for the inner per-workload searches.  Each workload's
-    /// search reseeds this template deterministically from
-    /// [`CoScheduleConfig::seed`] and its workload index; the inner searches
-    /// always run serially because they already execute *inside* the outer
-    /// GA's worker threads.
+    /// search replaces this template's seeds with ones derived from the
+    /// master seed (`outer.seed`) and its workload index; inside the outer
+    /// GA the inner searches run serially, because they already execute on
+    /// the outer GA's worker threads.
     pub inner: SearchConfig,
-    /// Master seed of the whole co-schedule: seeds the outer GA (overriding
-    /// [`GaConfig::seed`] in [`CoScheduleConfig::outer`]) and derives every
-    /// per-workload inner-search seed.
-    pub seed: u64,
     /// Optional incumbent placement to warm-start from — see
     /// [`CoScheduleConfig::warm_start`].
     pub warm: Option<WarmStart>,
@@ -280,7 +265,6 @@ impl CoScheduleConfig {
                 ..GaConfig::first_level(seed)
             },
             inner: SearchConfig::fast(seed),
-            seed,
             warm: None,
         }
     }
@@ -294,7 +278,6 @@ impl CoScheduleConfig {
                 ..GaConfig::first_level(seed)
             },
             inner: SearchConfig::fast(seed),
-            seed,
             warm: None,
         }
     }
@@ -590,9 +573,9 @@ type InnerCache = OnceCache<InnerKey, Arc<SearchResult>>;
 ///
 /// **Soundness**: a cached value is a pure function of the key plus the
 /// network list, the catalog, the inner budget ([`CoScheduleConfig::inner`])
-/// and the master seed ([`CoScheduleConfig::seed`]); so is every memo
-/// entry, and every inner search of one workload has the same second-level
-/// seed.  One cache therefore serves every sub-topology of one platform,
+/// and the master seed (the seed of [`CoScheduleConfig::outer`]); so is
+/// every memo entry, and every inner search of one workload has the same
+/// second-level seed.  One cache therefore serves every sub-topology of one platform,
 /// for one network list (the SLA weights, batches and memory demands may
 /// change), one catalog, one inner budget and one master seed.  Reusing it
 /// after any of those change would silently serve stale results — create a
@@ -686,7 +669,7 @@ impl<'a> InnerSearches<'a> {
         // Deterministic per-workload seeds; the subset does not enter the
         // seed, so the same workload explores consistently across candidate
         // partitions, and equal cache keys give bit-identical results.
-        let seed = genome_stream_seed(self.config.seed, 0x5eed, w as u64);
+        let seed = genome_stream_seed(self.config.outer.seed, 0x5eed, w as u64);
         let mut inner = self.config.inner;
         inner.first_level.seed = seed;
         inner.second_level.seed = seed.wrapping_add(1);
@@ -710,12 +693,14 @@ fn check_inputs(
     workloads: &[Workload],
     topo: &Topology,
     catalog: &Catalog,
-    config: &CoScheduleConfig,
 ) -> Result<(), CoScheduleError> {
     let k = workloads.len();
     let n = topo.len();
     if k == 0 {
         return Err(CoScheduleError::NoWorkloads);
+    }
+    if catalog.is_empty() {
+        return Err(CoScheduleError::EmptyCatalog);
     }
     if k > n {
         return Err(CoScheduleError::TooManyWorkloads {
@@ -732,24 +717,6 @@ fn check_inputs(
         }
         if w.batch == 0 {
             return Err(CoScheduleError::InvalidBatch { workload: i });
-        }
-    }
-    for (ga, cfg) in [
-        ("outer", &config.outer),
-        ("inner.first_level", &config.inner.first_level),
-        ("inner.second_level", &config.inner.second_level),
-    ] {
-        let invalid = |field, value| CoScheduleError::InvalidGaConfig { ga, field, value };
-        if !(cfg.mutation_sigma.is_finite() && cfg.mutation_sigma >= 0.0) {
-            return Err(invalid("mutation_sigma", cfg.mutation_sigma));
-        }
-        for (field, rate) in [
-            ("mutation_rate", cfg.mutation_rate),
-            ("crossover_rate", cfg.crossover_rate),
-        ] {
-            if !(0.0..=1.0).contains(&rate) {
-                return Err(invalid(field, rate));
-            }
         }
     }
     let best = topo
@@ -790,9 +757,9 @@ fn usable_capacity(topo: &Topology, catalog: &Catalog, a: AccelId) -> u64 {
 ///
 /// # Errors
 ///
-/// Rejects empty workload lists, more workloads than accelerators,
-/// non-positive weights or batches, memory demands no accelerator can hold
-/// and out-of-range GA hyper-parameters — see [`CoScheduleError`].
+/// Rejects empty workload lists, an empty catalog, more workloads than
+/// accelerators, non-positive weights or batches and memory demands no
+/// accelerator can hold — see [`CoScheduleError`].
 ///
 /// ```no_run
 /// use mars_accel::Catalog;
@@ -848,7 +815,7 @@ pub fn co_schedule_cached(
     shared: &InnerSearchCache,
 ) -> Result<CoScheduleResult, CoScheduleError> {
     let start = Instant::now();
-    check_inputs(workloads, topo, catalog, config)?;
+    check_inputs(workloads, topo, catalog)?;
     let k = workloads.len();
     let n = topo.len();
     let ids: Vec<AccelId> = topo.accelerators().collect();
@@ -905,11 +872,7 @@ pub fn co_schedule_cached(
         .as_ref()
         .map_or_else(Vec::new, |w| w.seed_genomes(k, n));
 
-    let outcome = GeneticAlgorithm::new(GaConfig {
-        seed: config.seed,
-        ..config.outer
-    })
-    .run(
+    let outcome = GeneticAlgorithm::new(config.outer).run(
         layout.len(),
         |rng, i| match i {
             0 => layout.greedy_seed(&demands),
@@ -1007,7 +970,7 @@ pub fn sequential_exclusive(
     config: &CoScheduleConfig,
     cache: &InnerSearchCache,
 ) -> Result<SequentialBaseline, CoScheduleError> {
-    check_inputs(workloads, topo, catalog, config)?;
+    check_inputs(workloads, topo, catalog)?;
     let ids: Vec<AccelId> = topo.accelerators().collect();
     let searches = InnerSearches::new(workloads, topo, catalog, config, cache);
     let mut order: Vec<usize> = (0..workloads.len()).collect();
@@ -1064,7 +1027,7 @@ mod tests {
             outer: GaConfig {
                 population: 4,
                 generations: 2,
-                ..GaConfig::tiny(seed)
+                ..GaConfig::first_level(seed)
             },
             ..CoScheduleConfig::fast(seed)
         }
@@ -1179,85 +1142,24 @@ mod tests {
         assert_eq!(cache.searches_run(), 0);
     }
 
-    /// `co_schedule` with `edit` applied to a valid config.  Two workloads,
-    /// so the outer GA has rank genes to compare: with one, a NaN outer gene
-    /// is never compared and the search used to finish anyway.
-    fn co_schedule_with(edit: impl FnOnce(&mut CoScheduleConfig)) -> CoScheduleError {
-        let mut cfg = tiny_config(1);
-        edit(&mut cfg);
-        co_schedule(
-            &two_small_workloads(),
-            &presets::single_group(4, 8.0, 2.0),
-            &Catalog::standard_three(),
-            &cfg,
-        )
-        .unwrap_err()
-    }
-
     #[test]
-    fn outer_mutation_sigma_that_is_not_finite_and_non_negative_is_a_typed_error() {
-        for sigma in [f64::NAN, f64::INFINITY, -0.1] {
-            let err = co_schedule_with(|c| c.outer.mutation_sigma = sigma);
-            assert!(
-                matches!(
-                    err,
-                    CoScheduleError::InvalidGaConfig {
-                        ga: "outer",
-                        field: "mutation_sigma",
-                        value,
-                    } if value.to_bits() == sigma.to_bits()
-                ),
-                "sigma {sigma}: got {err:?}"
-            );
-        }
-    }
-
-    #[test]
-    fn nan_inner_mutation_sigma_is_a_typed_error() {
-        let err = co_schedule_with(|c| c.inner.first_level.mutation_sigma = f64::NAN);
-        assert!(
-            matches!(
-                err,
-                CoScheduleError::InvalidGaConfig {
-                    ga: "inner.first_level",
-                    field: "mutation_sigma",
-                    ..
-                }
-            ),
-            "got {err:?}"
-        );
-    }
-
-    #[test]
-    fn ga_rates_outside_zero_one_are_typed_errors() {
+    fn co_schedule_rejects_an_empty_catalog() {
+        let workloads = [Workload::new(zoo::alexnet(1000))];
+        let topo = presets::f1_16xlarge();
         assert_eq!(
-            co_schedule_with(|c| c.outer.crossover_rate = 1.5),
-            CoScheduleError::InvalidGaConfig {
-                ga: "outer",
-                field: "crossover_rate",
-                value: 1.5,
-            }
+            co_schedule(&workloads, &topo, &Catalog::new(), &tiny_config(1)).unwrap_err(),
+            CoScheduleError::EmptyCatalog
         );
-        assert_eq!(
-            co_schedule_with(|c| c.inner.second_level.mutation_rate = -0.25),
-            CoScheduleError::InvalidGaConfig {
-                ga: "inner.second_level",
-                field: "mutation_rate",
-                value: -0.25,
-            }
-        );
-        let err = co_schedule_with(|c| c.inner.first_level.crossover_rate = f64::NAN);
-        assert!(
-            matches!(
-                err,
-                CoScheduleError::InvalidGaConfig {
-                    ga: "inner.first_level",
-                    field: "crossover_rate",
-                    ..
-                }
-            ),
-            "got {err:?}"
-        );
+    }
+
+    #[test]
+    fn sequential_exclusive_rejects_an_empty_catalog() {
+        let workloads = [Workload::new(zoo::alexnet(1000))];
+        let topo = presets::f1_16xlarge();
+        let cache = InnerSearchCache::new();
+        let err = sequential_exclusive(&workloads, &topo, &Catalog::new(), &tiny_config(1), &cache);
+        assert_eq!(err.unwrap_err(), CoScheduleError::EmptyCatalog);
+        assert_eq!(cache.searches_run(), 0);
     }
 
     #[test]
@@ -1599,7 +1501,7 @@ mod tests {
             outer: GaConfig {
                 population: 4,
                 generations: 1,
-                ..GaConfig::tiny(9)
+                ..GaConfig::first_level(9)
             },
             ..CoScheduleConfig::fast(9)
         };

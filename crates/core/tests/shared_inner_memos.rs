@@ -76,7 +76,7 @@ fn inner_results_do_not_depend_on_what_the_cache_searched_first() {
                 outer: GaConfig {
                     population: 4,
                     generations: 2,
-                    ..GaConfig::tiny(5)
+                    ..GaConfig::first_level(5)
                 },
                 ..CoScheduleConfig::fast(5)
             }

@@ -8,7 +8,6 @@
 //! algorithm maps *contiguous* runs of that order onto accelerator sets.
 
 use crate::layer::{Layer, LayerKind};
-use crate::tensor::FeatureMap;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -210,12 +209,6 @@ impl Network {
         self.layers.iter().map(Layer::param_count).sum()
     }
 
-    /// The activation shape flowing along edge `(from, to)`, i.e. the output
-    /// shape of `from`.  Returns `None` when `from` does not exist.
-    pub fn edge_activation(&self, from: LayerId) -> Option<FeatureMap> {
-        self.layer(from).map(Layer::output_shape)
-    }
-
     /// Validates structural invariants: non-empty, every edge endpoint exists
     /// and points forward.
     ///
@@ -360,6 +353,7 @@ pub fn kind_histogram(net: &Network) -> std::collections::BTreeMap<&'static str,
 mod tests {
     use super::*;
     use crate::layer::{ConvParams, DenseParams, NormActParams};
+    use crate::tensor::FeatureMap;
 
     fn conv(c_out: usize, c_in: usize, hw: usize) -> Layer {
         Layer::new(
@@ -480,14 +474,6 @@ mod tests {
         let h = kind_histogram(&net);
         assert_eq!(h["conv"], 2);
         assert_eq!(h["dense"], 1);
-    }
-
-    #[test]
-    fn edge_activation_is_producer_output() {
-        let mut net = Network::new("t");
-        let a = net.add_layer(conv(16, 3, 32));
-        assert_eq!(net.edge_activation(a), Some(FeatureMap::new(16, 32, 32)));
-        assert_eq!(net.edge_activation(LayerId(9)), None);
     }
 
     #[test]

@@ -155,11 +155,6 @@ impl DimSet {
     pub fn intersection(self, other: DimSet) -> DimSet {
         DimSet(self.0 & other.0)
     }
-
-    /// `true` if the two sets share no dimension.
-    pub fn is_disjoint(self, other: DimSet) -> bool {
-        self.0 & other.0 == 0
-    }
 }
 
 impl FromIterator<Dim> for DimSet {
@@ -297,8 +292,7 @@ mod tests {
         let b = DimSet::from_dims([Dim::W, Dim::Cout]);
         assert_eq!(a.union(b).len(), 3);
         assert_eq!(a.intersection(b).len(), 1);
-        assert!(!a.is_disjoint(b));
-        assert!(a.is_disjoint(DimSet::from_dims([Dim::Kh])));
+        assert!(a.intersection(DimSet::from_dims([Dim::Kh])).is_empty());
     }
 
     #[test]

@@ -116,11 +116,6 @@ impl FeatureMap {
         self.elements() * BYTES_PER_ELEMENT
     }
 
-    /// Returns a copy with the channel count replaced.
-    pub fn with_channels(self, channels: usize) -> Self {
-        Self { channels, ..self }
-    }
-
     /// Returns a copy downsampled spatially by `factor` (ceiling division),
     /// as produced by a strided convolution or pooling layer.
     pub fn downsampled(self, factor: usize) -> Self {
@@ -178,13 +173,6 @@ mod tests {
         let d = fm.downsampled(2);
         assert_eq!((d.height, d.width), (28, 28));
         assert_eq!(d.channels, 64);
-    }
-
-    #[test]
-    fn feature_map_with_channels() {
-        let fm = FeatureMap::new(64, 56, 56).with_channels(128);
-        assert_eq!(fm.channels, 128);
-        assert_eq!(fm.height, 56);
     }
 
     #[test]

@@ -26,10 +26,7 @@ pub use classic::{alexnet, vgg16};
 pub use hetero::{casia_surf_like, facebagnet_like};
 pub use llm::{llm_mix, LlmSpec, LlmWorkload};
 pub use mix::{bert_ish, FleetSpec, MixZoo};
-pub use resnet::{
-    resnet101, resnet18, resnet34, resnet50, wide_resnet50_2, BasicBlockConfig, BottleneckConfig,
-    ResNetBuilder,
-};
+pub use resnet::{resnet101, resnet18, resnet34, resnet50, wide_resnet50_2};
 
 use crate::Network;
 

@@ -13,36 +13,33 @@ use crate::layer::{
 use crate::tensor::FeatureMap;
 
 /// Configuration of one stage of basic (two 3×3 convolution) residual blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BasicBlockConfig {
+struct BasicBlockConfig {
     /// Output channels of every block in the stage.
-    pub channels: usize,
+    channels: usize,
     /// Number of blocks.
-    pub blocks: usize,
+    blocks: usize,
     /// Stride of the first block (2 for a down-sampling stage).
-    pub stride: usize,
+    stride: usize,
 }
 
 /// Configuration of one stage of bottleneck (1×1 → 3×3 → 1×1) residual blocks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BottleneckConfig {
+struct BottleneckConfig {
     /// Channels of the inner 3×3 convolution.
-    pub mid_channels: usize,
+    mid_channels: usize,
     /// Output channels of the block (the 1×1 expansion).
-    pub out_channels: usize,
+    out_channels: usize,
     /// Number of blocks.
-    pub blocks: usize,
+    blocks: usize,
     /// Stride of the first block.
-    pub stride: usize,
+    stride: usize,
 }
 
-/// Incremental residual-network builder.
+/// Incremental residual-network builder behind the constructors below.
 ///
 /// Tracks the current tail layer and activation shape, and provides block- and
-/// stage-level push operations.  Used by the concrete constructors below and
-/// available for user-defined residual variants.
+/// stage-level push operations.
 #[derive(Debug)]
-pub struct ResNetBuilder {
+struct ResNetBuilder {
     net: Network,
     tail: LayerId,
     shape: FeatureMap,
@@ -51,7 +48,7 @@ pub struct ResNetBuilder {
 impl ResNetBuilder {
     /// Starts a residual network with the standard 7×7/stride-2 stem and
     /// 3×3/stride-2 max pooling, for a `224×224×3` input.
-    pub fn with_stem(name: impl Into<String>) -> Self {
+    fn with_stem(name: impl Into<String>) -> Self {
         let mut net = Network::new(name);
         let stem_conv = ConvParams::new(64, 3, 112, 112, 7, 2);
         let conv1 = net.add_layer(Layer::new("conv1", LayerKind::Conv(stem_conv)));
@@ -100,11 +97,6 @@ impl ResNetBuilder {
         }
     }
 
-    /// Current activation shape at the tail of the network.
-    pub fn shape(&self) -> FeatureMap {
-        self.shape
-    }
-
     fn push(&mut self, layer: Layer) -> LayerId {
         let id = self
             .net
@@ -131,7 +123,7 @@ impl ResNetBuilder {
     }
 
     /// Appends one basic residual block (two 3×3 convolutions).
-    pub fn basic_block(&mut self, name: &str, channels: usize, stride: usize) {
+    fn basic_block(&mut self, name: &str, channels: usize, stride: usize) {
         let entry = self.tail;
         let in_shape = self.shape;
         let h_out = in_shape.height / stride;
@@ -202,7 +194,7 @@ impl ResNetBuilder {
     }
 
     /// Appends one bottleneck residual block (1×1 → 3×3 → 1×1 convolutions).
-    pub fn bottleneck_block(
+    fn bottleneck_block(
         &mut self,
         name: &str,
         mid_channels: usize,
@@ -290,7 +282,7 @@ impl ResNetBuilder {
     }
 
     /// Appends a stage of basic blocks.
-    pub fn basic_stage(&mut self, stage_name: &str, cfg: BasicBlockConfig) {
+    fn basic_stage(&mut self, stage_name: &str, cfg: BasicBlockConfig) {
         for b in 0..cfg.blocks {
             let stride = if b == 0 { cfg.stride } else { 1 };
             self.basic_block(&format!("{stage_name}_{b}"), cfg.channels, stride);
@@ -298,7 +290,7 @@ impl ResNetBuilder {
     }
 
     /// Appends a stage of bottleneck blocks.
-    pub fn bottleneck_stage(&mut self, stage_name: &str, cfg: BottleneckConfig) {
+    fn bottleneck_stage(&mut self, stage_name: &str, cfg: BottleneckConfig) {
         for b in 0..cfg.blocks {
             let stride = if b == 0 { cfg.stride } else { 1 };
             self.bottleneck_block(
@@ -312,7 +304,7 @@ impl ResNetBuilder {
 
     /// Appends global average pooling and the final classifier, then returns
     /// the finished network.
-    pub fn finish_with_classifier(mut self, classes: usize) -> Network {
+    fn finish_with_classifier(mut self, classes: usize) -> Network {
         let shape = self.shape;
         self.push(Layer::new(
             "avgpool",
@@ -329,11 +321,6 @@ impl ResNetBuilder {
             "fc",
             LayerKind::Dense(DenseParams::new(classes, shape.channels)),
         ));
-        self.net
-    }
-
-    /// Returns the network as built so far (no classifier head).
-    pub fn finish(self) -> Network {
         self.net
     }
 }

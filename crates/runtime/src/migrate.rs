@@ -98,7 +98,7 @@ mod tests {
             outer: GaConfig {
                 population: 4,
                 generations: 1,
-                ..GaConfig::tiny(seed)
+                ..GaConfig::first_level(seed)
             },
             ..CoScheduleConfig::fast(seed)
         }

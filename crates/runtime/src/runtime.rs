@@ -22,7 +22,8 @@
 //! Everything is a pure function of `(workloads, topo, catalog, scenario,
 //! trace, policy, config)`: co-schedules are thread-count-invariant, the
 //! simulator and monitor are single-threaded pure state machines, and all
-//! seeds derive from [`CoScheduleConfig::seed`] — so the whole
+//! seeds derive from the schedule's master seed (`outer.seed` of
+//! [`CoScheduleConfig::outer`]) — so the whole
 //! [`ElasticReport`] is bit-identical across `MARS_THREADS` values and
 //! repeat runs.
 

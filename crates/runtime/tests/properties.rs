@@ -25,7 +25,7 @@ fn tiny_schedule(seed: u64) -> CoScheduleConfig {
         outer: GaConfig {
             population: 4,
             generations: 1,
-            ..GaConfig::tiny(seed)
+            ..GaConfig::first_level(seed)
         },
         ..CoScheduleConfig::fast(seed)
     }
@@ -450,6 +450,34 @@ fn overlong_horizon_is_rejected_before_any_search() {
             horizon: 500_001.0,
             max: 500_000.0
         })
+    );
+    assert_eq!(cache.searches_run(), 0);
+}
+
+/// A catalog with no design is the co-scheduler's typed error, passed
+/// through before any search runs.
+#[test]
+fn empty_catalog_is_a_typed_schedule_error() {
+    use mars_core::CoScheduleError;
+    use mars_runtime::ElasticError;
+    let workloads = small_workloads();
+    let topo = presets::f1_16xlarge();
+    let scenario = PhasedTraffic::stationary(vec![TrafficProfile::new(50.0, 5.0); 2], 1.0);
+    let trace = Trace::phased(&scenario, 3).unwrap();
+    let cache = InnerSearchCache::new();
+    let result = run_elastic_with_cache(
+        &workloads,
+        &topo,
+        &Catalog::new(),
+        &scenario,
+        &trace,
+        RuntimePolicy::Reactive,
+        &RuntimeConfig::new(tiny_schedule(1)),
+        &cache,
+    );
+    assert_eq!(
+        result,
+        Err(ElasticError::Schedule(CoScheduleError::EmptyCatalog))
     );
     assert_eq!(cache.searches_run(), 0);
 }

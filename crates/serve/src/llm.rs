@@ -990,8 +990,7 @@ mod tests {
         }
     }
 
-    /// Zero batch slots would admit nothing: rejected like a zero CNN
-    /// `max_batch`.
+    /// Zero batch slots would admit nothing: a typed error.
     #[test]
     fn zero_batch_slots_are_rejected() {
         let mut spec = llm_mix();

@@ -23,7 +23,7 @@ use crate::lanes::{Lanes, ServeLane};
 use crate::sim::{
     percentile_triple_ms, validate, validate_placements, validate_sla_factors, BatchEvent,
     DispatchPolicy, FaultPolicy, Lane, LaneSnapshot, ServeConfig, ServeError, ServeReport,
-    SimSnapshot, WorkloadServeStats,
+    SimSnapshot, WorkloadServeStats, BATCH_TIMEOUT_SECONDS, DISPATCH_OVERHEAD_FACTOR, MAX_BATCH,
 };
 use crate::trace::Trace;
 use mars_core::CoScheduleResult;
@@ -73,16 +73,16 @@ impl LaneState {
             }
             self.enqueue_next();
         }
-        let overhead = config.dispatch_overhead_factor * self.latency;
+        let overhead = DISPATCH_OVERHEAD_FACTOR * self.latency;
         loop {
             let head = self.queue[0];
             let head_arrival = self.arrivals[head];
-            let b_now = self.queue.len().min(config.max_batch);
+            let b_now = self.queue.len().min(MAX_BATCH);
             let cost_now = overhead + b_now as f64 * self.latency;
-            let fill = if self.queue.len() >= config.max_batch {
-                self.arrivals[self.queue[config.max_batch - 1]]
+            let fill = if self.queue.len() >= MAX_BATCH {
+                self.arrivals[self.queue[MAX_BATCH - 1]]
             } else {
-                let need = config.max_batch - self.queue.len();
+                let need = MAX_BATCH - self.queue.len();
                 match self.arrivals.get(self.next.saturating_add(need - 1)) {
                     Some(&a) => a,
                     None => f64::INFINITY,
@@ -90,7 +90,7 @@ impl LaneState {
             };
             let slack = 1.0 + config.deadline_slack_factor;
             let policy_t = match config.policy {
-                DispatchPolicy::Fifo => head_arrival + config.batch_timeout_seconds,
+                DispatchPolicy::Fifo => head_arrival + BATCH_TIMEOUT_SECONDS,
                 DispatchPolicy::EarliestDeadline => self.deadlines[head] - cost_now * slack,
                 DispatchPolicy::SlaWeighted => {
                     self.deadlines[head] - cost_now * (self.weight.max(1.0) * slack)
@@ -107,10 +107,10 @@ impl LaneState {
         }
     }
 
-    fn dispatch(&mut self, config: &ServeConfig, horizon: f64, start: f64) -> BatchEvent {
-        let overhead = config.dispatch_overhead_factor * self.latency;
+    fn dispatch(&mut self, horizon: f64, start: f64) -> BatchEvent {
+        let overhead = DISPATCH_OVERHEAD_FACTOR * self.latency;
         let mut batch: Vec<usize> = Vec::new();
-        while batch.len() < config.max_batch
+        while batch.len() < MAX_BATCH
             && self
                 .queue
                 .front()
@@ -326,7 +326,7 @@ impl SimState {
     fn dispatch_lane(&mut self, w: usize, start: f64) -> BatchEvent {
         let lane = &mut self.lanes[w];
         let before = lane.busy;
-        let event = lane.dispatch(&self.config, self.horizon, start);
+        let event = lane.dispatch(self.horizon, start);
         let delta = lane.busy - before;
         for &a in &lane.accels {
             *self.accel_busy.entry(a).or_insert(0.0) += delta;

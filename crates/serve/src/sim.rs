@@ -10,15 +10,17 @@
 //! cost(b) = overhead + b × L        where L = placement per-inference latency
 //! ```
 //!
-//! with `overhead = dispatch_overhead_factor × L` modelling the per-dispatch
-//! reconfiguration/weight-staging cost of the partition — the term that makes
-//! dynamic batching worthwhile (bigger batches amortise it) and late
-//! batching risky (requests age while the batch fills).
+//! with `overhead = DISPATCH_OVERHEAD_FACTOR × L` (one inference's worth)
+//! modelling the per-dispatch reconfiguration/weight-staging cost of the
+//! partition — the term that makes dynamic batching worthwhile (bigger
+//! batches amortise it) and late batching risky (requests age while the
+//! batch fills).  A batch carries at most `MAX_BATCH` = 8 requests.
 //!
 //! The [`DispatchPolicy`] decides *when* a waiting batch launches:
 //!
 //! * [`Fifo`](DispatchPolicy::Fifo) — launch when the batch is full or the
-//!   oldest request has waited `batch_timeout_seconds`, deadline-blind.
+//!   oldest request has waited `BATCH_TIMEOUT_SECONDS` (10 ms),
+//!   deadline-blind.
 //! * [`EarliestDeadline`](DispatchPolicy::EarliestDeadline) — keep
 //!   accumulating until the last instant the oldest deadline can still be
 //!   met (`deadline − cost(b)`), then launch.
@@ -111,20 +113,22 @@ impl std::fmt::Display for FaultPolicy {
     }
 }
 
-/// Knobs of the serving simulation.
+/// Largest batch a single dispatch may carry.
+pub(crate) const MAX_BATCH: usize = 8;
+/// FIFO's accumulation window, in seconds: the oldest request never waits
+/// longer than this before its batch launches (subject to the server being
+/// free).
+pub(crate) const BATCH_TIMEOUT_SECONDS: f64 = 0.010;
+/// Per-dispatch overhead in units of the placement's per-inference latency.
+pub(crate) const DISPATCH_OVERHEAD_FACTOR: f64 = 1.0;
+
+/// Knobs of the serving simulation.  The batch cap (8), FIFO's window
+/// (10 ms) and the dispatch overhead (one inference's latency) are constants
+/// of the engine.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ServeConfig {
     /// Dispatch policy of every workload's batcher.
     pub policy: DispatchPolicy,
-    /// Largest batch a single dispatch may carry.
-    pub max_batch: usize,
-    /// FIFO's accumulation window: the oldest request never waits longer
-    /// than this before its batch launches (subject to the server being
-    /// free).
-    pub batch_timeout_seconds: f64,
-    /// Per-dispatch overhead in units of the placement's per-inference
-    /// latency.
-    pub dispatch_overhead_factor: f64,
     /// Extra launch margin for the deadline-aware policies, as a fraction of
     /// the batch cost: EDF/SLA-weighted launch at
     /// `deadline − cost(b) × (margin + slack)` instead of the bare
@@ -140,35 +144,12 @@ pub struct ServeConfig {
 }
 
 impl ServeConfig {
-    /// The default serving knobs with the given policy: batches of up to 8,
-    /// a 10 ms FIFO window, one inference-equivalent of dispatch overhead,
-    /// zero deadline slack.
+    /// The serving knobs with the given policy and zero deadline slack.
     pub fn new(policy: DispatchPolicy) -> Self {
         Self {
             policy,
-            max_batch: 8,
-            batch_timeout_seconds: 0.010,
-            dispatch_overhead_factor: 1.0,
             deadline_slack_factor: 0.0,
         }
-    }
-
-    /// Sets the maximum batch size.
-    pub fn with_max_batch(mut self, max_batch: usize) -> Self {
-        self.max_batch = max_batch;
-        self
-    }
-
-    /// Sets FIFO's accumulation window in seconds.
-    pub fn with_batch_timeout(mut self, seconds: f64) -> Self {
-        self.batch_timeout_seconds = seconds;
-        self
-    }
-
-    /// Sets the per-dispatch overhead factor.
-    pub fn with_dispatch_overhead(mut self, factor: f64) -> Self {
-        self.dispatch_overhead_factor = factor;
-        self
     }
 
     /// Sets the deadline-aware launch slack (see
@@ -201,7 +182,7 @@ pub enum ServeError {
     },
     /// The trace's horizon is not a positive finite number.
     InvalidHorizon(f64),
-    /// `max_batch` (for LLM lanes: `max_batch_slots`) is zero.
+    /// An LLM spec's `max_batch_slots` is zero.
     ZeroMaxBatch,
     /// A knob that must be non-negative and finite is not.
     InvalidKnob {
@@ -262,7 +243,7 @@ impl std::fmt::Display for ServeError {
                 "shape mismatch: {placements} placements, {profiles} profiles, {streams} trace streams"
             ),
             ServeError::InvalidHorizon(h) => write!(f, "invalid horizon {h}"),
-            ServeError::ZeroMaxBatch => write!(f, "max_batch must be at least 1"),
+            ServeError::ZeroMaxBatch => write!(f, "max_batch_slots must be at least 1"),
             ServeError::InvalidKnob { knob, value } => {
                 write!(f, "invalid {knob}: {value}")
             }
@@ -549,21 +530,21 @@ impl Lane {
                 _ => return None,
             }
         }
-        let overhead = config.dispatch_overhead_factor * self.latency;
+        let overhead = DISPATCH_OVERHEAD_FACTOR * self.latency;
         loop {
             let head = self.arena.head().expect("queue non-empty");
             let head_arrival = self.arena.arrival(head);
             let q_len = self.arena.queue_len();
-            let b_now = q_len.min(config.max_batch);
+            let b_now = q_len.min(MAX_BATCH);
             // `cost(b_now)`: what launching right now would take.
             let cost_now = overhead + b_now as f64 * self.latency;
             // Instant the batch fills from arrivals already known to come.
-            let fill = if q_len >= config.max_batch {
+            let fill = if q_len >= MAX_BATCH {
                 // Full already: ready the moment its newest member arrived.
-                self.arena.arrival(self.arena.queued(config.max_batch - 1))
+                self.arena.arrival(self.arena.queued(MAX_BATCH - 1))
             } else {
-                // need >= 1 here, and huge max_batch values must saturate.
-                let need = config.max_batch - q_len;
+                // need >= 1 here.
+                let need = MAX_BATCH - q_len;
                 self.arena
                     .lookahead_arrival(need - 1)
                     .unwrap_or(f64::INFINITY)
@@ -572,7 +553,7 @@ impl Lane {
             // `cost(b)` / `cost(b) × weight` last-safe-instant expressions.
             let slack = 1.0 + config.deadline_slack_factor;
             let policy_t = match config.policy {
-                DispatchPolicy::Fifo => head_arrival + config.batch_timeout_seconds,
+                DispatchPolicy::Fifo => head_arrival + BATCH_TIMEOUT_SECONDS,
                 DispatchPolicy::EarliestDeadline => self.arena.deadline(head) - cost_now * slack,
                 // Heavier SLA weight → larger margin before the deadline.
                 DispatchPolicy::SlaWeighted => {
@@ -598,10 +579,10 @@ impl Lane {
     /// and the busy time of the lane's accelerators, and records it.
     /// Allocation-free: the batch is the arena's in-flight span.
     fn dispatch(&mut self, env: &mut Env<ServeConfig>, start: f64) -> BatchEvent {
-        let (config, horizon) = (&env.knobs, env.horizon);
+        let horizon = env.horizon;
         let before = self.busy;
-        let overhead = config.dispatch_overhead_factor * self.latency;
-        let size = self.arena.take_batch(start, config.max_batch);
+        let overhead = DISPATCH_OVERHEAD_FACTOR * self.latency;
+        let size = self.arena.take_batch(start, MAX_BATCH);
         // Parenthesised as cost-then-add: bit-compatible with the original
         // loop's `start + cost(b)` (associativity changes here would flip
         // borderline deadline comparisons).
@@ -1262,17 +1243,12 @@ pub(crate) fn validate(
         });
     }
     check_horizon(trace.horizon_seconds)?;
-    if config.max_batch == 0 {
-        return Err(ServeError::ZeroMaxBatch);
-    }
-    for (knob, value) in [
-        ("batch_timeout_seconds", config.batch_timeout_seconds),
-        ("dispatch_overhead_factor", config.dispatch_overhead_factor),
-        ("deadline_slack_factor", config.deadline_slack_factor),
-    ] {
-        if !(value >= 0.0 && value.is_finite()) {
-            return Err(ServeError::InvalidKnob { knob, value });
-        }
+    let slack = config.deadline_slack_factor;
+    if !(slack >= 0.0 && slack.is_finite()) {
+        return Err(ServeError::InvalidKnob {
+            knob: "deadline_slack_factor",
+            value: slack,
+        });
     }
     validate_service(co, profiles.iter().map(|p| p.sla_factor))?;
     check_streams(trace.horizon_seconds, &trace.arrivals, |_, &t| Ok(t))
@@ -1424,7 +1400,7 @@ mod tests {
             &co,
             &profiles,
             &trace,
-            &ServeConfig::new(DispatchPolicy::Fifo).with_max_batch(4),
+            &ServeConfig::new(DispatchPolicy::Fifo),
         )
         .unwrap();
         // Launches at t=10ms with all 3 requests: cost (1+3)ms, finish 14ms.
@@ -1436,7 +1412,7 @@ mod tests {
             &co,
             &profiles,
             &trace,
-            &ServeConfig::new(DispatchPolicy::EarliestDeadline).with_max_batch(4),
+            &ServeConfig::new(DispatchPolicy::EarliestDeadline),
         )
         .unwrap();
         // First batch launches at t=1ms (deadline 5ms − cost(3)=4ms) with the
@@ -1457,14 +1433,14 @@ mod tests {
             &co_heavy,
             &profiles,
             &trace,
-            &ServeConfig::new(DispatchPolicy::EarliestDeadline).with_max_batch(4),
+            &ServeConfig::new(DispatchPolicy::EarliestDeadline),
         )
         .unwrap();
         let slaw = replay(
             &co_heavy,
             &profiles,
             &trace,
-            &ServeConfig::new(DispatchPolicy::SlaWeighted).with_max_batch(4),
+            &ServeConfig::new(DispatchPolicy::SlaWeighted),
         )
         .unwrap();
         // Double margin → earlier launches → latency no worse, goodput no
@@ -1478,19 +1454,25 @@ mod tests {
     fn full_batches_launch_without_waiting_for_the_timeout() {
         let co = synthetic_co(&[1.0 * MS], &[1.0]);
         let profiles = [TrafficProfile::new(100.0, 50.0)];
-        // Four simultaneous-ish arrivals fill max_batch=2 twice.
-        let trace = trace_of(vec![vec![0.0, 0.1 * MS, 0.2 * MS, 0.3 * MS]], 0.1);
+        // Sixteen arrivals 0.1 ms apart fill the cap of 8 twice.
+        let arrivals: Vec<f64> = (0..16).map(|i| i as f64 * 0.1 * MS).collect();
+        let trace = trace_of(vec![arrivals], 0.1);
         let report = replay(
             &co,
             &profiles,
             &trace,
-            &ServeConfig::new(DispatchPolicy::Fifo).with_max_batch(2),
+            &ServeConfig::new(DispatchPolicy::Fifo),
         )
         .unwrap();
         assert_eq!(report.per_workload[0].batches, 2);
-        assert_eq!(report.completed, 4);
-        // First batch starts when request 1 arrives (0.1ms), costs 3ms.
-        assert!((report.per_workload[0].busy_seconds - 6.0 * MS).abs() < 1e-12);
+        assert_eq!(report.completed, 16);
+        // Each full batch costs (1 + 8) ms.
+        assert!((report.per_workload[0].busy_seconds - 18.0 * MS).abs() < 1e-12);
+        // The first batch starts when request 7 arrives (0.7 ms), not at the
+        // 10 ms window, and finishes at 9.7 ms, so the median latency is
+        // request 0's 9.7 ms (19 ms had it waited for the window).  The
+        // second starts when the first finishes.
+        assert!((report.p50_ms - 9.7).abs() < 1e-9, "p50 {}", report.p50_ms);
     }
 
     #[test]
@@ -1503,7 +1485,7 @@ mod tests {
             &co,
             &profiles,
             &trace,
-            &ServeConfig::new(DispatchPolicy::Fifo).with_max_batch(8),
+            &ServeConfig::new(DispatchPolicy::Fifo),
         )
         .unwrap();
         assert_eq!(report.total_requests, 3);
@@ -1530,23 +1512,6 @@ mod tests {
         assert!(report.goodput <= report.completed);
         assert!(report.completed <= report.total_requests);
         assert_eq!(report.total_requests, trace.total_requests());
-    }
-
-    #[test]
-    fn effectively_unbounded_max_batch_neither_overflows_nor_stalls() {
-        let co = synthetic_co(&[1.0 * MS], &[1.0]);
-        let profiles = [TrafficProfile::new(100.0, 50.0)];
-        let trace = trace_of(vec![vec![0.0, 0.5 * MS, 1.0 * MS]], 0.1);
-        let report = replay(
-            &co,
-            &profiles,
-            &trace,
-            &ServeConfig::new(DispatchPolicy::Fifo).with_max_batch(usize::MAX),
-        )
-        .unwrap();
-        // The batch never fills, so FIFO's timeout launches all requests.
-        assert_eq!(report.completed, 3);
-        assert_eq!(report.per_workload[0].batches, 1);
     }
 
     #[test]
@@ -1592,23 +1557,17 @@ mod tests {
             ),
             Err(ServeError::InvalidHorizon(h)) if h == f64::INFINITY
         ));
-        assert_eq!(
-            replay(
-                &co,
-                &profiles,
-                &trace,
-                &ServeConfig::default().with_max_batch(0)
-            ),
-            Err(ServeError::ZeroMaxBatch)
-        );
         assert!(matches!(
             replay(
                 &co,
                 &profiles,
                 &trace,
-                &ServeConfig::default().with_batch_timeout(f64::NAN)
+                &ServeConfig::default().with_deadline_slack(f64::NAN)
             ),
-            Err(ServeError::InvalidKnob { .. })
+            Err(ServeError::InvalidKnob {
+                knob: "deadline_slack_factor",
+                ..
+            })
         ));
         let bad_sla = [TrafficProfile::new(100.0, 0.0)];
         assert!(matches!(
@@ -1770,7 +1729,7 @@ mod tests {
         ];
         let trace = Trace::poisson(&profiles, 0.5, 42);
         for policy in DispatchPolicy::ALL {
-            let config = ServeConfig::new(policy).with_max_batch(4);
+            let config = ServeConfig::new(policy);
             let uninterrupted = replay(&co, &profiles, &trace, &config).unwrap();
             // Walk the run one dispatch at a time; at each boundary fork a
             // checkpoint and run it to completion.

@@ -1,4 +1,4 @@
-//! Property-based tests for the serving simulator: for *any* valid knobs,
+//! Property-based tests for the serving simulator: for *any* policy,
 //! traffic and placement latencies, the accounting must stay inside its
 //! physical envelope — goodput never exceeds arrivals, busy time never
 //! exceeds the horizon, and the simulation is a pure function of its inputs.
@@ -37,9 +37,6 @@ proptest! {
         qps_b in 10.0f64..600.0,
         sla in 1.5f64..12.0,
         weight in 1.0f64..4.0,
-        max_batch in 1usize..=16,
-        timeout_ms in 0.0f64..30.0,
-        overhead in 0.0f64..2.0,
         policy_index in 0usize..3,
         seed in 0u64..1000,
     ) {
@@ -49,10 +46,7 @@ proptest! {
             TrafficProfile::new(qps_b, sla),
         ];
         let trace = Trace::poisson(&profiles, 0.25, seed);
-        let config = ServeConfig::new(policy_of(policy_index))
-            .with_max_batch(max_batch)
-            .with_batch_timeout(timeout_ms * 1e-3)
-            .with_dispatch_overhead(overhead);
+        let config = ServeConfig::new(policy_of(policy_index));
         let report = simulate(&co, &profiles, &trace, &config).expect("valid inputs");
 
         // Conservation: every counted request arrived, and goodput is a
@@ -68,8 +62,8 @@ proptest! {
             prop_assert!(s.busy_seconds <= report.horizon_seconds + 1e-12);
             prop_assert!(s.met_sla <= s.completed);
             prop_assert!(s.completed <= s.requests);
-            // No dispatched batch exceeds the configured cap.
-            prop_assert!(s.mean_batch <= max_batch as f64 + 1e-12);
+            // No dispatched batch exceeds the engine's cap of 8.
+            prop_assert!(s.mean_batch <= 8.0 + 1e-12);
         }
         for (_, u) in &report.utilization {
             prop_assert!((0.0..=1.0 + 1e-12).contains(u));

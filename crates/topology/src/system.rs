@@ -216,13 +216,6 @@ impl Topology {
             .unwrap_or(u64::MAX)
     }
 
-    /// The minimum host bandwidth over a set of accelerators.
-    pub fn min_host_bandwidth_within(&self, set: &[AccelId]) -> Gbps {
-        set.iter()
-            .map(|a| self.host_bandwidth(*a))
-            .fold(f64::INFINITY, f64::min)
-    }
-
     /// `true` if every pair in the set has a direct link (no host staging).
     pub fn is_fully_connected(&self, set: &[AccelId]) -> bool {
         for (i, &a) in set.iter().enumerate() {
@@ -591,7 +584,6 @@ mod tests {
         let t = b.build().unwrap();
         let all = [AccelId(0), AccelId(1)];
         assert_eq!(t.min_dram_within(&all), 100);
-        assert_eq!(t.min_host_bandwidth_within(&all), 2.0);
         assert_eq!(t.min_dram_within(&[]), u64::MAX);
     }
 

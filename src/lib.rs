@@ -187,9 +187,9 @@ pub fn quickstart(
 ///
 /// # Errors
 ///
-/// Rejects empty workload lists, more workloads than accelerators,
-/// non-positive weights or batches, unsatisfiable memory demands and
-/// out-of-range GA hyper-parameters — see [`core::CoScheduleError`].
+/// Rejects empty workload lists, an empty catalog, more workloads than
+/// accelerators, non-positive weights or batches and unsatisfiable memory
+/// demands — see [`core::CoScheduleError`].
 ///
 /// ```no_run
 /// use mars::prelude::*;

@@ -19,7 +19,7 @@ fn tiny_runtime(threads: usize) -> RuntimeConfig {
         outer: GaConfig {
             population: 4,
             generations: 1,
-            ..GaConfig::tiny(DEFAULT_SEED)
+            ..GaConfig::first_level(DEFAULT_SEED)
         },
         ..CoScheduleConfig::fast(DEFAULT_SEED)
     }

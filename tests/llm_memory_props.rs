@@ -32,7 +32,7 @@ fn tiny_config(seed: u64) -> CoScheduleConfig {
         outer: GaConfig {
             population: 4,
             generations: 2,
-            ..GaConfig::tiny(seed)
+            ..GaConfig::first_level(seed)
         },
         ..CoScheduleConfig::fast(seed)
     }

@@ -5,11 +5,17 @@
 
 use mars::prelude::*;
 
-/// The quickstart example's search, shrunk to the smallest useful budget.
+/// The quickstart example's search, shrunk to the smallest useful budget:
+/// 6 individuals and 4 generations at both levels.
 fn smoke_config(seed: u64) -> SearchConfig {
+    let small = |seed| GaConfig {
+        population: 6,
+        generations: 4,
+        ..GaConfig::first_level(seed)
+    };
     SearchConfig {
-        first_level: GaConfig::tiny(seed),
-        second_level: GaConfig::tiny(seed.wrapping_add(1)),
+        first_level: small(seed),
+        second_level: small(seed.wrapping_add(1)),
         ..SearchConfig::fast(seed)
     }
 }
