@@ -1,7 +1,7 @@
 //! The design catalogue: the set `Design = {d1, ..., dM}` of available
 //! accelerator designs an adaptive platform can be configured with.
 
-use crate::design::{AccelDesign, DesignId, PerformanceModel};
+use crate::design::{DesignId, PerformanceModel};
 use crate::superlip::SuperLipModel;
 use crate::systolic::SystolicModel;
 use crate::winograd::WinogradModel;
@@ -85,15 +85,6 @@ impl Catalog {
         self.models.get(id.0).cloned()
     }
 
-    /// The static descriptor of design `id`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn design(&self, id: DesignId) -> &AccelDesign {
-        self.model(id).design()
-    }
-
     /// Iterates over `(DesignId, &dyn PerformanceModel)` pairs.
     pub fn iter(&self) -> impl Iterator<Item = (DesignId, &dyn PerformanceModel)> {
         self.models
@@ -157,9 +148,9 @@ mod tests {
     fn standard_three_matches_table2() {
         let c = Catalog::standard_three();
         assert_eq!(c.len(), 3);
-        assert_eq!(c.design(DesignId(0)).name, "SuperLIP");
-        assert_eq!(c.design(DesignId(1)).name, "Systolic");
-        assert_eq!(c.design(DesignId(2)).name, "Winograd");
+        assert_eq!(c.model(DesignId(0)).design().name, "SuperLIP");
+        assert_eq!(c.model(DesignId(1)).design().name, "Systolic");
+        assert_eq!(c.model(DesignId(2)).design().name, "Winograd");
         for (_, m) in c.iter() {
             assert_eq!(m.design().frequency_mhz, 200);
             let pes = m.design().num_pes;

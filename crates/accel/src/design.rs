@@ -17,7 +17,7 @@ impl std::fmt::Display for DesignId {
 
 /// Default on-board memory of a design when the catalog does not override
 /// it: 4 GiB, a typical FPGA accelerator card's DDR bank.
-pub const DEFAULT_MEMORY_BYTES: u64 = 4 << 30;
+pub(crate) const DEFAULT_MEMORY_BYTES: u64 = 4 << 30;
 
 /// Static description of an accelerator design (one row of Table II).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -41,7 +41,7 @@ pub struct AccelDesign {
 
 impl AccelDesign {
     /// Clock period in seconds.
-    pub fn clock_period(&self) -> f64 {
+    pub(crate) fn clock_period(&self) -> f64 {
         1.0 / (self.frequency_mhz as f64 * 1e6)
     }
 

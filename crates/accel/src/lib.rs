@@ -40,17 +40,16 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod catalog;
 mod design;
-pub mod profile;
+mod profile;
 mod superlip;
 mod systolic;
 mod winograd;
 
 pub use catalog::Catalog;
-pub use design::{AccelDesign, DesignId, PerformanceModel, DEFAULT_MEMORY_BYTES};
+pub use design::{AccelDesign, DesignId, PerformanceModel};
 pub use profile::ProfileTable;
-pub use superlip::SuperLipModel;
 pub use systolic::SystolicModel;
-pub use winograd::WinogradModel;

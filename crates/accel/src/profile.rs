@@ -39,25 +39,6 @@ impl ProfileTable {
         }
     }
 
-    /// Number of profiled layers.
-    pub fn layers(&self) -> usize {
-        self.cycles.len()
-    }
-
-    /// Number of profiled designs.
-    pub fn designs(&self) -> usize {
-        self.designs
-    }
-
-    /// Cycles of `layer` on `design`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either index is out of range.
-    pub fn cycles(&self, layer: LayerId, design: DesignId) -> u64 {
-        self.cycles[layer.0][design.0]
-    }
-
     /// The design with the fewest cycles for `layer` (ties broken by lower
     /// design id).
     ///
@@ -78,14 +59,14 @@ impl ProfileTable {
     /// design — the quantity the computation-prioritised baseline minimises
     /// when it picks "the accelerator design with the lowest computation
     /// latency" for a layer range.
-    pub fn range_cycles(&self, start: usize, end: usize, design: DesignId) -> u64 {
+    pub(crate) fn range_cycles(&self, start: usize, end: usize, design: DesignId) -> u64 {
         self.cycles[start..end]
             .iter()
             .map(|row| row[design.0])
             .sum()
     }
 
-    /// The design minimising [`ProfileTable::range_cycles`] over `[start, end)`.
+    /// The design with the fewest total cycles over the layers `[start, end)`.
     pub fn best_design_for_range(&self, start: usize, end: usize) -> DesignId {
         (0..self.designs)
             .map(DesignId)
@@ -126,8 +107,8 @@ mod tests {
     #[test]
     fn dimensions_match_inputs() {
         let (net, t) = table();
-        assert_eq!(t.layers(), net.len());
-        assert_eq!(t.designs(), 3);
+        assert_eq!(t.cycles.len(), net.len());
+        assert_eq!(t.designs, 3);
     }
 
     #[test]
@@ -154,7 +135,7 @@ mod tests {
     #[test]
     fn range_cycles_sums_rows() {
         let (_, t) = table();
-        let total: u64 = (0..4).map(|i| t.cycles(LayerId(i), DesignId(1))).sum();
+        let total: u64 = t.cycles[..4].iter().map(|row| row[1]).sum();
         assert_eq!(t.range_cycles(0, 4, DesignId(1)), total);
         assert_eq!(t.range_cycles(2, 2, DesignId(1)), 0);
     }

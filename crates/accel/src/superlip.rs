@@ -15,7 +15,7 @@ use mars_model::ConvParams;
 
 /// Analytical model of the SuperLIP accelerator (Design 1 in Table II).
 #[derive(Debug, Clone)]
-pub struct SuperLipModel {
+pub(crate) struct SuperLipModel {
     design: AccelDesign,
     tm: usize,
     tn: usize,
@@ -26,12 +26,12 @@ pub struct SuperLipModel {
 impl SuperLipModel {
     /// Creates the Table II configuration: `Tm, Tn, Tr, Tc = 64, 7, 7, 14` at
     /// 200 MHz with 438 PEs.
-    pub fn table2() -> Self {
+    pub(crate) fn table2() -> Self {
         Self::new(DesignId(0), 200, 64, 7, 7, 14)
     }
 
     /// Creates a custom configuration.
-    pub fn new(
+    pub(crate) fn new(
         id: DesignId,
         frequency_mhz: u32,
         tm: usize,

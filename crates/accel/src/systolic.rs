@@ -24,7 +24,7 @@ pub struct SystolicModel {
 impl SystolicModel {
     /// Creates the Table II configuration: `row, col, vec = 11, 13, 8` at
     /// 200 MHz with 572 PEs.
-    pub fn table2() -> Self {
+    pub(crate) fn table2() -> Self {
         Self::new(DesignId(1), 200, 11, 13, 8)
     }
 

@@ -16,7 +16,7 @@ use mars_model::ConvParams;
 
 /// Analytical model of the Winograd accelerator (Design 3 in Table II).
 #[derive(Debug, Clone)]
-pub struct WinogradModel {
+pub(crate) struct WinogradModel {
     design: AccelDesign,
     /// Input tile extent (`n`); output tile extent is `n - kernel + 1` for a
     /// 3×3 kernel, i.e. 4 for the Table II configuration.
@@ -28,12 +28,12 @@ pub struct WinogradModel {
 impl WinogradModel {
     /// Creates the Table II configuration: `n, Pn, Pm = 6, 2, 8` at 200 MHz
     /// with 576 PEs.
-    pub fn table2() -> Self {
+    pub(crate) fn table2() -> Self {
         Self::new(DesignId(2), 200, 6, 2, 8)
     }
 
     /// Creates a custom configuration.
-    pub fn new(id: DesignId, frequency_mhz: u32, tile: usize, pn: usize, pm: usize) -> Self {
+    pub(crate) fn new(id: DesignId, frequency_mhz: u32, tile: usize, pn: usize, pm: usize) -> Self {
         let num_pes = (tile * tile * pn * pm) as u32;
         Self {
             design: AccelDesign {

@@ -1,43 +1,17 @@
 //! Ring-based collective communication algorithms.
 //!
-//! Each collective is provided in two forms:
-//!
-//! * a **transfer-DAG builder** executed on the discrete-event
-//!   [`Engine`], which captures link contention and host
-//!   staging; and
-//! * a **closed-form alpha–beta estimate** (`estimate_*`), the textbook cost
-//!   model used by ASTRA-Sim's analytical backend.  Tests cross-check the two
-//!   on contention-free topologies.
+//! Each collective is a transfer-DAG builder executed on the discrete-event
+//! [`Engine`], which captures link contention and host staging.  The tests
+//! cross-check the engine against closed-form alpha–beta estimates
+//! (`estimate_*`, the textbook cost model of ASTRA-Sim's analytical backend)
+//! on contention-free topologies.
 
 use crate::event::{Endpoint, Engine, Transfer, HOST_LATENCY, LINK_LATENCY};
-use mars_topology::{transfer_seconds, AccelId, Topology};
+use mars_topology::{transfer_seconds, AccelId};
 
 /// Smallest chunk a ring collective splits its payload into, in bytes, so
 /// tiny messages are not dominated by per-chunk latency.
 const MIN_CHUNK_BYTES: u64 = 4096;
-
-/// Per-step alpha/beta cost of the slowest consecutive pair on the ring formed
-/// by `set` (in the given order).
-fn ring_step_cost(topo: &Topology, set: &[AccelId], chunk_bytes: u64) -> f64 {
-    let p = set.len();
-    if p < 2 {
-        return 0.0;
-    }
-    let mut worst = 0.0_f64;
-    for i in 0..p {
-        let a = set[i];
-        let b = set[(i + 1) % p];
-        let cost = if topo.requires_host_staging(a, b) {
-            2.0 * HOST_LATENCY
-                + transfer_seconds(chunk_bytes, topo.host_bandwidth(a))
-                + transfer_seconds(chunk_bytes, topo.host_bandwidth(b))
-        } else {
-            LINK_LATENCY + transfer_seconds(chunk_bytes, topo.bandwidth(a, b))
-        };
-        worst = worst.max(cost);
-    }
-    worst
-}
 
 /// Builds the transfers of `steps` ring steps over `set`, each step sending
 /// `chunk_bytes` from every member to its ring successor, with a barrier
@@ -129,7 +103,7 @@ fn ring_makespan(engine: &Engine<'_>, set: &[AccelId], steps: usize, chunk_bytes
 ///
 /// Used to combine the partial sums produced when a reduction dimension
 /// (`Cin`, `Kh`, `Kw`) is partitioned into exclusive shards (Fig. 2(b)).
-pub fn all_reduce(engine: &Engine<'_>, set: &[AccelId], bytes: u64) -> f64 {
+pub(crate) fn all_reduce(engine: &Engine<'_>, set: &[AccelId], bytes: u64) -> f64 {
     let p = set.len();
     if p < 2 || bytes == 0 {
         return 0.0;
@@ -139,19 +113,9 @@ pub fn all_reduce(engine: &Engine<'_>, set: &[AccelId], bytes: u64) -> f64 {
     ring_makespan(engine, set, 2 * (p - 1), chunk)
 }
 
-/// Closed-form estimate of [`all_reduce`].
-pub fn estimate_all_reduce(topo: &Topology, set: &[AccelId], bytes: u64) -> f64 {
-    let p = set.len();
-    if p < 2 || bytes == 0 {
-        return 0.0;
-    }
-    let chunk = ring_chunk(bytes, p);
-    2.0 * (p - 1) as f64 * ring_step_cost(topo, set, chunk)
-}
-
 /// Ring All-Gather: every member contributes a shard of `shard_bytes` and ends
 /// up with all `p` shards.
-pub fn all_gather(engine: &Engine<'_>, set: &[AccelId], shard_bytes: u64) -> f64 {
+pub(crate) fn all_gather(engine: &Engine<'_>, set: &[AccelId], shard_bytes: u64) -> f64 {
     let p = set.len();
     if p < 2 || shard_bytes == 0 {
         return 0.0;
@@ -160,7 +124,7 @@ pub fn all_gather(engine: &Engine<'_>, set: &[AccelId], shard_bytes: u64) -> f64
 }
 
 /// Ring Reduce-Scatter of a tensor of `bytes` replicated on every member.
-pub fn reduce_scatter(engine: &Engine<'_>, set: &[AccelId], bytes: u64) -> f64 {
+pub(crate) fn reduce_scatter(engine: &Engine<'_>, set: &[AccelId], bytes: u64) -> f64 {
     let p = set.len();
     if p < 2 || bytes == 0 {
         return 0.0;
@@ -172,7 +136,7 @@ pub fn reduce_scatter(engine: &Engine<'_>, set: &[AccelId], bytes: u64) -> f64 {
 /// One ring-shift step: every member sends a shard of `shard_bytes` to its ring
 /// successor.  This is the per-phase communication of the shared-shard (SS)
 /// strategy of Fig. 2(c).
-pub fn ring_shift(engine: &Engine<'_>, set: &[AccelId], shard_bytes: u64) -> f64 {
+pub(crate) fn ring_shift(engine: &Engine<'_>, set: &[AccelId], shard_bytes: u64) -> f64 {
     let p = set.len();
     if p < 2 || shard_bytes == 0 {
         return 0.0;
@@ -180,16 +144,8 @@ pub fn ring_shift(engine: &Engine<'_>, set: &[AccelId], shard_bytes: u64) -> f64
     ring_makespan(engine, set, 1, shard_bytes)
 }
 
-/// Closed-form estimate of [`ring_shift`].
-pub fn estimate_ring_shift(topo: &Topology, set: &[AccelId], shard_bytes: u64) -> f64 {
-    if set.len() < 2 || shard_bytes == 0 {
-        return 0.0;
-    }
-    ring_step_cost(topo, set, shard_bytes)
-}
-
 /// Pipelined broadcast of `bytes` from `set[0]` along the ring order.
-pub fn broadcast(engine: &Engine<'_>, set: &[AccelId], bytes: u64) -> f64 {
+pub(crate) fn broadcast(engine: &Engine<'_>, set: &[AccelId], bytes: u64) -> f64 {
     if set.len() < 2 || bytes == 0 {
         return 0.0;
     }
@@ -208,7 +164,7 @@ pub fn broadcast(engine: &Engine<'_>, set: &[AccelId], bytes: u64) -> f64 {
 
 /// Scatter from the host: the host sends a distinct `bytes_per_accel` payload
 /// to every member of `set` over its host link.
-pub fn host_scatter(engine: &Engine<'_>, set: &[AccelId], bytes_per_accel: u64) -> f64 {
+pub(crate) fn host_scatter(engine: &Engine<'_>, set: &[AccelId], bytes_per_accel: u64) -> f64 {
     if set.is_empty() || bytes_per_accel == 0 {
         return 0.0;
     }
@@ -221,7 +177,7 @@ pub fn host_scatter(engine: &Engine<'_>, set: &[AccelId], bytes_per_accel: u64) 
 
 /// Gather to the host: every member of `set` sends `bytes_per_accel` to the
 /// host over its host link.
-pub fn host_gather(engine: &Engine<'_>, set: &[AccelId], bytes_per_accel: u64) -> f64 {
+pub(crate) fn host_gather(engine: &Engine<'_>, set: &[AccelId], bytes_per_accel: u64) -> f64 {
     if set.is_empty() || bytes_per_accel == 0 {
         return 0.0;
     }
@@ -238,7 +194,7 @@ pub fn host_gather(engine: &Engine<'_>, set: &[AccelId], bytes_per_accel: u64) -
 /// Every source accelerator sends its shard to the destination accelerator
 /// that will own the corresponding slice (round-robin when the set sizes
 /// differ).  Transfers between accelerators present in both sets are free.
-pub fn redistribute(
+pub(crate) fn redistribute(
     engine: &Engine<'_>,
     from: &[AccelId],
     to: &[AccelId],
@@ -270,7 +226,48 @@ pub fn redistribute(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mars_topology::presets;
+    use mars_topology::{presets, Topology};
+
+    /// Per-step alpha/beta cost of the slowest consecutive pair on the ring formed
+    /// by `set` (in the given order).
+    fn ring_step_cost(topo: &Topology, set: &[AccelId], chunk_bytes: u64) -> f64 {
+        let p = set.len();
+        if p < 2 {
+            return 0.0;
+        }
+        let mut worst = 0.0_f64;
+        for i in 0..p {
+            let a = set[i];
+            let b = set[(i + 1) % p];
+            let cost = if topo.requires_host_staging(a, b) {
+                2.0 * HOST_LATENCY
+                    + transfer_seconds(chunk_bytes, topo.host_bandwidth(a))
+                    + transfer_seconds(chunk_bytes, topo.host_bandwidth(b))
+            } else {
+                LINK_LATENCY + transfer_seconds(chunk_bytes, topo.bandwidth(a, b))
+            };
+            worst = worst.max(cost);
+        }
+        worst
+    }
+
+    /// Closed-form estimate of [`all_reduce`].
+    fn estimate_all_reduce(topo: &Topology, set: &[AccelId], bytes: u64) -> f64 {
+        let p = set.len();
+        if p < 2 || bytes == 0 {
+            return 0.0;
+        }
+        let chunk = ring_chunk(bytes, p);
+        2.0 * (p - 1) as f64 * ring_step_cost(topo, set, chunk)
+    }
+
+    /// Closed-form estimate of [`ring_shift`].
+    fn estimate_ring_shift(topo: &Topology, set: &[AccelId], shard_bytes: u64) -> f64 {
+        if set.len() < 2 || shard_bytes == 0 {
+            return 0.0;
+        }
+        ring_step_cost(topo, set, shard_bytes)
+    }
 
     fn group(topo: &Topology) -> Vec<AccelId> {
         topo.group_members(0)

@@ -22,7 +22,7 @@ pub(crate) const HOST_LATENCY: f64 = 25e-6;
 
 /// One end of a transfer.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Endpoint {
+pub(crate) enum Endpoint {
     /// An accelerator in the topology.
     Accel(AccelId),
     /// The host CPU / host memory.
@@ -30,24 +30,24 @@ pub enum Endpoint {
 }
 
 /// Identifier of a transfer within one simulation.
-pub type TransferId = usize;
+pub(crate) type TransferId = usize;
 
 /// A point-to-point transfer request.
 #[derive(Debug, Clone)]
-pub struct Transfer {
+pub(crate) struct Transfer {
     /// Source endpoint.
-    pub src: Endpoint,
+    pub(crate) src: Endpoint,
     /// Destination endpoint.
-    pub dst: Endpoint,
+    pub(crate) dst: Endpoint,
     /// Payload size in bytes.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Transfers that must complete before this one starts.
-    pub deps: Vec<TransferId>,
+    pub(crate) deps: Vec<TransferId>,
 }
 
 impl Transfer {
     /// A dependency-free transfer.
-    pub fn new(src: Endpoint, dst: Endpoint, bytes: u64) -> Self {
+    pub(crate) fn new(src: Endpoint, dst: Endpoint, bytes: u64) -> Self {
         Self {
             src,
             dst,
@@ -57,7 +57,7 @@ impl Transfer {
     }
 
     /// Adds dependencies and returns `self` (builder style).
-    pub fn after(mut self, deps: impl IntoIterator<Item = TransferId>) -> Self {
+    pub(crate) fn after(mut self, deps: impl IntoIterator<Item = TransferId>) -> Self {
         self.deps.extend(deps);
         self
     }
@@ -86,18 +86,18 @@ struct Hop {
 
 /// The discrete-event engine.
 #[derive(Debug, Clone)]
-pub struct Engine<'a> {
+pub(crate) struct Engine<'a> {
     topo: &'a Topology,
 }
 
 impl<'a> Engine<'a> {
     /// Creates an engine over a topology.
-    pub fn new(topo: &'a Topology) -> Self {
+    pub(crate) fn new(topo: &'a Topology) -> Self {
         Self { topo }
     }
 
     /// The topology this engine schedules on.
-    pub fn topology(&self) -> &Topology {
+    pub(crate) fn topology(&self) -> &Topology {
         self.topo
     }
 
@@ -153,7 +153,7 @@ impl<'a> Engine<'a> {
     ///
     /// Panics if a transfer depends on a transfer with a higher index
     /// (dependencies must point backwards, mirroring a topological order).
-    pub fn simulate_with_completions(&self, transfers: &[Transfer]) -> (f64, Vec<f64>) {
+    pub(crate) fn simulate_with_completions(&self, transfers: &[Transfer]) -> (f64, Vec<f64>) {
         let mut completion = vec![0.0_f64; transfers.len()];
         let mut resource_free: HashMap<Resource, f64> = HashMap::new();
 
@@ -182,12 +182,12 @@ impl<'a> Engine<'a> {
     }
 
     /// Simulates a DAG of transfers and returns the makespan in seconds.
-    pub fn simulate(&self, transfers: &[Transfer]) -> f64 {
+    pub(crate) fn simulate(&self, transfers: &[Transfer]) -> f64 {
         self.simulate_with_completions(transfers).0
     }
 
     /// Latency of a single point-to-point transfer.
-    pub fn point_to_point(&self, src: AccelId, dst: AccelId, bytes: u64) -> f64 {
+    pub(crate) fn point_to_point(&self, src: AccelId, dst: AccelId, bytes: u64) -> f64 {
         self.simulate(&[Transfer::new(
             Endpoint::Accel(src),
             Endpoint::Accel(dst),

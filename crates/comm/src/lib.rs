@@ -6,17 +6,17 @@
 //!
 //! The simulator has two layers:
 //!
-//! * [`event`]: a small discrete-event engine that schedules point-to-point
-//!   transfers over the links of a [`Topology`](mars_topology::Topology),
+//! * a small discrete-event engine that schedules point-to-point transfers
+//!   over the links of a [`Topology`](mars_topology::Topology),
 //!   serialising transfers that share a link (FIFO contention) and routing
 //!   transfers between accelerators without a direct link through the host.
 //!   Every hop pays a fixed latency on top of its bandwidth term: 5 µs on a
 //!   direct link, 25 µs per host-staged hop.
-//! * [`collective`]: ring-based collective algorithms (All-Reduce, All-Gather,
-//!   Reduce-Scatter, broadcast, ring shift) expressed as transfer DAGs and
-//!   executed on the engine, plus closed-form alpha–beta estimates that the
-//!   tests cross-check against the event-driven results.  Ring collectives
-//!   never split a payload into chunks smaller than 4 KiB.
+//! * ring-based collective algorithms (All-Reduce, All-Gather, Reduce-Scatter,
+//!   broadcast, ring shift) expressed as transfer DAGs and executed on the
+//!   engine, which the tests cross-check against closed-form alpha–beta
+//!   estimates.  Ring collectives never split a payload into chunks smaller
+//!   than 4 KiB.
 //!
 //! The top-level convenience type is [`CommSim`], which is what the
 //! parallelism-strategy evaluator and the mapping search consume.
@@ -36,10 +36,10 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod collective;
-pub mod event;
-
+mod collective;
+mod event;
 mod sim;
 
 pub use sim::CommSim;

@@ -218,7 +218,7 @@ mod tests {
         assert!(m.is_valid());
         // Single-accelerator sets only, covering every layer.
         assert!(m.assignments.iter().all(|a| a.set_size() == 1));
-        let covered: usize = m.assignments.iter().map(Assignment::layer_count).sum();
+        let covered: usize = m.assignments.iter().map(|a| a.layers.len()).sum();
         assert_eq!(covered, net.len());
         // No intra-layer parallelism.
         assert!(m.strategies.is_empty());

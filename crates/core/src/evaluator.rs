@@ -46,10 +46,14 @@ pub enum DesignPolicy {
     Fixed(BTreeMap<AccelId, DesignId>),
 }
 
-/// A performance model that reports, for every layer shape, the cycles of the
+/// A performance model that reports, for every layer shape, the time of the
 /// *slowest* of its member models — the paper's stalling assumption for
 /// heterogeneous accelerator sets.
-pub struct WorstOfModel {
+///
+/// Members may run at different clocks, so they are compared in wall time:
+/// the model reports cycles at its first member's clock `f₀`, counting a
+/// member at `f_m` as `⌈cycles · f₀ / f_m⌉` of them.
+pub(crate) struct WorstOfModel {
     design: AccelDesign,
     models: Vec<Arc<dyn PerformanceModel>>,
 }
@@ -59,18 +63,13 @@ impl WorstOfModel {
     ///
     /// # Panics
     ///
-    /// Panics if `models` is empty or the members disagree on clock frequency
-    /// (cycle counts would then not be comparable).
-    pub fn new(models: Vec<Arc<dyn PerformanceModel>>) -> Self {
+    /// Panics if `models` is empty.
+    pub(crate) fn new(models: Vec<Arc<dyn PerformanceModel>>) -> Self {
         assert!(
             !models.is_empty(),
             "worst-of model needs at least one member"
         );
         let freq = models[0].design().frequency_mhz;
-        assert!(
-            models.iter().all(|m| m.design().frequency_mhz == freq),
-            "worst-of members must share a clock frequency"
-        );
         let names: Vec<&str> = models.iter().map(|m| m.design().name.as_str()).collect();
         let design = AccelDesign {
             id: models[0].design().id,
@@ -88,6 +87,25 @@ impl WorstOfModel {
         };
         Self { design, models }
     }
+
+    /// The worst member's `cycles` in wall time, as cycles at the first
+    /// member's clock, rounded up (exact for a member at that clock).  A
+    /// member with a zero clock never finishes.
+    fn max_at_first_clock(&self, cycles: impl Fn(&dyn PerformanceModel) -> u64) -> u64 {
+        let f0 = u128::from(self.design.frequency_mhz);
+        self.models
+            .iter()
+            .map(|m| {
+                let fm = u128::from(m.design().frequency_mhz);
+                if fm == 0 {
+                    return u64::MAX;
+                }
+                let at_f0 = (u128::from(cycles(m.as_ref())) * f0).div_ceil(fm);
+                u64::try_from(at_f0).unwrap_or(u64::MAX)
+            })
+            .max()
+            .unwrap_or(0)
+    }
 }
 
 impl PerformanceModel for WorstOfModel {
@@ -96,32 +114,24 @@ impl PerformanceModel for WorstOfModel {
     }
 
     fn conv_cycles(&self, conv: &mars_model::ConvParams) -> u64 {
-        self.models
-            .iter()
-            .map(|m| m.conv_cycles(conv))
-            .max()
-            .unwrap_or(0)
+        self.max_at_first_clock(|m| m.conv_cycles(conv))
     }
 
     fn layer_overhead_cycles(&self) -> u64 {
-        self.models
-            .iter()
-            .map(|m| m.layer_overhead_cycles())
-            .max()
-            .unwrap_or(0)
+        self.max_at_first_clock(|m| m.layer_overhead_cycles())
     }
 }
 
 /// The evaluated cost of one assignment (one accelerator set and its layers).
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AssignmentCost {
+pub(crate) struct AssignmentCost {
     /// Intra-set latency (compute + collectives + resharding) in seconds.
-    pub seconds: f64,
+    pub(crate) seconds: f64,
     /// Per-accelerator resident weight bytes summed over the mapped layers.
-    pub weight_bytes_per_accel: u64,
+    pub(crate) weight_bytes_per_accel: u64,
     /// `true` if every layer's footprint and the resident weights fit the DRAM
     /// of the smallest member.
-    pub memory_ok: bool,
+    pub(crate) memory_ok: bool,
 }
 
 pub(crate) enum ModelHandle {
@@ -170,9 +180,10 @@ type LayerCacheKey = (ConvParams, u64, u32, Strategy);
 ///
 /// // Map the whole network onto the first group with design 0.
 /// let all = Assignment::new(topo.group_members(0), mars_accel::DesignId(0), 0..net.len());
-/// let latency = eval.evaluate(&[all], &BTreeMap::new());
+/// let latency = eval.evaluate(&[all.clone()], &BTreeMap::new());
 /// assert!(latency.is_finite() && latency > 0.0);
-/// assert!(eval.cache_entries() > 0); // per-layer results were memoised
+/// // A repeated evaluation is served from the memo, bit for bit.
+/// assert_eq!(eval.evaluate(&[all], &BTreeMap::new()), latency);
 /// ```
 pub struct Evaluator<'a> {
     net: &'a Network,
@@ -262,7 +273,7 @@ impl<'a> Evaluator<'a> {
     }
 
     /// Number of memoised per-layer evaluations.
-    pub fn cache_entries(&self) -> usize {
+    pub(crate) fn cache_entries(&self) -> usize {
         self.cache.len()
     }
 
@@ -885,6 +896,52 @@ mod tests {
             .unwrap();
         assert_eq!(worst.conv_cycles(&conv), max);
         assert!(worst.design().name.contains("worst-of"));
+    }
+
+    #[test]
+    fn worst_of_model_compares_members_in_wall_time() {
+        use mars_accel::SystolicModel;
+        let catalog = Catalog::standard_three();
+        let fast: Arc<dyn PerformanceModel> =
+            Arc::new(SystolicModel::new(DesignId(3), 300, 16, 16, 4));
+        let base = catalog.model_arc(DesignId(0)).unwrap();
+        let conv = mars_model::ConvParams::new(256, 256, 14, 14, 3, 1);
+        // Reported at the first member's clock, each member's cycles take
+        // its own wall time (rounded up to a whole cycle).
+        for models in [
+            vec![base.clone(), fast.clone()],
+            vec![fast.clone(), base.clone()],
+        ] {
+            let worst = WorstOfModel::new(models.clone());
+            let seconds =
+                |m: &Arc<dyn PerformanceModel>| m.design().cycles_to_seconds(m.conv_cycles(&conv));
+            let slowest = models.iter().map(seconds).fold(0.0, f64::max);
+            let reported = worst.design().cycles_to_seconds(worst.conv_cycles(&conv));
+            assert!(reported >= slowest, "{reported} < {slowest}");
+            assert!(reported - slowest <= worst.design().cycles_to_seconds(1));
+            assert!(worst.layer_overhead_cycles() >= models[0].layer_overhead_cycles());
+        }
+    }
+
+    /// A fixed-design search over sets whose members run at different
+    /// clocks completes with a valid mapping.
+    #[test]
+    fn fixed_designs_at_mixed_clocks_search() {
+        use mars_accel::SystolicModel;
+        let mut catalog = Catalog::standard_three();
+        catalog.push(Arc::new(SystolicModel::new(DesignId(3), 300, 16, 16, 4)));
+        let net = zoo::alexnet(1000);
+        let topo = presets::f1_16xlarge();
+        let designs = topo
+            .accelerators()
+            .map(|a| (a, DesignId(if a.0 % 2 == 0 { 0 } else { 3 })))
+            .collect();
+        let result = crate::Mars::new(&net, &topo, &catalog)
+            .with_config(crate::SearchConfig::fast(7))
+            .with_fixed_designs(designs)
+            .search();
+        assert!(result.mapping.is_valid());
+        assert!(result.mapping.latency_seconds.is_finite());
     }
 
     #[test]

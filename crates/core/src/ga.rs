@@ -54,7 +54,7 @@ use mars_parallel::{resolve_threads, scoped_map};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 use serde::{Deserialize, Serialize};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Genetic-algorithm budget and seed.
 ///
@@ -95,7 +95,7 @@ impl GaConfig {
 
     /// The budget of the second-level (per accelerator set) search: 20
     /// individuals, 12 generations.
-    pub fn second_level(seed: u64) -> Self {
+    pub(crate) fn second_level(seed: u64) -> Self {
         Self {
             population: 20,
             generations: 12,
@@ -179,15 +179,13 @@ pub struct GaOutcome {
     /// [`history`](Self::history); infinite while any individual scores
     /// `INFINITY`).  Scores are summed in population index order, so the
     /// value is bit-identical for every thread count.
-    pub mean_history: Vec<f64>,
+    pub(crate) mean_history: Vec<f64>,
     /// Number of fitness evaluations performed.
     pub evaluations: usize,
     /// Block terms reused from breeding parents by the delta-fitness path of
     /// [`GeneticAlgorithm::run_blocks`]; a whole-genome [`GeneticAlgorithm::run`]
     /// counts one per elite or unmutated clone.
-    pub blocks_reused: u64,
-    /// Wall-clock time of the whole run.
-    pub elapsed: Duration,
+    pub(crate) blocks_reused: u64,
 }
 
 /// Evaluations per second of wall-clock time ([`f64::INFINITY`] when no time
@@ -199,13 +197,6 @@ pub(crate) fn throughput(evaluations: usize, elapsed: Duration) -> f64 {
         evaluations as f64 / secs
     } else {
         f64::INFINITY
-    }
-}
-
-impl GaOutcome {
-    /// Fitness evaluations per second of wall-clock search time.
-    pub fn evals_per_second(&self) -> f64 {
-        throughput(self.evaluations, self.elapsed)
     }
 }
 
@@ -236,11 +227,6 @@ impl GeneticAlgorithm {
         }
     }
 
-    /// The engine configuration.
-    pub fn config(&self) -> &GaConfig {
-        &self.cfg
-    }
-
     /// Runs the search.
     ///
     /// * `genome_len` — number of genes per individual;
@@ -253,8 +239,8 @@ impl GeneticAlgorithm {
     ///   generation's genomes concurrently on [`GaConfig::threads`] worker
     ///   threads and in any order.
     ///
-    /// This is [`GeneticAlgorithm::run_blocks`] with the whole genome as one
-    /// block, so elites and unmutated clones keep their parent's score
+    /// This is the block-structured (delta-fitness) engine with the whole
+    /// genome as one block, so elites and unmutated clones keep their parent's score
     /// instead of being re-evaluated.  The outcome is bit-identical for every
     /// thread count (see the module docs on determinism).
     ///
@@ -271,8 +257,7 @@ impl GeneticAlgorithm {
     /// let ga = GeneticAlgorithm::new(cfg.with_threads(2));
     /// let out = ga.run(4, |rng, _| (0..4).map(|_| rand::Rng::gen(rng)).collect(), sphere);
     /// assert!(out.best_fitness < 0.7);
-    /// assert_eq!(out.history.len(), ga.config().generations + 1);
-    /// assert!(out.evals_per_second() > 0.0);
+    /// assert_eq!(out.history.len(), cfg.generations + 1);
     /// ```
     pub fn run<I, F>(&self, genome_len: usize, init: I, fitness: F) -> GaOutcome
     where
@@ -293,7 +278,6 @@ impl GeneticAlgorithm {
         I: FnMut(&mut StdRng, usize) -> Vec<f64>,
         F: Fn(&[f64]) -> f64 + Sync,
     {
-        let start = Instant::now();
         let cfg = self.cfg;
         let pop_size = cfg.population.max(2);
 
@@ -372,7 +356,6 @@ impl GeneticAlgorithm {
             mean_history,
             evaluations,
             blocks_reused: 0,
-            elapsed: start.elapsed(),
         }
     }
 
@@ -389,7 +372,7 @@ impl GeneticAlgorithm {
     /// breeding parent; unchanged blocks reuse the parent's memoised term.
     /// Debug builds cross-check every reused term against a fresh
     /// evaluation.
-    pub fn run_blocks<B, I, E, C>(
+    pub(crate) fn run_blocks<B, I, E, C>(
         &self,
         n_blocks: usize,
         block_len: usize,
@@ -403,7 +386,6 @@ impl GeneticAlgorithm {
         E: Fn(usize, &[f64]) -> B + Sync,
         C: Fn(&[B]) -> f64 + Sync,
     {
-        let start = Instant::now();
         let cfg = self.cfg;
         let pop_size = cfg.population.max(2);
         let fitness = BlockFitness {
@@ -517,7 +499,6 @@ impl GeneticAlgorithm {
             mean_history,
             evaluations,
             blocks_reused: reused,
-            elapsed: start.elapsed(),
         }
     }
 
@@ -799,8 +780,6 @@ mod tests {
             assert!(mean >= best, "mean {mean} below best {best}");
         }
         assert!(out.evaluations >= 24 * 31);
-        assert!(out.elapsed > Duration::ZERO);
-        assert!(out.evals_per_second() > 0.0);
     }
 
     #[test]

@@ -26,11 +26,11 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 /// Decision threshold above which an ES gene activates its dimension.
-pub const ES_THRESHOLD: f64 = 0.55;
+pub(crate) const ES_THRESHOLD: f64 = 0.55;
 /// Decision threshold above which an SS gene activates its dimension.
-pub const SS_THRESHOLD: f64 = 0.65;
+pub(crate) const SS_THRESHOLD: f64 = 0.65;
 /// Genes per layer at the second level (6 ES scores + 6 SS scores).
-pub const GENES_PER_LAYER: usize = 12;
+pub(crate) const GENES_PER_LAYER: usize = 12;
 
 /// Layout and decoder of the first-level genome.
 #[derive(Debug, Clone)]
@@ -157,7 +157,7 @@ impl FirstLevelGenome {
     /// Random initial genome; design genes are biased by the normalised
     /// profiling scores so that "the design with higher computation ability is
     /// most likely to be chosen at the beginning of the search".
-    pub fn random_init(&self, rng: &mut StdRng, design_scores: &[f64]) -> Vec<f64> {
+    pub(crate) fn random_init(&self, rng: &mut StdRng, design_scores: &[f64]) -> Vec<f64> {
         let mut genes = Vec::with_capacity(self.len());
         for _ in 0..self.n_candidates {
             genes.push(rng.gen());
@@ -178,7 +178,7 @@ impl FirstLevelGenome {
     /// arg-max during decoding.  Used to refine heuristic seeds with per-range
     /// profiling information (e.g. "the second half of VGG prefers the
     /// systolic design even though the whole network prefers Winograd").
-    pub fn set_preferred_design(&self, genes: &mut [f64], slot: usize, preferred: DesignId) {
+    pub(crate) fn set_preferred_design(&self, genes: &mut [f64], slot: usize, preferred: DesignId) {
         assert_eq!(genes.len(), self.len(), "genome length mismatch");
         if slot >= self.max_sets {
             return;
@@ -198,7 +198,7 @@ impl FirstLevelGenome {
     /// interconnect bandwidths (Table IV's `Low-` setting) avoiding inter-set
     /// activation transfers entirely is often near-optimal, and seeding it
     /// keeps the search from having to rediscover that corner.
-    pub fn full_platform_seed(
+    pub(crate) fn full_platform_seed(
         &self,
         candidates: &[Vec<AccelId>],
         design_scores: &[f64],
@@ -226,7 +226,7 @@ impl FirstLevelGenome {
     /// accelerator sets, the profiling-preferred design everywhere, and evenly
     /// spaced layer cuts — essentially the computation-prioritised baseline,
     /// which the genetic search then improves on.
-    pub fn heuristic_seed(
+    pub(crate) fn heuristic_seed(
         &self,
         topo: &Topology,
         candidates: &[Vec<AccelId>],
@@ -279,13 +279,8 @@ impl SecondLevelGenome {
         self.n_layers == 0
     }
 
-    /// Number of compute layers encoded.
-    pub fn layers(&self) -> usize {
-        self.n_layers
-    }
-
     /// Decodes the strategy of the `i`-th compute layer.
-    pub fn decode_layer(&self, genes: &[f64], i: usize) -> Strategy {
+    pub(crate) fn decode_layer(&self, genes: &[f64], i: usize) -> Strategy {
         let block = &genes[i * GENES_PER_LAYER..(i + 1) * GENES_PER_LAYER];
         decode_strategy(block)
     }
@@ -299,14 +294,14 @@ impl SecondLevelGenome {
     }
 
     /// Random initial genome.
-    pub fn random_init(&self, rng: &mut StdRng) -> Vec<f64> {
+    pub(crate) fn random_init(&self, rng: &mut StdRng) -> Vec<f64> {
         (0..self.len()).map(|_| rng.gen()).collect()
     }
 
     /// Encodes explicit per-layer strategies into a gene vector that decodes
     /// back to exactly those strategies.  Used to seed the second-level search
     /// with the greedy per-layer optimum.
-    pub fn genes_for(&self, strategies: &[Strategy]) -> Vec<f64> {
+    pub(crate) fn genes_for(&self, strategies: &[Strategy]) -> Vec<f64> {
         assert_eq!(
             strategies.len(),
             self.n_layers,
@@ -332,7 +327,7 @@ impl SecondLevelGenome {
 
     /// Heuristic genome: exclusive shards on the two longest dimensions of
     /// every layer (the baseline's rule), no shared shards.
-    pub fn heuristic_seed(&self, nests: &[LoopNest]) -> Vec<f64> {
+    pub(crate) fn heuristic_seed(&self, nests: &[LoopNest]) -> Vec<f64> {
         assert_eq!(nests.len(), self.n_layers, "one nest per compute layer");
         let mut genes = Vec::with_capacity(self.len());
         for nest in nests {
@@ -347,7 +342,7 @@ impl SecondLevelGenome {
 }
 
 /// Decodes one [`GENES_PER_LAYER`]-gene block into a [`Strategy`].
-pub fn decode_strategy(block: &[f64]) -> Strategy {
+pub(crate) fn decode_strategy(block: &[f64]) -> Strategy {
     debug_assert_eq!(block.len(), GENES_PER_LAYER);
     let es_scores = &block[..6];
     let ss_scores = &block[6..12];
@@ -392,7 +387,7 @@ pub fn decode_strategy(block: &[f64]) -> Strategy {
 /// entry only when strictly greater (the lowest index keeps a tie), an SS
 /// score displaces the running best on `>=` (the highest index takes it).
 /// Tests pin the two decoders equal on random and tie-heavy blocks.
-pub fn decode_strategy_fast(block: &[f64]) -> Strategy {
+pub(crate) fn decode_strategy_fast(block: &[f64]) -> Strategy {
     debug_assert_eq!(block.len(), GENES_PER_LAYER);
     let es_scores: &[f64; 6] = block[..6].try_into().expect("six ES genes");
     let ss_scores: &[f64; 6] = block[6..12].try_into().expect("six SS genes");

@@ -21,7 +21,7 @@
 //!   the two-level design.
 //! * [`report`] — the human-readable "Mapping found by MARS" summaries of
 //!   Table III.
-//! * [`scheduler`] — multi-DNN co-scheduling: partitions the platform into
+//! * [`co_schedule`] — multi-DNN co-scheduling: partitions the platform into
 //!   disjoint accelerator subsets and runs one inner search per workload,
 //!   optimising the system-level weighted makespan.
 //!
@@ -43,6 +43,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub mod ablation;
 pub mod baseline;
@@ -53,9 +54,9 @@ mod mapper;
 mod mapping;
 mod memo;
 pub mod report;
-pub mod scheduler;
+mod scheduler;
 
-pub use evaluator::{AssignmentCost, DesignPolicy, Evaluator, WorstOfModel};
+pub use evaluator::{DesignPolicy, Evaluator};
 pub use ga::{genome_stream_seed, GaConfig, GaOutcome, GeneticAlgorithm};
 pub use genome::{FirstLevelGenome, SecondLevelGenome};
 pub use mapper::{EvalStats, Mars, SearchConfig, SearchEngine, SearchResult};

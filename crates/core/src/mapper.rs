@@ -164,7 +164,7 @@ pub struct EvalStats {
     /// path.
     pub blocks_reused: u64,
     /// Wall-clock time of the whole search.
-    pub elapsed: Duration,
+    pub(crate) elapsed: Duration,
 }
 
 impl EvalStats {
@@ -174,11 +174,6 @@ impl EvalStats {
             + self.search_cache.hits
             + self.term_table.hits
             + self.greedy_cache.hits
-    }
-
-    /// First-level fitness evaluations per second of wall-clock time.
-    pub fn evals_per_second(&self) -> f64 {
-        crate::ga::throughput(self.evaluations, self.elapsed)
     }
 }
 
@@ -319,11 +314,6 @@ impl<'a> Mars<'a> {
     pub fn with_fixed_designs(mut self, designs: BTreeMap<AccelId, DesignId>) -> Self {
         self.policy = DesignPolicy::Fixed(designs);
         self
-    }
-
-    /// The active configuration.
-    pub fn config(&self) -> &SearchConfig {
-        &self.config
     }
 
     /// Runs the two-level genetic search and returns the best mapping found.
@@ -1159,7 +1149,6 @@ mod tests {
         assert!(stats.second_level_searches > 0);
         assert!(stats.search_cache.hits > 0, "repeat decisions must hit");
         assert!(stats.cache_hits() > 0);
-        assert!(stats.evals_per_second() > 0.0);
         assert_eq!(stats.elapsed, result.elapsed);
         // The flat engine keeps per-layer terms in the evaluator's dense
         // term table and seeds populations from the greedy-winner memo;

@@ -36,13 +36,8 @@ impl Assignment {
     }
 
     /// Number of accelerators in the set.
-    pub fn set_size(&self) -> usize {
+    pub(crate) fn set_size(&self) -> usize {
         self.accels.len()
-    }
-
-    /// Number of layers mapped to the set.
-    pub fn layer_count(&self) -> usize {
-        self.layers.len()
     }
 
     /// `true` if the assignment maps no layers (its accelerators idle).
@@ -104,7 +99,7 @@ impl Mapping {
 
     /// The strategy of `layer_index` (the default no-partitioning strategy if
     /// none was recorded).
-    pub fn strategy_for_layer(&self, layer_index: usize) -> Strategy {
+    pub(crate) fn strategy_for_layer(&self, layer_index: usize) -> Strategy {
         self.strategies
             .get(&layer_index)
             .copied()
@@ -117,7 +112,7 @@ impl Mapping {
     }
 
     /// Number of distinct designs used by non-idle assignments.
-    pub fn distinct_designs(&self) -> usize {
+    pub(crate) fn distinct_designs(&self) -> usize {
         let mut designs: Vec<DesignId> = self
             .assignments
             .iter()
@@ -223,7 +218,7 @@ mod tests {
     fn assignment_helpers() {
         let a = Assignment::new(vec![AccelId(0)], DesignId(1), 5..5);
         assert!(a.is_idle());
-        assert_eq!(a.layer_count(), 0);
+        assert_eq!(a.layers.len(), 0);
         assert_eq!(a.set_size(), 1);
     }
 }

@@ -13,8 +13,7 @@
 use crate::mapper::{SecondLevelKey, SecondOutcome};
 use mars_accel::DesignId;
 use mars_model::{ConvParams, Network};
-use mars_parallel::strategy::MAX_ES_DIMS;
-use mars_parallel::{OnceCache, Strategy};
+use mars_parallel::{OnceCache, Strategy, MAX_ES_DIMS};
 use mars_topology::{AccelId, Topology};
 use std::collections::HashMap;
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};

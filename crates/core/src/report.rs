@@ -9,7 +9,7 @@ use std::collections::BTreeMap;
 
 /// Returns, for every convolution layer, its 1-based ordinal among the
 /// network's convolutions (the "ConvN" numbering used in Table III).
-pub fn conv_ordinals(net: &Network) -> BTreeMap<usize, usize> {
+pub(crate) fn conv_ordinals(net: &Network) -> BTreeMap<usize, usize> {
     net.conv_layers()
         .enumerate()
         .map(|(ordinal, (id, _))| (id.0, ordinal + 1))

@@ -308,11 +308,6 @@ impl CoScheduleConfig {
         self.outer.threads = threads;
         self
     }
-
-    /// The configured worker-thread knob.
-    pub fn threads(&self) -> usize {
-        self.outer.threads
-    }
 }
 
 impl Default for CoScheduleConfig {
@@ -349,12 +344,12 @@ pub struct Placement {
 impl Placement {
     /// Time this workload occupies its partition: batch × per-inference
     /// latency, in seconds.
-    pub fn round_seconds(&self) -> f64 {
+    pub(crate) fn round_seconds(&self) -> f64 {
         self.batch as f64 * self.result.mapping.latency_seconds
     }
 
     /// The workload's contribution to the weighted makespan.
-    pub fn weighted_seconds(&self) -> f64 {
+    pub(crate) fn weighted_seconds(&self) -> f64 {
         self.weight * self.round_seconds()
     }
 }
@@ -366,7 +361,7 @@ pub struct CoScheduleResult {
     /// are pairwise disjoint and together cover the platform.
     pub placements: Vec<Placement>,
     /// Completion time of the whole round: all workloads start at once, so
-    /// this is the maximum [`Placement::round_seconds`].
+    /// this is the slowest placement's round (batch × latency).
     pub makespan_seconds: f64,
     /// The optimised objective: maximum weighted completion time.
     pub weighted_makespan_seconds: f64,
@@ -390,7 +385,7 @@ impl CoScheduleResult {
     }
 
     /// Total inferences completed per round.
-    pub fn total_inferences(&self) -> usize {
+    pub(crate) fn total_inferences(&self) -> usize {
         self.placements.iter().map(|p| p.batch).sum()
     }
 
@@ -763,7 +758,7 @@ fn usable_capacity(topo: &Topology, catalog: &Catalog, a: AccelId) -> u64 {
 ///
 /// ```no_run
 /// use mars_accel::Catalog;
-/// use mars_core::scheduler::{
+/// use mars_core::{
 ///     co_schedule_cached, sequential_exclusive, CoScheduleConfig, InnerSearchCache, Workload,
 /// };
 /// use mars_model::zoo;

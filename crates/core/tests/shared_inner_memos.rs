@@ -10,10 +10,9 @@
 //! history and evaluation counts, at 1 and at 4 outer worker threads.
 
 use mars_accel::Catalog;
-use mars_core::scheduler::{
-    co_schedule_cached, CoScheduleConfig, CoScheduleResult, InnerSearchCache, Workload,
+use mars_core::{
+    co_schedule_cached, CoScheduleConfig, CoScheduleResult, GaConfig, InnerSearchCache, Workload,
 };
-use mars_core::GaConfig;
 use mars_model::zoo::MixZoo;
 use mars_topology::{presets, AccelId, Topology};
 

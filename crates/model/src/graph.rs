@@ -7,7 +7,7 @@
 //! `{L1, ..., LN}` (flattened in topology order)" and the first-level genetic
 //! algorithm maps *contiguous* runs of that order onto accelerator sets.
 
-use crate::layer::{Layer, LayerKind};
+use crate::layer::Layer;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeSet;
 
@@ -71,7 +71,7 @@ impl std::error::Error for NetworkError {}
 /// ));
 /// net.connect(a, b)?;
 /// assert_eq!(net.len(), 2);
-/// assert_eq!(net.successors(a), vec![b]);
+/// assert_eq!(net.edges().collect::<Vec<_>>(), vec![(a, b)]);
 /// # Ok(())
 /// # }
 /// ```
@@ -148,11 +148,6 @@ impl Network {
         self.layers.is_empty()
     }
 
-    /// The layer with id `id`, if it exists.
-    pub fn layer(&self, id: LayerId) -> Option<&Layer> {
-        self.layers.get(id.0)
-    }
-
     /// All layers in topological order.
     pub fn layers(&self) -> &[Layer] {
         &self.layers
@@ -169,7 +164,7 @@ impl Network {
     }
 
     /// Direct successors of `id`.
-    pub fn successors(&self, id: LayerId) -> Vec<LayerId> {
+    pub(crate) fn successors(&self, id: LayerId) -> Vec<LayerId> {
         self.edges
             .iter()
             .filter(|(from, _)| *from == id)
@@ -178,7 +173,7 @@ impl Network {
     }
 
     /// Direct predecessors of `id`.
-    pub fn predecessors(&self, id: LayerId) -> Vec<LayerId> {
+    pub(crate) fn predecessors(&self, id: LayerId) -> Vec<LayerId> {
         self.edges
             .iter()
             .filter(|(_, to)| *to == id)
@@ -319,40 +314,16 @@ impl ChainBuilder {
         id
     }
 
-    /// Id of the last layer pushed, if any.
-    pub fn tail(&self) -> Option<LayerId> {
-        self.tail
-    }
-
     /// Finishes the chain and returns the network.
     pub fn finish(self) -> Network {
         self.net
     }
 }
 
-/// Counts how many layers of each kind a network contains; useful in tests and
-/// reports.
-pub fn kind_histogram(net: &Network) -> std::collections::BTreeMap<&'static str, usize> {
-    let mut hist = std::collections::BTreeMap::new();
-    for layer in net.layers() {
-        let key = match layer.kind {
-            LayerKind::Conv(_) => "conv",
-            LayerKind::Dense(_) => "dense",
-            LayerKind::Pool(_) => "pool",
-            LayerKind::BatchNorm(_) => "batchnorm",
-            LayerKind::Activation(_) => "activation",
-            LayerKind::Add(_) => "add",
-            LayerKind::Concat(_) => "concat",
-        };
-        *hist.entry(key).or_insert(0) += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::layer::{ConvParams, DenseParams, NormActParams};
+    use crate::layer::{ConvParams, DenseParams, LayerKind, NormActParams};
     use crate::tensor::FeatureMap;
 
     fn conv(c_out: usize, c_in: usize, hw: usize) -> Layer {
@@ -463,17 +434,6 @@ mod tests {
         assert_eq!(a.len(), 4);
         assert_eq!(a.successors(LayerId(2)), vec![LayerId(3)]);
         assert!(a.validate().is_ok());
-    }
-
-    #[test]
-    fn kind_histogram_counts() {
-        let mut net = Network::new("t");
-        net.add_layer(conv(8, 3, 16));
-        net.add_layer(conv(8, 8, 16));
-        net.add_layer(Layer::new("fc", LayerKind::Dense(DenseParams::new(10, 8))));
-        let h = kind_histogram(&net);
-        assert_eq!(h["conv"], 2);
-        assert_eq!(h["dense"], 1);
     }
 
     #[test]

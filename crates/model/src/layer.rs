@@ -32,7 +32,7 @@ pub struct ConvParams {
     /// Stride.
     pub stride: usize,
     /// Number of channel groups (1 for a dense convolution).
-    pub groups: usize,
+    pub(crate) groups: usize,
 }
 
 impl ConvParams {
@@ -53,27 +53,6 @@ impl ConvParams {
             kernel,
             stride,
             groups: 1,
-        }
-    }
-
-    /// Creates a grouped convolution.
-    pub fn grouped(
-        c_out: usize,
-        c_in: usize,
-        h_out: usize,
-        w_out: usize,
-        kernel: usize,
-        stride: usize,
-        groups: usize,
-    ) -> Self {
-        Self {
-            c_out,
-            c_in,
-            h_out,
-            w_out,
-            kernel,
-            stride,
-            groups,
         }
     }
 
@@ -134,14 +113,14 @@ impl ConvParams {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct DenseParams {
     /// Output features.
-    pub out_features: usize,
+    pub(crate) out_features: usize,
     /// Input features.
-    pub in_features: usize,
+    pub(crate) in_features: usize,
 }
 
 impl DenseParams {
     /// Creates a dense layer descriptor.
-    pub fn new(out_features: usize, in_features: usize) -> Self {
+    pub(crate) fn new(out_features: usize, in_features: usize) -> Self {
         Self {
             out_features,
             in_features,
@@ -150,7 +129,7 @@ impl DenseParams {
 
     /// The equivalent 1×1 convolution over a 1×1 feature map, which is how the
     /// mapper treats fully-connected layers.
-    pub fn as_conv(&self) -> ConvParams {
+    pub(crate) fn as_conv(&self) -> ConvParams {
         ConvParams::new(self.out_features, self.in_features, 1, 1, 1, 1)
     }
 }
@@ -168,17 +147,17 @@ pub enum PoolKind {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct PoolParams {
     /// Pooling kind.
-    pub kind: PoolKind,
+    pub(crate) kind: PoolKind,
     /// Channels (unchanged by pooling).
-    pub channels: usize,
+    pub(crate) channels: usize,
     /// Output feature-map height.
-    pub h_out: usize,
+    pub(crate) h_out: usize,
     /// Output feature-map width.
-    pub w_out: usize,
+    pub(crate) w_out: usize,
     /// Window extent.
-    pub window: usize,
+    pub(crate) window: usize,
     /// Stride.
-    pub stride: usize,
+    pub(crate) stride: usize,
 }
 
 impl PoolParams {
@@ -190,7 +169,7 @@ impl PoolParams {
     /// Comparison/accumulation operation count (one op per window element per
     /// output element); negligible next to convolutions but tracked for
     /// completeness.
-    pub fn ops(&self) -> u64 {
+    pub(crate) fn ops(&self) -> u64 {
         self.output_shape().elements() * (self.window * self.window) as u64
     }
 }
@@ -225,7 +204,7 @@ pub enum LayerKind {
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Layer {
     /// Human-readable layer name (e.g. `"conv2_1"`).
-    pub name: String,
+    pub(crate) name: String,
     /// The operator.
     pub kind: LayerKind,
 }
@@ -285,7 +264,7 @@ impl Layer {
     }
 
     /// Shape of the activation produced by the layer.
-    pub fn output_shape(&self) -> FeatureMap {
+    pub(crate) fn output_shape(&self) -> FeatureMap {
         match &self.kind {
             LayerKind::Conv(c) => c.output_shape(),
             LayerKind::Dense(d) => FeatureMap::new(d.out_features, 1, 1),
@@ -303,7 +282,7 @@ impl Layer {
     }
 
     /// Shape of the (primary) input activation consumed by the layer.
-    pub fn input_shape(&self) -> FeatureMap {
+    pub(crate) fn input_shape(&self) -> FeatureMap {
         match &self.kind {
             LayerKind::Conv(c) => c.input_shape(),
             LayerKind::Dense(d) => FeatureMap::new(d.in_features, 1, 1),
@@ -383,7 +362,10 @@ mod tests {
     #[test]
     fn grouped_conv_reduces_macs_and_weights() {
         let dense = ConvParams::new(128, 128, 28, 28, 3, 1);
-        let grouped = ConvParams::grouped(128, 128, 28, 28, 3, 1, 4);
+        let grouped = ConvParams {
+            groups: 4,
+            ..ConvParams::new(128, 128, 28, 28, 3, 1)
+        };
         assert_eq!(grouped.macs() * 4, dense.macs());
         assert_eq!(grouped.weight_count() * 4, dense.weight_count());
     }

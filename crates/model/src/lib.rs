@@ -26,18 +26,19 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod graph;
-pub mod layer;
-pub mod loopnest;
-pub mod tensor;
-pub mod workload;
+mod graph;
+mod layer;
+mod loopnest;
+mod tensor;
+mod workload;
 pub mod zoo;
 
-pub use graph::{kind_histogram, ChainBuilder, LayerId, Network, NetworkError};
+pub use graph::{ChainBuilder, LayerId, Network, NetworkError};
 pub use layer::{ConvParams, DenseParams, Layer, LayerKind, NormActParams, PoolKind, PoolParams};
 pub use loopnest::{Dim, DimSet, LoopNest};
-pub use tensor::{FeatureMap, TensorShape, BYTES_PER_ELEMENT};
+pub use tensor::{FeatureMap, BYTES_PER_ELEMENT};
 pub use workload::{
     validate_faults, FaultEvent, FaultKind, PhasedTraffic, TrafficError, TrafficPhase,
     TrafficProfile, Workload,

@@ -118,14 +118,6 @@ impl DimSet {
         newly
     }
 
-    /// Removes a dimension; returns `true` if it was present.
-    pub fn remove(&mut self, dim: Dim) -> bool {
-        let bit = 1u8 << dim.index();
-        let present = self.0 & bit != 0;
-        self.0 &= !bit;
-        present
-    }
-
     /// `true` if the set contains `dim`.
     pub fn contains(self, dim: Dim) -> bool {
         self.0 & (1 << dim.index()) != 0
@@ -149,11 +141,6 @@ impl DimSet {
     /// Set union.
     pub fn union(self, other: DimSet) -> DimSet {
         DimSet(self.0 | other.0)
-    }
-
-    /// Set intersection.
-    pub fn intersection(self, other: DimSet) -> DimSet {
-        DimSet(self.0 & other.0)
     }
 }
 
@@ -281,9 +268,6 @@ mod tests {
         assert!(!s.insert(Dim::H));
         assert!(s.contains(Dim::H));
         assert_eq!(s.len(), 1);
-        assert!(s.remove(Dim::H));
-        assert!(!s.remove(Dim::H));
-        assert!(s.is_empty());
     }
 
     #[test]
@@ -291,8 +275,6 @@ mod tests {
         let a = DimSet::from_dims([Dim::Cin, Dim::W]);
         let b = DimSet::from_dims([Dim::W, Dim::Cout]);
         assert_eq!(a.union(b).len(), 3);
-        assert_eq!(a.intersection(b).len(), 1);
-        assert!(a.intersection(DimSet::from_dims([Dim::Kh])).is_empty());
     }
 
     #[test]

@@ -148,8 +148,6 @@ pub enum FaultKind {
 /// assert_eq!(dies.kind, FaultKind::AccelDown { accel: 3 });
 /// let heals = FaultEvent::accel_restored(8.0, 3);
 /// assert_eq!(heals.at_seconds, 8.0);
-/// let slow = FaultEvent::link_degraded(5.0, 0.25);
-/// assert!(matches!(slow.kind, FaultKind::LinkDegraded { factor } if factor == 0.25));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FaultEvent {
@@ -178,7 +176,7 @@ impl FaultEvent {
     }
 
     /// A link degradation to `factor` of healthy bandwidth at `at_seconds`.
-    pub fn link_degraded(at_seconds: f64, factor: f64) -> Self {
+    pub(crate) fn link_degraded(at_seconds: f64, factor: f64) -> Self {
         Self {
             at_seconds,
             kind: FaultKind::LinkDegraded { factor },

@@ -24,9 +24,9 @@ use crate::workload::{PhasedTraffic, TrafficError, TrafficPhase, TrafficProfile}
 /// memory footprint, and the request-shape ranges its traffic draws from.
 ///
 /// ```
-/// use mars_model::zoo::LlmWorkload;
+/// use mars_model::zoo::llm_mix;
 ///
-/// let llm = LlmWorkload::chat_7b();
+/// let llm = &llm_mix().workloads[0];
 /// // Prefill cost grows with the prompt; decode cost is dominated by the
 /// // shared per-iteration base, so batching decodes is nearly free.
 /// assert!(llm.prefill_seconds(512) > 4.0 * llm.prefill_seconds(64));
@@ -41,20 +41,20 @@ pub struct LlmWorkload {
     /// Display name.
     pub name: String,
     /// SLA weight (relative latency criticality, as for CNN workloads).
-    pub weight: f64,
+    pub(crate) weight: f64,
     /// Fixed prefill overhead per request, seconds (kernel launch, KV
     /// allocation).
-    pub prefill_base_seconds: f64,
+    pub(crate) prefill_base_seconds: f64,
     /// Marginal prefill cost per prompt token, seconds (compute-bound: the
     /// whole prompt is processed in one full-sequence pass).
-    pub prefill_per_token_seconds: f64,
+    pub(crate) prefill_per_token_seconds: f64,
     /// Fixed cost of one decode iteration, seconds — streaming the complete
     /// weight set from DRAM.  Shared by every sequence decoding in the
     /// iteration; the term continuous batching amortises.
-    pub decode_base_seconds: f64,
+    pub(crate) decode_base_seconds: f64,
     /// Marginal decode cost per running sequence per iteration, seconds
     /// (per-sequence attention over its KV cache).
-    pub decode_per_seq_seconds: f64,
+    pub(crate) decode_per_seq_seconds: f64,
     /// Resident model weights, bytes.
     pub weights_bytes: u64,
     /// KV-cache bytes per accepted token (prompt and generated alike).
@@ -68,7 +68,7 @@ pub struct LlmWorkload {
 impl LlmWorkload {
     /// A chat-tuned ~7B-class model quantised for a single accelerator card:
     /// short prompts, short answers, strict SLA weight.
-    pub fn chat_7b() -> Self {
+    pub(crate) fn chat_7b() -> Self {
         Self {
             name: "chat-7b".into(),
             weight: 2.0,
@@ -85,7 +85,7 @@ impl LlmWorkload {
 
     /// A code-completion ~13B-class model: longer prompts (file context),
     /// heavier weights, slower per-iteration streaming.
-    pub fn code_13b() -> Self {
+    pub(crate) fn code_13b() -> Self {
         Self {
             name: "code-13b".into(),
             weight: 1.5,
@@ -102,7 +102,7 @@ impl LlmWorkload {
 
     /// A summarisation ~7B-class model: very long prompts, short outputs —
     /// prefill-heavy traffic that stresses the KV budget per request.
-    pub fn summarize_7b() -> Self {
+    pub(crate) fn summarize_7b() -> Self {
         Self {
             name: "summarize-7b".into(),
             weight: 1.0,
@@ -154,14 +154,6 @@ impl LlmWorkload {
     /// need: its maximal prompt plus maximal output, fully decoded.
     pub fn max_request_kv_bytes(&self) -> u64 {
         self.request_kv_bytes(self.prompt_tokens.1, self.output_tokens.1)
-    }
-
-    /// Resident bytes on every accelerator serving this workload with up to
-    /// `slots` concurrent sequences: weights plus the worst-case KV cache.
-    /// This is the [`Workload::memory_bytes`](crate::Workload::memory_bytes)
-    /// figure a placement must guarantee.
-    pub fn resident_bytes(&self, slots: usize) -> u64 {
-        self.weights_bytes + slots as u64 * self.max_request_kv_bytes()
     }
 }
 
@@ -314,11 +306,6 @@ mod tests {
             llm.max_request_kv_bytes(),
             llm.kv_bytes((llm.prompt_tokens.1 + llm.output_tokens.1) as u64)
         );
-        assert_eq!(
-            llm.resident_bytes(4),
-            llm.weights_bytes + 4 * llm.max_request_kv_bytes()
-        );
-        assert!(llm.resident_bytes(5) > llm.resident_bytes(4));
         // A `u32::MAX`-token prompt range needs its true reservation, which
         // no lane can hold.
         let huge = LlmWorkload {

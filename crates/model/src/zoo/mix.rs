@@ -38,11 +38,13 @@ fn entry(network: Network, weight: f64, batch: usize) -> Workload {
 /// ES/SS strategy space can shard both the hidden and the sequence dimension.
 ///
 /// ```
-/// let net = mars_model::zoo::bert_ish(384, 6, 196);
-/// assert_eq!(net.name(), "BERT-ish");
-/// assert!(net.total_macs() > 1_000_000_000);
+/// use mars_model::zoo::MixZoo;
+///
+/// let mix = MixZoo::HeteroTriple.entries();
+/// let bert = mix.iter().find(|w| w.network.name() == "BERT-ish").unwrap();
+/// assert!(bert.network.total_macs() > 1_000_000_000);
 /// ```
-pub fn bert_ish(hidden: usize, layers: usize, seq: usize) -> Network {
+pub(crate) fn bert_ish(hidden: usize, layers: usize, seq: usize) -> Network {
     let mut net = Network::new("BERT-ish");
     let shape = FeatureMap::new(hidden, seq, 1);
     let norm = NormActParams { shape };
@@ -521,13 +523,6 @@ impl MixZoo {
             latencies_seconds: latencies,
             traffic,
         }
-    }
-
-    /// The autoregressive LLM serving scenario — prefill/decode workloads,
-    /// memory-constrained lanes, phase-aware SLA factors.  Delegates to
-    /// [`crate::zoo::llm_mix`] so all bundled scenarios hang off `MixZoo`.
-    pub fn llm_mix() -> crate::zoo::LlmSpec {
-        crate::zoo::llm_mix()
     }
 }
 

@@ -2,11 +2,11 @@
 //!
 //! * Classic CNNs (Table III): [`alexnet`], [`vgg16`].
 //! * Residual networks (Table III): [`resnet34`], [`resnet101`],
-//!   [`wide_resnet50_2`] (plus [`resnet18`] and [`resnet50`] for convenience).
+//!   [`wide_resnet50_2`] (plus [`resnet18`] for convenience).
 //! * Heterogeneous multi-branch models (Table IV): [`casia_surf_like`] and
 //!   [`facebagnet_like`].
-//! * Multi-workload mixes for the co-scheduler ([`MixZoo`]), including the
-//!   transformer-shaped [`bert_ish`] workload.
+//! * Multi-workload mixes for the co-scheduler ([`MixZoo`]), including a
+//!   transformer-shaped BERT-style encoder.
 //!
 //! All builders produce [`Network`]s whose parameter and MAC totals match the
 //! figures reported in the paper's Table III: within 5% for VGG16 and the
@@ -25,8 +25,8 @@ mod resnet;
 pub use classic::{alexnet, vgg16};
 pub use hetero::{casia_surf_like, facebagnet_like};
 pub use llm::{llm_mix, LlmSpec, LlmWorkload};
-pub use mix::{bert_ish, FleetSpec, MixZoo};
-pub use resnet::{resnet101, resnet18, resnet34, resnet50, wide_resnet50_2};
+pub use mix::{FleetSpec, MixZoo};
+pub use resnet::{resnet101, resnet18, resnet34, wide_resnet50_2};
 
 use crate::Network;
 

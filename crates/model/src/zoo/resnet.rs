@@ -369,11 +369,6 @@ pub fn resnet34(classes: usize) -> Network {
     basic_resnet("ResNet34", [3, 4, 6, 3], classes)
 }
 
-/// ResNet-50.
-pub fn resnet50(classes: usize) -> Network {
-    bottleneck_resnet("ResNet50", [3, 4, 6, 3], 1, classes)
-}
-
 /// ResNet-101 (Table III row 4: ~44.5 M parameters, ~7.85 G MACs).
 pub fn resnet101(classes: usize) -> Network {
     bottleneck_resnet("ResNet101", [3, 4, 23, 3], 1, classes)
@@ -390,6 +385,12 @@ pub fn wide_resnet50_2(classes: usize) -> Network {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// ResNet-50: checked against its published size, and the baseline
+    /// WRN-50-2 widens.
+    fn resnet50(classes: usize) -> Network {
+        bottleneck_resnet("ResNet50", [3, 4, 6, 3], 1, classes)
+    }
 
     #[test]
     fn resnet18_structure() {

@@ -16,30 +16,31 @@
 //! independent, and pins bucket edges to exact powers of two:
 //!
 //! ```
-//! use mars_obs::Histogram;
-//! let mut h = Histogram::new();
-//! h.record(1.0);
-//! h.record(1.999); // same power of two, top quarter
-//! assert_eq!(h.count(), 2);
-//! assert_ne!(h.bucket_index(1.0), h.bucket_index(1.999));
-//! // An exact bucket edge lands *in* the bucket it opens.
-//! assert_eq!(h.bucket_index(2.0), h.bucket_index(2.1));
-//! assert_ne!(h.bucket_index(2.0), h.bucket_index(1.999));
+//! use mars_obs::{metrics_json, Recorder};
+//!
+//! let rec = Recorder::enabled();
+//! for v in [1.0, 1.999, 2.0, 2.1] {
+//!     rec.observe("h", v);
+//! }
+//! // 1.999 shares 1.0's power of two but sits in its top quarter, and an
+//! // exact bucket edge (2.0) lands *in* the bucket it opens, next to 2.1.
+//! let json = metrics_json(&rec.snapshot());
+//! assert!(json.contains("\"buckets\": [[1, 1], [1.75, 1], [2, 2]]"));
 //! ```
 
 /// Log-scale subdivisions per power of two (top two mantissa bits).
-pub const SUB_BUCKETS: u32 = 4;
+pub(crate) const SUB_BUCKETS: u32 = 4;
 
 /// Smallest binary exponent with its own bucket; values below
 /// `2^MIN_EXP` (≈ 9.3e-10) fall into the underflow bucket.
-pub const MIN_EXP: i32 = -30;
+pub(crate) const MIN_EXP: i32 = -30;
 
 /// Largest binary exponent with its own bucket; values at or above
 /// `2^(MAX_EXP + 1)` (≈ 8.6e9) fall into the overflow bucket.
-pub const MAX_EXP: i32 = 32;
+pub(crate) const MAX_EXP: i32 = 32;
 
 /// Number of regular (non-under/overflow) buckets.
-pub const BUCKETS: usize = ((MAX_EXP - MIN_EXP + 1) as usize) * SUB_BUCKETS as usize;
+pub(crate) const BUCKETS: usize = ((MAX_EXP - MIN_EXP + 1) as usize) * SUB_BUCKETS as usize;
 
 /// A fixed-bucket log-scale histogram (see the module docs for the
 /// determinism contract).
@@ -61,7 +62,7 @@ impl Default for Histogram {
 
 impl Histogram {
     /// An empty histogram.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self {
             counts: vec![0; BUCKETS],
             underflow: 0,
@@ -77,7 +78,7 @@ impl Histogram {
     /// value's IEEE-754 bits: the unbiased exponent selects the octave and
     /// the top two mantissa bits the sub-bucket, so a value exactly on a
     /// bucket's lower edge is always counted in that bucket.
-    pub fn bucket_index(&self, value: f64) -> Option<usize> {
+    pub(crate) fn bucket_index(&self, value: f64) -> Option<usize> {
         if value <= 0.0 || !value.is_finite() {
             return None;
         }
@@ -96,7 +97,7 @@ impl Histogram {
     }
 
     /// The inclusive lower edge of regular bucket `i`.
-    pub fn bucket_edge(i: usize) -> f64 {
+    pub(crate) fn bucket_edge(i: usize) -> f64 {
         let exp = MIN_EXP + (i / SUB_BUCKETS as usize) as i32;
         let sub = (i % SUB_BUCKETS as usize) as f64;
         (exp as f64).exp2() * (1.0 + sub / SUB_BUCKETS as f64)
@@ -107,7 +108,7 @@ impl Histogram {
     /// overflow bucket; samples below it, zero, negatives and `-inf`
     /// included, in the underflow bucket.  Every sample but NaN updates
     /// min/max, so an infinite sample makes them infinite.
-    pub fn record(&mut self, value: f64) {
+    pub(crate) fn record(&mut self, value: f64) {
         self.count += 1;
         match self.bucket_index(value) {
             Some(i) => self.counts[i] += 1,
@@ -127,50 +128,36 @@ impl Histogram {
     }
 
     /// Total samples recorded (regular buckets plus under/overflow).
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.count
     }
 
     /// Samples below the bucketed range (including zero, negatives and
     /// `-inf`).
-    pub fn underflow(&self) -> u64 {
+    pub(crate) fn underflow(&self) -> u64 {
         self.underflow
     }
 
     /// Samples at or above the bucketed range (including `+inf`), and NaN
     /// samples.
-    pub fn overflow(&self) -> u64 {
+    pub(crate) fn overflow(&self) -> u64 {
         self.overflow
     }
 
     /// Smallest non-NaN sample (`+inf` when empty).
-    pub fn min(&self) -> f64 {
+    pub(crate) fn min(&self) -> f64 {
         self.min
     }
 
     /// Largest non-NaN sample (`-inf` when empty).
-    pub fn max(&self) -> f64 {
+    pub(crate) fn max(&self) -> f64 {
         self.max
-    }
-
-    /// Cumulative counts: `cdf()[i]` is the number of samples in underflow
-    /// plus regular buckets `0..=i`.  Monotone non-decreasing by
-    /// construction; the last entry plus `overflow()` equals `count()`.
-    pub fn cdf(&self) -> Vec<u64> {
-        let mut acc = self.underflow;
-        self.counts
-            .iter()
-            .map(|&c| {
-                acc += c;
-                acc
-            })
-            .collect()
     }
 
     /// Folds `other` into `self`.  Pure integer addition plus min/max, so
     /// merging is commutative and associative: any shard grouping of the
     /// same samples produces a bit-identical merged histogram.
-    pub fn merge(&mut self, other: &Histogram) {
+    pub(crate) fn merge(&mut self, other: &Histogram) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
             *a += b;
         }
@@ -183,7 +170,7 @@ impl Histogram {
 
     /// The non-empty buckets as `(lower_edge, count)` pairs, in edge order
     /// (what the flat-JSON exporter prints).
-    pub fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
+    pub(crate) fn nonzero_buckets(&self) -> Vec<(f64, u64)> {
         self.counts
             .iter()
             .enumerate()
@@ -241,10 +228,10 @@ mod tests {
     }
 
     proptest! {
-        /// CDF is monotone, ends at count - overflow, and every recorded
-        /// sample is in exactly one bucket class.
+        /// Every recorded sample is in exactly one bucket class: underflow,
+        /// a regular bucket or overflow.
         #[test]
-        fn cdf_is_monotone_and_accounts_for_every_sample(
+        fn buckets_account_for_every_sample(
             samples in proptest::collection::vec(1e-12f64..1e12, 0..200)
         ) {
             let mut h = Histogram::new();
@@ -252,12 +239,8 @@ mod tests {
                 h.record(s);
             }
             prop_assert_eq!(h.count(), samples.len() as u64);
-            let cdf = h.cdf();
-            for w in cdf.windows(2) {
-                prop_assert!(w[0] <= w[1], "CDF must be monotone");
-            }
-            let last = cdf.last().copied().unwrap_or(h.underflow());
-            prop_assert_eq!(last + h.overflow(), h.count());
+            let in_buckets: u64 = h.nonzero_buckets().iter().map(|&(_, c)| c).sum();
+            prop_assert_eq!(h.underflow() + in_buckets + h.overflow(), h.count());
         }
 
         /// Merging any two-way split of a sample stream is bit-identical to

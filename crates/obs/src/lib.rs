@@ -8,10 +8,10 @@
 //! The layer's defining property is that **instrumentation never perturbs
 //! results**: every recorded quantity derives from simulation clocks and
 //! deterministic counters (wall time is quarantined in an explicitly
-//! nondeterministic section, [`Obs::wall_seconds`]), a disabled
+//! nondeterministic section, [`Recorder::wall_seconds`]), a disabled
 //! [`Recorder`] — the default — compiles to an inlineable null check on the
 //! hot paths, and parallel shards record into local stores that merge
-//! bit-identically for any shard grouping ([`Obs::merge`] +
+//! bit-identically for any shard grouping (merge, then
 //! [`Obs::canonicalize`]).  Instrumented runs of the search, serving and
 //! elastic-runtime engines are bit-identical to uninstrumented ones, and
 //! merged metrics are bit-identical across `MARS_THREADS` values — the
@@ -47,6 +47,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod export;
 mod hist;
@@ -55,6 +56,6 @@ mod recorder;
 mod store;
 
 pub use export::{chrome_trace_json, metrics_json};
-pub use hist::{Histogram, BUCKETS, MAX_EXP, MIN_EXP, SUB_BUCKETS};
+pub use hist::Histogram;
 pub use recorder::Recorder;
 pub use store::{Instant, Obs, Span};

@@ -106,7 +106,7 @@ impl Recorder {
     }
 
     /// Adds wall-clock seconds in the explicitly nondeterministic profiling
-    /// section — see [`Obs::wall_seconds`].
+    /// section, which [`Obs::strip_wall`] drops.
     #[inline]
     pub fn wall_seconds(&self, name: &str, seconds: f64) {
         self.with_store(|obs| obs.wall_seconds(name, seconds));

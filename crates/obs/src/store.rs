@@ -36,9 +36,9 @@ pub struct Span {
     pub(crate) track: u32,
     pub(crate) name: u32,
     /// Start instant in simulated seconds.
-    pub start: f64,
+    pub(crate) start: f64,
     /// End instant in simulated seconds (`>= start`).
-    pub end: f64,
+    pub(crate) end: f64,
 }
 
 /// One instantaneous trace event on a named track.
@@ -51,7 +51,7 @@ pub struct Instant {
     pub(crate) track: u32,
     pub(crate) name: u32,
     /// The instant in simulated seconds.
-    pub at: f64,
+    pub(crate) at: f64,
 }
 
 /// The interned string table of span and instant tracks and names: id `i`
@@ -174,7 +174,7 @@ pub struct Obs {
 
 impl Obs {
     /// An empty store.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
@@ -190,12 +190,12 @@ impl Obs {
     }
 
     /// Adds `delta` to counter `name`.
-    pub fn counter(&mut self, name: &str, delta: u64) {
+    pub(crate) fn counter(&mut self, name: &str, delta: u64) {
         update(&mut self.counters, name, || 0, |c| *c += delta);
     }
 
     /// Raises peak gauge `name` to at least `value` (NaN is ignored).
-    pub fn gauge_max(&mut self, name: &str, value: f64) {
+    pub(crate) fn gauge_max(&mut self, name: &str, value: f64) {
         if value.is_nan() {
             return;
         }
@@ -208,17 +208,17 @@ impl Obs {
     }
 
     /// Records `value` into histogram `name`.
-    pub fn observe(&mut self, name: &str, value: f64) {
+    pub(crate) fn observe(&mut self, name: &str, value: f64) {
         update(&mut self.hists, name, Histogram::new, |h| h.record(value));
     }
 
     /// Appends a `(t, value)` sample to series `name` (t in sim seconds).
-    pub fn point(&mut self, name: &str, t: f64, value: f64) {
+    pub(crate) fn point(&mut self, name: &str, t: f64, value: f64) {
         update(&mut self.series, name, Vec::new, |s| s.push((t, value)));
     }
 
     /// Appends a span on `track` from `start` to `end` sim seconds.
-    pub fn span(&mut self, track: &str, name: &str, start: f64, end: f64) {
+    pub(crate) fn span(&mut self, track: &str, name: &str, start: f64, end: f64) {
         let (track, name) = (self.labels.id(track), self.labels.id(name));
         self.spans.push(Span {
             track,
@@ -229,7 +229,7 @@ impl Obs {
     }
 
     /// Appends an instantaneous marker on `track` at `at` sim seconds.
-    pub fn instant(&mut self, track: &str, name: &str, at: f64) {
+    pub(crate) fn instant(&mut self, track: &str, name: &str, at: f64) {
         let (track, name) = (self.labels.id(track), self.labels.id(name));
         self.instants.push(Instant { track, name, at });
     }
@@ -241,14 +241,8 @@ impl Obs {
     /// instrumentation must never call this; the determinism suite compares
     /// whole stores, so a wall entry from inside an instrumented engine is
     /// a test failure, not a tolerated wobble.
-    pub fn wall_seconds(&mut self, name: &str, seconds: f64) {
+    pub(crate) fn wall_seconds(&mut self, name: &str, seconds: f64) {
         update(&mut self.wall, name, || 0.0, |w| *w += seconds);
-    }
-
-    /// The nondeterministic wall-clock entries (empty for fully
-    /// deterministic runs).
-    pub fn wall(&self) -> &BTreeMap<String, f64> {
-        &self.wall
     }
 
     /// Drops the explicitly-nondeterministic wall-clock section, leaving the
@@ -307,7 +301,7 @@ impl Obs {
     /// `other`'s label ids remapped into this store's table).  After
     /// [`canonicalize`](Obs::canonicalize), the result is bit-identical for
     /// any shard grouping of the same per-item observations.
-    pub fn merge(&mut self, other: &Obs) {
+    pub(crate) fn merge(&mut self, other: &Obs) {
         for (k, &v) in &other.counters {
             self.counter(k, v);
         }

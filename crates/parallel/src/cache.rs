@@ -18,7 +18,7 @@
 //!   computations such as memoised second-level GA runs.
 //!
 //! ```
-//! use mars_parallel::cache::ShardedCache;
+//! use mars_parallel::ShardedCache;
 //!
 //! let cache: ShardedCache<u32, String> = ShardedCache::new();
 //! assert_eq!(cache.get(&1), None);
@@ -67,14 +67,6 @@ impl CacheStats {
             0.0
         } else {
             self.hits as f64 / self.lookups() as f64
-        }
-    }
-
-    /// Component-wise sum of two counter snapshots.
-    pub fn merged(&self, other: CacheStats) -> CacheStats {
-        CacheStats {
-            hits: self.hits + other.hits,
-            misses: self.misses + other.misses,
         }
     }
 }
@@ -164,13 +156,6 @@ impl<K: Hash + Eq, V: Clone> ShardedCache<K, V> {
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
-
-    /// Removes every entry from every shard.
-    pub fn clear(&self) {
-        for shard in &self.shards {
-            shard.lock().expect("cache shard poisoned").clear();
-        }
-    }
 }
 
 impl<K: Hash + Eq, V: Clone> Default for ShardedCache<K, V> {
@@ -201,7 +186,7 @@ impl<K, V> std::fmt::Debug for ShardedCache<K, V> {
 /// shares the winner's result.
 ///
 /// ```
-/// use mars_parallel::cache::OnceCache;
+/// use mars_parallel::OnceCache;
 ///
 /// let cache: OnceCache<u32, String> = OnceCache::new();
 /// let v = cache.get_or_compute(1, || "one".to_string());
@@ -257,12 +242,6 @@ impl<K: Hash + Eq, V: Clone> OnceCache<K, V> {
         }
     }
 
-    /// Returns a clone of the completed value for `key`, if one exists.  A
-    /// key whose computation is still in flight reports `None`.
-    pub fn get(&self, key: &K) -> Option<V> {
-        self.slots.get(key).and_then(|slot| slot.get().cloned())
-    }
-
     /// Number of keys with a slot (completed or in flight).
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -271,12 +250,6 @@ impl<K: Hash + Eq, V: Clone> OnceCache<K, V> {
     /// `true` when no key has ever been requested.
     pub fn is_empty(&self) -> bool {
         self.slots.is_empty()
-    }
-
-    /// Removes every entry.  Computations already in flight still complete on
-    /// their (now detached) slots; later lookups recompute.
-    pub fn clear(&self) {
-        self.slots.clear();
     }
 }
 
@@ -308,8 +281,6 @@ mod tests {
         assert_eq!(cache.insert(1, 11), Some(10));
         assert_eq!(cache.get(&1), Some(11));
         assert_eq!(cache.len(), 1);
-        cache.clear();
-        assert!(cache.is_empty());
     }
 
     #[test]
@@ -370,9 +341,6 @@ mod tests {
         }
         assert_eq!(calls, 1);
         assert_eq!(cache.len(), 1);
-        cache.clear();
-        assert!(cache.is_empty());
-        assert_eq!(cache.get(&9), None);
     }
 
     #[test]
@@ -424,8 +392,6 @@ mod tests {
         once.get_or_compute(1, || 1);
         let s = once.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
-        let merged = s.merged(cache.stats());
-        assert_eq!((merged.hits, merged.misses), (2, 3));
         assert_eq!(CacheStats::default().hit_rate(), 0.0);
     }
 

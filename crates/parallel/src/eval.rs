@@ -34,27 +34,27 @@ impl<'a> EvalContext<'a> {
     }
 
     /// Number of accelerators in the set.
-    pub fn set_size(&self) -> usize {
+    pub(crate) fn set_size(&self) -> usize {
         self.accset.len()
     }
 
     /// The member accelerators.
-    pub fn accset(&self) -> &[AccelId] {
+    pub(crate) fn accset(&self) -> &[AccelId] {
         self.accset
     }
 
     /// The performance model of the configured design.
-    pub fn model(&self) -> &dyn PerformanceModel {
+    pub(crate) fn model(&self) -> &dyn PerformanceModel {
         self.model
     }
 
     /// The communication simulator.
-    pub fn sim(&self) -> &CommSim<'a> {
+    pub(crate) fn sim(&self) -> &CommSim<'a> {
         self.sim
     }
 
     /// DRAM capacity of the smallest member, in bytes.
-    pub fn dram_bytes(&self) -> u64 {
+    pub(crate) fn dram_bytes(&self) -> u64 {
         self.sim.topology().min_dram_within(self.accset)
     }
 }

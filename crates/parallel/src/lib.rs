@@ -8,8 +8,8 @@
 //!
 //! * [`Strategy`] — "annotate dimensions with ES and SS": a set of exclusive
 //!   dimensions plus an optional shared dimension.
-//! * [`enumerate`] — the candidate spaces discussed in the paper (15 two-dim
-//!   ES choices, plus the SS variants).
+//! * [`paper_strategies`] and [`all_strategies`] — the candidate spaces
+//!   discussed in the paper (15 two-dim ES choices, plus the SS variants).
 //! * [`ShardPlan`] — how a concrete strategy maps onto `p` accelerators:
 //!   balanced factorisation of `p` over the ES dimensions, ring phases for the
 //!   SS dimension, per-accelerator loop nest and tensor shard sizes, and the
@@ -24,12 +24,12 @@
 //! on — they live here (rather than in `mars-core`) because they are generic,
 //! std-only and reusable by any crate in the workspace:
 //!
-//! * [`pool`] — a scoped-thread worker pool ([`scoped_map`]) that fans
-//!   independent evaluations out over N threads with dynamic work stealing
-//!   and order-preserving results.
-//! * [`cache`] — an N-way sharded concurrent memo cache ([`ShardedCache`])
-//!   that replaces a single global `Mutex<HashMap>` so concurrent genome
-//!   evaluations don't serialise on one lock.
+//! * [`scoped_map`] — a scoped-thread worker pool that fans independent
+//!   evaluations out over N threads with dynamic work stealing and
+//!   order-preserving results.
+//! * [`ShardedCache`] and [`OnceCache`] — N-way sharded concurrent memo
+//!   caches that replace a single global `Mutex<HashMap>` so concurrent
+//!   genome evaluations don't serialise on one lock.
 //!
 //! ```
 //! use mars_accel::Catalog;
@@ -58,17 +58,18 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod cache;
-pub mod enumerate;
-pub mod eval;
-pub mod pool;
-pub mod shard;
-pub mod strategy;
+mod cache;
+mod enumerate;
+mod eval;
+mod pool;
+mod shard;
+mod strategy;
 
 pub use cache::{CacheStats, OnceCache, ShardedCache};
 pub use enumerate::{all_strategies, paper_strategies, StrategySpace};
 pub use eval::{evaluate_layer, evaluate_non_conv, EvalContext, LayerEval};
 pub use pool::{resolve_threads, scoped_map, threads_from_env};
-pub use shard::{balanced_factors, ShardPlan};
-pub use strategy::{Strategy, StrategyError};
+pub use shard::ShardPlan;
+pub use strategy::{Strategy, StrategyError, MAX_ES_DIMS};

@@ -16,7 +16,7 @@
 //! any synchronisation overhead.
 //!
 //! ```
-//! use mars_parallel::pool::scoped_map;
+//! use mars_parallel::scoped_map;
 //!
 //! let squares = scoped_map(4, &[1u64, 2, 3, 4, 5], |_, x| x * x);
 //! assert_eq!(squares, vec![1, 4, 9, 16, 25]);

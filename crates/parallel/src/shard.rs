@@ -20,15 +20,22 @@ use serde::{Deserialize, Serialize};
 /// Splits `p` into `k` factors whose product is `p` (when `k > 0`), as
 /// balanced as possible, in non-increasing order.
 ///
+/// A [`ShardPlan`] splits its accelerators over the exclusive dimensions
+/// this way:
+///
 /// ```
-/// use mars_parallel::balanced_factors;
-/// assert_eq!(balanced_factors(4, 2), vec![2, 2]);
-/// assert_eq!(balanced_factors(8, 2), vec![4, 2]);
-/// assert_eq!(balanced_factors(7, 2), vec![7, 1]);
-/// assert_eq!(balanced_factors(6, 1), vec![6]);
-/// assert_eq!(balanced_factors(5, 0), Vec::<usize>::new());
+/// use mars_model::{ConvParams, Dim, DimSet};
+/// use mars_parallel::{ShardPlan, Strategy};
+///
+/// let conv = ConvParams::new(64, 64, 28, 28, 3, 1);
+/// let es = Strategy::exclusive(DimSet::from_dims([Dim::Cout, Dim::Cin]));
+/// // `Cin` is the reduction dimension; its factor is the All-Reduce group.
+/// let group = |p| ShardPlan::new(&conv, &es, p).reduction_group;
+/// assert_eq!(group(4), 2); // 2 × 2
+/// assert_eq!(group(8), 2); // 4 × 2
+/// assert_eq!(group(7), 1); // 7 × 1: a prime does not split
 /// ```
-pub fn balanced_factors(p: usize, k: usize) -> Vec<usize> {
+pub(crate) fn balanced_factors(p: usize, k: usize) -> Vec<usize> {
     match k {
         0 => Vec::new(),
         1 => vec![p.max(1)],
@@ -55,16 +62,16 @@ pub fn balanced_factors(p: usize, k: usize) -> Vec<usize> {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ShardPlan {
     /// Exclusive-shard factor per dimension, e.g. `[(H, 2), (W, 2)]`.
-    pub es_factors: Vec<(Dim, usize)>,
+    pub(crate) es_factors: Vec<(Dim, usize)>,
     /// Shared dimension and its ring length (number of phases), if any.
-    pub ss: Option<(Dim, usize)>,
+    pub(crate) ss: Option<(Dim, usize)>,
     /// Number of accelerators doing useful work (`∏ es_factors`), at most the
     /// set size; the remaining accelerators idle.
     pub parallel_degree: usize,
     /// Number of ring phases (1 when no shared dimension is used).
     pub phases: usize,
     /// Loop nest executed by one accelerator in one phase.
-    pub phase_nest: LoopNest,
+    pub(crate) phase_nest: LoopNest,
     /// Number of accelerators whose partial outputs must be All-Reduced
     /// (product of the factors on reduction dimensions; 1 = no All-Reduce).
     pub reduction_group: usize,
@@ -188,7 +195,7 @@ impl ShardPlan {
     /// If a kernel dimension was sharded (a rare strategy), the kernel stays at
     /// its original extent and the sharding ratio is folded into the input
     /// channels so that the MAC count of the nest is preserved.
-    pub fn phase_conv(&self, conv: &ConvParams) -> ConvParams {
+    pub(crate) fn phase_conv(&self, conv: &ConvParams) -> ConvParams {
         let [c_out, c_in, h, w, kh, kw] = self.phase_nest.bounds();
         let k = conv.kernel.max(1);
         let k_ratio = (kh * kw) as f64 / (k * k) as f64;
@@ -199,7 +206,7 @@ impl ShardPlan {
     /// Per-accelerator resident bytes: input shard, weight shard, output shard
     /// and (when a shared dimension is used) a double-buffer for the incoming
     /// shared shard.
-    pub fn per_accel_bytes(&self) -> u64 {
+    pub(crate) fn per_accel_bytes(&self) -> u64 {
         self.input_shard_bytes
             + self.weight_shard_bytes
             + self.output_shard_bytes

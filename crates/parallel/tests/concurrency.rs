@@ -1,8 +1,7 @@
 //! Integration stress tests for the worker pool and the sharded cache: the
 //! concurrency primitives the genetic search engine is built on.
 
-use mars_parallel::cache::ShardedCache;
-use mars_parallel::pool::scoped_map;
+use mars_parallel::{scoped_map, ShardedCache};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -45,7 +44,7 @@ fn pool_workers_racing_a_once_cache_compute_each_key_exactly_once() {
     // Model of the second-level memoisation: many pool items resolve to few
     // distinct keys, and each key's expensive computation must run once no
     // matter how the workers interleave.
-    use mars_parallel::cache::OnceCache;
+    use mars_parallel::OnceCache;
     let cache: OnceCache<u64, u64> = OnceCache::new();
     let computations = AtomicUsize::new(0);
     // 64 items, all hammering the same 4 keys.

@@ -7,9 +7,9 @@
 //! non-stationary case (workloads surging, fading and departing, the
 //! defining challenge of multi-DNN serving):
 //!
-//! * a [`DriftMonitor`] watches the live stream in fixed windows (SLA-miss
+//! * a drift monitor watches the live stream in fixed windows (SLA-miss
 //!   rate, queue growth, per-accelerator imbalance) and fires deterministic
-//!   [`ReconfigureTrigger`]s;
+//!   triggers, each with a [`TriggerReason`];
 //! * a re-schedule runs `co_schedule`
 //!   [warm-started](mars_core::CoScheduleConfig::warm_start) from the
 //!   incumbent placement through a shared
@@ -19,11 +19,11 @@
 //!   bytes over the [`Topology`](mars_topology::Topology)'s links via
 //!   `mars-comm`, after draining in-flight batches) before the new placement
 //!   activates;
-//! * when the scenario injects [`FaultEvent`]s, the
+//! * when the scenario injects [`FaultEvent`](mars_model::FaultEvent)s, the
 //!   monitor's [`TriggerReason::TopologyChanged`] forces an *epoch-style
 //!   recovery*: in-flight work on the dead accelerator is requeued
-//!   ([`FaultPolicy::RequeueInflight`]), the co-scheduler re-plans on the
-//!   surviving sub-topology
+//!   ([`FaultPolicy::RequeueInflight`](mars_serve::FaultPolicy::RequeueInflight)),
+//!   the co-scheduler re-plans on the surviving sub-topology
 //!   ([`Topology::subtopology`](mars_topology::Topology::subtopology))
 //!   through the same cache, and every applied change stamps a new
 //!   monotonically increasing
@@ -101,20 +101,15 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 mod migrate;
 mod monitor;
 mod runtime;
 
 pub use migrate::{migration_cost, MigrationCost};
-pub use monitor::{DriftMonitor, ReconfigureTrigger, TriggerReason};
+pub use monitor::TriggerReason;
 pub use runtime::{
     run_elastic_observed, run_elastic_with_cache, ElasticError, ElasticReport, ReconfigureEvent,
     RuntimeConfig, RuntimePolicy,
 };
-
-/// Re-export of the non-stationary traffic vocabulary the runtime consumes
-/// (defined in `mars-model`) and the resumable simulator it drives (defined
-/// in `mars-serve`).
-pub use mars_model::{FaultEvent, FaultKind, PhasedTraffic, TrafficPhase, TrafficProfile};
-pub use mars_serve::{FaultPolicy, SimSnapshot, SimState};

@@ -41,7 +41,7 @@ pub struct MigrationCost {
 
 impl MigrationCost {
     /// A free migration (no placement changed).
-    pub fn free() -> Self {
+    pub(crate) fn free() -> Self {
         Self {
             seconds: 0.0,
             bytes: 0,

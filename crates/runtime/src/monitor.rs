@@ -44,7 +44,7 @@ const IMBALANCE_THRESHOLD: f64 = 6.0;
 /// lopsided.
 const IMBALANCE_MIN_LOAD: f64 = 0.30;
 
-/// Why a [`ReconfigureTrigger`] fired.
+/// Why the drift monitor fired.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TriggerReason {
     /// Too many of the window's completions missed their deadline.
@@ -105,14 +105,14 @@ impl std::fmt::Display for TriggerReason {
 
 /// A deterministic "re-schedule now" signal from the drift monitor.
 #[derive(Debug, Clone, PartialEq)]
-pub struct ReconfigureTrigger {
+pub(crate) struct ReconfigureTrigger {
     /// The window boundary the trigger fired at, seconds.
-    pub at: f64,
+    pub(crate) at: f64,
     /// What drifted.
-    pub reason: TriggerReason,
+    pub(crate) reason: TriggerReason,
     /// Requests that arrived during the window, per workload — the observed
     /// rates a reactive re-scheduler feeds back into the search.
-    pub window_arrivals: Vec<usize>,
+    pub(crate) window_arrivals: Vec<usize>,
 }
 
 /// What one window did, diffed from its two snapshots: the single source of
@@ -171,7 +171,7 @@ impl Window {
 
 /// The windowed drift monitor: diffs consecutive [`SimSnapshot`]s.
 #[derive(Debug, Clone)]
-pub struct DriftMonitor {
+pub(crate) struct DriftMonitor {
     prev: SimSnapshot,
     triggers: usize,
     /// Observability sink for the per-window drift signals (miss rate,
@@ -181,7 +181,7 @@ pub struct DriftMonitor {
 
 impl DriftMonitor {
     /// Starts monitoring from `initial` (normally the time-zero snapshot).
-    pub fn new(initial: SimSnapshot) -> Self {
+    pub(crate) fn new(initial: SimSnapshot) -> Self {
         Self {
             prev: initial,
             triggers: 0,
@@ -193,13 +193,13 @@ impl DriftMonitor {
     /// records the window's drift-signal values as series keyed on the
     /// window-end clock.  The values are pure functions of the snapshots, so
     /// recording never changes trigger decisions.
-    pub fn with_recorder(mut self, recorder: Recorder) -> Self {
+    pub(crate) fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.recorder = recorder;
         self
     }
 
     /// Triggers fired so far.
-    pub fn triggers_fired(&self) -> usize {
+    pub(crate) fn triggers_fired(&self) -> usize {
         self.triggers
     }
 
@@ -212,7 +212,7 @@ impl DriftMonitor {
     ///
     /// The observation becomes the new baseline either way, and the result
     /// is a pure function of `(previous snapshot, snapshot, arrivals)`.
-    pub fn observe(
+    pub(crate) fn observe(
         &mut self,
         snapshot: &SimSnapshot,
         window_arrivals: &[usize],
@@ -234,7 +234,7 @@ impl DriftMonitor {
     /// Resets the baseline without checking (used right after a
     /// reconfiguration, so the turbulence of the migration window itself is
     /// not read as fresh drift).
-    pub fn rebase(&mut self, snapshot: &SimSnapshot) {
+    pub(crate) fn rebase(&mut self, snapshot: &SimSnapshot) {
         self.prev = snapshot.clone();
     }
 
@@ -306,6 +306,7 @@ mod tests {
     use super::*;
     use mars_serve::LaneSnapshot;
     use mars_topology::AccelId;
+    use proptest::prelude::*;
 
     fn lane(workload: usize, completed: usize, met: usize, queued: usize) -> LaneSnapshot {
         LaneSnapshot {
@@ -443,5 +444,108 @@ mod tests {
                 &[40]
             )
             .is_none());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Stationary, healthy windows — high SLA-met ratio, flat queues, a
+        /// balanced platform — never fire the monitor, whatever the exact rates.
+        #[test]
+        fn monitor_stays_silent_on_stationary_healthy_traffic(
+            rate_per_window in 10usize..200,
+            met_ratio in 0.90f64..=1.0,
+            queue in 0usize..6,
+            busy_fraction in 0.05f64..0.95,
+            skew in 0.8f64..1.25,
+            windows in 3usize..20,
+        ) {
+            let window = 0.5f64;
+            let lanes_at = |k: usize| {
+                let completed = rate_per_window * k;
+                vec![LaneSnapshot {
+                    workload: 0,
+                    enqueued: completed + queue,
+                    queued: queue,
+                    completed,
+                    met_sla: (completed as f64 * met_ratio).round() as usize,
+                    busy_seconds: busy_fraction * window * k as f64,
+                    free_at: 0.0,
+                    accels: vec![AccelId(0), AccelId(1)].into(),
+                }]
+            };
+            let snap_at = |k: usize| SimSnapshot {
+                clock: window * k as f64,
+                lanes: lanes_at(k),
+                accel_busy: vec![
+                    (AccelId(0), busy_fraction * window * k as f64),
+                    (AccelId(1), busy_fraction * skew * window * k as f64),
+                ],
+                down: vec![],
+            };
+            let mut monitor = DriftMonitor::new(snap_at(0));
+            for k in 1..=windows {
+                let trigger = monitor.observe(&snap_at(k), &[rate_per_window]);
+                prop_assert!(trigger.is_none(), "window {k} fired: {trigger:?}");
+            }
+            prop_assert_eq!(monitor.triggers_fired(), 0);
+        }
+
+        /// The monitor is a pure function of its snapshots: replaying the same
+        /// observation sequence yields the same triggers, bit for bit.
+        #[test]
+        fn monitor_is_deterministic_over_any_snapshot_sequence(
+            completions in proptest::collection::vec(0usize..400, 2..10),
+            met_per_mille in 0u32..=1000,
+            queue_step in 0usize..12,
+        ) {
+            let build = || {
+                let mut cumulative = 0usize;
+                let mut snaps = vec![SimSnapshot {
+                    clock: 0.0,
+                    lanes: vec![LaneSnapshot {
+                        workload: 0,
+                        enqueued: 0,
+                        queued: 0,
+                        completed: 0,
+                        met_sla: 0,
+                        busy_seconds: 0.0,
+                        free_at: 0.0,
+                        accels: vec![AccelId(0)].into(),
+                    }],
+                    accel_busy: vec![(AccelId(0), 0.0)],
+                    down: vec![],
+                }];
+                for (k, &c) in completions.iter().enumerate() {
+                    cumulative += c;
+                    snaps.push(SimSnapshot {
+                        clock: 0.5 * (k + 1) as f64,
+                        lanes: vec![LaneSnapshot {
+                            workload: 0,
+                            enqueued: cumulative + queue_step * (k + 1),
+                            queued: queue_step * (k + 1),
+                            completed: cumulative,
+                            met_sla: cumulative * met_per_mille as usize / 1000,
+                            busy_seconds: 0.1 * (k + 1) as f64,
+                            free_at: 0.0,
+                            accels: vec![AccelId(0)].into(),
+                        }],
+                        accel_busy: vec![(AccelId(0), 0.1 * (k + 1) as f64)],
+                        down: vec![],
+                    });
+                }
+                snaps
+            };
+            let run = || {
+                let snaps = build();
+                let mut monitor = DriftMonitor::new(snaps[0].clone());
+                let triggers: Vec<_> = snaps[1..]
+                    .iter()
+                    .map(|s| monitor.observe(s, &[7]))
+                    .collect();
+                (triggers, monitor.triggers_fired())
+            };
+            prop_assert_eq!(run(), run());
+        }
     }
 }

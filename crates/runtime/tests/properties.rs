@@ -1,7 +1,5 @@
-//! Property and integration tests of the elastic runtime's contracts:
+//! Integration tests of the elastic runtime's contracts:
 //!
-//! * the drift monitor stays silent on stationary, healthy traffic — for
-//!   *any* healthy window shape, not just one example;
 //! * trigger sequences and whole elastic reports are bit-identical across
 //!   `MARS_THREADS` worker counts and repeat runs;
 //! * re-scheduling onto the incumbent placement migrates nothing;
@@ -13,12 +11,9 @@ use mars_accel::Catalog;
 use mars_core::{co_schedule, CoScheduleConfig, GaConfig, InnerSearchCache, Workload};
 use mars_model::zoo;
 use mars_model::{FaultEvent, PhasedTraffic, TrafficPhase, TrafficProfile};
-use mars_runtime::{
-    migration_cost, run_elastic_with_cache, DriftMonitor, RuntimeConfig, RuntimePolicy,
-};
-use mars_serve::{LaneSnapshot, SimSnapshot, Trace};
-use mars_topology::{presets, AccelId};
-use proptest::prelude::*;
+use mars_runtime::{migration_cost, run_elastic_with_cache, RuntimeConfig, RuntimePolicy};
+use mars_serve::Trace;
+use mars_topology::presets;
 
 fn tiny_schedule(seed: u64) -> CoScheduleConfig {
     CoScheduleConfig {
@@ -50,109 +45,6 @@ fn placement_latencies(workloads: &[Workload], seed: u64) -> Vec<f64> {
         .iter()
         .map(|p| p.result.mapping.latency_seconds)
         .collect()
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Stationary, healthy windows — high SLA-met ratio, flat queues, a
-    /// balanced platform — never fire the monitor, whatever the exact rates.
-    #[test]
-    fn monitor_stays_silent_on_stationary_healthy_traffic(
-        rate_per_window in 10usize..200,
-        met_ratio in 0.90f64..=1.0,
-        queue in 0usize..6,
-        busy_fraction in 0.05f64..0.95,
-        skew in 0.8f64..1.25,
-        windows in 3usize..20,
-    ) {
-        let window = 0.5f64;
-        let lanes_at = |k: usize| {
-            let completed = rate_per_window * k;
-            vec![LaneSnapshot {
-                workload: 0,
-                enqueued: completed + queue,
-                queued: queue,
-                completed,
-                met_sla: (completed as f64 * met_ratio).round() as usize,
-                busy_seconds: busy_fraction * window * k as f64,
-                free_at: 0.0,
-                accels: vec![AccelId(0), AccelId(1)].into(),
-            }]
-        };
-        let snap_at = |k: usize| SimSnapshot {
-            clock: window * k as f64,
-            lanes: lanes_at(k),
-            accel_busy: vec![
-                (AccelId(0), busy_fraction * window * k as f64),
-                (AccelId(1), busy_fraction * skew * window * k as f64),
-            ],
-            down: vec![],
-        };
-        let mut monitor = DriftMonitor::new(snap_at(0));
-        for k in 1..=windows {
-            let trigger = monitor.observe(&snap_at(k), &[rate_per_window]);
-            prop_assert!(trigger.is_none(), "window {k} fired: {trigger:?}");
-        }
-        prop_assert_eq!(monitor.triggers_fired(), 0);
-    }
-
-    /// The monitor is a pure function of its snapshots: replaying the same
-    /// observation sequence yields the same triggers, bit for bit.
-    #[test]
-    fn monitor_is_deterministic_over_any_snapshot_sequence(
-        completions in proptest::collection::vec(0usize..400, 2..10),
-        met_per_mille in 0u32..=1000,
-        queue_step in 0usize..12,
-    ) {
-        let build = || {
-            let mut cumulative = 0usize;
-            let mut snaps = vec![SimSnapshot {
-                clock: 0.0,
-                lanes: vec![LaneSnapshot {
-                    workload: 0,
-                    enqueued: 0,
-                    queued: 0,
-                    completed: 0,
-                    met_sla: 0,
-                    busy_seconds: 0.0,
-                    free_at: 0.0,
-                    accels: vec![AccelId(0)].into(),
-                }],
-                accel_busy: vec![(AccelId(0), 0.0)],
-                down: vec![],
-            }];
-            for (k, &c) in completions.iter().enumerate() {
-                cumulative += c;
-                snaps.push(SimSnapshot {
-                    clock: 0.5 * (k + 1) as f64,
-                    lanes: vec![LaneSnapshot {
-                        workload: 0,
-                        enqueued: cumulative + queue_step * (k + 1),
-                        queued: queue_step * (k + 1),
-                        completed: cumulative,
-                        met_sla: cumulative * met_per_mille as usize / 1000,
-                        busy_seconds: 0.1 * (k + 1) as f64,
-                        free_at: 0.0,
-                        accels: vec![AccelId(0)].into(),
-                    }],
-                    accel_busy: vec![(AccelId(0), 0.1 * (k + 1) as f64)],
-                    down: vec![],
-                });
-            }
-            snaps
-        };
-        let run = || {
-            let snaps = build();
-            let mut monitor = DriftMonitor::new(snaps[0].clone());
-            let triggers: Vec<_> = snaps[1..]
-                .iter()
-                .map(|s| monitor.observe(s, &[7]))
-                .collect();
-            (triggers, monitor.triggers_fired())
-        };
-        prop_assert_eq!(run(), run());
-    }
 }
 
 /// Stationary traffic end to end: the reactive runtime never triggers, never

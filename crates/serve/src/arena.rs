@@ -21,29 +21,25 @@
 //! an `Arc<[f64]>`, so checkpointing a lane (cloning the engine state)
 //! shares the stream instead of copying it.
 //!
+//! A lane's snapshot shows the spans at work: failing the accelerator of a
+//! busy lane returns its in-flight batch to the queue.
+//!
 //! ```
-//! use mars_serve::arena::RequestArena;
-//! use std::sync::Arc;
+//! use mars_model::TrafficProfile;
+//! use mars_serve::testing::synthetic_co;
+//! use mars_serve::{FaultPolicy, ServeConfig, SimState, Trace};
+//! use mars_topology::AccelId;
 //!
-//! let arrivals: Arc<[f64]> = vec![0.0, 0.1, 0.2, 0.5].into();
-//! let mut arena = RequestArena::new(arrivals);
+//! let co = synthetic_co(&[20e-3], &[1.0]);
+//! let profiles = [TrafficProfile::new(200.0, 5.0)];
+//! let trace = Trace::poisson(&profiles, 1.0, 7);
+//! let mut sim = SimState::new(&co, &profiles, &trace, &ServeConfig::default()).unwrap();
 //!
-//! arena.enqueue_next(1.0); // deadline = arrival + 1.0
-//! arena.enqueue_next(1.0);
-//! assert_eq!(arena.queue_len(), 2);
-//! assert_eq!(arena.head(), Some(0));
-//!
-//! // Take a batch of everything arrived by t = 0.05: just request 0.
-//! let taken = arena.take_batch(0.05, 8);
-//! assert_eq!(taken, 1);
-//! assert_eq!((arena.inflight_start(), arena.inflight_len()), (0, 1));
-//! assert_eq!(arena.queue_len(), 1);
-//!
-//! // Revoke it (accelerator died): the batch returns to the queue front,
-//! // restoring the exact pre-dispatch queue.
-//! arena.requeue_inflight();
-//! assert_eq!(arena.queue_len(), 2);
-//! assert_eq!(arena.head(), Some(0));
+//! sim.run_until(0.5);
+//! let queued = sim.snapshot().lanes[0].queued;
+//! let revoked = sim.fail_accel(AccelId(0), FaultPolicy::RequeueInflight);
+//! assert!(revoked > 0);
+//! assert_eq!(sim.snapshot().lanes[0].queued, queued + revoked);
 //! ```
 
 use std::sync::Arc;
@@ -51,7 +47,7 @@ use std::sync::Arc;
 /// Struct-of-arrays request state for one lane (see the module docs for the
 /// contiguity invariant that makes the integer spans sound).
 #[derive(Debug, Clone)]
-pub struct RequestArena {
+pub(crate) struct RequestArena {
     /// The immutable, shared arrival stream (sorted; the `Trace` invariant).
     arrivals: Arc<[f64]>,
     /// `deadlines[i]` for every enqueued request `i < enqueued`, assigned at
@@ -72,7 +68,7 @@ pub struct RequestArena {
 
 impl RequestArena {
     /// An empty arena over the given arrival stream.
-    pub fn new(arrivals: Arc<[f64]>) -> Self {
+    pub(crate) fn new(arrivals: Arc<[f64]>) -> Self {
         let n = arrivals.len();
         Self {
             arrivals,
@@ -86,23 +82,23 @@ impl RequestArena {
     }
 
     /// Total requests in the arrival stream.
-    pub fn total_requests(&self) -> usize {
+    pub(crate) fn total_requests(&self) -> usize {
         self.arrivals.len()
     }
 
     /// Arrival instant of request `i`.
-    pub fn arrival(&self, i: usize) -> f64 {
+    pub(crate) fn arrival(&self, i: usize) -> f64 {
         self.arrivals[i]
     }
 
     /// The arrival instant of the next *un-enqueued* request, if any.
-    pub fn next_arrival(&self) -> Option<f64> {
+    pub(crate) fn next_arrival(&self) -> Option<f64> {
         self.arrivals.get(self.enqueued).copied()
     }
 
     /// The arrival instant of un-enqueued request `enqueued + offset`
     /// (saturating), used by the batch-fill prediction.
-    pub fn lookahead_arrival(&self, offset: usize) -> Option<f64> {
+    pub(crate) fn lookahead_arrival(&self, offset: usize) -> Option<f64> {
         self.arrivals
             .get(self.enqueued.saturating_add(offset))
             .copied()
@@ -110,28 +106,28 @@ impl RequestArena {
 
     /// Requests pulled from the stream so far (the snapshot `enqueued`
     /// figure).
-    pub fn enqueued(&self) -> usize {
+    pub(crate) fn enqueued(&self) -> usize {
         self.enqueued
     }
 
     /// Assigned deadline of enqueued request `i`.
-    pub fn deadline(&self, i: usize) -> f64 {
+    pub(crate) fn deadline(&self, i: usize) -> f64 {
         self.deadlines[i]
     }
 
     /// Number of requests waiting in the queue.
-    pub fn queue_len(&self) -> usize {
+    pub(crate) fn queue_len(&self) -> usize {
         self.enqueued - self.queue_head
     }
 
     /// Id of the oldest waiting request (`None` on an empty queue).
-    pub fn head(&self) -> Option<usize> {
+    pub(crate) fn head(&self) -> Option<usize> {
         (self.queue_head < self.enqueued).then_some(self.queue_head)
     }
 
     /// Id of the `k`-th waiting request (0 = head); `k` must be inside the
     /// queue.
-    pub fn queued(&self, k: usize) -> usize {
+    pub(crate) fn queued(&self, k: usize) -> usize {
         debug_assert!(k < self.queue_len());
         self.queue_head + k
     }
@@ -139,7 +135,7 @@ impl RequestArena {
     /// Pulls the next arrival into the queue, assigning its deadline as
     /// `arrival + sla_seconds` (the budget in force *now* — re-placements
     /// change budgets for future pulls only).
-    pub fn enqueue_next(&mut self, sla_seconds: f64) {
+    pub(crate) fn enqueue_next(&mut self, sla_seconds: f64) {
         self.deadlines
             .push(self.arrivals[self.enqueued] + sla_seconds);
         self.enqueued += 1;
@@ -150,7 +146,7 @@ impl RequestArena {
     /// Returns the batch size; the popped span is readable as
     /// [`inflight_start`](Self::inflight_start) /
     /// [`inflight_len`](Self::inflight_len) until the next take or revoke.
-    pub fn take_batch(&mut self, start: f64, max_batch: usize) -> usize {
+    pub(crate) fn take_batch(&mut self, start: f64, max_batch: usize) -> usize {
         let first = self.queue_head;
         let mut len = 0usize;
         while len < max_batch
@@ -166,19 +162,19 @@ impl RequestArena {
     }
 
     /// First id of the most recent batch.
-    pub fn inflight_start(&self) -> usize {
+    pub(crate) fn inflight_start(&self) -> usize {
         self.inflight_start
     }
 
     /// Size of the most recent batch (`0` after a revoke).
-    pub fn inflight_len(&self) -> usize {
+    pub(crate) fn inflight_len(&self) -> usize {
         self.inflight_len
     }
 
     /// Returns the most recent batch to the *front* of the queue in its
     /// original order (the `RequeueInflight` fault policy): with contiguous
     /// spans this is a single integer rewind.
-    pub fn requeue_inflight(&mut self) {
+    pub(crate) fn requeue_inflight(&mut self) {
         debug_assert_eq!(self.inflight_start + self.inflight_len, self.queue_head);
         self.queue_head = self.inflight_start;
         self.inflight_len = 0;
@@ -186,23 +182,23 @@ impl RequestArena {
 
     /// Discards the most recent batch (the `LoseInflight` fault policy): its
     /// requests leave the system without completing.
-    pub fn drop_inflight(&mut self) {
+    pub(crate) fn drop_inflight(&mut self) {
         self.inflight_len = 0;
     }
 
     /// Records a completion latency sample.
-    pub fn push_latency(&mut self, seconds: f64) {
+    pub(crate) fn push_latency(&mut self, seconds: f64) {
         self.latencies.push(seconds);
     }
 
     /// Drops the most recent `n` latency samples (revoking a dispatch that
     /// had already been counted as completed).
-    pub fn truncate_latencies(&mut self, n: usize) {
+    pub(crate) fn truncate_latencies(&mut self, n: usize) {
         self.latencies.truncate(self.latencies.len() - n);
     }
 
     /// The completion latency samples recorded so far.
-    pub fn latencies(&self) -> &[f64] {
+    pub(crate) fn latencies(&self) -> &[f64] {
         &self.latencies
     }
 }

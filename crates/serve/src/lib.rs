@@ -63,8 +63,9 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
-pub mod arena;
+mod arena;
 pub mod calendar;
 mod fleet;
 mod lanes;
@@ -76,7 +77,7 @@ mod trace;
 
 pub use fleet::{fleet_co_schedule, simulate_sharded_observed, simulate_sharded_with_faults};
 pub use llm::{
-    simulate_llm_sharded, simulate_llm_sharded_observed, BatchingMode, LlmLaneStats, LlmRequest,
+    simulate_llm_sharded, simulate_llm_sharded_observed, BatchingMode, LlmLaneStats,
     LlmServeReport, LlmSimState, LlmTrace,
 };
 pub use report::render_serve;
@@ -85,10 +86,6 @@ pub use sim::{
     SimSnapshot, SimState, WorkloadServeStats,
 };
 pub use trace::Trace;
-
-/// Re-export of the traffic vocabulary the trace generator consumes
-/// (defined next to [`Workload`](mars_model::Workload) in `mars-model`).
-pub use mars_model::{FaultEvent, FaultKind, PhasedTraffic, TrafficPhase, TrafficProfile};
 
 #[doc(hidden)]
 pub mod testing {

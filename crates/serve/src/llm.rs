@@ -74,20 +74,20 @@ impl std::fmt::Display for BatchingMode {
 
 /// One drawn request: when it arrives, its shape, and its deadline budget.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct LlmRequest {
+pub(crate) struct LlmRequest {
     /// Arrival instant, seconds.
-    pub arrival: f64,
+    pub(crate) arrival: f64,
     /// Prompt length in tokens (drives the prefill cost and the initial KV
     /// footprint).
-    pub prompt_tokens: u32,
+    pub(crate) prompt_tokens: u32,
     /// Number of tokens to generate (one decode iteration each; the first
     /// comes out of the prefill).
-    pub output_tokens: u32,
+    pub(crate) output_tokens: u32,
     /// Deadline budget, seconds past arrival: `sla_factor` of the traffic
     /// phase in force *at arrival* times the request's contention-free
     /// latency ([`LlmWorkload::ideal_latency_seconds`]).  Phase-aware: the
     /// same shape arriving mid-surge gets a tighter deadline.
-    pub sla_seconds: f64,
+    pub(crate) sla_seconds: f64,
 }
 
 /// The replayable input of the LLM engine: per-workload request streams with
@@ -98,7 +98,7 @@ pub struct LlmTrace {
     /// Length of the arrival window in seconds.
     pub horizon_seconds: f64,
     /// Per-workload requests, in strictly increasing arrival order.
-    pub requests: Vec<Vec<LlmRequest>>,
+    pub(crate) requests: Vec<Vec<LlmRequest>>,
 }
 
 impl LlmTrace {
@@ -481,7 +481,7 @@ impl ServeLane for LlmLane {
 #[derive(Debug, Clone, PartialEq)]
 pub struct LlmLaneStats {
     /// Workload index.
-    pub workload: usize,
+    pub(crate) workload: usize,
     /// Workload display name.
     pub name: String,
     /// Requests arrived over the horizon.
@@ -491,7 +491,7 @@ pub struct LlmLaneStats {
     /// Completed requests that met their (phase-aware) deadline.
     pub met_sla: usize,
     /// Admitted requests (each runs exactly one prefill).
-    pub prefills: usize,
+    pub(crate) prefills: usize,
     /// Decode iterations executed (continuous) or padded-batch decode
     /// iterations (one-shot).
     pub iterations: usize,
@@ -499,13 +499,13 @@ pub struct LlmLaneStats {
     /// batching keeps high and one-shot lets decay as members finish.
     pub mean_running: f64,
     /// p50 completion latency, milliseconds.
-    pub p50_ms: f64,
+    pub(crate) p50_ms: f64,
     /// p95 completion latency, milliseconds.
-    pub p95_ms: f64,
+    pub(crate) p95_ms: f64,
     /// p99 completion latency, milliseconds.
-    pub p99_ms: f64,
+    pub(crate) p99_ms: f64,
     /// Seconds the lane's accelerator spent executing (clamped to horizon).
-    pub busy_seconds: f64,
+    pub(crate) busy_seconds: f64,
     /// High-water mark of reserved KV bytes; never exceeds
     /// [`kv_budget_bytes`](LlmLaneStats::kv_budget_bytes) by construction.
     pub peak_kv_bytes: u64,
@@ -519,7 +519,7 @@ pub struct LlmServeReport {
     /// The batching mode that produced the run.
     pub mode: BatchingMode,
     /// Scenario horizon, seconds.
-    pub horizon_seconds: f64,
+    pub(crate) horizon_seconds: f64,
     /// Requests arrived across all workloads.
     pub total_requests: usize,
     /// Requests fully generated before the horizon.

@@ -99,7 +99,7 @@ pub enum FaultPolicy {
 
 impl FaultPolicy {
     /// Short display name (`lose`, `requeue`).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             FaultPolicy::LoseInflight => "lose",
             FaultPolicy::RequeueInflight => "requeue",
@@ -295,13 +295,13 @@ pub struct WorkloadServeStats {
     /// Mean dispatched batch size (`0` when no batch launched).
     pub mean_batch: f64,
     /// Median completed-request latency in milliseconds (`0` when none).
-    pub p50_ms: f64,
+    pub(crate) p50_ms: f64,
     /// 95th-percentile completed-request latency in milliseconds.
-    pub p95_ms: f64,
+    pub(crate) p95_ms: f64,
     /// 99th-percentile completed-request latency in milliseconds.
-    pub p99_ms: f64,
+    pub(crate) p99_ms: f64,
     /// The absolute SLA budget in seconds (`sla_factor ×` placement latency).
-    pub sla_seconds: f64,
+    pub(crate) sla_seconds: f64,
     /// Time the partition spent executing batches, clamped to the horizon.
     pub busy_seconds: f64,
 }
@@ -412,14 +412,14 @@ pub(crate) fn percentile_triple_ms(latencies: &mut [f64]) -> (f64, f64, f64) {
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BatchEvent {
     /// The workload whose lane dispatched.
-    pub workload: usize,
+    pub(crate) workload: usize,
     /// Instant the batch launched, seconds.
-    pub start: f64,
+    pub(crate) start: f64,
     /// Instant the batch finishes, seconds (may lie past the horizon, in
     /// which case its requests never count as completed).
-    pub finish: f64,
+    pub(crate) finish: f64,
     /// Number of requests in the batch.
-    pub size: usize,
+    pub(crate) size: usize,
 }
 
 /// A cheap observation of one lane, taken by [`SimState::snapshot`].  The
@@ -798,7 +798,7 @@ impl ServeLane for Lane {
 /// instant — so `run_until` touches only the lanes that can actually act
 /// before the bound, and `step` pops the globally-earliest dispatch instead
 /// of re-deciding every lane.  Request bookkeeping is a struct-of-arrays
-/// [`RequestArena`] per lane (no per-batch allocations).  The retired
+/// request arena per lane (no per-batch allocations).  The retired
 /// linear-scan loop survives verbatim in [`crate::reference`] as the
 /// differential oracle; `tests/fleet_sim_equivalence.rs` pins the two
 /// engines bit-identical across every bundled mix, policy and fault
@@ -925,16 +925,6 @@ impl SimState {
     pub fn with_recorder(mut self, recorder: Recorder) -> Self {
         self.engine.attach(recorder, true);
         self
-    }
-
-    /// The simulated horizon in seconds.
-    pub fn horizon_seconds(&self) -> f64 {
-        self.engine.env.horizon
-    }
-
-    /// The current clock: the largest `run_until` bound reached so far.
-    pub fn clock(&self) -> f64 {
-        self.engine.clock
     }
 
     /// Advances every lane, dispatching each batch whose launch instant lies
@@ -1765,15 +1755,15 @@ mod tests {
         let mut t = 0.0;
         while t < 0.4 {
             sim.run_until(t);
-            assert!((sim.clock() - t).abs() < 1e-15);
+            assert!((sim.engine.clock - t).abs() < 1e-15);
             t += 0.0137;
         }
         // Bounds past the horizon are clamped...
         sim.run_until(1.0);
-        assert_eq!(sim.clock(), 0.4);
+        assert_eq!(sim.engine.clock, 0.4);
         // ...and non-increasing bounds are no-ops.
         sim.run_until(0.1);
-        assert_eq!(sim.clock(), 0.4);
+        assert_eq!(sim.engine.clock, 0.4);
         assert_eq!(sim.finish(), uninterrupted);
     }
 

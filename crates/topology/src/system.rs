@@ -402,7 +402,7 @@ impl TopologyBuilder {
     /// # Errors
     ///
     /// Returns [`TopologyError::UnknownAccelerator`] for out-of-range ids.
-    pub fn set_group(mut self, a: AccelId, group: usize) -> Result<Self, TopologyError> {
+    pub(crate) fn set_group(mut self, a: AccelId, group: usize) -> Result<Self, TopologyError> {
         if a.0 >= self.host_bandwidth.len() {
             return Err(TopologyError::UnknownAccelerator(a));
         }

@@ -84,7 +84,7 @@ macro_rules! impl_sample_range_int {
             fn sample_single<R: RngCore + ?Sized>(self, rng: &mut R) -> $t {
                 let (lo, hi) = self.into_inner();
                 assert!(lo <= hi, "cannot sample empty range");
-                let span = (hi - lo) as u64 + 1;
+                let span = ((hi - lo) as u64).wrapping_add(1);
                 if span == 0 {
                     // Full-width inclusive range of a 64-bit type.
                     return lo + rng.next_u64() as $t;
@@ -189,7 +189,7 @@ pub mod rngs {
 #[cfg(test)]
 mod tests {
     use super::rngs::StdRng;
-    use super::{Rng, SeedableRng};
+    use super::{Rng, RngCore, SeedableRng};
 
     #[test]
     fn seeding_is_deterministic() {
@@ -220,6 +220,14 @@ mod tests {
             let x = rng.gen_range(-1.0f64..1.0);
             assert!((-1.0..1.0).contains(&x));
         }
+    }
+
+    #[test]
+    fn full_width_inclusive_ranges_take_the_raw_word() {
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut raw = StdRng::seed_from_u64(5);
+        assert_eq!(rng.gen_range(0u64..=u64::MAX), raw.next_u64());
+        assert_eq!(rng.gen_range(0usize..=usize::MAX), raw.next_u64() as usize);
     }
 
     #[test]

@@ -128,6 +128,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unreachable_pub)]
 
 pub use mars_accel as accel;
 pub use mars_comm as comm;
@@ -172,24 +173,11 @@ pub fn quickstart(
         .search()
 }
 
-/// Co-schedules several DNN workloads onto disjoint accelerator partitions of
-/// one platform: an outer search over partitions wrapping the per-network
-/// MARS search inside each partition, minimising the weighted makespan.
+/// The multi-workload co-scheduler of `mars-core`, at the facade root.
 ///
-/// Each workload gets a non-empty accelerator subset; the subsets are
-/// pairwise disjoint and cover the platform.  The result reports per-workload
-/// placements plus system-level makespan/throughput figures;
-/// [`core::sequential_exclusive`] computes the baseline (every workload alone
-/// on the whole platform, back to back), and shares inner searches with
+/// [`core::sequential_exclusive`] computes its baseline (every workload alone
+/// on the whole platform, back to back) and shares inner searches with
 /// [`core::co_schedule_cached`] through one [`core::InnerSearchCache`].
-/// Like [`quickstart`], the outcome is bit-identical for every
-/// [`core::CoScheduleConfig::with_threads`] value.
-///
-/// # Errors
-///
-/// Rejects empty workload lists, an empty catalog, more workloads than
-/// accelerators, non-positive weights or batches and unsatisfiable memory
-/// demands — see [`core::CoScheduleError`].
 ///
 /// ```no_run
 /// use mars::prelude::*;
@@ -214,14 +202,7 @@ pub fn quickstart(
 /// );
 /// assert!(sequential.speedup_of(&result) > 1.0);
 /// ```
-pub fn co_schedule(
-    workloads: &[core::Workload],
-    topo: &topology::Topology,
-    catalog: &accel::Catalog,
-    config: &core::CoScheduleConfig,
-) -> Result<core::CoScheduleResult, core::CoScheduleError> {
-    core::scheduler::co_schedule(workloads, topo, catalog, config)
-}
+pub use mars_core::co_schedule;
 
 /// Commonly used types, importable with `use mars::prelude::*`.
 pub mod prelude {
@@ -229,8 +210,8 @@ pub mod prelude {
     pub use mars_comm::CommSim;
     pub use mars_core::{
         Assignment, CoScheduleConfig, CoScheduleResult, DesignPolicy, EvalStats, Evaluator,
-        GaConfig, InnerSearchCache, Mapping, Mars, Placement, SearchConfig, SearchEngine,
-        SearchResult, SequentialBaseline, Workload,
+        GaConfig, InnerSearchCache, Mapping, Mars, Placement, SearchConfig, SearchResult,
+        SequentialBaseline, Workload,
     };
     pub use mars_model::{
         ConvParams, Dim, DimSet, FaultEvent, FaultKind, FeatureMap, Layer, LayerId, LayerKind,
@@ -238,9 +219,7 @@ pub mod prelude {
     };
     pub use mars_obs::{Obs, Recorder};
     pub use mars_parallel::{evaluate_layer, EvalContext, LayerEval, ShardPlan, Strategy};
-    pub use mars_runtime::{
-        run_elastic_with_cache, DriftMonitor, ElasticReport, RuntimeConfig, RuntimePolicy,
-    };
+    pub use mars_runtime::{run_elastic_with_cache, ElasticReport, RuntimeConfig, RuntimePolicy};
     pub use mars_serve::{DispatchPolicy, FaultPolicy, ServeConfig, ServeReport, SimState, Trace};
     pub use mars_topology::{AccelId, Gbps, Topology, TopologyBuilder};
 }
@@ -261,7 +240,6 @@ mod tests {
         let cfg = SearchConfig::fast(1).with_threads(2);
         assert_eq!(cfg.threads(), 2);
         assert_eq!(EvalStats::default().cache_hits(), 0);
-        assert_eq!(SearchEngine::default(), SearchEngine::Flat);
         let r = Recorder::enabled();
         r.counter("x", 2);
         assert_eq!(r.snapshot().counter_value("x"), 2);
