@@ -20,7 +20,7 @@
 use mars_accel::Catalog;
 use mars_core::{
     baseline, co_schedule, co_schedule_cached, sequential_exclusive, CoScheduleConfig,
-    CoScheduleResult, InnerSearchCache, Mapping, Mars, SearchConfig, SearchEngine, SearchResult,
+    CoScheduleResult, InnerSearchCache, Mapping, Mars, SearchConfig, SearchResult,
     SequentialBaseline, Workload,
 };
 use mars_model::zoo::{Benchmark, MixZoo};
@@ -28,9 +28,9 @@ use mars_model::{Network, PhasedTraffic, TrafficProfile};
 use mars_obs::Recorder;
 use mars_runtime::{run_elastic_observed, ElasticReport, RuntimeConfig, RuntimePolicy};
 use mars_serve::{
-    fleet_co_schedule, reference, simulate_llm_sharded_observed, simulate_sharded_observed,
-    BatchingMode, DispatchPolicy, FaultPolicy, LlmServeReport, LlmTrace, ServeConfig, ServeReport,
-    SimState, Trace,
+    fleet_co_schedule, simulate_llm_sharded_observed, simulate_sharded_observed, BatchingMode,
+    DispatchPolicy, FaultPolicy, LlmServeReport, LlmTrace, ServeConfig, ServeReport, SimState,
+    Trace,
 };
 use mars_topology::{presets, Topology};
 use std::time::Instant;
@@ -293,7 +293,12 @@ impl ServeRow {
 /// Runs one `table_serve` row: co-schedules the mix (same platform, catalog
 /// and seed conventions as [`table_multi_row`]), draws a one-second seeded
 /// Poisson trace from the mix's bundled [`MixZoo::traffic`] profile, and
-/// replays it under every dispatch policy (see [`table_serve_row_on`]).
+/// replays it under every dispatch policy.
+///
+/// Each policy replays on one [`SimState`] (so the engine-level calendar
+/// metrics are recorded too), with `recorder` on the *default-policy* replay
+/// only: recording every policy would overlay the replays of one trace on
+/// the same tracks and histograms, which is noise, not signal.
 pub fn table_serve_row(mix: MixZoo, budget: Budget, seed: u64, recorder: &Recorder) -> ServeRow {
     let co = co_schedule(
         &mix.entries(),
@@ -302,24 +307,6 @@ pub fn table_serve_row(mix: MixZoo, budget: Budget, seed: u64, recorder: &Record
         &budget.co_schedule_config(seed),
     )
     .expect("bundled mixes fit the F1 platform");
-    table_serve_row_on(mix, seed, co, recorder)
-}
-
-/// The serving half of [`table_serve_row`], on a co-schedule already
-/// computed for `(mix, seed)`.  Callers that also run [`table_multi_row`]
-/// (like the `perf_smoke` gate) reuse its result here instead of repeating
-/// the deterministic — and expensive — co-schedule search.
-///
-/// Each policy replays on one [`SimState`] (so the engine-level calendar
-/// metrics are recorded too), with `recorder` on the *default-policy* replay
-/// only: recording every policy would overlay the replays of one trace on
-/// the same tracks and histograms, which is noise, not signal.
-pub fn table_serve_row_on(
-    mix: MixZoo,
-    seed: u64,
-    co: CoScheduleResult,
-    recorder: &Recorder,
-) -> ServeRow {
     let profiles = mix.traffic();
     let trace = Trace::poisson(&profiles, 1.0, seed);
     let base = ServeConfig::default();
@@ -345,36 +332,29 @@ pub fn table_serve_row_on(
 /// One row of the fleet-scale engine benchmark (`table_fleet`): the
 /// 144-workload, 288-accelerator [`MixZoo::fleet`] scenario — phased traffic
 /// plus its bundled failure schedule — served under every dispatch policy,
-/// and a timed head-to-head of the calendar-queue engine against the legacy
-/// linear-scan oracle kept in [`mars_serve::reference`].
-///
-/// The head-to-head runs both engines event by event ([`SimState::step`]
-/// until exhaustion): next-event extraction is the operation a fleet-scale
-/// discrete-event simulator performs tens of thousands of times per run,
-/// and it is exactly where the engines differ — the legacy loop re-decides
-/// **every** lane to find the globally earliest batch, while the calendar
-/// engine pops it from the event queue.
+/// and a timed event-by-event drive of the calendar-queue engine
+/// ([`SimState::step`] until exhaustion): next-event extraction is the
+/// operation a fleet-scale discrete-event simulator performs tens of
+/// thousands of times per run.
 #[derive(Debug, Clone)]
 pub struct FleetRow {
     /// Number of workloads (= serving lanes) in the fleet.
     pub workloads: usize,
     /// Number of accelerators across all (disjoint) partitions.
     pub accels: usize,
-    /// The replayed phased trace (shared by every policy and both engines).
+    /// The replayed phased trace (shared by every policy and the timed
+    /// drive).
     pub trace: Trace,
     /// One faulted, sharded report per policy, in [`DispatchPolicy::ALL`]
     /// order.
     pub reports: Vec<ServeReport>,
     /// Simulation events in the timed drive: every request arrival plus
-    /// every dispatched batch.  Identical for both engines — their reports
-    /// are asserted bit-equal before the row is returned.
+    /// every dispatched batch.
     pub events: usize,
     /// Batches the timed drive dispatched (`events` minus the arrivals).
     pub batches: usize,
-    /// Wall-clock seconds of the calendar-queue engine's timed drive.
+    /// Wall-clock seconds of the timed drive.
     pub calendar_seconds: f64,
-    /// Wall-clock seconds of the legacy reference engine's timed drive.
-    pub legacy_seconds: f64,
 }
 
 impl FleetRow {
@@ -390,52 +370,23 @@ impl FleetRow {
             .expect("rows carry every policy")
     }
 
-    /// Events per wall-clock second of the calendar-queue engine — the
-    /// `perf_smoke` headline.
+    /// Events per wall-clock second of the timed drive — the `perf_smoke`
+    /// `events_per_second` headline.
     pub fn events_per_second(&self) -> f64 {
         self.events as f64 / self.calendar_seconds.max(1e-12)
     }
-
-    /// Events per wall-clock second of the legacy reference engine.
-    pub fn legacy_events_per_second(&self) -> f64 {
-        self.events as f64 / self.legacy_seconds.max(1e-12)
-    }
-
-    /// Calendar-engine throughput over legacy throughput (`perf_smoke`'s
-    /// `fleet_engine_speedup`, floored at 3.00 in `bench-baseline.json`).
-    pub fn engine_speedup(&self) -> f64 {
-        self.legacy_seconds / self.calendar_seconds.max(1e-12)
-    }
-}
-
-/// Runs a simulation event by event to exhaustion and returns the final
-/// report plus the number of batches stepped through.  Monomorphised per
-/// engine by `$sim`'s type — the drive itself is identical, which is the
-/// point of the comparison.
-macro_rules! fleet_step_drive {
-    ($sim:expr) => {{
-        let mut sim = $sim;
-        let mut batches = 0usize;
-        while sim.step().is_some() {
-            batches += 1;
-        }
-        (sim.finish(), batches)
-    }};
 }
 
 /// Runs one `table_fleet` row at `seed`: builds the [`MixZoo::fleet`]
 /// scenario's synthetic co-schedule, replays its seeded phased trace with
 /// the bundled failure schedule under every dispatch policy (on the
-/// lane-shard runner), then times the calendar-queue engine against the
-/// legacy oracle on the identical windowed drive.  The two engines' reports
-/// are asserted bit-equal — the bench refuses to print a speedup over an
-/// oracle it disagrees with.
+/// lane-shard runner), then times the unfaulted default-policy trace
+/// through [`SimState::step`] to exhaustion.
 ///
 /// `recorder` is attached to the *default-policy* faulted replay: batch
 /// spans per lane, queue/batch-size histograms, per-accelerator busy gauges
-/// and fault instants stream into it.  The timed engine head-to-head always
-/// runs unobserved so the reported wall clocks measure the engines, not the
-/// recording.
+/// and fault instants stream into it.  The timed drive always runs
+/// unobserved so its wall clock measures the engine, not the recording.
 pub fn table_fleet_row(seed: u64, recorder: &Recorder) -> FleetRow {
     let fleet = MixZoo::fleet();
     let co = fleet_co_schedule(&fleet);
@@ -461,36 +412,24 @@ pub fn table_fleet_row(seed: u64, recorder: &Recorder) -> FleetRow {
         })
         .collect();
 
-    let config = ServeConfig::default();
     let t = Instant::now();
-    let (calendar_report, batches) = fleet_step_drive!(SimState::new(
-        &co, &profiles, &trace, &config
-    )
-    .expect("valid fleet inputs"));
+    let mut sim =
+        SimState::new(&co, &profiles, &trace, &ServeConfig::default()).expect("valid fleet inputs");
+    let mut batches = 0usize;
+    while sim.step().is_some() {
+        batches += 1;
+    }
+    let report = sim.finish();
     let calendar_seconds = t.elapsed().as_secs_f64();
-
-    let t = Instant::now();
-    let (legacy_report, _) = fleet_step_drive!(reference::SimState::new(
-        &co, &profiles, &trace, &config
-    )
-    .expect("valid fleet inputs"));
-    let legacy_seconds = t.elapsed().as_secs_f64();
-
-    assert_eq!(
-        calendar_report, legacy_report,
-        "fleet engines diverged — the differential harness must be failing too"
-    );
-    let events = calendar_report.total_requests + batches;
 
     FleetRow {
         workloads: co.placements.len(),
         accels,
         trace,
         reports,
-        events,
+        events: report.total_requests + batches,
         batches,
         calendar_seconds,
-        legacy_seconds,
     }
 }
 
@@ -839,62 +778,6 @@ impl BinContext {
     }
 }
 
-/// Head-to-head of the flat search engine against the retained reference
-/// engine on one benchmark: identical workload, seed and thread count, both
-/// outcomes asserted bit-identical before any timing is reported.
-#[derive(Debug, Clone)]
-pub struct EngineRow {
-    /// Benchmark network.
-    pub benchmark: Benchmark,
-    /// Wall-clock seconds of the flat (rebuilt) engine's search.
-    pub flat_seconds: f64,
-    /// Wall-clock seconds of the reference engine's search.
-    pub reference_seconds: f64,
-    /// First-level fitness evaluations (identical for both engines).
-    pub evaluations: usize,
-}
-
-impl EngineRow {
-    /// Reference wall clock over flat wall clock — the `perf_smoke`
-    /// `table3_min_search_speedup` headline.
-    pub fn engine_speedup(&self) -> f64 {
-        self.reference_seconds / self.flat_seconds.max(1e-12)
-    }
-}
-
-/// Runs one engine head-to-head row on the F1 platform.  Panics if the two
-/// engines disagree on any part of the outcome (mapping, history or
-/// evaluation count) — the bench refuses to print a speedup over an oracle
-/// it diverges from.  Cache/timing stats are the one field allowed to
-/// differ, so the comparison is field-wise.
-pub fn search_engine_row(benchmark: Benchmark, budget: Budget, seed: u64) -> EngineRow {
-    let net = benchmark.build();
-    let topo = presets::f1_16xlarge();
-    let catalog = Catalog::standard_three();
-    let run = |engine| {
-        Mars::new(&net, &topo, &catalog)
-            .with_config(budget.search_config(seed).with_engine(engine))
-            .search()
-    };
-    let flat = run(SearchEngine::Flat);
-    let reference = run(SearchEngine::Reference);
-    assert_eq!(
-        flat.mapping.latency_seconds.to_bits(),
-        reference.mapping.latency_seconds.to_bits(),
-        "{benchmark:?}: search engines diverged on latency"
-    );
-    assert_eq!(flat.mapping.assignments, reference.mapping.assignments);
-    assert_eq!(flat.mapping.strategies, reference.mapping.strategies);
-    assert_eq!(flat.history, reference.history);
-    assert_eq!(flat.evaluations, reference.evaluations);
-    EngineRow {
-        benchmark,
-        flat_seconds: flat.elapsed.as_secs_f64(),
-        reference_seconds: reference.elapsed.as_secs_f64(),
-        evaluations: flat.evaluations,
-    }
-}
-
 /// The perf-smoke gate: a machine-readable summary of the fast-budget
 /// headline numbers plus the floor check CI fails on.
 ///
@@ -904,12 +787,14 @@ pub fn search_engine_row(benchmark: Benchmark, budget: Budget, seed: u64) -> Eng
 /// parses that restricted shape directly; it is not a general JSON parser
 /// and does not try to be one.
 pub mod smoke {
+    use std::cmp::Ordering;
+
     /// One named scalar of the summary (a wall-clock second count or a
-    /// headline speedup).
+    /// headline throughput).
     pub type Entry = (&'static str, f64);
 
     /// Renders the `BENCH_4.json` summary: schema tag, run parameters, one
-    /// object of per-binary wall-clock seconds and one of headline speedups.
+    /// object of per-workload wall-clock seconds and one of headlines.
     pub fn render_summary(
         budget: &str,
         threads: usize,
@@ -924,7 +809,7 @@ pub mod smoke {
                 .join(",\n")
         };
         format!(
-            "{{\n  \"schema\": \"mars-perf-smoke-v1\",\n  \"budget\": \"{budget}\",\n  \"threads\": {threads},\n  \"wall_clock_seconds\": {{\n{}\n  }},\n  \"headline_speedups\": {{\n{}\n  }}\n}}\n",
+            "{{\n  \"schema\": \"mars-perf-smoke-v2\",\n  \"budget\": \"{budget}\",\n  \"threads\": {threads},\n  \"wall_clock_seconds\": {{\n{}\n  }},\n  \"headlines\": {{\n{}\n  }}\n}}\n",
             obj(wall_clock, "    "),
             obj(headlines, "    "),
         )
@@ -963,16 +848,18 @@ pub mod smoke {
     }
 
     /// Compares measured headlines against the committed floors: every floor
-    /// key must be present and its measured value at least the floor.
-    /// Returns the human-readable violations (empty = gate passes).
+    /// key must be present and its measured value at least the floor (a NaN
+    /// reading is below every floor).  Returns the human-readable violations
+    /// (empty = gate passes).
     pub fn check_floors(measured: &[Entry], floors: &[(String, f64)]) -> Vec<String> {
         let mut violations = Vec::new();
         for (key, floor) in floors {
             match measured.iter().find(|(k, _)| k == key) {
                 None => violations.push(format!("floor key {key:?} was not measured")),
-                Some((_, got)) if got < floor => violations.push(format!(
-                    "{key}: measured {got:.4} is below the committed floor {floor:.4}"
-                )),
+                Some((_, got)) if got.partial_cmp(floor).is_none_or(Ordering::is_lt) => violations
+                    .push(format!(
+                        "{key}: measured {got:.4} is below the committed floor {floor:.4}"
+                    )),
                 Some(_) => {}
             }
         }
@@ -989,28 +876,30 @@ pub mod smoke {
                 "fast",
                 1,
                 &[("table3", 12.5)],
-                &[("table3_min_search_speedup", 1.356)],
+                &[("search_evals_per_second", 4321.5)],
             );
             let parsed = parse_flat_numbers(&text);
             assert!(parsed.contains(&("threads".to_string(), 1.0)));
             assert!(parsed.contains(&("table3".to_string(), 12.5)));
-            assert!(parsed.contains(&("table3_min_search_speedup".to_string(), 1.356)));
+            assert!(parsed.contains(&("search_evals_per_second".to_string(), 4321.5)));
             // The schema string is not a number and must not parse as one.
             assert!(parsed.iter().all(|(k, _)| k != "schema"));
         }
 
         #[test]
         fn floor_check_flags_regressions_and_missing_keys() {
-            let measured = [("a", 1.5), ("b", 1.0)];
+            let measured = [("a", 1.5), ("b", 1.0), ("d", f64::NAN)];
             let floors = vec![
                 ("a".to_string(), 1.4),
                 ("b".to_string(), 1.1),
                 ("c".to_string(), 1.0),
+                ("d".to_string(), 1.0),
             ];
             let violations = check_floors(&measured, &floors);
-            assert_eq!(violations.len(), 2);
+            assert_eq!(violations.len(), 3);
             assert!(violations[0].contains("b"));
             assert!(violations[1].contains("c"));
+            assert!(violations[2].contains("d"));
         }
     }
 }

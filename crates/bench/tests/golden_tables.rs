@@ -426,9 +426,8 @@ fn golden_table_fleet_goodput() {
             "fleet/{policy:?} goodput drifted (intentional change? re-pin)"
         );
     }
-    // The acceptance relationships: SLA-aware dispatch beats FIFO at fleet
-    // scale too, and the calendar engine holds its headline margin over the
-    // legacy oracle (the row builder already proved them bit-identical).
+    // The acceptance relationship: SLA-aware dispatch beats FIFO at fleet
+    // scale too.
     let fifo = row.report(DispatchPolicy::Fifo).goodput;
     let best = row
         .report(DispatchPolicy::EarliestDeadline)
@@ -437,11 +436,6 @@ fn golden_table_fleet_goodput() {
     assert!(
         best > fifo,
         "fleet: SLA-aware goodput {best} must beat FIFO {fifo}"
-    );
-    assert!(
-        row.engine_speedup() > 1.0,
-        "fleet: calendar engine fell behind the legacy oracle ({:.2}x)",
-        row.engine_speedup()
     );
 }
 

@@ -3,10 +3,12 @@
 //! fitness histories, same evaluation counts — on every bundled workload, at
 //! every worker-thread count.
 //!
-//! Two layers of coverage:
+//! Three layers of coverage:
 //!
-//! - single-model searches on all five Table III benchmarks
-//!   ([`search_engine_row`] asserts field-wise equality internally);
+//! - single-model adaptive searches on all five Table III benchmarks;
+//! - single-model searches in Table IV's setting: both heterogeneous models
+//!   on the H2H platform at every bandwidth level, with fixed per-group
+//!   designs (so mixed-design sets take the fixed-design pricing path);
 //! - full co-schedules on all bundled MixZoo mixes, where the engines run as
 //!   the *inner* per-workload search under the outer partition GA.
 //!
@@ -14,10 +16,24 @@
 //! allowed to differ: the engines share the trajectory, not the timing.
 
 use mars_accel::Catalog;
-use mars_bench::{search_engine_row, Budget};
-use mars_core::{co_schedule, CoScheduleResult, SearchEngine};
-use mars_model::zoo::{Benchmark, MixZoo};
+use mars_bench::Budget;
+use mars_core::{baseline, co_schedule, CoScheduleResult, Mars, SearchEngine, SearchResult};
+use mars_model::zoo::{self, Benchmark, MixZoo};
 use mars_topology::presets;
+
+/// Field-wise equality of two search outcomes: the mapping (latency bits,
+/// assignments, strategies), the fitness history and the evaluation count.
+fn assert_searches_identical(label: &str, a: &SearchResult, b: &SearchResult) {
+    assert_eq!(
+        a.mapping.latency_seconds.to_bits(),
+        b.mapping.latency_seconds.to_bits(),
+        "{label}: search engines diverged on latency"
+    );
+    assert_eq!(a.mapping.assignments, b.mapping.assignments, "{label}");
+    assert_eq!(a.mapping.strategies, b.mapping.strategies, "{label}");
+    assert_eq!(a.history, b.history, "{label}");
+    assert_eq!(a.evaluations, b.evaluations, "{label}");
+}
 
 /// Runs the mix's co-schedule with the given inner search engine.
 fn co_schedule_with_engine(mix: MixZoo, threads: usize, engine: SearchEngine) -> CoScheduleResult {
@@ -46,28 +62,62 @@ fn assert_co_schedules_identical(mix: MixZoo, a: &CoScheduleResult, b: &CoSchedu
     assert_eq!(a.placements.len(), b.placements.len());
     for (pa, pb) in a.placements.iter().zip(&b.placements) {
         assert_eq!(pa.workload, pb.workload);
-        assert_eq!(pa.accels, pb.accels, "{mix:?} workload {}", pa.workload);
-        assert_eq!(
-            pa.result.mapping.latency_seconds.to_bits(),
-            pb.result.mapping.latency_seconds.to_bits(),
-            "{mix:?} workload {}: inner engines diverged on latency",
-            pa.workload
-        );
-        assert_eq!(pa.result.mapping.assignments, pb.result.mapping.assignments);
-        assert_eq!(pa.result.mapping.strategies, pb.result.mapping.strategies);
-        assert_eq!(pa.result.history, pb.result.history);
-        assert_eq!(pa.result.evaluations, pb.result.evaluations);
+        let label = format!("{mix:?} workload {}", pa.workload);
+        assert_eq!(pa.accels, pb.accels, "{label}");
+        assert_searches_identical(&label, &pa.result, &pb.result);
     }
 }
 
-/// Every Table III benchmark, both engines, serial workers.
-/// `search_engine_row` panics internally on any mapping/history/evaluation
-/// divergence before returning timings.
+/// Every Table III benchmark on F1, both engines, at the `table3` seeds
+/// (40 + row).
 #[test]
 fn engines_agree_on_all_benchmarks_serial() {
+    let topo = presets::f1_16xlarge();
+    let catalog = Catalog::standard_three();
     for (i, benchmark) in Benchmark::ALL.into_iter().enumerate() {
-        let row = search_engine_row(benchmark, Budget::Fast, 40 + i as u64);
-        assert!(row.evaluations > 0);
+        let net = benchmark.build();
+        let config = Budget::Fast.search_config(40 + i as u64);
+        let search = |engine| {
+            Mars::new(&net, &topo, &catalog)
+                .with_config(config.with_engine(engine))
+                .search()
+        };
+        let flat = search(SearchEngine::Flat);
+        assert!(flat.evaluations > 0);
+        assert_searches_identical(
+            &format!("{benchmark:?}"),
+            &flat,
+            &search(SearchEngine::Reference),
+        );
+    }
+}
+
+/// Table IV's setting: both heterogeneous models at every H2H bandwidth
+/// level with the default fixed per-group designs, both engines, at the
+/// `table4` seeds (90 + model).
+#[test]
+fn engines_agree_on_table4_fixed_designs() {
+    let catalog = Catalog::h2h_heterogeneous();
+    for (i, net) in [zoo::casia_surf_like(), zoo::facebagnet_like()]
+        .iter()
+        .enumerate()
+    {
+        let config = Budget::Fast.search_config(90 + i as u64);
+        for (label, gbps) in presets::h2h_bandwidth_levels() {
+            let topo = presets::h2h_cloud(gbps);
+            let designs = baseline::default_fixed_designs(&topo, &catalog);
+            let search = |engine| {
+                Mars::new(net, &topo, &catalog)
+                    .with_fixed_designs(designs.clone())
+                    .with_config(config.with_engine(engine))
+                    .search()
+            };
+            assert_searches_identical(
+                &format!("{} at {label}", net.name()),
+                &search(SearchEngine::Flat),
+                &search(SearchEngine::Reference),
+            );
+        }
     }
 }
 

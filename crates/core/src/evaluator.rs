@@ -264,8 +264,9 @@ impl<'a> Evaluator<'a> {
     /// deduplicated.  Cached values are a pure function of shape, context and
     /// strategy, so every latency is bit-identical either way; only reuse
     /// across repeated shapes changes.  The retained reference search engine
-    /// runs with this keying so engine head-to-heads measure the rebuilt
-    /// pipeline rather than crediting the shared shape cache to both sides.
+    /// runs with this keying, as it shipped, so the differential tests
+    /// compare the rebuilt engine against the pre-rebuild pipeline itself
+    /// rather than against one already sharing the shape cache.
     #[must_use]
     pub(crate) fn with_per_layer_cache_keys(mut self) -> Self {
         self.per_layer_keys = true;

@@ -8,9 +8,9 @@
 //!   evaluation context, and a whole-decision memo on top of the
 //!   per-assignment second-level memo.
 //! * [`SearchEngine::Reference`] — the pre-rebuild pipeline, retained
-//!   verbatim as the bit-identity oracle.  The differential tests (and the
-//!   `perf_smoke` speedup headline) run both engines on the same seeds and
-//!   assert the returned [`SearchResult`]s are bit-identical.
+//!   verbatim as the bit-identity oracle.  Only the differential tests run
+//!   it: they run both engines on the same seeds and assert the returned
+//!   [`SearchResult`]s are bit-identical.
 //!
 //! Both engines are deterministic for any thread count; see the `ga` module
 //! docs.
@@ -804,9 +804,9 @@ impl<'a> Mars<'a> {
         let profile = ProfileTable::build(self.net, self.catalog);
         let design_scores = profile.normalized_scores();
         // Per-layer cache keys: the keying this pipeline shipped with, kept
-        // so engine head-to-heads measure the rebuilt engine (shape-shared
-        // cache included) against the pre-rebuild behaviour.  Results are
-        // bit-identical either way.
+        // so the oracle stays the pre-rebuild code path, not one that shares
+        // the rebuilt engine's shape-keyed reuse.  Results are bit-identical
+        // either way.
         let evaluator =
             Evaluator::with_policy(self.net, self.topo, self.catalog, self.policy.clone())
                 .with_per_layer_cache_keys();

@@ -31,12 +31,10 @@ pub struct ConvParams {
     pub kernel: usize,
     /// Stride.
     pub stride: usize,
-    /// Number of channel groups (1 for a dense convolution).
-    pub(crate) groups: usize,
 }
 
 impl ConvParams {
-    /// Creates a dense (non-grouped) convolution.
+    /// Creates a dense convolution.
     pub fn new(
         c_out: usize,
         c_in: usize,
@@ -52,17 +50,14 @@ impl ConvParams {
             w_out,
             kernel,
             stride,
-            groups: 1,
         }
     }
 
-    /// The six-dimensional loop nest `(Cout, Cin/g, H, W, Kh, Kw)` describing
-    /// the work of one channel group times the number of groups folded into
-    /// the `Cin` bound (so that `macs()` stays exact for grouped layers).
+    /// The six-dimensional loop nest `(Cout, Cin, H, W, Kh, Kw)`.
     pub fn loop_nest(&self) -> LoopNest {
         LoopNest::new(
             self.c_out,
-            self.c_in / self.groups.max(1),
+            self.c_in,
             self.h_out,
             self.w_out,
             self.kernel,
@@ -77,10 +72,7 @@ impl ConvParams {
 
     /// Number of weight parameters (no bias).
     pub fn weight_count(&self) -> u64 {
-        self.c_out as u64
-            * (self.c_in / self.groups.max(1)) as u64
-            * self.kernel as u64
-            * self.kernel as u64
+        self.c_out as u64 * self.c_in as u64 * self.kernel as u64 * self.kernel as u64
     }
 
     /// Weight size in bytes.
@@ -357,17 +349,6 @@ mod tests {
         assert_eq!(c.input_shape(), FeatureMap::new(3, 224, 224));
         assert!(!c.is_pointwise());
         assert!(ConvParams::new(256, 64, 56, 56, 1, 1).is_pointwise());
-    }
-
-    #[test]
-    fn grouped_conv_reduces_macs_and_weights() {
-        let dense = ConvParams::new(128, 128, 28, 28, 3, 1);
-        let grouped = ConvParams {
-            groups: 4,
-            ..ConvParams::new(128, 128, 28, 28, 3, 1)
-        };
-        assert_eq!(grouped.macs() * 4, dense.macs());
-        assert_eq!(grouped.weight_count() * 4, dense.weight_count());
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub(crate) const BUCKETS: usize = ((MAX_EXP - MIN_EXP + 1) as usize) * SUB_BUCKE
 /// A fixed-bucket log-scale histogram (see the module docs for the
 /// determinism contract).
 #[derive(Debug, Clone, PartialEq)]
-pub struct Histogram {
+pub(crate) struct Histogram {
     counts: Vec<u64>,
     underflow: u64,
     overflow: u64,

@@ -56,6 +56,5 @@ mod recorder;
 mod store;
 
 pub use export::{chrome_trace_json, metrics_json};
-pub use hist::Histogram;
 pub use recorder::Recorder;
 pub use store::{Instant, Obs, Span};

@@ -263,11 +263,6 @@ impl Obs {
         self.gauges.get(name).copied()
     }
 
-    /// The histogram under `name`, if any samples were observed.
-    pub fn histogram(&self, name: &str) -> Option<&Histogram> {
-        self.hists.get(name)
-    }
-
     /// The series under `name`, if any points were recorded.
     pub fn series(&self, name: &str) -> Option<&[(f64, f64)]> {
         self.series.get(name).map(|v| v.as_slice())
@@ -379,7 +374,7 @@ mod tests {
         assert_eq!(o.counter_value("c"), 2);
         assert_eq!(o.counter_value("missing"), 0);
         assert_eq!(o.gauge_value("g"), Some(1.0));
-        assert_eq!(o.histogram("h").unwrap().count(), 1);
+        assert_eq!(o.hists["h"].count(), 1);
         assert_eq!(o.series("s").unwrap().len(), 1);
         assert_eq!(o.spans().len(), 1);
         let span = o.spans()[0];

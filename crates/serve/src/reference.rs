@@ -14,16 +14,17 @@
 //! (`tests/fleet_sim_equivalence.rs`) runs both engines over every bundled
 //! mix, policy, and fault scenario and demands bit-identical
 //! [`ServeReport`]s, including the float-associativity-sensitive aggregates.
-//! The `table_fleet` benchmark also times it to report the new engine's
-//! events-per-second speedup.  It is **not** part of the serving API proper:
-//! use [`crate::simulate_sharded_with_faults`] / [`crate::SimState`] for real
+//! Only what that suite drives is kept: construction, `run_until`, `step`,
+//! snapshots, accelerator failure and restore, and the reports.  It is
+//! **not** part of the serving API proper: use
+//! [`crate::simulate_sharded_with_faults`] / [`crate::SimState`] for real
 //! work.
 
 use crate::lanes::{Lanes, ServeLane};
 use crate::sim::{
-    percentile_triple_ms, validate, validate_placements, validate_sla_factors, BatchEvent,
-    DispatchPolicy, FaultPolicy, Lane, LaneSnapshot, ServeConfig, ServeError, ServeReport,
-    SimSnapshot, WorkloadServeStats, BATCH_TIMEOUT_SECONDS, DISPATCH_OVERHEAD_FACTOR, MAX_BATCH,
+    percentile_triple_ms, validate, BatchEvent, DispatchPolicy, FaultPolicy, Lane, LaneSnapshot,
+    ServeConfig, ServeError, ServeReport, SimSnapshot, WorkloadServeStats, BATCH_TIMEOUT_SECONDS,
+    DISPATCH_OVERHEAD_FACTOR, MAX_BATCH,
 };
 use crate::trace::Trace;
 use mars_core::CoScheduleResult;
@@ -277,16 +278,6 @@ impl SimState {
         })
     }
 
-    /// The simulated horizon in seconds.
-    pub fn horizon_seconds(&self) -> f64 {
-        self.horizon
-    }
-
-    /// The current clock.
-    pub fn clock(&self) -> f64 {
-        self.clock
-    }
-
     /// Advances every lane by linear scan, dispatching each batch whose
     /// launch instant lies strictly before `min(t, horizon)`.
     pub fn run_until(&mut self, t: f64) {
@@ -387,56 +378,6 @@ impl SimState {
                 lane.free = lane.free.max(clock);
             }
         }
-    }
-
-    /// The accelerators currently failed, sorted by id.
-    pub fn down(&self) -> Vec<AccelId> {
-        self.down.iter().copied().collect()
-    }
-
-    /// The latest lane `free` instant (at least the clock).
-    pub fn drain_seconds(&self) -> f64 {
-        self.lanes.iter().map(|l| l.free).fold(self.clock, f64::max)
-    }
-
-    /// Swaps in a re-scheduled co-schedule (see
-    /// [`crate::SimState::apply_placements`]).
-    ///
-    /// # Errors
-    ///
-    /// Rejects shape mismatches and degenerate latencies/SLA factors; the
-    /// state is unchanged on error.
-    pub fn apply_placements(
-        &mut self,
-        co: &CoScheduleResult,
-        sla_factors: &[f64],
-        activate_at: f64,
-    ) -> Result<(), ServeError> {
-        validate_placements(self.lanes.len(), co, sla_factors)?;
-        for (lane, placement) in self.lanes.iter_mut().zip(&co.placements) {
-            lane.latency = placement.result.mapping.latency_seconds;
-            lane.sla_seconds = sla_factors[lane.workload] * lane.latency;
-            lane.accels = placement.accels.clone();
-            lane.free = lane.free.max(activate_at);
-            for &a in &placement.accels {
-                self.accel_busy.entry(a).or_insert(0.0);
-            }
-        }
-        Ok(())
-    }
-
-    /// Updates the deadline budget of future arrivals (see
-    /// [`crate::SimState::set_sla_factors`]).
-    ///
-    /// # Errors
-    ///
-    /// Rejects a mismatched factor count or non-positive/non-finite factors.
-    pub fn set_sla_factors(&mut self, sla_factors: &[f64]) -> Result<(), ServeError> {
-        validate_sla_factors(self.lanes.len(), sla_factors)?;
-        for (lane, &f) in self.lanes.iter_mut().zip(sla_factors) {
-            lane.sla_seconds = f * lane.latency;
-        }
-        Ok(())
     }
 
     /// Builds the report for the state as it stands.

@@ -51,10 +51,10 @@ fn main() {
         }
     );
     println!(
-        "cache hits:       {} layer-level, {} search-level ({:.0}% layer hit rate)",
-        result.stats.layer_cache.hits,
+        "cache hits:       {} per-layer term, {} search-level ({:.0}% term hit rate)",
+        result.stats.term_table.hits,
         result.stats.search_cache.hits,
-        100.0 * result.stats.layer_cache.hit_rate()
+        100.0 * result.stats.term_table.hit_rate()
     );
     println!(
         "latency reduction: {:.1}%",

@@ -59,9 +59,9 @@
 //!     .with_config(SearchConfig::standard(42).with_threads(0))
 //!     .search();
 //! println!(
-//!     "{} evals, {:.0}% cache hits",
+//!     "{} evals, {:.0}% per-layer term hits",
 //!     result.stats.evaluations,
-//!     100.0 * result.stats.layer_cache.hit_rate()
+//!     100.0 * result.stats.term_table.hit_rate()
 //! );
 //! ```
 //!

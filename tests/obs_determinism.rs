@@ -24,6 +24,18 @@ fn deterministic_exports(recorder: &Recorder) -> (String, String) {
     (metrics_json(&obs), chrome_trace_json(&obs))
 }
 
+/// Whether the `histograms` section of `obs`'s metrics JSON holds `name`
+/// (a histogram is listed once it has observed a sample).
+fn has_histogram(obs: &Obs, name: &str) -> bool {
+    let json = metrics_json(obs);
+    let Some(start) = json.find("\n  \"histograms\": {\n") else {
+        return false;
+    };
+    let section = &json[start + 1..];
+    let section = &section[..section.find("\n  }").expect("sections close")];
+    section.contains(&format!("\n    \"{name}\": {{\"count\": "))
+}
+
 /// Recorder on vs off → bit-identical `SearchResult` at 1 and 4 worker
 /// threads, and the merged search metrics are bit-identical across the two
 /// thread counts.
@@ -95,8 +107,8 @@ fn serve_report_is_unchanged_by_recording() {
     assert_eq!(plain, observed, "recording changed the serve report");
 
     let obs = recorder.snapshot();
-    assert!(obs.histogram("serve/batch_size").is_some());
-    assert!(obs.histogram("serve/queue_depth").is_some());
+    assert!(has_histogram(&obs, "serve/batch_size"));
+    assert!(has_histogram(&obs, "serve/queue_depth"));
     assert!(
         obs.series("serve/calendar_occupancy").is_some(),
         "engine-level metrics missing on the top-level simulator"
@@ -151,7 +163,7 @@ fn sharded_metrics_merge_identically_at_every_thread_count() {
             "MARS_THREADS={threads}: recording changed the fleet report"
         );
         let obs = recorder.snapshot();
-        assert!(obs.histogram("serve/batch_size").is_some());
+        assert!(has_histogram(&obs, "serve/batch_size"));
         assert!(!obs.spans().is_empty());
         fleet_exports.push(deterministic_exports(&recorder));
 
