@@ -9,10 +9,11 @@
 //! integer keys of the span and instant records (their times' total-order
 //! bits and their labels' string ranks), rebuilding the records from the
 //! sorted keys.  Each export is one pass that writes every event straight
-//! into one pre-sized `String`.  Numbers keep their `{}` form but are
-//! written by the crate's own writers (shortest round-trip digits, exact
-//! ties rounded up as `{}` rounds them); `write!` is left for escapes and
-//! non-finite values.  The metrics JSON follows the same restricted flat
+//! into one pre-sized byte buffer, checked as UTF-8 once at the end rather
+//! than once per write.  Numbers keep their `{}` form but are written by
+//! the crate's own writers (shortest round-trip digits, exact ties rounded
+//! up as `{}` rounds them); `write!` is left for escapes and non-finite
+//! values.  The metrics JSON follows the same restricted flat
 //! shape as the repo's `BENCH_*.json` files (string keys to numbers, one
 //! nesting level for grouping); the trace JSON is the Chrome trace-event
 //! array format with timestamps in **simulated microseconds**.
@@ -21,31 +22,40 @@ use crate::num::{push_f64, push_u64};
 use crate::store::{canonical_instants, canonical_spans, point_order, Obs};
 use std::borrow::Cow;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
+use std::io::Write as _;
 
-/// Appends `s` escaped for a JSON string literal.
-fn push_esc(out: &mut String, s: &str) {
+/// Appends `s` escaped for a JSON string literal.  Byte by byte: every
+/// byte that needs an escape is ASCII, and the bytes of other characters
+/// pass through unchanged.
+fn push_esc(out: &mut Vec<u8>, s: &str) {
     if !s.bytes().any(|b| b == b'"' || b == b'\\' || b < 0x20) {
-        out.push_str(s);
+        out.extend_from_slice(s.as_bytes());
         return;
     }
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+    for b in s.bytes() {
+        match b {
+            b'"' => out.extend_from_slice(b"\\\""),
+            b'\\' => out.extend_from_slice(b"\\\\"),
+            b'\n' => out.extend_from_slice(b"\\n"),
+            b if b < 0x20 => {
+                let _ = write!(out, "\\u{b:04x}");
             }
-            c => out.push(c),
+            b => out.push(b),
         }
     }
+}
+
+/// The finished export as a `String`.
+fn into_string(out: Vec<u8>) -> String {
+    // Every byte written is ASCII or copied from a `&str`, so this never
+    // fails.
+    String::from_utf8(out).expect("exports are built from UTF-8")
 }
 
 /// Appends `v` in its `{}` form, quoted when it is not finite (JSON has no
 /// inf/NaN; they become strings the flat parser skips, which is the right
 /// behaviour for sentinel gauges).
-fn push_num(out: &mut String, v: f64) {
+fn push_num(out: &mut Vec<u8>, v: f64) {
     if v.is_finite() {
         push_f64(out, v);
     } else {
@@ -67,27 +77,27 @@ fn sorted_points(pts: &[(f64, f64)]) -> Cow<'_, [(f64, f64)]> {
 /// Appends `,\n  "title": {` and one `"key": value` line per entry of `map`
 /// (nothing when `map` is empty).
 fn section<V>(
-    out: &mut String,
+    out: &mut Vec<u8>,
     title: &str,
     map: &BTreeMap<String, V>,
-    mut value: impl FnMut(&mut String, &V),
+    mut value: impl FnMut(&mut Vec<u8>, &V),
 ) {
     if map.is_empty() {
         return;
     }
-    out.push_str(",\n  \"");
-    out.push_str(title);
-    out.push_str("\": {\n");
+    out.extend_from_slice(b",\n  \"");
+    out.extend_from_slice(title.as_bytes());
+    out.extend_from_slice(b"\": {\n");
     for (i, (k, v)) in map.iter().enumerate() {
         if i > 0 {
-            out.push_str(",\n");
+            out.extend_from_slice(b",\n");
         }
-        out.push_str("    \"");
+        out.extend_from_slice(b"    \"");
         push_esc(out, k);
-        out.push_str("\": ");
+        out.extend_from_slice(b"\": ");
         value(out, v);
     }
-    out.push_str("\n  }");
+    out.extend_from_slice(b"\n  }");
 }
 
 /// Renders the flat metrics JSON: counters, peak gauges, histograms
@@ -95,49 +105,49 @@ fn section<V>(
 pub fn metrics_json(obs: &Obs) -> String {
     let points: usize = obs.series.values().map(Vec::len).sum();
     let keys = obs.counters.len() + obs.gauges.len() + obs.series.len() + obs.wall.len();
-    let mut out = String::with_capacity(64 + 64 * keys + 256 * obs.hists.len() + 48 * points);
-    out.push_str("{\n  \"schema\": \"mars-obs-metrics-v1\"");
+    let mut out = Vec::with_capacity(64 + 64 * keys + 256 * obs.hists.len() + 48 * points);
+    out.extend_from_slice(b"{\n  \"schema\": \"mars-obs-metrics-v1\"");
     section(&mut out, "counters", &obs.counters, |out, &v| {
         push_u64(out, v)
     });
     section(&mut out, "gauges", &obs.gauges, |out, &v| push_num(out, v));
     section(&mut out, "histograms", &obs.hists, |out, h| {
-        out.push_str("{\"count\": ");
+        out.extend_from_slice(b"{\"count\": ");
         push_u64(out, h.count());
-        out.push_str(", \"underflow\": ");
+        out.extend_from_slice(b", \"underflow\": ");
         push_u64(out, h.underflow());
-        out.push_str(", \"overflow\": ");
+        out.extend_from_slice(b", \"overflow\": ");
         push_u64(out, h.overflow());
-        out.push_str(", \"min\": ");
+        out.extend_from_slice(b", \"min\": ");
         push_num(out, h.min());
-        out.push_str(", \"max\": ");
+        out.extend_from_slice(b", \"max\": ");
         push_num(out, h.max());
-        out.push_str(", \"buckets\": [");
+        out.extend_from_slice(b", \"buckets\": [");
         for (i, (edge, c)) in h.nonzero_buckets().into_iter().enumerate() {
             if i > 0 {
-                out.push_str(", ");
+                out.extend_from_slice(b", ");
             }
-            out.push('[');
+            out.push(b'[');
             push_num(out, edge);
-            out.push_str(", ");
+            out.extend_from_slice(b", ");
             push_u64(out, c);
-            out.push(']');
+            out.push(b']');
         }
-        out.push_str("]}");
+        out.extend_from_slice(b"]}");
     });
     section(&mut out, "series", &obs.series, |out, pts| {
-        out.push('[');
+        out.push(b'[');
         for (i, &(t, v)) in sorted_points(pts).iter().enumerate() {
             if i > 0 {
-                out.push_str(", ");
+                out.extend_from_slice(b", ");
             }
-            out.push('[');
+            out.push(b'[');
             push_num(out, t);
-            out.push_str(", ");
+            out.extend_from_slice(b", ");
             push_num(out, v);
-            out.push(']');
+            out.push(b']');
         }
-        out.push(']');
+        out.push(b']');
     });
     // Wall time is the one explicitly nondeterministic section: these bytes
     // may differ between otherwise identical runs.
@@ -147,8 +157,8 @@ pub fn metrics_json(obs: &Obs) -> String {
         &obs.wall,
         |out, &v| push_num(out, v),
     );
-    out.push_str("\n}\n");
-    out
+    out.extend_from_slice(b"\n}\n");
+    into_string(out)
 }
 
 /// Renders Chrome trace-event JSON keyed on simulated time.
@@ -198,52 +208,52 @@ pub fn chrome_trace_json(obs: &Obs) -> String {
             .iter()
             .map(|(k, p)| (100 + k.len()) * p.len())
             .sum::<usize>();
-    let mut out = String::with_capacity(capacity);
-    out.push_str("[\n");
+    let mut out = Vec::with_capacity(capacity);
+    out.extend_from_slice(b"[\n");
     for (i, &track) in tracks.iter().enumerate() {
-        out.push_str("{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": ");
+        out.extend_from_slice(b"{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": 1, \"tid\": ");
         push_u64(&mut out, i as u64 + 1);
-        out.push_str(", \"args\": {\"name\": \"");
+        out.extend_from_slice(b", \"args\": {\"name\": \"");
         push_esc(&mut out, label(track));
-        out.push_str("\"}},\n");
+        out.extend_from_slice(b"\"}},\n");
     }
     for s in &spans {
-        out.push_str("{\"name\": \"");
+        out.extend_from_slice(b"{\"name\": \"");
         push_esc(&mut out, label(s.name));
-        out.push_str("\", \"cat\": \"sim\", \"ph\": \"X\", \"ts\": ");
+        out.extend_from_slice(b"\", \"cat\": \"sim\", \"ph\": \"X\", \"ts\": ");
         push_num(&mut out, us(s.start));
-        out.push_str(", \"dur\": ");
+        out.extend_from_slice(b", \"dur\": ");
         push_num(&mut out, us((s.end - s.start).max(0.0)));
-        out.push_str(", \"pid\": 1, \"tid\": ");
+        out.extend_from_slice(b", \"pid\": 1, \"tid\": ");
         push_u64(&mut out, tid[s.track as usize].into());
-        out.push_str("},\n");
+        out.extend_from_slice(b"},\n");
     }
     for i in &instants {
-        out.push_str("{\"name\": \"");
+        out.extend_from_slice(b"{\"name\": \"");
         push_esc(&mut out, label(i.name));
-        out.push_str("\", \"cat\": \"sim\", \"ph\": \"i\", \"s\": \"t\", \"ts\": ");
+        out.extend_from_slice(b"\", \"cat\": \"sim\", \"ph\": \"i\", \"s\": \"t\", \"ts\": ");
         push_num(&mut out, us(i.at));
-        out.push_str(", \"pid\": 1, \"tid\": ");
+        out.extend_from_slice(b", \"pid\": 1, \"tid\": ");
         push_u64(&mut out, tid[i.track as usize].into());
-        out.push_str("},\n");
+        out.extend_from_slice(b"},\n");
     }
     for (name, pts) in &obs.series {
         for &(t, v) in sorted_points(pts).iter() {
-            out.push_str("{\"name\": \"");
+            out.extend_from_slice(b"{\"name\": \"");
             push_esc(&mut out, name);
-            out.push_str("\", \"ph\": \"C\", \"ts\": ");
+            out.extend_from_slice(b"\", \"ph\": \"C\", \"ts\": ");
             push_num(&mut out, us(t));
-            out.push_str(", \"pid\": 1, \"args\": {\"value\": ");
+            out.extend_from_slice(b", \"pid\": 1, \"args\": {\"value\": ");
             push_num(&mut out, v);
-            out.push_str("}},\n");
+            out.extend_from_slice(b"}},\n");
         }
     }
     // Every event ended with ",\n"; the last one ends the array instead.
-    if out.ends_with(",\n") {
+    if out.ends_with(b",\n") {
         out.truncate(out.len() - 2);
     }
-    out.push_str("\n]\n");
-    out
+    out.extend_from_slice(b"\n]\n");
+    into_string(out)
 }
 
 #[cfg(test)]

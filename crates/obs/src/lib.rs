@@ -23,8 +23,9 @@
 //! record of two `u32` ids and its times; snapshots, merges and shard
 //! hand-offs copy plain data.  Both exporters read the store in place, sort
 //! only packed integer keys of the span and instant records (time, then
-//! string rank), and write every event straight into one pre-sized
-//! `String`.  Numbers keep the exact bytes `{}` gives them but skip the
+//! string rank), and write every event straight into one pre-sized byte
+//! buffer, checked as UTF-8 once.  Numbers keep the exact bytes `{}` gives
+//! them but skip the
 //! formatting machinery: integral values below 2^53 print as integers, and
 //! other values take Ryū's shortest round-trip digits, with multiplier
 //! tables computed at compile time and exact ties rounded up as `{}` does.

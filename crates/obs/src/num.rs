@@ -4,7 +4,8 @@
 //! fewest significant digits that parse back to the same value, the one
 //! nearest the exact value when several are that short — placed without an
 //! exponent: `-0`, `0.00001234`, `1e23` as `100000000000000000000000`.
-//! [`push_f64`] writes the same bytes without the formatting machinery.
+//! [`push_f64`] writes the same bytes without the formatting machinery,
+//! into a byte buffer the exporters check as UTF-8 once, not per number.
 //! Integral values below 2^53 print as integers; every other value takes
 //! Ryū's shortest digits (Adams, "Ryū: fast float-to-string conversion",
 //! PLDI 2018) with one change: where the exact value lies exactly halfway
@@ -265,26 +266,22 @@ fn put_digits(buf: &mut [u8], mut n: u64) -> usize {
     at
 }
 
-fn push_ascii(out: &mut String, bytes: &[u8]) {
-    out.push_str(std::str::from_utf8(bytes).expect("digits and '.' are ASCII"));
-}
-
-fn push_zeros(out: &mut String, n: usize) {
-    out.extend(std::iter::repeat_n('0', n));
+fn push_zeros(out: &mut Vec<u8>, n: usize) {
+    out.resize(out.len() + n, b'0');
 }
 
 /// Appends `n` as `{}` writes it.
-pub(crate) fn push_u64(out: &mut String, n: u64) {
+pub(crate) fn push_u64(out: &mut Vec<u8>, n: u64) {
     let mut buf = [0; 20];
     let at = put_digits(&mut buf, n);
-    push_ascii(out, &buf[at..]);
+    out.extend_from_slice(&buf[at..]);
 }
 
 /// Appends a finite `v` as `{}` writes it.
-pub(crate) fn push_f64(out: &mut String, v: f64) {
+pub(crate) fn push_f64(out: &mut Vec<u8>, v: f64) {
     debug_assert!(v.is_finite(), "{v} has no digits");
     if v.is_sign_negative() {
-        out.push('-');
+        out.push(b'-');
     }
     let a = v.abs();
     // Below 2^53 every integer is an `f64`, so an integral value's shortest
@@ -301,17 +298,17 @@ pub(crate) fn push_f64(out: &mut String, v: f64) {
     // Digits before the decimal point.
     let point = len as i32 + exp;
     if point <= 0 {
-        out.push_str("0.");
+        out.extend_from_slice(b"0.");
         push_zeros(out, point.unsigned_abs() as usize);
-        push_ascii(out, &buf[at..]);
+        out.extend_from_slice(&buf[at..]);
     } else if (point as usize) < len {
         let point = point as usize;
         buf.copy_within(at..at + point, at - 1);
         at -= 1;
         buf[at + point] = b'.';
-        push_ascii(out, &buf[at..]);
+        out.extend_from_slice(&buf[at..]);
     } else {
-        push_ascii(out, &buf[at..]);
+        out.extend_from_slice(&buf[at..]);
         push_zeros(out, point as usize - len);
     }
 }
@@ -339,14 +336,19 @@ mod tests {
         }
     }
 
-    /// Compares [`push_f64`] with `{}` on `v` and `-v`.
-    fn compare(v: f64, ours: &mut String, std: &mut String) {
+    /// Compares [`push_f64`]'s bytes with `{}` on `v` and `-v`.
+    fn compare(v: f64, ours: &mut Vec<u8>, std: &mut String) {
         for v in [v, -v] {
             ours.clear();
             push_f64(ours, v);
             std.clear();
             write!(std, "{v}").expect("writing to a String never fails");
-            assert_eq!(ours, std, "bits {:#018x}", v.to_bits());
+            assert!(
+                ours == std.as_bytes(),
+                "bits {:#018x}: {} vs {std}",
+                v.to_bits(),
+                String::from_utf8_lossy(ours)
+            );
         }
     }
 
@@ -356,7 +358,7 @@ mod tests {
     /// `{}` rounds up.
     #[test]
     fn push_f64_matches_display() {
-        let (mut ours, mut std) = (String::new(), String::new());
+        let (mut ours, mut std) = (Vec::new(), String::new());
         let mut check = |v: f64| compare(v, &mut ours, &mut std);
         let mut rng = SplitMix(0x5eed);
         let neighbours = |v: f64| {
@@ -422,9 +424,9 @@ mod tests {
     #[test]
     fn push_u64_matches_display() {
         for n in [0, 9, 10, 99, 100, u64::from(u32::MAX), u64::MAX] {
-            let mut ours = String::new();
+            let mut ours = Vec::new();
             push_u64(&mut ours, n);
-            assert_eq!(ours, n.to_string());
+            assert_eq!(ours, n.to_string().as_bytes());
         }
     }
 }

@@ -18,8 +18,8 @@
 //! spans.  Enqueue, batch take, requeue and revoke are all O(1) in
 //! allocations; the only growth is the `deadlines`/`latencies` arrays, which
 //! are reserved up front to the request count.  The arrival stream itself is
-//! an `Arc<[f64]>`, so checkpointing a lane (cloning the engine state)
-//! shares the stream instead of copying it.
+//! the [`Trace`](crate::Trace)'s `Arc`, so neither building a lane nor
+//! checkpointing one (cloning the engine state) copies it.
 //!
 //! A lane's snapshot shows the spans at work: failing the accelerator of a
 //! busy lane returns its in-flight batch to the queue.
@@ -48,8 +48,9 @@ use std::sync::Arc;
 /// contiguity invariant that makes the integer spans sound).
 #[derive(Debug, Clone)]
 pub(crate) struct RequestArena {
-    /// The immutable, shared arrival stream (sorted; the `Trace` invariant).
-    arrivals: Arc<[f64]>,
+    /// The immutable arrival stream shared with the `Trace` (sorted; the
+    /// `Trace` invariant).
+    arrivals: Arc<Vec<f64>>,
     /// `deadlines[i]` for every enqueued request `i < enqueued`, assigned at
     /// enqueue time with the lane's SLA budget *then* in force.
     deadlines: Vec<f64>,
@@ -68,7 +69,7 @@ pub(crate) struct RequestArena {
 
 impl RequestArena {
     /// An empty arena over the given arrival stream.
-    pub(crate) fn new(arrivals: Arc<[f64]>) -> Self {
+    pub(crate) fn new(arrivals: Arc<Vec<f64>>) -> Self {
         let n = arrivals.len();
         Self {
             arrivals,
@@ -197,9 +198,9 @@ impl RequestArena {
         self.latencies.truncate(self.latencies.len() - n);
     }
 
-    /// The completion latency samples recorded so far.
-    pub(crate) fn latencies(&self) -> &[f64] {
-        &self.latencies
+    /// Moves the completion latency samples out, leaving none.
+    pub(crate) fn take_latencies(&mut self) -> Vec<f64> {
+        std::mem::take(&mut self.latencies)
     }
 }
 
@@ -263,6 +264,6 @@ mod tests {
         a.push_latency(0.2);
         a.push_latency(0.3);
         a.truncate_latencies(2);
-        assert_eq!(a.latencies(), &[0.1]);
+        assert_eq!(a.take_latencies(), [0.1]);
     }
 }

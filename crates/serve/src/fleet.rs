@@ -3,8 +3,10 @@
 //! replay entry points, which run [`SimState`] lane shards on the
 //! lane-shard runner (`crate::lanes`).
 
-use crate::lanes::run_lanes;
-use crate::sim::{validate, FaultPolicy, ServeConfig, ServeError, ServeReport, SimState};
+use crate::lanes::Shards;
+use crate::sim::{
+    check_arrivals, validate, FaultPolicy, ServeConfig, ServeError, ServeReport, SimState,
+};
 use crate::trace::Trace;
 use mars_core::{CoScheduleResult, Mapping, Placement, SearchResult};
 use mars_model::zoo::FleetSpec;
@@ -117,9 +119,9 @@ pub fn simulate_sharded_observed(
     recorder: &Recorder,
 ) -> Result<ServeReport, ServeError> {
     validate(co, profiles, trace, config)?;
+    let shards = Shards::checked(co.placements.len(), |lanes| check_arrivals(trace, lanes))?;
     validate_faults(faults, trace.horizon_seconds).map_err(ServeError::Traffic)?;
-    Ok(run_lanes(
-        co.placements.len(),
+    Ok(shards.run(
         recorder,
         (*config, trace.horizon_seconds),
         |range, local| {

@@ -7,17 +7,20 @@
 //! the lanes whose event is due, each in one burst up to the bound.
 //!
 //! Lanes own disjoint accelerators and never interact, so a replay splits
-//! exactly by lane: contiguous shards run as independent engines on the
-//! `mars-parallel` pool and merge *in lane order*.  Per-lane figures come
-//! from the same float operations as a single-engine run and the aggregate
-//! percentiles are recomputed from the raw samples, so the report is
+//! exactly by lane into contiguous [`Shards`] on the `mars-parallel` pool,
+//! and each request's data stays inside its shard: a shard checks its
+//! lanes' request streams, runs them as an independent engine and hands
+//! over their latency buffers (moved, not copied) with [`SampleCounts`].
+//! Shards merge *in lane order*: per-lane figures come from the same float
+//! operations as a single-engine run and the aggregate percentiles select
+//! the same samples as on one buffer of every sample, so the report is
 //! **bit-identical** to one engine's at every `MARS_THREADS` setting
 //! (`tests/fleet_sim_equivalence.rs` pins it).  Everything a lane records
 //! is keyed by its name and the exporters put records in canonical order,
 //! so the merged record is shard-count invariant too.
 
 use crate::calendar::{CalendarQueue, Event};
-use crate::sim::ServeError;
+use crate::sim::{percentile_triple_ms, SampleCounts, ServeError};
 use mars_obs::Recorder;
 use mars_parallel::{resolve_threads, scoped_map, threads_from_env};
 use mars_topology::AccelId;
@@ -25,7 +28,7 @@ use std::fmt::Debug;
 use std::ops::Range;
 
 /// One workload's server, as the [`Engine`] drives it.
-pub(crate) trait ServeLane {
+pub(crate) trait ServeLane: Clone {
     /// The knobs every lane of an engine reads.
     type Knobs: Copy + Debug;
     /// The lane's figures in a report.
@@ -42,9 +45,11 @@ pub(crate) trait ServeLane {
     fn advance(&mut self, env: &mut Env<Self::Knobs>, bound: f64) -> Option<f64>;
     /// Names the lane's span tracks and series keys for an enabled recorder.
     fn name_tracks(&mut self);
-    fn stats(&self) -> Self::Stats;
-    /// The lane's completion latencies so far, seconds.
-    fn latencies(&self) -> &[f64];
+    /// The lane's figures, given the (p50, p95, p99) of its latencies in
+    /// milliseconds.
+    fn stats(&self, percentiles: (f64, f64, f64)) -> Self::Stats;
+    /// Moves the lane's completion latencies (seconds) out, leaving none.
+    fn take_latencies(&mut self) -> Vec<f64>;
     /// Records the lane's final gauges; monotone, so recording them at
     /// every report is idempotent.
     fn record_gauges(&self, _recorder: &Recorder) {}
@@ -148,11 +153,12 @@ impl<L: ServeLane> Engine<L> {
         t < bound || (L::AT_BOUND && t == bound)
     }
 
-    /// Advances every lane to `min(t, horizon)`: mutated lanes first, then
-    /// every lane whose event is due.  A lane whose event is not due
-    /// provably does nothing in this segment.
+    /// Advances every lane to `t`, clamped to `[clock, horizon]`: mutated
+    /// lanes first, then every lane whose event is due.  A lane whose event
+    /// is not due provably does nothing in this segment.  A NaN `t` is a
+    /// no-op: `f64::max` ignores it, so the bound stays at the clock.
     pub(crate) fn run_until(&mut self, t: f64) {
-        let bound = t.min(self.env.horizon).max(self.clock);
+        let bound = t.max(self.clock).min(self.env.horizon);
         for w in std::mem::take(&mut self.dirty) {
             let mark = &mut self.marks[w as usize];
             if mark.dirty {
@@ -224,60 +230,70 @@ impl<L: ServeLane> Engine<L> {
         }
     }
 
-    /// The report for the state as it stands.
+    /// The report for the state as it stands: the finished lanes of a copy.
     pub(crate) fn report(&self) -> L::Report {
-        L::report(self.env.knobs, self.env.horizon, self.lanes())
+        let finished = self.clone().finished();
+        L::report(self.env.knobs, self.env.horizon, merge(1, vec![finished]))
     }
 
     /// Runs to the horizon and returns the final report.
     pub(crate) fn finish(self) -> L::Report {
         let (knobs, horizon) = (self.env.knobs, self.env.horizon);
-        L::report(knobs, horizon, self.finish_lanes())
+        L::report(knobs, horizon, merge(1, vec![self.finish_lanes()]))
     }
 
     /// Runs to the horizon, records the per-accelerator busy totals as
     /// gauges (disjoint across shards, so shard-count invariant), and hands
-    /// back the finished lanes.
-    pub(crate) fn finish_lanes(mut self) -> Lanes<L::Stats> {
+    /// back the finished lanes with their latency buffers moved out.
+    pub(crate) fn finish_lanes(mut self) -> Finished<L::Stats> {
         self.run_until(self.env.horizon);
-        let lanes = self.lanes();
+        let finished = self.finished();
         if self.env.recorder.is_enabled() {
-            for &(a, busy) in &lanes.accel_busy {
+            for &(a, busy) in &finished.accel_busy {
                 self.env
                     .recorder
                     .gauge_max(&format!("serve/accel_busy_seconds/a{}", a.0), busy);
             }
         }
-        lanes
+        finished
     }
 
     /// The lanes as they stand, in lane order, after recording their
-    /// gauges.
-    fn lanes(&self) -> Lanes<L::Stats> {
-        if self.env.recorder.is_enabled() {
-            for lane in &self.lanes {
+    /// gauges, with their latencies moved out; each lane's percentiles
+    /// select in place on its own buffer.
+    fn finished(&mut self) -> Finished<L::Stats> {
+        let mut finished = Finished {
+            stats: Vec::with_capacity(self.lanes.len()),
+            buffers: Vec::with_capacity(self.lanes.len()),
+            counts: SampleCounts::default(),
+            accel_busy: self.env.accel_busy.clone(),
+        };
+        for lane in &mut self.lanes {
+            if self.env.recorder.is_enabled() {
                 lane.record_gauges(&self.env.recorder);
             }
+            let mut buffer = lane.take_latencies();
+            finished.counts.add(&buffer);
+            finished
+                .stats
+                .push(lane.stats(percentile_triple_ms(&mut buffer)));
+            finished.buffers.push(buffer);
         }
-        let samples: Vec<&[f64]> = self.lanes.iter().map(L::latencies).collect();
-        Lanes {
-            stats: self.lanes.iter().map(L::stats).collect(),
-            latencies: samples.concat(),
-            accel_busy: self.env.accel_busy.clone(),
-        }
+        finished
     }
 }
 
-/// Checks every arrival stream in one pass: sorted, finite and inside
+/// Checks request streams in one pass each: sorted, finite and inside
 /// `[0, horizon)` — the [`Trace`](crate::Trace) invariant the lanes'
-/// lookahead relies on.  `item` reads an element's arrival, or rejects the
-/// element first (with `w`, its stream index).
-pub(crate) fn check_streams<T>(
+/// lookahead relies on.  `streams` yields each stream with its lane index
+/// `w`, in lane order, and the first failing lane wins.  `item` reads an
+/// element's arrival, or rejects the element first.
+pub(crate) fn check_streams<'a, T: 'a>(
     horizon: f64,
-    streams: &[Vec<T>],
+    streams: impl IntoIterator<Item = (usize, &'a [T])>,
     item: impl Fn(usize, &T) -> Result<f64, ServeError>,
 ) -> Result<(), ServeError> {
-    for (w, stream) in streams.iter().enumerate() {
+    for (w, stream) in streams {
         let mut prev = 0.0;
         for x in stream {
             let t = item(w, x)?;
@@ -291,59 +307,103 @@ pub(crate) fn check_streams<T>(
     Ok(())
 }
 
+/// One engine's finished lanes, in lane order: what a shard returns, each
+/// lane's latency buffer (seconds) handed over whole with their counts.
+pub(crate) struct Finished<S> {
+    stats: Vec<S>,
+    buffers: Vec<Vec<f64>>,
+    counts: SampleCounts,
+    accel_busy: Vec<(AccelId, f64)>,
+}
+
 /// The finished lanes of an engine (or of merged shards), in lane order:
 /// what a report is assembled from.
 pub(crate) struct Lanes<S> {
     /// Per-lane statistics.
     pub(crate) stats: Vec<S>,
-    /// Every lane's completion latencies in seconds, concatenated: the
-    /// samples behind the aggregate percentiles.
-    pub(crate) latencies: Vec<f64>,
+    /// The (p50, p95, p99) of every lane's completion latencies together,
+    /// milliseconds.
+    pub(crate) percentiles: (f64, f64, f64),
     /// Busy seconds per accelerator, sorted by id (empty for LLM lanes).
     pub(crate) accel_busy: Vec<(AccelId, f64)>,
 }
 
-/// Runs lanes `0..lanes` as contiguous shards of `ceil(lanes / workers)`
-/// lanes on the `MARS_THREADS` pool (one shard, inline, at one thread) and
-/// assembles the report of the lanes merged in lane order.
-///
-/// `shard` builds the engine of one lane range from input the caller has
-/// validated whole, attaches the given local recorder (without engine
-/// metrics) and drives the engine as far as it needs to; the runner runs it
-/// to the horizon.  Each local store is absorbed into `recorder` in lane
-/// order.  Zero lanes still make one (empty) shard.
-pub(crate) fn run_lanes<L: ServeLane>(
-    lanes: usize,
-    recorder: &Recorder,
-    (knobs, horizon): (L::Knobs, f64),
-    shard: impl Fn(Range<usize>, Recorder) -> Engine<L> + Sync,
-) -> L::Report {
-    let threads = threads_from_env();
-    let workers = resolve_threads(threads).min(lanes.max(1));
-    let size = lanes.div_ceil(workers).max(1);
-    let shards: Vec<Range<usize>> = (0..lanes.max(1))
-        .step_by(size)
-        .map(|lo| lo..(lo + size).min(lanes))
-        .collect();
-    let outputs = scoped_map(threads, &shards, |_, range| {
-        let local = recorder.local();
-        let out = shard(range.clone(), local.clone()).finish_lanes();
-        (out, local.take())
-    });
-
-    let mut merged = Lanes {
-        stats: Vec::with_capacity(lanes),
-        latencies: Vec::with_capacity(outputs.iter().map(|(o, _)| o.latencies.len()).sum()),
+/// Merges finished shards in lane order.  The aggregate percentiles come
+/// from the summed counts and the shards' buffers, gathered on the pool: no
+/// serial pass over every sample.
+fn merge<S>(threads: usize, shards: Vec<Finished<S>>) -> Lanes<S> {
+    let mut counts = SampleCounts::default();
+    for shard in &shards {
+        counts.merge(&shard.counts);
+    }
+    let buffers: Vec<&[Vec<f64>]> = shards.iter().map(|s| &s.buffers[..]).collect();
+    let percentiles = counts.percentile_triple_ms(threads, &buffers);
+    let mut lanes = Lanes {
+        stats: Vec::new(),
+        percentiles,
         accel_busy: Vec::new(),
     };
-    for (out, obs) in outputs {
-        merged.stats.extend(out.stats);
-        merged.latencies.extend(out.latencies);
+    for shard in shards {
+        lanes.stats.extend(shard.stats);
         // Partitions are disjoint, so each accelerator's busy total comes
         // whole from exactly one shard.
-        merged.accel_busy.extend(out.accel_busy);
-        recorder.absorb(&obs);
+        lanes.accel_busy.extend(shard.accel_busy);
     }
-    merged.accel_busy.sort_by_key(|&(a, _)| a);
-    L::report(knobs, horizon, merged)
+    lanes.accel_busy.sort_by_key(|&(a, _)| a);
+    lanes
+}
+
+/// The lane-shard runner: lanes `0..lanes` as contiguous shards of
+/// `ceil(lanes / workers)` lanes on the `MARS_THREADS` pool (one shard,
+/// inline, at one thread).  Zero lanes still make one (empty) shard.
+pub(crate) struct Shards {
+    threads: usize,
+    ranges: Vec<Range<usize>>,
+}
+
+impl Shards {
+    /// The shards of `lanes` lanes at the `MARS_THREADS` setting, once
+    /// `check` passes on every shard's lane range, run on the pool before
+    /// any shard simulates.  The first error in lane order is returned: with
+    /// `check` failing on its lowest failing lane, the lowest of all wins.
+    pub(crate) fn checked(
+        lanes: usize,
+        check: impl Fn(Range<usize>) -> Result<(), ServeError> + Sync,
+    ) -> Result<Self, ServeError> {
+        let threads = threads_from_env();
+        let workers = resolve_threads(threads).min(lanes.max(1));
+        let size = lanes.div_ceil(workers).max(1);
+        let ranges: Vec<_> = (0..lanes.max(1))
+            .step_by(size)
+            .map(|lo| lo..(lo + size).min(lanes))
+            .collect();
+        scoped_map(threads, &ranges, |_, range| check(range.clone()))
+            .into_iter()
+            .collect::<Result<(), _>>()?;
+        Ok(Self { threads, ranges })
+    }
+
+    /// Runs every shard and assembles the report of the merged lanes.
+    /// `shard` builds the engine of one lane range from checked input,
+    /// attaches the given local recorder (without engine metrics) and
+    /// drives the engine as far as it needs to; the runner runs it to the
+    /// horizon and absorbs the local stores into `recorder` in lane order.
+    pub(crate) fn run<L: ServeLane>(
+        &self,
+        recorder: &Recorder,
+        (knobs, horizon): (L::Knobs, f64),
+        shard: impl Fn(Range<usize>, Recorder) -> Engine<L> + Sync,
+    ) -> L::Report {
+        let outputs = scoped_map(self.threads, &self.ranges, |_, range| {
+            let local = recorder.local();
+            let out = shard(range.clone(), local.clone()).finish_lanes();
+            (out, local.take())
+        });
+        let mut shards = Vec::with_capacity(outputs.len());
+        for (out, obs) in outputs {
+            shards.push(out);
+            recorder.absorb(&obs);
+        }
+        L::report(knobs, horizon, merge(self.threads, shards))
+    }
 }

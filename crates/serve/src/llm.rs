@@ -28,8 +28,8 @@
 //! factor of the traffic phase in force at arrival), and the report is
 //! bit-identical across thread counts and repeat runs.
 
-use crate::lanes::{check_streams, run_lanes, Engine, Env, Lanes, ServeLane};
-use crate::sim::{check_horizon, percentile_triple_ms, ServeError};
+use crate::lanes::{check_streams, Engine, Env, Lanes, ServeLane, Shards};
+use crate::sim::{check_horizon, ServeError};
 use crate::trace::Trace;
 use mars_core::genome_stream_seed;
 use mars_model::zoo::{LlmSpec, LlmWorkload};
@@ -97,7 +97,7 @@ pub(crate) struct LlmRequest {
 pub struct LlmTrace {
     /// Length of the arrival window in seconds.
     pub horizon_seconds: f64,
-    /// Per-workload requests, in strictly increasing arrival order.
+    /// Per-workload requests, in non-decreasing arrival order.
     pub(crate) requests: Vec<Vec<LlmRequest>>,
 }
 
@@ -417,9 +417,7 @@ impl ServeLane for LlmLane {
         self.kv_key = format!("llm/kv_reserved/{}", self.llm.name);
     }
 
-    fn stats(&self) -> LlmLaneStats {
-        let mut sample = self.latencies.clone();
-        let (p50_ms, p95_ms, p99_ms) = percentile_triple_ms(&mut sample);
+    fn stats(&self, (p50_ms, p95_ms, p99_ms): (f64, f64, f64)) -> LlmLaneStats {
         LlmLaneStats {
             workload: self.workload,
             name: self.llm.name.clone(),
@@ -442,8 +440,8 @@ impl ServeLane for LlmLane {
         }
     }
 
-    fn latencies(&self) -> &[f64] {
-        &self.latencies
+    fn take_latencies(&mut self) -> Vec<f64> {
+        std::mem::take(&mut self.latencies)
     }
 
     fn record_gauges(&self, recorder: &Recorder) {
@@ -459,10 +457,9 @@ impl ServeLane for LlmLane {
     ) -> LlmServeReport {
         let Lanes {
             stats: per_workload,
-            mut latencies,
+            percentiles: (p50_ms, p95_ms, p99_ms),
             ..
         } = lanes;
-        let (p50_ms, p95_ms, p99_ms) = percentile_triple_ms(&mut latencies);
         LlmServeReport {
             mode,
             horizon_seconds,
@@ -557,11 +554,13 @@ impl LlmSimState {
     ///
     /// Rejects, in this order: shape mismatches, a horizon that is not
     /// positive and finite, zero batch slots, a spec that fails
-    /// [`LlmSpec::validate`], then — in one pass over the requests — a
-    /// request whose KV need exceeds its lane's budget and arrivals that are
-    /// not sorted, finite and inside `[0, horizon)` (see [`ServeError`]).
+    /// [`LlmSpec::validate`], then — in one pass over each lane's requests,
+    /// the lowest failing lane first — a request whose KV need exceeds its
+    /// lane's budget and arrivals that are not sorted, finite and inside
+    /// `[0, horizon)` (see [`ServeError`]).
     pub fn new(spec: &LlmSpec, trace: &LlmTrace, mode: BatchingMode) -> Result<Self, ServeError> {
         validate(spec, trace)?;
+        check_requests(spec, trace, 0..spec.workloads.len())?;
         Ok(Self {
             engine: engine(spec, trace, mode, 0..spec.workloads.len()),
         })
@@ -577,7 +576,8 @@ impl LlmSimState {
     }
 
     /// Advances the simulation to `min(until, horizon)`: every wake at or
-    /// before that instant happens; later ones stay queued.
+    /// before that instant happens; later ones stay queued.  A NaN `until`
+    /// is a no-op.
     pub fn run_until(&mut self, until: f64) {
         self.engine.run_until(until);
     }
@@ -618,7 +618,8 @@ fn engine(
     Engine::new(mode, trace.horizon_seconds, lanes, Vec::new())
 }
 
-/// Every check [`LlmSimState::new`] makes, in its documented order.
+/// Every check [`LlmSimState::new`] makes before the request streams, in
+/// its documented order.  O(lanes); [`check_requests`] checks the streams.
 fn validate(spec: &LlmSpec, trace: &LlmTrace) -> Result<(), ServeError> {
     let k = spec.workloads.len();
     let profiles = spec.traffic.workloads();
@@ -633,10 +634,16 @@ fn validate(spec: &LlmSpec, trace: &LlmTrace) -> Result<(), ServeError> {
     if spec.max_batch_slots == 0 {
         return Err(ServeError::ZeroMaxBatch);
     }
-    spec.validate().map_err(ServeError::Traffic)?;
+    spec.validate().map_err(ServeError::Traffic)
+}
+
+/// Checks the request streams of the lanes `lanes` of input that passed
+/// [`validate`]; the lowest failing lane wins.
+fn check_requests(spec: &LlmSpec, trace: &LlmTrace, lanes: Range<usize>) -> Result<(), ServeError> {
+    let streams = lanes.map(|w| (w, trace.requests[w].as_slice()));
     // A request that can never be admitted would block its lane's FCFS
     // queue for the rest of the run.
-    check_streams(trace.horizon_seconds, &trace.requests, |w, r| {
+    check_streams(trace.horizon_seconds, streams, |w, r| {
         let llm = &spec.workloads[w];
         let request_bytes = llm.request_kv_bytes(r.prompt_tokens, r.output_tokens);
         let budget_bytes = spec.kv_budget_bytes(w);
@@ -654,11 +661,11 @@ fn validate(spec: &LlmSpec, trace: &LlmTrace) -> Result<(), ServeError> {
 /// Replays `trace` against `spec` under `mode`, its lanes sharded across
 /// the `MARS_THREADS` worker pool.
 ///
-/// Lanes never interact, so the decomposition is exact: each shard
-/// simulates its lane range as an independent engine and the merge
-/// re-derives the aggregate percentiles from the concatenated raw samples,
-/// so the report is **bit-identical** to one [`LlmSimState`]'s at every
-/// thread count.
+/// Lanes never interact, so the decomposition is exact: each shard checks
+/// and simulates its lane range as an independent engine, and the merge
+/// selects the aggregate percentiles from the shards' summed sample counts
+/// and the few samples in the buckets that hold them, so the report is
+/// **bit-identical** to one [`LlmSimState`]'s at every thread count.
 ///
 /// # Errors
 ///
@@ -688,17 +695,16 @@ pub fn simulate_llm_sharded_observed(
     recorder: &Recorder,
 ) -> Result<LlmServeReport, ServeError> {
     validate(spec, trace)?;
-    let k = spec.workloads.len();
-    Ok(run_lanes(
-        k,
-        recorder,
-        (mode, trace.horizon_seconds),
-        |range, local| {
+    let shards = Shards::checked(spec.workloads.len(), |lanes| {
+        check_requests(spec, trace, lanes)
+    })?;
+    Ok(
+        shards.run(recorder, (mode, trace.horizon_seconds), |range, local| {
             let mut shard = engine(spec, trace, mode, range);
             shard.attach(local, false);
             shard
-        },
-    ))
+        }),
+    )
 }
 
 #[cfg(test)]
@@ -968,26 +974,77 @@ mod tests {
         }
     }
 
-    /// Every whole-run entry point, for one input.
-    fn every_entry_point(spec: &LlmSpec, trace: &LlmTrace) -> Vec<Result<(), ServeError>> {
-        let recorder = Recorder::enabled();
+    /// One lane arrives out of order and another holds a request over its
+    /// KV budget (each lane is its own shard at `MARS_THREADS` >= 3): every
+    /// entry point returns the engine's error, the lowest failing lane's,
+    /// whichever of the two that is.
+    #[test]
+    fn the_lowest_failing_lane_wins_across_shards() {
+        let spec = llm_mix();
+        let last = spec.workloads.len() - 1;
+        for (unsorted, over_budget) in [(last, 0), (0, last)] {
+            let mut trace = LlmTrace::draw(&spec, 42).unwrap();
+            trace.requests[unsorted].swap(0, 1);
+            trace.requests[over_budget][3].prompt_tokens = u32::MAX;
+            let expected = LlmSimState::new(&spec, &trace, BatchingMode::Continuous)
+                .map(|_| ())
+                .unwrap_err();
+            assert!(matches!(
+                expected,
+                ServeError::InvalidTrace { workload: 0 }
+                    | ServeError::Traffic(TrafficError::RequestExceedsKvBudget { workload: 0, .. })
+            ));
+            assert_rejected(&spec, &trace, &expected);
+        }
+    }
+
+    /// A NaN bound is a no-op: `until.min(horizon)` used to turn it into
+    /// the horizon and finish every request before the clock got there.
+    #[test]
+    fn run_until_nan_changes_nothing() {
+        let spec = llm_mix();
+        let trace = LlmTrace::draw(&spec, 42).unwrap();
+        for mode in BatchingMode::ALL {
+            let finished = replay(&spec, &trace, mode).unwrap();
+            for at in [0.0, 0.25 * trace.horizon_seconds] {
+                let mut sim = LlmSimState::new(&spec, &trace, mode).unwrap();
+                sim.run_until(at);
+                let report = sim.report();
+                sim.run_until(f64::NAN);
+                assert_eq!(sim.report(), report, "{mode} at {at}");
+                assert_eq!(sim.finish(), finished, "{mode} at {at}");
+            }
+        }
+    }
+
+    /// Every whole-run entry point, for one input, the observed one
+    /// recording into `recorder`.
+    fn every_entry_point(
+        spec: &LlmSpec,
+        trace: &LlmTrace,
+        recorder: &Recorder,
+    ) -> Vec<Result<(), ServeError>> {
         BatchingMode::ALL
             .into_iter()
             .flat_map(|mode| {
                 [
                     LlmSimState::new(spec, trace, mode).map(|_| ()),
                     simulate_llm_sharded(spec, trace, mode).map(|_| ()),
-                    simulate_llm_sharded_observed(spec, trace, mode, &recorder).map(|_| ()),
+                    simulate_llm_sharded_observed(spec, trace, mode, recorder).map(|_| ()),
                 ]
             })
             .collect()
     }
 
+    /// Every entry point rejects the input with `expected`, and the
+    /// observed one records nothing.
     #[track_caller]
     fn assert_rejected(spec: &LlmSpec, trace: &LlmTrace, expected: &ServeError) {
-        for got in every_entry_point(spec, trace) {
+        let recorder = Recorder::enabled();
+        for got in every_entry_point(spec, trace, &recorder) {
             assert_eq!(got.as_ref(), Err(expected));
         }
+        assert!(recorder.snapshot().is_empty(), "a rejected input recorded");
     }
 
     /// Zero batch slots would admit nothing: a typed error.

@@ -22,9 +22,9 @@
 
 use crate::lanes::{Lanes, ServeLane};
 use crate::sim::{
-    percentile_triple_ms, validate, BatchEvent, DispatchPolicy, FaultPolicy, Lane, LaneSnapshot,
-    ServeConfig, ServeError, ServeReport, SimSnapshot, WorkloadServeStats, BATCH_TIMEOUT_SECONDS,
-    DISPATCH_OVERHEAD_FACTOR, MAX_BATCH,
+    check_arrivals, percentile_triple_ms, validate, BatchEvent, DispatchPolicy, FaultPolicy, Lane,
+    LaneSnapshot, ServeConfig, ServeError, ServeReport, SimSnapshot, WorkloadServeStats,
+    BATCH_TIMEOUT_SECONDS, DISPATCH_OVERHEAD_FACTOR, MAX_BATCH,
 };
 use crate::trace::Trace;
 use mars_core::CoScheduleResult;
@@ -235,6 +235,7 @@ impl SimState {
         config: &ServeConfig,
     ) -> Result<Self, ServeError> {
         validate(co, profiles, trace, config)?;
+        check_arrivals(trace, 0..co.placements.len())?;
         let mut accel_busy = BTreeMap::new();
         let lanes = co
             .placements
@@ -252,7 +253,7 @@ impl SimState {
                     latency,
                     sla_seconds: profiles[w].sla_factor * latency,
                     accels: placement.accels.clone(),
-                    arrivals: trace.arrivals[w].clone(),
+                    arrivals: trace.arrivals[w].to_vec(),
                     deadlines: Vec::new(),
                     queue: VecDeque::new(),
                     next: 0,
@@ -279,9 +280,10 @@ impl SimState {
     }
 
     /// Advances every lane by linear scan, dispatching each batch whose
-    /// launch instant lies strictly before `min(t, horizon)`.
+    /// launch instant lies strictly before `min(t, horizon)`; a NaN `t` is a
+    /// no-op.
     pub fn run_until(&mut self, t: f64) {
-        let bound = t.min(self.horizon).max(self.clock);
+        let bound = t.max(self.clock).min(self.horizon);
         for w in 0..self.lanes.len() {
             if self.lane_blocked(w) {
                 continue;
@@ -380,15 +382,15 @@ impl SimState {
         }
     }
 
-    /// Builds the report for the state as it stands.
+    /// Builds the report for the state as it stands, its aggregate
+    /// percentiles selected on every lane's samples concatenated.
     pub fn report(&self) -> ServeReport {
+        let mut latencies: Vec<f64> = (self.lanes.iter())
+            .flat_map(|l| l.latencies.iter().copied())
+            .collect();
         let lanes = Lanes {
             stats: self.lanes.iter().map(LaneState::stats).collect(),
-            latencies: self
-                .lanes
-                .iter()
-                .flat_map(|l| l.latencies.iter().copied())
-                .collect(),
+            percentiles: percentile_triple_ms(&mut latencies),
             accel_busy: self.accel_busy.iter().map(|(&a, &b)| (a, b)).collect(),
         };
         Lane::report(self.config, self.horizon, lanes)

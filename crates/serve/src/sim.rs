@@ -39,6 +39,7 @@ use crate::trace::Trace;
 use mars_core::CoScheduleResult;
 use mars_model::{TrafficError, TrafficProfile};
 use mars_obs::Recorder;
+use mars_parallel::scoped_map;
 use mars_topology::AccelId;
 use std::fmt::Write as _;
 use std::ops::Range;
@@ -381,8 +382,8 @@ fn nearest_rank(q: f64, n: usize) -> usize {
 /// oracle in this module's tests, degenerate sizes included (0 samples →
 /// `0.0`, 1 sample → that sample).
 ///
-/// The slice is left partly ordered, not sorted.  Every caller passes a
-/// buffer it drops afterwards, so nothing observes the order.
+/// The slice is left partly ordered, not sorted.  No caller reads the order
+/// afterwards: each drops the buffer or only counts and gathers its samples.
 pub(crate) fn percentile_triple_ms(latencies: &mut [f64]) -> (f64, f64, f64) {
     let n = latencies.len();
     if n == 0 {
@@ -406,6 +407,110 @@ pub(crate) fn percentile_triple_ms(latencies: &mut [f64]) -> (f64, f64, f64) {
             .1
     };
     (p50 * 1e3, p95 * 1e3, p99 * 1e3)
+}
+
+/// The [`SampleCounts`] bucket of `v`: the top 16 bits of its total-order
+/// key, whose unsigned order is [`f64::total_cmp`] order.
+fn bucket(v: f64) -> usize {
+    let bits = v.to_bits();
+    ((bits ^ ((((bits as i64) >> 63) as u64) >> 1) ^ (1 << 63)) >> 48) as usize
+}
+
+/// Exact, mergeable state for the (p50, p95, p99) of samples spread over
+/// many buffers: how many fall in each bucket, over the buckets they touch
+/// (a few hundred for latencies, not all 2^16).
+#[derive(Debug, Clone, Default)]
+pub(crate) struct SampleCounts {
+    /// The bucket `counts[0]` counts.
+    first: usize,
+    counts: Vec<usize>,
+}
+
+impl SampleCounts {
+    /// Widens the table to cover bucket `b`.
+    fn cover(&mut self, b: usize) {
+        if self.counts.is_empty() {
+            self.first = b;
+        } else if b < self.first {
+            self.counts
+                .splice(0..0, std::iter::repeat_n(0, self.first - b));
+            self.first = b;
+        }
+        let len = self.counts.len().max(b - self.first + 1);
+        self.counts.resize(len, 0);
+    }
+
+    /// Counts every sample of `samples`.
+    pub(crate) fn add(&mut self, samples: &[f64]) {
+        for &v in samples {
+            let b = bucket(v);
+            if !(self.first..self.first + self.counts.len()).contains(&b) {
+                self.cover(b);
+            }
+            self.counts[b - self.first] += 1;
+        }
+    }
+
+    /// Adds `other`'s counts to these.
+    pub(crate) fn merge(&mut self, other: &Self) {
+        if let Some(last) = other.counts.len().checked_sub(1) {
+            self.cover(other.first);
+            self.cover(other.first + last);
+            let at = other.first - self.first;
+            for (count, &more) in self.counts[at..].iter_mut().zip(&other.counts) {
+                *count += more;
+            }
+        }
+    }
+
+    /// The (p50, p95, p99) in milliseconds of the counted samples, which the
+    /// buffers of `groups` hold.  The prefix sums locate each nearest rank's
+    /// bucket (buckets are contiguous in [`f64::total_cmp`] order) and its
+    /// position among the bucket's members; the pool gathers those members
+    /// group by group, and selecting among them finds, bit for bit, what
+    /// [`percentile_triple_ms`] finds on the concatenation.
+    pub(crate) fn percentile_triple_ms(
+        &self,
+        threads: usize,
+        groups: &[&[Vec<f64>]],
+    ) -> (f64, f64, f64) {
+        let n: usize = self.counts.iter().sum();
+        if n == 0 {
+            return (0.0, 0.0, 0.0);
+        }
+        // (position in its bucket, bucket) of each rank.
+        let mut targets = [0.50, 0.95, 0.99].map(|q| (nearest_rank(q, n), 0));
+        let (mut next, mut below) = (0, 0);
+        for (b, &count) in (self.first..).zip(&self.counts) {
+            while next < 3 && targets[next].0 < below + count {
+                targets[next] = (targets[next].0 - below, b);
+                next += 1;
+            }
+            below += count;
+        }
+        // Ranks in one bucket share the slot of the first of them.
+        let slot = |b: usize| targets.iter().position(|&(_, t)| t == b);
+        let parts = scoped_map(threads, groups, |_, buffers| {
+            let mut slots: [Vec<f64>; 3] = Default::default();
+            for &v in buffers.iter().flatten() {
+                if let Some(s) = slot(bucket(v)) {
+                    slots[s].push(v);
+                }
+            }
+            slots
+        });
+        let mut slots: [Vec<f64>; 3] = Default::default();
+        for part in parts {
+            for (members, mut more) in slots.iter_mut().zip(part) {
+                members.append(&mut more);
+            }
+        }
+        let [p50, p95, p99] = targets.map(|(within, b)| {
+            let members = &mut slots[slot(b).unwrap_or(0)];
+            *members.select_nth_unstable_by(within, f64::total_cmp).1 * 1e3
+        });
+        (p50, p95, p99)
+    }
 }
 
 /// One dispatched batch, as reported by [`SimState::step`].
@@ -719,9 +824,7 @@ impl ServeLane for Lane {
         self.track = format!("lane/{}", self.name);
     }
 
-    fn stats(&self) -> WorkloadServeStats {
-        let mut sample = self.arena.latencies().to_vec();
-        let (p50_ms, p95_ms, p99_ms) = percentile_triple_ms(&mut sample);
+    fn stats(&self, (p50_ms, p95_ms, p99_ms): (f64, f64, f64)) -> WorkloadServeStats {
         WorkloadServeStats {
             workload: self.workload,
             name: self.name.clone(),
@@ -742,8 +845,8 @@ impl ServeLane for Lane {
         }
     }
 
-    fn latencies(&self) -> &[f64] {
-        self.arena.latencies()
+    fn take_latencies(&mut self) -> Vec<f64> {
+        self.arena.take_latencies()
     }
 
     /// The one place a [`ServeReport`] is assembled, for the engine and the
@@ -755,10 +858,9 @@ impl ServeLane for Lane {
     ) -> ServeReport {
         let Lanes {
             stats: per_workload,
-            mut latencies,
+            percentiles: (p50_ms, p95_ms, p99_ms),
             accel_busy,
         } = lanes;
-        let (p50_ms, p95_ms, p99_ms) = percentile_triple_ms(&mut latencies);
         ServeReport {
             policy: config.policy,
             horizon_seconds,
@@ -851,8 +953,9 @@ impl SimState {
     ///
     /// # Errors
     ///
-    /// Rejects mismatched input shapes, degenerate knobs and overlapping
-    /// partitions — see [`ServeError`].
+    /// Rejects mismatched input shapes, degenerate knobs, overlapping
+    /// partitions and, last, arrival streams that break the [`Trace`]
+    /// invariant (the lowest such workload) — see [`ServeError`].
     pub fn new(
         co: &CoScheduleResult,
         profiles: &[TrafficProfile],
@@ -860,6 +963,7 @@ impl SimState {
         config: &ServeConfig,
     ) -> Result<Self, ServeError> {
         validate(co, profiles, trace, config)?;
+        check_arrivals(trace, 0..co.placements.len())?;
         Ok(Self::for_lanes(
             co,
             profiles,
@@ -871,7 +975,8 @@ impl SimState {
 
     /// Builds the initial state of the lanes `range` of already-validated
     /// inputs — a lane shard, or every lane.  Lane `w` keeps its global
-    /// workload index `range.start + w`.
+    /// workload index `range.start + w` and shares its arrival stream with
+    /// the trace.
     pub(crate) fn for_lanes(
         co: &CoScheduleResult,
         profiles: &[TrafficProfile],
@@ -897,7 +1002,7 @@ impl SimState {
                     sla_seconds: profiles[w].sla_factor * latency,
                     accels: placement.accels.clone().into(),
                     busy_slots: busy_slots_of(&accel_busy, &placement.accels),
-                    arena: RequestArena::new(Arc::from(trace.arrivals[w].as_slice())),
+                    arena: RequestArena::new(Arc::clone(&trace.arrivals[w])),
                     free: 0.0,
                     busy: 0.0,
                     batches: 0,
@@ -929,10 +1034,11 @@ impl SimState {
 
     /// Advances every lane, dispatching each batch whose launch instant lies
     /// strictly before `min(t, horizon)`.  Idempotent for non-increasing
-    /// `t`; a sequence of `run_until` calls with increasing bounds is bit-
-    /// identical to one call with the final bound.  Cost is proportional to
-    /// the lanes that act before the bound (plus lanes mutated since the
-    /// last advance): idle lanes sleep in the calendar.
+    /// `t`, and a no-op for a NaN `t`; a sequence of `run_until` calls with
+    /// increasing bounds is bit-identical to one call with the final bound.
+    /// Cost is proportional to the lanes that act before the bound (plus
+    /// lanes mutated since the last advance): idle lanes sleep in the
+    /// calendar.
     pub fn run_until(&mut self, t: f64) {
         self.engine.run_until(t);
         self.needs_refine = true;
@@ -1215,9 +1321,10 @@ fn busy_slots_of(accel_busy: &[(AccelId, f64)], accels: &[AccelId]) -> Vec<u32> 
         .collect()
 }
 
-/// Every check [`SimState::new`] makes, on the whole input and in this
-/// order: shapes, horizon, knobs, each lane's SLA factor and placement
-/// latency, disjoint partitions, then every arrival stream.
+/// Every check [`SimState::new`] makes before the arrival streams, on the
+/// whole input and in this order: shapes, horizon, knobs, each lane's SLA
+/// factor and placement latency, then disjoint partitions.  O(lanes);
+/// [`check_arrivals`] checks the streams.
 pub(crate) fn validate(
     co: &CoScheduleResult,
     profiles: &[TrafficProfile],
@@ -1240,8 +1347,14 @@ pub(crate) fn validate(
             value: slack,
         });
     }
-    validate_service(co, profiles.iter().map(|p| p.sla_factor))?;
-    check_streams(trace.horizon_seconds, &trace.arrivals, |_, &t| Ok(t))
+    validate_service(co, profiles.iter().map(|p| p.sla_factor))
+}
+
+/// Checks the arrival streams of the lanes `lanes` of a trace that passed
+/// [`validate`]; the lowest failing lane wins.
+pub(crate) fn check_arrivals(trace: &Trace, lanes: Range<usize>) -> Result<(), ServeError> {
+    let streams = lanes.map(|w| (w, trace.arrivals[w].as_slice()));
+    check_streams(trace.horizon_seconds, streams, |_, &t| Ok(t))
 }
 
 /// Rejects a horizon that is not a positive finite number.
@@ -1371,7 +1484,7 @@ mod tests {
     fn trace_of(arrivals: Vec<Vec<f64>>, horizon: f64) -> Trace {
         Trace {
             horizon_seconds: horizon,
-            arrivals,
+            arrivals: arrivals.into_iter().map(Arc::new).collect(),
         }
     }
 
@@ -1681,6 +1794,129 @@ mod tests {
             .map(|_| [1e-3, 2e-3, 3e-3][rng.gen_range(0..3usize)])
             .collect();
         check(&three);
+    }
+
+    /// One drawn latency sample for the mergeable-percentile property:
+    /// `kind` 0 mixes ties, signed zeros, subnormals, infinities and NaNs
+    /// of both signs with ordinary values; 1 is all one value; 2 keeps every
+    /// sample in one bucket (so all three ranks fall in it); 3 draws
+    /// ordinary latencies; 4 draws any bit pattern.
+    fn draw_samples(rng: &mut rand::rngs::StdRng, kind: usize, n: usize) -> Vec<f64> {
+        use rand::Rng;
+        let specials = [
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0xfff8_0000_0000_0042),
+            1e-3,
+            1e-3,
+            2e-3,
+            f64::from_bits(2e-3f64.to_bits() + 1),
+        ];
+        let one = specials[rng.gen_range(0..specials.len())];
+        (0..n)
+            .map(|_| match kind {
+                0 if rng.gen_bool(0.5) => specials[rng.gen_range(0..specials.len())],
+                0 | 3 => rng.gen::<f64>() * 0.2,
+                1 => one,
+                2 => f64::from_bits(0.05f64.to_bits() + rng.gen_range(0..1u64 << 40)),
+                _ => f64::from_bits(rng.gen()),
+            })
+            .collect()
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(96))]
+
+        /// The mergeable percentiles equal the selection on the
+        /// concatenation, bit for bit: samples of every kind above, split
+        /// at random into 1–8 buffers (each reordered by its own triple,
+        /// as a lane's is), one table per buffer merged in a random order,
+        /// and the target buckets gathered over random groups of buffers.
+        #[test]
+        fn merged_counts_select_the_concatenation_triple(
+            seed in 0u64..u64::MAX,
+            kind in 0usize..5,
+            size in 0usize..7,
+            parts in 1usize..9,
+        ) {
+            use rand::rngs::StdRng;
+            use rand::{Rng, SeedableRng};
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = match size {
+                0..=3 => size,
+                4 => rng.gen_range(4..1_000),
+                5 => rng.gen_range(1_000..100_000),
+                _ => 100_000,
+            };
+            let samples = draw_samples(&mut rng, kind, n);
+            let mut buffers = vec![Vec::new(); parts];
+            for &v in &samples {
+                buffers[rng.gen_range(0..parts)].push(v);
+            }
+            let mut tables: Vec<SampleCounts> = (buffers.iter_mut())
+                .map(|buffer| {
+                    percentile_triple_ms(buffer);
+                    let mut counts = SampleCounts::default();
+                    counts.add(buffer);
+                    counts
+                })
+                .collect();
+            while tables.len() > 1 {
+                let part = tables.swap_remove(rng.gen_range(0..tables.len()));
+                let at = rng.gen_range(0..tables.len());
+                tables[at].merge(&part);
+            }
+            let mut groups = Vec::new();
+            let mut rest = &buffers[..];
+            while !rest.is_empty() {
+                let (group, tail) = rest.split_at(rng.gen_range(1..=rest.len()));
+                groups.push(group);
+                rest = tail;
+            }
+            let got = tables[0].percentile_triple_ms(rng.gen_range(1..3), &groups);
+            let want = percentile_triple_ms(&mut samples.clone());
+            let bits = |(a, b, c): (f64, f64, f64)| [a, b, c].map(f64::to_bits);
+            proptest::prop_assert_eq!(bits(got), bits(want), "kind {} n {} parts {}", kind, n, parts);
+        }
+    }
+
+    /// A NaN bound is a no-op for the engine and the oracle alike:
+    /// `t.min(horizon)` used to turn it into the horizon and replay the
+    /// whole run.
+    #[test]
+    fn run_until_nan_changes_nothing() {
+        let co = synthetic_co(&[1.0 * MS, 2.0 * MS], &[1.0, 1.0]);
+        let profiles = [
+            TrafficProfile::new(200.0, 5.0),
+            TrafficProfile::new(100.0, 5.0),
+        ];
+        let trace = Trace::poisson(&profiles, 0.5, 11);
+        let config = ServeConfig::default();
+        let uninterrupted = replay(&co, &profiles, &trace, &config).unwrap();
+        for at in [0.0, 0.2] {
+            let mut sim = SimState::new(&co, &profiles, &trace, &config).unwrap();
+            sim.run_until(at);
+            let (snapshot, report) = (sim.snapshot(), sim.report());
+            sim.run_until(f64::NAN);
+            assert_eq!(sim.snapshot(), snapshot, "run_until(NaN) at {at}");
+            assert_eq!(sim.report(), report, "run_until(NaN) at {at}");
+            assert_eq!(sim.finish(), uninterrupted);
+
+            let mut oracle =
+                crate::reference::SimState::new(&co, &profiles, &trace, &config).unwrap();
+            oracle.run_until(at);
+            oracle.run_until(f64::NAN);
+            assert_eq!(oracle.snapshot(), snapshot, "oracle run_until(NaN) at {at}");
+            assert_eq!(oracle.finish(), uninterrupted);
+        }
     }
 
     /// A one-completion simulation reports that completion's latency as its

@@ -5,11 +5,14 @@
 //! then treated as immutable data.  Generating the trace up front (instead of
 //! sampling inside the event loop) keeps the simulation a pure function of
 //! `(trace, placements, config)` — the property the determinism tests pin.
+//! Each stream is an `Arc`, so every replay's lanes share it instead of
+//! copying it.
 
 use mars_core::genome_stream_seed;
 use mars_model::{PhasedTraffic, TrafficError, TrafficProfile};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::sync::Arc;
 
 /// Domain-separation tag mixed into every per-workload trace seed so arrival
 /// streams never collide with the co-scheduler's search streams, which derive
@@ -27,9 +30,33 @@ pub struct Trace {
     /// Length of the arrival window in seconds; no request arrives at or
     /// after this instant.
     pub horizon_seconds: f64,
-    /// Per-workload arrival times in seconds, strictly increasing within
-    /// each workload, all inside `[0, horizon_seconds)`.
-    pub arrivals: Vec<Vec<f64>>,
+    /// Per-workload arrival times in seconds, non-decreasing within each
+    /// workload, all inside `[0, horizon_seconds)`.  Replays share each
+    /// stream with their lanes; edit one with [`Arc::make_mut`].
+    pub arrivals: Vec<Arc<Vec<f64>>>,
+}
+
+/// Room for a Poisson stream of `mean` expected arrivals: the mean plus four
+/// standard deviations, so a draw almost always fits one allocation.
+fn expected_len(mean: f64) -> usize {
+    (mean + 4.0 * mean.sqrt()).ceil() as usize
+}
+
+/// Appends arrivals at `qps` drawn from the stream seeded `seed`:
+/// exponential gaps from `start` until one reaches `end`.
+fn draw(times: &mut Vec<f64>, seed: u64, qps: f64, start: f64, end: f64) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut t = start;
+    loop {
+        let u: f64 = rng.gen();
+        // u ∈ [0, 1) so 1-u ∈ (0, 1]: ln is finite and the gap is
+        // non-negative.
+        t += -(1.0 - u).ln() / qps;
+        if t >= end {
+            return;
+        }
+        times.push(t);
+    }
 }
 
 impl Trace {
@@ -50,25 +77,14 @@ impl Trace {
             .iter()
             .enumerate()
             .map(|(w, p)| {
-                let mut times = Vec::new();
                 let horizon_ok = horizon_seconds > 0.0 && horizon_seconds.is_finite();
                 if !(p.qps > 0.0 && p.qps.is_finite() && horizon_ok) {
-                    return times;
+                    return Arc::default();
                 }
-                let mut rng =
-                    StdRng::seed_from_u64(genome_stream_seed(seed, TRACE_STREAM, w as u64));
-                let mut t = 0.0f64;
-                loop {
-                    let u: f64 = rng.gen();
-                    // u ∈ [0, 1) so 1-u ∈ (0, 1]: ln is finite and the gap
-                    // is non-negative.
-                    t += -(1.0 - u).ln() / p.qps;
-                    if t >= horizon_seconds {
-                        break;
-                    }
-                    times.push(t);
-                }
-                times
+                let mut times = Vec::with_capacity(expected_len(p.qps * horizon_seconds));
+                let stream_seed = genome_stream_seed(seed, TRACE_STREAM, w as u64);
+                draw(&mut times, stream_seed, p.qps, 0.0, horizon_seconds);
+                Arc::new(times)
             })
             .collect();
         Trace {
@@ -96,31 +112,24 @@ impl Trace {
         let horizon = scenario.horizon_seconds;
         let arrivals = (0..scenario.workloads())
             .map(|w| {
-                let mut times = Vec::new();
+                let mean: f64 = (scenario.phases.iter().enumerate())
+                    .filter(|(_, phase)| !phase.profiles[w].is_silent())
+                    .map(|(pi, phase)| {
+                        let span = scenario.phase_end(pi).min(horizon) - phase.start_seconds;
+                        phase.profiles[w].qps * span
+                    })
+                    .sum();
+                let mut times = Vec::with_capacity(expected_len(mean));
                 for (pi, phase) in scenario.phases.iter().enumerate() {
                     let p = phase.profiles[w];
-                    if p.is_silent() {
-                        continue;
-                    }
-                    let end = scenario.phase_end(pi).min(horizon);
-                    let mut rng = StdRng::seed_from_u64(genome_stream_seed(
-                        seed,
-                        PHASE_STREAM.wrapping_add(pi as u64),
-                        w as u64,
-                    ));
-                    let mut t = phase.start_seconds;
-                    loop {
-                        let u: f64 = rng.gen();
-                        // u ∈ [0, 1) so 1-u ∈ (0, 1]: ln is finite and the
-                        // gap is non-negative.
-                        t += -(1.0 - u).ln() / p.qps;
-                        if t >= end {
-                            break;
-                        }
-                        times.push(t);
+                    if !p.is_silent() {
+                        let stream = PHASE_STREAM.wrapping_add(pi as u64);
+                        let stream_seed = genome_stream_seed(seed, stream, w as u64);
+                        let end = scenario.phase_end(pi).min(horizon);
+                        draw(&mut times, stream_seed, p.qps, phase.start_seconds, end);
                     }
                 }
-                times
+                Arc::new(times)
             })
             .collect();
         Ok(Trace {
@@ -131,7 +140,7 @@ impl Trace {
 
     /// Total number of requests across all workloads.
     pub fn total_requests(&self) -> usize {
-        self.arrivals.iter().map(Vec::len).sum()
+        self.arrivals.iter().map(|s| s.len()).sum()
     }
 
     /// Requests of workload `w` arriving inside `[from, to)` — the windowed
@@ -247,7 +256,7 @@ mod tests {
     fn arrivals_in_pins_boundary_instants_and_matches_linear_scan() {
         let trace = Trace {
             horizon_seconds: 10.0,
-            arrivals: vec![vec![1.0, 2.0, 2.0, 3.5, 7.0], Vec::new()],
+            arrivals: vec![Arc::new(vec![1.0, 2.0, 2.0, 3.5, 7.0]), Arc::default()],
         };
         // An arrival exactly at `from` counts; exactly at `to` does not.
         assert_eq!(trace.arrivals_in(0, 1.0, 3.5), 3);
@@ -293,7 +302,7 @@ mod tests {
         // infinite one must not draw forever.
         for horizon in [0.0, -1.0, f64::INFINITY, f64::NAN] {
             let t = Trace::poisson(&profiles(), horizon, 7);
-            assert_eq!(t.arrivals, vec![Vec::<f64>::new(); 2], "horizon {horizon}");
+            assert_eq!(t.arrivals, vec![Arc::default(); 2], "horizon {horizon}");
         }
     }
 }

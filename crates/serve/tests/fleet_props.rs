@@ -43,7 +43,7 @@ fn fleet_inputs(
     if let Some(h) = horizon {
         trace.horizon_seconds = h;
         for stream in &mut trace.arrivals {
-            stream.retain(|&t| t < h);
+            std::sync::Arc::make_mut(stream).retain(|&t| t < h);
         }
     }
     (co, profiles, trace)

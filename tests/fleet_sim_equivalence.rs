@@ -17,10 +17,11 @@ use mars::model::zoo::MixZoo;
 use mars::model::{FaultEvent, FaultKind, PhasedTraffic};
 use mars::prelude::*;
 use mars::serve::{
-    fleet_co_schedule, reference, simulate_sharded_with_faults, ServeError, ServeReport,
-    SimSnapshot,
+    fleet_co_schedule, reference, simulate_sharded_observed, simulate_sharded_with_faults,
+    ServeError, ServeReport, SimSnapshot,
 };
 use mars::topology::AccelId;
+use std::sync::Arc;
 
 const SEED: u64 = 42;
 
@@ -196,7 +197,9 @@ fn fleet_new_engine_matches_legacy_oracle() {
 /// The sharded runner against the single-shard run, `MARS_THREADS` ∈
 /// {1, 4, 8}, with and without the fleet fault schedule, and its input
 /// errors against the engine's: a lane in the second half corrupted three
-/// ways must be named by its global index at every thread count.  The only
+/// ways, bad streams in two shards, a bad stream under a bad fault schedule
+/// and a bad last lane must each give the engine's error, naming the lane by
+/// its global index, at every thread count, and record nothing.  The only
 /// test in this binary that touches the environment or calls the runner
 /// (which reads `MARS_THREADS`), so the sequential set/restore cannot race.
 #[test]
@@ -251,40 +254,75 @@ fn fleet_sharded_equals_single_shard_at_every_thread_count() {
         }
     }
 
-    let lane = 100;
-    let mut bad_arrival = trace.clone();
-    bad_arrival.arrivals[lane].push(f64::NAN);
+    // Input errors: the runner checks each shard's streams on the pool, and
+    // must return exactly what one engine returns.  NaN arrivals corrupt
+    // lane 100 alone, lanes 10 and 130 (different shards at 4 and 8
+    // threads: lane 10 wins), the last lane, and lane 100 under a reversed
+    // (invalid) fault schedule (the stream error wins).
+    let corrupt = |lanes: &[usize]| {
+        let mut bad = trace.clone();
+        for &w in lanes {
+            Arc::make_mut(&mut bad.arrivals[w]).push(f64::NAN);
+        }
+        bad
+    };
+    let last = co.placements.len() - 1;
+    let (bad_arrival, two_shards, last_lane) =
+        (corrupt(&[100]), corrupt(&[130, 10]), corrupt(&[last]));
     let mut bad_sla = profiles.clone();
-    bad_sla[lane].sla_factor = -1.0;
+    bad_sla[100].sla_factor = -1.0;
     let mut bad_latency = co.clone();
-    bad_latency.placements[lane].result.mapping.latency_seconds = 0.0;
+    bad_latency.placements[100].result.mapping.latency_seconds = 0.0;
+    let faults = &fleet.traffic.faults[..];
+    let mut reversed = fleet.traffic.faults.clone();
+    reversed.reverse();
     let config = ServeConfig::default();
-    for (co, profiles, trace) in [
-        (&co, &profiles, &bad_arrival),
-        (&co, &bad_sla, &trace),
-        (&bad_latency, &profiles, &trace),
+    assert!(matches!(
+        simulate_sharded_with_faults(
+            &co,
+            &profiles,
+            &trace,
+            &config,
+            &reversed,
+            FaultPolicy::RequeueInflight
+        ),
+        Err(ServeError::Traffic(_))
+    ));
+    for (co, profiles, trace, faults, lane) in [
+        (&co, &profiles, &bad_arrival, faults, 100),
+        (&co, &bad_sla, &trace, faults, 100),
+        (&bad_latency, &profiles, &trace, faults, 100),
+        (&co, &profiles, &two_shards, faults, 10),
+        (&co, &profiles, &bad_arrival, &reversed[..], 100),
+        (&co, &profiles, &last_lane, faults, last),
     ] {
         let expected = SimState::new(co, profiles, trace, &config).map(SimState::finish);
-        assert!(matches!(
-            expected,
-            Err(ServeError::InvalidTrace { workload: 100 }
-                | ServeError::InvalidSla { workload: 100, .. }
-                | ServeError::InvalidPlacementLatency { workload: 100, .. })
-        ));
+        assert!(
+            matches!(
+                expected,
+                Err(ServeError::InvalidTrace { workload }
+                    | ServeError::InvalidSla { workload, .. }
+                    | ServeError::InvalidPlacementLatency { workload, .. }) if workload == lane
+            ),
+            "{expected:?} should name lane {lane}"
+        );
         for threads in ["1", "4", "8"] {
             std::env::set_var("MARS_THREADS", threads);
-            let sharded = simulate_sharded_with_faults(
+            let recorder = Recorder::enabled();
+            let sharded = simulate_sharded_observed(
                 co,
                 profiles,
                 trace,
                 &config,
-                &fleet.traffic.faults,
+                faults,
                 FaultPolicy::RequeueInflight,
+                &recorder,
             );
             assert_eq!(
                 sharded, expected,
                 "MARS_THREADS={threads}: the runner names the wrong lane"
             );
+            assert!(recorder.snapshot().is_empty(), "an invalid input recorded");
         }
     }
 
