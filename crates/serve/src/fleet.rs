@@ -3,15 +3,13 @@
 //! replay entry points, which run [`SimState`] lane shards on the
 //! lane-shard runner (`crate::lanes`).
 
-use crate::lanes::Shards;
-use crate::sim::{
-    check_arrivals, validate, FaultPolicy, ServeConfig, ServeError, ServeReport, SimState,
-};
+use crate::sim::{validate, FaultPolicy, ServeConfig, ServeError, ServeReport, SimState};
 use crate::trace::Trace;
 use mars_core::{CoScheduleResult, Mapping, Placement, SearchResult};
 use mars_model::zoo::FleetSpec;
 use mars_model::{validate_faults, FaultEvent, FaultKind, TrafficProfile};
 use mars_obs::Recorder;
+use mars_parallel::threads_from_env;
 use mars_topology::AccelId;
 use std::collections::BTreeMap;
 use std::time::Duration;
@@ -118,8 +116,7 @@ pub fn simulate_sharded_observed(
     fault_policy: FaultPolicy,
     recorder: &Recorder,
 ) -> Result<ServeReport, ServeError> {
-    validate(co, profiles, trace, config)?;
-    let shards = Shards::checked(co.placements.len(), |lanes| check_arrivals(trace, lanes))?;
+    let shards = validate(co, profiles, trace, config, threads_from_env())?;
     validate_faults(faults, trace.horizon_seconds).map_err(ServeError::Traffic)?;
     Ok(shards.run(
         recorder,

@@ -22,7 +22,7 @@
 use crate::calendar::{CalendarQueue, Event};
 use crate::sim::{percentile_triple_ms, SampleCounts, ServeError};
 use mars_obs::Recorder;
-use mars_parallel::{resolve_threads, scoped_map, threads_from_env};
+use mars_parallel::{resolve_threads, scoped_map};
 use mars_topology::AccelId;
 use std::fmt::Debug;
 use std::ops::Range;
@@ -230,9 +230,9 @@ impl<L: ServeLane> Engine<L> {
         }
     }
 
-    /// The report for the state as it stands: the finished lanes of a copy.
+    /// The report for the state as it stands, from a copy of the lanes.
     pub(crate) fn report(&self) -> L::Report {
-        let finished = self.clone().finished();
+        let finished = finished(&mut self.lanes.clone(), &self.env);
         L::report(self.env.knobs, self.env.horizon, merge(1, vec![finished]))
     }
 
@@ -247,7 +247,7 @@ impl<L: ServeLane> Engine<L> {
     /// back the finished lanes with their latency buffers moved out.
     pub(crate) fn finish_lanes(mut self) -> Finished<L::Stats> {
         self.run_until(self.env.horizon);
-        let finished = self.finished();
+        let finished = finished(&mut self.lanes, &self.env);
         if self.env.recorder.is_enabled() {
             for &(a, busy) in &finished.accel_busy {
                 self.env
@@ -257,30 +257,30 @@ impl<L: ServeLane> Engine<L> {
         }
         finished
     }
+}
 
-    /// The lanes as they stand, in lane order, after recording their
-    /// gauges, with their latencies moved out; each lane's percentiles
-    /// select in place on its own buffer.
-    fn finished(&mut self) -> Finished<L::Stats> {
-        let mut finished = Finished {
-            stats: Vec::with_capacity(self.lanes.len()),
-            buffers: Vec::with_capacity(self.lanes.len()),
-            counts: SampleCounts::default(),
-            accel_busy: self.env.accel_busy.clone(),
-        };
-        for lane in &mut self.lanes {
-            if self.env.recorder.is_enabled() {
-                lane.record_gauges(&self.env.recorder);
-            }
-            let mut buffer = lane.take_latencies();
-            finished.counts.add(&buffer);
-            finished
-                .stats
-                .push(lane.stats(percentile_triple_ms(&mut buffer)));
-            finished.buffers.push(buffer);
+/// `lanes` as they stand, in lane order, after recording their gauges, with
+/// their latencies moved out; each lane's percentiles select in place on
+/// its own buffer.
+fn finished<L: ServeLane>(lanes: &mut [L], env: &Env<L::Knobs>) -> Finished<L::Stats> {
+    let mut finished = Finished {
+        stats: Vec::with_capacity(lanes.len()),
+        buffers: Vec::with_capacity(lanes.len()),
+        counts: SampleCounts::default(),
+        accel_busy: env.accel_busy.clone(),
+    };
+    for lane in lanes {
+        if env.recorder.is_enabled() {
+            lane.record_gauges(&env.recorder);
         }
+        let mut buffer = lane.take_latencies();
+        finished.counts.add(&buffer);
         finished
+            .stats
+            .push(lane.stats(percentile_triple_ms(&mut buffer)));
+        finished.buffers.push(buffer);
     }
+    finished
 }
 
 /// Checks request streams in one pass each: sorted, finite and inside
@@ -362,15 +362,15 @@ pub(crate) struct Shards {
 }
 
 impl Shards {
-    /// The shards of `lanes` lanes at the `MARS_THREADS` setting, once
-    /// `check` passes on every shard's lane range, run on the pool before
-    /// any shard simulates.  The first error in lane order is returned: with
-    /// `check` failing on its lowest failing lane, the lowest of all wins.
+    /// The shards of `lanes` lanes for `threads` workers, once `check`
+    /// passes on every shard's lane range, run on the pool before any shard
+    /// simulates.  The first error in lane order is returned: with `check`
+    /// failing on its lowest failing lane, the lowest of all wins.
     pub(crate) fn checked(
+        threads: usize,
         lanes: usize,
         check: impl Fn(Range<usize>) -> Result<(), ServeError> + Sync,
     ) -> Result<Self, ServeError> {
-        let threads = threads_from_env();
         let workers = resolve_threads(threads).min(lanes.max(1));
         let size = lanes.div_ceil(workers).max(1);
         let ranges: Vec<_> = (0..lanes.max(1))

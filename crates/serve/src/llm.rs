@@ -35,6 +35,7 @@ use mars_core::genome_stream_seed;
 use mars_model::zoo::{LlmSpec, LlmWorkload};
 use mars_model::TrafficError;
 use mars_obs::Recorder;
+use mars_parallel::threads_from_env;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
@@ -559,8 +560,7 @@ impl LlmSimState {
     /// lane's budget and arrivals that are not sorted, finite and inside
     /// `[0, horizon)` (see [`ServeError`]).
     pub fn new(spec: &LlmSpec, trace: &LlmTrace, mode: BatchingMode) -> Result<Self, ServeError> {
-        validate(spec, trace)?;
-        check_requests(spec, trace, 0..spec.workloads.len())?;
+        validate(spec, trace, 1)?;
         Ok(Self {
             engine: engine(spec, trace, mode, 0..spec.workloads.len()),
         })
@@ -618,9 +618,9 @@ fn engine(
     Engine::new(mode, trace.horizon_seconds, lanes, Vec::new())
 }
 
-/// Every check [`LlmSimState::new`] makes before the request streams, in
-/// its documented order.  O(lanes); [`check_requests`] checks the streams.
-fn validate(spec: &LlmSpec, trace: &LlmTrace) -> Result<(), ServeError> {
+/// Every check [`LlmSimState::new`] makes, in its documented order, the
+/// streams per shard of lanes for `threads` workers.  Returns the shards.
+fn validate(spec: &LlmSpec, trace: &LlmTrace, threads: usize) -> Result<Shards, ServeError> {
     let k = spec.workloads.len();
     let profiles = spec.traffic.workloads();
     if profiles != k || trace.requests.len() != k {
@@ -634,27 +634,24 @@ fn validate(spec: &LlmSpec, trace: &LlmTrace) -> Result<(), ServeError> {
     if spec.max_batch_slots == 0 {
         return Err(ServeError::ZeroMaxBatch);
     }
-    spec.validate().map_err(ServeError::Traffic)
-}
-
-/// Checks the request streams of the lanes `lanes` of input that passed
-/// [`validate`]; the lowest failing lane wins.
-fn check_requests(spec: &LlmSpec, trace: &LlmTrace, lanes: Range<usize>) -> Result<(), ServeError> {
-    let streams = lanes.map(|w| (w, trace.requests[w].as_slice()));
-    // A request that can never be admitted would block its lane's FCFS
-    // queue for the rest of the run.
-    check_streams(trace.horizon_seconds, streams, |w, r| {
-        let llm = &spec.workloads[w];
-        let request_bytes = llm.request_kv_bytes(r.prompt_tokens, r.output_tokens);
-        let budget_bytes = spec.kv_budget_bytes(w);
-        if request_bytes > budget_bytes {
-            return Err(ServeError::Traffic(TrafficError::RequestExceedsKvBudget {
-                workload: w,
-                request_bytes,
-                budget_bytes,
-            }));
-        }
-        Ok(r.arrival)
+    spec.validate().map_err(ServeError::Traffic)?;
+    Shards::checked(threads, k, |lanes| {
+        let streams = lanes.map(|w| (w, trace.requests[w].as_slice()));
+        // A request that can never be admitted would block its lane's FCFS
+        // queue for the rest of the run.
+        check_streams(trace.horizon_seconds, streams, |w, r| {
+            let llm = &spec.workloads[w];
+            let request_bytes = llm.request_kv_bytes(r.prompt_tokens, r.output_tokens);
+            let budget_bytes = spec.kv_budget_bytes(w);
+            if request_bytes > budget_bytes {
+                return Err(ServeError::Traffic(TrafficError::RequestExceedsKvBudget {
+                    workload: w,
+                    request_bytes,
+                    budget_bytes,
+                }));
+            }
+            Ok(r.arrival)
+        })
     })
 }
 
@@ -694,10 +691,7 @@ pub fn simulate_llm_sharded_observed(
     mode: BatchingMode,
     recorder: &Recorder,
 ) -> Result<LlmServeReport, ServeError> {
-    validate(spec, trace)?;
-    let shards = Shards::checked(spec.workloads.len(), |lanes| {
-        check_requests(spec, trace, lanes)
-    })?;
+    let shards = validate(spec, trace, threads_from_env())?;
     Ok(
         shards.run(recorder, (mode, trace.horizon_seconds), |range, local| {
             let mut shard = engine(spec, trace, mode, range);

@@ -22,9 +22,9 @@
 
 use crate::lanes::{Lanes, ServeLane};
 use crate::sim::{
-    check_arrivals, percentile_triple_ms, validate, BatchEvent, DispatchPolicy, FaultPolicy, Lane,
-    LaneSnapshot, ServeConfig, ServeError, ServeReport, SimSnapshot, WorkloadServeStats,
-    BATCH_TIMEOUT_SECONDS, DISPATCH_OVERHEAD_FACTOR, MAX_BATCH,
+    percentile_triple_ms, validate, BatchEvent, DispatchPolicy, FaultPolicy, Lane, LaneSnapshot,
+    ServeConfig, ServeError, ServeReport, SimSnapshot, WorkloadServeStats, BATCH_TIMEOUT_SECONDS,
+    DISPATCH_OVERHEAD_FACTOR, MAX_BATCH,
 };
 use crate::trace::Trace;
 use mars_core::CoScheduleResult;
@@ -234,8 +234,7 @@ impl SimState {
         trace: &Trace,
         config: &ServeConfig,
     ) -> Result<Self, ServeError> {
-        validate(co, profiles, trace, config)?;
-        check_arrivals(trace, 0..co.placements.len())?;
+        validate(co, profiles, trace, config, 1)?;
         let mut accel_busy = BTreeMap::new();
         let lanes = co
             .placements

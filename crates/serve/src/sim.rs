@@ -34,7 +34,7 @@
 //! is bit-identical across `MARS_THREADS` settings and repeat runs.
 
 use crate::arena::RequestArena;
-use crate::lanes::{check_streams, Engine, Env, Lanes, ServeLane};
+use crate::lanes::{check_streams, Engine, Env, Lanes, ServeLane, Shards};
 use crate::trace::Trace;
 use mars_core::CoScheduleResult;
 use mars_model::{TrafficError, TrafficProfile};
@@ -417,9 +417,9 @@ fn bucket(v: f64) -> usize {
 }
 
 /// Exact, mergeable state for the (p50, p95, p99) of samples spread over
-/// many buffers: how many fall in each bucket, over the buckets they touch
-/// (a few hundred for latencies, not all 2^16).
-#[derive(Debug, Clone, Default)]
+/// many buffers: how many fall in each bucket, over only the buckets they
+/// touch (all 2^16 `u32`s are 256 KiB per engine, which shows on `elastic`).
+#[derive(Default)]
 pub(crate) struct SampleCounts {
     /// The bucket `counts[0]` counts.
     first: usize,
@@ -427,39 +427,33 @@ pub(crate) struct SampleCounts {
 }
 
 impl SampleCounts {
-    /// Widens the table to cover bucket `b`.
-    fn cover(&mut self, b: usize) {
+    /// Adds `more` to bucket `b`'s count, widening the table to cover it.
+    fn bump(&mut self, b: usize, more: usize) {
         if self.counts.is_empty() {
             self.first = b;
         } else if b < self.first {
-            self.counts
-                .splice(0..0, std::iter::repeat_n(0, self.first - b));
+            let below = std::iter::repeat_n(0, self.first - b);
+            self.counts.splice(0..0, below);
             self.first = b;
         }
-        let len = self.counts.len().max(b - self.first + 1);
-        self.counts.resize(len, 0);
+        let at = b - self.first;
+        if at >= self.counts.len() {
+            self.counts.resize(at + 1, 0);
+        }
+        self.counts[at] += more;
     }
 
     /// Counts every sample of `samples`.
     pub(crate) fn add(&mut self, samples: &[f64]) {
         for &v in samples {
-            let b = bucket(v);
-            if !(self.first..self.first + self.counts.len()).contains(&b) {
-                self.cover(b);
-            }
-            self.counts[b - self.first] += 1;
+            self.bump(bucket(v), 1);
         }
     }
 
     /// Adds `other`'s counts to these.
     pub(crate) fn merge(&mut self, other: &Self) {
-        if let Some(last) = other.counts.len().checked_sub(1) {
-            self.cover(other.first);
-            self.cover(other.first + last);
-            let at = other.first - self.first;
-            for (count, &more) in self.counts[at..].iter_mut().zip(&other.counts) {
-                *count += more;
-            }
+        for (b, &more) in (other.first..).zip(&other.counts) {
+            self.bump(b, more);
         }
     }
 
@@ -962,8 +956,7 @@ impl SimState {
         trace: &Trace,
         config: &ServeConfig,
     ) -> Result<Self, ServeError> {
-        validate(co, profiles, trace, config)?;
-        check_arrivals(trace, 0..co.placements.len())?;
+        validate(co, profiles, trace, config, 1)?;
         Ok(Self::for_lanes(
             co,
             profiles,
@@ -1321,16 +1314,17 @@ fn busy_slots_of(accel_busy: &[(AccelId, f64)], accels: &[AccelId]) -> Vec<u32> 
         .collect()
 }
 
-/// Every check [`SimState::new`] makes before the arrival streams, on the
-/// whole input and in this order: shapes, horizon, knobs, each lane's SLA
-/// factor and placement latency, then disjoint partitions.  O(lanes);
-/// [`check_arrivals`] checks the streams.
+/// Every check [`SimState::new`] makes, in this order: shapes, horizon,
+/// knobs, each lane's SLA factor and placement latency, disjoint partitions,
+/// then the arrival streams (the lowest failing lane wins), checked per
+/// shard of lanes for `threads` workers on the pool.  Returns the shards.
 pub(crate) fn validate(
     co: &CoScheduleResult,
     profiles: &[TrafficProfile],
     trace: &Trace,
     config: &ServeConfig,
-) -> Result<(), ServeError> {
+    threads: usize,
+) -> Result<Shards, ServeError> {
     let k = co.placements.len();
     if profiles.len() != k || trace.arrivals.len() != k {
         return Err(ServeError::ShapeMismatch {
@@ -1347,14 +1341,11 @@ pub(crate) fn validate(
             value: slack,
         });
     }
-    validate_service(co, profiles.iter().map(|p| p.sla_factor))
-}
-
-/// Checks the arrival streams of the lanes `lanes` of a trace that passed
-/// [`validate`]; the lowest failing lane wins.
-pub(crate) fn check_arrivals(trace: &Trace, lanes: Range<usize>) -> Result<(), ServeError> {
-    let streams = lanes.map(|w| (w, trace.arrivals[w].as_slice()));
-    check_streams(trace.horizon_seconds, streams, |_, &t| Ok(t))
+    validate_service(co, profiles.iter().map(|p| p.sla_factor))?;
+    Shards::checked(threads, k, |lanes| {
+        let streams = lanes.map(|w| (w, trace.arrivals[w].as_slice()));
+        check_streams(trace.horizon_seconds, streams, |_, &t| Ok(t))
+    })
 }
 
 /// Rejects a horizon that is not a positive finite number.

@@ -36,27 +36,30 @@ pub struct Trace {
     pub arrivals: Vec<Arc<Vec<f64>>>,
 }
 
-/// Room for a Poisson stream of `mean` expected arrivals: the mean plus four
-/// standard deviations, so a draw almost always fits one allocation.
-fn expected_len(mean: f64) -> usize {
-    (mean + 4.0 * mean.sqrt()).ceil() as usize
-}
-
-/// Appends arrivals at `qps` drawn from the stream seeded `seed`:
-/// exponential gaps from `start` until one reaches `end`.
-fn draw(times: &mut Vec<f64>, seed: u64, qps: f64, start: f64, end: f64) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut t = start;
-    loop {
-        let u: f64 = rng.gen();
-        // u ∈ [0, 1) so 1-u ∈ (0, 1]: ln is finite and the gap is
-        // non-negative.
-        t += -(1.0 - u).ln() / qps;
-        if t >= end {
-            return;
+/// One arrival stream of consecutive segments `(seed, qps, start, end)`:
+/// in each, exponential gaps at `qps` from `start` until one reaches `end`,
+/// drawn from the RNG stream seeded `seed`.  The stream is reserved once, at
+/// its expected length plus four standard deviations.
+fn draw(segments: impl Iterator<Item = (u64, f64, f64, f64)> + Clone) -> Arc<Vec<f64>> {
+    let mean: f64 = (segments.clone())
+        .map(|(_, qps, start, end)| qps * (end - start))
+        .sum();
+    let mut times = Vec::with_capacity((mean + 4.0 * mean.sqrt()).ceil() as usize);
+    for (seed, qps, start, end) in segments {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut t = start;
+        loop {
+            let u: f64 = rng.gen();
+            // u ∈ [0, 1) so 1-u ∈ (0, 1]: ln is finite and the gap is
+            // non-negative.
+            t += -(1.0 - u).ln() / qps;
+            if t >= end {
+                break;
+            }
+            times.push(t);
         }
-        times.push(t);
     }
+    Arc::new(times)
 }
 
 impl Trace {
@@ -81,10 +84,8 @@ impl Trace {
                 if !(p.qps > 0.0 && p.qps.is_finite() && horizon_ok) {
                     return Arc::default();
                 }
-                let mut times = Vec::with_capacity(expected_len(p.qps * horizon_seconds));
                 let stream_seed = genome_stream_seed(seed, TRACE_STREAM, w as u64);
-                draw(&mut times, stream_seed, p.qps, 0.0, horizon_seconds);
-                Arc::new(times)
+                draw(std::iter::once((stream_seed, p.qps, 0.0, horizon_seconds)))
             })
             .collect();
         Trace {
@@ -112,24 +113,15 @@ impl Trace {
         let horizon = scenario.horizon_seconds;
         let arrivals = (0..scenario.workloads())
             .map(|w| {
-                let mean: f64 = (scenario.phases.iter().enumerate())
+                let segments = (scenario.phases.iter().enumerate())
                     .filter(|(_, phase)| !phase.profiles[w].is_silent())
                     .map(|(pi, phase)| {
-                        let span = scenario.phase_end(pi).min(horizon) - phase.start_seconds;
-                        phase.profiles[w].qps * span
-                    })
-                    .sum();
-                let mut times = Vec::with_capacity(expected_len(mean));
-                for (pi, phase) in scenario.phases.iter().enumerate() {
-                    let p = phase.profiles[w];
-                    if !p.is_silent() {
                         let stream = PHASE_STREAM.wrapping_add(pi as u64);
                         let stream_seed = genome_stream_seed(seed, stream, w as u64);
                         let end = scenario.phase_end(pi).min(horizon);
-                        draw(&mut times, stream_seed, p.qps, phase.start_seconds, end);
-                    }
-                }
-                Arc::new(times)
+                        (stream_seed, phase.profiles[w].qps, phase.start_seconds, end)
+                    });
+                draw(segments)
             })
             .collect();
         Ok(Trace {
