@@ -18,6 +18,14 @@
 //! random stream ever depends on the order in which workers finish, and the
 //! fitness function is required to be a pure `Fn` (same genes → same score).
 //!
+//! A whole-genome GA whose fitness runs memoised sub-searches (the first
+//! level's second-level searches, the co-schedule's inner searches) does not
+//! hand the pool whole genomes: one genome that starts a new sub-search
+//! would hold the generation back.  It gives the generation loop a hook
+//! instead, which sees each generation's genomes before they are scored and
+//! runs their distinct, not yet memoised sub-searches as the pool's tasks,
+//! longest first.  The genomes are then scored serially, from the memos.
+//!
 //! ## Flat populations and incremental fitness
 //!
 //! [`GeneticAlgorithm::run_blocks`] is the one generation loop.  It stores
@@ -75,9 +83,11 @@ pub struct GaConfig {
     /// PRNG seed; searches with the same seed and inputs are reproducible,
     /// bit-identically, for **any** value of [`threads`](Self::threads).
     pub seed: u64,
-    /// Worker threads for fitness evaluation: `1` evaluates serially on the
-    /// calling thread, `0` asks the OS for the available parallelism, any
-    /// other value is used as given.
+    /// Worker threads of the search: `1` runs serially on the calling
+    /// thread, `0` asks the OS for the available parallelism, any other
+    /// value is used as given.  A plain GA scores each generation's genomes
+    /// on them; a search with memoised sub-searches runs each generation's
+    /// new sub-searches on them (see the module docs).
     pub threads: usize,
 }
 
@@ -188,6 +198,10 @@ pub struct GaOutcome {
     pub(crate) blocks_reused: u64,
 }
 
+/// A generation hook of [`GeneticAlgorithm::run_blocks`]: it sees each
+/// generation's genomes, back to back in slot order, before they are scored.
+pub(crate) type GenerationHook<'a> = &'a dyn Fn(&[f64]);
+
 /// Evaluations per second of wall-clock time ([`f64::INFINITY`] when no time
 /// elapsed); shared by [`GaOutcome`] and the mapper's `SearchResult` so the
 /// two throughput figures can never diverge.
@@ -264,7 +278,7 @@ impl GeneticAlgorithm {
         I: FnMut(&mut StdRng, usize) -> Vec<f64>,
         F: Fn(&[f64]) -> f64 + Sync,
     {
-        self.run_blocks(1, genome_len, init, |_, genes| fitness(genes), |t| t[0])
+        self.run_blocks(1, genome_len, init, |_, g| fitness(g), |t| t[0], None)
     }
 
     /// The historical per-genome-`Vec` engine, retained verbatim as the
@@ -372,6 +386,12 @@ impl GeneticAlgorithm {
     /// breeding parent; unchanged blocks reuse the parent's memoised term.
     /// Debug builds cross-check every reused term against a fresh
     /// evaluation.
+    ///
+    /// `prepare`, when given, sees each generation's genomes (back to back,
+    /// in slot order) before they are scored, and the genomes are then
+    /// scored serially: the hook has run the expensive work they share on
+    /// the pool, so their fitness reads memos.  It must not change what any
+    /// fitness returns.
     pub(crate) fn run_blocks<B, I, E, C>(
         &self,
         n_blocks: usize,
@@ -379,6 +399,7 @@ impl GeneticAlgorithm {
         mut init: I,
         block_eval: E,
         combine: C,
+        prepare: Option<GenerationHook<'_>>,
     ) -> GaOutcome
     where
         B: Clone + PartialEq + std::fmt::Debug + Send + Sync,
@@ -396,6 +417,11 @@ impl GeneticAlgorithm {
         };
         let genome_len = fitness.genome_len();
         let mutation_coin = coin_threshold(self.mutation.rate);
+        let workers = match prepare {
+            Some(_) => 1,
+            None => resolve_threads(cfg.threads),
+        };
+        let prepare = |genes: &[f64]| prepare.map_or((), |hook| hook(genes));
 
         // Flat arena: all genomes of a generation live in one allocation,
         // double-buffered with `next` so breeding never allocates.
@@ -416,7 +442,8 @@ impl GeneticAlgorithm {
         let mut parents: Vec<Option<usize>> = vec![None; pop_size];
         let mut scored = Scored::default();
         let mut prev = Scored::default();
-        let mut reused = self.evaluate_blocks(&fitness, &genes, None, &parents, &mut scored);
+        prepare(&genes);
+        let mut reused = fitness.evaluate_blocks(&genes, None, &parents, workers, &mut scored);
         let mut evaluations = pop_size;
 
         // Best-ever individual, updated in index order after each (possibly
@@ -473,11 +500,12 @@ impl GeneticAlgorithm {
             // After the swaps `next` and `prev` hold the parent generation's
             // genes and terms — exactly what block reuse compares child
             // blocks against and copies terms from.
-            reused += self.evaluate_blocks(
-                &fitness,
+            prepare(&genes);
+            reused += fitness.evaluate_blocks(
                 &genes,
                 Some((&next, &prev)),
                 &parents,
+                workers,
                 &mut scored,
             );
             evaluations += pop_size;
@@ -500,68 +528,6 @@ impl GeneticAlgorithm {
             evaluations,
             blocks_reused: reused,
         }
-    }
-
-    /// Scores one generation of a [`GeneticAlgorithm::run_blocks`] search
-    /// into `out`.  `prev` holds the parent generation's genes and terms
-    /// (`None` for the initial population); a block whose genes equal its
-    /// breeding parent's reuses the parent's term.  Returns the number of
-    /// reused terms.
-    ///
-    /// With one resolved worker the genomes are scored in slot order
-    /// straight into `out`'s arenas, so nothing is allocated per genome.
-    /// With more, each slot is scored on the pool into its own small `Vec`
-    /// and copied in; that path serves the first-level GA, whose genomes
-    /// are one block each and whose fitness dwarfs the copy.
-    fn evaluate_blocks<B, E, C>(
-        &self,
-        fitness: &BlockFitness<E, C>,
-        genes: &[f64],
-        prev: Option<(&[f64], &Scored<B>)>,
-        parents: &[Option<usize>],
-        out: &mut Scored<B>,
-    ) -> u64
-    where
-        B: Clone + PartialEq + std::fmt::Debug + Send + Sync,
-        E: Fn(usize, &[f64]) -> B + Sync,
-        C: Fn(&[B]) -> f64 + Sync,
-    {
-        let (genome_len, n_blocks) = (fitness.genome_len(), fitness.n_blocks);
-        let genome = |slot: usize| &genes[slot * genome_len..(slot + 1) * genome_len];
-        let parent_of = |slot: usize| {
-            let (prev_genes, prev) = prev?;
-            let p = parents[slot]?;
-            Some((
-                &prev_genes[p * genome_len..(p + 1) * genome_len],
-                &prev.terms[p * n_blocks..(p + 1) * n_blocks],
-            ))
-        };
-        out.terms.clear();
-        out.scores.clear();
-
-        let workers = resolve_threads(self.cfg.threads);
-        if workers <= 1 || parents.len() < 2 {
-            let mut reused = 0;
-            for slot in 0..parents.len() {
-                let (score, r) = fitness.score(genome(slot), parent_of(slot), &mut out.terms);
-                out.scores.push(score);
-                reused += r;
-            }
-            return reused;
-        }
-        let slots: Vec<usize> = (0..parents.len()).collect();
-        let per_slot = scoped_map(workers, &slots, |_, &slot| {
-            let mut terms = Vec::with_capacity(n_blocks);
-            let (score, reused) = fitness.score(genome(slot), parent_of(slot), &mut terms);
-            (terms, score, reused)
-        });
-        let mut reused = 0;
-        for (terms, score, r) in per_slot {
-            out.terms.extend(terms);
-            out.scores.push(score);
-            reused += r;
-        }
-        reused
     }
 
     /// Scores one generation, fanning the genomes out over the worker pool
@@ -635,6 +601,67 @@ struct BlockFitness<E, C> {
 impl<E, C> BlockFitness<E, C> {
     fn genome_len(&self) -> usize {
         self.n_blocks * self.block_len
+    }
+
+    /// Scores one generation of a [`GeneticAlgorithm::run_blocks`] search
+    /// into `out`.  `prev` holds the parent generation's genes and terms
+    /// (`None` for the initial population); a block whose genes equal its
+    /// breeding parent's reuses the parent's term.  Returns the number of
+    /// reused terms.
+    ///
+    /// With one worker the genomes are scored in slot order straight into
+    /// `out`'s arenas, so nothing is allocated per genome.  With more, each
+    /// slot is scored on the pool into its own small `Vec` and copied in;
+    /// that path serves whole-genome GAs, whose genomes are one block each
+    /// and whose fitness dwarfs the copy.
+    fn evaluate_blocks<B>(
+        &self,
+        genes: &[f64],
+        prev: Option<(&[f64], &Scored<B>)>,
+        parents: &[Option<usize>],
+        workers: usize,
+        out: &mut Scored<B>,
+    ) -> u64
+    where
+        B: Clone + PartialEq + std::fmt::Debug + Send + Sync,
+        E: Fn(usize, &[f64]) -> B + Sync,
+        C: Fn(&[B]) -> f64 + Sync,
+    {
+        let (genome_len, n_blocks) = (self.genome_len(), self.n_blocks);
+        let genome = |slot: usize| &genes[slot * genome_len..(slot + 1) * genome_len];
+        let parent_of = |slot: usize| {
+            let (prev_genes, prev) = prev?;
+            let p = parents[slot]?;
+            Some((
+                &prev_genes[p * genome_len..(p + 1) * genome_len],
+                &prev.terms[p * n_blocks..(p + 1) * n_blocks],
+            ))
+        };
+        out.terms.clear();
+        out.scores.clear();
+
+        if workers <= 1 || parents.len() < 2 {
+            let mut reused = 0;
+            for slot in 0..parents.len() {
+                let (score, r) = self.score(genome(slot), parent_of(slot), &mut out.terms);
+                out.scores.push(score);
+                reused += r;
+            }
+            return reused;
+        }
+        let slots: Vec<usize> = (0..parents.len()).collect();
+        let per_slot = scoped_map(workers, &slots, |_, &slot| {
+            let mut terms = Vec::with_capacity(n_blocks);
+            let (score, reused) = self.score(genome(slot), parent_of(slot), &mut terms);
+            (terms, score, reused)
+        });
+        let mut reused = 0;
+        for (terms, score, r) in per_slot {
+            out.terms.extend(terms);
+            out.scores.push(score);
+            reused += r;
+        }
+        reused
     }
 
     /// Appends the terms of `genome` to `terms` and returns the genome's
@@ -1049,7 +1076,8 @@ mod tests {
                 block_sum(&terms)
             };
             let whole = GeneticAlgorithm::new(cfg).run(12, init, blocked_sphere);
-            let blocks = GeneticAlgorithm::new(cfg).run_blocks(4, 3, init, block_term, block_sum);
+            let blocks =
+                GeneticAlgorithm::new(cfg).run_blocks(4, 3, init, block_term, block_sum, None);
             assert_eq!(whole.best_genes, blocks.best_genes, "seed {seed}");
             assert_eq!(whole.best_fitness.to_bits(), blocks.best_fitness.to_bits());
             assert_eq!(whole.history, blocks.history);
@@ -1075,6 +1103,7 @@ mod tests {
                 |rng, _| (0..15).map(|_| rng.gen()).collect(),
                 block_term,
                 block_sum,
+                None,
             )
         };
         let serial = run(1);
@@ -1083,6 +1112,39 @@ mod tests {
             assert_eq!(serial.best_genes, parallel.best_genes, "threads={threads}");
             assert_eq!(serial.history, parallel.history, "threads={threads}");
         }
+    }
+
+    #[test]
+    fn a_generation_hook_sees_each_generation_before_it_is_scored() {
+        // Every genome the fitness scores is one of the genomes the hook saw
+        // last, and the hook changes nothing about the run.
+        use std::sync::Mutex;
+        let cfg = GaConfig {
+            population: 7,
+            generations: 5,
+            ..GaConfig::first_level(13).with_threads(4)
+        };
+        let last_seen = Mutex::new(Vec::new());
+        let generations = Mutex::new(0);
+        let hook = |genes: &[f64]| {
+            assert_eq!(genes.len(), cfg.population * 4);
+            *last_seen.lock().unwrap() = genes.to_vec();
+            *generations.lock().unwrap() += 1;
+        };
+        let fitness = |genes: &[f64]| {
+            let seen = last_seen.lock().unwrap();
+            assert!(seen.chunks(4).any(|g| g == genes), "{genes:?} was not seen");
+            sphere(genes)
+        };
+        let init = |rng: &mut StdRng, _: usize| (0..4).map(|_| rng.gen()).collect::<Vec<_>>();
+        let ga = GeneticAlgorithm::new(cfg);
+        let hooked = ga.run_blocks(1, 4, init, |_, g| fitness(g), |t| t[0], Some(&hook));
+        let plain = ga.run(4, init, sphere);
+        assert_eq!(hooked.best_genes, plain.best_genes);
+        assert_eq!(hooked.history, plain.history);
+        assert_eq!(hooked.mean_history, plain.mean_history);
+        assert_eq!(hooked.blocks_reused, plain.blocks_reused);
+        assert_eq!(*generations.lock().unwrap(), cfg.generations + 1);
     }
 
     /// A block term that remembers which chain step computed it.  Equality
@@ -1120,10 +1182,6 @@ mod tests {
 
         for seed in [1u64, 42, 977] {
             for threads in [1usize, 4] {
-                let ga = GeneticAlgorithm::new(GaConfig {
-                    population: POP,
-                    ..GaConfig::second_level(seed).with_threads(threads)
-                });
                 let step = AtomicUsize::new(0);
                 let fitness = BlockFitness {
                     n_blocks: BLOCKS,
@@ -1146,7 +1204,7 @@ mod tests {
                 let mut parents: Vec<Option<usize>> = vec![None; POP];
                 let mut terms = Scored::default();
                 let mut reused_count =
-                    ga.evaluate_blocks(&fitness, &genes, None, &parents, &mut terms);
+                    fitness.evaluate_blocks(&genes, None, &parents, threads, &mut terms);
 
                 let mut reused_terms = 0usize;
                 for s in 1..=STEPS {
@@ -1168,11 +1226,11 @@ mod tests {
                         }
                     }
                     let mut t = Scored::default();
-                    reused_count += ga.evaluate_blocks(
-                        &fitness,
+                    reused_count += fitness.evaluate_blocks(
                         &next,
                         Some((&genes, &terms)),
                         &parents,
+                        threads,
                         &mut t,
                     );
                     let scores = &t.scores;

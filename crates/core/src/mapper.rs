@@ -23,11 +23,14 @@ use crate::memo::{NetworkMemo, SetMemo};
 use mars_accel::{Catalog, DesignId, ProfileTable};
 use mars_model::{DimSet, LoopNest, Network};
 use mars_obs::Recorder;
-use mars_parallel::{evaluate_non_conv, CacheStats, EvalContext, OnceCache, Strategy};
+use mars_parallel::{
+    evaluate_non_conv, resolve_threads, scoped_map, CacheStats, EvalContext, OnceCache, Strategy,
+};
 use mars_topology::{partition, AccelId, Topology};
 use rand::rngs::StdRng;
+use std::cmp::Reverse;
 use std::collections::hash_map::DefaultHasher;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashSet};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering::Relaxed};
 use std::sync::Arc;
@@ -89,13 +92,14 @@ impl SearchConfig {
         }
     }
 
-    /// Sets the worker-thread count for first-level fitness evaluation
-    /// (`0` = ask the OS, `1` = serial).
+    /// Sets the worker-thread count of the first-level search (`0` = ask
+    /// the OS, `1` = serial).
     ///
-    /// The second-level GAs stay serial: they already run *inside* the
-    /// first-level worker threads, so giving them their own pools would only
-    /// oversubscribe the machine.  The search outcome is bit-identical for
-    /// every thread count.
+    /// Each second-level GA runs serially on one worker: before a
+    /// first-level generation is scored, its new second-level searches run
+    /// side by side on the pool, longest first, and the generation is then
+    /// scored from the memo.  The search outcome is bit-identical for every
+    /// thread count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.first_level.threads = threads;
         self.second_level.threads = 1;
@@ -230,6 +234,16 @@ pub(crate) struct SecondOutcome {
 /// evaluator at all.  Unlike the [`NetworkMemo`], it lives for one search.
 type DecisionCache = OnceCache<Vec<SecondLevelKey>, f64>;
 
+/// The second-level key of an assignment: its set, design and layer range.
+fn second_key(a: &Assignment) -> SecondLevelKey {
+    (a.accels.clone(), a.design, a.layers.start, a.layers.end)
+}
+
+/// The decision-memo key of a decoded first-level genome.
+fn decision_key(assignments: &[Assignment]) -> Vec<SecondLevelKey> {
+    assignments.iter().map(second_key).collect()
+}
+
 /// Work counters of one flat-engine search that the [`NetworkMemo`] cannot
 /// hold, because other searches may share it.
 #[derive(Default)]
@@ -318,11 +332,11 @@ impl<'a> Mars<'a> {
 
     /// Runs the two-level genetic search and returns the best mapping found.
     ///
-    /// First-level fitness evaluations (each of which runs the second-level
-    /// GAs of its candidate assignments) are fanned out over
-    /// [`SearchConfig::threads`] worker threads; the result is bit-identical
-    /// for every thread count because all stochastic state uses per-genome
-    /// RNG streams and the shared caches only memoise pure functions.
+    /// The second-level GAs that each first-level generation starts are
+    /// fanned out over [`SearchConfig::threads`] worker threads; the result
+    /// is bit-identical for every thread count because all stochastic state
+    /// uses per-genome RNG streams and the shared caches only memoise pure
+    /// functions.
     pub fn search(&self) -> SearchResult {
         self.search_in(Arc::new(NetworkMemo::new(self.net)))
     }
@@ -453,14 +467,51 @@ impl<'a> Mars<'a> {
         let decision_cache: DecisionCache = OnceCache::new();
         let counters = FlatCounters::default();
 
+        // With more than one worker, the second-level searches a generation
+        // will start run first, as the pool's tasks, longest (most compute
+        // layers) first; the generation is then scored serially, from the
+        // memos.  Only genomes whose decision the decision memo lacks start
+        // searches, and only searches the network memo lacks are new.
+        // Nothing here counts a lookup, so the counters are the fitness
+        // path's, as on one thread.
+        let workers = resolve_threads(self.config.first_level.threads);
+        let prefetch = |generation: &[f64]| {
+            let mut seen = HashSet::new();
+            let mut tasks: Vec<(usize, Assignment)> = Vec::new();
+            for genes in generation.chunks(layout.len()) {
+                let assignments = layout.decode(genes, &candidates);
+                if decision_cache.contains(&decision_key(&assignments)) {
+                    continue;
+                }
+                for a in assignments.into_iter().filter(|a| !a.is_idle()) {
+                    let set = evaluator.set_memo(&(a.accels.clone(), a.design));
+                    let key = (set.id(), second_key(&a));
+                    if !memo.second.contains(&key) && seen.insert(key) {
+                        let layers = self.net.layers();
+                        let compute = a.layers.clone().filter(|&i| layers[i].is_compute());
+                        tasks.push((compute.count(), a));
+                    }
+                }
+            }
+            if tasks.len() < 2 {
+                return;
+            }
+            tasks.sort_by_key(|(layers, _)| Reverse(*layers));
+            scoped_map(workers, &tasks, |_, (_, a)| {
+                self.second_level_memo(a, &evaluator, &memo, &counters);
+            });
+        };
         let first_ga = GeneticAlgorithm::new(self.config.first_level);
-        let outcome = first_ga.run(
+        let outcome = first_ga.run_blocks(
+            1,
             layout.len(),
             |rng, i| self.first_level_seed(rng, i, &layout, &candidates, &profile, &design_scores),
-            |genes| {
+            |_, genes| {
                 let assignments = layout.decode(genes, &candidates);
                 self.flat_latency(&assignments, &evaluator, &memo, &decision_cache, &counters)
             },
+            |t| t[0],
+            (workers > 1).then_some(&prefetch as &dyn Fn(&[f64])),
         );
 
         // Re-derive the winning decision from the best genome; every
@@ -525,11 +576,7 @@ impl<'a> Mars<'a> {
         decision_cache: &DecisionCache,
         counters: &FlatCounters,
     ) -> f64 {
-        let key: Vec<SecondLevelKey> = assignments
-            .iter()
-            .map(|a| (a.accels.clone(), a.design, a.layers.start, a.layers.end))
-            .collect();
-        decision_cache.get_or_compute(key, || {
+        decision_cache.get_or_compute(decision_key(assignments), || {
             let costs: Vec<AssignmentCost> = assignments
                 .iter()
                 .map(|a| {
@@ -567,8 +614,21 @@ impl<'a> Mars<'a> {
     }
 
     /// The second-level outcome of `assignment`, from the memo's entry for
-    /// its set content and (set, design, layer range) key, or searched now.
+    /// its set content and (set, design, layer range) key, or searched now;
+    /// counted as a lookup.
     fn second_level_flat(
+        &self,
+        assignment: &Assignment,
+        evaluator: &Evaluator<'_>,
+        memo: &NetworkMemo,
+        counters: &FlatCounters,
+    ) -> Arc<SecondOutcome> {
+        counters.second_lookups.fetch_add(1, Relaxed);
+        self.second_level_memo(assignment, evaluator, memo, counters)
+    }
+
+    /// [`Mars::second_level_flat`] without counting the lookup.
+    fn second_level_memo(
         &self,
         assignment: &Assignment,
         evaluator: &Evaluator<'_>,
@@ -577,14 +637,7 @@ impl<'a> Mars<'a> {
     ) -> Arc<SecondOutcome> {
         let set_id: SetId = (assignment.accels.clone(), assignment.design);
         let set = evaluator.set_memo(&set_id);
-        let (accels, design) = set_id;
-        let key: SecondLevelKey = (
-            accels,
-            design,
-            assignment.layers.start,
-            assignment.layers.end,
-        );
-        counters.second_lookups.fetch_add(1, Relaxed);
+        let key = second_key(assignment);
         memo.second.get_or_compute((set.id(), key.clone()), || {
             counters.second_searches.fetch_add(1, Relaxed);
             Arc::new(self.search_strategies_flat(assignment, evaluator, &set, &key, counters))
@@ -750,6 +803,7 @@ impl<'a> Mars<'a> {
             },
             block_eval,
             fitness,
+            None,
         );
         // Accumulated inside the OnceCache compute closure, so each
         // second-level key contributes exactly once — on a memo no other

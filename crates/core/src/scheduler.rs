@@ -37,8 +37,10 @@ use crate::mapper::{Mars, SearchConfig, SearchResult};
 use crate::mapping::{Assignment, Mapping};
 use crate::memo::{push_set_content, NetworkMemo};
 use mars_accel::Catalog;
-use mars_parallel::OnceCache;
+use mars_parallel::{resolve_threads, scoped_map, OnceCache};
 use mars_topology::{AccelId, Topology};
+use std::cmp::Reverse;
+use std::collections::HashSet;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -246,9 +248,10 @@ pub struct CoScheduleConfig {
     pub outer: GaConfig,
     /// Budget template for the inner per-workload searches.  Each workload's
     /// search replaces this template's seeds with ones derived from the
-    /// master seed (`outer.seed`) and its workload index; inside the outer
-    /// GA the inner searches run serially, because they already execute on
-    /// the outer GA's worker threads.
+    /// master seed (`outer.seed`) and its workload index, and its thread
+    /// count: the inner searches an outer generation starts run side by
+    /// side on [`outer`](Self::outer)'s workers, one worker each, or a lone
+    /// one on all of them.
     pub inner: SearchConfig,
     /// Optional incumbent placement to warm-start from — see
     /// [`CoScheduleConfig::warm_start`].
@@ -301,9 +304,10 @@ impl CoScheduleConfig {
         self
     }
 
-    /// Sets the worker-thread count for outer fitness evaluation (`0` = ask
-    /// the OS, `1` = serial).  The co-schedule outcome is bit-identical for
-    /// every thread count.
+    /// Sets the worker-thread count of the co-schedule (`0` = ask the OS,
+    /// `1` = serial): each outer generation's new inner searches run on
+    /// them.  The co-schedule outcome is bit-identical for every thread
+    /// count.
     pub fn with_threads(mut self, threads: usize) -> Self {
         self.outer.threads = threads;
         self
@@ -669,8 +673,9 @@ impl<'a> InnerSearches<'a> {
         inner.first_level.seed = seed;
         inner.second_level.seed = seed.wrapping_add(1);
         // The search outcome is bit-identical for every thread count, so the
-        // caller picks: serial inside the outer GA's workers, the configured
-        // pool for the sequential baseline.
+        // caller picks: one worker when other inner searches run beside it,
+        // the configured pool when it runs alone or for the sequential
+        // baseline.
         inner = inner.with_threads(threads);
         let network = &self.workloads[w].network;
         let memo = self
@@ -829,23 +834,62 @@ pub fn co_schedule_cached(
         accelerators: n,
     };
 
+    // Memory infeasibility rejects a whole genome before any inner search
+    // runs: infinite fitness, never a finite penalty.
+    let fits = |subsets: &[Vec<AccelId>], order: &[usize]| {
+        subsets
+            .iter()
+            .zip(order)
+            .all(|(subset, &w)| memory_fits(w, subset))
+    };
+
     // Exactly-once memo of the inner searches: the expensive part of an outer
-    // fitness evaluation.  Inside the outer GA they stay serial: they already
-    // run on the GA's worker threads, and their own pools would
-    // oversubscribe.
+    // fitness evaluation.  With more than one worker, the inner searches a
+    // generation will start run before it is scored: a lone one on every
+    // worker, several side by side on one worker each, longest (compute
+    // layers × subset size) first.  The generation is then scored serially,
+    // from the memo.
     let searches = InnerSearches::new(workloads, topo, catalog, config, shared);
     let inner = |w: usize, subset: &[AccelId]| searches.get(w, subset, 1);
+    let compute_layers: Vec<usize> = workloads
+        .iter()
+        .map(|w| w.network.compute_layers().count())
+        .collect();
+    let workers = resolve_threads(config.outer.threads);
+    let prefetch = |generation: &[f64]| {
+        let mut seen = HashSet::new();
+        let mut tasks: Vec<(usize, usize, Vec<AccelId>)> = Vec::new();
+        for genes in generation.chunks(layout.len()) {
+            let subsets = layout.decode_subsets(genes, &ids);
+            let order = layout.decode_order(genes);
+            if !fits(&subsets, &order) {
+                continue;
+            }
+            for (subset, w) in subsets.into_iter().zip(order) {
+                let key = (w, platform_key(topo, &subset));
+                if !shared.cache.contains(&key) && seen.insert(key) {
+                    tasks.push((compute_layers[w] * subset.len(), w, subset));
+                }
+            }
+        }
+        tasks.sort_by_key(|&(cost, _, _)| Reverse(cost));
+        match tasks.as_slice() {
+            [] => {}
+            [(_, w, subset)] => {
+                searches.get(*w, subset, config.outer.threads);
+            }
+            _ => {
+                scoped_map(workers, &tasks, |_, (_, w, subset)| {
+                    inner(*w, subset);
+                });
+            }
+        }
+    };
 
     let weighted_makespan_of = |genes: &[f64]| -> f64 {
         let subsets = layout.decode_subsets(genes, &ids);
         let order = layout.decode_order(genes);
-        // Memory infeasibility rejects the whole genome before any inner
-        // search runs: infinite fitness, never a finite penalty.
-        if subsets
-            .iter()
-            .zip(&order)
-            .any(|(subset, &w)| !memory_fits(w, subset))
-        {
+        if !fits(&subsets, &order) {
             return f64::INFINITY;
         }
         let mut worst = 0.0f64;
@@ -867,7 +911,8 @@ pub fn co_schedule_cached(
         .as_ref()
         .map_or_else(Vec::new, |w| w.seed_genomes(k, n));
 
-    let outcome = GeneticAlgorithm::new(config.outer).run(
+    let outcome = GeneticAlgorithm::new(config.outer).run_blocks(
+        1,
         layout.len(),
         |rng, i| match i {
             0 => layout.greedy_seed(&demands),
@@ -875,7 +920,9 @@ pub fn co_schedule_cached(
             i if i >= 2 && i - 2 < warm_genes.len() => warm_genes[i - 2].clone(),
             _ => (0..layout.len()).map(|_| rand::Rng::gen(rng)).collect(),
         },
-        |genes| weighted_makespan_of(genes),
+        |_, genes| weighted_makespan_of(genes),
+        |t| t[0],
+        (workers > 1).then_some(&prefetch as &dyn Fn(&[f64])),
     );
 
     // Re-derive the winning partition (all inner searches are cache hits); if
@@ -1014,7 +1061,8 @@ fn remap_mapping(mapping: &Mapping, map: &[AccelId]) -> Mapping {
 mod tests {
     use super::*;
     use mars_model::zoo;
-    use mars_topology::presets;
+    use mars_topology::presets::{self, GIB};
+    use mars_topology::TopologyBuilder;
     use std::collections::BTreeSet;
 
     fn tiny_config(seed: u64) -> CoScheduleConfig {
@@ -1284,35 +1332,64 @@ mod tests {
 
     #[test]
     fn co_schedule_is_reproducible_and_thread_count_invariant() {
-        let workloads = two_small_workloads();
-        let topo = presets::f1_16xlarge();
+        // Each input reaches one path of the outer GA's generation hook:
+        // several inner searches per generation; genomes the memory check
+        // rejects before any inner search runs, whose searches the hook
+        // must not run either (it would change `inner_searches`); and a
+        // lone inner search per generation, which runs on every worker.
+        let f1 = presets::f1_16xlarge();
+        let uneven = TopologyBuilder::new("uneven-dram")
+            .accelerators(2, 2.0, GIB)
+            .accelerators(2, 2.0, GIB / 4)
+            .clique(&[0, 1, 2, 3].map(AccelId), 8.0)
+            .and_then(TopologyBuilder::build)
+            .expect("valid topology");
+        let mut hog = two_small_workloads();
+        hog[0] = hog[0].clone().with_memory_bytes(512 << 20);
+        let cases = [
+            ("two small workloads", two_small_workloads(), &f1),
+            ("a demand only half the platform holds", hog, &uneven),
+            (
+                "AlexNet alone",
+                vec![Workload::new(zoo::alexnet(1000))],
+                &f1,
+            ),
+        ];
         let catalog = Catalog::standard_three();
-        let run = |threads: usize| {
-            co_schedule(
-                &workloads,
-                &topo,
-                &catalog,
-                &tiny_config(7).with_threads(threads),
-            )
-            .unwrap()
-        };
-        let a = run(1);
-        let b = run(1);
-        let c = run(4);
-        for other in [&b, &c] {
-            assert_eq!(
-                a.makespan_seconds.to_bits(),
-                other.makespan_seconds.to_bits()
-            );
-            assert_eq!(
-                a.weighted_makespan_seconds.to_bits(),
-                other.weighted_makespan_seconds.to_bits()
-            );
-            assert_eq!(a.outer_history, other.outer_history);
-            for (pa, po) in a.placements.iter().zip(&other.placements) {
-                assert_eq!(pa.accels, po.accels);
-                assert_eq!(pa.result.mapping.assignments, po.result.mapping.assignments);
-                assert_eq!(pa.result.mapping.strategies, po.result.mapping.strategies);
+        for (name, workloads, topo) in &cases {
+            let run = |threads: usize| {
+                let cfg = tiny_config(7).with_threads(threads);
+                co_schedule(workloads, topo, &catalog, &cfg).unwrap()
+            };
+            let a = run(1);
+            for (threads, other) in [1, 2, 4].map(|t| (t, run(t))) {
+                let what = format!("{name} at {threads} threads");
+                assert_eq!(
+                    a.makespan_seconds.to_bits(),
+                    other.makespan_seconds.to_bits(),
+                    "{what}"
+                );
+                assert_eq!(
+                    a.weighted_makespan_seconds.to_bits(),
+                    other.weighted_makespan_seconds.to_bits(),
+                    "{what}"
+                );
+                assert_eq!(a.outer_history, other.outer_history, "{what}");
+                assert_eq!(a.outer_evaluations, other.outer_evaluations, "{what}");
+                assert_eq!(a.inner_searches, other.inner_searches, "{what}");
+                for (pa, po) in a.placements.iter().zip(&other.placements) {
+                    let (ra, ro) = (&pa.result, &po.result);
+                    assert_eq!(pa.accels, po.accels, "{what}");
+                    assert_eq!(ra.mapping.assignments, ro.mapping.assignments, "{what}");
+                    assert_eq!(ra.mapping.strategies, ro.mapping.strategies, "{what}");
+                    assert_eq!(
+                        ra.mapping.latency_seconds.to_bits(),
+                        ro.mapping.latency_seconds.to_bits(),
+                        "{what}"
+                    );
+                    assert_eq!(ra.history, ro.history, "{what}");
+                    assert_eq!(ra.evaluations, ro.evaluations, "{what}");
+                }
             }
         }
     }

@@ -261,7 +261,20 @@ pub enum TrafficError {
         /// The lane's KV budget in bytes.
         budget_bytes: u64,
     },
+    /// A workload expects more than 2^32 arrivals over the scenario (the
+    /// sum over its non-silent phases of qps × the phase's window), more
+    /// than a drawn trace can hold.
+    TooManyArrivals {
+        /// Index of the offending workload.
+        workload: usize,
+        /// Its expected arrival count.
+        expected: f64,
+    },
 }
+
+/// The most arrivals one workload may expect over a [`PhasedTraffic`]
+/// scenario: 2^32.
+const MAX_EXPECTED_ARRIVALS: f64 = 4_294_967_296.0;
 
 impl std::fmt::Display for TrafficError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
@@ -311,6 +324,10 @@ impl std::fmt::Display for TrafficError {
             } => write!(
                 f,
                 "workload {workload}: one maximal request ({request_bytes} B) exceeds the lane's KV budget ({budget_bytes} B)"
+            ),
+            TrafficError::TooManyArrivals { workload, expected } => write!(
+                f,
+                "workload {workload} expects {expected} arrivals, more than {MAX_EXPECTED_ARRIVALS}"
             ),
         }
     }
@@ -452,9 +469,10 @@ impl PhasedTraffic {
 
     /// Checks the schema invariants: at least one phase, a positive finite
     /// horizon, phase 0 at `0.0`, strictly increasing starts inside
-    /// `[0, horizon)`, a consistent workload count, and positive finite SLA
+    /// `[0, horizon)`, a consistent workload count, positive finite SLA
     /// factors everywhere (silent *rates* are legal, silent deadlines are
-    /// not).
+    /// not), and at most 2^32 expected arrivals per workload, so drawing a
+    /// trace never asks for more memory than exists.
     ///
     /// # Errors
     ///
@@ -500,6 +518,21 @@ impl PhasedTraffic {
                         sla_factor: p.sla_factor,
                     });
                 }
+            }
+        }
+        for workload in 0..expected {
+            let arrivals = (self.phases.iter().enumerate())
+                .filter(|(_, phase)| !phase.profiles[workload].is_silent())
+                .map(|(i, phase)| {
+                    let window = self.phase_end(i) - phase.start_seconds;
+                    phase.profiles[workload].qps * window
+                })
+                .sum::<f64>();
+            if arrivals > MAX_EXPECTED_ARRIVALS {
+                return Err(TrafficError::TooManyArrivals {
+                    workload,
+                    expected: arrivals,
+                });
             }
         }
         validate_faults(&self.faults, self.horizon_seconds)
@@ -737,6 +770,43 @@ mod tests {
                 ..
             })
         ));
+    }
+
+    #[test]
+    fn expected_arrivals_are_bounded_per_workload() {
+        let stationary = |qps| PhasedTraffic::stationary(vec![TrafficProfile::new(qps, 5.0)], 1.0);
+        // 2^32 expected arrivals pass; one more does not.
+        assert_eq!(stationary(4_294_967_296.0).validate(), Ok(()));
+        assert_eq!(
+            stationary(4_294_967_297.0).validate(),
+            Err(TrafficError::TooManyArrivals {
+                workload: 0,
+                expected: 4_294_967_297.0
+            })
+        );
+        // A rate whose product with the window overflows is rejected too,
+        // and a silent (here infinite) rate counts nothing.
+        let overflow = PhasedTraffic::stationary(vec![TrafficProfile::new(f64::MAX, 5.0)], 2.0);
+        assert!(matches!(
+            overflow.validate(),
+            Err(TrafficError::TooManyArrivals { expected, .. }) if expected == f64::INFINITY
+        ));
+        assert_eq!(stationary(f64::INFINITY).validate(), Ok(()));
+        // The bound holds for the sum over a workload's phases.
+        let phase = |start, qps| {
+            TrafficPhase::new(
+                start,
+                vec![TrafficProfile::new(1.0, 5.0), TrafficProfile::new(qps, 5.0)],
+            )
+        };
+        let split = PhasedTraffic::new(2.0, vec![phase(0.0, 3e9), phase(1.0, 3e9)]);
+        assert_eq!(
+            split.validate(),
+            Err(TrafficError::TooManyArrivals {
+                workload: 1,
+                expected: 6e9
+            })
+        );
     }
 
     #[test]

@@ -242,6 +242,13 @@ impl<K: Hash + Eq, V: Clone> OnceCache<K, V> {
         }
     }
 
+    /// `true` when `key` has a slot (completed or in flight).  Unlike
+    /// [`OnceCache::get_or_compute`] it counts no lookup, so a caller can
+    /// plan work without moving [`OnceCache::stats`].
+    pub fn contains(&self, key: &K) -> bool {
+        self.slots.get(key).is_some()
+    }
+
     /// Number of keys with a slot (completed or in flight).
     pub fn len(&self) -> usize {
         self.slots.len()
@@ -390,6 +397,8 @@ mod tests {
         let once: OnceCache<u32, u32> = OnceCache::new();
         once.get_or_compute(1, || 1);
         once.get_or_compute(1, || 1);
+        // Membership queries are not lookups.
+        assert!(once.contains(&1) && !once.contains(&2));
         let s = once.stats();
         assert_eq!((s.hits, s.misses), (1, 1));
         assert_eq!(CacheStats::default().hit_rate(), 0.0);

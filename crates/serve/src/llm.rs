@@ -40,6 +40,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::VecDeque;
 use std::ops::Range;
+use std::sync::Arc;
 
 /// Domain-separation tag for per-request token draws, so prompt/output
 /// lengths never correlate with the arrival streams (`TRACE_STREAM` /
@@ -98,8 +99,9 @@ pub(crate) struct LlmRequest {
 pub struct LlmTrace {
     /// Length of the arrival window in seconds.
     pub horizon_seconds: f64,
-    /// Per-workload requests, in non-decreasing arrival order.
-    pub(crate) requests: Vec<Vec<LlmRequest>>,
+    /// Per-workload requests, in non-decreasing arrival order.  Each stream
+    /// is shared with the lanes that replay it, not copied.
+    pub(crate) requests: Vec<Arc<Vec<LlmRequest>>>,
 }
 
 impl LlmTrace {
@@ -122,7 +124,7 @@ impl LlmTrace {
             .map(|(w, llm)| {
                 let mut rng =
                     StdRng::seed_from_u64(genome_stream_seed(seed, LLM_TOKEN_STREAM, w as u64));
-                arrivals.arrivals[w]
+                let stream = arrivals.arrivals[w]
                     .iter()
                     .map(|&t| {
                         let prompt = rng.gen_range(llm.prompt_tokens.0..=llm.prompt_tokens.1);
@@ -135,7 +137,8 @@ impl LlmTrace {
                             sla_seconds: sla_factor * llm.ideal_latency_seconds(prompt, output),
                         }
                     })
-                    .collect()
+                    .collect();
+                Arc::new(stream)
             })
             .collect();
         Ok(LlmTrace {
@@ -146,7 +149,7 @@ impl LlmTrace {
 
     /// Total number of requests across all workloads.
     pub fn total_requests(&self) -> usize {
-        self.requests.iter().map(Vec::len).sum()
+        self.requests.iter().map(|stream| stream.len()).sum()
     }
 }
 
@@ -162,7 +165,8 @@ impl LlmTrace {
 pub(crate) struct LlmLane {
     workload: usize,
     llm: LlmWorkload,
-    requests: Vec<LlmRequest>,
+    /// The lane's request stream, shared with its [`LlmTrace`].
+    requests: Arc<Vec<LlmRequest>>,
     /// Per request: tokens accepted beyond the prompt in continuous mode
     /// (the prefill emits the first output token), and KV bytes reserved
     /// while in flight.
@@ -203,7 +207,7 @@ pub(crate) struct LlmLane {
 impl LlmLane {
     /// Workload `w`'s lane at time zero.
     fn new(spec: &LlmSpec, trace: &LlmTrace, w: usize) -> Self {
-        let requests = trace.requests[w].clone();
+        let requests = Arc::clone(&trace.requests[w]);
         Self {
             workload: w,
             llm: spec.workloads[w].clone(),
@@ -737,7 +741,7 @@ mod tests {
         assert!(a.total_requests() > 0);
         for (w, stream) in a.requests.iter().enumerate() {
             let llm = &spec.workloads[w];
-            for r in stream {
+            for r in stream.iter() {
                 assert!((llm.prompt_tokens.0..=llm.prompt_tokens.1).contains(&r.prompt_tokens));
                 assert!((llm.output_tokens.0..=llm.output_tokens.1).contains(&r.output_tokens));
                 // Deadline derives from the phase in force at arrival.
@@ -756,12 +760,12 @@ mod tests {
         let llm = spec.workloads[0].clone();
         let trace = LlmTrace {
             horizon_seconds: 4.0,
-            requests: vec![vec![LlmRequest {
+            requests: vec![Arc::new(vec![LlmRequest {
                 arrival: 0.5,
                 prompt_tokens: 100,
                 output_tokens: 4,
                 sla_seconds: 10.0,
-            }]],
+            }])],
         };
         for mode in BatchingMode::ALL {
             let report = replay(&spec, &trace, mode).unwrap();
@@ -861,7 +865,7 @@ mod tests {
     fn nan_arrival_is_a_typed_error_not_a_panic() {
         let spec = llm_mix();
         let mut trace = LlmTrace::draw(&spec, 3).unwrap();
-        trace.requests[2][0].arrival = f64::NAN;
+        Arc::make_mut(&mut trace.requests[2])[0].arrival = f64::NAN;
         for mode in BatchingMode::ALL {
             assert_eq!(
                 simulate_llm_sharded(&spec, &trace, mode),
@@ -874,13 +878,14 @@ mod tests {
         }
         // Unsorted and out-of-window streams are rejected the same way.
         let mut unsorted = LlmTrace::draw(&spec, 3).unwrap();
-        unsorted.requests[1].swap(0, 1);
+        Arc::make_mut(&mut unsorted.requests[1]).swap(0, 1);
         assert_eq!(
             simulate_llm_sharded(&spec, &unsorted, BatchingMode::Continuous),
             Err(ServeError::InvalidTrace { workload: 1 })
         );
         let mut late = LlmTrace::draw(&spec, 3).unwrap();
-        late.requests[0].last_mut().unwrap().arrival = late.horizon_seconds;
+        let last = Arc::make_mut(&mut late.requests[0]).last_mut().unwrap();
+        last.arrival = late.horizon_seconds;
         assert!(matches!(
             LlmSimState::new(&spec, &late, BatchingMode::OneShot),
             Err(ServeError::InvalidTrace { workload: 0 })
@@ -978,8 +983,8 @@ mod tests {
         let last = spec.workloads.len() - 1;
         for (unsorted, over_budget) in [(last, 0), (0, last)] {
             let mut trace = LlmTrace::draw(&spec, 42).unwrap();
-            trace.requests[unsorted].swap(0, 1);
-            trace.requests[over_budget][3].prompt_tokens = u32::MAX;
+            Arc::make_mut(&mut trace.requests[unsorted]).swap(0, 1);
+            Arc::make_mut(&mut trace.requests[over_budget])[3].prompt_tokens = u32::MAX;
             let expected = LlmSimState::new(&spec, &trace, BatchingMode::Continuous)
                 .map(|_| ())
                 .unwrap_err();
@@ -1059,7 +1064,7 @@ mod tests {
         let just_over = (spec.kv_budget_bytes(1) / spec.workloads[1].kv_bytes_per_token) as u32;
         for (w, prompt_tokens) in [(1, just_over), (0, u32::MAX)] {
             let mut trace = LlmTrace::draw(&spec, 42).unwrap();
-            let request = &mut trace.requests[w][3];
+            let request = &mut Arc::make_mut(&mut trace.requests[w])[3];
             request.prompt_tokens = prompt_tokens;
             let tokens = u64::from(prompt_tokens) + u64::from(request.output_tokens);
             let expected = ServeError::Traffic(TrafficError::RequestExceedsKvBudget {

@@ -73,6 +73,9 @@ impl Trace {
     /// (the simulator rejects them before this matters), and so does every
     /// profile when `horizon_seconds` is not positive and finite (the
     /// simulator rejects the horizon with [`ServeError::InvalidHorizon`]).
+    /// Nothing bounds the rate: a stream of `qps × horizon_seconds`
+    /// arrivals is drawn whatever its size.  [`Trace::phased`] rejects a
+    /// scenario that expects more than 2^32 arrivals of one workload.
     ///
     /// [`ServeError::InvalidHorizon`]: crate::ServeError::InvalidHorizon
     pub fn poisson(profiles: &[TrafficProfile], horizon_seconds: f64, seed: u64) -> Self {
@@ -238,6 +241,34 @@ mod tests {
         // Validation errors propagate.
         let bad = PhasedTraffic::new(0.0, Vec::new());
         assert_eq!(Trace::phased(&bad, 7), Err(TrafficError::NoPhases));
+    }
+
+    /// A rate no trace can hold is a typed error before anything is drawn:
+    /// 1e9 qps over 1e3 s would reserve 10^12 arrivals, and 1e300 qps
+    /// overflows the reserve.  The same holds for an LLM trace.
+    #[test]
+    fn unbounded_phased_traffic_is_a_typed_error() {
+        use crate::llm::LlmTrace;
+        use mars_model::zoo::llm_mix;
+        use mars_model::{PhasedTraffic, TrafficError};
+        for qps in [1e9, 1e300] {
+            let mut profiles = profiles();
+            profiles[1].qps = qps;
+            let scenario = PhasedTraffic::stationary(profiles, 1e3);
+            let expected = TrafficError::TooManyArrivals {
+                workload: 1,
+                expected: qps * 1e3,
+            };
+            assert_eq!(Trace::phased(&scenario, 7), Err(expected));
+            let mut spec = llm_mix();
+            for phase in &mut spec.traffic.phases {
+                phase.profiles[2].qps = qps;
+            }
+            assert!(matches!(
+                LlmTrace::draw(&spec, 7),
+                Err(TrafficError::TooManyArrivals { workload: 2, .. })
+            ));
+        }
     }
 
     /// The binary-searched window count keeps the linear scan's exact

@@ -141,8 +141,8 @@ pub use mars_serve as serve;
 pub use mars_topology as topology;
 
 /// Runs a fast-budget MARS search for `net` on `topo` over the designs in
-/// `catalog`, fanning fitness evaluation out over `threads` worker threads
-/// (`0` = ask the OS, `1` = serial).
+/// `catalog`, running each generation's new second-level searches on
+/// `threads` worker threads (`0` = ask the OS, `1` = serial).
 ///
 /// This is the one-call entry point the quickstart example builds on.  The
 /// result is bit-identical for every `threads` value — parallelism only
