@@ -308,7 +308,7 @@ pub fn table_serve_row(mix: MixZoo, budget: Budget, seed: u64, recorder: &Record
     )
     .expect("bundled mixes fit the F1 platform");
     let profiles = mix.traffic();
-    let trace = Trace::poisson(&profiles, 1.0, seed);
+    let trace = Trace::poisson(&profiles, 1.0, seed).expect("bundled traffic is bounded");
     let base = ServeConfig::default();
     let reports = DispatchPolicy::ALL
         .into_iter()

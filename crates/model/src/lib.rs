@@ -41,5 +41,5 @@ pub use loopnest::{Dim, DimSet, LoopNest};
 pub use tensor::{FeatureMap, BYTES_PER_ELEMENT};
 pub use workload::{
     validate_faults, FaultEvent, FaultKind, PhasedTraffic, TrafficError, TrafficPhase,
-    TrafficProfile, Workload,
+    TrafficProfile, Workload, MAX_EXPECTED_ARRIVALS,
 };

@@ -261,9 +261,9 @@ pub enum TrafficError {
         /// The lane's KV budget in bytes.
         budget_bytes: u64,
     },
-    /// A workload expects more than 2^32 arrivals over the scenario (the
-    /// sum over its non-silent phases of qps × the phase's window), more
-    /// than a drawn trace can hold.
+    /// A workload expects more than [`MAX_EXPECTED_ARRIVALS`] (2^32)
+    /// arrivals over the scenario (qps × the window of each phase where it
+    /// is not silent, summed), more than a drawn trace can hold.
     TooManyArrivals {
         /// Index of the offending workload.
         workload: usize,
@@ -272,9 +272,10 @@ pub enum TrafficError {
     },
 }
 
-/// The most arrivals one workload may expect over a [`PhasedTraffic`]
-/// scenario: 2^32.
-const MAX_EXPECTED_ARRIVALS: f64 = 4_294_967_296.0;
+/// The most arrivals one workload may expect over a traffic scenario:
+/// 2^32.  [`PhasedTraffic::validate`] and every trace draw reject more
+/// with [`TrafficError::TooManyArrivals`] before anything is reserved.
+pub const MAX_EXPECTED_ARRIVALS: f64 = 4_294_967_296.0;
 
 impl std::fmt::Display for TrafficError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -228,6 +228,70 @@ impl Obs {
         });
     }
 
+    /// Records each of `values`, in order, into histogram `name`, looking
+    /// the key up once.  No values create no key.
+    pub(crate) fn observe_all(&mut self, name: &str, values: impl IntoIterator<Item = f64>) {
+        let mut values = values.into_iter().peekable();
+        if values.peek().is_some() {
+            update(&mut self.hists, name, Histogram::new, |h| {
+                values.for_each(|v| h.record(v))
+            });
+        }
+    }
+
+    /// Appends each of `points`, in order, to series `name`, looking the key
+    /// up once.  No points create no key.
+    pub(crate) fn point_all(&mut self, name: &str, points: impl IntoIterator<Item = (f64, f64)>) {
+        let mut points = points.into_iter().peekable();
+        if points.peek().is_some() {
+            update(&mut self.series, name, Vec::new, |s| s.extend(points));
+        }
+    }
+
+    /// Appends each `(name, start, end)` of `spans`, in order, on `track`.
+    /// The track is interned once and each distinct name once per call (the
+    /// names already seen are kept in a small table, matched by address and
+    /// then by content), in the order per-span calls would intern them.  No
+    /// spans intern nothing.
+    pub(crate) fn span_all<'a>(
+        &mut self,
+        track: &str,
+        spans: impl IntoIterator<Item = (&'a str, f64, f64)>,
+    ) {
+        const SEEN: usize = 16;
+        let mut spans = spans.into_iter().peekable();
+        if spans.peek().is_none() {
+            return;
+        }
+        let track = self.labels.id(track);
+        let mut seen: [(&str, u32); SEEN] = [("", 0); SEEN];
+        let mut len = 0;
+        self.spans.reserve(spans.size_hint().0);
+        for (name, start, end) in spans {
+            let seen_now = &seen[..len];
+            let known = (seen_now.iter())
+                .find(|(s, _)| std::ptr::eq(*s, name))
+                .or_else(|| seen_now.iter().find(|(s, _)| *s == name));
+            let name = match known {
+                Some(&(_, id)) => id,
+                None => {
+                    let id = self.labels.id(name);
+                    if len < SEEN {
+                        seen[len] = (name, id);
+                        len += 1;
+                    }
+                    id
+                }
+            };
+            self.spans.push(Span {
+                track,
+                name,
+                start,
+                end,
+            });
+        }
+    }
+
     /// Appends an instantaneous marker on `track` at `at` sim seconds.
     pub(crate) fn instant(&mut self, track: &str, name: &str, at: f64) {
         let (track, name) = (self.labels.id(track), self.labels.id(name));

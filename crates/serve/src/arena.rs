@@ -32,7 +32,7 @@
 //!
 //! let co = synthetic_co(&[20e-3], &[1.0]);
 //! let profiles = [TrafficProfile::new(200.0, 5.0)];
-//! let trace = Trace::poisson(&profiles, 1.0, 7);
+//! let trace = Trace::poisson(&profiles, 1.0, 7).unwrap();
 //! let mut sim = SimState::new(&co, &profiles, &trace, &ServeConfig::default()).unwrap();
 //!
 //! sim.run_until(0.5);

@@ -7,7 +7,8 @@
 //! the lanes whose event is due, each in one burst up to the bound.
 //!
 //! Lanes own disjoint accelerators and never interact, so a replay splits
-//! exactly by lane into contiguous [`Shards`] on the `mars-parallel` pool,
+//! exactly by lane into contiguous [`Shards`] of about equal request counts
+//! on the `mars-parallel` pool,
 //! and each request's data stays inside its shard: a shard checks its
 //! lanes' request streams, runs them as an independent engine and hands
 //! over their latency buffers (moved, not copied) with [`SampleCounts`].
@@ -17,7 +18,10 @@
 //! **bit-identical** to one engine's at every `MARS_THREADS` setting
 //! (`tests/fleet_sim_equivalence.rs` pins it).  Everything a lane records
 //! is keyed by its name and the exporters put records in canonical order,
-//! so the merged record is shard-count invariant too.
+//! so the merged record is shard-count invariant too.  A lane buffers what
+//! it records during a burst in the engine's [`Burst`] and hands it over in
+//! bulk when the burst ends, before any other lane advances, so records
+//! land in the order per-record calls would give them.
 
 use crate::calendar::{CalendarQueue, Event};
 use crate::sim::{percentile_triple_ms, SampleCounts, ServeError};
@@ -45,6 +49,10 @@ pub(crate) trait ServeLane: Clone {
     fn advance(&mut self, env: &mut Env<Self::Knobs>, bound: f64) -> Option<f64>;
     /// Names the lane's span tracks and series keys for an enabled recorder.
     fn name_tracks(&mut self);
+    /// Hands what the lane buffered in `env.burst` over to the recorder in
+    /// bulk, leaving the buffer empty.  The engine calls it when the burst
+    /// that filled the buffer ends, before any other lane advances.
+    fn flush(&self, env: &mut Env<Self::Knobs>);
     /// The lane's figures, given the (p50, p95, p99) of its latencies in
     /// milliseconds.
     fn stats(&self, percentiles: (f64, f64, f64)) -> Self::Stats;
@@ -69,8 +77,28 @@ pub(crate) struct Env<K> {
     pub(crate) accel_busy: Vec<(AccelId, f64)>,
     /// The accelerators currently failed, sorted by id.
     pub(crate) down: Vec<AccelId>,
-    /// Reused buffer span names render into.
-    pub(crate) label: String,
+    /// What the advancing lane recorded so far in its burst; always empty
+    /// when the recorder is disabled, and between bursts.
+    pub(crate) burst: Burst,
+}
+
+/// A lane's records of one burst, buffered so that the burst takes the
+/// recorder's lock once per record kind ([`ServeLane::flush`]).  The
+/// buffers are reused, so recording allocates only while they grow.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Burst {
+    /// Spans on the lane's track: `(name, start, end)`.
+    pub(crate) spans: Vec<(&'static str, f64, f64)>,
+    /// One pair per record of the lane's other kinds: `(batch size, queue
+    /// depth)` per CNN batch, `(instant, KV bytes reserved)` per LLM wake.
+    pub(crate) samples: Vec<(f64, f64)>,
+}
+
+impl Burst {
+    /// `true` when nothing is buffered.
+    pub(crate) fn is_empty(&self) -> bool {
+        self.spans.is_empty() && self.samples.is_empty()
+    }
 }
 
 /// The engine's bookkeeping for one lane's wake event.
@@ -127,7 +155,7 @@ impl<L: ServeLane> Engine<L> {
                 recorder: Recorder::disabled(),
                 accel_busy,
                 down: Vec::new(),
-                label: String::new(),
+                burst: Burst::default(),
             },
             lanes,
             marks: vec![mark; k],
@@ -169,6 +197,7 @@ impl<L: ServeLane> Engine<L> {
         while let Some(ev) = self.pop_due(bound) {
             self.advance_lane(ev.lane as usize, bound);
         }
+        debug_assert!(self.env.burst.is_empty(), "every burst is flushed");
         self.clock = bound;
         if self.engine_metrics && self.env.recorder.is_enabled() {
             self.env.recorder.point(
@@ -179,10 +208,14 @@ impl<L: ServeLane> Engine<L> {
         }
     }
 
-    /// Advances lane `w` to `bound`, then arms it at its next action if
-    /// that lies inside the horizon.
+    /// Advances lane `w` to `bound` and flushes what it recorded, then arms
+    /// it at its next action if that lies inside the horizon.
     fn advance_lane(&mut self, w: usize, bound: f64) {
-        if let Some(t) = self.lanes[w].advance(&mut self.env, bound) {
+        let next = self.lanes[w].advance(&mut self.env, bound);
+        if !self.env.burst.is_empty() {
+            self.lanes[w].flush(&mut self.env);
+        }
+        if let Some(t) = next {
             if Self::due(t, self.env.horizon) {
                 self.arm(w, t);
             }
@@ -353,30 +386,55 @@ fn merge<S>(threads: usize, shards: Vec<Finished<S>>) -> Lanes<S> {
     lanes
 }
 
-/// The lane-shard runner: lanes `0..lanes` as contiguous shards of
-/// `ceil(lanes / workers)` lanes on the `MARS_THREADS` pool (one shard,
-/// inline, at one thread).  Zero lanes still make one (empty) shard.
+/// The lane-shard runner: lanes `0..lanes` as contiguous shards of about
+/// equal request counts on the `MARS_THREADS` pool (one shard, inline, at
+/// one thread).  Zero lanes still make one (empty) shard.
 pub(crate) struct Shards {
     threads: usize,
     ranges: Vec<Range<usize>>,
 }
 
+/// Cuts lanes with `requests[w]` requests each into at most `workers`
+/// contiguous, non-empty ranges covering every lane: range `k` ends at the
+/// first lane where the running count reaches `(k + 1) / workers` of the
+/// total.  Each lane counts as its requests plus one, so empty lanes still
+/// spread, and no range counts more than `total / workers` plus its largest
+/// lane.  Zero lanes make the one range `0..0`.
+fn cut(workers: usize, requests: &[usize]) -> Vec<Range<usize>> {
+    let weight = |r: usize| r as u128 + 1;
+    let workers = workers.max(1) as u128;
+    let total: u128 = requests.iter().map(|&r| weight(r)).sum();
+    let mut ranges = Vec::new();
+    let (mut lo, mut running, mut k) = (0, 0, 1);
+    for (w, &r) in requests.iter().enumerate() {
+        running += weight(r);
+        if running * workers >= k * total {
+            ranges.push(lo..w + 1);
+            lo = w + 1;
+            // A lane that crosses several cuts ends one range, not several.
+            while running * workers >= k * total {
+                k += 1;
+            }
+        }
+    }
+    if ranges.is_empty() {
+        ranges.push(0..0);
+    }
+    ranges
+}
+
 impl Shards {
-    /// The shards of `lanes` lanes for `threads` workers, once `check`
-    /// passes on every shard's lane range, run on the pool before any shard
-    /// simulates.  The first error in lane order is returned: with `check`
-    /// failing on its lowest failing lane, the lowest of all wins.
+    /// The shards of lanes holding `requests[w]` requests each for `threads`
+    /// workers, once `check` passes on every shard's lane range, run on the
+    /// pool before any shard simulates.  The first error in lane order is
+    /// returned: with `check` failing on its lowest failing lane, the lowest
+    /// of all wins.
     pub(crate) fn checked(
         threads: usize,
-        lanes: usize,
+        requests: &[usize],
         check: impl Fn(Range<usize>) -> Result<(), ServeError> + Sync,
     ) -> Result<Self, ServeError> {
-        let workers = resolve_threads(threads).min(lanes.max(1));
-        let size = lanes.div_ceil(workers).max(1);
-        let ranges: Vec<_> = (0..lanes.max(1))
-            .step_by(size)
-            .map(|lo| lo..(lo + size).min(lanes))
-            .collect();
+        let ranges = cut(resolve_threads(threads), requests);
         scoped_map(threads, &ranges, |_, range| check(range.clone()))
             .into_iter()
             .collect::<Result<(), _>>()?;
@@ -405,5 +463,90 @@ impl Shards {
             recorder.absorb(&obs);
         }
         L::report(knobs, horizon, merge(self.threads, shards))
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::sync::Mutex;
+
+    /// The shards of `requests` for `workers` workers, with the ranges the
+    /// stream check ran on.
+    fn shards(workers: usize, requests: &[usize]) -> (Vec<Range<usize>>, Vec<Range<usize>>) {
+        let checked = Mutex::new(Vec::new());
+        let shards = Shards::checked(workers, requests, |range| {
+            checked.lock().unwrap().push(range);
+            Ok(())
+        })
+        .unwrap();
+        let mut checked = checked.into_inner().unwrap();
+        checked.sort_by_key(|r| r.start);
+        (shards.ranges, checked)
+    }
+
+    /// The request-count cut, over generated counts: contiguous non-empty
+    /// ranges covering every lane, at most one per worker, none counting
+    /// more than `total / workers` plus its largest lane (each lane counting
+    /// its requests plus one), and the stream checks run on the same ranges.
+    #[test]
+    fn request_count_cut_balances_contiguous_ranges() {
+        let mut rng = StdRng::seed_from_u64(35);
+        let mut cases: Vec<Vec<usize>> = vec![
+            vec![],
+            vec![0],
+            vec![0; 7],
+            vec![5, 0, 0],
+            vec![0, 0, 1_000_000, 0, 0, 0],
+            vec![80_424, 46_659],
+            (0..144).map(|w| if w < 72 { 1_117 } else { 648 }).collect(),
+        ];
+        for _ in 0..200 {
+            let lanes = rng.gen_range(0..40usize);
+            let max = [1, 10, 100_000][rng.gen_range(0..3usize)];
+            let mut counts: Vec<usize> = (0..lanes).map(|_| rng.gen_range(0..max)).collect();
+            if lanes > 0 && rng.gen_bool(0.2) {
+                // One lane holds every request.
+                let hot = rng.gen_range(0..lanes);
+                counts.iter_mut().enumerate().for_each(|(w, c)| {
+                    *c = if w == hot { max * lanes } else { 0 };
+                });
+            }
+            cases.push(counts);
+        }
+        for requests in &cases {
+            let lanes = requests.len();
+            let weight = |w: usize| requests[w] as u128 + 1;
+            let total: u128 = (0..lanes).map(weight).sum();
+            for workers in [1, 2, 3, 4, 7, 64] {
+                let (ranges, checked) = shards(workers, requests);
+                let what = format!("{workers} workers over {requests:?}");
+                assert_eq!(checked, ranges, "{what}: checks ran on other ranges");
+                if lanes == 0 {
+                    assert_eq!(ranges, vec![0..0], "{what}");
+                    continue;
+                }
+                if workers == 1 {
+                    assert_eq!(ranges, vec![0..lanes], "{what}");
+                }
+                assert!(ranges.len() <= workers.min(lanes), "{what}: {ranges:?}");
+                assert_eq!(ranges[0].start, 0, "{what}");
+                assert_eq!(ranges.last().unwrap().end, lanes, "{what}");
+                for pair in ranges.windows(2) {
+                    assert_eq!(pair[0].end, pair[1].start, "{what}: {ranges:?}");
+                }
+                for range in &ranges {
+                    assert!(!range.is_empty(), "{what}: {ranges:?}");
+                    let held: u128 = range.clone().map(weight).sum();
+                    let largest = range.clone().map(weight).max().unwrap();
+                    assert!(
+                        held * workers as u128 <= total + largest * workers as u128,
+                        "{what}: {range:?} holds {held} of {total}"
+                    );
+                }
+            }
+        }
     }
 }

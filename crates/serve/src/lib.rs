@@ -52,7 +52,7 @@
 //! let co = co_schedule(&workloads, &topo, &catalog, &CoScheduleConfig::fast(42)).unwrap();
 //!
 //! let profiles = mix.traffic();
-//! let trace = Trace::poisson(&profiles, 1.0, 42);
+//! let trace = Trace::poisson(&profiles, 1.0, 42).unwrap();
 //! let config = ServeConfig::new(DispatchPolicy::EarliestDeadline);
 //! let report =
 //!     simulate_sharded_with_faults(&co, &profiles, &trace, &config, &[], FaultPolicy::default())

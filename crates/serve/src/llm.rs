@@ -371,7 +371,7 @@ impl LlmLane {
 
     /// The wake at `now`: finishes the work that ended, admits what fits,
     /// launches the next unit of work and returns the next wake.
-    fn wake_at(&mut self, now: f64, env: &Env<BatchingMode>) -> Option<f64> {
+    fn wake_at(&mut self, now: f64, env: &mut Env<BatchingMode>) -> Option<f64> {
         if self.in_flight {
             match env.knobs {
                 BatchingMode::Continuous => self.finish_iteration(now),
@@ -380,15 +380,16 @@ impl LlmLane {
         }
         self.pull_arrivals(now);
         self.admit();
-        let recorder = &env.recorder;
-        if recorder.is_enabled() {
-            recorder.point(&self.kv_key, now, self.kv_reserved as f64);
+        // Records are buffered until the burst ends (`flush`).
+        let recording = env.recorder.is_enabled();
+        if recording {
+            env.burst.samples.push((now, self.kv_reserved as f64));
         }
         let Some(end) = self.start_work(now, env.knobs, env.horizon) else {
             // Idle: wake at the next arrival.
             return self.requests.get(self.next_arrival).map(|r| r.arrival);
         };
-        if recorder.is_enabled() {
+        if recording {
             // `iter_new` still holds this iteration's prefilling members
             // (cleared when the iteration finishes), so the phase
             // composition is readable right after launch.
@@ -398,7 +399,7 @@ impl LlmLane {
                 (true, false) => "prefill",
                 _ => "decode",
             };
-            recorder.span(&self.track, phase, now, end);
+            env.burst.spans.push((phase, now, end));
         }
         Some(end)
     }
@@ -420,6 +421,13 @@ impl ServeLane for LlmLane {
     fn name_tracks(&mut self) {
         self.track = format!("llm/{}", self.llm.name);
         self.kv_key = format!("llm/kv_reserved/{}", self.llm.name);
+    }
+
+    /// Records the burst's KV reservation points, then its phase spans.
+    fn flush(&self, env: &mut Env<BatchingMode>) {
+        let (recorder, burst) = (&env.recorder, &mut env.burst);
+        recorder.point_all(&self.kv_key, burst.samples.drain(..));
+        recorder.span_all(&self.track, burst.spans.drain(..));
     }
 
     fn stats(&self, (p50_ms, p95_ms, p99_ms): (f64, f64, f64)) -> LlmLaneStats {
@@ -639,7 +647,8 @@ fn validate(spec: &LlmSpec, trace: &LlmTrace, threads: usize) -> Result<Shards, 
         return Err(ServeError::ZeroMaxBatch);
     }
     spec.validate().map_err(ServeError::Traffic)?;
-    Shards::checked(threads, k, |lanes| {
+    let requests: Vec<usize> = trace.requests.iter().map(|s| s.len()).collect();
+    Shards::checked(threads, &requests, |lanes| {
         let streams = lanes.map(|w| (w, trace.requests[w].as_slice()));
         // A request that can never be admitted would block its lane's FCFS
         // queue for the rest of the run.
@@ -1073,6 +1082,34 @@ mod tests {
                 budget_bytes: spec.kv_budget_bytes(w),
             });
             assert_rejected(&spec, &trace, &expected);
+        }
+    }
+
+    /// Nothing a lane buffered stays behind when `run_until` returns: an
+    /// `LlmSimState` run in quarters exports the bytes one run to the
+    /// horizon exports, in both batching modes.
+    #[test]
+    fn quartered_runs_export_what_one_run_exports() {
+        use mars_obs::{chrome_trace_json, metrics_json};
+        let spec = llm_mix();
+        let trace = LlmTrace::draw(&spec, 42).unwrap();
+        for mode in BatchingMode::ALL {
+            let exports = |quarters: &[f64]| {
+                let recorder = Recorder::enabled();
+                let mut sim = LlmSimState::new(&spec, &trace, mode)
+                    .unwrap()
+                    .with_recorder(recorder.clone());
+                for q in quarters {
+                    sim.run_until(trace.horizon_seconds * q / 4.0);
+                    assert!(!recorder.snapshot().is_empty(), "{mode}: quarter {q}");
+                }
+                sim.finish();
+                let obs = recorder.take();
+                (metrics_json(&obs), chrome_trace_json(&obs))
+            };
+            let whole = exports(&[]);
+            assert!(whole.1.contains("prefill"), "{mode}: no phase spans");
+            assert!(exports(&[1.0, 2.0, 3.0]) == whole, "{mode}");
         }
     }
 }

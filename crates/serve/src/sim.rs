@@ -41,7 +41,6 @@ use mars_model::{TrafficError, TrafficProfile};
 use mars_obs::Recorder;
 use mars_parallel::scoped_map;
 use mars_topology::AccelId;
-use std::fmt::Write as _;
 use std::ops::Range;
 use std::sync::Arc;
 
@@ -116,6 +115,11 @@ impl std::fmt::Display for FaultPolicy {
 
 /// Largest batch a single dispatch may carry.
 pub(crate) const MAX_BATCH: usize = 8;
+/// The span name of a batch of `b` requests: `BATCH_LABELS[b]`.
+const BATCH_LABELS: [&str; MAX_BATCH + 1] = [
+    "batch(0)", "batch(1)", "batch(2)", "batch(3)", "batch(4)", "batch(5)", "batch(6)", "batch(7)",
+    "batch(8)",
+];
 /// FIFO's accumulation window, in seconds: the oldest request never waits
 /// longer than this before its batch launches (subject to the server being
 /// free).
@@ -709,15 +713,10 @@ impl Lane {
             env.accel_busy[slot as usize].1 += delta;
         }
         if env.recorder.is_enabled() {
-            // Lane-local, keyed by placement name: the same batches on the
-            // same lanes regardless of shard split, so the merged record is
-            // shard-count invariant.
-            env.recorder.observe("serve/batch_size", size as f64);
-            env.recorder
-                .observe("serve/queue_depth", self.arena.queue_len() as f64);
-            env.label.clear();
-            let _ = write!(env.label, "batch({size})");
-            env.recorder.span(&self.track, &env.label, start, finish);
+            // Buffered until the burst ends (`flush`).
+            let depth = self.arena.queue_len() as f64;
+            env.burst.samples.push((size as f64, depth));
+            env.burst.spans.push((BATCH_LABELS[size], start, finish));
         }
         BatchEvent {
             workload: self.workload,
@@ -816,6 +815,19 @@ impl ServeLane for Lane {
 
     fn name_tracks(&mut self) {
         self.track = format!("lane/{}", self.name);
+    }
+
+    /// Records the burst's batch sizes and queue depths, then its batch
+    /// spans.  Lane-local, keyed by placement name: the same batches on the
+    /// same lanes regardless of shard split, so the merged record is
+    /// shard-count invariant.
+    fn flush(&self, env: &mut Env<ServeConfig>) {
+        let (recorder, burst) = (&env.recorder, &mut env.burst);
+        recorder.observe_all("serve/batch_size", burst.samples.iter().map(|s| s.0));
+        recorder.observe_all("serve/queue_depth", burst.samples.iter().map(|s| s.1));
+        recorder.span_all(&self.track, burst.spans.iter().copied());
+        burst.samples.clear();
+        burst.spans.clear();
     }
 
     fn stats(&self, (p50_ms, p95_ms, p99_ms): (f64, f64, f64)) -> WorkloadServeStats {
@@ -919,7 +931,7 @@ impl ServeLane for Lane {
 ///
 /// let co = synthetic_co(&[1e-3], &[1.0]);
 /// let profiles = [TrafficProfile::new(200.0, 5.0)];
-/// let trace = Trace::poisson(&profiles, 0.5, 7);
+/// let trace = Trace::poisson(&profiles, 0.5, 7).unwrap();
 /// let config = ServeConfig::default();
 ///
 /// let mut sim = SimState::new(&co, &profiles, &trace, &config).unwrap();
@@ -1066,7 +1078,11 @@ impl SimState {
         // and nothing that invalidates it (mutations, a `run_until` advance)
         // leaves the event live.
         let event = e.lanes[w].dispatch(&mut e.env, ev.time);
+        if !e.env.burst.is_empty() {
+            e.lanes[w].flush(&mut e.env);
+        }
         self.arm_exact(w);
+        debug_assert!(self.engine.env.burst.is_empty(), "the dispatch is flushed");
         Some(event)
     }
 
@@ -1342,7 +1358,8 @@ pub(crate) fn validate(
         });
     }
     validate_service(co, profiles.iter().map(|p| p.sla_factor))?;
-    Shards::checked(threads, k, |lanes| {
+    let requests: Vec<usize> = trace.arrivals.iter().map(|s| s.len()).collect();
+    Shards::checked(threads, &requests, |lanes| {
         let streams = lanes.map(|w| (w, trace.arrivals[w].as_slice()));
         check_streams(trace.horizon_seconds, streams, |_, &t| Ok(t))
     })
@@ -1599,7 +1616,7 @@ mod tests {
             TrafficProfile::new(50.0, 5.0),
             TrafficProfile::new(50.0, 5.0),
         ];
-        let trace = Trace::poisson(&profiles, 0.5, 7);
+        let trace = Trace::poisson(&profiles, 0.5, 7).unwrap();
         let report = replay(&co, &profiles, &trace, &ServeConfig::default()).unwrap();
         let ids: Vec<AccelId> = report.utilization.iter().map(|(a, _)| *a).collect();
         assert_eq!(ids, (0..4).map(AccelId).collect::<Vec<_>>());
@@ -1615,7 +1632,7 @@ mod tests {
             TrafficProfile::new(200.0, 4.0),
             TrafficProfile::new(80.0, 6.0),
         ];
-        let trace = Trace::poisson(&profiles, 1.0, 42);
+        let trace = Trace::poisson(&profiles, 1.0, 42).unwrap();
         let a = replay(&co, &profiles, &trace, &ServeConfig::default()).unwrap();
         let b = replay(&co, &profiles, &trace, &ServeConfig::default()).unwrap();
         assert_eq!(a, b);
@@ -1646,7 +1663,7 @@ mod tests {
             replay(
                 &co,
                 &profiles,
-                &Trace::poisson(&profiles, f64::INFINITY, 1),
+                &Trace::poisson(&profiles, f64::INFINITY, 1).unwrap(),
                 &ServeConfig::default()
             ),
             Err(ServeError::InvalidHorizon(h)) if h == f64::INFINITY
@@ -1889,7 +1906,7 @@ mod tests {
             TrafficProfile::new(200.0, 5.0),
             TrafficProfile::new(100.0, 5.0),
         ];
-        let trace = Trace::poisson(&profiles, 0.5, 11);
+        let trace = Trace::poisson(&profiles, 0.5, 11).unwrap();
         let config = ServeConfig::default();
         let uninterrupted = replay(&co, &profiles, &trace, &config).unwrap();
         for at in [0.0, 0.2] {
@@ -1944,7 +1961,7 @@ mod tests {
             TrafficProfile::new(300.0, 4.0),
             TrafficProfile::new(120.0, 6.0),
         ];
-        let trace = Trace::poisson(&profiles, 0.5, 42);
+        let trace = Trace::poisson(&profiles, 0.5, 42).unwrap();
         for policy in DispatchPolicy::ALL {
             let config = ServeConfig::new(policy);
             let uninterrupted = replay(&co, &profiles, &trace, &config).unwrap();
@@ -1975,7 +1992,7 @@ mod tests {
     fn segmented_run_until_matches_one_shot() {
         let co = synthetic_co(&[2.0 * MS], &[1.0]);
         let profiles = [TrafficProfile::new(400.0, 6.0)];
-        let trace = Trace::poisson(&profiles, 0.4, 7);
+        let trace = Trace::poisson(&profiles, 0.4, 7).unwrap();
         let config = ServeConfig::default();
         let uninterrupted = replay(&co, &profiles, &trace, &config).unwrap();
         let mut sim = SimState::new(&co, &profiles, &trace, &config).unwrap();
@@ -2003,7 +2020,7 @@ mod tests {
             TrafficProfile::new(200.0, 5.0),
             TrafficProfile::new(100.0, 5.0),
         ];
-        let trace = Trace::poisson(&profiles, 0.5, 11);
+        let trace = Trace::poisson(&profiles, 0.5, 11).unwrap();
         let config = ServeConfig::default();
         let mut sim = SimState::new(&co, &profiles, &trace, &config).unwrap();
         sim.run_until(0.25);
@@ -2035,7 +2052,7 @@ mod tests {
             TrafficProfile::new(300.0, 5.0),
             TrafficProfile::new(150.0, 5.0),
         ];
-        let trace = Trace::poisson(&profiles, 1.0, 23);
+        let trace = Trace::poisson(&profiles, 1.0, 23).unwrap();
         let config = ServeConfig::default();
         let mut sim = SimState::new(&co, &profiles, &trace, &config).unwrap();
 
@@ -2073,7 +2090,7 @@ mod tests {
         let profiles = [TrafficProfile::new(20.0, 5.0)];
         // Sparse singleton arrivals: every batch is a lone request launched
         // at the last safe instant.
-        let trace = Trace::poisson(&profiles, 1.0, 13);
+        let trace = Trace::poisson(&profiles, 1.0, 13).unwrap();
         let zero = replay(
             &co,
             &profiles,
@@ -2118,7 +2135,7 @@ mod tests {
         let mut co_fast = synthetic_co(&[2.0 * MS], &[1.0]);
         co_fast.placements[0].accels = vec![AccelId(2), AccelId(3)];
         let profiles = [TrafficProfile::new(150.0, 3.0)];
-        let trace = Trace::poisson(&profiles, 1.0, 3);
+        let trace = Trace::poisson(&profiles, 1.0, 3).unwrap();
         let config = ServeConfig::default();
 
         let static_report = replay(&co_slow, &profiles, &trace, &config).unwrap();
@@ -2233,7 +2250,7 @@ mod tests {
             p.accels = vec![AccelId(0), AccelId(1)];
         }
         let profiles = [TrafficProfile::new(200.0, 5.0); 8];
-        let trace = Trace::poisson(&profiles, 2.0, 7);
+        let trace = Trace::poisson(&profiles, 2.0, 7).unwrap();
         let config = ServeConfig::default();
         let faults = [
             mars_model::FaultEvent::accel_down(0.5, 0),
@@ -2267,7 +2284,7 @@ mod tests {
         // One placement listing an accelerator twice overlaps itself.
         let mut twice = synthetic_co(&[1.0 * MS], &[1.0]);
         twice.placements[0].accels = vec![AccelId(1), AccelId(1)];
-        let trace = Trace::poisson(&profiles[..1], 2.0, 7);
+        let trace = Trace::poisson(&profiles[..1], 2.0, 7).unwrap();
         assert_eq!(
             SimState::new(&twice, &profiles[..1], &trace, &config).map(|_| ()),
             Err(ServeError::OverlappingPartitions {
@@ -2295,5 +2312,61 @@ mod tests {
             sim.set_sla_factors(&[f64::NAN]),
             Err(ServeError::InvalidSla { .. })
         )
+    }
+
+    /// The `"histograms"` section of `obs`'s metrics JSON.
+    fn histograms_json(obs: &mars_obs::Obs) -> String {
+        let json = mars_obs::metrics_json(obs);
+        let start = json
+            .find("\n  \"histograms\": {")
+            .expect("a histograms section");
+        let len = json[start..].find("\n  }").expect("sections close");
+        json[start..start + len].to_owned()
+    }
+
+    /// Nothing a step dispatches stays buffered once `step` returns: a
+    /// recorded `SimState` of the bundled fleet, stepped to exhaustion,
+    /// holds each step's batch span and its two histogram samples by then,
+    /// and what the steps recorded equals a run to the horizon, spans
+    /// (canonicalized) and histograms.  Each step's records are `take`n, so
+    /// the check stays linear in the steps.
+    #[test]
+    fn each_step_is_recorded_when_it_returns() {
+        let fleet = mars_model::zoo::MixZoo::fleet();
+        let co = crate::fleet_co_schedule(&fleet);
+        let profiles = &fleet.traffic.phases[0].profiles;
+        let trace = Trace::phased(&fleet.traffic, 42).unwrap();
+        let config = ServeConfig::default();
+        let sim = || SimState::new(&co, profiles, &trace, &config).unwrap();
+
+        let recorder = Recorder::enabled();
+        let mut stepped = sim().with_recorder(recorder.clone());
+        let all = Recorder::enabled();
+        let mut steps = 0;
+        while let Some(batch) = stepped.step() {
+            steps += 1;
+            let took = recorder.take();
+            let one = Recorder::enabled();
+            let track = format!("lane/{}", co.placements[batch.workload].name);
+            let name = format!("batch({})", batch.size);
+            one.span(&track, &name, batch.start, batch.finish);
+            assert_eq!(took.spans(), one.take().spans(), "step {steps}");
+            let histograms = histograms_json(&took);
+            for key in ["serve/batch_size", "serve/queue_depth"] {
+                let entry = format!("\"{key}\": {{\"count\": 1,");
+                assert!(histograms.contains(&entry), "step {steps}: {histograms}");
+            }
+            all.absorb(&took);
+        }
+        assert_eq!(steps, 66_377);
+
+        let horizon = Recorder::enabled();
+        sim().with_recorder(horizon.clone()).finish();
+        let (mut stepped, mut ran) = (all.take(), horizon.take());
+        assert_eq!(histograms_json(&stepped), histograms_json(&ran));
+        stepped.canonicalize();
+        ran.canonicalize();
+        assert_eq!(stepped.spans().len(), steps);
+        assert_eq!(stepped.spans(), ran.spans());
     }
 }

@@ -9,7 +9,7 @@
 //! copying it.
 
 use mars_core::genome_stream_seed;
-use mars_model::{PhasedTraffic, TrafficError, TrafficProfile};
+use mars_model::{PhasedTraffic, TrafficError, TrafficProfile, MAX_EXPECTED_ARRIVALS};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::Arc;
@@ -73,28 +73,42 @@ impl Trace {
     /// (the simulator rejects them before this matters), and so does every
     /// profile when `horizon_seconds` is not positive and finite (the
     /// simulator rejects the horizon with [`ServeError::InvalidHorizon`]).
-    /// Nothing bounds the rate: a stream of `qps × horizon_seconds`
-    /// arrivals is drawn whatever its size.  [`Trace::phased`] rejects a
-    /// scenario that expects more than 2^32 arrivals of one workload.
+    ///
+    /// # Errors
+    ///
+    /// [`TrafficError::TooManyArrivals`] for the first workload whose
+    /// `qps × horizon_seconds` exceeds [`MAX_EXPECTED_ARRIVALS`] (2^32), the
+    /// bound [`PhasedTraffic::validate`] applies, before anything is drawn.
     ///
     /// [`ServeError::InvalidHorizon`]: crate::ServeError::InvalidHorizon
-    pub fn poisson(profiles: &[TrafficProfile], horizon_seconds: f64, seed: u64) -> Self {
+    pub fn poisson(
+        profiles: &[TrafficProfile],
+        horizon_seconds: f64,
+        seed: u64,
+    ) -> Result<Self, TrafficError> {
+        let horizon_ok = horizon_seconds > 0.0 && horizon_seconds.is_finite();
+        let drawn = |p: &TrafficProfile| horizon_ok && p.qps > 0.0 && p.qps.is_finite();
+        for (workload, p) in profiles.iter().enumerate() {
+            let expected = p.qps * horizon_seconds;
+            if drawn(p) && expected > MAX_EXPECTED_ARRIVALS {
+                return Err(TrafficError::TooManyArrivals { workload, expected });
+            }
+        }
         let arrivals = profiles
             .iter()
             .enumerate()
             .map(|(w, p)| {
-                let horizon_ok = horizon_seconds > 0.0 && horizon_seconds.is_finite();
-                if !(p.qps > 0.0 && p.qps.is_finite() && horizon_ok) {
+                if !drawn(p) {
                     return Arc::default();
                 }
                 let stream_seed = genome_stream_seed(seed, TRACE_STREAM, w as u64);
                 draw(std::iter::once((stream_seed, p.qps, 0.0, horizon_seconds)))
             })
             .collect();
-        Trace {
+        Ok(Trace {
             horizon_seconds,
             arrivals,
-        }
+        })
     }
 
     /// Draws a trace for a non-stationary [`PhasedTraffic`] scenario:
@@ -168,8 +182,8 @@ mod tests {
 
     #[test]
     fn poisson_traces_are_deterministic_and_in_window() {
-        let a = Trace::poisson(&profiles(), 1.0, 42);
-        let b = Trace::poisson(&profiles(), 1.0, 42);
+        let a = Trace::poisson(&profiles(), 1.0, 42).unwrap();
+        let b = Trace::poisson(&profiles(), 1.0, 42).unwrap();
         assert_eq!(a, b);
         for stream in &a.arrivals {
             assert!(stream.windows(2).all(|w| w[0] < w[1]), "not increasing");
@@ -182,8 +196,8 @@ mod tests {
 
     #[test]
     fn different_seeds_give_different_streams() {
-        let a = Trace::poisson(&profiles(), 1.0, 1);
-        let b = Trace::poisson(&profiles(), 1.0, 2);
+        let a = Trace::poisson(&profiles(), 1.0, 1).unwrap();
+        let b = Trace::poisson(&profiles(), 1.0, 2).unwrap();
         assert_ne!(a.arrivals, b.arrivals);
     }
 
@@ -297,7 +311,7 @@ mod tests {
         // Exhaustive equivalence with the reference linear filter on a real
         // seeded trace, over a grid of window edges that includes exact
         // arrival instants.
-        let drawn = Trace::poisson(&profiles(), 1.0, 42);
+        let drawn = Trace::poisson(&profiles(), 1.0, 42).unwrap();
         let mut edges: Vec<f64> = (0..=10).map(|i| i as f64 * 0.1).collect();
         edges.extend(drawn.arrivals[0].iter().take(8).copied());
         for &from in &edges {
@@ -319,13 +333,50 @@ mod tests {
 
     #[test]
     fn degenerate_profiles_yield_empty_streams() {
-        let zero = vec![TrafficProfile::new(0.0, 4.0)];
-        assert_eq!(Trace::poisson(&zero, 1.0, 7).total_requests(), 0);
+        let degenerate: Vec<_> = [0.0, -3.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+            .into_iter()
+            .map(|qps| TrafficProfile::new(qps, 4.0))
+            .collect();
+        let t = Trace::poisson(&degenerate, 1.0, 7).unwrap();
+        assert_eq!(t.arrivals, vec![Arc::default(); degenerate.len()]);
         // A horizon that is not positive and finite draws nothing; an
         // infinite one must not draw forever.
         for horizon in [0.0, -1.0, f64::INFINITY, f64::NAN] {
-            let t = Trace::poisson(&profiles(), horizon, 7);
+            let t = Trace::poisson(&profiles(), horizon, 7).unwrap();
             assert_eq!(t.arrivals, vec![Arc::default(); 2], "horizon {horizon}");
         }
+    }
+
+    /// A rate whose expected arrivals exceed the bound `PhasedTraffic`
+    /// applies is rejected before any stream is reserved or drawn, naming
+    /// the first such workload.
+    #[test]
+    fn rates_past_the_arrival_bound_are_rejected() {
+        let with = |qps| {
+            vec![
+                TrafficProfile::new(10.0, 4.0),
+                TrafficProfile::new(qps, 4.0),
+            ]
+        };
+        assert_eq!(
+            Trace::poisson(&with(1e9), 1e3, 7),
+            Err(TrafficError::TooManyArrivals {
+                workload: 1,
+                expected: 1e12
+            })
+        );
+        assert_eq!(
+            Trace::poisson(&with(1e300), 1.0, 7),
+            Err(TrafficError::TooManyArrivals {
+                workload: 1,
+                expected: 1e300
+            })
+        );
+        // A product that overflows is rejected too.
+        let max = [TrafficProfile::new(f64::MAX, 4.0)];
+        assert!(matches!(
+            Trace::poisson(&max, 2.0, 7),
+            Err(TrafficError::TooManyArrivals { expected, .. }) if expected == f64::INFINITY
+        ));
     }
 }

@@ -45,7 +45,7 @@ proptest! {
             TrafficProfile::new(qps_a, sla),
             TrafficProfile::new(qps_b, sla),
         ];
-        let trace = Trace::poisson(&profiles, 0.25, seed);
+        let trace = Trace::poisson(&profiles, 0.25, seed).unwrap();
         let config = ServeConfig::new(policy_of(policy_index));
         let report = simulate(&co, &profiles, &trace, &config).expect("valid inputs");
 
@@ -90,7 +90,7 @@ proptest! {
         let loose = [TrafficProfile::new(qps, 8.0)];
         let tight = [TrafficProfile::new(qps, 2.0)];
         // Identical arrival stream for both SLAs: the trace only reads qps.
-        let trace = Trace::poisson(&loose, 0.25, seed);
+        let trace = Trace::poisson(&loose, 0.25, seed).unwrap();
         let config = ServeConfig::new(policy_of(policy_index));
         let relaxed = simulate(&co, &loose, &trace, &config).expect("valid");
         let strict = simulate(&co, &tight, &trace, &config).expect("valid");

@@ -19,7 +19,7 @@ fn main() {
         .expect("bundled mix fits the platform");
 
     let profiles: Vec<TrafficProfile> = mix.traffic();
-    let trace = Trace::poisson(&profiles, 1.0, 42);
+    let trace = Trace::poisson(&profiles, 1.0, 42).expect("bundled traffic is bounded");
     println!(
         "{mix}: replaying {} requests over {:.1}s against {} placements\n",
         trace.total_requests(),

@@ -93,7 +93,7 @@ fn serve_report_is_unchanged_by_recording() {
     let catalog = Catalog::standard_three();
     let co = mars::co_schedule(&workloads, &topo, &catalog, &CoScheduleConfig::fast(42)).unwrap();
     let profiles = mix.traffic();
-    let trace = mars::serve::Trace::poisson(&profiles, 1.0, 42);
+    let trace = mars::serve::Trace::poisson(&profiles, 1.0, 42).unwrap();
     let config = ServeConfig::default();
 
     let plain = SimState::new(&co, &profiles, &trace, &config)
@@ -117,10 +117,10 @@ fn serve_report_is_unchanged_by_recording() {
 }
 
 /// The sharded fleet runner and the sharded LLM runner: recorder on vs off
-/// → identical reports at `MARS_THREADS` 1 and 4, and the shard-merged
-/// metrics are bit-identical across the two thread counts.  The only test
-/// in this binary that touches the environment, so the sequential
-/// set/restore cannot race.
+/// → identical reports at `MARS_THREADS` 1, 2 and 4, and the shard-merged
+/// metrics are bit-identical across the thread counts, which cut the lanes
+/// into different shards.  The only test in this binary that touches the
+/// environment, so the sequential set/restore cannot race.
 #[test]
 fn sharded_metrics_merge_identically_at_every_thread_count() {
     let fleet = MixZoo::fleet();
@@ -135,7 +135,7 @@ fn sharded_metrics_merge_identically_at_every_thread_count() {
     let saved = std::env::var("MARS_THREADS").ok();
     let mut fleet_exports = Vec::new();
     let mut llm_exports = Vec::new();
-    for threads in ["1", "4"] {
+    for threads in ["1", "2", "4"] {
         std::env::set_var("MARS_THREADS", threads);
 
         let plain = simulate_sharded_with_faults(
@@ -189,14 +189,16 @@ fn sharded_metrics_merge_identically_at_every_thread_count() {
         None => std::env::remove_var("MARS_THREADS"),
     }
 
-    assert_eq!(
-        fleet_exports[0], fleet_exports[1],
-        "merged fleet metrics differ between 1 and 4 shard threads"
-    );
-    assert_eq!(
-        llm_exports[0], llm_exports[1],
-        "merged LLM metrics differ between 1 and 4 shard threads"
-    );
+    for (threads, i) in [("2", 1), ("4", 2)] {
+        assert_eq!(
+            fleet_exports[0], fleet_exports[i],
+            "merged fleet metrics differ between 1 and {threads} shard threads"
+        );
+        assert_eq!(
+            llm_exports[0], llm_exports[i],
+            "merged LLM metrics differ between 1 and {threads} shard threads"
+        );
+    }
     assert!(llm_exports[0].0.contains("llm/"), "no LLM metrics recorded");
 }
 

@@ -25,7 +25,7 @@ fn serve_mix(
     )
     .expect("bundled mix fits the F1 platform");
     let profiles: Vec<TrafficProfile> = mix.traffic();
-    let trace = Trace::poisson(&profiles, 1.0, DEFAULT_SEED);
+    let trace = Trace::poisson(&profiles, 1.0, DEFAULT_SEED).unwrap();
     let config = ServeConfig::new(policy);
     let report =
         simulate_sharded_with_faults(&co, &profiles, &trace, &config, &[], FaultPolicy::default())
@@ -94,7 +94,7 @@ fn every_policy_serves_the_same_request_stream() {
     )
     .unwrap();
     let profiles: Vec<TrafficProfile> = MixZoo::ClassicPair.traffic();
-    let trace = Trace::poisson(&profiles, 1.0, DEFAULT_SEED);
+    let trace = Trace::poisson(&profiles, 1.0, DEFAULT_SEED).unwrap();
     for policy in DispatchPolicy::ALL {
         let config = ServeConfig::new(policy);
         let report = simulate_sharded_with_faults(
